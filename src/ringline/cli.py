@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import correspondence as co
 from . import export
-from .pauli import mermin_square_check, mub_spread_check, standard_labeling
+from .pauli import standard_labeling
 from .projline import (
     DISTANT,
     NEIGHBOR,
@@ -24,23 +24,12 @@ from .projline import (
     line_to_json_dict,
     simultaneous_subconfig,
 )
-from .quadrangle import (
-    OVOID,
-    complement_graph_of_ovoid,
-    dual,
-    graph_isomorphism,
-    is_petersen,
-    petersen_graph,
-    structure_isomorphism,
-    validate_gq_axioms,
-)
+from .quadrangle import OVOID, petersen_graph
 from .rings import ring_by_name, ring_names, ring_to_json_dict, units, validate_ring
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-
-C_LABELS = tuple(export.c_label(i) for i in range(1, 16))
 
 
 class InputError(Exception):
@@ -218,9 +207,8 @@ def cmd_gq_build(args: argparse.Namespace) -> int:
 
 
 def cmd_gq_axioms(args: argparse.Namespace) -> int:
-    s = co.canonical_gq()
-    problems = validate_gq_axioms(s)
-    self_dual = structure_isomorphism(s, dual(s)) is not None
+    problems, iso = co.quadrangle_axioms(co.canonical_gq())
+    self_dual = iso is not None
     fmt = _want(args, ("text", "json"))
     if fmt == "json":
         _emit_json(
@@ -291,22 +279,14 @@ def cmd_gq_hyperplanes(args: argparse.Namespace) -> int:
 
 
 def cmd_gq_petersen(args: argparse.Namespace) -> int:
-    s = co.canonical_gq()
     ovoids = [h for h in co.canonical_hyperplanes() if h.kind == OVOID]
     if args.ovoid is not None:
         if not 0 <= args.ovoid < len(ovoids):
             raise InputError(f"--ovoid must lie in 0..{len(ovoids) - 1}")
         ovoids = [ovoids[args.ovoid]]
     fmt = _want(args, ("text", "json"))
-    reference = petersen_graph()
-    results = []
-    ok = True
-    for h in ovoids:
-        comp = complement_graph_of_ovoid(s, h.points)
-        good = is_petersen(comp)
-        witness = graph_isomorphism(comp, reference) if good else None
-        ok = ok and good and witness is not None
-        results.append((h, good, witness))
+    results = [(h, co.petersen_witness(h.points)) for h in ovoids]
+    ok = all(witness is not None for _, witness in results)
     if fmt == "json":
         _emit_json(
             {
@@ -314,20 +294,22 @@ def cmd_gq_petersen(args: argparse.Namespace) -> int:
                 "results": [
                     {
                         "ovoid": sorted(h.points),
-                        "petersen": good,
+                        "petersen": witness is not None,
                         "witness": None
                         if witness is None
                         else [[p, list(q)] for p, q in sorted(witness.items())],
                     }
-                    for h, good, witness in results
+                    for h, witness in results
                 ],
             }
         )
     else:
-        for h, good, witness in results:
+        for h, witness in results:
             pts = " ".join(export.c_label(p) for p in sorted(h.points))
-            _emit(f"ovoid {pts}: {'Petersen' if good else 'NOT Petersen'}\n")
-            if witness is not None:
+            if witness is None:
+                _emit(f"ovoid {pts}: NOT Petersen\n")
+            else:
+                _emit(f"ovoid {pts}: Petersen\n")
                 pairs = ", ".join(
                     f"{export.c_label(p)}->{q}" for p, q in sorted(witness.items())
                 )
@@ -342,30 +324,31 @@ def cmd_gq_petersen(args: argparse.Namespace) -> int:
 def cmd_pauli_table(args: argparse.Namespace) -> int:
     ops = standard_labeling()
     signs = co.operator_signs()
+    labels = [export.c_label(i) for i in range(1, len(ops) + 1)]
     fmt = _want(args, ("text", "json", "csv"))
     if fmt == "json":
         _emit_json(
             {
                 "schema": 1,
                 "operators": [
-                    {"point": C_LABELS[i], "operator": op.label}
-                    for i, op in enumerate(ops)
+                    {"point": label, "operator": op.label}
+                    for label, op in zip(labels, ops)
                 ],
                 "signs": list(signs),
             }
         )
     elif fmt == "csv":
-        _emit(export.sign_matrix_csv(signs, C_LABELS))
+        _emit(export.sign_matrix_csv(signs, labels))
     else:
-        for i, op in enumerate(ops):
-            _emit(f"{C_LABELS[i]:>4s} {op.label}  {signs[i]}\n")
+        for label, op, row in zip(labels, ops, signs):
+            _emit(f"{label:>4s} {op.label}  {row}\n")
     return EXIT_OK
 
 
 def cmd_pauli_mermin(args: argparse.Namespace) -> int:
     ops = standard_labeling()
-    rows = [(7, 8, 9), (10, 11, 12), (13, 14, 15)]
-    result = mermin_square_check([[ops[i - 1] for i in row] for row in rows])
+    rows = co.STANDARD_ROWS
+    result = co.standard_square()
     fmt = _want(args, ("text", "json"))
     if fmt == "json":
         _emit_json(
@@ -387,19 +370,13 @@ def cmd_pauli_mermin(args: argparse.Namespace) -> int:
 
 
 def cmd_pauli_mub(args: argparse.Namespace) -> int:
-    s = co.canonical_gq()
-    ops = standard_labeling()
     spreads = co.canonical_spreads()
     if args.spread is not None:
         if not 0 <= args.spread < len(spreads):
             raise InputError(f"--spread must lie in 0..{len(spreads) - 1}")
         spreads = (spreads[args.spread],)
     fmt = _want(args, ("text", "json"))
-    results = []
-    for sp in spreads:
-        triples = [sorted(s.lines[i]) for i in sp]
-        good = mub_spread_check([[ops[i - 1] for i in t] for t in triples])
-        results.append((triples, good))
+    results = [co.spread_unbiased(sp) for sp in spreads]
     ok = all(good for _, good in results)
     if fmt == "json":
         _emit_json(
@@ -464,13 +441,14 @@ def cmd_export(args: argparse.Namespace) -> int:
     what, fmt = args.what, args.format
     if what == "signs":
         signs = co.geometric_signs()
+        labels = [export.c_label(i) for i in range(1, len(signs) + 1)]
         if fmt == "csv":
-            payload = export.sign_matrix_csv(signs, C_LABELS)
+            payload = export.sign_matrix_csv(signs, labels)
         elif fmt == "dot":
-            payload = export.sign_matrix_dot(signs, C_LABELS, args.edge_sign)
+            payload = export.sign_matrix_dot(signs, labels, args.edge_sign)
         elif fmt == "json":
             payload = json.dumps(
-                {"schema": 1, "labels": list(C_LABELS), "signs": list(signs)},
+                {"schema": 1, "labels": labels, "signs": list(signs)},
                 indent=2,
             ) + "\n"
         else:

@@ -19,7 +19,9 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import golden
+from .export import c_label
 from .pauli import (
+    MerminResult,
     PauliOp,
     commutes,
     commutation_table,
@@ -73,6 +75,11 @@ __all__ = [
     "geometric_signs",
     "operator_signs",
     "relation_isomorphism",
+    "STANDARD_ROWS",
+    "quadrangle_axioms",
+    "petersen_witness",
+    "standard_square",
+    "spread_unbiased",
     "verify_ring_tables",
     "verify_line_census",
     "verify_subconfig",
@@ -161,12 +168,8 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _c(i: int) -> str:
-    return f"C{i}"
-
-
 def _cset(ids: Iterable[int]) -> str:
-    return "{" + ",".join(_c(i) for i in sorted(ids)) + "}"
+    return "{" + ",".join(c_label(i) for i in sorted(ids)) + "}"
 
 
 @lru_cache(maxsize=None)
@@ -246,12 +249,8 @@ def relation_isomorphism(
     return graph_isomorphism(_signs_graph(tuple(rows1)), _signs_graph(tuple(rows2)))
 
 
-def _ops() -> tuple[PauliOp, ...]:
-    return standard_labeling()
-
-
 def _ops_for(labels: Iterable[int]) -> list[PauliOp]:
-    ops = _ops()
+    ops = standard_labeling()
     return [ops[i - 1] for i in labels]
 
 
@@ -405,7 +404,7 @@ def _diff_cells(
         for j in range(len(left)):
             if left[i][j] != right[i][j]:
                 out.append(
-                    f"{_c(i + 1)},{_c(j + 1)}: {left_name} '{left[i][j]}' "
+                    f"{c_label(i + 1)},{c_label(j + 1)}: {left_name} '{left[i][j]}' "
                     f"{right_name} '{right[i][j]}'"
                 )
     return out
@@ -456,6 +455,11 @@ def verify_relation_signs(reference: Sequence[str] | None = None) -> Report:
 # quadrangle level
 
 
+def quadrangle_axioms(s: IncidenceStructure) -> tuple[list[str], dict | None]:
+    """Axiom violations of ``s`` and a self-duality isomorphism (or None)."""
+    return validate_gq_axioms(s), structure_isomorphism(s, dual(s))
+
+
 def verify_gq_structure() -> Report:
     g = neighbor_graph()
     checks = [
@@ -476,7 +480,7 @@ def verify_gq_structure() -> Report:
             len(s.points) == 15 and len(s.lines) == 15,
         )
     )
-    problems = validate_gq_axioms(s)
+    problems, iso = quadrangle_axioms(s)
     checks.append(
         CheckResult(
             "quadrangle axioms hold",
@@ -484,7 +488,6 @@ def verify_gq_structure() -> Report:
             problems[0] if problems else "exhaustive",
         )
     )
-    iso = structure_isomorphism(s, dual(s))
     checks.append(CheckResult("self-duality isomorphism found", iso is not None))
     if iso is not None:
         data["self_duality"] = [[p, q] for p, q in sorted(iso.items())]
@@ -533,23 +536,27 @@ def verify_hyperplane_census() -> Report:
     return Report("hyperplane census", tuple(checks), data)
 
 
+def petersen_witness(ovoid: Iterable[int]) -> dict | None:
+    """An isomorphism from the collinearity graph off ``ovoid`` onto
+    ``petersen_graph()``, or None; finding one proves the complement cubic
+    with girth 5."""
+    comp = complement_graph_of_ovoid(canonical_gq(), ovoid)
+    return graph_isomorphism(comp, petersen_graph())
+
+
 def verify_petersen() -> Report:
     """Every ovoid complement is the Petersen graph, with explicit witnesses."""
-    s = canonical_gq()
     checks = []
     data: dict = {"witnesses": []}
-    reference = petersen_graph()
     for h in canonical_hyperplanes():
         if h.kind != OVOID:
             continue
-        comp = complement_graph_of_ovoid(s, h.points)
-        ok = is_petersen(comp)
-        witness = graph_isomorphism(comp, reference) if ok else None
+        witness = petersen_witness(h.points)
         checks.append(
             CheckResult(
                 f"complement of {_cset(h.points)} is Petersen",
-                ok and witness is not None,
-                "3-regular, girth 5, isomorphism found" if ok else "",
+                witness is not None,
+                "3-regular, girth 5, isomorphism found" if witness is not None else "",
             )
         )
         if witness is not None:
@@ -559,6 +566,7 @@ def verify_petersen() -> Report:
                     "mapping": [[p, list(q)] for p, q in sorted(witness.items())],
                 }
             )
+    reference = petersen_graph()
     checks.append(
         CheckResult(
             "reference graph sane",
@@ -570,6 +578,14 @@ def verify_petersen() -> Report:
 
 # ---------------------------------------------------------------------------
 # factorizations
+
+# The nine common neighbors as a 3x3 grid of point labels, row by row.
+STANDARD_ROWS = ((7, 8, 9), (10, 11, 12), (13, 14, 15))
+
+
+def standard_square() -> MerminResult:
+    """The Mermin check of the operators on the ``STANDARD_ROWS`` grid."""
+    return mermin_square_check([_ops_for(r) for r in STANDARD_ROWS])
 
 
 def verify_split_9_6() -> Report:
@@ -650,8 +666,7 @@ def verify_split_9_6() -> Report:
             )
         )
 
-    rows = [(7, 8, 9), (10, 11, 12), (13, 14, 15)]
-    result = mermin_square_check([_ops_for(r) for r in rows])
+    result = standard_square()
     checks.append(
         CheckResult(
             "nine common neighbors in standard rows form a magic square",
@@ -659,7 +674,7 @@ def verify_split_9_6() -> Report:
             f"row signs {result.row_signs}, column signs {result.col_signs}",
         )
     )
-    data["mermin_rows"] = [list(r) for r in rows]
+    data["mermin_rows"] = [list(r) for r in STANDARD_ROWS]
     data["mermin_row_signs"] = list(result.row_signs)
     data["mermin_col_signs"] = list(result.col_signs)
     return Report("9 plus 6 factorization", tuple(checks), data)
@@ -670,7 +685,6 @@ def verify_split_10_5() -> Report:
     line, _, _, pts = _m2f2_sub()
     gf4_line = enumerate_line(ring_by_name("gf4"))
     s = canonical_gq()
-    ops = _ops()
     checks = []
     data: dict = {"ovoids": []}
     ovoids = [h for h in canonical_hyperplanes() if h.kind == OVOID]
@@ -745,7 +759,7 @@ def perp_subline_check(x: int) -> Report:
         )
     )
     data = {"center": x, "neighbors": nbrs, "pairs": [list(p) for p in pairs]}
-    return Report(f"perp set of {_c(x)}", tuple(checks), data)
+    return Report(f"perp set of {c_label(x)}", tuple(checks), data)
 
 
 def verify_perp_sublines() -> Report:
@@ -757,7 +771,7 @@ def verify_perp_sublines() -> Report:
         pairs = sub.data["pairs"]
         checks.append(
             CheckResult(
-                f"perp set of {_c(x)}",
+                f"perp set of {c_label(x)}",
                 sub.passed,
                 " ".join(_cset(p) for p in pairs),
             )
@@ -830,8 +844,7 @@ def grid_mermin_arrangement(points: frozenset) -> tuple[tuple[int, ...], ...] | 
 
 def verify_mermin() -> Report:
     """Magic squares: the standard grid and all ten grid hyperplanes."""
-    rows = [(7, 8, 9), (10, 11, 12), (13, 14, 15)]
-    result = mermin_square_check([_ops_for(r) for r in rows])
+    result = standard_square()
     checks = [
         CheckResult(
             "standard grid is magic",
@@ -841,7 +854,7 @@ def verify_mermin() -> Report:
         )
     ]
     data: dict = {
-        "standard_rows": [list(r) for r in rows],
+        "standard_rows": [list(r) for r in STANDARD_ROWS],
         "row_signs": list(result.row_signs),
         "col_signs": list(result.col_signs),
         "arrangements": [],
@@ -855,7 +868,7 @@ def verify_mermin() -> Report:
                 f"grid {_cset(h.points)} admits a magic arrangement",
                 arrangement is not None,
                 " / ".join(
-                    ",".join(_c(i) for i in row) for row in arrangement
+                    ",".join(c_label(i) for i in row) for row in arrangement
                 )
                 if arrangement
                 else "",
@@ -868,16 +881,22 @@ def verify_mermin() -> Report:
     return Report("magic squares", tuple(checks), data)
 
 
+def spread_unbiased(spread: Sequence[int]) -> tuple[list[list[int]], bool]:
+    """The spread's lines as sorted label triples, and whether their
+    operators' joint eigenbases are mutually unbiased."""
+    s = canonical_gq()
+    triples = [sorted(s.lines[i]) for i in spread]
+    return triples, mub_spread_check([_ops_for(t) for t in triples])
+
+
 def verify_mub() -> Report:
     """Every spread's five commuting triples give mutually unbiased bases."""
-    s = canonical_gq()
     checks = []
     data: dict = {"spreads": []}
     spreads = canonical_spreads()
     checks.append(CheckResult("6 spreads to examine", len(spreads) == 6))
     for sp in spreads:
-        triples = [sorted(s.lines[i]) for i in sp]
-        ok = mub_spread_check([_ops_for(t) for t in triples])
+        triples, ok = spread_unbiased(sp)
         checks.append(
             CheckResult(
                 "spread " + " ".join(_cset(t) for t in triples),

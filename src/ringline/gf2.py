@@ -13,6 +13,7 @@ __all__ = [
     "add",
     "multiply",
     "rank",
+    "kernel",
     "is_invertible",
     "invert",
     "rows_to_lists",
@@ -54,6 +55,33 @@ def rank(rows: Iterable[int]) -> int:
                 break
             row ^= basis[low]
     return len(basis)
+
+
+def kernel(rows: Iterable[int], n: int) -> BitMatrix:
+    """A basis of the null space: all x in GF(2)^n with ``row & x`` of even
+    weight for every row (Gauss-Jordan, one basis vector per free column)."""
+    pivots: dict[int, int] = {}  # pivot column -> reduced row
+    for row in rows:
+        for col, prow in pivots.items():
+            if (row >> col) & 1:
+                row ^= prow
+        if not row:
+            continue
+        col = (row & -row).bit_length() - 1
+        for c in pivots:
+            if (pivots[c] >> col) & 1:
+                pivots[c] ^= row
+        pivots[col] = row
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        vec = 1 << free
+        for col, prow in pivots.items():
+            if (prow >> free) & 1:
+                vec |= 1 << col
+        basis.append(vec)
+    return tuple(basis)
 
 
 def is_invertible(rows: Sequence[int], n: int) -> bool:

@@ -17,11 +17,9 @@ __all__ = [
     "M2F2_UNITS",
     "LINE_CENSUS_REPS",
     "POINT_REPS",
-    "C_LABELS",
     "CANONICAL_SIGNS",
     "OPERATOR_LABELS",
     "SAMPLE_OVOID",
-    "PERP_OF_C13",
     "TRIPLE_SPLIT",
 ]
 
@@ -85,8 +83,6 @@ POINT_REPS: tuple[tuple[int, int], ...] = (
     (6, 4), (6, 10), (6, 14),
 )
 
-C_LABELS: tuple[str, ...] = tuple(f"C{i}" for i in range(1, 16))
-
 # 15x15 sign matrix over the distinguished points, row i / column j giving
 # the relation of C_{i+1} to C_{j+1}: "+" distant (operators anticommute),
 # "-" neighbor (operators commute); the diagonal is "-".
@@ -116,10 +112,8 @@ OPERATOR_LABELS: tuple[str, ...] = (
     "XY", "1Y", "1Z", "ZZ", "Z1",
 )
 
-# One known ovoid, plus the six points collinear with C13 (its perp set
-# minus the center itself); both serve as anchors in tests.
+# One known ovoid, an anchor for the 10 + 5 certificate and the tests.
 SAMPLE_OVOID: frozenset[int] = frozenset({1, 5, 9, 10, 14})
-PERP_OF_C13: frozenset[int] = frozenset({4, 5, 7, 10, 14, 15})
 
 # The unique way the six common-distant points fall into two triples, each
 # completing the base pair to a five-point all-distant subline.  Found by

@@ -36,7 +36,6 @@ __all__ = [
     "is_admissible",
     "pair_relation",
     "enumerate_line",
-    "relation",
     "simultaneous_subconfig",
     "induced_signs",
     "standard_triple",
@@ -159,10 +158,6 @@ def enumerate_line(ring: Ring) -> ProjectiveLine:
         for p in points
     )
     return ProjectiveLine(ring, tuple(points), rel)
-
-
-def relation(line: ProjectiveLine, x: PointClass | Pair, y: PointClass | Pair) -> str:
-    return line.relation_of(x, y)
 
 
 def _as_class(line: ProjectiveLine, p: PointClass | Pair) -> PointClass:

@@ -3,17 +3,19 @@
 The structure is recovered from a collinearity graph whose edges each lie on
 exactly one triangle (the triangles are the lines), then validated against
 the quadrangle axioms.  Also here: geometric hyperplanes (ovoids, perp sets,
-grids), spreads by exact cover, duality, the Petersen graph, and a small
-backtracking graph-isomorphism search (no external canonical-labeling
-dependency; instances never exceed 16 vertices).
+grids) from a GF(2) kernel, spreads by exact cover, duality, the Petersen
+graph, and a small backtracking graph-isomorphism search (no external
+canonical-labeling dependency; instances never exceed 16 vertices).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable
+
+from . import gf2
 
 __all__ = [
     "Graph",
@@ -36,8 +38,6 @@ __all__ = [
     "graph_isomorphism",
     "structure_isomorphism",
     "dual",
-    "spread_removal_dual",
-    "line_intersection_graph",
 ]
 
 Vertex = Hashable
@@ -280,49 +280,21 @@ def _classify_hyperplane(s: IncidenceStructure, pts: frozenset) -> Hyperplane:
 def enumerate_hyperplanes(s: IncidenceStructure) -> tuple[Hyperplane, ...]:
     """All proper geometric hyperplanes, classified and sorted by kind.
 
-    Depth-first search over point in/out decisions, pruning any line that
-    can no longer meet the set in exactly 1 or 3 points.
+    With three points per line, a set meets every line in 1 or 3 points
+    exactly when its complement meets every line in an even number, so the
+    complements are the nonzero vectors of the GF(2) kernel of the
+    line-point incidence matrix.
     """
-    points = list(s.points)
-    n = len(points)
-    line_ids_by_point = [s.lines_through(p) for p in points]
-    line_size = [len(line) for line in s.lines]
-    inside = [0] * len(s.lines)
-    decided = [0] * len(s.lines)
-    chosen: list = []
-    found: list[frozenset] = []
-
-    def feasible(i: int) -> bool:
-        inc, dec = inside[i], decided[i]
-        rest = line_size[i] - dec
-        return (inc <= 1 <= inc + rest) or (inc <= 3 <= inc + rest)
-
-    def walk(idx: int) -> None:
-        if idx == n:
-            if all(inside[i] in (1, 3) for i in range(len(s.lines))):
-                found.append(frozenset(chosen))
-            return
-        p = points[idx]
-        for take in (True, False):
-            for i in line_ids_by_point[idx]:
-                decided[i] += 1
-                if take:
-                    inside[i] += 1
-            if take:
-                chosen.append(p)
-            if all(feasible(i) for i in line_ids_by_point[idx]):
-                walk(idx + 1)
-            if take:
-                chosen.pop()
-            for i in line_ids_by_point[idx]:
-                decided[i] -= 1
-                if take:
-                    inside[i] -= 1
-
-    walk(0)
-    all_points = frozenset(points)
+    if any(len(line) != 3 for line in s.lines):
+        raise ValueError("hyperplanes from the kernel need three points per line")
+    bit = {p: 1 << i for i, p in enumerate(s.points)}
+    masks = [sum(bit[p] for p in line) for line in s.lines]
+    span = [0]
+    for vec in gf2.kernel(masks, len(s.points)):
+        span += [v ^ vec for v in span]
     planes = [
-        _classify_hyperplane(s, pts) for pts in found if pts != all_points
+        _classify_hyperplane(s, frozenset(p for p in s.points if not comp & bit[p]))
+        for comp in span[1:]
     ]
     planes.sort(key=lambda h: (_KIND_ORDER[h.kind], _sorted_points(s, h.points)))
     return tuple(planes)
@@ -440,21 +412,3 @@ def dual(s: IncidenceStructure) -> IncidenceStructure:
     pencils = [frozenset(s.lines_through(p)) for p in s.points]
     pencils.sort(key=sorted)
     return IncidenceStructure(tuple(range(len(s.lines))), tuple(pencils))
-
-
-def spread_removal_dual(s: IncidenceStructure, spread: Sequence[int]) -> IncidenceStructure:
-    """The structure left after deleting the lines of a spread."""
-    drop = set(spread)
-    keep = tuple(line for i, line in enumerate(s.lines) if i not in drop)
-    return IncidenceStructure(s.points, keep)
-
-
-def line_intersection_graph(s: IncidenceStructure) -> Graph:
-    """Vertices are line indices; edges join lines sharing a point."""
-    ids = tuple(range(len(s.lines)))
-    edges = [
-        (i, j)
-        for i, j in itertools.combinations(ids, 2)
-        if s.lines[i] & s.lines[j]
-    ]
-    return Graph.from_edges(ids, edges)

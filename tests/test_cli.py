@@ -1,6 +1,8 @@
 """Command line surface: exit codes, determinism, formats, exports."""
 
+import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -41,6 +43,23 @@ def test_command_exits_zero(argv, capsys):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert out.strip()
+
+
+# Exit code and SHA-256 of stdout for each command; a change that alters
+# any of these bytes must update tests/data/cli_stdout.json on purpose.
+PINNED = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "cli_stdout.json").read_text()
+)
+
+
+@pytest.mark.parametrize("pin", PINNED, ids=lambda e: " ".join(e["argv"]))
+def test_command_output_matches_pinned_bytes(pin, capsys):
+    code = cli.main(pin["argv"])
+    out = capsys.readouterr().out
+    cmd = " ".join(pin["argv"])
+    assert code == pin["exit"], f"{cmd}: exit {code}, pinned {pin['exit']}"
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == pin["sha256"], f"{cmd}: stdout differs from the pinned bytes"
 
 
 def test_verify_all_output_is_byte_identical(capsys):

@@ -105,3 +105,22 @@ def test_rows_round_trip():
     lists = [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
     m = gf2.rows_from_lists(lists)
     assert gf2.rows_to_lists(m, 3) == lists
+
+
+def test_kernel_random_matrices():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randrange(1, 10)
+        rows = [rng.randrange(1 << n) for _ in range(rng.randrange(0, 12))]
+        basis = gf2.kernel(rows, n)
+        for vec in basis:
+            assert vec >> n == 0
+            for row in rows:
+                assert bin(row & vec).count("1") % 2 == 0
+        assert gf2.rank(basis) == len(basis) == n - gf2.rank(rows)
+
+
+def test_kernel_of_gq_incidence_has_dimension_five(gq):
+    # 2^5 - 1 = 31 nonzero vectors: the complements of the hyperplanes
+    masks = [sum(1 << (p - 1) for p in line) for line in gq.lines]
+    assert len(gf2.kernel(masks, 15)) == 5

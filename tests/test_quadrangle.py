@@ -21,9 +21,7 @@ from ringline.quadrangle import (
     graph_isomorphism,
     is_petersen,
     is_strongly_regular,
-    line_intersection_graph,
     petersen_graph,
-    spread_removal_dual,
     structure_isomorphism,
     triangles,
     validate_gq_axioms,
@@ -252,22 +250,6 @@ def test_graph_isomorphism_positive_and_negative():
     assert graph_isomorphism(k33, prism) is None
     # different sizes
     assert graph_isomorphism(c5, cycle_graph(6)) is None
-
-
-def test_spread_removal_gives_dual_petersen(gq, spreads):
-    d = dual(gq)
-    for sp in spreads:
-        left = spread_removal_dual(gq, sp)
-        assert len(left.lines) == 10
-        assert all(len(left.lines_through(p)) == 2 for p in left.points)
-        g1 = line_intersection_graph(left)
-        assert is_petersen(g1)
-        g2 = complement_graph_of_ovoid(d, frozenset(sp))
-        assert graph_isomorphism(g1, g2) is not None
-
-
-def test_line_intersection_graph_is_srg(gq):
-    assert is_strongly_regular(line_intersection_graph(gq), 15, 6, 1, 3)
 
 
 def test_induced_subgraph():
