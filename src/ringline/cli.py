@@ -346,10 +346,10 @@ def cmd_pauli_table(args: argparse.Namespace) -> int:
 
 
 def cmd_pauli_mermin(args: argparse.Namespace) -> int:
+    fmt = _want(args, ("text", "json"))
     ops = standard_labeling()
     rows = co.STANDARD_ROWS
     result = co.standard_square()
-    fmt = _want(args, ("text", "json"))
     if fmt == "json":
         _emit_json(
             {
@@ -418,6 +418,7 @@ def _load_fixture(path: str) -> tuple[str, ...]:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.fixture is not None and args.what != "table2":
         raise InputError("--fixture only applies to 'verify table2'")
+    fmt = _want(args, ("text", "json"))
     if args.what == "table2":
         reference = _load_fixture(args.fixture) if args.fixture else None
         report = co.verify_relation_signs(reference)
@@ -429,7 +430,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = co.trinity_report()
     else:
         report = co.verify_all()
-    fmt = _want(args, ("text", "json"))
     if fmt == "json":
         _emit_json(report.to_json_dict())
     else:

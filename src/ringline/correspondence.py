@@ -804,42 +804,29 @@ def grid_mermin_arrangement(points: frozenset) -> tuple[tuple[int, ...], ...] | 
     """A magic 3x3 arrangement of a grid hyperplane, or None.
 
     Rows and columns must be the two parallel classes of the grid's six
-    lines.  All consistent arrangements are tried; among the magic ones the
-    lexicographically least flattened label tuple is returned, making the
-    result deterministic.
+    lines.  Every arrangement has the same six lines, so it is consistent
+    (each row meets each column in one point) when one is, and, since a
+    line's sign does not depend on the order of its commuting operators,
+    magic when one is.  The arrangement with the lexicographically least
+    flattened label tuple is evaluated once and returned if magic, making
+    the result deterministic.
     """
     s = canonical_gq()
     inside = [line for line in s.lines if line <= points]
     classes = _parallel_classes(inside)
     if classes is None:
         return None
-    best: tuple[int, ...] | None = None
-    for rows_cls, cols_cls in (classes, classes[::-1]):
-        for row_perm in itertools.permutations(rows_cls):
-            for col_perm in itertools.permutations(cols_cls):
-                grid = []
-                for r in row_perm:
-                    grid_row = []
-                    for c in col_perm:
-                        cell = r & c
-                        if len(cell) != 1:
-                            break
-                        grid_row.append(next(iter(cell)))
-                    else:
-                        grid.append(grid_row)
-                        continue
-                    break
-                if len(grid) != 3:
-                    continue
-                flat = tuple(itertools.chain.from_iterable(grid))
-                result = mermin_square_check(
-                    [_ops_for(r) for r in grid]
-                )
-                if result.magic and (best is None or flat < best):
-                    best = flat
-    return (
-        (best[0:3], best[3:6], best[6:9]) if best is not None else None
+    rows_cls, cols_cls = classes
+    if any(len(r & c) != 1 for r in rows_cls for c in cols_cls):
+        return None
+    best = min(
+        tuple(next(iter(r & c)) for r in row_perm for c in col_perm)
+        for rows, cols in (classes, classes[::-1])
+        for row_perm in itertools.permutations(rows)
+        for col_perm in itertools.permutations(cols)
     )
+    grid = (best[0:3], best[3:6], best[6:9])
+    return grid if mermin_square_check([_ops_for(r) for r in grid]).magic else None
 
 
 def verify_mermin() -> Report:

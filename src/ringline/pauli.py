@@ -6,9 +6,11 @@ An operator is encoded symplectically as four bits (z1, x1, z2, x2), one
 alternating form z1*x1' + x1*z1' + z2*x2' + x2*z2' vanishes mod 2.
 
 Products carry a phase in {1, i, -1, -i}, stored as the exponent k of i**k.
-Everything is integer or Fraction arithmetic; no floating point appears
-anywhere, which keeps the Mermin-square signs and the projector-trace
-criterion for mutually unbiased bases exact.
+Everything is integer arithmetic, with traces of phased operators as
+Gaussian integers (re, im); no floating point or rational appears
+anywhere.  The Mermin-square signs are exact, and so is the
+projector-trace criterion for mutually unbiased bases, because the
+projectors are kept scaled by 4 with integer coefficients.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 from .golden import OPERATOR_LABELS
@@ -174,6 +175,7 @@ def phased_trace(p: PhasedPauli) -> tuple[int, int]:
     return ((4, 0), (0, 4), (-4, 0), (0, -4))[p.phase_k]
 
 
+@lru_cache(maxsize=None)
 def standard_labeling() -> tuple[PauliOp, ...]:
     """The fixed operator dictionary: entry i is the operator of C_{i+1}."""
     return tuple(PauliOp.from_label(s) for s in OPERATOR_LABELS)
@@ -250,51 +252,25 @@ def mermin_square_check(grid: Sequence[Sequence[PauliOp]]) -> MerminResult:
     return MerminResult(tuple(signs[:3]), tuple(signs[3:]))
 
 
-# A linear combination of Pauli bodies with exact complex coefficients:
-# {body code (0 = identity): (re, im) Fractions}.  Enough machinery to
-# multiply projectors and take traces without ever leaving Q(i).
-
-_Coef = tuple[Fraction, Fraction]
-
-
-def _cadd(u: _Coef, v: _Coef) -> _Coef:
-    return (u[0] + v[0], u[1] + v[1])
+# A linear combination of Pauli bodies with integer coefficients:
+# {body code (0 = identity): coefficient}.  Projectors are kept scaled by 4,
+# so every coefficient is an integer and every trace of a product scales
+# by 16.
 
 
-def _cmul(u: _Coef, v: _Coef) -> _Coef:
-    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+def _scaled_projector(a: PauliOp, sa: int, b: PauliOp, sb: int) -> dict[int, int]:
+    # 4 times the joint eigenprojector of distinct commuting A, B onto the
+    # eigenvalues (sa, sb): (1 + sa A)(1 + sb B) = 1 + sa A + sb B + sa sb AB.
+    # AB = i**k C with k even, because commuting A and B make AB Hermitian,
+    # so i**k is (-1)**(k // 2) and every coefficient is real.
+    k, c = _mul_codes(a.code, b.code)
+    return {0: 1, a.code: sa, b.code: sb, c: sa * sb * (-1) ** (k // 2)}
 
 
-_I_POWER: tuple[_Coef, ...] = (
-    (Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(1)),
-    (Fraction(-1), Fraction(0)),
-    (Fraction(0), Fraction(-1)),
-)
-
-
-def _combo_mul(x: dict[int, _Coef], y: dict[int, _Coef]) -> dict[int, _Coef]:
-    out: dict[int, _Coef] = {}
-    for p, cp in x.items():
-        for q, cq in y.items():
-            k, r = _mul_codes(p, q)
-            term = _cmul(_cmul(cp, cq), _I_POWER[k])
-            out[r] = _cadd(out.get(r, (Fraction(0), Fraction(0))), term)
-    return out
-
-
-def _combo_trace(x: dict[int, _Coef]) -> _Coef:
-    re, im = x.get(0, (Fraction(0), Fraction(0)))
-    return (4 * re, 4 * im)
-
-
-def _projector(a: PauliOp, sa: int, b: PauliOp, sb: int) -> dict[int, _Coef]:
-    # (1 + sa A)(1 + sb B) / 4 for commuting A, B with A^2 = B^2 = 1:
-    # the joint eigenprojector onto eigenvalues (sa, sb).
-    half = Fraction(1, 2)
-    pa = {0: (half, Fraction(0)), a.code: (sa * half, Fraction(0))}
-    pb = {0: (half, Fraction(0)), b.code: (sb * half, Fraction(0))}
-    return _combo_mul(pa, pb)
+def _trace_of_product(x: dict[int, int], y: dict[int, int]) -> int:
+    # Tr(sigma_p sigma_q) is 4 when p == q (every body squares to the
+    # identity) and 0 otherwise, so only matching bodies contribute.
+    return 4 * sum(cx * y[p] for p, cx in x.items() if p in y)
 
 
 def mub_spread_check(spread: Sequence[Sequence[PauliOp]]) -> bool:
@@ -304,7 +280,8 @@ def mub_spread_check(spread: Sequence[Sequence[PauliOp]]) -> bool:
     distinct pairwise-commuting operators with product plus or minus the
     identity, together partitioning all fifteen operators.  The joint
     eigenbases then must satisfy, via exact projector traces,
-    Tr(P P') = 1 or 0 within a basis and Tr(P Q) = 1/4 across bases.
+    Tr(P P') = 1 or 0 within a basis and Tr(P Q) = 1/4 across bases
+    (checked on the projectors scaled by 4, as 16, 0 and 4).
     Returns True iff every trace comes out as required.
     """
     triples = [tuple(t) for t in spread]
@@ -322,20 +299,18 @@ def mub_spread_check(spread: Sequence[Sequence[PauliOp]]) -> bool:
     bases = []
     for ops in triples:
         a, b = sorted(ops, key=lambda op: op.code)[:2]
-        bases.append([_projector(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1)])
+        bases.append(
+            [_scaled_projector(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1)]
+        )
 
-    one = (Fraction(1), Fraction(0))
-    zero = (Fraction(0), Fraction(0))
-    quarter = (Fraction(1, 4), Fraction(0))
     for basis in bases:
         for i, p in enumerate(basis):
             for j, q in enumerate(basis):
-                want = one if i == j else zero
-                if _combo_trace(_combo_mul(p, q)) != want:
+                if _trace_of_product(p, q) != (16 if i == j else 0):
                     return False
     for b1, b2 in itertools.combinations(bases, 2):
         for p in b1:
             for q in b2:
-                if _combo_trace(_combo_mul(p, q)) != quarter:
+                if _trace_of_product(p, q) != 4:
                     return False
     return True

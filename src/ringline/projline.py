@@ -259,20 +259,31 @@ def mat_inv(ring: Ring, m: Mat2) -> Mat2:
 
 @lru_cache(maxsize=None)
 def gl2_elements(ring: Ring) -> tuple[Mat2, ...]:
-    """All invertible 2x2 matrices over the ring, by exhaustive rank test."""
+    """All invertible 2x2 matrices over the ring, by exhaustive test.
+
+    With row pairs packed as k GF(2) rows of 2k bits, (a, b) over (c, d)
+    is invertible exactly when both row pairs have rank k and their row
+    spaces meet only in 0.  Each rank-k pair keeps its span as a bitmask
+    over vectors with bit 0 (the zero vector) cleared, so the test for
+    every candidate is one AND.
+    """
     k = ring.rep_dim
     rep = ring.rep
-    pair_rows = {
-        (a, b): tuple(rep[a][i] | (rep[b][i] << k) for i in range(k))
-        for a in ring.elements()
-        for b in ring.elements()
-    }
-    full = 2 * k
-    out = []
-    for (a, b), top in pair_rows.items():
-        for (c, d), bot in pair_rows.items():
-            if gf2.rank(top + bot) == full:
-                out.append(Mat2(a, b, c, d))
+    spans = {}
+    for a in ring.elements():
+        for b in ring.elements():
+            rows = [rep[a][i] | (rep[b][i] << k) for i in range(k)]
+            if gf2.rank(rows) == k:
+                span = [0]
+                for row in rows:
+                    span += [v ^ row for v in span]
+                spans[(a, b)] = sum(1 << v for v in span[1:])
+    out = [
+        Mat2(a, b, c, d)
+        for (a, b), top in spans.items()
+        for (c, d), bot in spans.items()
+        if not top & bot
+    ]
     out.sort()
     return tuple(out)
 

@@ -72,6 +72,16 @@ def trace(a):
     return acc
 
 
+def trace_of_product(a, b):
+    """Tr(ab) without forming the product: sum of a[i][k] b[k][i]."""
+    acc = ZERO
+    n = len(a)
+    for i in range(n):
+        for k in range(n):
+            acc = cadd(acc, cmul(a[i][k], b[k][i]))
+    return acc
+
+
 def mat_for_label(label):
     """4x4 matrix of a two-character factor string such as "ZX" or "11"."""
     return kron(FACTOR_MATS[label[0]], FACTOR_MATS[label[1]])

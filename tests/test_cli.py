@@ -139,6 +139,25 @@ def test_bad_usage_exits_two(argv, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["verify", "all", "--format", "csv"], "verify_all"),
+        (["verify", "trinity", "--format", "csv"], "trinity_report"),
+        (["pauli", "mermin", "--format", "csv"], "standard_square"),
+    ],
+    ids=lambda a: " ".join(a) if isinstance(a, list) else a,
+)
+def test_bad_format_rejected_before_any_work(argv, work, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the format was checked")
+
+    monkeypatch.setattr(cli.co, work, refuse)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: format 'csv' not supported here (choose from text, json)" in err
+
+
 def test_unknown_ring_message_lists_choices(capsys):
     cli.main(["ring", "show", "qqq"])
     err = capsys.readouterr().err

@@ -1,13 +1,18 @@
 """End-to-end verifiers: sign tables, splits, sublines, reports."""
 
+import itertools
 import json
 
 import pytest
 
 from ringline import golden
 from ringline.correspondence import (
+    GRID,
     CheckResult,
     Report,
+    _ops_for,
+    canonical_gq,
+    canonical_hyperplanes,
     geometric_signs,
     grid_mermin_arrangement,
     operator_signs,
@@ -158,6 +163,64 @@ def test_grid_mermin_arrangement_deterministic_and_magic():
     for triple in rows + cols:
         prod *= line_product_sign(_ops_for(triple))
     assert prod == -1
+
+
+def _every_arrangement(points):
+    """(flattened labels, magic) for every consistent 3x3 arrangement of a
+    grid: rows one parallel class of its six lines, columns the other, each
+    cell the point they share.  This is the exhaustive search the verifier
+    replaced with one evaluation."""
+    from ringline.pauli import mermin_square_check
+
+    inside = [line for line in canonical_gq().lines if line <= points]
+    first = inside[0]
+    cls1 = [l for l in inside if not (l & first) or l == first]
+    cls2 = [l for l in inside if l not in cls1]
+    out = []
+    for rows_cls, cols_cls in ((cls1, cls2), (cls2, cls1)):
+        for row_perm in itertools.permutations(rows_cls):
+            for col_perm in itertools.permutations(cols_cls):
+                cells = [r & c for r in row_perm for c in col_perm]
+                if any(len(cell) != 1 for cell in cells):
+                    continue
+                flat = tuple(next(iter(cell)) for cell in cells)
+                grid = [_ops_for(flat[i : i + 3]) for i in (0, 3, 6)]
+                out.append((flat, mermin_square_check(grid).magic))
+    return out
+
+
+def test_grid_mermin_arrangement_matches_exhaustive_search():
+    grids = [h for h in canonical_hyperplanes() if h.kind == GRID]
+    assert len(grids) == 10
+    for h in grids:
+        arrangements = _every_arrangement(h.points)
+        assert len(arrangements) == 72
+        assert len({magic for _, magic in arrangements}) == 1
+        least = min(flat for flat, magic in arrangements if magic)
+        assert grid_mermin_arrangement(h.points) == (least[0:3], least[3:6], least[6:9])
+
+
+def test_grid_mermin_arrangement_rejects_crossing_classes():
+    # six lines in two classes of three disjoint lines, but some row and
+    # column do not meet, so no arrangement is consistent
+    points = frozenset((1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12))
+    assert _every_arrangement(points) == []
+    assert grid_mermin_arrangement(points) is None
+
+
+def test_grid_without_magic_gives_no_arrangement(monkeypatch):
+    import ringline.correspondence as co
+    from ringline.pauli import MerminResult
+
+    monkeypatch.setattr(
+        co, "mermin_square_check", lambda grid: MerminResult((1, 1, 1), (1, 1, 1))
+    )
+    assert grid_mermin_arrangement(frozenset(range(7, 16))) is None
+    report = verify_mermin()
+    assert not report.passed
+    grid_checks = [c for c in report.checks if c.name.startswith("grid ")]
+    assert len(grid_checks) == 10
+    assert not any(c.passed for c in grid_checks)
 
 
 def test_mub_report_covers_all_spreads():

@@ -1,5 +1,6 @@
 """Operator algebra against an independent dense-matrix oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from ringline import golden
 from ringline.pauli import (
     IDENTITY,
+    _scaled_projector,
+    _trace_of_product,
     MerminResult,
     PauliOp,
     PhasedPauli,
@@ -187,6 +190,29 @@ def test_mub_rejects_overlapping_lines():
         mub_spread_check([_ops_for((7, 8, 9))] * 5)
 
 
+@pytest.mark.parametrize("target, wrong", [(16, 0), (0, 16), (4, 8)])
+def test_mub_fails_when_one_trace_is_wrong(target, wrong, monkeypatch):
+    """Each of the three trace targets is checked: the first trace that
+    meets it, turned into another value the scaled projectors can give,
+    fails the spread."""
+    from ringline import pauli
+
+    spread = ((1, 2, 7), (3, 5, 8), (4, 6, 9), (10, 11, 12), (13, 14, 15))
+    real = pauli._trace_of_product
+    hit = []
+
+    def wrong_once(x, y):
+        t = real(x, y)
+        if t == target and not hit:
+            hit.append(t)
+            return wrong
+        return t
+
+    monkeypatch.setattr(pauli, "_trace_of_product", wrong_once)
+    assert not mub_spread_check([_ops_for(t) for t in spread])
+    assert hit
+
+
 def test_mub_oracle_cross_check():
     """One spread passes, and the projector traces recomputed with dense
     matrices give exactly the same answer."""
@@ -224,3 +250,53 @@ def test_mub_oracle_cross_check():
                     else:
                         want = (Fraction(1, 4), Fraction(0))
                     assert t == want
+
+
+def test_scaled_projector_traces_match_matrix_oracle():
+    """Every ordered pair of the 60 line projectors (15 commuting lines x 4
+    sign pairs): the integer projectors are 4 times the dense ones, and
+    their traces of products are 16 times the dense (real) traces.
+    Overlapping lines give 1/2 (scaled 8), which no MUB target takes."""
+    from fractions import Fraction
+
+    lines = {
+        frozenset((a.code, b.code, multiply(a, b).body.code))
+        for a in ALL_OPS
+        for b in ALL_OPS
+        if a != b and commutes(a, b)
+    }
+    assert len(lines) == 15
+    quarter = (Fraction(1, 4), Fraction(0))
+    ident = oracle.mat_for_label("11")
+    scaled, dense = [], []
+    for line in sorted(sorted(l) for l in lines):
+        a, b = PauliOp(line[0]), PauliOp(line[1])
+        for sa in (1, -1):
+            for sb in (1, -1):
+                combo = _scaled_projector(a, sa, b, sb)
+                ca = (Fraction(sa), Fraction(0))
+                cb = (Fraction(sb), Fraction(0))
+                pa = oracle.mat_add(ident, oracle.scale(ca, oracle.mat_for(a)))
+                pb = oracle.mat_add(ident, oracle.scale(cb, oracle.mat_for(b)))
+                p = oracle.scale(quarter, oracle.matmul(pa, pb))
+                assert oracle.matmul(p, p) == p
+                four_p = oracle.scale(oracle.ZERO, ident)
+                for code, coef in combo.items():
+                    body = "11" if code == 0 else PauliOp(code).label
+                    term = oracle.scale(
+                        (Fraction(coef), Fraction(0)), oracle.mat_for_label(body)
+                    )
+                    four_p = oracle.mat_add(four_p, term)
+                assert four_p == oracle.scale((Fraction(4), Fraction(0)), p)
+                scaled.append(combo)
+                dense.append(p)
+    assert len(scaled) == 60
+    seen = set()
+    for i, j in itertools.combinations_with_replacement(range(60), 2):
+        # Tr(PQ) = Tr(QP), so one dense trace serves both orders
+        re, im = oracle.trace_of_product(dense[i], dense[j])
+        got = _trace_of_product(scaled[i], scaled[j])
+        assert im == 0
+        assert got == _trace_of_product(scaled[j], scaled[i]) == 16 * re
+        seen.add(got)
+    assert seen == {16, 8, 4, 0}

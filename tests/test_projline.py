@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ringline import golden
+from ringline import gf2, golden
 from ringline.projline import (
     DISTANT,
     NEIGHBOR,
@@ -26,7 +26,7 @@ from ringline.projline import (
     standard_triple,
     line_to_json_dict,
 )
-from ringline.rings import ring_by_name, units, zero_divisors
+from ringline.rings import ring_by_name, ring_names, units, zero_divisors
 
 
 def test_point_and_orbit_counts(m2f2_line):
@@ -174,6 +174,26 @@ def test_standard_triple_pairwise_distant(m2f2, m2f2_line):
 def test_gl2_order(m2f2):
     assert gl2_order(m2f2) == 20160
     assert gl2_order(m2f2) == 15 * 14 * 12 * 8
+
+
+@pytest.mark.parametrize("name", ring_names())
+def test_gl2_elements_match_rank_oracle(name):
+    """The span-mask enumeration against the direct test: the 2k x 2k
+    block matrix of (a, b) over (c, d) has full GF(2) rank."""
+    ring = ring_by_name(name)
+    k = ring.rep_dim
+    pair_rows = {
+        (a, b): tuple(ring.rep[a][i] | (ring.rep[b][i] << k) for i in range(k))
+        for a in ring.elements()
+        for b in ring.elements()
+    }
+    want = sorted(
+        Mat2(a, b, c, d)
+        for (a, b), top in pair_rows.items()
+        for (c, d), bot in pair_rows.items()
+        if gf2.rank(top + bot) == 2 * k
+    )
+    assert gl2_elements(ring) == tuple(want)
 
 
 def test_gl2_contains_identity_and_closes(m2f2):
