@@ -44,15 +44,6 @@ def _emit_json(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _want(args: argparse.Namespace, allowed: Sequence[str]) -> str:
-    fmt = args.format
-    if fmt not in allowed:
-        raise InputError(
-            f"format {fmt!r} not supported here (choose from {', '.join(allowed)})"
-        )
-    return fmt
-
-
 def _ring(name: str):
     try:
         return ring_by_name(name)
@@ -68,10 +59,9 @@ def _ring(name: str):
 
 def cmd_ring_show(args: argparse.Namespace) -> int:
     ring = _ring(args.name)
-    fmt = _want(args, ("text", "json", "csv"))
-    if fmt == "json":
+    if args.format == "json":
         _emit_json(ring_to_json_dict(ring))
-    elif fmt == "csv":
+    elif args.format == "csv":
         lines = ["table,row,col,value"]
         for kind, table in (("add", ring.add_table), ("mul", ring.mul_table)):
             for i, row in enumerate(table):
@@ -92,9 +82,8 @@ def cmd_ring_show(args: argparse.Namespace) -> int:
 
 def cmd_ring_validate(args: argparse.Namespace) -> int:
     ring = _ring(args.name)
-    fmt = _want(args, ("text", "json"))
     problems = validate_ring(ring)
-    if fmt == "json":
+    if args.format == "json":
         _emit_json({"schema": 1, "ring": ring.name, "problems": list(problems)})
     else:
         if problems:
@@ -124,10 +113,9 @@ def _parse_pair(text: str, order: int) -> tuple[int, int]:
 
 def cmd_line_enumerate(args: argparse.Namespace) -> int:
     line = enumerate_line(_ring(args.ring))
-    fmt = _want(args, ("text", "json", "csv"))
-    if fmt == "json":
+    if args.format == "json":
         _emit_json(line_to_json_dict(line))
-    elif fmt == "csv":
+    elif args.format == "csv":
         _emit(export.line_points_csv(line))
     else:
         for i, pt in enumerate(line.points):
@@ -138,13 +126,12 @@ def cmd_line_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_line_relations(args: argparse.Namespace) -> int:
     line = enumerate_line(_ring(args.ring))
-    fmt = _want(args, ("text", "json", "csv", "dot"))
     labels = [f"P{i}" for i in range(len(line.points))]
-    if fmt == "json":
+    if args.format == "json":
         _emit_json(line_to_json_dict(line))
-    elif fmt == "csv":
+    elif args.format == "csv":
         _emit(export.sign_matrix_csv(line.relation, labels))
-    elif fmt == "dot":
+    elif args.format == "dot":
         _emit(export.sign_matrix_dot(line.relation, labels, args.edge_sign))
     else:
         for label, row in zip(labels, line.relation):
@@ -154,17 +141,16 @@ def cmd_line_relations(args: argparse.Namespace) -> int:
 
 def cmd_line_subconfig(args: argparse.Namespace) -> int:
     ring = _ring(args.ring)
-    line = enumerate_line(ring)
     u = _parse_pair(args.u, ring.order)
     v = _parse_pair(args.v, ring.order)
-    fmt = _want(args, ("text", "json"))
+    line = enumerate_line(ring)
     try:
         fam_distant, fam_neighbor = simultaneous_subconfig(line, u, v)
     except (KeyError, ValueError) as e:
         raise InputError(f"bad base points: {e}") from None
     pts = fam_distant + fam_neighbor
     signs = induced_signs(line, pts)
-    if fmt == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "schema": 1,
@@ -196,8 +182,7 @@ def cmd_line_subconfig(args: argparse.Namespace) -> int:
 
 def cmd_gq_build(args: argparse.Namespace) -> int:
     s = co.canonical_gq()
-    fmt = _want(args, ("text", "json"))
-    if fmt == "json":
+    if args.format == "json":
         _emit_json(export.structure_to_json_dict(s))
     else:
         _emit(f"{len(s.points)} points, {len(s.lines)} lines\n")
@@ -209,8 +194,7 @@ def cmd_gq_build(args: argparse.Namespace) -> int:
 def cmd_gq_axioms(args: argparse.Namespace) -> int:
     problems, iso = co.quadrangle_axioms(co.canonical_gq())
     self_dual = iso is not None
-    fmt = _want(args, ("text", "json"))
-    if fmt == "json":
+    if args.format == "json":
         _emit_json(
             {"schema": 1, "problems": list(problems), "self_dual": self_dual}
         )
@@ -226,8 +210,7 @@ def cmd_gq_axioms(args: argparse.Namespace) -> int:
 
 def cmd_gq_ovoids(args: argparse.Namespace) -> int:
     ovoids = [h for h in co.canonical_hyperplanes() if h.kind == OVOID]
-    fmt = _want(args, ("text", "json"))
-    if fmt == "json":
+    if args.format == "json":
         _emit_json(
             {"schema": 1, "ovoids": [sorted(h.points) for h in ovoids]}
         )
@@ -240,8 +223,7 @@ def cmd_gq_ovoids(args: argparse.Namespace) -> int:
 def cmd_gq_spreads(args: argparse.Namespace) -> int:
     s = co.canonical_gq()
     spreads = co.canonical_spreads()
-    fmt = _want(args, ("text", "json"))
-    if fmt == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "schema": 1,
@@ -266,8 +248,7 @@ def cmd_gq_spreads(args: argparse.Namespace) -> int:
 def cmd_gq_hyperplanes(args: argparse.Namespace) -> int:
     planes = co.canonical_hyperplanes()
     spreads = co.canonical_spreads()
-    fmt = _want(args, ("text", "json"))
-    if fmt == "json":
+    if args.format == "json":
         _emit_json(export.hyperplane_catalog_to_json_dict(planes, spreads))
     else:
         for h in planes:
@@ -284,10 +265,9 @@ def cmd_gq_petersen(args: argparse.Namespace) -> int:
         if not 0 <= args.ovoid < len(ovoids):
             raise InputError(f"--ovoid must lie in 0..{len(ovoids) - 1}")
         ovoids = [ovoids[args.ovoid]]
-    fmt = _want(args, ("text", "json"))
     results = [(h, co.petersen_witness(h.points)) for h in ovoids]
     ok = all(witness is not None for _, witness in results)
-    if fmt == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "schema": 1,
@@ -325,8 +305,7 @@ def cmd_pauli_table(args: argparse.Namespace) -> int:
     ops = standard_labeling()
     signs = co.operator_signs()
     labels = [export.c_label(i) for i in range(1, len(ops) + 1)]
-    fmt = _want(args, ("text", "json", "csv"))
-    if fmt == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "schema": 1,
@@ -337,7 +316,7 @@ def cmd_pauli_table(args: argparse.Namespace) -> int:
                 "signs": list(signs),
             }
         )
-    elif fmt == "csv":
+    elif args.format == "csv":
         _emit(export.sign_matrix_csv(signs, labels))
     else:
         for label, op, row in zip(labels, ops, signs):
@@ -346,11 +325,10 @@ def cmd_pauli_table(args: argparse.Namespace) -> int:
 
 
 def cmd_pauli_mermin(args: argparse.Namespace) -> int:
-    fmt = _want(args, ("text", "json"))
     ops = standard_labeling()
     rows = co.STANDARD_ROWS
     result = co.standard_square()
-    if fmt == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "schema": 1,
@@ -375,10 +353,9 @@ def cmd_pauli_mub(args: argparse.Namespace) -> int:
         if not 0 <= args.spread < len(spreads):
             raise InputError(f"--spread must lie in 0..{len(spreads) - 1}")
         spreads = (spreads[args.spread],)
-    fmt = _want(args, ("text", "json"))
     results = [co.spread_unbiased(sp) for sp in spreads]
     ok = all(good for _, good in results)
-    if fmt == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "schema": 1,
@@ -418,7 +395,6 @@ def _load_fixture(path: str) -> tuple[str, ...]:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.fixture is not None and args.what != "table2":
         raise InputError("--fixture only applies to 'verify table2'")
-    fmt = _want(args, ("text", "json"))
     if args.what == "table2":
         reference = _load_fixture(args.fixture) if args.fixture else None
         report = co.verify_relation_signs(reference)
@@ -430,15 +406,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = co.trinity_report()
     else:
         report = co.verify_all()
-    if fmt == "json":
+    if args.format == "json":
         _emit_json(report.to_json_dict())
     else:
         _emit(report.to_text(header=not args.no_header))
     return EXIT_OK if report.passed else EXIT_MISMATCH
 
 
+# the formats each export target supports, checked before any work
+EXPORT_FORMATS = {
+    "signs": ("csv", "dot", "json"),
+    "line": ("json", "csv", "dot"),
+    "gq": ("json", "dot"),
+    "hyperplanes": ("json",),
+    "petersen": ("dot", "json"),
+}
+
+
 def cmd_export(args: argparse.Namespace) -> int:
     what, fmt = args.what, args.format
+    if fmt not in EXPORT_FORMATS[what]:
+        if what == "hyperplanes":
+            raise InputError("hyperplane catalog exports as json only")
+        raise InputError(f"cannot export {what} as {fmt}")
     if what == "signs":
         signs = co.geometric_signs()
         labels = [export.c_label(i) for i in range(1, len(signs) + 1)]
@@ -446,13 +436,11 @@ def cmd_export(args: argparse.Namespace) -> int:
             payload = export.sign_matrix_csv(signs, labels)
         elif fmt == "dot":
             payload = export.sign_matrix_dot(signs, labels, args.edge_sign)
-        elif fmt == "json":
+        else:
             payload = json.dumps(
                 {"schema": 1, "labels": labels, "signs": list(signs)},
                 indent=2,
             ) + "\n"
-        else:
-            raise InputError(f"cannot export signs as {fmt}")
     elif what == "line":
         line = enumerate_line(_ring(args.ring))
         labels = [f"P{i}" for i in range(len(line.points))]
@@ -460,34 +448,28 @@ def cmd_export(args: argparse.Namespace) -> int:
             payload = json.dumps(line_to_json_dict(line), indent=2) + "\n"
         elif fmt == "csv":
             payload = export.line_points_csv(line)
-        elif fmt == "dot":
-            payload = export.sign_matrix_dot(line.relation, labels, args.edge_sign)
         else:
-            raise InputError(f"cannot export line as {fmt}")
+            payload = export.sign_matrix_dot(line.relation, labels, args.edge_sign)
     elif what == "gq":
         s = co.canonical_gq()
         if fmt == "json":
             payload = json.dumps(export.structure_to_json_dict(s), indent=2) + "\n"
-        elif fmt == "dot":
+        else:
             payload = export.graph_dot(
                 s.collinearity_graph(), name="collinearity", label=export.c_label
             )
-        else:
-            raise InputError(f"cannot export gq as {fmt}")
     elif what == "hyperplanes":
-        if fmt != "json":
-            raise InputError("hyperplane catalog exports as json only")
         payload = json.dumps(
             export.hyperplane_catalog_to_json_dict(
                 co.canonical_hyperplanes(), co.canonical_spreads()
             ),
             indent=2,
         ) + "\n"
-    elif what == "petersen":
+    else:
         g = petersen_graph()
         if fmt == "dot":
             payload = export.graph_dot(g, name="petersen")
-        elif fmt == "json":
+        else:
             payload = json.dumps(
                 {
                     "schema": 1,
@@ -496,10 +478,6 @@ def cmd_export(args: argparse.Namespace) -> int:
                 },
                 indent=2,
             ) + "\n"
-        else:
-            raise InputError(f"cannot export petersen as {fmt}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown export target {what!r}")
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -519,32 +497,34 @@ def build_parser() -> argparse.ArgumentParser:
         "operator correspondence, and the order-two generalized quadrangle",
     )
     top = parser.add_subparsers(dest="group", required=True)
+    text_json = ("text", "json")
 
-    def add_format(p, default="text"):
-        p.add_argument("--format", default=default, help="output format")
+    def add_format(p, formats):
+        p.add_argument("--format", default="text", help="output format")
+        p.set_defaults(formats=formats)
 
     ring = top.add_parser("ring", help="ring tables and axioms")
     ring_sub = ring.add_subparsers(dest="verb", required=True)
     p = ring_sub.add_parser("show", help="print the addition and multiplication tables")
     p.add_argument("name")
-    add_format(p)
+    add_format(p, ("text", "json", "csv"))
     p.set_defaults(func=cmd_ring_show)
     p = ring_sub.add_parser("validate", help="check every ring axiom exhaustively")
     p.add_argument("name")
-    add_format(p)
+    add_format(p, text_json)
     p.set_defaults(func=cmd_ring_validate)
 
     line = top.add_parser("line", help="projective line construction")
     line_sub = line.add_subparsers(dest="verb", required=True)
     p = line_sub.add_parser("enumerate", help="list the points of the line")
     p.add_argument("--ring", default="m2f2")
-    add_format(p)
+    add_format(p, ("text", "json", "csv"))
     p.set_defaults(func=cmd_line_enumerate)
     p = line_sub.add_parser("relations", help="print the distant/neighbor matrix")
     p.add_argument("--ring", default="m2f2")
     p.add_argument("--edge-sign", default=NEIGHBOR, choices=[DISTANT, NEIGHBOR],
                    help="which relation becomes a dot edge")
-    add_format(p)
+    add_format(p, ("text", "json", "csv", "dot"))
     p.set_defaults(func=cmd_line_relations)
     p = line_sub.add_parser(
         "subconfig", help="the points seen from two distant base points"
@@ -552,42 +532,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", default="m2f2")
     p.add_argument("--u", default="1,0", help="first base point, e.g. 1,0")
     p.add_argument("--v", default="0,1", help="second base point, e.g. 0,1")
-    add_format(p)
+    add_format(p, text_json)
     p.set_defaults(func=cmd_line_subconfig)
 
     gq = top.add_parser("gq", help="the generalized quadrangle")
     gq_sub = gq.add_subparsers(dest="verb", required=True)
     p = gq_sub.add_parser("build", help="points and lines of the quadrangle")
-    add_format(p)
+    add_format(p, text_json)
     p.set_defaults(func=cmd_gq_build)
     p = gq_sub.add_parser("axioms", help="check the quadrangle axioms and self-duality")
-    add_format(p)
+    add_format(p, text_json)
     p.set_defaults(func=cmd_gq_axioms)
     p = gq_sub.add_parser("ovoids", help="list the ovoids")
-    add_format(p)
+    add_format(p, text_json)
     p.set_defaults(func=cmd_gq_ovoids)
     p = gq_sub.add_parser("spreads", help="list the spreads")
-    add_format(p)
+    add_format(p, text_json)
     p.set_defaults(func=cmd_gq_spreads)
     p = gq_sub.add_parser("hyperplanes", help="the full hyperplane catalog")
-    add_format(p)
+    add_format(p, text_json)
     p.set_defaults(func=cmd_gq_hyperplanes)
     p = gq_sub.add_parser("petersen", help="ovoid complements against the Petersen graph")
     p.add_argument("--ovoid", type=int, default=None, help="check one ovoid by index")
-    add_format(p)
+    add_format(p, text_json)
     p.set_defaults(func=cmd_gq_petersen)
 
     pauli = top.add_parser("pauli", help="two-qubit operator side")
     pauli_sub = pauli.add_subparsers(dest="verb", required=True)
     p = pauli_sub.add_parser("table", help="operators and their commutation signs")
-    add_format(p)
+    add_format(p, ("text", "json", "csv"))
     p.set_defaults(func=cmd_pauli_table)
     p = pauli_sub.add_parser("mermin", help="the standard magic square")
-    add_format(p)
+    add_format(p, text_json)
     p.set_defaults(func=cmd_pauli_mermin)
     p = pauli_sub.add_parser("mub", help="unbiased-bases check per spread")
     p.add_argument("--spread", type=int, default=None, help="check one spread by index")
-    add_format(p)
+    add_format(p, text_json)
     p.set_defaults(func=cmd_pauli_mub)
 
     verify = top.add_parser("verify", help="verification certificates")
@@ -598,12 +578,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="file with 15 rows of +/- signs replacing the stored fixture")
     verify.add_argument("--no-header", action="store_true",
                         help="omit the title banner from text output")
-    add_format(verify)
+    add_format(verify, text_json)
     verify.set_defaults(func=cmd_verify)
 
     exp = top.add_parser("export", help="write a machine-readable artifact")
     exp.add_argument("--what", required=True,
-                     choices=["signs", "line", "gq", "hyperplanes", "petersen"])
+                     choices=list(EXPORT_FORMATS))
     exp.add_argument("--format", required=True, choices=["json", "csv", "dot"])
     exp.add_argument("--out", required=True)
     exp.add_argument("--ring", default="m2f2")
@@ -620,6 +600,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
+        formats = getattr(args, "formats", None)
+        if formats is not None and args.format not in formats:
+            raise InputError(
+                f"format {args.format!r} not supported here "
+                f"(choose from {', '.join(formats)})"
+            )
         return args.func(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

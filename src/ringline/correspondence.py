@@ -174,13 +174,15 @@ def _cset(ids: Iterable[int]) -> str:
 
 @lru_cache(maxsize=None)
 def neighbor_graph() -> Graph:
-    """The commuting graph on point labels 1..15, read off the sign fixture."""
+    """The neighbor graph on point labels 1..15, read off the geometric sign
+    matrix; the fixture is only compared against, never built on."""
+    signs = geometric_signs()
     verts = tuple(range(1, 16))
     edges = [
         (i + 1, j + 1)
         for i in range(15)
         for j in range(i + 1, 15)
-        if golden.CANONICAL_SIGNS[i][j] == NEIGHBOR
+        if signs[i][j] == NEIGHBOR
     ]
     return Graph.from_edges(verts, edges)
 

@@ -8,10 +8,12 @@ minimum.  Two points are distant when the 2x2 matrix stacking any two of
 their representatives is invertible, neighbor otherwise.  The relation does
 not depend on the chosen representatives.
 
-Invertibility of a 2x2 matrix over the ring is decided by blowing each
-entry up to its GF(2) representation and testing the resulting bit matrix
-for full rank; in a finite ring an element is a unit exactly when it is not
-a zero-divisor, which makes the rank test exact.
+Every invertibility question is answered from one cached table.  With each
+entry replaced by its k x k GF(2) representation, a row pair (a, b) becomes
+k packed rows of 2k bits; the matrix stacking (a, b) over (c, d) is
+invertible exactly when both row pairs have rank k and their row spans meet
+only in 0.  ``_row_spans`` keeps, for each rank-k pair, its span as a
+bitmask over the nonzero vectors, so each such question is one AND.
 """
 
 from __future__ import annotations
@@ -73,24 +75,49 @@ def blowup(ring: Ring, m: Mat2) -> gf2.BitMatrix:
     return top + bot
 
 
+@lru_cache(maxsize=None)
+def _row_spans(ring: Ring) -> dict[Pair, int]:
+    """Each pair whose k packed GF(2) rows have rank k, mapped to the bitmask
+    of the nonzero vectors in its row span (bit v set for vector v)."""
+    k = ring.rep_dim
+    rep = ring.rep
+    spans = {}
+    for a in ring.elements():
+        for b in ring.elements():
+            rows = [rep[a][i] | (rep[b][i] << k) for i in range(k)]
+            if gf2.rank(rows) == k:
+                span = [0]
+                for row in rows:
+                    span += [v ^ row for v in span]
+                spans[(a, b)] = sum(1 << v for v in span[1:])
+    return spans
+
+
 def is_invertible_2x2(ring: Ring, m: Mat2) -> bool:
-    return gf2.rank(blowup(ring, m)) == 2 * ring.rep_dim
+    """True when both row pairs are in the row-span table and their spans
+    meet only in 0."""
+    spans = _row_spans(ring)
+    top = spans.get((m.a, m.b))
+    bot = spans.get((m.c, m.d))
+    return top is not None and bot is not None and not top & bot
+
+
+@lru_cache(maxsize=None)
+def _admissible(ring: Ring) -> frozenset[Pair]:
+    spans = _row_spans(ring)
+    return frozenset(
+        p for p, top in spans.items() if any(not top & bot for bot in spans.values())
+    )
 
 
 def is_admissible(ring: Ring, a: RingElement, b: RingElement) -> bool:
-    """True when (a, b) extends to an invertible 2x2 matrix (search over
-    all completions, early exit)."""
-    for c in ring.elements():
-        for d in ring.elements():
-            if is_invertible_2x2(ring, Mat2(a, b, c, d)):
-                return True
-    return False
+    """True when (a, b) extends to an invertible 2x2 matrix."""
+    return (a, b) in _admissible(ring)
 
 
 def pair_relation(ring: Ring, p: Pair, q: Pair) -> str:
     """DISTANT or NEIGHBOR, from representatives (representative-independent)."""
-    m = Mat2(p[0], p[1], q[0], q[1])
-    return DISTANT if is_invertible_2x2(ring, m) else NEIGHBOR
+    return DISTANT if is_invertible_2x2(ring, Mat2(*p, *q)) else NEIGHBOR
 
 
 @dataclass(frozen=True)
@@ -142,20 +169,16 @@ class ProjectiveLine:
 @lru_cache(maxsize=None)
 def enumerate_line(ring: Ring) -> ProjectiveLine:
     """Enumerate all points and the full distant/neighbor relation."""
-    unit_list = sorted(units(ring))
-    seen: set[Pair] = set()
-    points: list[PointClass] = []
-    for a in ring.elements():
-        for b in ring.elements():
-            if (a, b) in seen or not is_admissible(ring, a, b):
-                continue
-            orbit = frozenset((ring.mul(u, a), ring.mul(u, b)) for u in unit_list)
-            seen.update(orbit)
-            points.append(PointClass(min(orbit), orbit))
-    points.sort(key=lambda pt: pt.canonical)
+    us = units(ring)
+    orbits = {
+        frozenset((ring.mul(u, a), ring.mul(u, b)) for u in us)
+        for a, b in _admissible(ring)
+    }
+    points = sorted((PointClass(min(o), o) for o in orbits), key=lambda pt: pt.canonical)
+    spans = _row_spans(ring)
+    masks = [spans[pt.canonical] for pt in points]
     rel = tuple(
-        "".join(pair_relation(ring, p.canonical, q.canonical) for q in points)
-        for p in points
+        "".join(NEIGHBOR if top & bot else DISTANT for bot in masks) for top in masks
     )
     return ProjectiveLine(ring, tuple(points), rel)
 
@@ -259,33 +282,16 @@ def mat_inv(ring: Ring, m: Mat2) -> Mat2:
 
 @lru_cache(maxsize=None)
 def gl2_elements(ring: Ring) -> tuple[Mat2, ...]:
-    """All invertible 2x2 matrices over the ring, by exhaustive test.
-
-    With row pairs packed as k GF(2) rows of 2k bits, (a, b) over (c, d)
-    is invertible exactly when both row pairs have rank k and their row
-    spaces meet only in 0.  Each rank-k pair keeps its span as a bitmask
-    over vectors with bit 0 (the zero vector) cleared, so the test for
-    every candidate is one AND.
-    """
-    k = ring.rep_dim
-    rep = ring.rep
-    spans = {}
-    for a in ring.elements():
-        for b in ring.elements():
-            rows = [rep[a][i] | (rep[b][i] << k) for i in range(k)]
-            if gf2.rank(rows) == k:
-                span = [0]
-                for row in rows:
-                    span += [v ^ row for v in span]
-                spans[(a, b)] = sum(1 << v for v in span[1:])
-    out = [
+    """All invertible 2x2 matrices over the ring, sorted: every pair of
+    row-span table entries whose spans meet only in 0."""
+    spans = _row_spans(ring)
+    # the table is keyed in ascending pair order, so the output is sorted
+    return tuple(
         Mat2(a, b, c, d)
         for (a, b), top in spans.items()
         for (c, d), bot in spans.items()
         if not top & bot
-    ]
-    out.sort()
-    return tuple(out)
+    )
 
 
 def gl2_order(ring: Ring) -> int:

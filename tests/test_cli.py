@@ -139,23 +139,54 @@ def test_bad_usage_exits_two(argv, capsys):
     assert "error:" in err
 
 
+TEXT_JSON_ONLY = "format 'csv' not supported here (choose from text, json)"
+
+# argv, the work it must not start, and the usage error it must print
+BAD_FORMAT = [
+    (["verify", "all", "--format", "csv"], "verify_all", TEXT_JSON_ONLY),
+    (["verify", "trinity", "--format", "csv"], "trinity_report", TEXT_JSON_ONLY),
+    (["pauli", "mermin", "--format", "csv"], "standard_square", TEXT_JSON_ONLY),
+    (
+        ["line", "relations", "--format", "xml"],
+        "enumerate_line",
+        "format 'xml' not supported here (choose from text, json, csv, dot)",
+    ),
+    (["gq", "build", "--format", "csv"], "canonical_gq", TEXT_JSON_ONLY),
+    (["pauli", "mub", "--format", "csv"], "canonical_spreads", TEXT_JSON_ONLY),
+    (
+        ["export", "--what", "gq", "--format", "csv", "--out", "gq.csv"],
+        "canonical_gq",
+        "cannot export gq as csv",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, work",
-    [
-        (["verify", "all", "--format", "csv"], "verify_all"),
-        (["verify", "trinity", "--format", "csv"], "trinity_report"),
-        (["pauli", "mermin", "--format", "csv"], "standard_square"),
-    ],
-    ids=lambda a: " ".join(a) if isinstance(a, list) else a,
+    "argv, work, message",
+    [pytest.param(*case, id=f"{' '.join(case[0])}-{case[1]}") for case in BAD_FORMAT],
 )
-def test_bad_format_rejected_before_any_work(argv, work, monkeypatch, capsys):
+def test_bad_format_rejected_before_any_work(
+    argv, work, message, tmp_path, monkeypatch, capsys
+):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{work} ran before the format was checked")
 
-    monkeypatch.setattr(cli.co, work, refuse)
+    # patch the name where cli looks it up: its own import, else the module
+    monkeypatch.setattr(cli if hasattr(cli, work) else cli.co, work, refuse)
+    monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert "error: format 'csv' not supported here (choose from text, json)" in err
+    assert f"error: {message}" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_subconfig_parses_base_points_before_enumerating(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the line was enumerated before --u was parsed")
+
+    monkeypatch.setattr(cli, "enumerate_line", refuse)
+    assert cli.main(["line", "subconfig", "--u", "1;0"]) == 2
+    assert "error: expected a pair like 1,0 but got '1;0'" in capsys.readouterr().err
 
 
 def test_unknown_ring_message_lists_choices(capsys):

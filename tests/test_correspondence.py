@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from ringline import golden
+from ringline import cli, golden
+from ringline import correspondence as co
 from ringline.correspondence import (
     GRID,
     CheckResult,
@@ -107,6 +108,67 @@ def test_relation_signs_rejects_malformed_reference():
     assert any(
         not c.passed and "well-formed" in c.name for c in report.checks
     )
+
+
+def _flip_cell_pair(rows, i, j):
+    """``rows`` with the symmetric cells (i, j) and (j, i) flipped."""
+    flip = {"+": "-", "-": "+"}
+    out = [list(r) for r in rows]
+    out[i][j] = flip[out[i][j]]
+    out[j][i] = flip[out[j][i]]
+    return tuple("".join(r) for r in out)
+
+
+def _failed(report):
+    return {c.name for c in report.checks if not c.passed}
+
+
+@pytest.fixture
+def fresh_structure():
+    """Rebuild the cached quadrangle while a test runs, and again after it."""
+    caches = (
+        co.neighbor_graph,
+        co.canonical_gq,
+        co.canonical_hyperplanes,
+        co.canonical_spreads,
+    )
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_every_fixture_flip_fails_only_the_fixture_checks(monkeypatch, fresh_structure):
+    """The structure is rooted in the geometry, so each of the 105 symmetric
+    flips of the stored fixture fails exactly the comparisons against it,
+    naming the flipped cell, and raises nothing."""
+    pairs = list(itertools.combinations(range(15), 2))
+    assert len(pairs) == 105
+    for i, j in pairs:
+        monkeypatch.setattr(
+            golden, "CANONICAL_SIGNS", _flip_cell_pair(geometric_signs(), i, j)
+        )
+        co.neighbor_graph.cache_clear()
+        assert _failed(verify_subconfig()) == {"induced matrix equals fixture"}
+        report = verify_relation_signs()
+        assert _failed(report) == {"geometry vs fixture", "operators vs fixture"}
+        cell = f"C{i + 1},C{j + 1}:"
+        assert any(d.startswith(cell) for d in report.data["diffs"])
+
+
+def test_fixture_flip_fails_verify_all_without_traceback(
+    monkeypatch, fresh_structure, capsys
+):
+    monkeypatch.setattr(
+        golden, "CANONICAL_SIGNS", _flip_cell_pair(golden.CANONICAL_SIGNS, 0, 6)
+    )
+    co.neighbor_graph.cache_clear()
+    assert verify_all().tally() == (100, 3)
+    assert cli.main(["verify", "all"]) == 1
+    captured = capsys.readouterr()
+    assert "result: FAIL" in captured.out
+    assert captured.err == ""
 
 
 def test_relation_isomorphism_exists():

@@ -11,6 +11,7 @@ from ringline.projline import (
     NEIGHBOR,
     Mat2,
     apply_to_pair,
+    blowup,
     enumerate_line,
     gl2_elements,
     gl2_order,
@@ -176,24 +177,35 @@ def test_gl2_order(m2f2):
     assert gl2_order(m2f2) == 15 * 14 * 12 * 8
 
 
+def rank_invertible(ring, m):
+    """Direct test: the 2k x 2k blow-up of ``m`` has full GF(2) rank."""
+    return gf2.rank(blowup(ring, m)) == 2 * ring.rep_dim
+
+
+def completion_search(ring, a, b):
+    """Admissibility by definition: some completion (c, d) is invertible."""
+    for c in ring.elements():
+        for d in ring.elements():
+            if rank_invertible(ring, Mat2(a, b, c, d)):
+                return True
+    return False
+
+
 @pytest.mark.parametrize("name", ring_names())
 def test_gl2_elements_match_rank_oracle(name):
-    """The span-mask enumeration against the direct test: the 2k x 2k
-    block matrix of (a, b) over (c, d) has full GF(2) rank."""
+    """The row-span table against the direct tests it replaces: the GL2
+    enumeration and ``is_invertible_2x2`` against the blow-up rank on every
+    (a, b, c, d), and ``is_admissible`` against the completion search."""
     ring = ring_by_name(name)
-    k = ring.rep_dim
-    pair_rows = {
-        (a, b): tuple(ring.rep[a][i] | (ring.rep[b][i] << k) for i in range(k))
-        for a in ring.elements()
-        for b in ring.elements()
-    }
-    want = sorted(
-        Mat2(a, b, c, d)
-        for (a, b), top in pair_rows.items()
-        for (c, d), bot in pair_rows.items()
-        if gf2.rank(top + bot) == 2 * k
-    )
+    mats = [Mat2(*m) for m in itertools.product(ring.elements(), repeat=4)]
+    want = [m for m in mats if rank_invertible(ring, m)]
     assert gl2_elements(ring) == tuple(want)
+    invertible = set(want)
+    assert [is_invertible_2x2(ring, m) for m in mats] == [m in invertible for m in mats]
+    pairs = list(itertools.product(ring.elements(), repeat=2))
+    assert [is_admissible(ring, a, b) for a, b in pairs] == [
+        completion_search(ring, a, b) for a, b in pairs
+    ]
 
 
 def test_gl2_contains_identity_and_closes(m2f2):
