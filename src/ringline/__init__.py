@@ -7,91 +7,76 @@ commutation structure of the 15 two-qubit Pauli operators and the
 generalized quadrangle of order two, ovoids, spreads, hyperplanes, magic
 square and unbiased bases included.  All arithmetic is integer or
 rational; nothing here computes with floats.
-"""
 
-from .correspondence import (
-    CheckResult,
-    Report,
-    canonical_gq,
-    neighbor_graph,
-    trinity_report,
-    verify_all,
-    verify_relation_signs,
-    verify_split_9_6,
-    verify_split_10_5,
-)
-from .pauli import (
-    PauliOp,
-    PhasedPauli,
-    commutes,
-    mermin_square_check,
-    mub_spread_check,
-    multiply,
-    standard_labeling,
-)
-from .projline import (
-    DISTANT,
-    NEIGHBOR,
-    Mat2,
-    PointClass,
-    ProjectiveLine,
-    enumerate_line,
-    gl2_transitivity_witness,
-    simultaneous_subconfig,
-)
-from .quadrangle import (
-    Graph,
-    Hyperplane,
-    IncidenceStructure,
-    build_gq_from_graph,
-    enumerate_hyperplanes,
-    enumerate_ovoids,
-    enumerate_spreads,
-    is_petersen,
-    petersen_graph,
-)
-from .rings import Ring, build_small_rings, ring_by_name, units, validate_ring
+Importing the package loads no layer.  Each public name below is looked
+up in its defining module on first use (PEP 562 module ``__getattr__``),
+so ``from ringline import verify_all`` loads ``correspondence`` and what it
+imports, while ``from ringline import ring_by_name`` loads only ``rings``
+and ``gf2``.
+"""
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "Ring",
-    "build_small_rings",
-    "ring_by_name",
-    "units",
-    "validate_ring",
-    "DISTANT",
-    "NEIGHBOR",
-    "Mat2",
-    "PointClass",
-    "ProjectiveLine",
-    "enumerate_line",
-    "simultaneous_subconfig",
-    "gl2_transitivity_witness",
-    "PauliOp",
-    "PhasedPauli",
-    "commutes",
-    "multiply",
-    "standard_labeling",
-    "mermin_square_check",
-    "mub_spread_check",
-    "Graph",
-    "Hyperplane",
-    "IncidenceStructure",
-    "build_gq_from_graph",
-    "enumerate_hyperplanes",
-    "enumerate_ovoids",
-    "enumerate_spreads",
-    "petersen_graph",
-    "is_petersen",
-    "CheckResult",
-    "Report",
-    "neighbor_graph",
-    "canonical_gq",
-    "verify_relation_signs",
-    "verify_split_9_6",
-    "verify_split_10_5",
-    "trinity_report",
-    "verify_all",
-]
+# defining module -> the public names it exports through the package
+_EXPORTS = {
+    "rings": ("Ring", "build_small_rings", "ring_by_name", "units", "validate_ring"),
+    "projline": (
+        "DISTANT",
+        "NEIGHBOR",
+        "Mat2",
+        "PointClass",
+        "ProjectiveLine",
+        "enumerate_line",
+        "simultaneous_subconfig",
+        "gl2_transitivity_witness",
+    ),
+    "pauli": (
+        "PauliOp",
+        "PhasedPauli",
+        "commutes",
+        "multiply",
+        "standard_labeling",
+        "mermin_square_check",
+        "mub_spread_check",
+    ),
+    "quadrangle": (
+        "Graph",
+        "Hyperplane",
+        "IncidenceStructure",
+        "build_gq_from_graph",
+        "enumerate_hyperplanes",
+        "enumerate_ovoids",
+        "enumerate_spreads",
+        "petersen_graph",
+        "is_petersen",
+    ),
+    "correspondence": (
+        "CheckResult",
+        "Report",
+        "neighbor_graph",
+        "canonical_gq",
+        "verify_relation_signs",
+        "verify_split_9_6",
+        "verify_split_10_5",
+        "trinity_report",
+        "verify_all",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

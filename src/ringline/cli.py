@@ -4,6 +4,14 @@ Every subcommand is a reproducible batch operation: output depends only on
 the arguments, so repeated runs are byte-identical.  Exit codes: 0 when all
 requested checks pass, 1 on a verification mismatch (a diff is printed),
 2 on a usage or input error.
+
+Loading this module loads no layer of the package: the parser is built from
+constants kept here, and each ``cmd_*`` handler imports the layer modules it
+calls when it runs.  A cold ``ring show`` loads ``rings`` and ``gf2``; the
+``line`` commands add ``projline`` and ``export``; the ``gq``, ``pauli``,
+``verify`` and most ``export`` commands load ``correspondence`` and with it
+every layer.  A usage error found before dispatch (a bad ``--format``, an
+out-of-range ``--ovoid`` or ``--spread``) loads nothing beyond ``golden``.
 """
 
 from __future__ import annotations
@@ -11,25 +19,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
-
-from . import correspondence as co
-from . import export
-from .pauli import standard_labeling
-from .projline import (
-    DISTANT,
-    NEIGHBOR,
-    enumerate_line,
-    induced_signs,
-    line_to_json_dict,
-    simultaneous_subconfig,
-)
-from .quadrangle import OVOID, petersen_graph
-from .rings import ring_by_name, ring_names, ring_to_json_dict, units, validate_ring
+from collections.abc import Sequence
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+
+# projline.DISTANT and projline.NEIGHBOR, the --edge-sign choices, restated
+# so that building the parser loads no layer; a test keeps them equal
+DISTANT, NEIGHBOR = "+", "-"
 
 
 class InputError(Exception):
@@ -44,7 +43,39 @@ def _emit_json(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
+def _failed(args: argparse.Namespace, check) -> int:
+    """Render one failed check as a report in the command's format."""
+    from .correspondence import Report
+
+    report = Report(f"ringline {args.group} {args.verb}", (check,))
+    if args.format == "json":
+        _emit_json(report.to_json_dict())
+    else:
+        _emit(report.to_text())
+    return EXIT_MISMATCH
+
+
+def _census_failed(args: argparse.Namespace, kind: str, found: int) -> int:
+    """Report computed ovoids or spreads that differ from the census."""
+    from .correspondence import CheckResult
+    from .golden import OVOID_SPREAD_COUNT
+
+    return _failed(
+        args, CheckResult(f"{OVOID_SPREAD_COUNT} {kind}", False, f"{found} computed")
+    )
+
+
+def _check_index(value: int | None, option: str) -> None:
+    """Reject an --ovoid or --spread index outside the census, before any work."""
+    from .golden import OVOID_SPREAD_COUNT
+
+    if value is not None and not 0 <= value < OVOID_SPREAD_COUNT:
+        raise InputError(f"--{option} must lie in 0..{OVOID_SPREAD_COUNT - 1}")
+
+
 def _ring(name: str):
+    from .rings import ring_by_name, ring_names
+
     try:
         return ring_by_name(name)
     except ValueError:
@@ -58,6 +89,8 @@ def _ring(name: str):
 
 
 def cmd_ring_show(args: argparse.Namespace) -> int:
+    from .rings import ring_to_json_dict, units
+
     ring = _ring(args.name)
     if args.format == "json":
         _emit_json(ring_to_json_dict(ring))
@@ -81,6 +114,8 @@ def cmd_ring_show(args: argparse.Namespace) -> int:
 
 
 def cmd_ring_validate(args: argparse.Namespace) -> int:
+    from .rings import validate_ring
+
     ring = _ring(args.name)
     problems = validate_ring(ring)
     if args.format == "json":
@@ -112,6 +147,9 @@ def _parse_pair(text: str, order: int) -> tuple[int, int]:
 
 
 def cmd_line_enumerate(args: argparse.Namespace) -> int:
+    from . import export
+    from .projline import enumerate_line, line_to_json_dict
+
     line = enumerate_line(_ring(args.ring))
     if args.format == "json":
         _emit_json(line_to_json_dict(line))
@@ -125,6 +163,9 @@ def cmd_line_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_line_relations(args: argparse.Namespace) -> int:
+    from . import export
+    from .projline import enumerate_line, line_to_json_dict
+
     line = enumerate_line(_ring(args.ring))
     labels = [f"P{i}" for i in range(len(line.points))]
     if args.format == "json":
@@ -143,6 +184,8 @@ def cmd_line_subconfig(args: argparse.Namespace) -> int:
     ring = _ring(args.ring)
     u = _parse_pair(args.u, ring.order)
     v = _parse_pair(args.v, ring.order)
+    from .projline import enumerate_line, induced_signs, simultaneous_subconfig
+
     line = enumerate_line(ring)
     try:
         fam_distant, fam_neighbor = simultaneous_subconfig(line, u, v)
@@ -181,6 +224,9 @@ def cmd_line_subconfig(args: argparse.Namespace) -> int:
 
 
 def cmd_gq_build(args: argparse.Namespace) -> int:
+    from . import correspondence as co
+    from . import export
+
     s = co.canonical_gq()
     if args.format == "json":
         _emit_json(export.structure_to_json_dict(s))
@@ -192,6 +238,8 @@ def cmd_gq_build(args: argparse.Namespace) -> int:
 
 
 def cmd_gq_axioms(args: argparse.Namespace) -> int:
+    from . import correspondence as co
+
     problems, iso = co.quadrangle_axioms(co.canonical_gq())
     self_dual = iso is not None
     if args.format == "json":
@@ -209,6 +257,10 @@ def cmd_gq_axioms(args: argparse.Namespace) -> int:
 
 
 def cmd_gq_ovoids(args: argparse.Namespace) -> int:
+    from . import correspondence as co
+    from . import export
+    from .quadrangle import OVOID
+
     ovoids = [h for h in co.canonical_hyperplanes() if h.kind == OVOID]
     if args.format == "json":
         _emit_json(
@@ -221,6 +273,9 @@ def cmd_gq_ovoids(args: argparse.Namespace) -> int:
 
 
 def cmd_gq_spreads(args: argparse.Namespace) -> int:
+    from . import correspondence as co
+    from . import export
+
     s = co.canonical_gq()
     spreads = co.canonical_spreads()
     if args.format == "json":
@@ -246,6 +301,9 @@ def cmd_gq_spreads(args: argparse.Namespace) -> int:
 
 
 def cmd_gq_hyperplanes(args: argparse.Namespace) -> int:
+    from . import correspondence as co
+    from . import export
+
     planes = co.canonical_hyperplanes()
     spreads = co.canonical_spreads()
     if args.format == "json":
@@ -260,10 +318,16 @@ def cmd_gq_hyperplanes(args: argparse.Namespace) -> int:
 
 
 def cmd_gq_petersen(args: argparse.Namespace) -> int:
+    _check_index(args.ovoid, "ovoid")
+    from . import correspondence as co
+    from . import export
+    from .golden import OVOID_SPREAD_COUNT
+    from .quadrangle import OVOID
+
     ovoids = [h for h in co.canonical_hyperplanes() if h.kind == OVOID]
+    if len(ovoids) != OVOID_SPREAD_COUNT:
+        return _census_failed(args, "ovoids", len(ovoids))
     if args.ovoid is not None:
-        if not 0 <= args.ovoid < len(ovoids):
-            raise InputError(f"--ovoid must lie in 0..{len(ovoids) - 1}")
         ovoids = [ovoids[args.ovoid]]
     results = [(h, co.petersen_witness(h.points)) for h in ovoids]
     ok = all(witness is not None for _, witness in results)
@@ -302,6 +366,10 @@ def cmd_gq_petersen(args: argparse.Namespace) -> int:
 
 
 def cmd_pauli_table(args: argparse.Namespace) -> int:
+    from . import correspondence as co
+    from . import export
+    from .pauli import standard_labeling
+
     ops = standard_labeling()
     signs = co.operator_signs()
     labels = [export.c_label(i) for i in range(1, len(ops) + 1)]
@@ -325,9 +393,15 @@ def cmd_pauli_table(args: argparse.Namespace) -> int:
 
 
 def cmd_pauli_mermin(args: argparse.Namespace) -> int:
+    from . import correspondence as co
+    from .pauli import standard_labeling
+
     ops = standard_labeling()
     rows = co.STANDARD_ROWS
-    result = co.standard_square()
+    try:
+        result = co.standard_square()
+    except ValueError as exc:
+        return _failed(args, co.stage_failure("standard grid is magic", exc))
     if args.format == "json":
         _emit_json(
             {
@@ -348,12 +422,20 @@ def cmd_pauli_mermin(args: argparse.Namespace) -> int:
 
 
 def cmd_pauli_mub(args: argparse.Namespace) -> int:
+    _check_index(args.spread, "spread")
+    from . import correspondence as co
+    from . import export
+    from .golden import OVOID_SPREAD_COUNT
+
     spreads = co.canonical_spreads()
+    if len(spreads) != OVOID_SPREAD_COUNT:
+        return _census_failed(args, "spreads", len(spreads))
     if args.spread is not None:
-        if not 0 <= args.spread < len(spreads):
-            raise InputError(f"--spread must lie in 0..{len(spreads) - 1}")
         spreads = (spreads[args.spread],)
-    results = [co.spread_unbiased(sp) for sp in spreads]
+    try:
+        results = [co.spread_unbiased(sp) for sp in spreads]
+    except ValueError as exc:
+        return _failed(args, co.stage_failure("unbiased bases", exc))
     ok = all(good for _, good in results)
     if args.format == "json":
         _emit_json(
@@ -395,6 +477,8 @@ def _load_fixture(path: str) -> tuple[str, ...]:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.fixture is not None and args.what != "table2":
         raise InputError("--fixture only applies to 'verify table2'")
+    from . import correspondence as co
+
     if args.what == "table2":
         reference = _load_fixture(args.fixture) if args.fixture else None
         report = co.verify_relation_signs(reference)
@@ -429,7 +513,11 @@ def cmd_export(args: argparse.Namespace) -> int:
         if what == "hyperplanes":
             raise InputError("hyperplane catalog exports as json only")
         raise InputError(f"cannot export {what} as {fmt}")
+    from . import export
+
     if what == "signs":
+        from . import correspondence as co
+
         signs = co.geometric_signs()
         labels = [export.c_label(i) for i in range(1, len(signs) + 1)]
         if fmt == "csv":
@@ -442,6 +530,8 @@ def cmd_export(args: argparse.Namespace) -> int:
                 indent=2,
             ) + "\n"
     elif what == "line":
+        from .projline import enumerate_line, line_to_json_dict
+
         line = enumerate_line(_ring(args.ring))
         labels = [f"P{i}" for i in range(len(line.points))]
         if fmt == "json":
@@ -451,6 +541,8 @@ def cmd_export(args: argparse.Namespace) -> int:
         else:
             payload = export.sign_matrix_dot(line.relation, labels, args.edge_sign)
     elif what == "gq":
+        from . import correspondence as co
+
         s = co.canonical_gq()
         if fmt == "json":
             payload = json.dumps(export.structure_to_json_dict(s), indent=2) + "\n"
@@ -459,6 +551,8 @@ def cmd_export(args: argparse.Namespace) -> int:
                 s.collinearity_graph(), name="collinearity", label=export.c_label
             )
     elif what == "hyperplanes":
+        from . import correspondence as co
+
         payload = json.dumps(
             export.hyperplane_catalog_to_json_dict(
                 co.canonical_hyperplanes(), co.canonical_spreads()
@@ -466,6 +560,8 @@ def cmd_export(args: argparse.Namespace) -> int:
             indent=2,
         ) + "\n"
     else:
+        from .quadrangle import petersen_graph
+
         g = petersen_graph()
         if fmt == "dot":
             payload = export.graph_dot(g, name="petersen")

@@ -68,6 +68,7 @@ from .rings import ring_by_name, units, validate_ring, zero_divisors
 __all__ = [
     "CheckResult",
     "Report",
+    "stage_failure",
     "neighbor_graph",
     "canonical_gq",
     "canonical_hyperplanes",
@@ -166,6 +167,17 @@ class Report:
         lines.append("")
         lines.append(f"checks: {total}  failed: {failed}  result: {verdict}")
         return "\n".join(lines) + "\n"
+
+
+def stage_failure(stage: str, exc: ValueError) -> CheckResult:
+    """The failed check reported when ``stage`` raises instead of answering.
+
+    The pauli layer raises ValueError when operators break a precondition,
+    such as a quadrangle line whose operators do not commute.  With wrong
+    operator labels that is a failed verification, named by the stage's
+    check and carrying the message, not a traceback.
+    """
+    return CheckResult(stage, False, f"raised ValueError: {exc}")
 
 
 def _cset(ids: Iterable[int]) -> str:
@@ -504,7 +516,10 @@ def verify_hyperplane_census() -> Report:
     for h in planes:
         by_kind[h.kind].append(h)
     checks = [
-        CheckResult("6 ovoids", len(by_kind[OVOID]) == 6),
+        CheckResult(
+            f"{golden.OVOID_SPREAD_COUNT} ovoids",
+            len(by_kind[OVOID]) == golden.OVOID_SPREAD_COUNT,
+        ),
         CheckResult("15 perp sets", len(by_kind[PERP_SET]) == 15),
         CheckResult("10 grids", len(by_kind[GRID]) == 10),
         CheckResult("31 hyperplanes in total", len(planes) == 31),
@@ -517,7 +532,12 @@ def verify_hyperplane_census() -> Report:
         )
     )
     spreads = canonical_spreads()
-    checks.append(CheckResult("6 spreads", len(spreads) == 6))
+    checks.append(
+        CheckResult(
+            f"{golden.OVOID_SPREAD_COUNT} spreads",
+            len(spreads) == golden.OVOID_SPREAD_COUNT,
+        )
+    )
     dual_ovoids = enumerate_ovoids(dual(s))
     checks.append(
         CheckResult(
@@ -668,17 +688,22 @@ def verify_split_9_6() -> Report:
             )
         )
 
-    result = standard_square()
-    checks.append(
-        CheckResult(
-            "nine common neighbors in standard rows form a magic square",
-            result.magic,
-            f"row signs {result.row_signs}, column signs {result.col_signs}",
-        )
-    )
+    stage = "nine common neighbors in standard rows form a magic square"
     data["mermin_rows"] = [list(r) for r in STANDARD_ROWS]
-    data["mermin_row_signs"] = list(result.row_signs)
-    data["mermin_col_signs"] = list(result.col_signs)
+    try:
+        result = standard_square()
+    except ValueError as exc:
+        checks.append(stage_failure(stage, exc))
+    else:
+        checks.append(
+            CheckResult(
+                stage,
+                result.magic,
+                f"row signs {result.row_signs}, column signs {result.col_signs}",
+            )
+        )
+        data["mermin_row_signs"] = list(result.row_signs)
+        data["mermin_col_signs"] = list(result.col_signs)
     return Report("9 plus 6 factorization", tuple(checks), data)
 
 
@@ -690,7 +715,12 @@ def verify_split_10_5() -> Report:
     checks = []
     data: dict = {"ovoids": []}
     ovoids = [h for h in canonical_hyperplanes() if h.kind == OVOID]
-    checks.append(CheckResult("6 ovoids to examine", len(ovoids) == 6))
+    checks.append(
+        CheckResult(
+            f"{golden.OVOID_SPREAD_COUNT} ovoids to examine",
+            len(ovoids) == golden.OVOID_SPREAD_COUNT,
+        )
+    )
     checks.append(
         CheckResult(
             "the published sample ovoid is among them",
@@ -833,28 +863,36 @@ def grid_mermin_arrangement(points: frozenset) -> tuple[tuple[int, ...], ...] | 
 
 def verify_mermin() -> Report:
     """Magic squares: the standard grid and all ten grid hyperplanes."""
-    result = standard_square()
-    checks = [
-        CheckResult(
-            "standard grid is magic",
-            result.magic,
-            f"row signs {result.row_signs}, column signs {result.col_signs}, "
-            "product of all six is -1",
-        )
-    ]
-    data: dict = {
-        "standard_rows": [list(r) for r in STANDARD_ROWS],
-        "row_signs": list(result.row_signs),
-        "col_signs": list(result.col_signs),
-        "arrangements": [],
-    }
+    stage = "standard grid is magic"
+    data: dict = {"standard_rows": [list(r) for r in STANDARD_ROWS]}
+    try:
+        result = standard_square()
+    except ValueError as exc:
+        checks = [stage_failure(stage, exc)]
+    else:
+        checks = [
+            CheckResult(
+                stage,
+                result.magic,
+                f"row signs {result.row_signs}, column signs {result.col_signs}, "
+                "product of all six is -1",
+            )
+        ]
+        data["row_signs"] = list(result.row_signs)
+        data["col_signs"] = list(result.col_signs)
+    data["arrangements"] = []
     grids = [h for h in canonical_hyperplanes() if h.kind == GRID]
     checks.append(CheckResult("10 grid hyperplanes", len(grids) == 10))
     for h in grids:
-        arrangement = grid_mermin_arrangement(h.points)
+        stage = f"grid {_cset(h.points)} admits a magic arrangement"
+        try:
+            arrangement = grid_mermin_arrangement(h.points)
+        except ValueError as exc:
+            checks.append(stage_failure(stage, exc))
+            continue
         checks.append(
             CheckResult(
-                f"grid {_cset(h.points)} admits a magic arrangement",
+                stage,
                 arrangement is not None,
                 " / ".join(
                     ",".join(c_label(i) for i in row) for row in arrangement
@@ -883,15 +921,22 @@ def verify_mub() -> Report:
     checks = []
     data: dict = {"spreads": []}
     spreads = canonical_spreads()
-    checks.append(CheckResult("6 spreads to examine", len(spreads) == 6))
+    checks.append(
+        CheckResult(
+            f"{golden.OVOID_SPREAD_COUNT} spreads to examine",
+            len(spreads) == golden.OVOID_SPREAD_COUNT,
+        )
+    )
+    s = canonical_gq()
     for sp in spreads:
-        triples, ok = spread_unbiased(sp)
+        stage = "spread " + " ".join(_cset(s.lines[i]) for i in sp)
+        try:
+            triples, ok = spread_unbiased(sp)
+        except ValueError as exc:
+            checks.append(stage_failure(stage, exc))
+            continue
         checks.append(
-            CheckResult(
-                "spread " + " ".join(_cset(t) for t in triples),
-                ok,
-                "projector traces exact" if ok else "",
-            )
+            CheckResult(stage, ok, "projector traces exact" if ok else "")
         )
         data["spreads"].append([list(t) for t in triples])
     return Report("unbiased bases", tuple(checks), data)
@@ -958,8 +1003,9 @@ def trinity_report() -> Report:
     }
     checks = [
         CheckResult(
-            "ovoid row: 6 ovoids, gf4 sublines, mutually non-commuting fives",
-            counts[OVOID] == 6 and ovoid_rep.passed,
+            f"ovoid row: {golden.OVOID_SPREAD_COUNT} ovoids, gf4 sublines, "
+            "mutually non-commuting fives",
+            counts[OVOID] == golden.OVOID_SPREAD_COUNT and ovoid_rep.passed,
         ),
         CheckResult(
             "perp row: 15 perp sets, gf2dual sublines, six commuting partners",
@@ -970,8 +1016,8 @@ def trinity_report() -> Report:
             counts[GRID] == 10 and mermin_rep.passed,
         ),
         CheckResult(
-            "spread bonus: 6 spreads, unbiased bases",
-            len(canonical_spreads()) == 6 and mub_rep.passed,
+            f"spread bonus: {golden.OVOID_SPREAD_COUNT} spreads, unbiased bases",
+            len(canonical_spreads()) == golden.OVOID_SPREAD_COUNT and mub_rep.passed,
         ),
     ]
     data = {

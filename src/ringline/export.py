@@ -1,17 +1,22 @@
 """Serialization helpers: CSV sign matrices, DOT graphs, JSON catalogs.
 
 All output is deterministic (fixed orderings, no timestamps) so repeated
-exports are byte-identical.
+exports are byte-identical.  Only ``projline`` is loaded with this module;
+quadrangle types are named in annotations only, so exporting a line does
+not load the quadrangle layer.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .projline import DISTANT, NEIGHBOR, ProjectiveLine
-from .quadrangle import GRID, OVOID, PERP_SET, Graph, Hyperplane, IncidenceStructure
+from .projline import DISTANT, NEIGHBOR
+
+if TYPE_CHECKING:
+    from .projline import ProjectiveLine
+    from .quadrangle import Graph, Hyperplane, IncidenceStructure
 
 __all__ = [
     "c_label",
@@ -98,6 +103,8 @@ def hyperplane_catalog_to_json_dict(
     planes: Iterable[Hyperplane], spreads: Iterable[Sequence[int]]
 ) -> dict:
     """The full catalog: ovoids, perp sets, grids, spreads."""
+    from .quadrangle import GRID, OVOID, PERP_SET
+
     ovoids, perps, grids = [], [], []
     for h in planes:
         if h.kind == OVOID:

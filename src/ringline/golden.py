@@ -5,8 +5,8 @@ computed: it is the reference the computed pipelines are verified against.
 Contents: the addition and multiplication tables of the 2x2 matrix ring over
 GF(2), its unit set, the canonical point census of its projective line, the
 fifteen distinguished point representatives, the 15x15 distant/neighbor sign
-matrix, and the operator dictionary assigning a two-qubit Pauli operator to
-each point.
+matrix, the operator dictionary assigning a two-qubit Pauli operator to
+each point, and the ovoid and spread census.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = [
     "CANONICAL_SIGNS",
     "OPERATOR_LABELS",
     "SAMPLE_OVOID",
+    "OVOID_SPREAD_COUNT",
     "TRIPLE_SPLIT",
 ]
 
@@ -114,6 +115,11 @@ OPERATOR_LABELS: tuple[str, ...] = (
 
 # One known ovoid, an anchor for the 10 + 5 certificate and the tests.
 SAMPLE_OVOID: frozenset[int] = frozenset({1, 5, 9, 10, 14})
+
+# The census of the quadrangle: 6 ovoids and, dually, 6 spreads.  The
+# verifiers compare the computed lists against it, and the command line
+# checks an --ovoid or --spread index against it before computing either.
+OVOID_SPREAD_COUNT: int = 6
 
 # The unique way the six common-distant points fall into two triples, each
 # completing the base pair to a five-point all-distant subline.  Found by

@@ -3,10 +3,12 @@
 import hashlib
 import json
 import pathlib
+import sys
 
 import pytest
 
-from ringline import cli, golden
+from ringline import cli, golden, projline
+from ringline import correspondence as co
 
 # every happy-path invocation in one table; all must exit 0
 OK_COMMANDS = [
@@ -158,6 +160,8 @@ BAD_FORMAT = [
         "canonical_gq",
         "cannot export gq as csv",
     ),
+    (["gq", "petersen", "--ovoid", "9"], "canonical_hyperplanes", "--ovoid must lie in 0..5"),
+    (["pauli", "mub", "--spread", "9"], "canonical_spreads", "--spread must lie in 0..5"),
 ]
 
 
@@ -171,8 +175,9 @@ def test_bad_format_rejected_before_any_work(
     def refuse(*args, **kwargs):
         raise AssertionError(f"{work} ran before the format was checked")
 
-    # patch the name where cli looks it up: its own import, else the module
-    monkeypatch.setattr(cli if hasattr(cli, work) else cli.co, work, refuse)
+    # patch the defining module: cli imports each layer name from there when it runs
+    home = sys.modules[getattr(co, work).__module__]
+    monkeypatch.setattr(home, work, refuse)
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -184,9 +189,49 @@ def test_subconfig_parses_base_points_before_enumerating(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the line was enumerated before --u was parsed")
 
-    monkeypatch.setattr(cli, "enumerate_line", refuse)
+    monkeypatch.setattr(projline, "enumerate_line", refuse)
     assert cli.main(["line", "subconfig", "--u", "1;0"]) == 2
     assert "error: expected a pair like 1,0 but got '1;0'" in capsys.readouterr().err
+
+
+# argv, the census list to shorten by one, and the failed check to report
+CENSUS_SHORT = [
+    (["gq", "petersen"], "canonical_hyperplanes", "6 ovoids: 5 computed"),
+    (["gq", "petersen", "--ovoid", "5"], "canonical_hyperplanes", "6 ovoids: 5 computed"),
+    (["pauli", "mub", "--spread", "5"], "canonical_spreads", "6 spreads: 5 computed"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, work, message",
+    [pytest.param(*case, id=" ".join(case[0])) for case in CENSUS_SHORT],
+)
+def test_census_shortfall_fails_without_index_error(argv, work, message, monkeypatch, capsys):
+    full = getattr(co, work)()
+    if work == "canonical_hyperplanes":
+        drop = next(h for h in full if h.kind == "ovoid")
+        short = tuple(h for h in full if h is not drop)
+    else:
+        short = full[1:]
+    monkeypatch.setattr(co, work, lambda: short)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"[FAIL] {message}" in captured.out
+    assert captured.err == ""
+    assert cli.main(argv + ["--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False
+
+
+def test_edge_sign_choices_are_the_projline_relations():
+    assert (cli.DISTANT, cli.NEIGHBOR) == (projline.DISTANT, projline.NEIGHBOR)
+    parser = cli.build_parser()
+    for argv in (["line", "relations"], ["export", "--what", "signs", "--format", "dot", "--out", "x"]):
+        assert parser.parse_args(argv).edge_sign == projline.NEIGHBOR
+        args = parser.parse_args(argv + ["--edge-sign", projline.DISTANT])
+        assert args.edge_sign == projline.DISTANT
+    with pytest.raises(SystemExit):
+        parser.parse_args(["line", "relations", "--edge-sign", "x"])
 
 
 def test_unknown_ring_message_lists_choices(capsys):

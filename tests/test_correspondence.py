@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ringline import cli, golden
+from ringline import cli, golden, pauli
 from ringline import correspondence as co
 from ringline.correspondence import (
     GRID,
@@ -169,6 +169,64 @@ def test_fixture_flip_fails_verify_all_without_traceback(
     captured = capsys.readouterr()
     assert "result: FAIL" in captured.out
     assert captured.err == ""
+
+
+@pytest.fixture
+def swap_labels(monkeypatch):
+    """Swap two entries of the operator dictionary for the rest of a test."""
+
+    def swap(i, j):
+        labels = list(golden.OPERATOR_LABELS)
+        labels[i], labels[j] = labels[j], labels[i]
+        monkeypatch.setattr(pauli, "OPERATOR_LABELS", tuple(labels))
+        pauli.standard_labeling.cache_clear()
+
+    yield swap
+    monkeypatch.undo()
+    pauli.standard_labeling.cache_clear()
+
+
+def _raised(report):
+    return {c.name for c in report.checks if c.detail.startswith("raised ValueError: ")}
+
+
+def test_every_label_swap_fails_by_stage_without_traceback(swap_labels):
+    """Each of the 105 transpositions of the operator labels breaks some
+    quadrangle line's commutation, which the pauli layer raises on; the
+    verifiers turn that into failed checks naming the stage, one for one."""
+    square = "nine common neighbors in standard rows form a magic square"
+    base_split = verify_split_9_6().tally()
+    base_trinity = trinity_report().tally()
+    for i, j in itertools.combinations(range(15), 2):
+        swap_labels(i, j)
+        split = verify_split_9_6()
+        trinity = trinity_report()
+        mermin, mub = trinity.subreports[2:]
+        assert (mermin.title, mub.title) == ("magic squares", "unbiased bases")
+        assert _raised(mermin) and not mermin.passed
+        assert _raised(mub) and not mub.passed
+        assert {"grid row: 10 grids, gf2xgf2 sublines, magic squares",
+                "spread bonus: 6 spreads, unbiased bases"} <= _failed(trinity)
+        # the standard square holds the points C7..C15 only
+        touched = j >= 6
+        assert _failed(split) == _raised(split) == ({square} if touched else set())
+        assert split.tally()[0] == base_split[0]
+        assert trinity.tally()[0] == base_trinity[0]
+
+
+def test_label_swap_fails_verify_all_and_cli_without_traceback(swap_labels, capsys):
+    swap_labels(0, 6)
+    total, failed = verify_all().tally()
+    assert total == 100 and failed > 0
+    for argv in (["verify", "all"], ["pauli", "mermin"], ["pauli", "mub"]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "result: FAIL" in captured.out
+        assert "raised ValueError: " in captured.out
+        assert captured.err == ""
+    assert cli.main(["pauli", "mub", "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["checks"][0]["detail"].startswith("raised ValueError: triple ")
 
 
 def test_relation_isomorphism_exists():
