@@ -5,13 +5,22 @@ the arguments, so repeated runs are byte-identical.  Exit codes: 0 when all
 requested checks pass, 1 on a verification mismatch (a diff is printed),
 2 on a usage or input error.
 
-Loading this module loads no layer of the package: the parser is built from
-constants kept here, and each ``cmd_*`` handler imports the layer modules it
-calls when it runs.  A cold ``ring show`` loads ``rings`` and ``gf2``; the
-``line`` commands add ``projline`` and ``export``; the ``gq``, ``pauli``,
-``verify`` and most ``export`` commands load ``correspondence`` and with it
-every layer.  A usage error found before dispatch (a bad ``--format``, an
-out-of-range ``--ovoid`` or ``--spread``) loads nothing beyond ``golden``.
+One output path serves every command.  The parser is built from
+``COMMANDS``, one (help, formats, arguments, renderer) entry per command.  A
+renderer returns ``(text, exit_code)``; ``main`` checks ``--format``, calls
+it and prints the text in one write, so a usage error prints nothing to
+stdout.  ``export`` finds the renderer for (what, format) in ``EXPORTS`` and
+writes its text to ``--out``, so a target that a command also prints holds
+the same bytes.
+
+Loading this module loads no layer: each renderer imports what it calls.
+``ring show`` loads ``rings`` and ``gf2``; the ``line`` commands and
+``export --what line`` add ``projline`` and ``export``; the ``gq``,
+``pauli`` and ``verify`` commands and most exports load ``correspondence``
+and with it every layer.  A usage error raised before any work (a bad
+``--format`` or export target, an out-of-range ``--ovoid`` or ``--spread``,
+an unwritable ``--out``) loads at most ``golden``, or ``rings`` for the
+``--ring`` of a line export.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -35,34 +44,28 @@ class InputError(Exception):
     """Bad arguments or unreadable input; maps to exit code 2."""
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def _emit_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+def _text(lines: Iterable[str]) -> str:
+    return "".join(line + "\n" for line in lines)
 
 
-def _failed(args: argparse.Namespace, check) -> int:
-    """Render one failed check as a report in the command's format."""
+def _report(args: argparse.Namespace, report, header: bool = True) -> tuple[str, int]:
+    """A verifier Report in the command's format, and its exit code."""
+    if args.format == "json":
+        text = _json(report.to_json_dict())
+    else:
+        text = report.to_text(header=header)
+    return text, EXIT_OK if report.passed else EXIT_MISMATCH
+
+
+def _failed(args: argparse.Namespace, check) -> tuple[str, int]:
+    """One failed check as a report in the command's format."""
     from .correspondence import Report
 
-    report = Report(f"ringline {args.group} {args.verb}", (check,))
-    if args.format == "json":
-        _emit_json(report.to_json_dict())
-    else:
-        _emit(report.to_text())
-    return EXIT_MISMATCH
-
-
-def _census_failed(args: argparse.Namespace, kind: str, found: int) -> int:
-    """Report computed ovoids or spreads that differ from the census."""
-    from .correspondence import CheckResult
-    from .golden import OVOID_SPREAD_COUNT
-
-    return _failed(
-        args, CheckResult(f"{OVOID_SPREAD_COUNT} {kind}", False, f"{found} computed")
-    )
+    return _report(args, Report(f"ringline {args.group} {args.verb}", (check,)))
 
 
 def _check_index(value: int | None, option: str) -> None:
@@ -88,45 +91,40 @@ def _ring(name: str):
 # ring
 
 
-def cmd_ring_show(args: argparse.Namespace) -> int:
+def render_ring_show(args: argparse.Namespace) -> tuple[str, int]:
     from .rings import ring_to_json_dict, units
 
     ring = _ring(args.name)
     if args.format == "json":
-        _emit_json(ring_to_json_dict(ring))
-    elif args.format == "csv":
+        return _json(ring_to_json_dict(ring)), EXIT_OK
+    if args.format == "csv":
         lines = ["table,row,col,value"]
         for kind, table in (("add", ring.add_table), ("mul", ring.mul_table)):
             for i, row in enumerate(table):
                 for j, v in enumerate(row):
                     lines.append(f"{kind},{i},{j},{v}")
-        _emit("\n".join(lines) + "\n")
-    else:
-        width = len(str(ring.order - 1))
-        _emit(f"ring {ring.name}, order {ring.order}\n")
-        us = sorted(units(ring))
-        _emit("units: " + " ".join(str(u) for u in us) + "\n")
-        for kind, table in (("addition", ring.add_table), ("multiplication", ring.mul_table)):
-            _emit(f"{kind}:\n")
-            for row in table:
-                _emit("  " + " ".join(f"{v:{width}d}" for v in row) + "\n")
-    return EXIT_OK
+        return _text(lines), EXIT_OK
+    width = len(str(ring.order - 1))
+    lines = [
+        f"ring {ring.name}, order {ring.order}",
+        "units: " + " ".join(str(u) for u in sorted(units(ring))),
+    ]
+    for kind, table in (("addition", ring.add_table), ("multiplication", ring.mul_table)):
+        lines.append(f"{kind}:")
+        lines += ["  " + " ".join(f"{v:{width}d}" for v in row) for row in table]
+    return _text(lines), EXIT_OK
 
 
-def cmd_ring_validate(args: argparse.Namespace) -> int:
+def render_ring_validate(args: argparse.Namespace) -> tuple[str, int]:
     from .rings import validate_ring
 
     ring = _ring(args.name)
     problems = validate_ring(ring)
+    code = EXIT_MISMATCH if problems else EXIT_OK
     if args.format == "json":
-        _emit_json({"schema": 1, "ring": ring.name, "problems": list(problems)})
-    else:
-        if problems:
-            for p in problems:
-                _emit(f"FAIL {p}\n")
-        else:
-            _emit(f"ring {ring.name}: all axioms hold\n")
-    return EXIT_OK if not problems else EXIT_MISMATCH
+        return _json({"schema": 1, "ring": ring.name, "problems": list(problems)}), code
+    lines = [f"FAIL {p}" for p in problems] or [f"ring {ring.name}: all axioms hold"]
+    return _text(lines), code
 
 
 # ---------------------------------------------------------------------------
@@ -146,41 +144,39 @@ def _parse_pair(text: str, order: int) -> tuple[int, int]:
     return a, b
 
 
-def cmd_line_enumerate(args: argparse.Namespace) -> int:
+def render_line_enumerate(args: argparse.Namespace) -> tuple[str, int]:
     from . import export
     from .projline import enumerate_line, line_to_json_dict
 
     line = enumerate_line(_ring(args.ring))
     if args.format == "json":
-        _emit_json(line_to_json_dict(line))
-    elif args.format == "csv":
-        _emit(export.line_points_csv(line))
-    else:
-        for i, pt in enumerate(line.points):
-            _emit(f"{i:3d}: {pt.canonical}  orbit size {len(pt.members)}\n")
-        _emit(f"total: {len(line.points)} points\n")
-    return EXIT_OK
+        return _json(line_to_json_dict(line)), EXIT_OK
+    if args.format == "csv":
+        return export.line_points_csv(line), EXIT_OK
+    lines = [
+        f"{i:3d}: {pt.canonical}  orbit size {len(pt.members)}"
+        for i, pt in enumerate(line.points)
+    ]
+    lines.append(f"total: {len(line.points)} points")
+    return _text(lines), EXIT_OK
 
 
-def cmd_line_relations(args: argparse.Namespace) -> int:
+def render_line_relations(args: argparse.Namespace) -> tuple[str, int]:
     from . import export
     from .projline import enumerate_line, line_to_json_dict
 
     line = enumerate_line(_ring(args.ring))
     labels = [f"P{i}" for i in range(len(line.points))]
     if args.format == "json":
-        _emit_json(line_to_json_dict(line))
-    elif args.format == "csv":
-        _emit(export.sign_matrix_csv(line.relation, labels))
-    elif args.format == "dot":
-        _emit(export.sign_matrix_dot(line.relation, labels, args.edge_sign))
-    else:
-        for label, row in zip(labels, line.relation):
-            _emit(f"{label:>4s} {row}\n")
-    return EXIT_OK
+        return _json(line_to_json_dict(line)), EXIT_OK
+    if args.format == "csv":
+        return export.sign_matrix_csv(line.relation, labels), EXIT_OK
+    if args.format == "dot":
+        return export.sign_matrix_dot(line.relation, labels, args.edge_sign), EXIT_OK
+    return _text(f"{label:>4s} {row}" for label, row in zip(labels, line.relation)), EXIT_OK
 
 
-def cmd_line_subconfig(args: argparse.Namespace) -> int:
+def render_line_subconfig(args: argparse.Namespace) -> tuple[str, int]:
     ring = _ring(args.ring)
     u = _parse_pair(args.u, ring.order)
     v = _parse_pair(args.v, ring.order)
@@ -191,10 +187,9 @@ def cmd_line_subconfig(args: argparse.Namespace) -> int:
         fam_distant, fam_neighbor = simultaneous_subconfig(line, u, v)
     except (KeyError, ValueError) as e:
         raise InputError(f"bad base points: {e}") from None
-    pts = fam_distant + fam_neighbor
-    signs = induced_signs(line, pts)
+    signs = induced_signs(line, fam_distant + fam_neighbor)
     if args.format == "json":
-        _emit_json(
+        return _json(
             {
                 "schema": 1,
                 "ring": ring.name,
@@ -204,120 +199,107 @@ def cmd_line_subconfig(args: argparse.Namespace) -> int:
                 "neighbor_family": [list(p.canonical) for p in fam_neighbor],
                 "signs": list(signs),
             }
-        )
-    else:
-        _emit(f"base points {u} and {v} over {ring.name}\n")
-        _emit(f"distant from both ({len(fam_distant)}):\n")
-        for i, p in enumerate(fam_distant, start=1):
-            _emit(f"  C{i} = {p.canonical}\n")
-        _emit(f"neighbor to both ({len(fam_neighbor)}):\n")
-        for i, p in enumerate(fam_neighbor, start=len(fam_distant) + 1):
-            _emit(f"  C{i} = {p.canonical}\n")
-        _emit("induced relation:\n")
-        for i, row in enumerate(signs, start=1):
-            _emit(f"  C{i:<3d} {row}\n")
-    return EXIT_OK
+        ), EXIT_OK
+    lines = [f"base points {u} and {v} over {ring.name}"]
+    lines.append(f"distant from both ({len(fam_distant)}):")
+    lines += [f"  C{i} = {p.canonical}" for i, p in enumerate(fam_distant, start=1)]
+    lines.append(f"neighbor to both ({len(fam_neighbor)}):")
+    lines += [
+        f"  C{i} = {p.canonical}"
+        for i, p in enumerate(fam_neighbor, start=len(fam_distant) + 1)
+    ]
+    lines.append("induced relation:")
+    lines += [f"  C{i:<3d} {row}" for i, row in enumerate(signs, start=1)]
+    return _text(lines), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # gq
 
 
-def cmd_gq_build(args: argparse.Namespace) -> int:
+def render_gq_build(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
     from . import export
 
     s = co.canonical_gq()
     if args.format == "json":
-        _emit_json(export.structure_to_json_dict(s))
-    else:
-        _emit(f"{len(s.points)} points, {len(s.lines)} lines\n")
-        for i, line in enumerate(s.lines):
-            _emit(f"  line {i:2d}: " + " ".join(export.c_label(p) for p in sorted(line)) + "\n")
-    return EXIT_OK
+        return _json(export.structure_to_json_dict(s)), EXIT_OK
+    lines = [f"{len(s.points)} points, {len(s.lines)} lines"]
+    lines += [
+        f"  line {i:2d}: " + " ".join(export.c_label(p) for p in sorted(line))
+        for i, line in enumerate(s.lines)
+    ]
+    return _text(lines), EXIT_OK
 
 
-def cmd_gq_axioms(args: argparse.Namespace) -> int:
+def render_gq_axioms(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
 
     problems, iso = co.quadrangle_axioms(co.canonical_gq())
     self_dual = iso is not None
+    code = EXIT_OK if not problems and self_dual else EXIT_MISMATCH
     if args.format == "json":
-        _emit_json(
-            {"schema": 1, "problems": list(problems), "self_dual": self_dual}
-        )
-    else:
-        if problems:
-            for p in problems:
-                _emit(f"FAIL {p}\n")
-        else:
-            _emit("all quadrangle axioms hold\n")
-        _emit(f"self-dual: {'yes' if self_dual else 'no'}\n")
-    return EXIT_OK if not problems and self_dual else EXIT_MISMATCH
+        return _json({"schema": 1, "problems": list(problems), "self_dual": self_dual}), code
+    lines = [f"FAIL {p}" for p in problems] or ["all quadrangle axioms hold"]
+    lines.append(f"self-dual: {'yes' if self_dual else 'no'}")
+    return _text(lines), code
 
 
-def cmd_gq_ovoids(args: argparse.Namespace) -> int:
+def render_gq_ovoids(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
     from . import export
     from .quadrangle import OVOID
 
     ovoids = [h for h in co.canonical_hyperplanes() if h.kind == OVOID]
     if args.format == "json":
-        _emit_json(
-            {"schema": 1, "ovoids": [sorted(h.points) for h in ovoids]}
-        )
-    else:
-        for i, h in enumerate(ovoids):
-            _emit(f"ovoid {i}: " + " ".join(export.c_label(p) for p in sorted(h.points)) + "\n")
-    return EXIT_OK
+        return _json({"schema": 1, "ovoids": [sorted(h.points) for h in ovoids]}), EXIT_OK
+    return _text(
+        f"ovoid {i}: " + " ".join(export.c_label(p) for p in sorted(h.points))
+        for i, h in enumerate(ovoids)
+    ), EXIT_OK
 
 
-def cmd_gq_spreads(args: argparse.Namespace) -> int:
+def render_gq_spreads(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
     from . import export
 
     s = co.canonical_gq()
     spreads = co.canonical_spreads()
     if args.format == "json":
-        _emit_json(
+        return _json(
             {
                 "schema": 1,
                 "spreads": [
-                    {
-                        "lines": list(sp),
-                        "triples": [sorted(s.lines[i]) for i in sp],
-                    }
+                    {"lines": list(sp), "triples": [sorted(s.lines[i]) for i in sp]}
                     for sp in spreads
                 ],
             }
-        )
-    else:
-        for i, sp in enumerate(spreads):
-            triples = " | ".join(
-                ",".join(export.c_label(p) for p in sorted(s.lines[j])) for j in sp
-            )
-            _emit(f"spread {i}: {triples}\n")
-    return EXIT_OK
+        ), EXIT_OK
+    return _text(
+        f"spread {i}: "
+        + " | ".join(",".join(export.c_label(p) for p in sorted(s.lines[j])) for j in sp)
+        for i, sp in enumerate(spreads)
+    ), EXIT_OK
 
 
-def cmd_gq_hyperplanes(args: argparse.Namespace) -> int:
+def render_gq_hyperplanes(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
     from . import export
 
     planes = co.canonical_hyperplanes()
     spreads = co.canonical_spreads()
     if args.format == "json":
-        _emit_json(export.hyperplane_catalog_to_json_dict(planes, spreads))
-    else:
-        for h in planes:
-            pts = " ".join(export.c_label(p) for p in sorted(h.points))
-            tail = f" (center {export.c_label(h.center)})" if h.center is not None else ""
-            _emit(f"{h.kind:8s} {pts}{tail}\n")
-        _emit(f"total: {len(planes)} hyperplanes, {len(spreads)} spreads\n")
-    return EXIT_OK
+        return _json(export.hyperplane_catalog_to_json_dict(planes, spreads)), EXIT_OK
+    lines = []
+    for h in planes:
+        pts = " ".join(export.c_label(p) for p in sorted(h.points))
+        tail = f" (center {export.c_label(h.center)})" if h.center is not None else ""
+        lines.append(f"{h.kind:8s} {pts}{tail}")
+    lines.append(f"total: {len(planes)} hyperplanes, {len(spreads)} spreads")
+    return _text(lines), EXIT_OK
 
 
-def cmd_gq_petersen(args: argparse.Namespace) -> int:
+def render_gq_petersen(args: argparse.Namespace) -> tuple[str, int]:
     _check_index(args.ovoid, "ovoid")
     from . import correspondence as co
     from . import export
@@ -326,13 +308,15 @@ def cmd_gq_petersen(args: argparse.Namespace) -> int:
 
     ovoids = [h for h in co.canonical_hyperplanes() if h.kind == OVOID]
     if len(ovoids) != OVOID_SPREAD_COUNT:
-        return _census_failed(args, "ovoids", len(ovoids))
+        return _failed(args, co.CheckResult(
+            f"{OVOID_SPREAD_COUNT} ovoids", False, f"{len(ovoids)} computed"
+        ))
     if args.ovoid is not None:
         ovoids = [ovoids[args.ovoid]]
     results = [(h, co.petersen_witness(h.points)) for h in ovoids]
-    ok = all(witness is not None for _, witness in results)
+    code = EXIT_OK if all(witness is not None for _, witness in results) else EXIT_MISMATCH
     if args.format == "json":
-        _emit_json(
+        return _json(
             {
                 "schema": 1,
                 "results": [
@@ -346,26 +330,26 @@ def cmd_gq_petersen(args: argparse.Namespace) -> int:
                     for h, witness in results
                 ],
             }
-        )
-    else:
-        for h, witness in results:
-            pts = " ".join(export.c_label(p) for p in sorted(h.points))
-            if witness is None:
-                _emit(f"ovoid {pts}: NOT Petersen\n")
-            else:
-                _emit(f"ovoid {pts}: Petersen\n")
-                pairs = ", ".join(
-                    f"{export.c_label(p)}->{q}" for p, q in sorted(witness.items())
-                )
-                _emit(f"  witness: {pairs}\n")
-    return EXIT_OK if ok else EXIT_MISMATCH
+        ), code
+    lines = []
+    for h, witness in results:
+        pts = " ".join(export.c_label(p) for p in sorted(h.points))
+        if witness is None:
+            lines.append(f"ovoid {pts}: NOT Petersen")
+        else:
+            lines.append(f"ovoid {pts}: Petersen")
+            pairs = ", ".join(
+                f"{export.c_label(p)}->{q}" for p, q in sorted(witness.items())
+            )
+            lines.append(f"  witness: {pairs}")
+    return _text(lines), code
 
 
 # ---------------------------------------------------------------------------
 # pauli
 
 
-def cmd_pauli_table(args: argparse.Namespace) -> int:
+def render_pauli_table(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
     from . import export
     from .pauli import standard_labeling
@@ -374,7 +358,7 @@ def cmd_pauli_table(args: argparse.Namespace) -> int:
     signs = co.operator_signs()
     labels = [export.c_label(i) for i in range(1, len(ops) + 1)]
     if args.format == "json":
-        _emit_json(
+        return _json(
             {
                 "schema": 1,
                 "operators": [
@@ -383,16 +367,15 @@ def cmd_pauli_table(args: argparse.Namespace) -> int:
                 ],
                 "signs": list(signs),
             }
-        )
-    elif args.format == "csv":
-        _emit(export.sign_matrix_csv(signs, labels))
-    else:
-        for label, op, row in zip(labels, ops, signs):
-            _emit(f"{label:>4s} {op.label}  {row}\n")
-    return EXIT_OK
+        ), EXIT_OK
+    if args.format == "csv":
+        return export.sign_matrix_csv(signs, labels), EXIT_OK
+    return _text(
+        f"{label:>4s} {op.label}  {row}" for label, op, row in zip(labels, ops, signs)
+    ), EXIT_OK
 
 
-def cmd_pauli_mermin(args: argparse.Namespace) -> int:
+def render_pauli_mermin(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
     from .pauli import standard_labeling
 
@@ -402,8 +385,9 @@ def cmd_pauli_mermin(args: argparse.Namespace) -> int:
         result = co.standard_square()
     except ValueError as exc:
         return _failed(args, co.stage_failure("standard grid is magic", exc))
+    code = EXIT_OK if result.magic else EXIT_MISMATCH
     if args.format == "json":
-        _emit_json(
+        return _json(
             {
                 "schema": 1,
                 "rows": [list(r) for r in rows],
@@ -411,17 +395,15 @@ def cmd_pauli_mermin(args: argparse.Namespace) -> int:
                 "col_signs": list(result.col_signs),
                 "magic": result.magic,
             }
-        )
-    else:
-        for r in rows:
-            _emit("  " + " ".join(f"{ops[i - 1].label:>2s}" for i in r) + "\n")
-        _emit(f"row signs: {result.row_signs}\n")
-        _emit(f"column signs: {result.col_signs}\n")
-        _emit(f"magic: {'yes' if result.magic else 'no'}\n")
-    return EXIT_OK if result.magic else EXIT_MISMATCH
+        ), code
+    lines = ["  " + " ".join(f"{ops[i - 1].label:>2s}" for i in r) for r in rows]
+    lines.append(f"row signs: {result.row_signs}")
+    lines.append(f"column signs: {result.col_signs}")
+    lines.append(f"magic: {'yes' if result.magic else 'no'}")
+    return _text(lines), code
 
 
-def cmd_pauli_mub(args: argparse.Namespace) -> int:
+def render_pauli_mub(args: argparse.Namespace) -> tuple[str, int]:
     _check_index(args.spread, "spread")
     from . import correspondence as co
     from . import export
@@ -429,16 +411,18 @@ def cmd_pauli_mub(args: argparse.Namespace) -> int:
 
     spreads = co.canonical_spreads()
     if len(spreads) != OVOID_SPREAD_COUNT:
-        return _census_failed(args, "spreads", len(spreads))
+        return _failed(args, co.CheckResult(
+            f"{OVOID_SPREAD_COUNT} spreads", False, f"{len(spreads)} computed"
+        ))
     if args.spread is not None:
         spreads = (spreads[args.spread],)
     try:
         results = [co.spread_unbiased(sp) for sp in spreads]
     except ValueError as exc:
         return _failed(args, co.stage_failure("unbiased bases", exc))
-    ok = all(good for _, good in results)
+    code = EXIT_OK if all(good for _, good in results) else EXIT_MISMATCH
     if args.format == "json":
-        _emit_json(
+        return _json(
             {
                 "schema": 1,
                 "results": [
@@ -446,18 +430,26 @@ def cmd_pauli_mub(args: argparse.Namespace) -> int:
                     for triples, good in results
                 ],
             }
-        )
-    else:
-        for triples, good in results:
-            txt = " | ".join(
-                ",".join(export.c_label(p) for p in t) for t in triples
-            )
-            _emit(f"{'PASS' if good else 'FAIL'} {txt}\n")
-    return EXIT_OK if ok else EXIT_MISMATCH
+        ), code
+    return _text(
+        f"{'PASS' if good else 'FAIL'} "
+        + " | ".join(",".join(export.c_label(p) for p in t) for t in triples)
+        for triples, good in results
+    ), code
 
 
 # ---------------------------------------------------------------------------
-# verify / export
+# verify
+
+
+# verify WHAT -> the correspondence function that builds its report
+VERIFIERS = {
+    "table2": "verify_relation_signs",
+    "factor96": "verify_split_9_6",
+    "factor105": "verify_split_10_5",
+    "trinity": "trinity_report",
+    "all": "verify_all",
+}
 
 
 def _load_fixture(path: str) -> tuple[str, ...]:
@@ -474,116 +466,193 @@ def _load_fixture(path: str) -> tuple[str, ...]:
     return tuple(rows)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def render_verify(args: argparse.Namespace) -> tuple[str, int]:
     if args.fixture is not None and args.what != "table2":
         raise InputError("--fixture only applies to 'verify table2'")
+    reference = () if args.fixture is None else (_load_fixture(args.fixture),)
     from . import correspondence as co
 
-    if args.what == "table2":
-        reference = _load_fixture(args.fixture) if args.fixture else None
-        report = co.verify_relation_signs(reference)
-    elif args.what == "factor96":
-        report = co.verify_split_9_6()
-    elif args.what == "factor105":
-        report = co.verify_split_10_5()
-    elif args.what == "trinity":
-        report = co.trinity_report()
-    else:
-        report = co.verify_all()
-    if args.format == "json":
-        _emit_json(report.to_json_dict())
-    else:
-        _emit(report.to_text(header=not args.no_header))
-    return EXIT_OK if report.passed else EXIT_MISMATCH
+    report = getattr(co, VERIFIERS[args.what])(*reference)
+    return _report(args, report, header=not args.no_header)
 
 
-# the formats each export target supports, checked before any work
-EXPORT_FORMATS = {
-    "signs": ("csv", "dot", "json"),
-    "line": ("json", "csv", "dot"),
-    "gq": ("json", "dot"),
-    "hyperplanes": ("json",),
-    "petersen": ("dot", "json"),
+# ---------------------------------------------------------------------------
+# export: targets no command prints
+
+
+def render_signs(args: argparse.Namespace) -> tuple[str, int]:
+    from . import correspondence as co
+    from . import export
+
+    signs = co.geometric_signs()
+    labels = [export.c_label(i) for i in range(1, len(signs) + 1)]
+    if args.format == "csv":
+        return export.sign_matrix_csv(signs, labels), EXIT_OK
+    if args.format == "dot":
+        return export.sign_matrix_dot(signs, labels, args.edge_sign), EXIT_OK
+    return _json({"schema": 1, "labels": labels, "signs": list(signs)}), EXIT_OK
+
+
+def render_gq_dot(args: argparse.Namespace) -> tuple[str, int]:
+    from . import correspondence as co
+    from . import export
+
+    graph = co.canonical_gq().collinearity_graph()
+    return export.graph_dot(graph, name="collinearity", label=export.c_label), EXIT_OK
+
+
+def render_petersen(args: argparse.Namespace) -> tuple[str, int]:
+    from . import export
+    from .quadrangle import petersen_graph
+
+    g = petersen_graph()
+    if args.format == "dot":
+        return export.graph_dot(g, name="petersen"), EXIT_OK
+    return _json(
+        {
+            "schema": 1,
+            "vertices": [list(v) for v in g.vertices],
+            "edges": [[list(u), list(v)] for u, v in g.sorted_edges()],
+        }
+    ), EXIT_OK
+
+
+# export (what, format) -> the renderer whose text is written to --out; the
+# --what and --format choices are the keys' parts, in first-seen order
+EXPORTS = {
+    ("signs", "json"): render_signs,
+    ("signs", "csv"): render_signs,
+    ("signs", "dot"): render_signs,
+    ("line", "json"): render_line_enumerate,
+    ("line", "csv"): render_line_enumerate,
+    ("line", "dot"): render_line_relations,
+    ("gq", "json"): render_gq_build,
+    ("gq", "dot"): render_gq_dot,
+    ("hyperplanes", "json"): render_gq_hyperplanes,
+    ("petersen", "json"): render_petersen,
+    ("petersen", "dot"): render_petersen,
 }
 
 
-def cmd_export(args: argparse.Namespace) -> int:
+def render_export(args: argparse.Namespace) -> tuple[str, int]:
     what, fmt = args.what, args.format
-    if fmt not in EXPORT_FORMATS[what]:
+    render = EXPORTS.get((what, fmt))
+    if render is None:
         if what == "hyperplanes":
             raise InputError("hyperplane catalog exports as json only")
         raise InputError(f"cannot export {what} as {fmt}")
-    from . import export
-
-    if what == "signs":
-        from . import correspondence as co
-
-        signs = co.geometric_signs()
-        labels = [export.c_label(i) for i in range(1, len(signs) + 1)]
-        if fmt == "csv":
-            payload = export.sign_matrix_csv(signs, labels)
-        elif fmt == "dot":
-            payload = export.sign_matrix_dot(signs, labels, args.edge_sign)
-        else:
-            payload = json.dumps(
-                {"schema": 1, "labels": labels, "signs": list(signs)},
-                indent=2,
-            ) + "\n"
-    elif what == "line":
-        from .projline import enumerate_line, line_to_json_dict
-
-        line = enumerate_line(_ring(args.ring))
-        labels = [f"P{i}" for i in range(len(line.points))]
-        if fmt == "json":
-            payload = json.dumps(line_to_json_dict(line), indent=2) + "\n"
-        elif fmt == "csv":
-            payload = export.line_points_csv(line)
-        else:
-            payload = export.sign_matrix_dot(line.relation, labels, args.edge_sign)
-    elif what == "gq":
-        from . import correspondence as co
-
-        s = co.canonical_gq()
-        if fmt == "json":
-            payload = json.dumps(export.structure_to_json_dict(s), indent=2) + "\n"
-        else:
-            payload = export.graph_dot(
-                s.collinearity_graph(), name="collinearity", label=export.c_label
-            )
-    elif what == "hyperplanes":
-        from . import correspondence as co
-
-        payload = json.dumps(
-            export.hyperplane_catalog_to_json_dict(
-                co.canonical_hyperplanes(), co.canonical_spreads()
-            ),
-            indent=2,
-        ) + "\n"
-    else:
-        from .quadrangle import petersen_graph
-
-        g = petersen_graph()
-        if fmt == "dot":
-            payload = export.graph_dot(g, name="petersen")
-        else:
-            payload = json.dumps(
-                {
-                    "schema": 1,
-                    "vertices": [list(v) for v in g.vertices],
-                    "edges": [[list(u), list(v)] for u, v in g.sorted_edges()],
-                },
-                indent=2,
-            ) + "\n"
+    if what == "line":
+        _ring(args.ring)  # an unknown ring is refused before --out is created
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            text, code = render(args)
+            fh.write(text)
     except OSError as e:
         raise InputError(f"cannot write {args.out}: {e}") from None
-    return EXIT_OK
+    return "", code
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    """One ``add_argument`` call of a command, kept as data."""
+    return flags, options
+
+
+TEXT_JSON = ("text", "json")
+RING = _arg("--ring", default="m2f2")
+EDGE_SIGN = {"default": NEIGHBOR, "choices": [DISTANT, NEIGHBOR]}
+
+# (group, verb) -> (help, formats, arguments, renderer); a verb of None makes
+# the group itself the command, and formats of None leave --format to the
+# arguments
+COMMANDS = {
+    ("ring", "show"): (
+        "print the addition and multiplication tables",
+        ("text", "json", "csv"),
+        (_arg("name"),),
+        render_ring_show,
+    ),
+    ("ring", "validate"): (
+        "check every ring axiom exhaustively", TEXT_JSON, (_arg("name"),), render_ring_validate
+    ),
+    ("line", "enumerate"): (
+        "list the points of the line", ("text", "json", "csv"), (RING,), render_line_enumerate
+    ),
+    ("line", "relations"): (
+        "print the distant/neighbor matrix",
+        ("text", "json", "csv", "dot"),
+        (RING, _arg("--edge-sign", **EDGE_SIGN, help="which relation becomes a dot edge")),
+        render_line_relations,
+    ),
+    ("line", "subconfig"): (
+        "the points seen from two distant base points",
+        TEXT_JSON,
+        (
+            RING,
+            _arg("--u", default="1,0", help="first base point, e.g. 1,0"),
+            _arg("--v", default="0,1", help="second base point, e.g. 0,1"),
+        ),
+        render_line_subconfig,
+    ),
+    ("gq", "build"): ("points and lines of the quadrangle", TEXT_JSON, (), render_gq_build),
+    ("gq", "axioms"): (
+        "check the quadrangle axioms and self-duality", TEXT_JSON, (), render_gq_axioms
+    ),
+    ("gq", "ovoids"): ("list the ovoids", TEXT_JSON, (), render_gq_ovoids),
+    ("gq", "spreads"): ("list the spreads", TEXT_JSON, (), render_gq_spreads),
+    ("gq", "hyperplanes"): ("the full hyperplane catalog", TEXT_JSON, (), render_gq_hyperplanes),
+    ("gq", "petersen"): (
+        "ovoid complements against the Petersen graph",
+        TEXT_JSON,
+        (_arg("--ovoid", type=int, default=None, help="check one ovoid by index"),),
+        render_gq_petersen,
+    ),
+    ("pauli", "table"): (
+        "operators and their commutation signs", ("text", "json", "csv"), (), render_pauli_table
+    ),
+    ("pauli", "mermin"): ("the standard magic square", TEXT_JSON, (), render_pauli_mermin),
+    ("pauli", "mub"): (
+        "unbiased-bases check per spread",
+        TEXT_JSON,
+        (_arg("--spread", type=int, default=None, help="check one spread by index"),),
+        render_pauli_mub,
+    ),
+    ("verify", None): (
+        "verification certificates",
+        TEXT_JSON,
+        (
+            _arg("what", choices=list(VERIFIERS)),
+            _arg("--fixture", default=None,
+                 help="file with 15 rows of +/- signs replacing the stored fixture"),
+            _arg("--no-header", action="store_true",
+                 help="omit the title banner from text output"),
+        ),
+        render_verify,
+    ),
+    ("export", None): (
+        "write a machine-readable artifact",
+        None,
+        (
+            _arg("--what", required=True, choices=list(dict.fromkeys(w for w, _ in EXPORTS))),
+            _arg("--format", required=True, choices=list(dict.fromkeys(f for _, f in EXPORTS))),
+            _arg("--out", required=True),
+            RING,
+            _arg("--edge-sign", **EDGE_SIGN),
+        ),
+        render_export,
+    ),
+}
+
+# help for the groups whose commands are verbs
+GROUPS = {
+    "ring": "ring tables and axioms",
+    "line": "projective line construction",
+    "gq": "the generalized quadrangle",
+    "pauli": "two-qubit operator side",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -593,99 +662,21 @@ def build_parser() -> argparse.ArgumentParser:
         "operator correspondence, and the order-two generalized quadrangle",
     )
     top = parser.add_subparsers(dest="group", required=True)
-    text_json = ("text", "json")
-
-    def add_format(p, formats):
-        p.add_argument("--format", default="text", help="output format")
-        p.set_defaults(formats=formats)
-
-    ring = top.add_parser("ring", help="ring tables and axioms")
-    ring_sub = ring.add_subparsers(dest="verb", required=True)
-    p = ring_sub.add_parser("show", help="print the addition and multiplication tables")
-    p.add_argument("name")
-    add_format(p, ("text", "json", "csv"))
-    p.set_defaults(func=cmd_ring_show)
-    p = ring_sub.add_parser("validate", help="check every ring axiom exhaustively")
-    p.add_argument("name")
-    add_format(p, text_json)
-    p.set_defaults(func=cmd_ring_validate)
-
-    line = top.add_parser("line", help="projective line construction")
-    line_sub = line.add_subparsers(dest="verb", required=True)
-    p = line_sub.add_parser("enumerate", help="list the points of the line")
-    p.add_argument("--ring", default="m2f2")
-    add_format(p, ("text", "json", "csv"))
-    p.set_defaults(func=cmd_line_enumerate)
-    p = line_sub.add_parser("relations", help="print the distant/neighbor matrix")
-    p.add_argument("--ring", default="m2f2")
-    p.add_argument("--edge-sign", default=NEIGHBOR, choices=[DISTANT, NEIGHBOR],
-                   help="which relation becomes a dot edge")
-    add_format(p, ("text", "json", "csv", "dot"))
-    p.set_defaults(func=cmd_line_relations)
-    p = line_sub.add_parser(
-        "subconfig", help="the points seen from two distant base points"
-    )
-    p.add_argument("--ring", default="m2f2")
-    p.add_argument("--u", default="1,0", help="first base point, e.g. 1,0")
-    p.add_argument("--v", default="0,1", help="second base point, e.g. 0,1")
-    add_format(p, text_json)
-    p.set_defaults(func=cmd_line_subconfig)
-
-    gq = top.add_parser("gq", help="the generalized quadrangle")
-    gq_sub = gq.add_subparsers(dest="verb", required=True)
-    p = gq_sub.add_parser("build", help="points and lines of the quadrangle")
-    add_format(p, text_json)
-    p.set_defaults(func=cmd_gq_build)
-    p = gq_sub.add_parser("axioms", help="check the quadrangle axioms and self-duality")
-    add_format(p, text_json)
-    p.set_defaults(func=cmd_gq_axioms)
-    p = gq_sub.add_parser("ovoids", help="list the ovoids")
-    add_format(p, text_json)
-    p.set_defaults(func=cmd_gq_ovoids)
-    p = gq_sub.add_parser("spreads", help="list the spreads")
-    add_format(p, text_json)
-    p.set_defaults(func=cmd_gq_spreads)
-    p = gq_sub.add_parser("hyperplanes", help="the full hyperplane catalog")
-    add_format(p, text_json)
-    p.set_defaults(func=cmd_gq_hyperplanes)
-    p = gq_sub.add_parser("petersen", help="ovoid complements against the Petersen graph")
-    p.add_argument("--ovoid", type=int, default=None, help="check one ovoid by index")
-    add_format(p, text_json)
-    p.set_defaults(func=cmd_gq_petersen)
-
-    pauli = top.add_parser("pauli", help="two-qubit operator side")
-    pauli_sub = pauli.add_subparsers(dest="verb", required=True)
-    p = pauli_sub.add_parser("table", help="operators and their commutation signs")
-    add_format(p, ("text", "json", "csv"))
-    p.set_defaults(func=cmd_pauli_table)
-    p = pauli_sub.add_parser("mermin", help="the standard magic square")
-    add_format(p, text_json)
-    p.set_defaults(func=cmd_pauli_mermin)
-    p = pauli_sub.add_parser("mub", help="unbiased-bases check per spread")
-    p.add_argument("--spread", type=int, default=None, help="check one spread by index")
-    add_format(p, text_json)
-    p.set_defaults(func=cmd_pauli_mub)
-
-    verify = top.add_parser("verify", help="verification certificates")
-    verify.add_argument(
-        "what", choices=["table2", "factor96", "factor105", "trinity", "all"]
-    )
-    verify.add_argument("--fixture", default=None,
-                        help="file with 15 rows of +/- signs replacing the stored fixture")
-    verify.add_argument("--no-header", action="store_true",
-                        help="omit the title banner from text output")
-    add_format(verify, text_json)
-    verify.set_defaults(func=cmd_verify)
-
-    exp = top.add_parser("export", help="write a machine-readable artifact")
-    exp.add_argument("--what", required=True,
-                     choices=list(EXPORT_FORMATS))
-    exp.add_argument("--format", required=True, choices=["json", "csv", "dot"])
-    exp.add_argument("--out", required=True)
-    exp.add_argument("--ring", default="m2f2")
-    exp.add_argument("--edge-sign", default=NEIGHBOR, choices=[DISTANT, NEIGHBOR])
-    exp.set_defaults(func=cmd_export)
-
+    verbs = {}
+    for (group, verb), (summary, formats, arguments, render) in COMMANDS.items():
+        if verb is None:
+            p = top.add_parser(group, help=summary)
+        else:
+            if group not in verbs:
+                verbs[group] = top.add_parser(group, help=GROUPS[group]).add_subparsers(
+                    dest="verb", required=True
+                )
+            p = verbs[group].add_parser(verb, help=summary)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        if formats is not None:
+            p.add_argument("--format", default="text", help="output format")
+        p.set_defaults(formats=formats, render=render)
     return parser
 
 
@@ -696,16 +687,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
-        formats = getattr(args, "formats", None)
-        if formats is not None and args.format not in formats:
+        if args.formats is not None and args.format not in args.formats:
             raise InputError(
                 f"format {args.format!r} not supported here "
-                f"(choose from {', '.join(formats)})"
+                f"(choose from {', '.join(args.formats)})"
             )
-        return args.func(args)
+        text, code = args.render(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -56,7 +56,6 @@ from .quadrangle import (
     enumerate_ovoids,
     enumerate_spreads,
     graph_isomorphism,
-    is_petersen,
     is_strongly_regular,
     petersen_graph,
     structure_isomorphism,
@@ -234,11 +233,6 @@ def geometric_signs() -> tuple[str, ...]:
 def operator_signs() -> tuple[str, ...]:
     """The 15x15 matrix computed from operator commutation, same encoding."""
     return signs_from_commutation(commutation_table(standard_labeling()))
-
-
-def _induced_rows(rows: Sequence[str], labels: Sequence[int]) -> tuple[str, ...]:
-    idx = [i - 1 for i in labels]
-    return tuple("".join(rows[i][j] for j in idx) for i in idx)
 
 
 def _signs_graph(rows: Sequence[str]) -> Graph:
@@ -711,7 +705,6 @@ def verify_split_10_5() -> Report:
     """Every ovoid versus its ten-point complement."""
     line, _, _, pts = _m2f2_sub()
     gf4_line = enumerate_line(ring_by_name("gf4"))
-    s = canonical_gq()
     checks = []
     data: dict = {"ovoids": []}
     ovoids = [h for h in canonical_hyperplanes() if h.kind == OVOID]
@@ -736,7 +729,7 @@ def verify_split_10_5() -> Report:
         )
         five = induced_signs(line, [pts[i - 1] for i in labels])
         subline = relation_isomorphism(five, gf4_line.relation) is not None
-        petersen = is_petersen(complement_graph_of_ovoid(s, h.points))
+        petersen = petersen_witness(h.points) is not None
         checks.append(
             CheckResult(
                 f"ovoid {_cset(labels)}",

@@ -162,6 +162,16 @@ BAD_FORMAT = [
     ),
     (["gq", "petersen", "--ovoid", "9"], "canonical_hyperplanes", "--ovoid must lie in 0..5"),
     (["pauli", "mub", "--spread", "9"], "canonical_spreads", "--spread must lie in 0..5"),
+    (
+        ["export", "--what", "hyperplanes", "--format", "json", "--out", "missing/x.json"],
+        "canonical_hyperplanes",
+        "cannot write missing/x.json",
+    ),
+    (
+        ["export", "--what", "line", "--ring", "nosuch", "--format", "json", "--out", "line.json"],
+        "enumerate_line",
+        "unknown ring 'nosuch'",
+    ),
 ]
 
 
@@ -303,6 +313,53 @@ def test_export_writes_file(tmp_path, what, fmt):
     assert data
     if fmt == "json":
         json.loads(data)
+
+
+# SHA-256 of the file each export target writes, with both edge signs where
+# they apply and the line over every ring
+EXPORT_PINNED = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "export_sha256.json").read_text()
+)
+
+
+@pytest.mark.parametrize("pin", EXPORT_PINNED, ids=lambda e: " ".join(e["argv"][1:]))
+def test_export_matches_pinned_bytes(pin, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(pin["argv"] + ["--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == pin["sha256"], f"{' '.join(pin['argv'])}: file differs from the pinned bytes"
+
+
+RINGS = ["m2f2", "gf2", "gf4", "gf2xgf2", "gf2dual"]
+
+# export arguments and the command that prints the same bytes
+SHARED_RENDERERS = [
+    (["--what", "gq", "--format", "json"], ["gq", "build", "--format", "json"]),
+    (["--what", "hyperplanes", "--format", "json"], ["gq", "hyperplanes", "--format", "json"]),
+] + [
+    (["--what", "line", "--ring", ring, *tail], ["line", verb, "--ring", ring, *tail])
+    for ring in RINGS
+    for verb, tail in (
+        ("enumerate", ["--format", "json"]),
+        ("relations", ["--format", "json"]),
+        ("enumerate", ["--format", "csv"]),
+        ("relations", ["--format", "dot", "--edge-sign", "+"]),
+        ("relations", ["--format", "dot", "--edge-sign", "-"]),
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "export_args, command",
+    [pytest.param(*case, id=" ".join(case[1])) for case in SHARED_RENDERERS],
+)
+def test_export_writes_what_the_command_prints(export_args, command, tmp_path, capsys):
+    assert cli.main(command) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert cli.main(["export", *export_args, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == printed
 
 
 def test_export_unsupported_combo_exits_two(tmp_path, capsys):

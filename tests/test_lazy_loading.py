@@ -58,6 +58,7 @@ def test_import_cli_loads_no_layer():
             (["verify", "all", "--format", "csv"], set()),
             (["gq", "petersen", "--ovoid", "9"], {"golden"}),
             (["pauli", "mub", "--spread", "9"], {"golden"}),
+            (["export", "--what", "hyperplanes", "--format", "json", "--out", "missing/x.json"], set()),
         )
     ],
 )
@@ -73,6 +74,13 @@ def test_line_relations_loads_no_quadrangle_side():
     assert loaded_by_command(["line", "relations", "--ring", "gf4"]) == {
         "ringline", "cli", "rings", "gf2", "projline", "export",
     }
+
+
+def test_export_line_loads_no_quadrangle_side(tmp_path):
+    out = tmp_path / "line.csv"
+    argv = ["export", "--what", "line", "--format", "csv", "--out", str(out)]
+    assert loaded_by_command(argv) == {"ringline", "cli", "rings", "gf2", "projline", "export"}
+    assert out.read_text().startswith("id,a,b,orbit")
 
 
 def test_every_public_name_is_its_defining_modules_object():
