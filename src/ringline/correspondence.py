@@ -6,16 +6,17 @@ ring), from two-qubit operator commutation, and from the stored fixture.
 The functions here check all of that cell by cell, then verify the finer
 structure: the 9+6 and 10+5 factorizations, perp-set sublines, hyperplane
 counts, Petersen complements, magic squares, unbiased bases, and the
-transitivity of the invertible group.  Everything is exact; results come
-back as Report trees that serialize to JSON or a plain-text certificate.
+transitivity of the invertible group on all distant triples.  Everything
+is exact and enumerated; results come back as Report trees that serialize
+to JSON or a plain-text certificate.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from . import golden
@@ -35,12 +36,10 @@ from .projline import (
     NEIGHBOR,
     PointClass,
     ProjectiveLine,
+    distant_triple_witnesses,
     enumerate_line,
-    gl2_order,
     induced_signs,
     is_admissible,
-    is_invertible_2x2,
-    map_standard_triple_to,
     simultaneous_subconfig,
 )
 from .quadrangle import (
@@ -552,12 +551,14 @@ def verify_hyperplane_census() -> Report:
     return Report("hyperplane census", tuple(checks), data)
 
 
-def petersen_witness(ovoid: Iterable[int]) -> dict | None:
+@lru_cache(maxsize=None)
+def petersen_witness(ovoid: frozenset[int]) -> Mapping | None:
     """An isomorphism from the collinearity graph off ``ovoid`` onto
     ``petersen_graph()``, or None; finding one proves the complement cubic
-    with girth 5."""
+    with girth 5.  Searched once per ovoid, so the mapping is read-only."""
     comp = complement_graph_of_ovoid(canonical_gq(), ovoid)
-    return graph_isomorphism(comp, petersen_graph())
+    iso = graph_isomorphism(comp, petersen_graph())
+    return None if iso is None else MappingProxyType(iso)
 
 
 def verify_petersen() -> Report:
@@ -935,47 +936,40 @@ def verify_mub() -> Report:
     return Report("unbiased bases", tuple(checks), data)
 
 
-def verify_transitivity(samples: int = 100, seed: int = 0) -> Report:
-    """Witness matrices onto randomly sampled pairwise-distant triples."""
-    line, _, _, _ = _m2f2_sub()
+def verify_transitivity() -> Report:
+    """The invertible group is transitive on ordered pairwise-distant
+    triples, each witnessed, and has order orbit x stabilizer, the stabilizer
+    being the diag(r, s) over units with (r, s) in the class of (1, 1)."""
+    line = _m2f2_sub()[0]
     ring = line.ring
-    rng = random.Random(seed)
-    found = 0
-    attempts = 0
-    failures: list[str] = []
-    collected = 0
-    while collected < samples:
-        attempts += 1
-        i, j, k = rng.sample(range(len(line.points)), 3)
-        triple = (line.points[i], line.points[j], line.points[k])
-        if any(
-            line.relation_of(p, q) != DISTANT
-            for p, q in itertools.combinations(triple, 2)
-        ):
-            continue
-        collected += 1
-        try:
-            m = map_standard_triple_to(line, triple)
-        except ValueError as e:
-            failures.append(str(e))
-            continue
-        if is_invertible_2x2(ring, m):
-            found += 1
-        else:
-            failures.append(f"witness for sample {collected} not invertible")
+    distant = [{j for j, sign in enumerate(row) if sign == DISTANT} for row in line.relation]
+    triples = sum(len(d & distant[j]) for d in distant for j in d)
+    witnesses, failures = distant_triple_witnesses(line)
+    detail = f"{len(witnesses)} of {triples} triples witnessed"
+    if failures:
+        detail += "; no witness for points {} and {} with unit {}".format(*failures[0])
+    scalars = sorted(units(ring))
+    diagonal = line.class_of((ring.one, ring.one)).members
+    stabilizer = [r for r in scalars for s in scalars if (r, s) in diagonal]
+    order = len(witnesses) * len(stabilizer)
     checks = [
         CheckResult(
-            f"witness found for all {samples} sampled distant triples",
-            found == samples and not failures,
-            failures[0] if failures else f"{attempts} draws",
+            "every ordered pairwise-distant triple is witnessed",
+            not failures and len(witnesses) == triples,
+            detail,
         ),
         CheckResult(
             "invertible group has order 20160",
-            gl2_order(ring) == 20160,
-            "15*14*12*8",
+            order == 20160,
+            f"orbit {len(witnesses)} x stabilizer {len(stabilizer)} = {order}; "
+            "15*14*12*8 = 20160",
         ),
     ]
-    data = {"samples": samples, "seed": seed, "attempts": attempts}
+    data = {
+        "distant_pairs": sum(map(len, distant)),
+        "triples": triples,
+        "stabilizer": stabilizer,
+    }
     return Report("transitivity of the invertible group", tuple(checks), data)
 
 

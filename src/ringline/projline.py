@@ -45,7 +45,7 @@ __all__ = [
     "mat_mul",
     "mat_inv",
     "gl2_elements",
-    "gl2_order",
+    "distant_triple_witnesses",
     "map_standard_triple_to",
     "gl2_transitivity_witness",
     "line_to_json_dict",
@@ -283,7 +283,8 @@ def mat_inv(ring: Ring, m: Mat2) -> Mat2:
 @lru_cache(maxsize=None)
 def gl2_elements(ring: Ring) -> tuple[Mat2, ...]:
     """All invertible 2x2 matrices over the ring, sorted: every pair of
-    row-span table entries whose spans meet only in 0."""
+    row-span table entries whose spans meet only in 0.  A test oracle; the
+    group order is certified by ``distant_triple_witnesses`` instead."""
     spans = _row_spans(ring)
     # the table is keyed in ascending pair order, so the output is sorted
     return tuple(
@@ -294,8 +295,41 @@ def gl2_elements(ring: Ring) -> tuple[Mat2, ...]:
     )
 
 
-def gl2_order(ring: Ring) -> int:
-    return len(gl2_elements(ring))
+def distant_triple_witnesses(line: ProjectiveLine) -> tuple[set[tuple], list[tuple]]:
+    """The pairwise-distant triples (i, j, k) of point indices witnessed as
+    images of (1,0), (0,1), (1,1), and each (i, j, s) that witnesses none.
+
+    For each distant pair (i, j), with canonical pairs x0 and y0, and each
+    unit s, the matrix with rows x0 and s.y0 is a witness when its row spans
+    meet only in 0, s.y0 lies in class j, and the class k of x0 + s.y0 is
+    distant from i and j.
+    """
+    ring, rel = line.ring, line.relation
+    spans, index = _row_spans(ring), line._index_by_pair
+    add, mul = ring.add_table, ring.mul_table
+    scaled = [
+        [(s, (mul[s][c], mul[s][d])) for s in sorted(units(ring))]
+        for c, d in (pt.canonical for pt in line.points)
+    ]
+    witnesses: set[tuple[int, int, int]] = set()
+    failures: list[tuple[int, int, RingElement]] = []
+    for i, row in enumerate(rel):
+        a, b = line.points[i].canonical
+        # a pair without full rank gets -1, which meets every span
+        top = spans.get((a, b), -1)
+        for j in (j for j, sign in enumerate(row) if sign == DISTANT):
+            for s, (e, f) in scaled[j]:
+                k = index.get((add[a][e], add[b][f]))
+                if (
+                    not top & spans.get((e, f), -1)
+                    and index.get((e, f)) == j
+                    and k is not None
+                    and row[k] == rel[j][k] == DISTANT
+                ):
+                    witnesses.add((i, j, k))
+                else:
+                    failures.append((i, j, s))
+    return witnesses, failures
 
 
 def map_standard_triple_to(
@@ -307,7 +341,8 @@ def map_standard_triple_to(
     multiples of representatives of the two target points, so searching the
     unit scalings is a complete search.  Raises ValueError if the triple is
     not pairwise distant or no scaling works (either would contradict the
-    transitivity of the invertible group on distant triples).
+    transitivity of the invertible group on distant triples).  A test oracle
+    for ``distant_triple_witnesses``.
     """
     ring = line.ring
     x, y, z = (_as_class(line, p) for p in triple)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Sequence
 
 from . import gf2
 
@@ -252,14 +252,33 @@ def _sorted_points(s: IncidenceStructure, pts: Iterable) -> tuple:
     return tuple(sorted(pts, key=pos.__getitem__))
 
 
+def _exact_covers(blocks: Sequence[frozenset], universe: Sequence) -> list[tuple[int, ...]]:
+    """Every set of block indices whose blocks partition ``universe``, as
+    sorted tuples in ascending order (backtracking on the first uncovered
+    element)."""
+    containing = {x: [i for i, block in enumerate(blocks) if x in block] for x in universe}
+    out: list[tuple[int, ...]] = []
+
+    def cover(remaining: frozenset, used: tuple[int, ...]) -> None:
+        if not remaining:
+            out.append(tuple(sorted(used)))
+            return
+        for i in containing[next(x for x in universe if x in remaining)]:
+            if blocks[i] <= remaining:
+                cover(remaining - blocks[i], used + (i,))
+
+    cover(frozenset(universe), ())
+    return sorted(out)
+
+
 def enumerate_ovoids(s: IncidenceStructure) -> tuple[Hyperplane, ...]:
-    """All 5-point sets meeting every line exactly once (exhaustive)."""
-    out = []
-    for combo in itertools.combinations(s.points, 5):
-        pts = frozenset(combo)
-        if all(len(line & pts) == 1 for line in s.lines):
-            out.append(Hyperplane(OVOID, pts))
-    return tuple(out)
+    """All point sets meeting every line exactly once, in the order of their
+    points' positions: the exact covers of the lines by point pencils."""
+    pencils = [frozenset(s.lines_through(p)) for p in s.points]
+    return tuple(
+        Hyperplane(OVOID, frozenset(s.points[i] for i in cover))
+        for cover in _exact_covers(pencils, range(len(s.lines)))
+    )
 
 
 def _classify_hyperplane(s: IncidenceStructure, pts: frozenset) -> Hyperplane:
@@ -302,21 +321,8 @@ def enumerate_hyperplanes(s: IncidenceStructure) -> tuple[Hyperplane, ...]:
 
 def enumerate_spreads(s: IncidenceStructure) -> tuple[tuple[int, ...], ...]:
     """All partitions of the points into pairwise-disjoint lines, as sorted
-    tuples of line indices (exact-cover backtracking)."""
-    pos = {p: i for i, p in enumerate(s.points)}
-    out: list[tuple[int, ...]] = []
-
-    def cover(remaining: frozenset, used: tuple[int, ...]) -> None:
-        if not remaining:
-            out.append(tuple(sorted(used)))
-            return
-        p = min(remaining, key=pos.__getitem__)
-        for i in s.lines_through(p):
-            if s.lines[i] <= remaining:
-                cover(remaining - s.lines[i], used + (i,))
-
-    cover(frozenset(s.points), ())
-    return tuple(sorted(set(out)))
+    tuples of line indices: the exact covers of the points by lines."""
+    return tuple(_exact_covers(s.lines, s.points))
 
 
 def complement_graph_of_ovoid(s: IncidenceStructure, ovoid: Iterable) -> Graph:

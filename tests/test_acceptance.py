@@ -25,10 +25,16 @@ from ringline.pauli import (
     standard_labeling,
 )
 from ringline.projline import (
+    DISTANT,
+    apply_to_pair,
+    distant_triple_witnesses,
     enumerate_line,
-    gl2_order,
+    gl2_elements,
+    is_invertible_2x2,
+    map_standard_triple_to,
     pair_relation,
     simultaneous_subconfig,
+    standard_triple,
 )
 from ringline.quadrangle import (
     GRID,
@@ -186,11 +192,34 @@ def test_criterion_9_mub(gq, spreads):
         assert mub_spread_check(spread_lines)
 
 
-def test_criterion_10_transitivity():
+def test_criterion_10_transitivity(m2f2, m2f2_line):
+    """Every ordered pairwise-distant triple is witnessed, the witnessed set
+    is the brute-force set of such triples, each of which the scaling
+    search also reaches with a matrix acting correctly on every orbit
+    member, and the enumerated group has the derived order."""
     started = time.monotonic()
-    report = verify_transitivity(samples=100, seed=0)
+    report = verify_transitivity()
     elapsed = time.monotonic() - started
     assert report.passed
-    assert gl2_order(ring_by_name("m2f2")) == 20160
-    assert 20160 == 15 * 14 * 12 * 8
+    assert report.data["triples"] == 3360
+    rel = m2f2_line.relation
+    n = len(m2f2_line.points)
+    oracle = {
+        (i, j, k)
+        for i, j, k in itertools.permutations(range(n), 3)
+        if rel[i][j] == rel[i][k] == rel[j][k] == DISTANT
+    }
+    witnesses, failures = distant_triple_witnesses(m2f2_line)
+    assert failures == []
+    assert witnesses == oracle
+    sources = [m2f2_line.class_of(p) for p in standard_triple(m2f2)]
+    for triple in sorted(oracle):
+        targets = [m2f2_line.points[i] for i in triple]
+        m = map_standard_triple_to(m2f2_line, tuple(targets))
+        assert is_invertible_2x2(m2f2, m)
+        for src, dst in zip(sources, targets):
+            for member in src.members:
+                assert apply_to_pair(m2f2, member, m) in dst.members
+    assert len(gl2_elements(m2f2)) == 3360 * 6
+    assert 3360 * 6 == 15 * 14 * 12 * 8
     assert elapsed < 10.0

@@ -1,11 +1,12 @@
 """End-to-end verifiers: sign tables, splits, sublines, reports."""
 
+import dataclasses
 import itertools
 import json
 
 import pytest
 
-from ringline import cli, golden, pauli
+from ringline import cli, golden, pauli, projline
 from ringline import correspondence as co
 from ringline.correspondence import (
     GRID,
@@ -349,11 +350,114 @@ def test_mub_report_covers_all_spreads():
     assert len(report.data["spreads"]) == 6
 
 
-def test_transitivity_small_sample():
-    report = verify_transitivity(samples=10, seed=1)
+def test_petersen_search_runs_once_per_ovoid(monkeypatch):
+    """verify_petersen and verify_split_10_5 share one search per ovoid, and
+    the shared witness cannot be changed by a caller."""
+    real = co.graph_isomorphism
+    targets = []
+
+    def counted(g, h):
+        targets.append(h)
+        return real(g, h)
+
+    monkeypatch.setattr(co, "graph_isomorphism", counted)
+    co.petersen_witness.cache_clear()
+    assert verify_petersen().passed and verify_split_10_5().passed
+    assert sum(h == co.petersen_graph() for h in targets) == 6
+    witness = co.petersen_witness(golden.SAMPLE_OVOID)
+    with pytest.raises(TypeError):
+        witness[1] = (0, 1)
+
+
+WITNESS_CHECK = "every ordered pairwise-distant triple is witnessed"
+ORDER_CHECK = "invertible group has order 20160"
+
+
+def _details(report):
+    return {c.name: c.detail for c in report.checks}
+
+
+def _with_line(monkeypatch, **changes):
+    """Run the transitivity verifier on a changed copy of the m2f2 line."""
+    line, u, v, pts = co._m2f2_sub()
+    bad = dataclasses.replace(line, **changes)
+    monkeypatch.setattr(co, "_m2f2_sub", lambda: (bad, u, v, pts))
+    return bad
+
+
+def test_transitivity_is_exhaustive():
+    report = verify_transitivity()
     assert report.passed
-    assert report.data["samples"] == 10
-    assert any("20160" in c.name for c in report.checks)
+    assert [c.name for c in report.checks] == [WITNESS_CHECK, ORDER_CHECK]
+    assert report.data["triples"] == 3360
+    assert report.data["distant_pairs"] == 560
+    assert report.data["stabilizer"] == sorted(co.units(co.ring_by_name("m2f2")))
+
+
+def test_corrupted_span_fails_the_witness_check(monkeypatch):
+    line = co._m2f2_sub()[0]
+    i, j = next((i, row.index("+")) for i, row in enumerate(line.relation) if "+" in row)
+    x0, y0 = line.points[i].canonical, line.points[j].canonical
+    spans = dict(projline._row_spans(line.ring))
+    spans[x0] |= spans[y0]
+    monkeypatch.setattr(projline, "_row_spans", lambda ring: spans)
+    report = verify_transitivity()
+    assert WITNESS_CHECK in _failed(report)
+    assert _details(report)[WITNESS_CHECK].endswith(
+        f"; no witness for points {i} and {j} with unit 1"
+    )
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_corrupted_relation_fails_the_witness_check(sign, monkeypatch):
+    """A flipped relation cell fails by name, and nothing the changed
+    relation calls non-distant is witnessed."""
+    line = co._m2f2_sub()[0]
+    i, j = next(
+        (i, j) for i, row in enumerate(line.relation) for j, s in enumerate(row) if s == sign and i != j
+    )
+    rows = [list(row) for row in line.relation]
+    rows[i][j] = rows[j][i] = "-" if sign == "+" else "+"
+    bad = _with_line(monkeypatch, relation=tuple("".join(row) for row in rows))
+    report = verify_transitivity()
+    assert WITNESS_CHECK in _failed(report)
+    assert "; no witness for points " in _details(report)[WITNESS_CHECK]
+    witnesses, _ = projline.distant_triple_witnesses(bad)
+    for triple in witnesses:
+        assert all(bad.relation[p][q] == "+" for p, q in itertools.permutations(triple, 2))
+
+
+def test_corrupted_product_fails_the_witness_check(monkeypatch):
+    """A wrong multiplication entry moves a scaled row s.y0 out of its class;
+    the class check names the first witness it spoils."""
+    ring = co._m2f2_sub()[0].ring
+    table = [list(row) for row in ring.mul_table]
+    table[ring.one][ring.zero] = 3
+    _with_line(monkeypatch, ring=dataclasses.replace(ring, mul_table=tuple(map(tuple, table))))
+    report = verify_transitivity()
+    assert _details(report)[WITNESS_CHECK].endswith("; no witness for points 0 and 1 with unit 1")
+
+
+@pytest.mark.parametrize(
+    "module, change, failed, detail",
+    [
+        (co, "drop", {ORDER_CHECK}, "orbit 3360 x stabilizer 5 = 16800"),
+        (co, "add", set(), "orbit 3360 x stabilizer 6 = 20160"),
+        (projline, "drop", {WITNESS_CHECK, ORDER_CHECK}, "2800 of 3360 triples witnessed"),
+        (projline, "add", {WITNESS_CHECK}, "; no witness for points 0 and 1 with unit 0"),
+    ],
+    ids=["stabilizer short", "stabilizer with zero", "witnesses short", "witnesses with zero"],
+)
+def test_wrong_unit_list(module, change, failed, detail, monkeypatch):
+    """A unit list one short fails the order check from the stabilizer side
+    and the witness count from the witness side; an extra non-unit is no
+    scalar of the stabilizer and gives no witness.  Nothing raises."""
+    good = co.units(co.ring_by_name("m2f2"))
+    wrong = frozenset(sorted(good)[:-1]) if change == "drop" else good | {0}
+    monkeypatch.setattr(module, "units", lambda ring: wrong)
+    report = verify_transitivity()
+    assert _failed(report) == failed
+    assert any(detail in d for d in _details(report).values())
 
 
 def test_report_json_round_trip():

@@ -1,8 +1,10 @@
-"""No floating point anywhere in the package: every module is scanned.
+"""No floating point and no sampling anywhere in the package: every
+module is scanned.
 
 The scan refuses a float or complex literal, true division (``/`` or
-``/=``), a call to ``float``, ``round`` or ``complex``, and an import of a
-module built on inexact or rational arithmetic.
+``/=``), a call to ``float``, ``round`` or ``complex``, an import of a
+module built on inexact or rational arithmetic, and an import of
+``random``: every claim is enumerated, none is sampled.
 """
 
 import ast
@@ -12,7 +14,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ringline"
 BANNED_CALLS = {"float", "round", "complex"}
-BANNED_MODULES = {"math", "cmath", "fractions", "decimal", "statistics"}
+BANNED_MODULES = {"math", "cmath", "fractions", "decimal", "statistics", "random"}
 
 
 def inexact(source: str) -> list[str]:
@@ -63,6 +65,7 @@ def test_module_is_exact(path):
         "from decimal import Decimal",
         "from statistics import mean",
         "def f():\n    import cmath",
+        "from random import Random",
     ],
 )
 def test_scan_refuses_each_inexact_construct(source):

@@ -14,7 +14,6 @@ from ringline.projline import (
     blowup,
     enumerate_line,
     gl2_elements,
-    gl2_order,
     gl2_transitivity_witness,
     induced_signs,
     is_admissible,
@@ -173,8 +172,8 @@ def test_standard_triple_pairwise_distant(m2f2, m2f2_line):
 
 
 def test_gl2_order(m2f2):
-    assert gl2_order(m2f2) == 20160
-    assert gl2_order(m2f2) == 15 * 14 * 12 * 8
+    assert len(gl2_elements(m2f2)) == 20160
+    assert len(gl2_elements(m2f2)) == 15 * 14 * 12 * 8
 
 
 def rank_invertible(ring, m):

@@ -11,6 +11,7 @@ from ringline.quadrangle import (
     OVOID,
     PERP_SET,
     Graph,
+    Hyperplane,
     build_gq_from_graph,
     complement_graph_of_ovoid,
     dual,
@@ -93,6 +94,23 @@ def test_build_rejects_wrong_line_count():
     ]
     with pytest.raises(ValueError, match="lies on 2 lines"):
         build_gq_from_graph(Graph.from_edges(verts, edges))
+
+
+def ovoids_by_subset_scan(s):
+    """The search the exact cover replaced: each of the 3003 5-point
+    subsets, in combinations order, kept when it meets every line once."""
+    out = []
+    for combo in itertools.combinations(s.points, 5):
+        pts = frozenset(combo)
+        if all(len(line & pts) == 1 for line in s.lines):
+            out.append(Hyperplane(OVOID, pts))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("face", ["gq", "dual"])
+def test_ovoid_exact_cover_matches_subset_scan(face, gq):
+    s = gq if face == "gq" else dual(gq)
+    assert enumerate_ovoids(s) == ovoids_by_subset_scan(s)
 
 
 def test_ovoid_enumeration(gq):
