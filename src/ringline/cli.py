@@ -220,13 +220,14 @@ def render_line_subconfig(args: argparse.Namespace) -> tuple[str, int]:
 def render_gq_build(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
     from . import export
+    from .golden import c_label
 
     s = co.canonical_gq()
     if args.format == "json":
         return _json(export.structure_to_json_dict(s)), EXIT_OK
     lines = [f"{len(s.points)} points, {len(s.lines)} lines"]
     lines += [
-        f"  line {i:2d}: " + " ".join(export.c_label(p) for p in sorted(line))
+        f"  line {i:2d}: " + " ".join(c_label(p) for p in sorted(line))
         for i, line in enumerate(s.lines)
     ]
     return _text(lines), EXIT_OK
@@ -247,21 +248,21 @@ def render_gq_axioms(args: argparse.Namespace) -> tuple[str, int]:
 
 def render_gq_ovoids(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
-    from . import export
+    from .golden import c_label
     from .quadrangle import OVOID
 
     ovoids = [h for h in co.canonical_hyperplanes() if h.kind == OVOID]
     if args.format == "json":
         return _json({"schema": 1, "ovoids": [sorted(h.points) for h in ovoids]}), EXIT_OK
     return _text(
-        f"ovoid {i}: " + " ".join(export.c_label(p) for p in sorted(h.points))
+        f"ovoid {i}: " + " ".join(c_label(p) for p in sorted(h.points))
         for i, h in enumerate(ovoids)
     ), EXIT_OK
 
 
 def render_gq_spreads(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
-    from . import export
+    from .golden import c_label
 
     s = co.canonical_gq()
     spreads = co.canonical_spreads()
@@ -277,7 +278,7 @@ def render_gq_spreads(args: argparse.Namespace) -> tuple[str, int]:
         ), EXIT_OK
     return _text(
         f"spread {i}: "
-        + " | ".join(",".join(export.c_label(p) for p in sorted(s.lines[j])) for j in sp)
+        + " | ".join(",".join(c_label(p) for p in sorted(s.lines[j])) for j in sp)
         for i, sp in enumerate(spreads)
     ), EXIT_OK
 
@@ -285,6 +286,7 @@ def render_gq_spreads(args: argparse.Namespace) -> tuple[str, int]:
 def render_gq_hyperplanes(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
     from . import export
+    from .golden import c_label
 
     planes = co.canonical_hyperplanes()
     spreads = co.canonical_spreads()
@@ -292,8 +294,8 @@ def render_gq_hyperplanes(args: argparse.Namespace) -> tuple[str, int]:
         return _json(export.hyperplane_catalog_to_json_dict(planes, spreads)), EXIT_OK
     lines = []
     for h in planes:
-        pts = " ".join(export.c_label(p) for p in sorted(h.points))
-        tail = f" (center {export.c_label(h.center)})" if h.center is not None else ""
+        pts = " ".join(c_label(p) for p in sorted(h.points))
+        tail = f" (center {c_label(h.center)})" if h.center is not None else ""
         lines.append(f"{h.kind:8s} {pts}{tail}")
     lines.append(f"total: {len(planes)} hyperplanes, {len(spreads)} spreads")
     return _text(lines), EXIT_OK
@@ -302,8 +304,7 @@ def render_gq_hyperplanes(args: argparse.Namespace) -> tuple[str, int]:
 def render_gq_petersen(args: argparse.Namespace) -> tuple[str, int]:
     _check_index(args.ovoid, "ovoid")
     from . import correspondence as co
-    from . import export
-    from .golden import OVOID_SPREAD_COUNT
+    from .golden import OVOID_SPREAD_COUNT, c_label
     from .quadrangle import OVOID
 
     ovoids = [h for h in co.canonical_hyperplanes() if h.kind == OVOID]
@@ -333,13 +334,13 @@ def render_gq_petersen(args: argparse.Namespace) -> tuple[str, int]:
         ), code
     lines = []
     for h, witness in results:
-        pts = " ".join(export.c_label(p) for p in sorted(h.points))
+        pts = " ".join(c_label(p) for p in sorted(h.points))
         if witness is None:
             lines.append(f"ovoid {pts}: NOT Petersen")
         else:
             lines.append(f"ovoid {pts}: Petersen")
             pairs = ", ".join(
-                f"{export.c_label(p)}->{q}" for p, q in sorted(witness.items())
+                f"{c_label(p)}->{q}" for p, q in sorted(witness.items())
             )
             lines.append(f"  witness: {pairs}")
     return _text(lines), code
@@ -352,11 +353,12 @@ def render_gq_petersen(args: argparse.Namespace) -> tuple[str, int]:
 def render_pauli_table(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
     from . import export
+    from .golden import c_label
     from .pauli import standard_labeling
 
     ops = standard_labeling()
     signs = co.operator_signs()
-    labels = [export.c_label(i) for i in range(1, len(ops) + 1)]
+    labels = [c_label(i) for i in range(1, len(ops) + 1)]
     if args.format == "json":
         return _json(
             {
@@ -406,8 +408,7 @@ def render_pauli_mermin(args: argparse.Namespace) -> tuple[str, int]:
 def render_pauli_mub(args: argparse.Namespace) -> tuple[str, int]:
     _check_index(args.spread, "spread")
     from . import correspondence as co
-    from . import export
-    from .golden import OVOID_SPREAD_COUNT
+    from .golden import OVOID_SPREAD_COUNT, c_label
 
     spreads = co.canonical_spreads()
     if len(spreads) != OVOID_SPREAD_COUNT:
@@ -433,7 +434,7 @@ def render_pauli_mub(args: argparse.Namespace) -> tuple[str, int]:
         ), code
     return _text(
         f"{'PASS' if good else 'FAIL'} "
-        + " | ".join(",".join(export.c_label(p) for p in t) for t in triples)
+        + " | ".join(",".join(c_label(p) for p in t) for t in triples)
         for triples, good in results
     ), code
 
@@ -483,9 +484,10 @@ def render_verify(args: argparse.Namespace) -> tuple[str, int]:
 def render_signs(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
     from . import export
+    from .golden import c_label
 
     signs = co.geometric_signs()
-    labels = [export.c_label(i) for i in range(1, len(signs) + 1)]
+    labels = [c_label(i) for i in range(1, len(signs) + 1)]
     if args.format == "csv":
         return export.sign_matrix_csv(signs, labels), EXIT_OK
     if args.format == "dot":
@@ -496,9 +498,10 @@ def render_signs(args: argparse.Namespace) -> tuple[str, int]:
 def render_gq_dot(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
     from . import export
+    from .golden import c_label
 
     graph = co.canonical_gq().collinearity_graph()
-    return export.graph_dot(graph, name="collinearity", label=export.c_label), EXIT_OK
+    return export.graph_dot(graph, name="collinearity", label=c_label), EXIT_OK
 
 
 def render_petersen(args: argparse.Namespace) -> tuple[str, int]:

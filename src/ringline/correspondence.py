@@ -14,13 +14,12 @@ to JSON or a plain-text certificate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import golden
-from .export import c_label
+from .golden import c_label
 from .pauli import (
     MerminResult,
     PauliOp,
@@ -99,8 +98,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One named pass/fail outcome with a short human-readable detail."""
 
     name: str
@@ -108,11 +106,11 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     title: str
     checks: tuple[CheckResult, ...] = ()
-    data: Mapping = field(default_factory=dict)
+    # the default is shared by every Report, so it must be read-only
+    data: Mapping = MappingProxyType({})
     subreports: tuple["Report", ...] = ()
 
     @property
@@ -835,7 +833,10 @@ def grid_mermin_arrangement(points: frozenset) -> tuple[tuple[int, ...], ...] | 
     line's sign does not depend on the order of its commuting operators,
     magic when one is.  The arrangement with the lexicographically least
     flattened label tuple is evaluated once and returned if magic, making
-    the result deterministic.
+    the result deterministic.  It is built directly: in either class order,
+    the row and column through the grid's least point come first, the other
+    columns follow by their meet with that row and the other rows by their
+    meet with that column; the smaller of the two flattened tuples wins.
     """
     s = canonical_gq()
     inside = [line for line in s.lines if line <= points]
@@ -845,12 +846,15 @@ def grid_mermin_arrangement(points: frozenset) -> tuple[tuple[int, ...], ...] | 
     rows_cls, cols_cls = classes
     if any(len(r & c) != 1 for r in rows_cls for c in cols_cls):
         return None
-    best = min(
-        tuple(next(iter(r & c)) for r in row_perm for c in col_perm)
-        for rows, cols in (classes, classes[::-1])
-        for row_perm in itertools.permutations(rows)
-        for col_perm in itertools.permutations(cols)
-    )
+    least = min(points)
+
+    def flattened(rows: list[frozenset], cols: list[frozenset]) -> tuple[int, ...]:
+        first_row = next(r for r in rows if least in r)
+        cols = sorted(cols, key=lambda c: min(c & first_row))
+        rows = sorted(rows, key=lambda r: min(r & cols[0]))
+        return tuple(min(r & c) for r in rows for c in cols)
+
+    best = min(flattened(*classes), flattened(*classes[::-1]))
     grid = (best[0:3], best[3:6], best[6:9])
     return grid if mermin_square_check([_ops_for(r) for r in grid]).magic else None
 

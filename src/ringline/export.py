@@ -19,7 +19,6 @@ if TYPE_CHECKING:
     from .quadrangle import Graph, Hyperplane, IncidenceStructure
 
 __all__ = [
-    "c_label",
     "sign_matrix_csv",
     "sign_matrix_dot",
     "graph_dot",
@@ -27,11 +26,6 @@ __all__ = [
     "structure_to_json_dict",
     "hyperplane_catalog_to_json_dict",
 ]
-
-
-def c_label(i: int) -> str:
-    """Point label used in human-facing output: C1 .. C15."""
-    return f"C{i}"
 
 
 def sign_matrix_csv(rows: Sequence[str], labels: Sequence[str]) -> str:

@@ -14,7 +14,6 @@ __all__ = [
     "multiply",
     "rank",
     "kernel",
-    "is_invertible",
     "invert",
     "rows_to_lists",
     "rows_from_lists",
@@ -82,10 +81,6 @@ def kernel(rows: Iterable[int], n: int) -> BitMatrix:
                 vec |= 1 << col
         basis.append(vec)
     return tuple(basis)
-
-
-def is_invertible(rows: Sequence[int], n: int) -> bool:
-    return len(rows) == n and rank(rows) == n
 
 
 def invert(rows: Sequence[int], n: int) -> BitMatrix | None:

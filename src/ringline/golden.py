@@ -6,7 +6,7 @@ Contents: the addition and multiplication tables of the 2x2 matrix ring over
 GF(2), its unit set, the canonical point census of its projective line, the
 fifteen distinguished point representatives, the 15x15 distant/neighbor sign
 matrix, the operator dictionary assigning a two-qubit Pauli operator to
-each point, and the ovoid and spread census.
+each point, the C1 .. C15 point labels, and the ovoid and spread census.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ __all__ = [
     "POINT_REPS",
     "CANONICAL_SIGNS",
     "OPERATOR_LABELS",
+    "c_label",
     "SAMPLE_OVOID",
     "OVOID_SPREAD_COUNT",
     "TRIPLE_SPLIT",
@@ -112,6 +113,12 @@ OPERATOR_LABELS: tuple[str, ...] = (
     "XX", "XZ", "YX", "ZY", "X1",
     "XY", "1Y", "1Z", "ZZ", "Z1",
 )
+
+
+def c_label(i: int) -> str:
+    """Point label used in human-facing output: C1 .. C15."""
+    return f"C{i}"
+
 
 # One known ovoid, an anchor for the 10 + 5 certificate and the tests.
 SAMPLE_OVOID: frozenset[int] = frozenset({1, 5, 9, 10, 14})

@@ -6,8 +6,7 @@ An operator is encoded symplectically as four bits (z1, x1, z2, x2), one
 alternating form z1*x1' + x1*z1' + z2*x2' + x2*z2' vanishes mod 2.
 
 Products carry a phase in {1, i, -1, -i}, stored as the exponent k of i**k.
-Everything is integer arithmetic, with traces of phased operators as
-Gaussian integers (re, im); no floating point or rational appears
+Everything is integer arithmetic; no floating point or rational appears
 anywhere.  The Mermin-square signs are exact, and so is the
 projector-trace criterion for mutually unbiased bases, because the
 projectors are kept scaled by 4 with integer coefficients.
@@ -17,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .golden import OPERATOR_LABELS
 
@@ -30,7 +28,6 @@ __all__ = [
     "commutes",
     "multiply",
     "product_of",
-    "phased_trace",
     "standard_labeling",
     "commutation_table",
     "signs_from_commutation",
@@ -57,19 +54,23 @@ _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 _PREFIX_PHASE = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 
 
-@dataclass(frozen=True, order=True)
-class PauliOp:
-    """A non-identity two-qubit Pauli operator, phase-free.
+class _PauliFields(NamedTuple):
+    code: int
+
+
+class PauliOp(_PauliFields):
+    """A non-identity two-qubit Pauli operator, phase-free; ordered by code.
 
     ``code`` packs the symplectic label z1 x1 z2 x2 into four bits
     (z1 is the high bit); 0 would be the identity and is not allowed here.
     """
 
-    code: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.code <= 15:
-            raise ValueError(f"Pauli code must be in 1..15, got {self.code}")
+    def __new__(cls, code: int) -> PauliOp:
+        if not 1 <= code <= 15:
+            raise ValueError(f"Pauli code must be in 1..15, got {code}")
+        return tuple.__new__(cls, (code,))
 
     @classmethod
     def from_bits(cls, z1: int, x1: int, z2: int, x2: int) -> PauliOp:
@@ -103,15 +104,19 @@ class PauliOp:
         return f"PauliOp({self.label})"
 
 
-@dataclass(frozen=True)
-class PhasedPauli:
-    """i**phase_k times a Pauli body; body None stands for the identity."""
-
+class _PhasedFields(NamedTuple):
     phase_k: int
     body: PauliOp | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phase_k", self.phase_k % 4)
+
+class PhasedPauli(_PhasedFields):
+    """i**phase_k times a Pauli body; body None stands for the identity.
+    ``phase_k`` is stored mod 4."""
+
+    __slots__ = ()
+
+    def __new__(cls, phase_k: int, body: PauliOp | None) -> PhasedPauli:
+        return tuple.__new__(cls, (phase_k % 4, body))
 
     @classmethod
     def from_string(cls, text: str) -> PhasedPauli:
@@ -167,14 +172,6 @@ def product_of(ops: Iterable[PauliOp | PhasedPauli]) -> PhasedPauli:
     return reduce(multiply, ops, IDENTITY)
 
 
-def phased_trace(p: PhasedPauli) -> tuple[int, int]:
-    """Trace as an exact Gaussian integer (re, im): 4 i**k for the identity
-    body, 0 otherwise."""
-    if p.body is not None:
-        return (0, 0)
-    return ((4, 0), (0, 4), (-4, 0), (0, -4))[p.phase_k]
-
-
 @lru_cache(maxsize=None)
 def standard_labeling() -> tuple[PauliOp, ...]:
     """The fixed operator dictionary: entry i is the operator of C_{i+1}."""
@@ -215,8 +212,7 @@ def line_product_sign(triple: Sequence[PauliOp]) -> int:
     return 1 if prod.phase_k == 0 else -1
 
 
-@dataclass(frozen=True)
-class MerminResult:
+class MerminResult(NamedTuple):
     """Signs of the three rows and three columns of a 3x3 operator grid;
     ``magic`` means the six signs multiply to -1."""
 

@@ -19,7 +19,6 @@ bitmask over the nonzero vectors, so each such question is one AND.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
@@ -36,11 +35,9 @@ __all__ = [
     "blowup",
     "is_invertible_2x2",
     "is_admissible",
-    "pair_relation",
     "enumerate_line",
     "simultaneous_subconfig",
     "induced_signs",
-    "standard_triple",
     "apply_to_pair",
     "mat_mul",
     "mat_inv",
@@ -115,13 +112,7 @@ def is_admissible(ring: Ring, a: RingElement, b: RingElement) -> bool:
     return (a, b) in _admissible(ring)
 
 
-def pair_relation(ring: Ring, p: Pair, q: Pair) -> str:
-    """DISTANT or NEIGHBOR, from representatives (representative-independent)."""
-    return DISTANT if is_invertible_2x2(ring, Mat2(*p, *q)) else NEIGHBOR
-
-
-@dataclass(frozen=True)
-class PointClass:
+class PointClass(NamedTuple):
     """One point: its lexicographically least pair and the whole unit orbit."""
 
     canonical: Pair
@@ -131,17 +122,19 @@ class PointClass:
         return f"PointClass{self.canonical}"
 
 
-@dataclass(frozen=True)
-class ProjectiveLine:
-    """All points of the line over ``ring``, sorted by canonical pair.
-
-    ``relation[i][j]`` is "+" (distant) or "-" (neighbor) for the points at
-    positions i and j; the diagonal is "-".
-    """
-
+class _LineFields(NamedTuple):
     ring: Ring
     points: tuple[PointClass, ...]
     relation: tuple[str, ...]
+
+
+class ProjectiveLine(_LineFields):
+    """All points of the line over ``ring``, sorted by canonical pair.
+
+    ``relation[i][j]`` is "+" (distant) or "-" (neighbor) for the points at
+    positions i and j; the diagonal is "-".  The fields live in a NamedTuple
+    base; this subclass keeps an instance dict for the cached pair index.
+    """
 
     @cached_property
     def _index_by_pair(self) -> dict[Pair, int]:
@@ -235,11 +228,6 @@ def induced_signs(line: ProjectiveLine, pts: Iterable[PointClass | Pair]) -> tup
     """The relation matrix restricted to ``pts``, in the given order."""
     idx = [line.index_of(_as_class(line, p).canonical) for p in pts]
     return tuple("".join(line.relation[i][j] for j in idx) for i in idx)
-
-
-def standard_triple(ring: Ring) -> tuple[Pair, Pair, Pair]:
-    """The reference pairwise-distant triple (1,0), (0,1), (1,1)."""
-    return ((ring.one, ring.zero), (ring.zero, ring.one), (ring.one, ring.one))
 
 
 def apply_to_pair(ring: Ring, p: Pair, m: Mat2) -> Pair:

@@ -11,9 +11,8 @@ canonical-labeling dependency; instances never exceed 16 vertices).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from . import gf2
 
@@ -43,12 +42,15 @@ __all__ = [
 Vertex = Hashable
 
 
-@dataclass(frozen=True)
-class Graph:
-    """An undirected graph with hashable vertices; immutable."""
-
+class _GraphFields(NamedTuple):
     vertices: tuple
     edges: frozenset[frozenset]
+
+
+class Graph(_GraphFields):
+    """An undirected graph with hashable vertices; immutable.  The fields
+    live in a NamedTuple base; this subclass keeps an instance dict for the
+    cached adjacency."""
 
     @classmethod
     def from_edges(cls, vertices: Iterable[Vertex], edges: Iterable) -> Graph:
@@ -124,12 +126,15 @@ def triangles(g: Graph) -> list[frozenset]:
     return out
 
 
-@dataclass(frozen=True)
-class IncidenceStructure:
-    """Points plus lines (each line a frozenset of points)."""
-
+class _StructureFields(NamedTuple):
     points: tuple
     lines: tuple[frozenset, ...]
+
+
+class IncidenceStructure(_StructureFields):
+    """Points plus lines (each line a frozenset of points).  The fields live
+    in a NamedTuple base; this subclass keeps an instance dict for the cached
+    pencils."""
 
     @cached_property
     def _lines_by_point(self) -> dict:
@@ -234,8 +239,7 @@ GRID = "grid"
 _KIND_ORDER = {OVOID: 0, PERP_SET: 1, GRID: 2}
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(NamedTuple):
     """A point set met by every line in exactly one point or contained fully.
 
     ``kind`` is one of "ovoid", "perp_set", "grid"; perp sets carry their

@@ -16,8 +16,8 @@ realized inside ``m2f2`` by its standard matrix model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import gf2
 
@@ -42,8 +42,7 @@ __all__ = [
 RingElement = int
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(NamedTuple):
     """A finite associative ring with unity, defined by lookup tables.
 
     Attributes

@@ -32,9 +32,7 @@ from ringline.projline import (
     gl2_elements,
     is_invertible_2x2,
     map_standard_triple_to,
-    pair_relation,
     simultaneous_subconfig,
-    standard_triple,
 )
 from ringline.quadrangle import (
     GRID,
@@ -51,6 +49,8 @@ from ringline.quadrangle import (
     validate_gq_axioms,
 )
 from ringline.rings import ring_by_name, units, validate_ring, zero_divisors
+
+from line_oracle import pair_relation, standard_triple
 
 
 def test_criterion_1_ring_fidelity(m2f2):

@@ -1,6 +1,5 @@
 """End-to-end verifiers: sign tables, splits, sublines, reports."""
 
-import dataclasses
 import itertools
 import json
 
@@ -380,7 +379,7 @@ def _details(report):
 def _with_line(monkeypatch, **changes):
     """Run the transitivity verifier on a changed copy of the m2f2 line."""
     line, u, v, pts = co._m2f2_sub()
-    bad = dataclasses.replace(line, **changes)
+    bad = line._replace(**changes)
     monkeypatch.setattr(co, "_m2f2_sub", lambda: (bad, u, v, pts))
     return bad
 
@@ -433,7 +432,7 @@ def test_corrupted_product_fails_the_witness_check(monkeypatch):
     ring = co._m2f2_sub()[0].ring
     table = [list(row) for row in ring.mul_table]
     table[ring.one][ring.zero] = 3
-    _with_line(monkeypatch, ring=dataclasses.replace(ring, mul_table=tuple(map(tuple, table))))
+    _with_line(monkeypatch, ring=ring._replace(mul_table=tuple(map(tuple, table))))
     report = verify_transitivity()
     assert _details(report)[WITNESS_CHECK].endswith("; no witness for points 0 and 1 with unit 1")
 

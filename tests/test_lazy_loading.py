@@ -1,7 +1,9 @@
 """Cold imports: each command loads only the layers it calls.
 
 Every case runs in a fresh interpreter, since the test process has long
-since loaded every layer.
+since loaded every layer.  The value types are NamedTuples, not
+dataclasses, so that no command imports ``dataclasses`` and what it pulls
+in; the last tests pin the value semantics callers rely on.
 """
 
 import importlib
@@ -14,20 +16,35 @@ import sys
 import pytest
 
 import ringline
+from ringline.correspondence import (
+    CheckResult,
+    Report,
+    canonical_gq,
+    canonical_hyperplanes,
+    standard_square,
+)
+from ringline.pauli import PauliOp, PhasedPauli
+from ringline.projline import enumerate_line
+from ringline.quadrangle import petersen_graph
+from ringline.rings import ring_by_name, ring_from_json_dict, ring_to_json_dict, units
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+GF2_LINE = enumerate_line(ring_by_name("gf2"))
 
-# Prints the sorted ringline modules loaded after running BODY, whose own
-# output is swallowed.
+# Prints the sorted modules loaded after running BODY, whose own output is
+# swallowed.
 PROBE = """
 import contextlib, io, json, sys
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
 {body}
-print(json.dumps(sorted(m for m in sys.modules if m == "ringline" or m.startswith("ringline."))))
+print(json.dumps(sorted(sys.modules)))
 """
 
+# Code-introspection modules that ``dataclasses`` imports and no command needs.
+INTROSPECTION = {"dataclasses", "inspect", "dis", "tokenize"}
 
-def loaded_after(body: str) -> set[str]:
+
+def modules_after(body: str) -> set[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     code = PROBE.format(body="\n".join("    " + line for line in body.splitlines()))
@@ -35,11 +52,24 @@ def loaded_after(body: str) -> set[str]:
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    return {name.removeprefix("ringline.") for name in json.loads(done.stdout)}
+    return set(json.loads(done.stdout))
+
+
+def loaded_after(body: str) -> set[str]:
+    """The ringline modules loaded after running BODY, prefix dropped."""
+    return {
+        name.removeprefix("ringline.")
+        for name in modules_after(body)
+        if name == "ringline" or name.startswith("ringline.")
+    }
+
+
+def command_body(argv: list[str]) -> str:
+    return f"from ringline.cli import main\nmain({argv!r})"
 
 
 def loaded_by_command(argv: list[str]) -> set[str]:
-    return loaded_after(f"from ringline.cli import main\nmain({argv!r})")
+    return loaded_after(command_body(argv))
 
 
 def test_import_ringline_loads_no_layer():
@@ -70,6 +100,20 @@ def test_ring_show_loads_rings_only():
     assert loaded_by_command(["ring", "show", "m2f2"]) == {"ringline", "cli", "rings", "gf2"}
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify", "all"], ["pauli", "mub"], ["ring", "show", "gf4"]], ids=" ".join
+)
+def test_commands_load_no_introspection_modules(argv):
+    assert not modules_after(command_body(argv)) & INTROSPECTION
+
+
+def test_verify_all_loads_no_export():
+    assert loaded_by_command(["verify", "all"]) == {
+        "ringline", "cli", "rings", "gf2", "golden", "projline", "pauli", "quadrangle",
+        "correspondence",
+    }
+
+
 def test_line_relations_loads_no_quadrangle_side():
     assert loaded_by_command(["line", "relations", "--ring", "gf4"]) == {
         "ringline", "cli", "rings", "gf2", "projline", "export",
@@ -97,3 +141,48 @@ def test_every_public_name_is_its_defining_modules_object():
     assert set(ringline.__all__) <= set(dir(ringline))
     with pytest.raises(AttributeError):
         ringline.no_such_name
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        pytest.param(lambda: ring_by_name("gf2"), "order", id="Ring"),
+        pytest.param(lambda: GF2_LINE.points[0], "canonical", id="PointClass"),
+        pytest.param(lambda: GF2_LINE, "points", id="ProjectiveLine"),
+        pytest.param(lambda: PauliOp(1), "code", id="PauliOp"),
+        pytest.param(lambda: PhasedPauli(0, None), "phase_k", id="PhasedPauli"),
+        pytest.param(standard_square, "row_signs", id="MerminResult"),
+        pytest.param(petersen_graph, "edges", id="Graph"),
+        pytest.param(canonical_gq, "lines", id="IncidenceStructure"),
+        pytest.param(lambda: canonical_hyperplanes()[0], "kind", id="Hyperplane"),
+        pytest.param(lambda: CheckResult("c", True), "passed", id="CheckResult"),
+        pytest.param(lambda: Report("r"), "checks", id="Report"),
+    ],
+)
+def test_value_type_fields_are_read_only(make, field):
+    value = make()
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+
+
+def test_report_default_data_is_read_only():
+    with pytest.raises(TypeError):
+        Report("r").data["key"] = 1
+    assert Report("r").data == {}
+
+
+def test_phased_pauli_phase_is_reduced_mod_4():
+    op = PauliOp(5)
+    assert PhasedPauli(5, op).phase_k == 1
+    assert PhasedPauli(-1, op) == PhasedPauli(3, op)
+
+
+def test_pauli_ops_sort_by_code():
+    assert [op.code for op in sorted(PauliOp(c) for c in (9, 2, 15, 1))] == [1, 2, 9, 15]
+
+
+def test_equal_rings_hash_equal_and_share_cached_results():
+    ring = ring_by_name("gf4")
+    copy = ring_from_json_dict(ring_to_json_dict(ring))
+    assert copy is not ring and copy == ring and hash(copy) == hash(ring)
+    assert units(copy) is units(ring)

@@ -19,7 +19,6 @@ from ringline.pauli import (
     mermin_square_check,
     mub_spread_check,
     multiply,
-    phased_trace,
     product_of,
     signs_from_commutation,
     standard_labeling,
@@ -83,13 +82,12 @@ def test_product_associative_random():
 
 
 def test_phased_trace():
-    assert phased_trace(IDENTITY) == (4, 0)
-    assert phased_trace(PhasedPauli(1, None)) == (0, 4)
-    assert phased_trace(PhasedPauli(2, None)) == (-4, 0)
-    assert phased_trace(PhasedPauli(3, None)) == (0, -4)
-    for op in ALL_OPS:
-        assert phased_trace(PhasedPauli(0, op)) == (0, 0)
-        assert oracle.trace(oracle.mat_for(op)) == oracle.ZERO
+    """Tr(i**k 1) is 4 i**k, and every phased non-identity body is traceless."""
+    want = ((4, 0), (0, 4), (-4, 0), (0, -4))
+    for k in range(4):
+        assert oracle.trace(oracle.mat_for_phased(PhasedPauli(k, None))) == want[k]
+        for op in ALL_OPS:
+            assert oracle.trace(oracle.mat_for_phased(PhasedPauli(k, op))) == oracle.ZERO
 
 
 def test_phased_string_round_trip():

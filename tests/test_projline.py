@@ -21,12 +21,12 @@ from ringline.projline import (
     map_standard_triple_to,
     mat_inv,
     mat_mul,
-    pair_relation,
     simultaneous_subconfig,
-    standard_triple,
     line_to_json_dict,
 )
 from ringline.rings import ring_by_name, ring_names, units, zero_divisors
+
+from line_oracle import pair_relation, standard_triple
 
 
 def test_point_and_orbit_counts(m2f2_line):
