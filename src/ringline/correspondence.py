@@ -240,6 +240,9 @@ def _signs_graph(rows: Sequence[str]) -> Graph:
     return Graph.from_edges(tuple(range(n)), edges)
 
 
+_reference_graph = lru_cache(maxsize=None)(_signs_graph)
+
+
 def relation_isomorphism(
     rows1: Sequence[str], rows2: Sequence[str]
 ) -> dict[int, int] | None:
@@ -247,11 +250,12 @@ def relation_isomorphism(
 
     With two relation values and a fixed diagonal this is exactly a graph
     isomorphism of the neighbor graphs, so the full backtracking search
-    from the quadrangle module is reused.
+    from the quadrangle module is reused.  ``rows2`` is the reference, such
+    as a small ring's line: its graph is built once per process.
     """
     if len(rows1) != len(rows2):
         return None
-    return graph_isomorphism(_signs_graph(tuple(rows1)), _signs_graph(tuple(rows2)))
+    return graph_isomorphism(_signs_graph(tuple(rows1)), _reference_graph(tuple(rows2)))
 
 
 def _ops_for(labels: Iterable[int]) -> list[PauliOp]:
@@ -748,11 +752,7 @@ def perp_subline_check(x: int) -> Report:
     g = neighbor_graph()
     nbrs = sorted(g.neighbors(x))
     checks = [CheckResult("six neighbors", len(nbrs) == 6, _cset(nbrs))]
-    pairs = [
-        (p, q)
-        for p, q in itertools.combinations(nbrs, 2)
-        if g.has_edge(p, q)
-    ]
+    pairs = [(p, q) for p, q in itertools.combinations(nbrs, 2) if g.has_edge(p, q)]
     matching = len(pairs) == 3 and sorted(
         itertools.chain.from_iterable(pairs)
     ) == nbrs
@@ -946,8 +946,9 @@ def verify_transitivity() -> Report:
     being the diag(r, s) over units with (r, s) in the class of (1, 1)."""
     line = _m2f2_sub()[0]
     ring = line.ring
-    distant = [{j for j, sign in enumerate(row) if sign == DISTANT} for row in line.relation]
-    triples = sum(len(d & distant[j]) for d in distant for j in d)
+    distant = line.distant_masks
+    pairs = [(d, e) for d in distant for j, e in enumerate(distant) if d >> j & 1]
+    triples = sum((d & e).bit_count() for d, e in pairs)
     witnesses, failures = distant_triple_witnesses(line)
     detail = f"{len(witnesses)} of {triples} triples witnessed"
     if failures:
@@ -970,7 +971,7 @@ def verify_transitivity() -> Report:
         ),
     ]
     data = {
-        "distant_pairs": sum(map(len, distant)),
+        "distant_pairs": len(pairs),
         "triples": triples,
         "stabilizer": stabilizer,
     }

@@ -73,10 +73,6 @@ class PauliOp(_PauliFields):
         return tuple.__new__(cls, (code,))
 
     @classmethod
-    def from_bits(cls, z1: int, x1: int, z2: int, x2: int) -> PauliOp:
-        return cls(z1 << 3 | x1 << 2 | z2 << 1 | x2)
-
-    @classmethod
     def from_label(cls, text: str) -> PauliOp:
         """Parse a two-character factor string such as "ZX" or "1Y"."""
         if len(text) != 2 or any(ch not in _FACTOR_CHARS for ch in text):
@@ -87,18 +83,8 @@ class PauliOp(_PauliFields):
         return cls(f1 << 2 | f2)
 
     @property
-    def bits(self) -> tuple[int, int, int, int]:
-        c = self.code
-        return (c >> 3 & 1, c >> 2 & 1, c >> 1 & 1, c & 1)
-
-    @property
-    def factors(self) -> tuple[int, int]:
-        return (self.code >> 2, self.code & 3)
-
-    @property
     def label(self) -> str:
-        f1, f2 = self.factors
-        return _FACTOR_CHARS[f1] + _FACTOR_CHARS[f2]
+        return _FACTOR_CHARS[self.code >> 2] + _FACTOR_CHARS[self.code & 3]
 
     def __repr__(self) -> str:
         return f"PauliOp({self.label})"
@@ -144,10 +130,11 @@ def _as_phased(op: PauliOp | PhasedPauli) -> PhasedPauli:
 
 
 def commutes(a: PauliOp, b: PauliOp) -> bool:
-    """Alternating-form test; exact, no matrices involved."""
-    az1, ax1, az2, ax2 = a.bits
-    bz1, bx1, bz2, bx2 = b.bits
-    return (az1 * bx1 + ax1 * bz1 + az2 * bx2 + ax2 * bz2) % 2 == 0
+    """Alternating-form test on the codes: swapping the z and x bit of each
+    factor of ``b`` lines its terms up with ``a``'s, so the form is the
+    parity of the bits the two share."""
+    swapped = (b.code & 0b1010) >> 1 | (b.code & 0b0101) << 1
+    return not (a.code & swapped).bit_count() & 1
 
 
 def _mul_codes(p: int, q: int) -> tuple[int, int]:
@@ -204,12 +191,15 @@ def line_product_sign(triple: Sequence[PauliOp]) -> int:
     for a, b in itertools.combinations(ops, 2):
         if not commutes(a, b):
             raise ValueError(f"{a.label} and {b.label} do not commute")
-    prod = product_of(ops)
-    if prod.body is not None:
-        raise ValueError(f"product is {prod.to_string()}, not proportional to the identity")
-    if prod.phase_k % 2:
-        raise ValueError(f"product phase {prod.to_string()} is imaginary")
-    return 1 if prod.phase_k == 0 else -1
+    k1, code = _mul_codes(ops[0].code, ops[1].code)
+    k2, code = _mul_codes(code, ops[2].code)
+    k = (k1 + k2) % 4
+    if code or k % 2:
+        prod = PhasedPauli(k, PauliOp(code) if code else None).to_string()
+        if code:
+            raise ValueError(f"product is {prod}, not proportional to the identity")
+        raise ValueError(f"product phase {prod} is imaginary")
+    return 1 if k == 0 else -1
 
 
 class MerminResult(NamedTuple):
@@ -265,8 +255,8 @@ def _scaled_projector(a: PauliOp, sa: int, b: PauliOp, sb: int) -> dict[int, int
 
 def _trace_of_product(x: dict[int, int], y: dict[int, int]) -> int:
     # Tr(sigma_p sigma_q) is 4 when p == q (every body squares to the
-    # identity) and 0 otherwise, so only matching bodies contribute.
-    return 4 * sum(cx * y[p] for p, cx in x.items() if p in y)
+    # identity) and 0 otherwise, so the sum runs over the shared bodies only.
+    return 4 * sum([cx * y[p] for p, cx in x.items() if p in y])
 
 
 def mub_spread_check(spread: Sequence[Sequence[PauliOp]]) -> bool:
@@ -294,19 +284,13 @@ def mub_spread_check(spread: Sequence[Sequence[PauliOp]]) -> bool:
 
     bases = []
     for ops in triples:
-        a, b = sorted(ops, key=lambda op: op.code)[:2]
-        bases.append(
-            [_scaled_projector(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1)]
-        )
+        a, b = sorted(ops)[:2]
+        bases.append([_scaled_projector(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1)])
 
-    for basis in bases:
-        for i, p in enumerate(basis):
-            for j, q in enumerate(basis):
-                if _trace_of_product(p, q) != (16 if i == j else 0):
-                    return False
-    for b1, b2 in itertools.combinations(bases, 2):
-        for p in b1:
-            for q in b2:
-                if _trace_of_product(p, q) != 4:
-                    return False
+    for m, b1 in enumerate(bases):
+        for n, b2 in enumerate(bases[m:], start=m):
+            for i, p in enumerate(b1):
+                for j, q in enumerate(b2):
+                    if _trace_of_product(p, q) != (4 if m != n else 16 if i == j else 0):
+                        return False
     return True

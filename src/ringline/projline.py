@@ -133,8 +133,16 @@ class ProjectiveLine(_LineFields):
 
     ``relation[i][j]`` is "+" (distant) or "-" (neighbor) for the points at
     positions i and j; the diagonal is "-".  The fields live in a NamedTuple
-    base; this subclass keeps an instance dict for the cached pair index.
+    base; this subclass keeps an instance dict for its cached indexes.
     """
+
+    @cached_property
+    def distant_masks(self) -> tuple[int, ...]:
+        """Bit j of entry i is set when points i and j are distant."""
+        return tuple(
+            sum(1 << j for j, sign in enumerate(row) if sign == DISTANT)
+            for row in self.relation
+        )
 
     @cached_property
     def _index_by_pair(self) -> dict[Pair, int]:
@@ -292,28 +300,27 @@ def distant_triple_witnesses(line: ProjectiveLine) -> tuple[set[tuple], list[tup
     meet only in 0, s.y0 lies in class j, and the class k of x0 + s.y0 is
     distant from i and j.
     """
-    ring, rel = line.ring, line.relation
+    ring, distant, n = line.ring, line.distant_masks, len(line.points)
     spans, index = _row_spans(ring), line._index_by_pair
     add, mul = ring.add_table, ring.mul_table
-    scaled = [
-        [(s, (mul[s][c], mul[s][d])) for s in sorted(units(ring))]
-        for c, d in (pt.canonical for pt in line.points)
-    ]
+    # the class of every pair, n for a pair in none (bit n is in no mask)
+    cls_of = [[index.get((a, b), n) for b in ring.elements()] for a in ring.elements()]
+    # each scaled row s.y0 with its span and class, looked up once; a pair
+    # without full rank gets span -1, which meets every span
+    scaled = []
+    for c, d in (pt.canonical for pt in line.points):
+        rows = [(s, mul[s][c], mul[s][d]) for s in sorted(units(ring))]
+        scaled.append([(s, e, f, spans.get((e, f), -1), cls_of[e][f]) for s, e, f in rows])
     witnesses: set[tuple[int, int, int]] = set()
     failures: list[tuple[int, int, RingElement]] = []
-    for i, row in enumerate(rel):
+    for i, mask in enumerate(distant):
         a, b = line.points[i].canonical
-        # a pair without full rank gets -1, which meets every span
-        top = spans.get((a, b), -1)
-        for j in (j for j, sign in enumerate(row) if sign == DISTANT):
-            for s, (e, f) in scaled[j]:
-                k = index.get((add[a][e], add[b][f]))
-                if (
-                    not top & spans.get((e, f), -1)
-                    and index.get((e, f)) == j
-                    and k is not None
-                    and row[k] == rel[j][k] == DISTANT
-                ):
+        top, add_a, add_b = spans.get((a, b), -1), add[a], add[b]
+        for j in (j for j in range(n) if mask >> j & 1):
+            both = mask & distant[j]
+            for s, e, f, span, cls in scaled[j]:
+                k = cls_of[add_a[e]][add_b[f]]
+                if both >> k & 1 and cls == j and not top & span:
                     witnesses.add((i, j, k))
                 else:
                     failures.append((i, j, s))

@@ -80,7 +80,7 @@ class Graph(_GraphFields):
         return len(self.adjacency[v])
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return frozenset((u, v)) in self.edges
+        return v in self.adjacency.get(u, ())
 
     def induced(self, keep: Iterable[Vertex]) -> Graph:
         keep = tuple(keep)
@@ -134,7 +134,7 @@ class _StructureFields(NamedTuple):
 class IncidenceStructure(_StructureFields):
     """Points plus lines (each line a frozenset of points).  The fields live
     in a NamedTuple base; this subclass keeps an instance dict for the cached
-    pencils."""
+    pencils and perps."""
 
     @cached_property
     def _lines_by_point(self) -> dict:
@@ -142,22 +142,27 @@ class IncidenceStructure(_StructureFields):
         for i, line in enumerate(self.lines):
             for p in line:
                 out[p].append(i)
-        return {p: tuple(ids) for p, ids in out.items()}
+        return {p: frozenset(ids) for p, ids in out.items()}
 
-    def lines_through(self, p: Vertex) -> tuple[int, ...]:
+    def lines_through(self, p: Vertex) -> frozenset[int]:
         return self._lines_by_point[p]
 
+    @cached_property
+    def _perp(self) -> dict:
+        # each point's collinear points, itself excluded
+        return {
+            p: frozenset().union(*(self.lines[i] for i in ids)) - {p}
+            for p, ids in self._lines_by_point.items()
+        }
+
     def collinear(self, p: Vertex, q: Vertex) -> bool:
-        if p == q:
-            return False
-        return any(q in self.lines[i] for i in self.lines_through(p))
+        return q in self._perp[p]
 
     def collinearity_graph(self) -> Graph:
-        edges = set()
-        for line in self.lines:
-            for u, v in itertools.combinations(sorted(line, key=str), 2):
-                edges.add(frozenset((u, v)))
-        return Graph(self.points, frozenset(edges))
+        perp = self._perp
+        return Graph(
+            self.points, frozenset(frozenset((p, q)) for p in self.points for q in perp[p])
+        )
 
 
 def build_gq_from_graph(g: Graph) -> IncidenceStructure:
@@ -167,17 +172,14 @@ def build_gq_from_graph(g: Graph) -> IncidenceStructure:
     one triangle, and the resulting structure must pass the order-two
     quadrangle axioms.  Raises ValueError otherwise.
     """
-    tris = triangles(g)
-    cover: dict[frozenset, int] = {e: 0 for e in g.edges}
-    for t in tris:
-        for e in itertools.combinations(sorted(t, key=str), 2):
-            cover[frozenset(e)] += 1
-    bad = [e for e, n in cover.items() if n != 1]
+    # an edge lies on as many triangles as its endpoints have common neighbours
+    cover = {e: len(frozenset.intersection(*(g.neighbors(v) for v in e))) for e in g.edges}
+    bad = sorted(sorted(e, key=str) for e, n in cover.items() if n != 1)
     if bad:
-        e = sorted(sorted(e, key=str) for e in bad)[0]
+        e = bad[0]
         raise ValueError(f"edge {tuple(e)} lies on {cover[frozenset(e)]} triangles, expected 1")
     pos = {v: i for i, v in enumerate(g.vertices)}
-    lines = tuple(sorted(tris, key=lambda t: sorted(pos[p] for p in t)))
+    lines = tuple(sorted(triangles(g), key=lambda t: sorted(pos[p] for p in t)))
     s = IncidenceStructure(g.vertices, lines)
     problems = validate_gq_axioms(s)
     if problems:
@@ -201,14 +203,14 @@ def validate_gq_axioms(s: IncidenceStructure) -> list[str]:
         if n != 3:
             problems.append(f"point {p} lies on {n} lines, expected 3")
     for p, q in itertools.combinations(s.points, 2):
-        common = sum(1 for i in s.lines_through(p) if q in s.lines[i])
+        common = len(s.lines_through(p) & s.lines_through(q))
         if common > 1:
             problems.append(f"points {p} and {q} lie on {common} common lines")
     for i, line in enumerate(s.lines):
         for p in s.points:
             if p in line:
                 continue
-            met = sum(1 for q in line if s.collinear(p, q))
+            met = len(line & s._perp[p])
             if met != 1:
                 problems.append(
                     f"point {p} sees {met} points of line {i}, expected exactly 1"
@@ -222,14 +224,10 @@ def is_strongly_regular(g: Graph, n: int, k: int, lam: int, mu: int) -> bool:
         return False
     if any(g.degree(v) != k for v in g.vertices):
         return False
-    for u, v in itertools.combinations(g.vertices, 2):
-        common = len(g.neighbors(u) & g.neighbors(v))
-        if g.has_edge(u, v):
-            if common != lam:
-                return False
-        elif common != mu:
-            return False
-    return True
+    return all(
+        len(g.neighbors(u) & g.neighbors(v)) == (lam if g.has_edge(u, v) else mu)
+        for u, v in itertools.combinations(g.vertices, 2)
+    )
 
 
 OVOID = "ovoid"
@@ -278,7 +276,7 @@ def _exact_covers(blocks: Sequence[frozenset], universe: Sequence) -> list[tuple
 def enumerate_ovoids(s: IncidenceStructure) -> tuple[Hyperplane, ...]:
     """All point sets meeting every line exactly once, in the order of their
     points' positions: the exact covers of the lines by point pencils."""
-    pencils = [frozenset(s.lines_through(p)) for p in s.points]
+    pencils = [s.lines_through(p) for p in s.points]
     return tuple(
         Hyperplane(OVOID, frozenset(s.points[i] for i in cover))
         for cover in _exact_covers(pencils, range(len(s.lines)))
@@ -290,9 +288,8 @@ def _classify_hyperplane(s: IncidenceStructure, pts: frozenset) -> Hyperplane:
     if len(pts) == 5 and not contained:
         return Hyperplane(OVOID, pts)
     if len(pts) == 7:
-        g = s.collinearity_graph()
         for x in pts:
-            if pts == g.neighbors(x) | {x}:
+            if pts == s._perp[x] | {x}:
                 return Hyperplane(PERP_SET, pts, center=x)
     if len(pts) == 9 and len(contained) == 6:
         if all(sum(1 for line in contained if p in line) == 2 for p in pts):
@@ -360,9 +357,11 @@ def graph_isomorphism(g: Graph, h: Graph) -> dict | None:
     """A vertex bijection preserving adjacency both ways, or None.
 
     Permutation backtracking: vertices of ``g`` are ordered greedily to stay
-    connected to the already-mapped part; candidates must match degree and
-    the full adjacency pattern against everything mapped so far.
+    connected to the already-mapped part; a candidate must match degree, and
+    its neighbours among the used vertices must be exactly the images of the
+    mapped neighbours.
     """
+    gadj, hadj = g.adjacency, h.adjacency
     if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
         return None
     if sorted(g.degree(v) for v in g.vertices) != sorted(h.degree(v) for v in h.vertices):
@@ -372,7 +371,7 @@ def graph_isomorphism(g: Graph, h: Graph) -> dict | None:
     order: list = []
     placed: set = set()
     while remaining:
-        remaining.sort(key=lambda v: (-len(g.neighbors(v) & placed), -g.degree(v)))
+        remaining.sort(key=lambda v: (-len(gadj[v] & placed), -len(gadj[v])))
         v = remaining.pop(0)
         order.append(v)
         placed.add(v)
@@ -384,10 +383,9 @@ def graph_isomorphism(g: Graph, h: Graph) -> dict | None:
         if i == len(order):
             return True
         v = order[i]
+        image = {mapping[u] for u in gadj[v] if u in mapping}
         for w in h.vertices:
-            if w in used or h.degree(w) != g.degree(v):
-                continue
-            if any(g.has_edge(u, v) != h.has_edge(mapping[u], w) for u in mapping):
+            if w in used or len(hadj[w]) != len(gadj[v]) or hadj[w] & used != image:
                 continue
             mapping[v] = w
             used.add(w)
@@ -419,6 +417,5 @@ def structure_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure) -> dic
 def dual(s: IncidenceStructure) -> IncidenceStructure:
     """Swap points and lines: dual points are line indices, dual lines are
     the pencils of lines through each point."""
-    pencils = [frozenset(s.lines_through(p)) for p in s.points]
-    pencils.sort(key=sorted)
+    pencils = sorted((s.lines_through(p) for p in s.points), key=sorted)
     return IncidenceStructure(tuple(range(len(s.lines))), tuple(pencils))

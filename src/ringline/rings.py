@@ -70,6 +70,10 @@ class Ring(NamedTuple):
     rep_dim: int
     rep: tuple[gf2.BitMatrix, ...]
 
+    def __hash__(self) -> int:
+        # equal rings share name and order; hashing the tables would slow every cache hit
+        return hash((self.name, self.order))
+
     def add(self, x: RingElement, y: RingElement) -> RingElement:
         return self.add_table[x][y]
 
@@ -264,15 +268,19 @@ def validate_ring(ring: Ring) -> list[str]:
             if add[x][y] != add[y][x]:
                 problems.append(f"addition is not commutative at (x,y)=({x},{y})")
     for x in rng:
+        add_x, mul_x = add[x], mul[x]
         for y in rng:
+            # the rows of (x+y)+z, (x+y)z, xy+z and (xy)z, read once for every z
+            add_y, mul_y, sum_add, sum_mul = add[y], mul[y], add[add_x[y]], mul[add_x[y]]
+            prod_add, prod_mul = add[mul_x[y]], mul[mul_x[y]]
             for z in rng:
-                if add[add[x][y]][z] != add[x][add[y][z]]:
+                if sum_add[z] != add_x[add_y[z]]:
                     problems.append(f"addition is not associative at (x,y,z)=({x},{y},{z})")
-                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+                if prod_mul[z] != mul_x[mul_y[z]]:
                     problems.append(f"multiplication is not associative at (x,y,z)=({x},{y},{z})")
-                if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]:
+                if mul_x[add_y[z]] != prod_add[mul_x[z]]:
                     problems.append(f"left distributivity fails at (x,y,z)=({x},{y},{z})")
-                if mul[add[x][y]][z] != add[mul[x][z]][mul[y][z]]:
+                if sum_mul[z] != add[mul_x[z]][mul_y[z]]:
                     problems.append(f"right distributivity fails at (x,y,z)=({x},{y},{z})")
 
     if len(ring.rep) != n:

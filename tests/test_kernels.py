@@ -1,0 +1,232 @@
+"""The verifier kernels against their reference forms in ``kernel_oracle``,
+and the rule that no verdict is cached between runs."""
+
+import itertools
+import sys
+from collections import Counter
+
+import pytest
+
+import kernel_oracle as oracle
+from ringline import correspondence as co
+from ringline import pauli
+from ringline.pauli import PauliOp, line_product_sign
+from ringline.projline import distant_triple_witnesses, enumerate_line
+from ringline.quadrangle import (
+    Graph,
+    IncidenceStructure,
+    complement_graph_of_ovoid,
+    dual,
+    graph_isomorphism,
+    petersen_graph,
+    validate_gq_axioms,
+)
+from ringline.rings import ring_by_name, ring_names, validate_ring
+
+ALL_OPS = [PauliOp(c) for c in range(1, 16)]
+
+
+def _outcome(f, *args):
+    """The return value, or the ValueError message as a string."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# ---------------------------------------------------------------------------
+# quadrangle axioms
+
+
+def _dropped(s, i, p):
+    lines = list(s.lines)
+    lines[i] = lines[i] - {p}
+    return IncidenceStructure(s.points, tuple(lines))
+
+
+def _swapped(s, i, j):
+    lines = list(s.lines)
+    p, q = min(lines[i] - lines[j]), min(lines[j] - lines[i])
+    lines[i] = lines[i] - {p} | {q}
+    lines[j] = lines[j] - {q} | {p}
+    return IncidenceStructure(s.points, tuple(lines))
+
+
+@pytest.mark.parametrize("face", ["canonical", "dual"])
+def test_gq_axioms_match_oracle_on_intact_structures(face):
+    s = co.canonical_gq() if face == "canonical" else dual(co.canonical_gq())
+    assert validate_gq_axioms(s) == oracle.validate_gq_axioms(s) == []
+
+
+@pytest.mark.parametrize("face", ["canonical", "dual"])
+def test_gq_axioms_match_oracle_on_corrupted_structures(face):
+    """Every point dropped from its line and every pair of lines trading a
+    point: the same problem strings in the same order, never none."""
+    s = co.canonical_gq() if face == "canonical" else dual(co.canonical_gq())
+    corrupted = [_dropped(s, i, p) for i, line in enumerate(s.lines) for p in sorted(line)]
+    corrupted += [_swapped(s, i, j) for i, j in itertools.combinations(range(len(s.lines)), 2)]
+    assert len(corrupted) == 45 + 105
+    for bad in corrupted:
+        problems = validate_gq_axioms(bad)
+        assert problems and problems == oracle.validate_gq_axioms(bad), bad.lines
+
+
+def test_collinear_is_sharing_a_line(gq):
+    for p, q in itertools.product(gq.points, repeat=2):
+        shared = p != q and any(q in gq.lines[i] for i in gq.lines_through(p))
+        assert gq.collinear(p, q) == shared
+
+
+# ---------------------------------------------------------------------------
+# operator kernels
+
+
+@pytest.mark.parametrize("commute", ["alternating form", "always"])
+def test_line_product_sign_matches_product_of(commute, monkeypatch):
+    """All 455 triples of distinct operators, each in all six orders, give
+    the sign or the error message that ``product_of`` gives.  With the
+    commutation test switched off, the triples reach the product checks,
+    so both product messages are compared too."""
+    if commute == "always":
+        monkeypatch.setattr(pauli, "commutes", lambda a, b: True)
+        reference = lambda a, b: True  # noqa: E731
+        kinds = {1, -1, "not proportional to the identity", "is imaginary"}
+    else:
+        reference = oracle.commutes
+        kinds = {1, -1, "do not commute"}
+    triples = list(itertools.combinations(ALL_OPS, 3))
+    assert len(triples) == 455
+    seen = set()
+    for combo in triples:
+        for triple in itertools.permutations(combo):
+            got = _outcome(line_product_sign, triple)
+            assert got == _outcome(oracle.line_product_sign, triple, reference), triple
+            seen.add(next(k for k in kinds if k == got or isinstance(k, str) and k in str(got)))
+    assert seen == kinds
+
+
+# ---------------------------------------------------------------------------
+# graph isomorphism
+
+
+def _relabelled(g, f):
+    return Graph(tuple(f(v) for v in g.vertices), frozenset(frozenset(map(f, e)) for e in g.edges))
+
+
+def _toggled(g, *pairs):
+    return Graph(g.vertices, g.edges ^ {frozenset(p) for p in pairs})
+
+
+def _switches(g):
+    """Degree-preserving two-edge switches {u,v},{x,y} -> {u,x},{v,y}."""
+    for e, f in itertools.combinations(g.sorted_edges(), 2):
+        (u, v), (x, y) = e, f
+        if len({u, v, x, y}) == 4 and not g.has_edge(u, x) and not g.has_edge(v, y):
+            yield _toggled(g, e, f, (u, x), (v, y))
+
+
+def test_graph_isomorphism_fails_after_one_flip():
+    g = co.neighbor_graph()
+    h = _relabelled(g, lambda v: 16 - v)
+    iso = graph_isomorphism(g, h)
+    assert iso is not None and iso == oracle.graph_isomorphism(g, h)
+    assert all(h.has_edge(iso[u], iso[v]) for u, v in g.edges)
+    for u, v in itertools.combinations(h.vertices, 2):
+        assert graph_isomorphism(g, _toggled(h, (u, v))) is None
+
+
+def test_graph_isomorphism_matches_oracle_after_a_switch():
+    """Switches keep every degree, so only the search can refuse them."""
+    for g, limit in ((petersen_graph(), None), (co.neighbor_graph(), 12)):
+        switched = list(itertools.islice(_switches(g), limit))
+        assert switched
+        for h in switched:
+            assert graph_isomorphism(g, h) == oracle.graph_isomorphism(g, h)
+        assert any(graph_isomorphism(g, h) is None for h in switched)
+
+
+def test_graph_isomorphism_finds_the_oracle_mapping(gq, hyperplanes):
+    pairs = [(gq.collinearity_graph(), dual(gq).collinearity_graph())]
+    pairs += [
+        (complement_graph_of_ovoid(gq, h.points), petersen_graph())
+        for h in hyperplanes
+        if h.kind == "ovoid"
+    ]
+    for g, h in pairs:
+        iso = graph_isomorphism(g, h)
+        assert iso is not None and iso == oracle.graph_isomorphism(g, h)
+
+
+# ---------------------------------------------------------------------------
+# line and ring kernels
+
+
+@pytest.mark.parametrize("name", ring_names())
+def test_distant_triple_witnesses_match_oracle(name):
+    line = enumerate_line(ring_by_name(name))
+    assert distant_triple_witnesses(line) == oracle.distant_triple_witnesses(line)
+
+
+def test_distant_triple_witnesses_match_oracle_on_flipped_cells(m2f2_line):
+    for i, j in ((0, 1), (0, 5), (3, 17), (10, 34), (20, 21)):
+        rows = [list(row) for row in m2f2_line.relation]
+        rows[i][j] = rows[j][i] = "+" if rows[i][j] == "-" else "-"
+        bad = m2f2_line._replace(relation=tuple("".join(row) for row in rows))
+        got = distant_triple_witnesses(bad)
+        assert got[1] and got == oracle.distant_triple_witnesses(bad)
+
+
+@pytest.mark.parametrize("table", ["add_table", "mul_table"])
+def test_ring_laws_match_oracle_on_corrupted_tables(table):
+    """One wrong cell per row: the associativity and distributivity
+    problems come out as the cell-by-cell scan lists them."""
+    ring = ring_by_name("m2f2")
+    assert [p for p in validate_ring(ring) if "(x,y,z)" in p] == oracle.ring_law_problems(ring) == []
+    for x in range(ring.order):
+        rows = [list(row) for row in getattr(ring, table)]
+        y = (5 * x + 3) % ring.order
+        rows[x][y] = (rows[x][y] + 1) % ring.order
+        bad = ring._replace(**{table: tuple(map(tuple, rows))})
+        laws = [p for p in validate_ring(bad) if "(x,y,z)" in p]
+        assert laws and laws == oracle.ring_law_problems(bad)
+
+
+# ---------------------------------------------------------------------------
+# nothing is cached between runs except derived structure
+
+VERDICTS = {
+    "quadrangle": ("graph_isomorphism", "validate_gq_axioms"),
+    "pauli": ("mub_spread_check", "mermin_square_check"),
+    "projline": ("distant_triple_witnesses",),
+    "rings": ("validate_ring",),
+}
+
+
+def test_no_verdict_is_cached(monkeypatch):
+    """Each verdict function is wrapped in its defining module and in every
+    module that imported it; two consecutive runs, after the one that fills
+    the derived structure, call each of them equally often and not never."""
+    co.verify_all()
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items() if name.startswith("ringline.")]
+    for short, names in VERDICTS.items():
+        home = sys.modules[f"ringline.{short}"]
+        for name in names:
+            real = getattr(home, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            for module in modules:
+                for key, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, key, counted)
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        assert co.verify_all().passed
+        runs.append(dict(calls))
+    assert runs[0] == runs[1]
+    assert sorted(runs[0]) == sorted(n for names in VERDICTS.values() for n in names)
+    assert all(n > 0 for n in runs[0].values())

@@ -15,9 +15,7 @@ from ringline.quadrangle import (
     build_gq_from_graph,
     complement_graph_of_ovoid,
     dual,
-    enumerate_hyperplanes,
     enumerate_ovoids,
-    enumerate_spreads,
     girth,
     graph_isomorphism,
     is_petersen,

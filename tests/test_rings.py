@@ -95,6 +95,22 @@ def test_validate_names_corrupted_cell():
     assert any("(x,y)" in p or "[2][3]" in p for p in problems)
 
 
+def test_ring_hash_agrees_with_equality():
+    """Equal rings hash equal.  A copy with one wrong cell shares the cheap
+    hash (name and order) but not equality, so cached results are computed
+    for it afresh."""
+    ring = ring_by_name("gf4")
+    copy = ring_from_json_dict(ring_to_json_dict(ring))
+    assert copy is not ring and copy == ring and hash(copy) == hash(ring)
+    rows = [list(r) for r in ring.mul_table]
+    rows[2][3] = rows[3][2] = 0  # x and x+1 lose their inverses
+    bad = ring._replace(mul_table=tuple(tuple(r) for r in rows))
+    assert hash(bad) == hash(ring) and bad != ring
+    assert units(ring) == frozenset({1, 2, 3}) and units(bad) == frozenset({1})
+    assert validate_ring(ring) == [] and validate_ring(bad)
+    assert units(ring) == frozenset({1, 2, 3})
+
+
 def test_validate_rejects_wrong_shape():
     ring = ring_by_name("gf2")
     bad = ring._replace(add_table=((0, 1),))
