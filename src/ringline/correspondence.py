@@ -240,9 +240,6 @@ def _signs_graph(rows: Sequence[str]) -> Graph:
     return Graph.from_edges(tuple(range(n)), edges)
 
 
-_reference_graph = lru_cache(maxsize=None)(_signs_graph)
-
-
 def relation_isomorphism(
     rows1: Sequence[str], rows2: Sequence[str]
 ) -> dict[int, int] | None:
@@ -250,12 +247,11 @@ def relation_isomorphism(
 
     With two relation values and a fixed diagonal this is exactly a graph
     isomorphism of the neighbor graphs, so the full backtracking search
-    from the quadrangle module is reused.  ``rows2`` is the reference, such
-    as a small ring's line: its graph is built once per process.
+    from the quadrangle module is reused.
     """
     if len(rows1) != len(rows2):
         return None
-    return graph_isomorphism(_signs_graph(tuple(rows1)), _reference_graph(tuple(rows2)))
+    return graph_isomorphism(_signs_graph(tuple(rows1)), _signs_graph(tuple(rows2)))
 
 
 def _ops_for(labels: Iterable[int]) -> list[PauliOp]:
@@ -752,7 +748,11 @@ def perp_subline_check(x: int) -> Report:
     g = neighbor_graph()
     nbrs = sorted(g.neighbors(x))
     checks = [CheckResult("six neighbors", len(nbrs) == 6, _cset(nbrs))]
-    pairs = [(p, q) for p, q in itertools.combinations(nbrs, 2) if g.has_edge(p, q)]
+    pairs = [
+        (p, q)
+        for p, q in itertools.combinations(nbrs, 2)
+        if g.has_edge(p, q)
+    ]
     matching = len(pairs) == 3 and sorted(
         itertools.chain.from_iterable(pairs)
     ) == nbrs
@@ -947,8 +947,9 @@ def verify_transitivity() -> Report:
     line = _m2f2_sub()[0]
     ring = line.ring
     distant = line.distant_masks
-    pairs = [(d, e) for d in distant for j, e in enumerate(distant) if d >> j & 1]
-    triples = sum((d & e).bit_count() for d, e in pairs)
+    triples = sum(
+        (d & e).bit_count() for d in distant for j, e in enumerate(distant) if d >> j & 1
+    )
     witnesses, failures = distant_triple_witnesses(line)
     detail = f"{len(witnesses)} of {triples} triples witnessed"
     if failures:
@@ -971,7 +972,7 @@ def verify_transitivity() -> Report:
         ),
     ]
     data = {
-        "distant_pairs": len(pairs),
+        "distant_pairs": sum(d.bit_count() for d in distant),
         "triples": triples,
         "stabilizer": stabilizer,
     }

@@ -73,6 +73,10 @@ class PauliOp(_PauliFields):
         return tuple.__new__(cls, (code,))
 
     @classmethod
+    def from_bits(cls, z1: int, x1: int, z2: int, x2: int) -> PauliOp:
+        return cls(z1 << 3 | x1 << 2 | z2 << 1 | x2)
+
+    @classmethod
     def from_label(cls, text: str) -> PauliOp:
         """Parse a two-character factor string such as "ZX" or "1Y"."""
         if len(text) != 2 or any(ch not in _FACTOR_CHARS for ch in text):
@@ -83,8 +87,18 @@ class PauliOp(_PauliFields):
         return cls(f1 << 2 | f2)
 
     @property
+    def bits(self) -> tuple[int, int, int, int]:
+        c = self.code
+        return (c >> 3 & 1, c >> 2 & 1, c >> 1 & 1, c & 1)
+
+    @property
+    def factors(self) -> tuple[int, int]:
+        return (self.code >> 2, self.code & 3)
+
+    @property
     def label(self) -> str:
-        return _FACTOR_CHARS[self.code >> 2] + _FACTOR_CHARS[self.code & 3]
+        f1, f2 = self.factors
+        return _FACTOR_CHARS[f1] + _FACTOR_CHARS[f2]
 
     def __repr__(self) -> str:
         return f"PauliOp({self.label})"
@@ -130,9 +144,8 @@ def _as_phased(op: PauliOp | PhasedPauli) -> PhasedPauli:
 
 
 def commutes(a: PauliOp, b: PauliOp) -> bool:
-    """Alternating-form test on the codes: swapping the z and x bit of each
-    factor of ``b`` lines its terms up with ``a``'s, so the form is the
-    parity of the bits the two share."""
+    """Alternating-form test; exact: the parity of the bits ``a`` shares
+    with ``b`` once z and x are swapped in each of ``b``'s factors."""
     swapped = (b.code & 0b1010) >> 1 | (b.code & 0b0101) << 1
     return not (a.code & swapped).bit_count() & 1
 
@@ -194,11 +207,11 @@ def line_product_sign(triple: Sequence[PauliOp]) -> int:
     k1, code = _mul_codes(ops[0].code, ops[1].code)
     k2, code = _mul_codes(code, ops[2].code)
     k = (k1 + k2) % 4
-    if code or k % 2:
-        prod = PhasedPauli(k, PauliOp(code) if code else None).to_string()
-        if code:
-            raise ValueError(f"product is {prod}, not proportional to the identity")
-        raise ValueError(f"product phase {prod} is imaginary")
+    if code:
+        prod = PhasedPauli(k, PauliOp(code)).to_string()
+        raise ValueError(f"product is {prod}, not proportional to the identity")
+    if k % 2:
+        raise ValueError(f"product phase {PhasedPauli(k, None).to_string()} is imaginary")
     return 1 if k == 0 else -1
 
 
@@ -255,8 +268,8 @@ def _scaled_projector(a: PauliOp, sa: int, b: PauliOp, sb: int) -> dict[int, int
 
 def _trace_of_product(x: dict[int, int], y: dict[int, int]) -> int:
     # Tr(sigma_p sigma_q) is 4 when p == q (every body squares to the
-    # identity) and 0 otherwise, so the sum runs over the shared bodies only.
-    return 4 * sum([cx * y[p] for p, cx in x.items() if p in y])
+    # identity) and 0 otherwise, so only matching bodies contribute.
+    return 4 * sum(cx * y[p] for p, cx in x.items() if p in y)
 
 
 def mub_spread_check(spread: Sequence[Sequence[PauliOp]]) -> bool:
@@ -284,13 +297,19 @@ def mub_spread_check(spread: Sequence[Sequence[PauliOp]]) -> bool:
 
     bases = []
     for ops in triples:
-        a, b = sorted(ops)[:2]
-        bases.append([_scaled_projector(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1)])
+        a, b = sorted(ops, key=lambda op: op.code)[:2]
+        bases.append(
+            [_scaled_projector(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1)]
+        )
 
-    for m, b1 in enumerate(bases):
-        for n, b2 in enumerate(bases[m:], start=m):
-            for i, p in enumerate(b1):
-                for j, q in enumerate(b2):
-                    if _trace_of_product(p, q) != (4 if m != n else 16 if i == j else 0):
-                        return False
+    for basis in bases:
+        for i, p in enumerate(basis):
+            for j, q in enumerate(basis):
+                if _trace_of_product(p, q) != (16 if i == j else 0):
+                    return False
+    for b1, b2 in itertools.combinations(bases, 2):
+        for p in b1:
+            for q in b2:
+                if _trace_of_product(p, q) != 4:
+                    return False
     return True

@@ -142,9 +142,9 @@ class IncidenceStructure(_StructureFields):
         for i, line in enumerate(self.lines):
             for p in line:
                 out[p].append(i)
-        return {p: frozenset(ids) for p, ids in out.items()}
+        return {p: tuple(ids) for p, ids in out.items()}
 
-    def lines_through(self, p: Vertex) -> frozenset[int]:
+    def lines_through(self, p: Vertex) -> tuple[int, ...]:
         return self._lines_by_point[p]
 
     @cached_property
@@ -202,8 +202,9 @@ def validate_gq_axioms(s: IncidenceStructure) -> list[str]:
         n = len(s.lines_through(p))
         if n != 3:
             problems.append(f"point {p} lies on {n} lines, expected 3")
+    pencils = {p: frozenset(s.lines_through(p)) for p in s.points}
     for p, q in itertools.combinations(s.points, 2):
-        common = len(s.lines_through(p) & s.lines_through(q))
+        common = len(pencils[p] & pencils[q])
         if common > 1:
             problems.append(f"points {p} and {q} lie on {common} common lines")
     for i, line in enumerate(s.lines):
@@ -224,10 +225,14 @@ def is_strongly_regular(g: Graph, n: int, k: int, lam: int, mu: int) -> bool:
         return False
     if any(g.degree(v) != k for v in g.vertices):
         return False
-    return all(
-        len(g.neighbors(u) & g.neighbors(v)) == (lam if g.has_edge(u, v) else mu)
-        for u, v in itertools.combinations(g.vertices, 2)
-    )
+    for u, v in itertools.combinations(g.vertices, 2):
+        common = len(g.neighbors(u) & g.neighbors(v))
+        if g.has_edge(u, v):
+            if common != lam:
+                return False
+        elif common != mu:
+            return False
+    return True
 
 
 OVOID = "ovoid"
@@ -276,7 +281,7 @@ def _exact_covers(blocks: Sequence[frozenset], universe: Sequence) -> list[tuple
 def enumerate_ovoids(s: IncidenceStructure) -> tuple[Hyperplane, ...]:
     """All point sets meeting every line exactly once, in the order of their
     points' positions: the exact covers of the lines by point pencils."""
-    pencils = [s.lines_through(p) for p in s.points]
+    pencils = [frozenset(s.lines_through(p)) for p in s.points]
     return tuple(
         Hyperplane(OVOID, frozenset(s.points[i] for i in cover))
         for cover in _exact_covers(pencils, range(len(s.lines)))
@@ -357,9 +362,8 @@ def graph_isomorphism(g: Graph, h: Graph) -> dict | None:
     """A vertex bijection preserving adjacency both ways, or None.
 
     Permutation backtracking: vertices of ``g`` are ordered greedily to stay
-    connected to the already-mapped part; a candidate must match degree, and
-    its neighbours among the used vertices must be exactly the images of the
-    mapped neighbours.
+    connected to the already-mapped part; candidates must match degree and
+    the full adjacency pattern against everything mapped so far.
     """
     gadj, hadj = g.adjacency, h.adjacency
     if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
@@ -417,5 +421,6 @@ def structure_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure) -> dic
 def dual(s: IncidenceStructure) -> IncidenceStructure:
     """Swap points and lines: dual points are line indices, dual lines are
     the pencils of lines through each point."""
-    pencils = sorted((s.lines_through(p) for p in s.points), key=sorted)
+    pencils = [frozenset(s.lines_through(p)) for p in s.points]
+    pencils.sort(key=sorted)
     return IncidenceStructure(tuple(range(len(s.lines))), tuple(pencils))

@@ -270,17 +270,15 @@ def validate_ring(ring: Ring) -> list[str]:
     for x in rng:
         add_x, mul_x = add[x], mul[x]
         for y in rng:
-            # the rows of (x+y)+z, (x+y)z, xy+z and (xy)z, read once for every z
-            add_y, mul_y, sum_add, sum_mul = add[y], mul[y], add[add_x[y]], mul[add_x[y]]
-            prod_add, prod_mul = add[mul_x[y]], mul[mul_x[y]]
+            add_y, mul_y, add_xy, mul_xy = add[y], mul[y], add[add_x[y]], mul[mul_x[y]]
             for z in rng:
-                if sum_add[z] != add_x[add_y[z]]:
+                if add_xy[z] != add_x[add_y[z]]:
                     problems.append(f"addition is not associative at (x,y,z)=({x},{y},{z})")
-                if prod_mul[z] != mul_x[mul_y[z]]:
+                if mul_xy[z] != mul_x[mul_y[z]]:
                     problems.append(f"multiplication is not associative at (x,y,z)=({x},{y},{z})")
-                if mul_x[add_y[z]] != prod_add[mul_x[z]]:
+                if mul_x[add_y[z]] != add[mul_x[y]][mul_x[z]]:
                     problems.append(f"left distributivity fails at (x,y,z)=({x},{y},{z})")
-                if sum_mul[z] != add[mul_x[z]][mul_y[z]]:
+                if mul[add_x[y]][z] != add[mul_x[z]][mul_y[z]]:
                     problems.append(f"right distributivity fails at (x,y,z)=({x},{y},{z})")
 
     if len(ring.rep) != n:

@@ -83,8 +83,8 @@ def validate_gq_axioms(s):
 
 def commutes(a, b):
     """The alternating form written out on the four bits of each code."""
-    az1, ax1, az2, ax2 = (a.code >> 3 & 1, a.code >> 2 & 1, a.code >> 1 & 1, a.code & 1)
-    bz1, bx1, bz2, bx2 = (b.code >> 3 & 1, b.code >> 2 & 1, b.code >> 1 & 1, b.code & 1)
+    az1, ax1, az2, ax2 = a.bits
+    bz1, bx1, bz2, bx2 = b.bits
     return (az1 * bx1 + ax1 * bz1 + az2 * bx2 + ax2 * bz2) % 2 == 0
 
 

@@ -32,6 +32,8 @@ ALL_OPS = [PauliOp(c) for c in range(1, 16)]
 def test_label_round_trip():
     for op in ALL_OPS:
         assert PauliOp.from_label(op.label) == op
+        z1, x1, z2, x2 = op.bits
+        assert PauliOp.from_bits(z1, x1, z2, x2) == op
 
 
 def test_bad_labels_rejected():
