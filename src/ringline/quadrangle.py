@@ -134,7 +134,7 @@ class _StructureFields(NamedTuple):
 class IncidenceStructure(_StructureFields):
     """Points plus lines (each line a frozenset of points).  The fields live
     in a NamedTuple base; this subclass keeps an instance dict for the cached
-    pencils and perps."""
+    pencils."""
 
     @cached_property
     def _lines_by_point(self) -> dict:
@@ -147,22 +147,17 @@ class IncidenceStructure(_StructureFields):
     def lines_through(self, p: Vertex) -> tuple[int, ...]:
         return self._lines_by_point[p]
 
-    @cached_property
-    def _perp(self) -> dict:
-        # each point's collinear points, itself excluded
-        return {
-            p: frozenset().union(*(self.lines[i] for i in ids)) - {p}
-            for p, ids in self._lines_by_point.items()
-        }
-
     def collinear(self, p: Vertex, q: Vertex) -> bool:
-        return q in self._perp[p]
+        if p == q:
+            return False
+        return any(q in self.lines[i] for i in self.lines_through(p))
 
     def collinearity_graph(self) -> Graph:
-        perp = self._perp
-        return Graph(
-            self.points, frozenset(frozenset((p, q)) for p in self.points for q in perp[p])
-        )
+        edges = set()
+        for line in self.lines:
+            for u, v in itertools.combinations(sorted(line, key=str), 2):
+                edges.add(frozenset((u, v)))
+        return Graph(self.points, frozenset(edges))
 
 
 def build_gq_from_graph(g: Graph) -> IncidenceStructure:
@@ -207,11 +202,13 @@ def validate_gq_axioms(s: IncidenceStructure) -> list[str]:
         common = len(pencils[p] & pencils[q])
         if common > 1:
             problems.append(f"points {p} and {q} lie on {common} common lines")
+    # each point's collinear points, itself excluded
+    perp = {p: frozenset().union(*(s.lines[i] for i in pencils[p])) - {p} for p in s.points}
     for i, line in enumerate(s.lines):
         for p in s.points:
             if p in line:
                 continue
-            met = len(line & s._perp[p])
+            met = len(line & perp[p])
             if met != 1:
                 problems.append(
                     f"point {p} sees {met} points of line {i}, expected exactly 1"
@@ -293,8 +290,9 @@ def _classify_hyperplane(s: IncidenceStructure, pts: frozenset) -> Hyperplane:
     if len(pts) == 5 and not contained:
         return Hyperplane(OVOID, pts)
     if len(pts) == 7:
+        g = s.collinearity_graph()
         for x in pts:
-            if pts == s._perp[x] | {x}:
+            if pts == g.neighbors(x) | {x}:
                 return Hyperplane(PERP_SET, pts, center=x)
     if len(pts) == 9 and len(contained) == 6:
         if all(sum(1 for line in contained if p in line) == 2 for p in pts):
