@@ -39,6 +39,7 @@ from .projline import (
     enumerate_line,
     induced_signs,
     is_admissible,
+    signs_graph,
     simultaneous_subconfig,
 )
 from .quadrangle import (
@@ -49,7 +50,6 @@ from .quadrangle import (
     IncidenceStructure,
     build_gq_from_graph,
     complement_graph_of_ovoid,
-    dual,
     enumerate_hyperplanes,
     enumerate_ovoids,
     enumerate_spreads,
@@ -184,15 +184,7 @@ def _cset(ids: Iterable[int]) -> str:
 def neighbor_graph() -> Graph:
     """The neighbor graph on point labels 1..15, read off the geometric sign
     matrix; the fixture is only compared against, never built on."""
-    signs = geometric_signs()
-    verts = tuple(range(1, 16))
-    edges = [
-        (i + 1, j + 1)
-        for i in range(15)
-        for j in range(i + 1, 15)
-        if signs[i][j] == NEIGHBOR
-    ]
-    return Graph.from_edges(verts, edges)
+    return signs_graph(geometric_signs(), first=1)
 
 
 @lru_cache(maxsize=None)
@@ -232,26 +224,18 @@ def operator_signs() -> tuple[str, ...]:
     return signs_from_commutation(commutation_table(standard_labeling()))
 
 
-def _signs_graph(rows: Sequence[str]) -> Graph:
-    n = len(rows)
-    edges = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] == NEIGHBOR
-    ]
-    return Graph.from_edges(tuple(range(n)), edges)
-
-
 def relation_isomorphism(
-    rows1: Sequence[str], rows2: Sequence[str]
+    rows1: Sequence[str], rows2: Sequence[str] | ProjectiveLine
 ) -> dict[int, int] | None:
-    """A relation-preserving bijection between two sign matrices, or None.
+    """A relation-preserving bijection between two sign matrices, or None;
+    ``rows2`` may be a line, whose cached ``relation_graph`` is searched.
 
     With two relation values and a fixed diagonal this is exactly a graph
     isomorphism of the neighbor graphs, so the full backtracking search
     from the quadrangle module is reused.
     """
-    if len(rows1) != len(rows2):
-        return None
-    return graph_isomorphism(_signs_graph(tuple(rows1)), _signs_graph(tuple(rows2)))
+    graph2 = rows2.relation_graph if isinstance(rows2, ProjectiveLine) else signs_graph(rows2)
+    return graph_isomorphism(signs_graph(rows1), graph2)
 
 
 def _ops_for(labels: Iterable[int]) -> list[PauliOp]:
@@ -406,6 +390,8 @@ def _diff_cells(
 ) -> list[str]:
     out = []
     for i in range(len(left)):
+        if left[i] == right[i]:
+            continue
         for j in range(len(left)):
             if left[i][j] != right[i][j]:
                 out.append(
@@ -462,7 +448,7 @@ def verify_relation_signs(reference: Sequence[str] | None = None) -> Report:
 
 def quadrangle_axioms(s: IncidenceStructure) -> tuple[list[str], dict | None]:
     """Axiom violations of ``s`` and a self-duality isomorphism (or None)."""
-    return validate_gq_axioms(s), structure_isomorphism(s, dual(s))
+    return validate_gq_axioms(s), structure_isomorphism(s, s.dual_structure)
 
 
 def verify_gq_structure() -> Report:
@@ -529,7 +515,7 @@ def verify_hyperplane_census() -> Report:
             len(spreads) == golden.OVOID_SPREAD_COUNT,
         )
     )
-    dual_ovoids = enumerate_ovoids(dual(s))
+    dual_ovoids = enumerate_ovoids(s.dual_structure)
     checks.append(
         CheckResult(
             "spreads are the ovoids of the dual",
@@ -618,7 +604,7 @@ def verify_split_9_6() -> Report:
 
     nine = induced_signs(line, fam_neighbor)
     grid_line = enumerate_line(ring_by_name("gf2xgf2"))
-    iso = relation_isomorphism(nine, grid_line.relation)
+    iso = relation_isomorphism(nine, grid_line)
     checks.append(
         CheckResult(
             "nine common neighbors model the line over gf2xgf2",
@@ -656,7 +642,7 @@ def verify_split_9_6() -> Report:
         good = True
         for triple in (first, second):
             five = induced_signs(line, list(triple) + [u, v])
-            if relation_isomorphism(five, gf4_line.relation) is None:
+            if relation_isomorphism(five, gf4_line) is None:
                 good = False
         if good:
             labels = (
@@ -727,7 +713,7 @@ def verify_split_10_5() -> Report:
             not commutes(a, b) for a, b in itertools.combinations(five_ops, 2)
         )
         five = induced_signs(line, [pts[i - 1] for i in labels])
-        subline = relation_isomorphism(five, gf4_line.relation) is not None
+        subline = relation_isomorphism(five, gf4_line) is not None
         petersen = petersen_witness(h.points) is not None
         checks.append(
             CheckResult(
@@ -768,7 +754,7 @@ def perp_subline_check(x: int) -> Report:
     checks.append(
         CheckResult(
             "models the line over gf2dual",
-            relation_isomorphism(six, dual_line.relation) is not None,
+            relation_isomorphism(six, dual_line) is not None,
         )
     )
     hp = [

@@ -15,6 +15,7 @@ projectors are kept scaled by 4 with integer coefficients.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Sequence
@@ -266,10 +267,14 @@ def _scaled_projector(a: PauliOp, sa: int, b: PauliOp, sb: int) -> dict[int, int
     return {0: 1, a.code: sa, b.code: sb, c: sa * sb * (-1) ** (k // 2)}
 
 
-def _trace_of_product(x: dict[int, int], y: dict[int, int]) -> int:
-    # Tr(sigma_p sigma_q) is 4 when p == q (every body squares to the
-    # identity) and 0 otherwise, so only matching bodies contribute.
-    return 4 * sum(cx * y[p] for p, cx in x.items() if p in y)
+def _trace_matrix(xs: list[dict[int, int]], ys: list[dict[int, int]]) -> list[list[int]]:
+    # Tr(x y) for each projector x of one basis and y of another.  All of a
+    # basis's projectors carry the same bodies, and Tr(sigma_p sigma_q) is 4
+    # when p == q (bodies square to 1) and 0 otherwise: shared bodies count.
+    shared = [p for p in xs[0] if p in ys[0]]
+    us = [[x[p] for p in shared] for x in xs]
+    vs = [[y[p] for p in shared] for y in ys]
+    return [[4 * sum(map(operator.mul, u, v)) for v in vs] for u in us]
 
 
 def mub_spread_check(spread: Sequence[Sequence[PauliOp]]) -> bool:
@@ -295,21 +300,14 @@ def mub_spread_check(spread: Sequence[Sequence[PauliOp]]) -> bool:
     if sorted(codes) != list(range(1, 16)):
         raise ValueError("triples do not partition the fifteen operators")
 
-    bases = []
-    for ops in triples:
-        a, b = sorted(ops, key=lambda op: op.code)[:2]
-        bases.append(
-            [_scaled_projector(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1)]
-        )
+    bases = [
+        [_scaled_projector(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1)]
+        for a, b, _ in map(sorted, triples)
+    ]
 
-    for basis in bases:
-        for i, p in enumerate(basis):
-            for j, q in enumerate(basis):
-                if _trace_of_product(p, q) != (16 if i == j else 0):
-                    return False
-    for b1, b2 in itertools.combinations(bases, 2):
-        for p in b1:
-            for q in b2:
-                if _trace_of_product(p, q) != 4:
-                    return False
-    return True
+    within = [[16 if i == j else 0 for j in range(4)] for i in range(4)]
+    across = [[4] * 4] * 4
+    return all(
+        _trace_matrix(b1, b2) == (within if b1 is b2 else across)
+        for b1, b2 in itertools.combinations_with_replacement(bases, 2)
+    )

@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import gf2
 from .rings import Ring, RingElement, units
+
+if TYPE_CHECKING:
+    from .quadrangle import Graph
 
 __all__ = [
     "DISTANT",
@@ -38,6 +41,7 @@ __all__ = [
     "enumerate_line",
     "simultaneous_subconfig",
     "induced_signs",
+    "signs_graph",
     "apply_to_pair",
     "mat_mul",
     "mat_inv",
@@ -145,6 +149,11 @@ class ProjectiveLine(_LineFields):
         )
 
     @cached_property
+    def relation_graph(self) -> Graph:
+        """The neighbor graph of ``relation`` on vertices 0..n-1."""
+        return signs_graph(self.relation)
+
+    @cached_property
     def _index_by_pair(self) -> dict[Pair, int]:
         out: dict[Pair, int] = {}
         for i, pt in enumerate(self.points):
@@ -236,6 +245,17 @@ def induced_signs(line: ProjectiveLine, pts: Iterable[PointClass | Pair]) -> tup
     """The relation matrix restricted to ``pts``, in the given order."""
     idx = [line.index_of(_as_class(line, p).canonical) for p in pts]
     return tuple("".join(line.relation[i][j] for j in idx) for i in idx)
+
+
+def signs_graph(rows: Sequence[str], first: int = 0) -> Graph:
+    """The graph on first..first+n-1 joining the points that ``rows`` marks
+    neighbors; loads the quadrangle module on first use."""
+    from .quadrangle import Graph
+
+    n = len(rows)
+    pairs = itertools.combinations(range(n), 2)
+    edges = [(i + first, j + first) for i, j in pairs if rows[i][j] == NEIGHBOR]
+    return Graph.from_edges(range(first, first + n), edges)
 
 
 def apply_to_pair(ring: Ring, p: Pair, m: Mat2) -> Pair:

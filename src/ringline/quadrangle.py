@@ -134,7 +134,12 @@ class _StructureFields(NamedTuple):
 class IncidenceStructure(_StructureFields):
     """Points plus lines (each line a frozenset of points).  The fields live
     in a NamedTuple base; this subclass keeps an instance dict for the cached
-    pencils."""
+    pencils and dual."""
+
+    @cached_property
+    def dual_structure(self) -> IncidenceStructure:
+        """``dual(self)``, built on first use and kept with the structure."""
+        return dual(self)
 
     @cached_property
     def _lines_by_point(self) -> dict:
@@ -258,20 +263,19 @@ def _sorted_points(s: IncidenceStructure, pts: Iterable) -> tuple:
 
 def _exact_covers(blocks: Sequence[frozenset], universe: Sequence) -> list[tuple[int, ...]]:
     """Every set of block indices whose blocks partition ``universe``, as
-    sorted tuples in ascending order (backtracking on the first uncovered
-    element)."""
+    sorted tuples in ascending order (depth first on the first uncovered
+    element; a stack entry is the uncovered set and the blocks used)."""
     containing = {x: [i for i, block in enumerate(blocks) if x in block] for x in universe}
     out: list[tuple[int, ...]] = []
-
-    def cover(remaining: frozenset, used: tuple[int, ...]) -> None:
+    stack = [(frozenset(universe), ())]
+    while stack:
+        remaining, used = stack.pop()
         if not remaining:
             out.append(tuple(sorted(used)))
-            return
+            continue
         for i in containing[next(x for x in universe if x in remaining)]:
             if blocks[i] <= remaining:
-                cover(remaining - blocks[i], used + (i,))
-
-    cover(frozenset(universe), ())
+                stack.append((remaining - blocks[i], used + (i,)))
     return sorted(out)
 
 
@@ -378,26 +382,28 @@ def graph_isomorphism(g: Graph, h: Graph) -> dict | None:
         order.append(v)
         placed.add(v)
 
+    # Depth first on a stack, not a recursive closure, so that the search
+    # leaves no reference cycle.  Each open depth keeps its vertex, the
+    # images of its mapped neighbours and its untried candidates.
     mapping: dict = {}
     used: set = set()
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        image = {mapping[u] for u in gadj[v] if u in mapping}
-        for w in h.vertices:
-            if w in used or len(hadj[w]) != len(gadj[v]) or hadj[w] & used != image:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    return dict(mapping) if extend(0) else None
+    stack: list = []
+    while len(mapping) < len(order):
+        if len(stack) == len(mapping):
+            v = order[len(stack)]
+            stack.append((v, {mapping[u] for u in gadj[v] if u in mapping}, iter(h.vertices)))
+        v, image, candidates = stack[-1]
+        for w in candidates:
+            if w not in used and len(hadj[w]) == len(gadj[v]) and hadj[w] & used == image:
+                mapping[v] = w
+                used.add(w)
+                break
+        else:
+            stack.pop()
+            if not stack:
+                return None
+            used.discard(mapping.pop(stack[-1][0]))
+    return dict(mapping)
 
 
 def structure_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure) -> dict | None:

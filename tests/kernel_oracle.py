@@ -133,6 +133,12 @@ def distant_triple_witnesses(line):
     return witnesses, failures
 
 
+def _trace_of_product(x, y):
+    """Tr(x y) of two scaled projectors, one body at a time: Tr(sigma_p
+    sigma_q) is 4 when p == q and 0 otherwise."""
+    return 4 * sum(cx * y[p] for p, cx in x.items() if p in y)
+
+
 def ring_law_problems(ring):
     """Associativity and distributivity, every cell indexed from the tables."""
     add, mul = ring.add_table, ring.mul_table

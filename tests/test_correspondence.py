@@ -35,6 +35,7 @@ from ringline.correspondence import (
     verify_subconfig,
     verify_transitivity,
 )
+from ringline.rings import ring_by_name
 
 
 def test_geometric_signs_match_fixture():
@@ -234,6 +235,18 @@ def test_relation_isomorphism_exists():
     assert mapping is not None
     assert sorted(mapping) == list(range(15))
     assert sorted(mapping.values()) == list(range(15))
+
+
+def test_relation_isomorphism_searches_the_line_graph():
+    """Against a line, the search runs on the line's cached graph and finds
+    the mapping the search against its relation rows finds."""
+    line, _, _, pts = co._m2f2_sub()
+    nine = projline.induced_signs(line, pts[6:])
+    grid_line = projline.enumerate_line(ring_by_name("gf2xgf2"))
+    mapping = relation_isomorphism(nine, grid_line)
+    assert mapping is not None
+    assert mapping == relation_isomorphism(nine, grid_line.relation)
+    assert relation_isomorphism(nine[:5], grid_line) is None
 
 
 def test_triple_split_regression():

@@ -1,6 +1,7 @@
 """The verifier kernels against their reference forms in ``kernel_oracle``,
 and the rule that no verdict is cached between runs."""
 
+import gc
 import itertools
 import sys
 from collections import Counter
@@ -9,7 +10,7 @@ import pytest
 
 import kernel_oracle as oracle
 from ringline import correspondence as co
-from ringline import pauli
+from ringline import pauli, quadrangle
 from ringline.pauli import PauliOp, line_product_sign
 from ringline.projline import distant_triple_witnesses, enumerate_line
 from ringline.quadrangle import (
@@ -230,3 +231,40 @@ def test_no_verdict_is_cached(monkeypatch):
     assert runs[0] == runs[1]
     assert sorted(runs[0]) == sorted(n for names in VERDICTS.values() for n in names)
     assert all(n > 0 for n in runs[0].values())
+
+
+def test_warm_verify_all_builds_no_dual(monkeypatch):
+    """``quadrangle.dual`` is wrapped wherever it is bound: a structure
+    builds its dual once, and a warm ``verify_all()`` builds none."""
+    built = []
+    real = quadrangle.dual
+
+    def counted(s):
+        built.append(s)
+        return real(s)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("ringline.")]:
+        for key, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, key, counted)
+    s = IncidenceStructure(*co.canonical_gq())
+    assert s.dual_structure is s.dual_structure == real(s)
+    assert built == [s]
+    co.verify_all()
+    built.clear()
+    assert co.verify_all().passed
+    assert built == []
+
+
+def test_warm_verify_all_leaves_almost_no_cycles():
+    """With the cyclic collector off, a warm ``verify_all()`` frees what it
+    allocates by reference counting: a recursive closure would leave its
+    cell, its frame's locals and both graphs of every search behind."""
+    co.verify_all()
+    gc.collect()
+    gc.disable()
+    try:
+        co.verify_all()
+        assert gc.collect() < 150
+    finally:
+        gc.enable()

@@ -9,7 +9,7 @@ from ringline import golden
 from ringline.pauli import (
     IDENTITY,
     _scaled_projector,
-    _trace_of_product,
+    _trace_matrix,
     MerminResult,
     PauliOp,
     PhasedPauli,
@@ -25,6 +25,7 @@ from ringline.pauli import (
 )
 
 import pauli_oracle as oracle
+from kernel_oracle import _trace_of_product
 
 ALL_OPS = [PauliOp(c) for c in range(1, 16)]
 
@@ -196,19 +197,63 @@ def test_mub_fails_when_one_trace_is_wrong(target, wrong, monkeypatch):
     from ringline import pauli
 
     spread = ((1, 2, 7), (3, 5, 8), (4, 6, 9), (10, 11, 12), (13, 14, 15))
-    real = pauli._trace_of_product
+    real = pauli._trace_matrix
     hit = []
 
-    def wrong_once(x, y):
-        t = real(x, y)
-        if t == target and not hit:
-            hit.append(t)
-            return wrong
-        return t
+    def wrong_once(xs, ys):
+        matrix = real(xs, ys)
+        for row in matrix:
+            for j, t in enumerate(row):
+                if t == target and not hit:
+                    hit.append(t)
+                    row[j] = wrong
+        return matrix
 
-    monkeypatch.setattr(pauli, "_trace_of_product", wrong_once)
+    monkeypatch.setattr(pauli, "_trace_matrix", wrong_once)
     assert not mub_spread_check([_ops_for(t) for t in spread])
     assert hit
+
+
+def _commuting_lines():
+    """The 15 commuting lines as sorted code triples, in ascending order."""
+    return sorted({
+        tuple(sorted((a.code, b.code, multiply(a, b).body.code)))
+        for a in ALL_OPS
+        for b in ALL_OPS
+        if a != b and commutes(a, b)
+    })
+
+
+def _line_bases():
+    """Each commuting line with the four scaled projectors of its two
+    smallest operators, as the MUB check builds them."""
+    return [
+        (line, [
+            _scaled_projector(PauliOp(line[0]), sa, PauliOp(line[1]), sb)
+            for sa in (1, -1)
+            for sb in (1, -1)
+        ])
+        for line in _commuting_lines()
+    ]
+
+
+def test_trace_matrix_matches_oracle_on_every_pair_of_line_bases():
+    """Every ordered pair of the 15 line bases, a line with itself and lines
+    sharing an operator included: each matrix entry is the trace the
+    one-body-at-a-time oracle gives."""
+    bases = _line_bases()
+    assert len(bases) == 15
+    seen = set()
+    for (line1, xs), (line2, ys) in itertools.product(bases, repeat=2):
+        matrix = _trace_matrix(xs, ys)
+        assert matrix == [[_trace_of_product(x, y) for y in ys] for x in xs]
+        seen.add((len(set(line1) & set(line2)), frozenset(itertools.chain(*matrix))))
+    # disjoint lines: all 4; sharing one operator: 0 and 8; equal: 16 and 0
+    assert seen == {
+        (0, frozenset({4})),
+        (1, frozenset({0, 8})),
+        (3, frozenset({0, 16})),
+    }
 
 
 def test_mub_oracle_cross_check():
@@ -257,17 +302,12 @@ def test_scaled_projector_traces_match_matrix_oracle():
     Overlapping lines give 1/2 (scaled 8), which no MUB target takes."""
     from fractions import Fraction
 
-    lines = {
-        frozenset((a.code, b.code, multiply(a, b).body.code))
-        for a in ALL_OPS
-        for b in ALL_OPS
-        if a != b and commutes(a, b)
-    }
+    lines = _commuting_lines()
     assert len(lines) == 15
     quarter = (Fraction(1, 4), Fraction(0))
     ident = oracle.mat_for_label("11")
     scaled, dense = [], []
-    for line in sorted(sorted(l) for l in lines):
+    for line in lines:
         a, b = PauliOp(line[0]), PauliOp(line[1])
         for sa in (1, -1):
             for sb in (1, -1):

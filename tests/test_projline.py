@@ -21,6 +21,7 @@ from ringline.projline import (
     map_standard_triple_to,
     mat_inv,
     mat_mul,
+    signs_graph,
     simultaneous_subconfig,
     line_to_json_dict,
 )
@@ -288,3 +289,20 @@ def test_line_json_shape(m2f2_line):
     assert [len(row) for row in doc["relation"]] == list(range(1, 36))
     for entry in doc["points"]:
         assert sorted(entry["orbit"])[0] == entry["canonical"]
+
+
+@pytest.mark.parametrize("name", ring_names())
+def test_relation_graph_is_built_once_from_the_relation(name):
+    """The line keeps one neighbor graph: the same object on every read,
+    equal to the graph built afresh from ``relation``."""
+    line = enumerate_line(ring_by_name(name))
+    g = line.relation_graph
+    assert line.relation_graph is g
+    assert g == signs_graph(line.relation)
+    n = len(line.points)
+    assert g.vertices == tuple(range(n))
+    assert g.edges == {
+        frozenset((i, j))
+        for i, j in itertools.combinations(range(n), 2)
+        if line.relation[i][j] == NEIGHBOR
+    }
