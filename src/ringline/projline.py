@@ -249,7 +249,7 @@ def induced_signs(line: ProjectiveLine, pts: Iterable[PointClass | Pair]) -> tup
 
 def signs_graph(rows: Sequence[str], first: int = 0) -> Graph:
     """The graph on first..first+n-1 joining the points that ``rows`` marks
-    neighbors; loads the quadrangle module on first use."""
+    neighbors; imports the quadrangle module only when called."""
     from .quadrangle import Graph
 
     n = len(rows)
