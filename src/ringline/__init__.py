@@ -19,7 +19,7 @@ __version__ = "1.0.0"
 
 # defining module -> the public names it exports through the package
 _EXPORTS = {
-    "rings": ("Ring", "build_small_rings", "ring_by_name", "units", "validate_ring"),
+    "rings": ("Ring", "ring_by_name", "units", "validate_ring"),
     "projline": (
         "DISTANT",
         "NEIGHBOR",

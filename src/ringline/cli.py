@@ -500,7 +500,7 @@ def render_gq_dot(args: argparse.Namespace) -> tuple[str, int]:
     from . import export
     from .golden import c_label
 
-    graph = co.canonical_gq().collinearity_graph()
+    graph = co.canonical_gq().collinearity_graph
     return export.graph_dot(graph, name="collinearity", label=c_label), EXIT_OK
 
 

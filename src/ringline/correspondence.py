@@ -72,7 +72,6 @@ __all__ = [
     "canonical_spreads",
     "geometric_signs",
     "operator_signs",
-    "relation_isomorphism",
     "STANDARD_ROWS",
     "quadrangle_axioms",
     "petersen_witness",
@@ -224,20 +223,6 @@ def operator_signs() -> tuple[str, ...]:
     return signs_from_commutation(commutation_table(standard_labeling()))
 
 
-def relation_isomorphism(
-    rows1: Sequence[str], rows2: Sequence[str] | ProjectiveLine
-) -> dict[int, int] | None:
-    """A relation-preserving bijection between two sign matrices, or None;
-    ``rows2`` may be a line, whose cached ``relation_graph`` is searched.
-
-    With two relation values and a fixed diagonal this is exactly a graph
-    isomorphism of the neighbor graphs, so the full backtracking search
-    from the quadrangle module is reused.
-    """
-    graph2 = rows2.relation_graph if isinstance(rows2, ProjectiveLine) else signs_graph(rows2)
-    return graph_isomorphism(signs_graph(rows1), graph2)
-
-
 def _ops_for(labels: Iterable[int]) -> list[PauliOp]:
     ops = standard_labeling()
     return [ops[i - 1] for i in labels]
@@ -352,7 +337,7 @@ def verify_subconfig() -> Report:
             " ".join(str(pt.canonical) for pt in pts),
         )
     )
-    signs = induced_signs(line, pts)
+    signs = geometric_signs()
     checks.append(
         CheckResult(
             "induced matrix equals fixture",
@@ -604,7 +589,7 @@ def verify_split_9_6() -> Report:
 
     nine = induced_signs(line, fam_neighbor)
     grid_line = enumerate_line(ring_by_name("gf2xgf2"))
-    iso = relation_isomorphism(nine, grid_line)
+    iso = graph_isomorphism(signs_graph(nine), grid_line.relation_graph)
     checks.append(
         CheckResult(
             "nine common neighbors model the line over gf2xgf2",
@@ -642,7 +627,7 @@ def verify_split_9_6() -> Report:
         good = True
         for triple in (first, second):
             five = induced_signs(line, list(triple) + [u, v])
-            if relation_isomorphism(five, gf4_line) is None:
+            if graph_isomorphism(signs_graph(five), gf4_line.relation_graph) is None:
                 good = False
         if good:
             labels = (
@@ -713,7 +698,7 @@ def verify_split_10_5() -> Report:
             not commutes(a, b) for a, b in itertools.combinations(five_ops, 2)
         )
         five = induced_signs(line, [pts[i - 1] for i in labels])
-        subline = relation_isomorphism(five, gf4_line) is not None
+        subline = graph_isomorphism(signs_graph(five), gf4_line.relation_graph) is not None
         petersen = petersen_witness(h.points) is not None
         checks.append(
             CheckResult(
@@ -754,7 +739,7 @@ def perp_subline_check(x: int) -> Report:
     checks.append(
         CheckResult(
             "models the line over gf2dual",
-            relation_isomorphism(six, dual_line) is not None,
+            graph_isomorphism(signs_graph(six), dual_line.relation_graph) is not None,
         )
     )
     hp = [

@@ -38,20 +38,15 @@ def sign_matrix_csv(rows: Sequence[str], labels: Sequence[str]) -> str:
     return buf.getvalue()
 
 
-def sign_matrix_dot(
-    rows: Sequence[str],
-    labels: Sequence[str],
-    edge_sign: str = NEIGHBOR,
-    name: str = "relation",
-) -> str:
-    """The matrix as an undirected DOT graph.
+def sign_matrix_dot(rows: Sequence[str], labels: Sequence[str], edge_sign: str = NEIGHBOR) -> str:
+    """The matrix as an undirected DOT graph named ``relation``.
 
     ``edge_sign`` selects which relation becomes an edge: "-" draws the
     neighbor (commuting) graph, "+" the distant (non-commuting) one.
     """
     if edge_sign not in (DISTANT, NEIGHBOR):
         raise ValueError(f"edge_sign must be '{DISTANT}' or '{NEIGHBOR}'")
-    lines = [f"graph {name} {{"]
+    lines = ["graph relation {"]
     for label in labels:
         lines.append(f"  {label};")
     n = len(labels)

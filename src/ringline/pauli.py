@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import re
 from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Sequence
 
@@ -52,7 +51,6 @@ _MUL1 = (
 )
 
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
-_PREFIX_PHASE = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 
 
 class _PauliFields(NamedTuple):
@@ -74,10 +72,6 @@ class PauliOp(_PauliFields):
         return tuple.__new__(cls, (code,))
 
     @classmethod
-    def from_bits(cls, z1: int, x1: int, z2: int, x2: int) -> PauliOp:
-        return cls(z1 << 3 | x1 << 2 | z2 << 1 | x2)
-
-    @classmethod
     def from_label(cls, text: str) -> PauliOp:
         """Parse a two-character factor string such as "ZX" or "1Y"."""
         if len(text) != 2 or any(ch not in _FACTOR_CHARS for ch in text):
@@ -86,11 +80,6 @@ class PauliOp(_PauliFields):
         if f1 == 0 and f2 == 0:
             raise ValueError("the identity is not a PauliOp; use PhasedPauli")
         return cls(f1 << 2 | f2)
-
-    @property
-    def bits(self) -> tuple[int, int, int, int]:
-        c = self.code
-        return (c >> 3 & 1, c >> 2 & 1, c >> 1 & 1, c & 1)
 
     @property
     def factors(self) -> tuple[int, int]:
@@ -118,16 +107,6 @@ class PhasedPauli(_PhasedFields):
 
     def __new__(cls, phase_k: int, body: PauliOp | None) -> PhasedPauli:
         return tuple.__new__(cls, (phase_k % 4, body))
-
-    @classmethod
-    def from_string(cls, text: str) -> PhasedPauli:
-        """Parse strings like "ZX", "-iZX", "i1Y", "-11" (minus identity)."""
-        m = re.fullmatch(r"([+-]?i?)([1XYZ]{2})", text)
-        if m is None:
-            raise ValueError(f"bad phased Pauli string {text!r}")
-        k = _PREFIX_PHASE[m.group(1)]
-        body = None if m.group(2) == "11" else PauliOp.from_label(m.group(2))
-        return cls(k, body)
 
     def to_string(self) -> str:
         label = "11" if self.body is None else self.body.label

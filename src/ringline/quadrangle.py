@@ -18,7 +18,6 @@ from . import gf2
 
 __all__ = [
     "Graph",
-    "girth",
     "triangles",
     "IncidenceStructure",
     "build_gq_from_graph",
@@ -93,28 +92,6 @@ class Graph(_GraphFields):
         return sorted(out, key=lambda e: (pos[e[0]], pos[e[1]]))
 
 
-def girth(g: Graph) -> int | None:
-    """Length of a shortest cycle, or None for a forest."""
-    best: int | None = None
-    for u, v in g.sorted_edges():
-        # shortest u-v path avoiding the edge itself, plus the edge
-        dist = {u: 0}
-        queue = [u]
-        while queue:
-            nxt = []
-            for w in queue:
-                for x in g.neighbors(w):
-                    if w == u and x == v:
-                        continue
-                    if x not in dist:
-                        dist[x] = dist[w] + 1
-                        nxt.append(x)
-            queue = nxt
-        if v in dist and (best is None or dist[v] + 1 < best):
-            best = dist[v] + 1
-    return best
-
-
 def triangles(g: Graph) -> list[frozenset]:
     """All 3-cliques, each listed once."""
     pos = {v: i for i, v in enumerate(g.vertices)}
@@ -134,7 +111,7 @@ class _StructureFields(NamedTuple):
 class IncidenceStructure(_StructureFields):
     """Points plus lines (each line a frozenset of points).  The fields live
     in a NamedTuple base; this subclass keeps an instance dict for the cached
-    pencils and dual."""
+    pencils, collinearity graph and dual."""
 
     @cached_property
     def dual_structure(self) -> IncidenceStructure:
@@ -152,12 +129,9 @@ class IncidenceStructure(_StructureFields):
     def lines_through(self, p: Vertex) -> tuple[int, ...]:
         return self._lines_by_point[p]
 
-    def collinear(self, p: Vertex, q: Vertex) -> bool:
-        if p == q:
-            return False
-        return any(q in self.lines[i] for i in self.lines_through(p))
-
+    @cached_property
     def collinearity_graph(self) -> Graph:
+        """Points joined when they share a line, built on first use."""
         edges = set()
         for line in self.lines:
             for u, v in itertools.combinations(sorted(line, key=str), 2):
@@ -294,7 +268,7 @@ def _classify_hyperplane(s: IncidenceStructure, pts: frozenset) -> Hyperplane:
     if len(pts) == 5 and not contained:
         return Hyperplane(OVOID, pts)
     if len(pts) == 7:
-        g = s.collinearity_graph()
+        g = s.collinearity_graph
         for x in pts:
             if pts == g.neighbors(x) | {x}:
                 return Hyperplane(PERP_SET, pts, center=x)
@@ -337,7 +311,7 @@ def complement_graph_of_ovoid(s: IncidenceStructure, ovoid: Iterable) -> Graph:
     """Collinearity graph induced on the points off the ovoid."""
     off = set(ovoid)
     keep = [p for p in s.points if p not in off]
-    return s.collinearity_graph().induced(keep)
+    return s.collinearity_graph.induced(keep)
 
 
 def petersen_graph() -> Graph:
@@ -352,10 +326,9 @@ def petersen_graph() -> Graph:
 
 
 def is_petersen(g: Graph) -> bool:
-    """10 vertices, 3-regular, girth 5, plus an explicit isomorphism."""
+    """10 vertices, 3-regular, plus an explicit isomorphism onto
+    ``petersen_graph()``, which also proves girth 5."""
     if len(g.vertices) != 10 or any(g.degree(v) != 3 for v in g.vertices):
-        return False
-    if girth(g) != 5:
         return False
     return graph_isomorphism(g, petersen_graph()) is not None
 
@@ -413,7 +386,7 @@ def structure_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure) -> dic
     sets, which is complete whenever lines are exactly the triangles of the
     collinearity graph (true for the structures handled here).
     """
-    iso = graph_isomorphism(s1.collinearity_graph(), s2.collinearity_graph())
+    iso = graph_isomorphism(s1.collinearity_graph, s2.collinearity_graph)
     if iso is None:
         return None
     lines2 = set(s2.lines)

@@ -24,12 +24,6 @@ from . import gf2
 __all__ = [
     "RingElement",
     "Ring",
-    "build_m2f2",
-    "build_gf2",
-    "build_gf4",
-    "build_gf2xgf2",
-    "build_gf2dual",
-    "build_small_rings",
     "ring_by_name",
     "ring_names",
     "units",
@@ -111,105 +105,54 @@ def _ring_from_reps(name: str, rep_dim: int, reps: tuple[gf2.BitMatrix, ...]) ->
     return Ring(name, order, zero, one, add_table, mul_table, rep_dim, reps)
 
 
-# The sixteen 2x2 bit matrices in label order.  Label 1 is the identity,
-# labels 0..15 otherwise follow the fixed published numbering that the rest
-# of the package (point representatives, sign matrix) is keyed to.
-_M2F2_MATRICES = (
-    [[0, 0], [0, 0]],  # 0
-    [[1, 0], [0, 1]],  # 1
-    [[0, 1], [1, 0]],  # 2
-    [[1, 1], [1, 1]],  # 3
-    [[0, 0], [1, 1]],  # 4
-    [[1, 0], [1, 0]],  # 5
-    [[0, 1], [0, 1]],  # 6
-    [[1, 1], [0, 0]],  # 7
-    [[0, 1], [0, 0]],  # 8
-    [[1, 1], [0, 1]],  # 9
-    [[0, 0], [1, 0]],  # 10
-    [[1, 0], [1, 1]],  # 11
-    [[0, 1], [1, 1]],  # 12
-    [[1, 1], [1, 0]],  # 13
-    [[0, 0], [0, 1]],  # 14
-    [[1, 0], [0, 0]],  # 15
-)
-
-
-@lru_cache(maxsize=None)
-def build_m2f2() -> Ring:
-    """The full ring of 2x2 matrices over GF(2): 16 elements, 6 units."""
-    return _ring_from_reps(
-        "m2f2", 2, tuple(gf2.rows_from_lists(m) for m in _M2F2_MATRICES)
-    )
-
-
-@lru_cache(maxsize=None)
-def build_gf2() -> Ring:
-    """The two-element field, represented by 1x1 bit matrices."""
-    return _ring_from_reps("gf2", 1, ((0,), (1,)))
-
-
-@lru_cache(maxsize=None)
-def build_gf4() -> Ring:
-    """GF(4) via the companion matrix of t^2 + t + 1; label 2 generates."""
-    x = gf2.rows_from_lists([[0, 1], [1, 1]])
-    one = gf2.identity(2)
-    return _ring_from_reps("gf4", 2, ((0, 0), one, x, gf2.add(one, x)))
-
-
-@lru_cache(maxsize=None)
-def build_gf2xgf2() -> Ring:
-    """GF(2) x GF(2) as diagonal matrices; labels 2 = (1,0), 3 = (0,1)."""
-    return _ring_from_reps(
-        "gf2xgf2",
-        2,
-        (
-            (0, 0),
-            gf2.identity(2),
-            gf2.rows_from_lists([[1, 0], [0, 0]]),
-            gf2.rows_from_lists([[0, 0], [0, 1]]),
-        ),
-    )
-
-
-@lru_cache(maxsize=None)
-def build_gf2dual() -> Ring:
-    """GF(2)[x]/<x^2> (dual numbers) as upper triangular matrices; label 2 = x."""
-    return _ring_from_reps(
-        "gf2dual",
-        2,
-        (
-            (0, 0),
-            gf2.identity(2),
-            gf2.rows_from_lists([[0, 1], [0, 0]]),
-            gf2.rows_from_lists([[1, 1], [0, 1]]),
-        ),
-    )
-
-
-def build_small_rings() -> dict[str, Ring]:
-    """The four commutative rings of characteristic two, keyed by name."""
-    rings = (build_gf2(), build_gf4(), build_gf2xgf2(), build_gf2dual())
-    return {r.name: r for r in rings}
-
-
-_BUILDERS = {
-    "m2f2": build_m2f2,
-    "gf2": build_gf2,
-    "gf4": build_gf4,
-    "gf2xgf2": build_gf2xgf2,
-    "gf2dual": build_gf2dual,
+# name -> (rep_dim, the element matrices in label order).  In m2f2, label 1
+# is the identity; labels 0..15 otherwise follow the fixed published
+# numbering that the rest of the package (point representatives, sign
+# matrix) is keyed to.  The other four are the commutative rings of
+# characteristic two in their standard matrix models.
+_MODELS = {
+    # the full ring of 2x2 matrices over GF(2): 16 elements, 6 units
+    "m2f2": (2, (
+        [[0, 0], [0, 0]],  # 0
+        [[1, 0], [0, 1]],  # 1
+        [[0, 1], [1, 0]],  # 2
+        [[1, 1], [1, 1]],  # 3
+        [[0, 0], [1, 1]],  # 4
+        [[1, 0], [1, 0]],  # 5
+        [[0, 1], [0, 1]],  # 6
+        [[1, 1], [0, 0]],  # 7
+        [[0, 1], [0, 0]],  # 8
+        [[1, 1], [0, 1]],  # 9
+        [[0, 0], [1, 0]],  # 10
+        [[1, 0], [1, 1]],  # 11
+        [[0, 1], [1, 1]],  # 12
+        [[1, 1], [1, 0]],  # 13
+        [[0, 0], [0, 1]],  # 14
+        [[1, 0], [0, 0]],  # 15
+    )),
+    # the two-element field
+    "gf2": (1, ([[0]], [[1]])),
+    # GF(4) via the companion matrix of t^2 + t + 1; label 2 generates
+    "gf4": (2, ([[0, 0], [0, 0]], [[1, 0], [0, 1]], [[0, 1], [1, 1]], [[1, 1], [1, 0]])),
+    # GF(2) x GF(2) as diagonal matrices; labels 2 = (1,0), 3 = (0,1)
+    "gf2xgf2": (2, ([[0, 0], [0, 0]], [[1, 0], [0, 1]], [[1, 0], [0, 0]], [[0, 0], [0, 1]])),
+    # GF(2)[x]/<x^2> (dual numbers) as upper triangular matrices; label 2 = x
+    "gf2dual": (2, ([[0, 0], [0, 0]], [[1, 0], [0, 1]], [[0, 1], [0, 0]], [[1, 1], [0, 1]])),
 }
 
 
 def ring_names() -> tuple[str, ...]:
-    return tuple(_BUILDERS)
+    return tuple(_MODELS)
 
 
+@lru_cache(maxsize=None)
 def ring_by_name(name: str) -> Ring:
+    """The named ring, built from its matrix model on first use."""
     try:
-        return _BUILDERS[name]()
+        rep_dim, matrices = _MODELS[name]
     except KeyError:
-        raise ValueError(f"unknown ring {name!r}; choose from {', '.join(_BUILDERS)}") from None
+        raise ValueError(f"unknown ring {name!r}; choose from {', '.join(_MODELS)}") from None
+    return _ring_from_reps(name, rep_dim, tuple(gf2.rows_from_lists(m) for m in matrices))
 
 
 @lru_cache(maxsize=None)

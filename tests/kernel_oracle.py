@@ -83,8 +83,8 @@ def validate_gq_axioms(s):
 
 def commutes(a, b):
     """The alternating form written out on the four bits of each code."""
-    az1, ax1, az2, ax2 = a.bits
-    bz1, bx1, bz2, bx2 = b.bits
+    az1, ax1, az2, ax2 = (a.code >> k & 1 for k in (3, 2, 1, 0))
+    bz1, bx1, bz2, bx2 = (b.code >> k & 1 for k in (3, 2, 1, 0))
     return (az1 * bx1 + ax1 * bz1 + az2 * bx2 + ax2 * bz2) % 2 == 0
 
 

@@ -135,7 +135,7 @@ def test_criterion_5_gq_structure(gq):
     assert validate_gq_axioms(gq) == []
     assert len(gq.points) == 15
     assert len(gq.lines) == 15
-    assert is_strongly_regular(gq.collinearity_graph(), 15, 6, 1, 3)
+    assert is_strongly_regular(gq.collinearity_graph, 15, 6, 1, 3)
     iso = structure_isomorphism(gq, dual(gq))
     assert iso is not None
     lines2 = set(dual(gq).lines)

@@ -18,7 +18,6 @@ from ringline.correspondence import (
     grid_mermin_arrangement,
     operator_signs,
     perp_subline_check,
-    relation_isomorphism,
     trinity_report,
     verify_all,
     verify_gq_structure,
@@ -35,7 +34,6 @@ from ringline.correspondence import (
     verify_subconfig,
     verify_transitivity,
 )
-from ringline.rings import ring_by_name
 
 
 def test_geometric_signs_match_fixture():
@@ -231,22 +229,12 @@ def test_label_swap_fails_verify_all_and_cli_without_traceback(swap_labels, caps
 
 
 def test_relation_isomorphism_exists():
-    mapping = relation_isomorphism(geometric_signs(), operator_signs())
+    mapping = co.graph_isomorphism(
+        projline.signs_graph(geometric_signs()), projline.signs_graph(operator_signs())
+    )
     assert mapping is not None
     assert sorted(mapping) == list(range(15))
     assert sorted(mapping.values()) == list(range(15))
-
-
-def test_relation_isomorphism_searches_the_line_graph():
-    """Against a line, the search runs on the line's cached graph and finds
-    the mapping the search against its relation rows finds."""
-    line, _, _, pts = co._m2f2_sub()
-    nine = projline.induced_signs(line, pts[6:])
-    grid_line = projline.enumerate_line(ring_by_name("gf2xgf2"))
-    mapping = relation_isomorphism(nine, grid_line)
-    assert mapping is not None
-    assert mapping == relation_isomorphism(nine, grid_line.relation)
-    assert relation_isomorphism(nine[:5], grid_line) is None
 
 
 def test_triple_split_regression():

@@ -72,12 +72,6 @@ def test_gq_axioms_match_oracle_on_corrupted_structures(face):
         assert problems and problems == oracle.validate_gq_axioms(bad), bad.lines
 
 
-def test_collinear_is_sharing_a_line(gq):
-    for p, q in itertools.product(gq.points, repeat=2):
-        shared = p != q and any(q in gq.lines[i] for i in gq.lines_through(p))
-        assert gq.collinear(p, q) == shared
-
-
 # ---------------------------------------------------------------------------
 # operator kernels
 
@@ -147,7 +141,7 @@ def test_graph_isomorphism_matches_oracle_after_a_switch():
 
 
 def test_graph_isomorphism_finds_the_oracle_mapping(gq, hyperplanes):
-    pairs = [(gq.collinearity_graph(), dual(gq).collinearity_graph())]
+    pairs = [(gq.collinearity_graph, dual(gq).collinearity_graph)]
     pairs += [
         (complement_graph_of_ovoid(gq, h.points), petersen_graph())
         for h in hyperplanes

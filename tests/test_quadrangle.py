@@ -16,7 +16,6 @@ from ringline.quadrangle import (
     complement_graph_of_ovoid,
     dual,
     enumerate_ovoids,
-    girth,
     graph_isomorphism,
     is_petersen,
     is_strongly_regular,
@@ -33,15 +32,6 @@ def cycle_graph(n):
 
 def complete_graph(n):
     return Graph.from_edges(range(n), itertools.combinations(range(n), 2))
-
-
-def test_girth_examples():
-    assert girth(cycle_graph(5)) == 5
-    assert girth(complete_graph(4)) == 3
-    assert girth(petersen_graph()) == 5
-    # a path has no cycle at all
-    path = Graph.from_edges(range(4), [(0, 1), (1, 2), (2, 3)])
-    assert girth(path) is None
 
 
 def test_triangle_counts():
@@ -68,7 +58,9 @@ def test_gq_axioms_and_shape(gq):
 
 
 def test_collinearity_graph_round_trip(gq):
-    assert gq.collinearity_graph().edges == neighbor_graph().edges
+    assert gq.collinearity_graph.edges == neighbor_graph().edges
+    # derived structure: built once and kept with the quadrangle
+    assert gq.collinearity_graph is gq.collinearity_graph
 
 
 def test_build_rejects_edge_on_two_triangles():
@@ -213,7 +205,8 @@ def test_petersen_reference_graph():
     assert len(g.vertices) == 10
     assert len(g.edges) == 15
     assert all(g.degree(v) == 3 for v in g.vertices)
-    assert girth(g) == 5
+    # no two vertices share two neighbours, so no triangle and no 4-cycle: girth 5
+    assert is_strongly_regular(g, 10, 3, 0, 1)
     assert is_petersen(g)
 
 
@@ -229,7 +222,7 @@ def test_is_petersen_rejects_k33_plus():
     rungs = [(i, i + 5) for i in range(5)]
     prism = Graph.from_edges(range(10), outer + inner + rungs)
     assert all(prism.degree(v) == 3 for v in prism.vertices)
-    assert girth(prism) == 4
+    assert all(prism.has_edge(a, b) for a, b in ((0, 1), (1, 6), (6, 5), (5, 0)))
     assert not is_petersen(prism)
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from ringline import golden
 from ringline.rings import (
-    build_small_rings,
     ring_by_name,
     ring_from_json_dict,
     ring_names,
@@ -24,10 +23,19 @@ ALL_RINGS = ("m2f2", "gf2", "gf4", "gf2xgf2", "gf2dual")
 
 def test_registry_names():
     assert tuple(ring_names()) == ALL_RINGS
-    rings = build_small_rings()
-    assert set(rings) == {"gf2", "gf4", "gf2xgf2", "gf2dual"}
-    for name, ring in rings.items():
+    for name in ring_names():
+        ring = ring_by_name(name)
         assert ring.name == name
+        # built once: every lookup returns the same object
+        assert ring_by_name(name) is ring
+
+
+def test_unknown_ring_lists_every_choice():
+    with pytest.raises(ValueError) as info:
+        ring_by_name("z4")
+    message = str(info.value)
+    assert "'z4'" in message
+    assert all(name in message for name in ALL_RINGS)
 
 
 def test_m2f2_tables_match_fixture():
