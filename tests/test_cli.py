@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from ringline import cli, golden, projline
+from ringline import cli, export, golden, projline
 from ringline import correspondence as co
 
 # every happy-path invocation in one table; all must exit 0
@@ -401,6 +401,18 @@ def test_export_signs_dot_edge_sign_flag(tmp_path):
         assert cli.main(argv) == 0
     # distant graph is 8-regular, neighbor graph 6-regular: different edges
     assert plus.read_bytes() != minus.read_bytes()
+
+
+def test_sign_matrix_dot_is_one_graph_named_relation():
+    rows = ("0-+", "-0+", "++0")
+    labels = ("a", "b", "c")
+    neighbor = export.sign_matrix_dot(rows, labels)
+    assert neighbor == "graph relation {\n  a;\n  b;\n  c;\n  a -- b;\n}\n"
+    distant = export.sign_matrix_dot(rows, labels, "+")
+    assert distant.splitlines()[0] == "graph relation {"
+    assert distant.splitlines()[4:6] == ["  a -- c;", "  b -- c;"]
+    with pytest.raises(ValueError):
+        export.sign_matrix_dot(rows, labels, "0")
 
 
 def test_main_requires_a_command(capsys):

@@ -72,6 +72,13 @@ def test_gq_axioms_match_oracle_on_corrupted_structures(face):
         assert problems and problems == oracle.validate_gq_axioms(bad), bad.lines
 
 
+def test_collinear_is_sharing_a_line(gq):
+    graph = gq.collinearity_graph
+    for p, q in itertools.product(gq.points, repeat=2):
+        shared = p != q and any(q in gq.lines[i] for i in gq.lines_through(p))
+        assert graph.has_edge(p, q) == shared
+
+
 # ---------------------------------------------------------------------------
 # operator kernels
 
