@@ -311,9 +311,14 @@ def gl2_elements(ring: Ring) -> tuple[Mat2, ...]:
     )
 
 
-def distant_triple_witnesses(line: ProjectiveLine) -> tuple[set[tuple], list[tuple]]:
+def distant_triple_witnesses(
+    line: ProjectiveLine,
+) -> tuple[dict[tuple[int, int], int], list[tuple]]:
     """The pairwise-distant triples (i, j, k) of point indices witnessed as
     images of (1,0), (0,1), (1,1), and each (i, j, s) that witnesses none.
+
+    The triples come as one bitmask per distant ordered pair: bit k of
+    ``witnesses[i, j]`` is set when (i, j, k) is witnessed.
 
     For each distant pair (i, j), with canonical pairs x0 and y0, and each
     unit s, the matrix with rows x0 and s.y0 is a witness when its row spans
@@ -331,19 +336,20 @@ def distant_triple_witnesses(line: ProjectiveLine) -> tuple[set[tuple], list[tup
     for c, d in (pt.canonical for pt in line.points):
         rows = [(s, mul[s][c], mul[s][d]) for s in sorted(units(ring))]
         scaled.append([(s, e, f, spans.get((e, f), -1), cls_of[e][f]) for s, e, f in rows])
-    witnesses: set[tuple[int, int, int]] = set()
+    witnesses: dict[tuple[int, int], int] = {}
     failures: list[tuple[int, int, RingElement]] = []
     for i, mask in enumerate(distant):
         a, b = line.points[i].canonical
         top, add_a, add_b = spans.get((a, b), -1), add[a], add[b]
         for j in (j for j in range(n) if mask >> j & 1):
-            both = mask & distant[j]
+            both, found = mask & distant[j], 0
             for s, e, f, span, cls in scaled[j]:
                 k = cls_of[add_a[e]][add_b[f]]
                 if both >> k & 1 and cls == j and not top & span:
-                    witnesses.add((i, j, k))
+                    found |= 1 << k
                 else:
                     failures.append((i, j, s))
+            witnesses[i, j] = found
     return witnesses, failures
 
 

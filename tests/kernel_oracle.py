@@ -133,6 +133,14 @@ def distant_triple_witnesses(line):
     return witnesses, failures
 
 
+def witnessed_triples(masks):
+    """The (i, j, k) triples that per-pair witness bitmasks stand for: bit k
+    of ``masks[i, j]`` stands for (i, j, k)."""
+    return {
+        (i, j, k) for (i, j), mask in masks.items() for k in range(mask.bit_length()) if mask >> k & 1
+    }
+
+
 def _trace_of_product(x, y):
     """Tr(x y) of two scaled projectors, one body at a time: Tr(sigma_p
     sigma_q) is 4 when p == q and 0 otherwise."""

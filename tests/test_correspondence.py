@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from kernel_oracle import witnessed_triples
 from ringline import cli, golden, pauli, projline
 from ringline import correspondence as co
 from ringline.correspondence import (
@@ -34,7 +35,7 @@ from ringline.correspondence import (
     verify_subconfig,
     verify_transitivity,
 )
-from ringline.rings import ring_by_name
+from ringline.rings import ring_by_name, validate_ring
 
 
 def test_geometric_signs_match_fixture():
@@ -127,6 +128,8 @@ def _failed(report):
 def fresh_structure():
     """Rebuild the cached quadrangle while a test runs, and again after it."""
     caches = (
+        co._m2f2_sub,
+        co.geometric_signs,
         co.neighbor_graph,
         co.canonical_gq,
         co.canonical_hyperplanes,
@@ -168,6 +171,78 @@ def test_fixture_flip_fails_verify_all_without_traceback(
     assert cli.main(["verify", "all"]) == 1
     captured = capsys.readouterr()
     assert "result: FAIL" in captured.out
+    assert captured.err == ""
+
+
+def _ring_with_add_cell(name, x, y):
+    """Serve the named ring with addition cell (x, y) moved up by one, and
+    return that ring."""
+
+    def corrupt(monkeypatch):
+        real = co.ring_by_name
+        rows = [list(row) for row in real(name).add_table]
+        rows[x][y] = (rows[x][y] + 1) % len(rows)
+        bad = real(name)._replace(add_table=tuple(map(tuple, rows)))
+        monkeypatch.setattr(co, "ring_by_name", lambda n: bad if n == name else real(n))
+        return bad
+
+    return corrupt
+
+
+def _golden_changed(attr, change):
+    def corrupt(monkeypatch):
+        monkeypatch.setattr(golden, attr, change(getattr(golden, attr)))
+
+    return corrupt
+
+
+def _flip_mul_fixture_cell(table):
+    rows = [list(row) for row in table]
+    rows[2][3] ^= 1
+    return tuple(map(tuple, rows))
+
+
+def _zero_divisors_without_zero(monkeypatch):
+    real = co.zero_divisors
+    monkeypatch.setattr(co, "zero_divisors", lambda ring: real(ring) - {ring.zero})
+
+
+# check of the ring-construction report -> a corruption that must fail it
+RING_CHECK_CORRUPTIONS = {
+    "addition table matches fixture": _ring_with_add_cell("m2f2", 3, 5),
+    "multiplication table matches fixture": _golden_changed(
+        "M2F2_MUL_TABLE", _flip_mul_fixture_cell
+    ),
+    "unit set": _golden_changed("M2F2_UNITS", lambda u: u - {max(u)}),
+    "zero divisor count": _zero_divisors_without_zero,
+    "ring axioms hold for m2f2": _ring_with_add_cell("m2f2", 3, 5),
+    "ring axioms hold for gf2": _ring_with_add_cell("gf2", 1, 1),
+    "ring axioms hold for gf4": _ring_with_add_cell("gf4", 2, 3),
+    "ring axioms hold for gf2xgf2": _ring_with_add_cell("gf2xgf2", 2, 3),
+    "ring axioms hold for gf2dual": _ring_with_add_cell("gf2dual", 2, 3),
+}
+
+
+def test_ring_corruption_table_covers_every_ring_check():
+    assert [c.name for c in verify_ring_tables().checks] == list(RING_CHECK_CORRUPTIONS)
+
+
+@pytest.mark.parametrize("check", RING_CHECK_CORRUPTIONS)
+def test_every_ring_check_fails_through_verify_all(check, monkeypatch, fresh_structure, capsys):
+    """Each corruption, with the structure rebuilt under it, fails its check
+    in the full certificate, an axiom check naming the first problem of the
+    ring; ``verify_all()`` returns and ``ringline verify all`` exits 1
+    without a traceback."""
+    intact = {c.name: c.detail for c in verify_ring_tables().checks}
+    bad = RING_CHECK_CORRUPTIONS[check](monkeypatch)
+    detail = validate_ring(bad)[0] if check.startswith("ring axioms") else intact[check]
+    ring_report = verify_all().subreports[0]
+    assert ring_report.title == "ring construction"
+    assert {c.name: (c.passed, c.detail) for c in ring_report.checks}[check] == (False, detail)
+    assert cli.main(["verify", "all"]) == 1
+    captured = capsys.readouterr()
+    assert "result: FAIL" in captured.out
+    assert f"[FAIL] {check}: {detail}" in captured.out
     assert captured.err == ""
 
 
@@ -437,8 +512,10 @@ def test_corrupted_relation_fails_the_witness_check(sign, monkeypatch):
     report = verify_transitivity()
     assert WITNESS_CHECK in _failed(report)
     assert "; no witness for points " in _details(report)[WITNESS_CHECK]
-    witnesses, _ = projline.distant_triple_witnesses(bad)
-    for triple in witnesses:
+    masks, _ = projline.distant_triple_witnesses(bad)
+    witnessed = witnessed_triples(masks)
+    assert witnessed
+    for triple in witnessed:
         assert all(bad.relation[p][q] == "+" for p, q in itertools.permutations(triple, 2))
 
 

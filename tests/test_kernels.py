@@ -10,7 +10,7 @@ import pytest
 
 import kernel_oracle as oracle
 from ringline import correspondence as co
-from ringline import pauli, quadrangle
+from ringline import pauli, quadrangle, rings
 from ringline.pauli import PauliOp, line_product_sign
 from ringline.projline import distant_triple_witnesses, enumerate_line
 from ringline.quadrangle import (
@@ -163,10 +163,15 @@ def test_graph_isomorphism_finds_the_oracle_mapping(gq, hyperplanes):
 # line and ring kernels
 
 
+def _witnesses_as_triples(line):
+    masks, failures = distant_triple_witnesses(line)
+    return oracle.witnessed_triples(masks), failures
+
+
 @pytest.mark.parametrize("name", ring_names())
 def test_distant_triple_witnesses_match_oracle(name):
     line = enumerate_line(ring_by_name(name))
-    assert distant_triple_witnesses(line) == oracle.distant_triple_witnesses(line)
+    assert _witnesses_as_triples(line) == oracle.distant_triple_witnesses(line)
 
 
 def test_distant_triple_witnesses_match_oracle_on_flipped_cells(m2f2_line):
@@ -174,23 +179,67 @@ def test_distant_triple_witnesses_match_oracle_on_flipped_cells(m2f2_line):
         rows = [list(row) for row in m2f2_line.relation]
         rows[i][j] = rows[j][i] = "+" if rows[i][j] == "-" else "-"
         bad = m2f2_line._replace(relation=tuple("".join(row) for row in rows))
-        got = distant_triple_witnesses(bad)
+        got = _witnesses_as_triples(bad)
         assert got[1] and got == oracle.distant_triple_witnesses(bad)
+
+
+def _laws(ring):
+    return [p for p in validate_ring(ring) if "(x,y,z)" in p]
 
 
 @pytest.mark.parametrize("table", ["add_table", "mul_table"])
 def test_ring_laws_match_oracle_on_corrupted_tables(table):
-    """One wrong cell per row: the associativity and distributivity
-    problems come out as the cell-by-cell scan lists them."""
+    """One wrong cell per row of m2f2, and every wrong value of every cell
+    of the four small rings: the associativity and distributivity problems
+    come out as the cell-by-cell scan lists them, and the row-wise check
+    says the laws hold exactly when the scan finds none."""
     ring = ring_by_name("m2f2")
-    assert [p for p in validate_ring(ring) if "(x,y,z)" in p] == oracle.ring_law_problems(ring) == []
+    assert _laws(ring) == oracle.ring_law_problems(ring) == []
     for x in range(ring.order):
         rows = [list(row) for row in getattr(ring, table)]
         y = (5 * x + 3) % ring.order
         rows[x][y] = (rows[x][y] + 1) % ring.order
         bad = ring._replace(**{table: tuple(map(tuple, rows))})
-        laws = [p for p in validate_ring(bad) if "(x,y,z)" in p]
+        laws = _laws(bad)
         assert laws and laws == oracle.ring_law_problems(bad)
+    cases = broken = 0
+    for name in ("gf2", "gf4", "gf2xgf2", "gf2dual"):
+        small = ring_by_name(name)
+        n = small.order
+        for x, y in itertools.product(range(n), repeat=2):
+            for value in range(n):
+                rows = [list(row) for row in getattr(small, table)]
+                if rows[x][y] == value:
+                    continue
+                rows[x][y] = value
+                bad = small._replace(**{table: tuple(map(tuple, rows))})
+                expected = oracle.ring_law_problems(bad)
+                assert _laws(bad) == expected, (name, x, y, value)
+                assert rings._cubic_laws_hold(bad.add_table, bad.mul_table, n) == (not expected)
+                cases += 1
+                broken += bool(expected)
+    # gf2 has 4 cells with one wrong value each, the others 16 cells with 3
+    assert cases == 4 + 3 * 48
+    assert broken == cases - 1
+
+
+# (add, mul) tables on {0, 1} on each of which exactly one law fails
+ONE_LAW_BROKEN = {
+    "addition is not associative": (((0, 0), (1, 0)), ((0, 0), (0, 0))),
+    "multiplication is not associative": (((0, 0), (1, 1)), ((0, 0), (1, 0))),
+    "left distributivity fails": (((0, 0), (0, 0)), ((0, 0), (1, 1))),
+    "right distributivity fails": (((0, 0), (0, 0)), ((0, 1), (0, 1))),
+}
+
+
+@pytest.mark.parametrize("law", ONE_LAW_BROKEN)
+def test_row_wise_laws_catch_each_law_alone(law):
+    add, mul = ONE_LAW_BROKEN[law]
+    bad = ring_by_name("gf2")._replace(add_table=add, mul_table=mul)
+    problems = oracle.ring_law_problems(bad)
+    assert problems and all(p.startswith(law) for p in problems)
+    assert not rings._cubic_laws_hold(add, mul, 2)
+    assert _laws(bad) == problems
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +249,7 @@ VERDICTS = {
     "quadrangle": ("graph_isomorphism", "validate_gq_axioms"),
     "pauli": ("mub_spread_check", "mermin_square_check"),
     "projline": ("distant_triple_witnesses",),
-    "rings": ("validate_ring",),
+    "rings": ("validate_ring", "_cubic_laws_hold"),
 }
 
 
