@@ -37,6 +37,7 @@ from .projline import (
     ProjectiveLine,
     distant_triple_witnesses,
     enumerate_line,
+    induced_neighbor_masks,
     induced_signs,
     is_admissible,
     signs_graph,
@@ -55,6 +56,7 @@ from .quadrangle import (
     enumerate_spreads,
     graph_isomorphism,
     is_strongly_regular,
+    mask_isomorphism,
     petersen_graph,
     structure_isomorphism,
     triangles,
@@ -588,9 +590,9 @@ def verify_split_9_6() -> Report:
     checks = []
     data: dict = {}
 
-    nine = induced_signs(line, fam_neighbor)
+    nine = induced_neighbor_masks(line, fam_neighbor)
     grid_line = enumerate_line(ring_by_name("gf2xgf2"))
-    iso = graph_isomorphism(signs_graph(nine), grid_line.relation_graph)
+    iso = mask_isomorphism(nine, grid_line.neighbor_masks)
     checks.append(
         CheckResult(
             "nine common neighbors model the line over gf2xgf2",
@@ -602,9 +604,7 @@ def verify_split_9_6() -> Report:
         data["grid_bijection"] = [
             [i + 7, grid_line.points[iso[i]].canonical] for i in sorted(iso)
         ]
-    balance = all(
-        row.count(NEIGHBOR) == 5 and row.count(DISTANT) == 4 for row in nine
-    )
+    balance = all(mask.bit_count() == 4 for mask in nine)
     checks.append(
         CheckResult(
             "each of the nine has 4 neighbor and 4 distant partners inside",
@@ -627,8 +627,8 @@ def verify_split_9_6() -> Report:
             continue
         good = True
         for triple in (first, second):
-            five = induced_signs(line, list(triple) + [u, v])
-            if graph_isomorphism(signs_graph(five), gf4_line.relation_graph) is None:
+            five = induced_neighbor_masks(line, list(triple) + [u, v])
+            if mask_isomorphism(five, gf4_line.neighbor_masks) is None:
                 good = False
         if good:
             labels = (
@@ -698,8 +698,8 @@ def verify_split_10_5() -> Report:
         noncommuting = all(
             not commutes(a, b) for a, b in itertools.combinations(five_ops, 2)
         )
-        five = induced_signs(line, [pts[i - 1] for i in labels])
-        subline = graph_isomorphism(signs_graph(five), gf4_line.relation_graph) is not None
+        five = induced_neighbor_masks(line, [pts[i - 1] for i in labels])
+        subline = mask_isomorphism(five, gf4_line.neighbor_masks) is not None
         petersen = petersen_witness(h.points) is not None
         checks.append(
             CheckResult(
@@ -735,12 +735,12 @@ def perp_subline_check(x: int) -> Report:
             " ".join(_cset(p) for p in pairs),
         )
     )
-    six = induced_signs(line, [pts[i - 1] for i in nbrs])
+    six = induced_neighbor_masks(line, [pts[i - 1] for i in nbrs])
     dual_line = enumerate_line(ring_by_name("gf2dual"))
     checks.append(
         CheckResult(
             "models the line over gf2dual",
-            graph_isomorphism(signs_graph(six), dual_line.relation_graph) is not None,
+            mask_isomorphism(six, dual_line.neighbor_masks) is not None,
         )
     )
     hp = [

@@ -15,7 +15,6 @@ projectors are kept scaled by 4 with integer coefficients.
 from __future__ import annotations
 
 import itertools
-import operator
 from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Sequence
 
@@ -231,29 +230,31 @@ def mermin_square_check(grid: Sequence[Sequence[PauliOp]]) -> MerminResult:
     return MerminResult(tuple(signs[:3]), tuple(signs[3:]))
 
 
-# A linear combination of Pauli bodies with integer coefficients:
-# {body code (0 = identity): coefficient}.  Projectors are kept scaled by 4,
-# so every coefficient is an integer and every trace of a product scales
-# by 16.
+# A projector is kept scaled by 4 as a combination of four Pauli bodies,
+# each with coefficient +1 or -1, so it is two 16-bit masks over body codes
+# (0 = identity): the bodies present and those with coefficient -1.  Every
+# trace of a product then scales by 16 and is an integer.
 
 
-def _scaled_projector(a: PauliOp, sa: int, b: PauliOp, sb: int) -> dict[int, int]:
+def _scaled_projector(a: PauliOp, sa: int, b: PauliOp, sb: int) -> tuple[int, int]:
     # 4 times the joint eigenprojector of distinct commuting A, B onto the
     # eigenvalues (sa, sb): (1 + sa A)(1 + sb B) = 1 + sa A + sb B + sa sb AB.
     # AB = i**k C with k even, because commuting A and B make AB Hermitian,
     # so i**k is (-1)**(k // 2) and every coefficient is real.
     k, c = _mul_codes(a.code, b.code)
-    return {0: 1, a.code: sa, b.code: sb, c: sa * sb * (-1) ** (k // 2)}
+    support = 1 | 1 << a.code | 1 << b.code | 1 << c
+    negative = (sa < 0) << a.code | (sb < 0) << b.code | (sa * sb * (-1) ** (k // 2) < 0) << c
+    return support, negative
 
 
-def _trace_matrix(xs: list[dict[int, int]], ys: list[dict[int, int]]) -> list[list[int]]:
+def _trace_matrix(xs: list[tuple[int, int]], ys: list[tuple[int, int]]) -> list[list[int]]:
     # Tr(x y) for each projector x of one basis and y of another.  All of a
-    # basis's projectors carry the same bodies, and Tr(sigma_p sigma_q) is 4
-    # when p == q (bodies square to 1) and 0 otherwise: shared bodies count.
-    shared = [p for p in xs[0] if p in ys[0]]
-    us = [[x[p] for p in shared] for x in xs]
-    vs = [[y[p] for p in shared] for y in ys]
-    return [[4 * sum(map(operator.mul, u, v)) for v in vs] for u in us]
+    # basis's projectors carry the same bodies S, and Tr(sigma_p sigma_q) is
+    # 4 when p == q (bodies square to 1) and 0 otherwise: each shared body
+    # adds 4 times the product of its two signs, -4 where they differ.
+    shared = xs[0][0] & ys[0][0]
+    size = shared.bit_count()
+    return [[4 * (size - 2 * ((nx ^ ny) & shared).bit_count()) for _, ny in ys] for _, nx in xs]
 
 
 def mub_spread_check(spread: Sequence[Sequence[PauliOp]]) -> bool:
@@ -264,7 +265,9 @@ def mub_spread_check(spread: Sequence[Sequence[PauliOp]]) -> bool:
     identity, together partitioning all fifteen operators.  The joint
     eigenbases then must satisfy, via exact projector traces,
     Tr(P P') = 1 or 0 within a basis and Tr(P Q) = 1/4 across bases
-    (checked on the projectors scaled by 4, as 16, 0 and 4).
+    (checked on the projectors scaled by 4, as 16, 0 and 4).  Each scaled
+    projector is a pair of body masks (present, coefficient -1), so a trace
+    is 4 (|S| - 2 |(n_x ^ n_y) & S|) over the shared bodies S.
     Returns True iff every trace comes out as required.
     """
     triples = [tuple(t) for t in spread]

@@ -41,6 +41,7 @@ __all__ = [
     "enumerate_line",
     "simultaneous_subconfig",
     "induced_signs",
+    "induced_neighbor_masks",
     "signs_graph",
     "apply_to_pair",
     "mat_mul",
@@ -149,9 +150,13 @@ class ProjectiveLine(_LineFields):
         )
 
     @cached_property
-    def relation_graph(self) -> Graph:
-        """The neighbor graph of ``relation`` on vertices 0..n-1."""
-        return signs_graph(self.relation)
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Bit j of entry i is set when points i != j are neighbors: the
+        adjacency masks of the neighbor graph on 0..n-1."""
+        return tuple(
+            sum(1 << j for j, sign in enumerate(row) if sign == NEIGHBOR and j != i)
+            for i, row in enumerate(self.relation)
+        )
 
     @cached_property
     def _index_by_pair(self) -> dict[Pair, int]:
@@ -245,6 +250,14 @@ def induced_signs(line: ProjectiveLine, pts: Iterable[PointClass | Pair]) -> tup
     """The relation matrix restricted to ``pts``, in the given order."""
     idx = [line.index_of(_as_class(line, p).canonical) for p in pts]
     return tuple("".join(line.relation[i][j] for j in idx) for i in idx)
+
+
+def induced_neighbor_masks(line: ProjectiveLine, pts: Iterable[PointClass | Pair]) -> list[int]:
+    """``line.neighbor_masks`` restricted to the distinct points ``pts``:
+    bit b of entry a is set when ``pts[a]`` and ``pts[b]`` are neighbors."""
+    idx = [line.index_of(_as_class(line, p).canonical) for p in pts]
+    masks = line.neighbor_masks
+    return [sum(1 << b for b, j in enumerate(idx) if masks[i] >> j & 1) for i in idx]
 
 
 def signs_graph(rows: Sequence[str], first: int = 0) -> Graph:

@@ -4,8 +4,9 @@ The structure is recovered from a collinearity graph whose edges each lie on
 exactly one triangle (the triangles are the lines), then validated against
 the quadrangle axioms.  Also here: geometric hyperplanes (ovoids, perp sets,
 grids) from a GF(2) kernel, spreads by exact cover, duality, the Petersen
-graph, and a small backtracking graph-isomorphism search (no external
-canonical-labeling dependency; instances never exceed 16 vertices).
+graph, and a small backtracking graph-isomorphism search on adjacency
+bitmasks (no external canonical-labeling dependency; instances never exceed
+16 vertices).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "petersen_graph",
     "is_petersen",
     "graph_isomorphism",
+    "mask_isomorphism",
     "structure_isomorphism",
     "dual",
 ]
@@ -334,49 +336,65 @@ def is_petersen(g: Graph) -> bool:
 
 
 def graph_isomorphism(g: Graph, h: Graph) -> dict | None:
-    """A vertex bijection preserving adjacency both ways, or None.
+    """A vertex bijection preserving adjacency both ways, or None:
+    ``mask_isomorphism`` on the adjacency masks of each graph in its vertex
+    order, mapped back to vertices."""
+    gpos, hpos = ({v: i for i, v in enumerate(x.vertices)} for x in (g, h))
+    iso = mask_isomorphism(
+        [sum(1 << gpos[u] for u in g.adjacency[v]) for v in g.vertices],
+        [sum(1 << hpos[u] for u in h.adjacency[v]) for v in h.vertices],
+    )
+    return None if iso is None else {g.vertices[i]: h.vertices[w] for i, w in iso.items()}
 
-    Permutation backtracking: vertices of ``g`` are ordered greedily to stay
-    connected to the already-mapped part; candidates must match degree and
-    the full adjacency pattern against everything mapped so far.
+
+def mask_isomorphism(gadj: Sequence[int], hadj: Sequence[int]) -> dict[int, int] | None:
+    """An isomorphism {i: w} between two graphs on 0..n-1, in search order,
+    or None; bit j of ``gadj[i]`` (and of ``hadj[i]``) marks an edge i-j.
+
+    Permutation backtracking: the vertices of ``g`` are ordered greedily to
+    stay connected to the mapped part (most mapped neighbours, then highest
+    degree, ties in the previous order), and each is tried on the unused
+    vertices of ``h`` of its degree in index order, accepted when adjacent
+    to exactly the images of its mapped neighbours.
     """
-    gadj, hadj = g.adjacency, h.adjacency
-    if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
-        return None
-    if sorted(g.degree(v) for v in g.vertices) != sorted(h.degree(v) for v in h.vertices):
+    n = len(gadj)
+    gdeg = [m.bit_count() for m in gadj]
+    hdeg = [m.bit_count() for m in hadj]
+    if n != len(hadj) or sorted(gdeg) != sorted(hdeg):
         return None
 
-    remaining = list(g.vertices)
-    order: list = []
-    placed: set = set()
+    remaining = list(range(n))
+    order: list[int] = []
+    placed = 0
     while remaining:
-        remaining.sort(key=lambda v: (-len(gadj[v] & placed), -len(gadj[v])))
+        remaining.sort(key=lambda v: (-(gadj[v] & placed).bit_count(), -gdeg[v]))
         v = remaining.pop(0)
         order.append(v)
-        placed.add(v)
+        placed |= 1 << v
 
     # Depth first on a stack, not a recursive closure, so that the search
     # leaves no reference cycle.  Each open depth keeps its vertex, the
-    # images of its mapped neighbours and its untried candidates.
-    mapping: dict = {}
-    used: set = set()
+    # images of its mapped neighbours as a mask and its untried candidates.
+    mapping: dict[int, int] = {}
+    used = 0
     stack: list = []
-    while len(mapping) < len(order):
+    while len(mapping) < n:
         if len(stack) == len(mapping):
             v = order[len(stack)]
-            stack.append((v, {mapping[u] for u in gadj[v] if u in mapping}, iter(h.vertices)))
+            image = sum(1 << w for u, w in mapping.items() if gadj[v] >> u & 1)
+            stack.append((v, image, iter([w for w in range(n) if hdeg[w] == gdeg[v]])))
         v, image, candidates = stack[-1]
         for w in candidates:
-            if w not in used and len(hadj[w]) == len(gadj[v]) and hadj[w] & used == image:
+            if hadj[w] & used == image and not used >> w & 1:
                 mapping[v] = w
-                used.add(w)
+                used |= 1 << w
                 break
         else:
             stack.pop()
             if not stack:
                 return None
-            used.discard(mapping.pop(stack[-1][0]))
-    return dict(mapping)
+            used ^= 1 << mapping.pop(stack[-1][0])
+    return mapping
 
 
 def structure_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure) -> dict | None:

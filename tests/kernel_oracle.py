@@ -1,14 +1,17 @@
 """Reference forms of the verifier kernels, kept as test oracles.
 
-The package runs these checks on cached adjacency sets, perps, bitmasks and
-4-bit operator codes.  The forms here are the direct ones they replaced:
-pairwise edge tests, line scans, bit tuples and ``product_of``.  Each must
+The package runs these checks on cached adjacency sets, perps, bitmasks,
+4-bit operator codes and packed matrix codes.  The forms here are the direct
+ones they replaced: pairwise edge tests, line scans, bit tuples, projectors
+as dicts, matrix products pair by pair and ``product_of``.  Each must
 give exactly what its package counterpart gives: the same verdicts, the
 same problem strings in the same order, the same error messages.
 """
 
+import functools
 import itertools
 
+from ringline import gf2
 from ringline.pauli import product_of
 from ringline.projline import DISTANT, _row_spans
 from ringline.rings import units
@@ -141,6 +144,21 @@ def witnessed_triples(masks):
     }
 
 
+def scaled_projector(a, sa, b, sb):
+    """4 times the joint eigenprojector of commuting A, B onto (sa, sb), as
+    {body code (0 = identity): coefficient}, the product written out."""
+    prod = product_of((a, b))
+    sign = {0: 1, 2: -1}[prod.phase_k]
+    return {0: 1, a.code: sa, b.code: sb, prod.body.code: sa * sb * sign}
+
+
+def expand_projector(masks):
+    """{body code: coefficient} of a scaled projector given as the masks of
+    its bodies and of its bodies with coefficient -1."""
+    support, negative = masks
+    return {p: -1 if negative >> p & 1 else 1 for p in range(16) if support >> p & 1}
+
+
 def _trace_of_product(x, y):
     """Tr(x y) of two scaled projectors, one body at a time: Tr(sigma_p
     sigma_q) is 4 when p == q and 0 otherwise."""
@@ -164,3 +182,27 @@ def ring_law_problems(ring):
                 if mul[add[x][y]][z] != add[mul[x][z]][mul[y][z]]:
                     problems.append(f"right distributivity fails at (x,y,z)=({x},{y},{z})")
     return problems
+
+
+def rep_pair_problems(ring):
+    """Whether rep respects + and x, one pair at a time against the matrix
+    sums and products, in the order ``validate_ring`` words them."""
+    sums, products = _rep_images(ring.rep)
+    problems = []
+    for x in range(ring.order):
+        for y in range(ring.order):
+            if ring.rep[ring.add_table[x][y]] != sums[x][y]:
+                problems.append(f"rep breaks addition at (x,y)=({x},{y})")
+            if ring.rep[ring.mul_table[x][y]] != products[x][y]:
+                problems.append(f"rep breaks multiplication at (x,y)=({x},{y})")
+    return problems
+
+
+@functools.lru_cache(maxsize=None)
+def _rep_images(rep):
+    # the sums and products of the representation matrices do not depend on
+    # the tables, so one computation serves every corrupted table
+    return (
+        [[gf2.add(a, b) for b in rep] for a in rep],
+        [[gf2.multiply(a, b) for b in rep] for a in rep],
+    )

@@ -314,17 +314,19 @@ def test_relation_isomorphism_exists():
 
 
 def test_relation_isomorphism_searches_the_line_graph():
-    """Against a line, the search runs on the line's cached graph and finds
-    the mapping the search against its relation rows finds."""
+    """Against a line, the search runs on masks induced from the line's
+    cached neighbor masks, which are the graphs of the relation rows, and
+    finds the mapping the search on those graphs finds."""
     line, _, _, pts = co._m2f2_sub()
-    nine = projline.induced_signs(line, pts[6:])
+    nine = projline.induced_neighbor_masks(line, pts[6:])
+    signs = projline.signs_graph(projline.induced_signs(line, pts[6:]))
+    assert nine == [sum(1 << j for j in signs.neighbors(i)) for i in range(9)]
     grid_line = projline.enumerate_line(ring_by_name("gf2xgf2"))
-    mapping = co.graph_isomorphism(projline.signs_graph(nine), grid_line.relation_graph)
+    mapping = co.mask_isomorphism(nine, grid_line.neighbor_masks)
     assert mapping is not None
-    assert mapping == co.graph_isomorphism(
-        projline.signs_graph(nine), projline.signs_graph(grid_line.relation)
-    )
-    assert co.graph_isomorphism(projline.signs_graph(nine[:5]), grid_line.relation_graph) is None
+    assert mapping == co.graph_isomorphism(signs, projline.signs_graph(grid_line.relation))
+    five = projline.induced_neighbor_masks(line, pts[6:11])
+    assert co.mask_isomorphism(five, grid_line.neighbor_masks) is None
 
 
 def test_triple_split_regression():

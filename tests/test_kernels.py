@@ -147,6 +147,63 @@ def test_graph_isomorphism_matches_oracle_after_a_switch():
         assert any(graph_isomorphism(g, h) is None for h in switched)
 
 
+def test_graph_isomorphism_matches_oracle_on_uneven_degrees():
+    """The graphs the verifier searches are regular.  On a path the search
+    order also ranks by degree: every relabelling of it, and each of those
+    with one edge toggled, gives the oracle's mapping or none."""
+    path = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    g = Graph.from_edges(range(5), path)
+    for perm in itertools.permutations(range(5)):
+        h = Graph.from_edges(range(5), [(perm[u], perm[v]) for u, v in path])
+        assert graph_isomorphism(g, h) == oracle.graph_isomorphism(g, h) is not None
+        for e in itertools.combinations(range(5), 2):
+            toggled = _toggled(h, e)
+            assert graph_isomorphism(g, toggled) == oracle.graph_isomorphism(g, toggled)
+
+
+def _graph_of(masks):
+    n = len(masks)
+    return Graph.from_edges(
+        range(n), [(i, j) for i, j in itertools.combinations(range(n), 2) if masks[i] >> j & 1]
+    )
+
+
+def _warm_searches(monkeypatch):
+    """The (gadj, hadj) of every mask search a warm ``verify_all()`` makes,
+    wherever ``mask_isomorphism`` is bound."""
+    co.verify_all()
+    real, searches = quadrangle.mask_isomorphism, []
+
+    def recorded(gadj, hadj):
+        searches.append((list(gadj), list(hadj)))
+        return real(gadj, hadj)
+
+    for module in (quadrangle, co):
+        monkeypatch.setattr(module, "mask_isomorphism", recorded)
+    assert co.verify_all().passed
+    return searches
+
+
+def test_mask_isomorphism_matches_oracle_on_every_warm_search(monkeypatch):
+    """The 15 perp sixes, the 6 ovoid fives, the 2 gf4 triple fives, the nine
+    and the self-duality search: each finds the mapping the set-based
+    oracle finds on the Graph form, and so does every target with one edge
+    toggled."""
+    searches = _warm_searches(monkeypatch)
+    assert Counter(len(g) for g, _ in searches) == {6: 15, 5: 6 + 2, 9: 1, 15: 1}
+    monkeypatch.undo()
+    for gadj, hadj in searches:
+        g = _graph_of(gadj)
+        iso = quadrangle.mask_isomorphism(gadj, hadj)
+        assert iso is not None and iso == oracle.graph_isomorphism(g, _graph_of(hadj))
+        for u, v in itertools.combinations(range(len(hadj)), 2):
+            toggled = list(hadj)
+            toggled[u] ^= 1 << v
+            toggled[v] ^= 1 << u
+            got = quadrangle.mask_isomorphism(gadj, toggled)
+            assert got == oracle.graph_isomorphism(g, _graph_of(toggled)), (u, v)
+
+
 def test_graph_isomorphism_finds_the_oracle_mapping(gq, hyperplanes):
     pairs = [(gq.collinearity_graph, dual(gq).collinearity_graph)]
     pairs += [
@@ -223,6 +280,31 @@ def test_ring_laws_match_oracle_on_corrupted_tables(table):
     assert broken == cases - 1
 
 
+@pytest.mark.parametrize("table", ["add_table", "mul_table"])
+def test_rep_scan_matches_oracle_on_corrupted_tables(table):
+    """Every wrong value of every cell of all five rings: the representation
+    problems come out as the pair-by-pair scan lists them, and the row-wise
+    check clears exactly the rows where the scan finds none."""
+    cases = 0
+    for name in ring_names():
+        ring = ring_by_name(name)
+        n = ring.order
+        assert rings._rep_rows_to_scan(ring) == [] == oracle.rep_pair_problems(ring)
+        for x, y in itertools.product(range(n), repeat=2):
+            for value in range(n):
+                rows = [list(row) for row in getattr(ring, table)]
+                if rows[x][y] == value:
+                    continue
+                rows[x][y] = value
+                bad = ring._replace(**{table: tuple(map(tuple, rows))})
+                expected = oracle.rep_pair_problems(bad)
+                assert expected and rings._rep_pair_problems(bad) == expected, (name, x, y, value)
+                assert rings._rep_rows_to_scan(bad) == [x]
+                cases += 1
+    # 16 x 16 cells of m2f2 with 15 wrong values, gf2 4 x 1, the others 16 x 3
+    assert cases == 256 * 15 + 4 + 3 * 48
+
+
 # (add, mul) tables on {0, 1} on each of which exactly one law fails
 ONE_LAW_BROKEN = {
     "addition is not associative": (((0, 0), (1, 0)), ((0, 0), (0, 0))),
@@ -246,10 +328,10 @@ def test_row_wise_laws_catch_each_law_alone(law):
 # nothing is cached between runs except derived structure
 
 VERDICTS = {
-    "quadrangle": ("graph_isomorphism", "validate_gq_axioms"),
+    "quadrangle": ("graph_isomorphism", "mask_isomorphism", "validate_gq_axioms"),
     "pauli": ("mub_spread_check", "mermin_square_check"),
     "projline": ("distant_triple_witnesses",),
-    "rings": ("validate_ring", "_cubic_laws_hold"),
+    "rings": ("validate_ring", "_cubic_laws_hold", "_rep_rows_to_scan"),
 }
 
 

@@ -25,7 +25,7 @@ from ringline.pauli import (
 )
 
 import pauli_oracle as oracle
-from kernel_oracle import _trace_of_product
+from kernel_oracle import _trace_of_product, expand_projector, scaled_projector
 
 ALL_OPS = [PauliOp(c) for c in range(1, 16)]
 
@@ -202,6 +202,32 @@ def test_mub_fails_when_one_trace_is_wrong(target, wrong, monkeypatch):
     assert hit
 
 
+@pytest.mark.parametrize("body", range(4))
+def test_mub_fails_when_one_projector_sign_is_flipped(body, monkeypatch):
+    """Any one of the 20 projectors of a passing spread, with the sign of
+    one of its four bodies flipped in the negative mask alone, fails the
+    spread: that projector is no longer orthogonal to the rest of its
+    basis."""
+    from ringline import pauli
+
+    spread = [_ops_for(t) for t in ((1, 2, 7), (3, 5, 8), (4, 6, 9), (10, 11, 12), (13, 14, 15))]
+    assert mub_spread_check(spread)
+    real = pauli._scaled_projector
+    for target in range(20):
+        calls = []
+
+        def flipped(a, sa, b, sb):
+            support, negative = real(a, sa, b, sb)
+            if len(calls) == target:
+                negative ^= 1 << [p for p in range(16) if support >> p & 1][body]
+            calls.append(a)
+            return support, negative
+
+        monkeypatch.setattr(pauli, "_scaled_projector", flipped)
+        assert not mub_spread_check(spread)
+        assert len(calls) == 20
+
+
 def _commuting_lines():
     """The 15 commuting lines as sorted code triples, in ascending order."""
     return sorted({
@@ -214,7 +240,7 @@ def _commuting_lines():
 
 def _line_bases():
     """Each commuting line with the four scaled projectors of its two
-    smallest operators, as the MUB check builds them."""
+    smallest operators, as the MUB check builds them (as masks)."""
     return [
         (line, [
             _scaled_projector(PauliOp(line[0]), sa, PauliOp(line[1]), sb)
@@ -228,13 +254,20 @@ def _line_bases():
 def test_trace_matrix_matches_oracle_on_every_pair_of_line_bases():
     """Every ordered pair of the 15 line bases, a line with itself and lines
     sharing an operator included: each matrix entry is the trace the
-    one-body-at-a-time oracle gives."""
+    one-body-at-a-time oracle gives on the expanded projectors, and each
+    projector expands to the one the product written out gives."""
     bases = _line_bases()
     assert len(bases) == 15
+    for line, xs in bases:
+        a, b = PauliOp(line[0]), PauliOp(line[1])
+        expected = [scaled_projector(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1)]
+        assert [expand_projector(x) for x in xs] == expected
     seen = set()
     for (line1, xs), (line2, ys) in itertools.product(bases, repeat=2):
         matrix = _trace_matrix(xs, ys)
-        assert matrix == [[_trace_of_product(x, y) for y in ys] for x in xs]
+        assert matrix == [
+            [_trace_of_product(expand_projector(x), expand_projector(y)) for y in ys] for x in xs
+        ]
         seen.add((len(set(line1) & set(line2)), frozenset(itertools.chain(*matrix))))
     # disjoint lines: all 4; sharing one operator: 0 and 8; equal: 16 and 0
     assert seen == {
@@ -299,7 +332,7 @@ def test_scaled_projector_traces_match_matrix_oracle():
         a, b = PauliOp(line[0]), PauliOp(line[1])
         for sa in (1, -1):
             for sb in (1, -1):
-                combo = _scaled_projector(a, sa, b, sb)
+                combo = expand_projector(_scaled_projector(a, sa, b, sb))
                 ca = (Fraction(sa), Fraction(0))
                 cb = (Fraction(sb), Fraction(0))
                 pa = oracle.mat_add(ident, oracle.scale(ca, oracle.mat_for(a)))

@@ -293,16 +293,22 @@ def test_line_json_shape(m2f2_line):
 
 @pytest.mark.parametrize("name", ring_names())
 def test_relation_graph_is_built_once_from_the_relation(name):
-    """The line keeps one neighbor graph: the same object on every read,
-    equal to the graph built afresh from ``relation``."""
+    """The line keeps one neighbor graph, as adjacency masks: the same
+    object on every read, equal to the graph built afresh from
+    ``relation``, with bit j of entry i set exactly when points i != j are
+    neighbors."""
     line = enumerate_line(ring_by_name(name))
-    g = line.relation_graph
-    assert line.relation_graph is g
-    assert g == signs_graph(line.relation)
+    masks = line.neighbor_masks
+    assert line.neighbor_masks is masks
     n = len(line.points)
+    g = signs_graph(line.relation)
     assert g.vertices == tuple(range(n))
-    assert g.edges == {
-        frozenset((i, j))
-        for i, j in itertools.combinations(range(n), 2)
-        if line.relation[i][j] == NEIGHBOR
+    assert masks == tuple(sum(1 << j for j in g.neighbors(i)) for i in range(n))
+    assert {
+        (i, j) for i in range(n) for j in range(n) if masks[i] >> j & 1
+    } == {
+        (i, j)
+        for i, j in itertools.product(range(n), repeat=2)
+        if line.relation[i][j] == NEIGHBOR and i != j
     }
+    assert all(mask >> n == 0 for mask in masks)
