@@ -363,14 +363,18 @@ def mask_isomorphism(gadj: Sequence[int], hadj: Sequence[int]) -> dict[int, int]
     if n != len(hadj) or sorted(gdeg) != sorted(hdeg):
         return None
 
+    # rank[v] = -(mapped neighbours * (n + 1) + degree) orders as the pair
+    # does, a degree being below n + 1; placing v updates its neighbours
+    rank = [-d for d in gdeg]
     remaining = list(range(n))
     order: list[int] = []
-    placed = 0
     while remaining:
-        remaining.sort(key=lambda v: (-(gadj[v] & placed).bit_count(), -gdeg[v]))
+        remaining.sort(key=rank.__getitem__)
         v = remaining.pop(0)
         order.append(v)
-        placed |= 1 << v
+        for u in remaining:
+            if gadj[v] >> u & 1:
+                rank[u] -= n + 1
 
     # Depth first on a stack, not a recursive closure, so that the search
     # leaves no reference cycle.  Each open depth keeps its vertex, the

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -417,3 +419,101 @@ def test_sign_matrix_dot_is_one_graph_named_relation():
 
 def test_main_requires_a_command(capsys):
     assert cli.main([]) == 2
+
+
+# main parses with a parser built for the one command argv names and falls
+# back to the full parser on help or a usage error; what it prints must be
+# the full parser's, byte for byte
+
+# a well-formed argv for each command, given its words
+WELL_FORMED_TAIL = {
+    "ring": ["gf4", "--format", "json"],
+    "line": ["--ring", "gf4", "--format", "csv"],
+    "verify": ["all", "--no-header"],
+    "export": ["--what", "line", "--format", "dot", "--out", "x.dot", "--edge-sign", "+"],
+}
+
+
+def command_words(key) -> list[str]:
+    return [word for word in key if word is not None]
+
+
+def full_parse(argv, capsys):
+    """Exit code and printed texts of the full parser on ARGV."""
+    with pytest.raises(SystemExit) as stop:
+        cli.build_parser().parse_args(argv)
+    return stop.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("key", list(cli.COMMANDS), ids=lambda k: " ".join(command_words(k)))
+def test_narrow_parser_agrees_with_full_parser(key, capsys):
+    argv = command_words(key) + WELL_FORMED_TAIL.get(key[0], [])
+    narrow = cli.build_parser([key]).parse_args(argv)
+    assert vars(narrow) == vars(cli.build_parser().parse_args(argv))
+    help_argv = command_words(key) + ["-h"]
+    code, printed = full_parse(help_argv, capsys)
+    assert cli.main(help_argv) == code == 0
+    assert capsys.readouterr() == printed
+    assert printed.out.startswith(f"usage: ringline {' '.join(command_words(key))} ")
+
+
+MALFORMED = [
+    ["ring", "show", "m2f2", "--bogus"],  # unknown option
+    ["verify", "all", "--no-header", "-x"],
+    ["line", "relations", "--edge-sign", "x"],  # bad choice
+    ["verify", "nosuch"],
+    ["export", "--what", "nosuch", "--format", "json", "--out", "x"],
+    ["gq", "petersen", "--ovoid", "x"],  # bad type
+    ["ring", "show"],  # missing positional
+    ["verify"],
+    ["export"],  # missing required export options
+    ["export", "--what", "gq", "--format", "json"],
+    ["ring", "show", "m2f2", "gf4"],  # extra arguments
+    ["verify", "all", "extra"],
+    ["pauli", "mub", "--spread", "1", "2"],
+    ["ring"],  # names no command
+    ["ring", "nosuch"],
+    ["nosuch"],
+    ["--bogus", "ring", "show", "m2f2"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_usage_error_is_the_full_parsers(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, printed = full_parse(argv, capsys)
+    assert cli.main(argv) == code == 2
+    got = capsys.readouterr()
+    assert got.err == printed.err and "error:" in got.err
+    assert got.out == printed.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_main_builds_only_the_parser_of_the_named_command(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda keys=None: built.append(keys) or build(keys))
+    assert cli.main(["verify", "table2"]) == 0
+    assert cli.main(["ring", "show", "gf2"]) == 0
+    assert built == [[("verify", None)], [("ring", "show")]]
+    built.clear()
+    assert cli.main(["ring", "show"]) == 2
+    assert cli.main(["ring"]) == 2
+    assert built == [[("ring", "show")], None, None]
+    built.clear()
+    assert cli.main(["ring", "show", "-h"]) == 0
+    assert built == [[("ring", "show")], None]  # the help printed is the full parser's
+
+
+def test_module_run_reports_input_errors(tmp_path):
+    # run as ``python -m ringline.cli``, the renderers' InputError must still
+    # be the one main catches
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "ringline.cli", "ring", "show", "nosuch"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: unknown ring 'nosuch'")

@@ -184,6 +184,30 @@ def _warm_searches(monkeypatch):
     return searches
 
 
+def test_mask_isomorphism_searches_in_the_oracle_order_on_irregular_graphs():
+    """The mapping comes back in search order.  On every graph of up to five
+    vertices (irregular ones rank by mapped neighbours and then by degree)
+    and on a relabelled copy of it, the mask search places the vertices in
+    the oracle's order and maps each to the oracle's image."""
+    pairs = list(itertools.combinations(range(5), 2))
+    for n in range(1, 6):
+        within = [(u, v) for u, v in pairs if v < n]
+        for picks in itertools.product((0, 1), repeat=len(within)):
+            edges = [e for e, pick in zip(within, picks) if pick]
+            gadj = [0] * n
+            for u, v in edges:
+                gadj[u] |= 1 << v
+                gadj[v] |= 1 << u
+            relabel = [(2 - i) % n for i in range(n)]
+            hadj = [0] * n
+            for u, v in edges:
+                hadj[relabel[u]] |= 1 << relabel[v]
+                hadj[relabel[v]] |= 1 << relabel[u]
+            iso = quadrangle.mask_isomorphism(gadj, hadj)
+            want = oracle.graph_isomorphism(_graph_of(gadj), _graph_of(hadj))
+            assert iso is not None and list(iso.items()) == list(want.items()), edges
+
+
 def test_mask_isomorphism_matches_oracle_on_every_warm_search(monkeypatch):
     """The 15 perp sixes, the 6 ovoid fives, the 2 gf4 triple fives, the nine
     and the self-duality search: each finds the mapping the set-based

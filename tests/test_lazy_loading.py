@@ -16,6 +16,7 @@ import sys
 import pytest
 
 import ringline
+from ringline import cli
 from ringline.correspondence import (
     CheckResult,
     Report,
@@ -32,12 +33,14 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 GF2_LINE = enumerate_line(ring_by_name("gf2"))
 
 # Prints the sorted modules loaded after running BODY, whose own output is
-# swallowed.
+# swallowed; json is imported only once the list is taken.
 PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
 {body}
-print(json.dumps(sorted(sys.modules)))
+loaded = sorted(sys.modules)
+import json
+print(json.dumps(loaded))
 """
 
 # Code-introspection modules that ``dataclasses`` imports and no command needs.
@@ -77,7 +80,9 @@ def test_import_ringline_loads_no_layer():
 
 
 def test_import_cli_loads_no_layer():
-    assert loaded_after("import ringline.cli") == {"ringline", "cli"}
+    modules = modules_after("import ringline.cli")
+    assert {m for m in modules if m.startswith("ringline")} == {"ringline", "ringline.cli"}
+    assert "json" not in modules
 
 
 @pytest.mark.parametrize(
@@ -86,9 +91,12 @@ def test_import_cli_loads_no_layer():
         pytest.param(argv, extra, id=" ".join(argv))
         for argv, extra in (
             (["verify", "all", "--format", "csv"], set()),
-            (["gq", "petersen", "--ovoid", "9"], {"golden"}),
-            (["pauli", "mub", "--spread", "9"], {"golden"}),
-            (["export", "--what", "hyperplanes", "--format", "json", "--out", "missing/x.json"], set()),
+            (["gq", "petersen", "--ovoid", "9"], {"cli_gq", "golden"}),
+            (["pauli", "mub", "--spread", "9"], {"cli_pauli", "golden"}),
+            (
+                ["export", "--what", "hyperplanes", "--format", "json", "--out", "missing/x.json"],
+                {"cli_export"},
+            ),
         )
     ],
 )
@@ -97,7 +105,9 @@ def test_usage_errors_load_no_layer(argv, extra):
 
 
 def test_ring_show_loads_rings_only():
-    assert loaded_by_command(["ring", "show", "m2f2"]) == {"ringline", "cli", "rings", "gf2"}
+    assert loaded_by_command(["ring", "show", "m2f2"]) == {
+        "ringline", "cli", "cli_ring", "rings", "gf2",
+    }
 
 
 @pytest.mark.parametrize(
@@ -109,22 +119,61 @@ def test_commands_load_no_introspection_modules(argv):
 
 def test_verify_all_loads_no_export():
     assert loaded_by_command(["verify", "all"]) == {
-        "ringline", "cli", "rings", "gf2", "golden", "projline", "pauli", "quadrangle",
-        "correspondence",
+        "ringline", "cli", "cli_verify", "rings", "gf2", "golden", "projline", "pauli",
+        "quadrangle", "correspondence",
     }
 
 
 def test_line_relations_loads_no_quadrangle_side():
     assert loaded_by_command(["line", "relations", "--ring", "gf4"]) == {
-        "ringline", "cli", "rings", "gf2", "projline", "export",
+        "ringline", "cli", "cli_line", "rings", "gf2", "projline", "export",
     }
 
 
 def test_export_line_loads_no_quadrangle_side(tmp_path):
     out = tmp_path / "line.csv"
     argv = ["export", "--what", "line", "--format", "csv", "--out", str(out)]
-    assert loaded_by_command(argv) == {"ringline", "cli", "rings", "gf2", "projline", "export"}
+    assert loaded_by_command(argv) == {
+        "ringline", "cli", "cli_export", "cli_line", "rings", "gf2", "projline", "export",
+    }
     assert out.read_text().startswith("id,a,b,orbit")
+
+
+def renderer_modules(modules: set[str]) -> set[str]:
+    """The command-group modules among MODULES, prefix dropped."""
+    return {m.removeprefix("ringline.") for m in modules if m.startswith("ringline.cli_")}
+
+
+# arguments that make a command cheap to run cold
+CHEAP_ARGS = {"ring": ["gf2"], "line": ["--ring", "gf2"], "verify": ["table2"]}
+
+
+@pytest.mark.parametrize(
+    "group, verb",
+    [
+        pytest.param(*key, id=" ".join(filter(None, key)))
+        for key in cli.COMMANDS
+        if key[0] != "export"
+    ],
+)
+def test_command_loads_only_its_renderer_module(group, verb):
+    argv = [group, *filter(None, [verb]), *CHEAP_ARGS.get(group, [])]
+    modules = modules_after(command_body(argv))
+    assert renderer_modules(modules) == {f"cli_{group}"}
+    assert "json" not in modules  # text output
+
+
+@pytest.mark.parametrize(
+    "what, fmt", [pytest.param(*key, id=" ".join(key)) for key in cli.EXPORTS]
+)
+def test_export_loads_only_its_renderer_modules(what, fmt, tmp_path):
+    out = tmp_path / f"out.{fmt}"
+    argv = ["export", "--what", what, "--format", fmt, "--out", str(out), "--ring", "gf2"]
+    modules = modules_after(command_body(argv))
+    home = cli.EXPORTS[what, fmt].partition(".")[0]
+    assert renderer_modules(modules) == {"cli_export", home}
+    assert ("json" in modules) == (fmt == "json")
+    assert out.read_text()
 
 
 def test_every_public_name_is_its_defining_modules_object():
