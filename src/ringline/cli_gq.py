@@ -9,11 +9,11 @@ from .cli import EXIT_MISMATCH, EXIT_OK, _check_index, _failed, _json, _text
 
 def render_gq_build(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
-    from . import export
     from .golden import c_label
 
     s = co.canonical_gq()
     if args.format == "json":
+        from . import export
         return _json(export.structure_to_json_dict(s)), EXIT_OK
     lines = [f"{len(s.points)} points, {len(s.lines)} lines"]
     lines += [
@@ -75,12 +75,12 @@ def render_gq_spreads(args: argparse.Namespace) -> tuple[str, int]:
 
 def render_gq_hyperplanes(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
-    from . import export
     from .golden import c_label
 
     planes = co.canonical_hyperplanes()
     spreads = co.canonical_spreads()
     if args.format == "json":
+        from . import export
         return _json(export.hyperplane_catalog_to_json_dict(planes, spreads)), EXIT_OK
     lines = []
     for h in planes:

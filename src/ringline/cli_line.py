@@ -21,13 +21,13 @@ def _parse_pair(text: str, order: int) -> tuple[int, int]:
 
 
 def render_line_enumerate(args: argparse.Namespace) -> tuple[str, int]:
-    from . import export
     from .projline import enumerate_line, line_to_json_dict
 
     line = enumerate_line(_ring(args.ring))
     if args.format == "json":
         return _json(line_to_json_dict(line)), EXIT_OK
     if args.format == "csv":
+        from . import export
         return export.line_points_csv(line), EXIT_OK
     lines = [
         f"{i:3d}: {pt.canonical}  orbit size {len(pt.members)}"
@@ -38,7 +38,6 @@ def render_line_enumerate(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def render_line_relations(args: argparse.Namespace) -> tuple[str, int]:
-    from . import export
     from .projline import enumerate_line, line_to_json_dict
 
     line = enumerate_line(_ring(args.ring))
@@ -46,8 +45,10 @@ def render_line_relations(args: argparse.Namespace) -> tuple[str, int]:
     if args.format == "json":
         return _json(line_to_json_dict(line)), EXIT_OK
     if args.format == "csv":
+        from . import export
         return export.sign_matrix_csv(line.relation, labels), EXIT_OK
     if args.format == "dot":
+        from . import export
         return export.sign_matrix_dot(line.relation, labels, args.edge_sign), EXIT_OK
     return _text(f"{label:>4s} {row}" for label, row in zip(labels, line.relation)), EXIT_OK
 

@@ -9,7 +9,6 @@ from .cli import EXIT_MISMATCH, EXIT_OK, _check_index, _failed, _json, _text
 
 def render_pauli_table(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
-    from . import export
     from .golden import c_label
     from .pauli import standard_labeling
 
@@ -28,6 +27,7 @@ def render_pauli_table(args: argparse.Namespace) -> tuple[str, int]:
             }
         ), EXIT_OK
     if args.format == "csv":
+        from . import export
         return export.sign_matrix_csv(signs, labels), EXIT_OK
     return _text(
         f"{label:>4s} {op.label}  {row}" for label, op, row in zip(labels, ops, signs)

@@ -524,13 +524,33 @@ def verify_hyperplane_census() -> Report:
 
 
 @lru_cache(maxsize=None)
-def petersen_witness(ovoid: frozenset[int]) -> Mapping | None:
-    """An isomorphism from the collinearity graph off ``ovoid`` onto
-    ``petersen_graph()``, or None; finding one proves the complement cubic
-    with girth 5.  Searched once per ovoid, so the mapping is read-only."""
+def _petersen_search(ovoid: frozenset[int]) -> Mapping | None:
+    # derived structure: searched once per ovoid, so the mapping is read-only
     comp = complement_graph_of_ovoid(canonical_gq(), ovoid)
     iso = graph_isomorphism(comp, petersen_graph())
     return None if iso is None else MappingProxyType(iso)
+
+
+def _maps_onto(mapping: Mapping, g: Graph, h: Graph) -> bool:
+    """Whether ``mapping`` is a vertex bijection from g to h under which each
+    edge of g maps to an edge of h and each edge of h is such an image."""
+    return (
+        sorted(mapping) == sorted(g.vertices)
+        and sorted(mapping.values()) == sorted(h.vertices)
+        and {frozenset(map(mapping.get, e)) for e in g.edges} == h.edges
+    )
+
+
+def petersen_witness(ovoid: frozenset[int]) -> Mapping | None:
+    """An isomorphism from the collinearity graph off ``ovoid`` onto
+    ``petersen_graph()``, or None; one proves the complement cubic with
+    girth 5.  The search runs once per ovoid; every call checks its mapping
+    against the current complement."""
+    witness = _petersen_search(ovoid)
+    comp = complement_graph_of_ovoid(canonical_gq(), ovoid)
+    if witness is None or not _maps_onto(witness, comp, petersen_graph()):
+        return None
+    return witness
 
 
 def verify_petersen() -> Report:

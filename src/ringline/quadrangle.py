@@ -12,7 +12,7 @@ bitmasks (no external canonical-labeling dependency; instances never exceed
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from . import gf2
@@ -316,6 +316,7 @@ def complement_graph_of_ovoid(s: IncidenceStructure, ovoid: Iterable) -> Graph:
     return s.collinearity_graph.induced(keep)
 
 
+@lru_cache(maxsize=None)
 def petersen_graph() -> Graph:
     """The standard model: 2-subsets of a 5-set, edges between disjoint pairs."""
     verts = tuple(itertools.combinations(range(5), 2))

@@ -12,11 +12,15 @@ Rings in scope: the full 2x2 matrix ring over GF(2) (``m2f2``, the unique
 simple non-commutative ring of order 16) and the four commutative companions
 of characteristic two (``gf2``, ``gf4``, ``gf2xgf2``, ``gf2dual``), each
 realized inside ``m2f2`` by its standard matrix model.
+
+Each ring's tables are those of its matrices (``_model_tables``), which is
+why its laws hold: distinct matrices closed under XOR and the GF(2) product
+form a ring under them, since matrix addition and multiplication obey every
+ring law, and the tables make the labels an isomorphic copy of it.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -79,31 +83,25 @@ class Ring(NamedTuple):
         return range(self.order)
 
 
-def _ring_from_reps(name: str, rep_dim: int, reps: tuple[gf2.BitMatrix, ...]) -> Ring:
-    # Tables are derived from the matrix arithmetic of ``reps``, which must be
-    # closed under XOR and GF(2) matrix product.
+@lru_cache(maxsize=None)
+def _model_tables(rep_dim: int, reps: tuple[gf2.BitMatrix, ...]) -> tuple[tuple, tuple]:
+    """The tables of ``reps`` under XOR and the GF(2) matrix product: entry
+    ``[x][y]`` labels the sum, or the product, of ``reps[x]`` and ``reps[y]``.
+    Raises ValueError unless the matrices are distinct ``rep_dim x rep_dim``
+    bit matrices closed under both operations."""
+    if any(len(m) != rep_dim or any(r >> rep_dim for r in m) for m in reps):
+        raise ValueError(f"representation matrices are not {rep_dim}x{rep_dim} bit matrices")
     index = {m: i for i, m in enumerate(reps)}
     if len(index) != len(reps):
-        raise ValueError(f"{name}: representation matrices are not distinct")
-    order = len(reps)
-
-    def look(m: gf2.BitMatrix, op: str, x: int, y: int) -> int:
-        try:
-            return index[m]
-        except KeyError:
-            raise ValueError(f"{name}: not closed under {op} at ({x}, {y})") from None
-
-    add_table = tuple(
-        tuple(look(gf2.add(reps[x], reps[y]), "addition", x, y) for y in range(order))
-        for x in range(order)
-    )
-    mul_table = tuple(
-        tuple(look(gf2.multiply(reps[x], reps[y]), "multiplication", x, y) for y in range(order))
-        for x in range(order)
-    )
-    zero = index[tuple([0] * rep_dim)]
-    one = index[gf2.identity(rep_dim)]
-    return Ring(name, order, zero, one, add_table, mul_table, rep_dim, reps)
+        raise ValueError("representation matrices are not distinct")
+    tables = []
+    for op, word in ((gf2.add, "addition"), (gf2.multiply, "multiplication")):
+        rows = [tuple(index.get(op(a, b)) for b in reps) for a in reps]
+        for x, row in enumerate(rows):
+            if None in row:
+                raise ValueError(f"not closed under {word} at ({x}, {row.index(None)})")
+        tables.append(tuple(rows))
+    return tuple(tables)
 
 
 # name -> (rep_dim, the element matrices in label order).  In m2f2, label 1
@@ -153,7 +151,13 @@ def ring_by_name(name: str) -> Ring:
         rep_dim, matrices = _MODELS[name]
     except KeyError:
         raise ValueError(f"unknown ring {name!r}; choose from {', '.join(_MODELS)}") from None
-    return _ring_from_reps(name, rep_dim, tuple(gf2.rows_from_lists(m) for m in matrices))
+    reps = tuple(gf2.rows_from_lists(m) for m in matrices)
+    try:
+        add_table, mul_table = _model_tables(rep_dim, reps)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    zero, one = reps.index((0,) * rep_dim), reps.index(gf2.identity(rep_dim))
+    return Ring(name, len(reps), zero, one, add_table, mul_table, rep_dim, reps)
 
 
 @lru_cache(maxsize=None)
@@ -173,63 +177,8 @@ def zero_divisors(ring: Ring) -> frozenset[RingElement]:
     return frozenset(ring.elements()) - units(ring)
 
 
-def _cubic_laws_hold(add, mul, n: int) -> bool:
-    """Whether both associative and both distributive laws hold on all n^3
-    triples of two ``n x n`` tables with entries in ``range(n)``, n <= 256.
-
-    Each table row and column becomes ``bytes``, and ``row.translate(table)``
-    maps every label of one row through another row at once: for fixed
-    (x, y) the rows over z give (x+y)+z, (xy)z and x(y+z); for fixed (y, z)
-    the columns over x give (x+y)z.
-    """
-    pad = bytes(256 - n)
-    add_rows, mul_rows = [bytes(r) for r in add], [bytes(r) for r in mul]
-    add_cols, mul_cols = [bytes(c) for c in zip(*add)], [bytes(c) for c in zip(*mul)]
-    add_map, mul_map = [r + pad for r in add_rows], [r + pad for r in mul_rows]
-    add_col_map, mul_col_map = [c + pad for c in add_cols], [c + pad for c in mul_cols]
-    for x in range(n):
-        add_x, mul_x, to_add_x, to_mul_x = add_rows[x], mul_rows[x], add_map[x], mul_map[x]
-        add_col_x = add_cols[x]
-        for y in range(n):
-            add_y, xy = add_rows[y], mul_x[y]
-            if (
-                add_rows[add_x[y]] != add_y.translate(to_add_x)
-                or mul_rows[xy] != mul_rows[y].translate(to_mul_x)
-                or add_y.translate(to_mul_x) != mul_x.translate(add_map[xy])
-                or add_col_x.translate(mul_col_map[y]) != mul_cols[y].translate(add_col_map[xy])
-            ):
-                return False
-    return True
-
-
-def _rep_rows_to_scan(ring: Ring) -> list[int] | range:
-    """The rows x of the tables on which rep may break + or x: none when it
-    respects both on every pair, all when k*k > 8, n > 256 or some rep entry
-    is not k rows of k bits.  ``code[x]`` packs rep[x] into a byte, row r at
-    bit r*k.  Mapped to codes by ``bytes.translate``, row x of the addition
-    table XOR the codes must be code[x] repeated, and row x of the
-    multiplication table must be the codes mapped through M -> rep(x) M, a
-    row of the product table built by linearity from the k*k matrix units.
-    """
-    k, n, rep = ring.rep_dim, ring.order, ring.rep
-    if k * k > 8 or n > 256 or any(len(m) != k or any(r >> k for r in m) for m in rep):
-        return range(n)
-    size, low = 1 << k * k, (1 << k) - 1
-    left = [0]  # left[a] as bytes maps code(M) to code(A M), A the matrix of code a
-    for i, j in itertools.product(range(k), repeat=2):
-        unit = bytes((c >> j * k & low) << i * k for c in range(size))  # row j of M to row i
-        left += [t ^ int.from_bytes(unit, "little") for t in left]
-    codes = [sum(r << i * k for i, r in enumerate(m)) for m in rep]
-    to_code, code_row, pad = bytes(codes) + bytes(256 - n), bytes(codes), bytes(256 - size)
-    code_int, ones = int.from_bytes(code_row, "little"), int.from_bytes(b"\x01" * n, "little")
-    rows = []
-    for x, c in enumerate(codes):
-        sums = int.from_bytes(bytes(ring.add_table[x]).translate(to_code), "little") ^ code_int
-        products = bytes(ring.mul_table[x]).translate(to_code)
-        times_x = left[c].to_bytes(size, "little") + pad
-        if sums != c * ones or products != code_row.translate(times_x):
-            rows.append(x)
-    return rows
+def _is_label(x: object, n: int) -> bool:
+    return isinstance(x, int) and 0 <= x < n
 
 
 def validate_ring(ring: Ring) -> list[str]:
@@ -239,30 +188,53 @@ def validate_ring(ring: Ring) -> list[str]:
     an empty list means the ring is valid.  Checks: abelian-group axioms for
     addition, two-sided multiplicative identity, associativity of both
     operations, both distributive laws, and that ``rep`` is a faithful
-    unital homomorphism.
+    unital homomorphism.  A malformed field is reported before any scan
+    indexes with it.
 
-    The two associative and two distributive laws are first decided on every
-    triple a table row at a time (``_cubic_laws_hold``); the triple-by-triple
-    scan that words each violation runs only when some law fails there, or
-    when the ring has more than 256 elements, which a byte row cannot label.
-    Likewise the pair-by-pair representation scan runs only on the table
-    rows that ``_rep_rows_to_scan`` cannot clear.
+    A ring whose tables are those of its own matrices (``_model_tables``),
+    with rep(one) the identity and rep(zero) zero, passes every check with
+    no scan: rep is then a bijection onto matrices closed under XOR and
+    product that carries + and x to them, so each law holds because it holds
+    for matrices, zero and one are identities because their images are, and
+    x + x = zero because M + M = 0.  Any other ring is scanned cell by cell,
+    triple by triple and pair by pair, so that each violation is named.
     """
+    n, k, rep = ring.order, ring.rep_dim, ring.rep
+    if not all(isinstance(size, int) and size >= 0 for size in (n, k)):
+        return [f"order {n!r} and rep_dim {k!r} must be non-negative ints"]
+    try:
+        model = _model_tables(k, rep)
+    except ValueError:
+        model = None
+    tables = ring.add_table, ring.mul_table
+    if (
+        model == tables
+        and all(type(v) is int for table in tables for row in table for v in row)  # 3.0 == 3
+        and len(rep) == n
+        and _is_label(ring.zero, n)
+        and _is_label(ring.one, n)
+        and rep[ring.one] == gf2.identity(k)
+        and not any(rep[ring.zero])
+    ):
+        return []
+
     problems: list[str] = []
-    n = ring.order
     rng = range(n)
     add, mul = ring.add_table, ring.mul_table
-
     if len(add) != n or any(len(row) != n for row in add):
         return [f"add_table is not {n}x{n}"]
     if len(mul) != n or any(len(row) != n for row in mul):
         return [f"mul_table is not {n}x{n}"]
     for x in rng:
         for y in rng:
-            if not 0 <= add[x][y] < n:
-                problems.append(f"add_table[{x}][{y}] = {add[x][y]} out of range")
-            if not 0 <= mul[x][y] < n:
-                problems.append(f"mul_table[{x}][{y}] = {mul[x][y]} out of range")
+            if not _is_label(add[x][y], n):
+                problems.append(f"add_table[{x}][{y}] = {add[x][y]!r} out of range")
+            if not _is_label(mul[x][y], n):
+                problems.append(f"mul_table[{x}][{y}] = {mul[x][y]!r} out of range")
+    if problems:
+        return problems
+    labels = {"zero": ring.zero, "one": ring.one}
+    problems = [f"{f} = {v!r} out of range" for f, v in labels.items() if not _is_label(v, n)]
     if problems:
         return problems
 
@@ -277,39 +249,40 @@ def validate_ring(ring: Ring) -> list[str]:
         for y in rng:
             if add[x][y] != add[y][x]:
                 problems.append(f"addition is not commutative at (x,y)=({x},{y})")
-    if n > 256 or not _cubic_laws_hold(add, mul, n):
-        for x in rng:
-            add_x, mul_x = add[x], mul[x]
-            for y in rng:
-                add_y, mul_y, add_xy, mul_xy = add[y], mul[y], add[add_x[y]], mul[mul_x[y]]
-                for z in rng:
-                    if add_xy[z] != add_x[add_y[z]]:
-                        problems.append(f"addition is not associative at (x,y,z)=({x},{y},{z})")
-                    if mul_xy[z] != mul_x[mul_y[z]]:
-                        problems.append(f"multiplication is not associative at (x,y,z)=({x},{y},{z})")
-                    if mul_x[add_y[z]] != add[mul_x[y]][mul_x[z]]:
-                        problems.append(f"left distributivity fails at (x,y,z)=({x},{y},{z})")
-                    if mul[add_x[y]][z] != add[mul_x[z]][mul_y[z]]:
-                        problems.append(f"right distributivity fails at (x,y,z)=({x},{y},{z})")
+    for x in rng:
+        add_x, mul_x = add[x], mul[x]
+        for y in rng:
+            add_y, mul_y, add_xy, mul_xy = add[y], mul[y], add[add_x[y]], mul[mul_x[y]]
+            for z in rng:
+                if add_xy[z] != add_x[add_y[z]]:
+                    problems.append(f"addition is not associative at (x,y,z)=({x},{y},{z})")
+                if mul_xy[z] != mul_x[mul_y[z]]:
+                    problems.append(f"multiplication is not associative at (x,y,z)=({x},{y},{z})")
+                if mul_x[add_y[z]] != add[mul_x[y]][mul_x[z]]:
+                    problems.append(f"left distributivity fails at (x,y,z)=({x},{y},{z})")
+                if mul[add_x[y]][z] != add[mul_x[z]][mul_y[z]]:
+                    problems.append(f"right distributivity fails at (x,y,z)=({x},{y},{z})")
 
-    if len(ring.rep) != n:
+    if len(rep) != n:
         problems.append("rep does not cover every element")
         return problems
-    if len(set(ring.rep)) != n:
+    misshapen = [x for x, m in enumerate(rep) if len(m) != k or any(r >> k for r in m)]
+    if misshapen:
+        return problems + [f"rep[{x}] is not a {k}x{k} bit matrix" for x in misshapen]
+    if len(set(rep)) != n:
         problems.append("rep is not injective")
-    if ring.rep[ring.one] != gf2.identity(ring.rep_dim):
+    if rep[ring.one] != gf2.identity(k):
         problems.append("rep(one) is not the identity matrix")
-    if any(ring.rep[ring.zero]):
+    if any(rep[ring.zero]):
         problems.append("rep(zero) is not the zero matrix")
     return problems + _rep_pair_problems(ring)
 
 
 def _rep_pair_problems(ring: Ring) -> list[str]:
-    """Where rep breaks + or x, pair by pair, on the table rows that
-    ``_rep_rows_to_scan`` cannot clear."""
+    """Where rep breaks + or x, pair by pair."""
     rep, add, mul = ring.rep, ring.add_table, ring.mul_table
     problems = []
-    for x in _rep_rows_to_scan(ring):
+    for x in range(ring.order):
         for y in range(ring.order):
             if rep[add[x][y]] != gf2.add(rep[x], rep[y]):
                 problems.append(f"rep breaks addition at (x,y)=({x},{y})")

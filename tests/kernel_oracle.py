@@ -184,6 +184,19 @@ def ring_law_problems(ring):
     return problems
 
 
+def rep_problems(ring):
+    """Whether rep is a faithful unital homomorphism: injective, one to the
+    identity, zero to zero, and + and x respected pair by pair."""
+    problems = []
+    if len(set(ring.rep)) != ring.order:
+        problems.append("rep is not injective")
+    if ring.rep[ring.one] != gf2.identity(ring.rep_dim):
+        problems.append("rep(one) is not the identity matrix")
+    if any(ring.rep[ring.zero]):
+        problems.append("rep(zero) is not the zero matrix")
+    return problems + rep_pair_problems(ring)
+
+
 def rep_pair_problems(ring):
     """Whether rep respects + and x, one pair at a time against the matrix
     sums and products, in the order ``validate_ring`` words them."""

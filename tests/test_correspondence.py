@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from types import MappingProxyType
 
 import pytest
 
@@ -453,12 +454,38 @@ def test_petersen_search_runs_once_per_ovoid(monkeypatch):
         return real(g, h)
 
     monkeypatch.setattr(co, "graph_isomorphism", counted)
-    co.petersen_witness.cache_clear()
+    co._petersen_search.cache_clear()
     assert verify_petersen().passed and verify_split_10_5().passed
     assert sum(h == co.petersen_graph() for h in targets) == 6
     witness = co.petersen_witness(golden.SAMPLE_OVOID)
     with pytest.raises(TypeError):
         witness[1] = (0, 1)
+
+
+def _failed_anywhere(report):
+    failed = {(report.title, c.name) for c in report.checks if not c.passed}
+    return failed.union(*(_failed_anywhere(r) for r in report.subreports))
+
+
+def test_petersen_witness_with_two_images_swapped_fails(monkeypatch):
+    """The search result is kept, but every call checks it edge by edge: a
+    kept mapping with two images swapped fails, through ``verify_all()``,
+    the Petersen check of its ovoid in both reports that use it, and the
+    trinity row that sums up the second, and nothing else."""
+    search = co._petersen_search
+    real = search(golden.SAMPLE_OVOID)
+    p, q = sorted(real)[:2]
+    swapped = MappingProxyType({**real, p: real[q], q: real[p]})
+    kept = {golden.SAMPLE_OVOID: swapped}
+    monkeypatch.setattr(co, "_petersen_search", lambda ovoid: kept.get(ovoid) or search(ovoid))
+    labels = co._cset(golden.SAMPLE_OVOID)
+    assert _failed_anywhere(verify_all()) == {
+        ("Petersen complements", f"complement of {labels} is Petersen"),
+        ("10 plus 5 factorization", f"ovoid {labels}"),
+        ("hyperplane trinity", "ovoid row: 6 ovoids, gf4 sublines, mutually non-commuting fives"),
+    }
+    monkeypatch.undo()
+    assert verify_all().passed
 
 
 WITNESS_CHECK = "every ordered pairwise-distant triple is witnessed"

@@ -22,7 +22,13 @@ from ringline.quadrangle import (
     petersen_graph,
     validate_gq_axioms,
 )
-from ringline.rings import ring_by_name, ring_names, validate_ring
+from ringline.rings import (
+    ring_by_name,
+    ring_from_json_dict,
+    ring_names,
+    ring_to_json_dict,
+    validate_ring,
+)
 
 ALL_OPS = [PauliOp(c) for c in range(1, 16)]
 
@@ -264,6 +270,22 @@ def test_distant_triple_witnesses_match_oracle_on_flipped_cells(m2f2_line):
         assert got[1] and got == oracle.distant_triple_witnesses(bad)
 
 
+def _wrong_values(ring, table, x, y):
+    """Every wrong value of a cell of a small ring, and one of an m2f2 cell,
+    varied from cell to cell: each case scans all n^2 pairs, so every wrong
+    value of every m2f2 cell would cost seconds."""
+    old = getattr(ring, table)[x][y]
+    if ring.order < 16:
+        return [v for v in ring.elements() if v != old]
+    return [(old + 1 + (3 * x + y) % 15) % 16]
+
+
+def _with_cell(ring, table, x, y, value):
+    rows = [list(row) for row in getattr(ring, table)]
+    rows[x][y] = value
+    return ring._replace(**{table: tuple(map(tuple, rows))})
+
+
 def _laws(ring):
     return [p for p in validate_ring(ring) if "(x,y,z)" in p]
 
@@ -272,8 +294,7 @@ def _laws(ring):
 def test_ring_laws_match_oracle_on_corrupted_tables(table):
     """One wrong cell per row of m2f2, and every wrong value of every cell
     of the four small rings: the associativity and distributivity problems
-    come out as the cell-by-cell scan lists them, and the row-wise check
-    says the laws hold exactly when the scan finds none."""
+    come out as the cell-by-cell scan lists them."""
     ring = ring_by_name("m2f2")
     assert _laws(ring) == oracle.ring_law_problems(ring) == []
     for x in range(ring.order):
@@ -296,7 +317,6 @@ def test_ring_laws_match_oracle_on_corrupted_tables(table):
                 bad = small._replace(**{table: tuple(map(tuple, rows))})
                 expected = oracle.ring_law_problems(bad)
                 assert _laws(bad) == expected, (name, x, y, value)
-                assert rings._cubic_laws_hold(bad.add_table, bad.mul_table, n) == (not expected)
                 cases += 1
                 broken += bool(expected)
     # gf2 has 4 cells with one wrong value each, the others 16 cells with 3
@@ -306,27 +326,22 @@ def test_ring_laws_match_oracle_on_corrupted_tables(table):
 
 @pytest.mark.parametrize("table", ["add_table", "mul_table"])
 def test_rep_scan_matches_oracle_on_corrupted_tables(table):
-    """Every wrong value of every cell of all five rings: the representation
-    problems come out as the pair-by-pair scan lists them, and the row-wise
-    check clears exactly the rows where the scan finds none."""
+    """Every wrong value of every cell of the four small rings, and one of
+    every cell of m2f2: the representation problems come out as the
+    pair-by-pair scan lists them."""
     cases = 0
     for name in ring_names():
         ring = ring_by_name(name)
         n = ring.order
-        assert rings._rep_rows_to_scan(ring) == [] == oracle.rep_pair_problems(ring)
+        assert rings._rep_pair_problems(ring) == [] == oracle.rep_pair_problems(ring)
         for x, y in itertools.product(range(n), repeat=2):
-            for value in range(n):
-                rows = [list(row) for row in getattr(ring, table)]
-                if rows[x][y] == value:
-                    continue
-                rows[x][y] = value
-                bad = ring._replace(**{table: tuple(map(tuple, rows))})
+            for value in _wrong_values(ring, table, x, y):
+                bad = _with_cell(ring, table, x, y, value)
                 expected = oracle.rep_pair_problems(bad)
                 assert expected and rings._rep_pair_problems(bad) == expected, (name, x, y, value)
-                assert rings._rep_rows_to_scan(bad) == [x]
                 cases += 1
-    # 16 x 16 cells of m2f2 with 15 wrong values, gf2 4 x 1, the others 16 x 3
-    assert cases == 256 * 15 + 4 + 3 * 48
+    # 16 x 16 cells of m2f2 with one wrong value, gf2 4 x 1, the others 16 x 3
+    assert cases == 256 + 4 + 3 * 48
 
 
 # (add, mul) tables on {0, 1} on each of which exactly one law fails
@@ -344,8 +359,75 @@ def test_row_wise_laws_catch_each_law_alone(law):
     bad = ring_by_name("gf2")._replace(add_table=add, mul_table=mul)
     problems = oracle.ring_law_problems(bad)
     assert problems and all(p.startswith(law) for p in problems)
-    assert not rings._cubic_laws_hold(add, mul, 2)
     assert _laws(bad) == problems
+
+
+def _corruption_corpus():
+    """(ring, kind, corrupted ring): wrong table cells (every wrong value of
+    every cell of the small rings; one of every fourth m2f2 cell), every bit
+    flip inside every rep matrix, and every (zero, one) relabelling."""
+    for name in ring_names():
+        ring = ring_by_name(name)
+        n, k = ring.order, ring.rep_dim
+        for table in ("add_table", "mul_table"):
+            for x, y in itertools.product(range(n), repeat=2):
+                if n < 16 or (x + y) % 4 == 0:
+                    for value in _wrong_values(ring, table, x, y):
+                        yield name, table, _with_cell(ring, table, x, y, value)
+        for x, row, bit in itertools.product(range(n), range(k), range(k)):
+            rep = [list(m) for m in ring.rep]
+            rep[x][row] ^= 1 << bit
+            yield name, "rep", ring._replace(rep=tuple(map(tuple, rep)))
+        for zero, one in itertools.product(range(n), repeat=2):
+            yield name, "labels", ring._replace(zero=zero, one=one)
+
+
+def test_validate_ring_matches_oracle_on_corruption_corpus():
+    """Each ring is valid exactly when the cell-by-cell law scan and the
+    representation scan find nothing, and its law and rep problems are
+    theirs, in their order: so accepting a ring because its tables are its
+    matrices' tables accepts exactly the rings the scans accept."""
+    laws_of = {}
+    cases, valid = Counter(), []
+    for name, kind, bad in _corruption_corpus():
+        tables = bad.add_table, bad.mul_table
+        if tables not in laws_of:
+            laws_of[tables] = oracle.ring_law_problems(bad)
+        laws, reps = laws_of[tables], oracle.rep_problems(bad)
+        problems = validate_ring(bad)
+        assert (problems == []) == (laws == reps == []), (name, kind)
+        assert [p for p in problems if "(x,y,z)" in p] == laws, (name, kind)
+        assert [p for p in problems if p.startswith("rep")] == reps, (name, kind)
+        cases[kind] += 1
+        if not problems:
+            valid.append((name, kind, bad.zero, bad.one))
+    # m2f2: 64 cells per table, 16 x 4 bits, 16 x 16 labellings; gf2: 4 cells,
+    # 2 x 1 bits, 2 x 2 labellings; the others 16 x 3 cells, 4 x 4 bits, 4 x 4
+    assert cases == {
+        "add_table": 64 + 4 + 144,
+        "mul_table": 64 + 4 + 144,
+        "rep": 64 + 2 + 48,
+        "labels": 256 + 4 + 48,
+    }
+    assert valid == [(name, "labels", 0, 1) for name in ring_names()]
+
+
+@pytest.mark.parametrize("name", ring_names())
+def test_warm_validate_ring_runs_no_scan(name, monkeypatch):
+    """A model ring, or a copy with equal tables, is accepted on one cached
+    ``_model_tables`` lookup: no pair scan runs."""
+    ring = ring_by_name(name)
+    copy = ring_from_json_dict(ring_to_json_dict(ring))
+    assert copy.add_table is not ring.add_table
+
+    def refuse(ring):
+        raise AssertionError("pair scan on a model ring")
+
+    monkeypatch.setattr(rings, "_rep_pair_problems", refuse)
+    before = rings._model_tables.cache_info()
+    assert validate_ring(ring) == validate_ring(copy) == []
+    after = rings._model_tables.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +437,8 @@ VERDICTS = {
     "quadrangle": ("graph_isomorphism", "mask_isomorphism", "validate_gq_axioms"),
     "pauli": ("mub_spread_check", "mermin_square_check"),
     "projline": ("distant_triple_witnesses",),
-    "rings": ("validate_ring", "_cubic_laws_hold", "_rep_rows_to_scan"),
+    "rings": ("validate_ring",),
+    "correspondence": ("_maps_onto",),
 }
 
 

@@ -126,7 +126,7 @@ def test_verify_all_loads_no_export():
 
 def test_line_relations_loads_no_quadrangle_side():
     assert loaded_by_command(["line", "relations", "--ring", "gf4"]) == {
-        "ringline", "cli", "cli_line", "rings", "gf2", "projline", "export",
+        "ringline", "cli", "cli_line", "rings", "gf2", "projline",
     }
 
 
@@ -160,7 +160,7 @@ def test_command_loads_only_its_renderer_module(group, verb):
     argv = [group, *filter(None, [verb]), *CHEAP_ARGS.get(group, [])]
     modules = modules_after(command_body(argv))
     assert renderer_modules(modules) == {f"cli_{group}"}
-    assert "json" not in modules  # text output
+    assert not {"json", "csv", "ringline.export"} & modules  # text output
 
 
 @pytest.mark.parametrize(
@@ -174,6 +174,18 @@ def test_export_loads_only_its_renderer_modules(what, fmt, tmp_path):
     assert renderer_modules(modules) == {"cli_export", home}
     assert ("json" in modules) == (fmt == "json")
     assert out.read_text()
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize(
+    "argv", [["line", "enumerate"], ["line", "relations"], ["pauli", "table"]], ids=" ".join
+)
+def test_only_csv_output_loads_export(argv, fmt):
+    """``export``, and with it ``csv``, load only for a format written
+    through them."""
+    args = [*argv, "--format", fmt, *CHEAP_ARGS.get(argv[0], [])]
+    modules = modules_after(command_body(args))
+    assert ("ringline.export" in modules) == ("csv" in modules) == (fmt == "csv")
 
 
 def test_every_public_name_is_its_defining_modules_object():

@@ -125,6 +125,36 @@ def test_validate_rejects_wrong_shape():
     assert validate_ring(bad) == ["add_table is not 2x2"]
 
 
+# fields of the gf4 document that ring_from_json_dict accepts and on which
+# validate_ring must report rather than raise, with the problems it reports
+MALFORMED_GF4 = {
+    "zero out of range": ({"zero": 7}, ["zero = 7 out of range"]),
+    "one out of range": ({"one": 9}, ["one = 9 out of range"]),
+    "2x3 rep entry": ({"rep": {2: [[0, 1, 0], [1, 1, 1]]}}, ["rep[2] is not a 2x2 bit matrix"]),
+    "1-row rep entry": ({"rep": {3: [[1, 1]]}}, ["rep[3] is not a 2x2 bit matrix"]),
+    "order not an int": ({"order": "4"}, ["order '4' and rep_dim 2 must be non-negative ints"]),
+    "rep_dim not an int": ({"rep_dim": [2]}, ["order 4 and rep_dim [2] must be non-negative ints"]),
+    "table entry not an int": (
+        {"add_table": {1: [1, "0", 3, 2]}},
+        ["add_table[1][1] = '0' out of range"],
+    ),
+    # equal to the model's 3, but no label: the check against the model sees through ==
+    "table entry a float": ({"add_table": {1: [1, 0, 3.0, 2]}}, ["add_table[1][2] = 3.0 out of range"]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_GF4)
+def test_validate_reports_malformed_documents(case):
+    changes, expected = MALFORMED_GF4[case]
+    doc = ring_to_json_dict(ring_by_name("gf4"))
+    for field, value in changes.items():
+        if isinstance(value, dict):
+            doc[field] = [value.get(i, entry) for i, entry in enumerate(doc[field])]
+        else:
+            doc[field] = value
+    assert validate_ring(ring_from_json_dict(doc)) == expected
+
+
 def test_json_round_trip():
     for name in ALL_RINGS:
         ring = ring_by_name(name)
