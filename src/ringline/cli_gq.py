@@ -26,7 +26,7 @@ def render_gq_build(args: argparse.Namespace) -> tuple[str, int]:
 def render_gq_axioms(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
 
-    problems, iso = co.quadrangle_axioms(co.canonical_gq())
+    problems, iso = co.quadrangle_axioms()
     self_dual = iso is not None
     code = EXIT_OK if not problems and self_dual else EXIT_MISMATCH
     if args.format == "json":

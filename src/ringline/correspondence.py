@@ -18,7 +18,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from . import golden
+from . import gf2, golden
 from .golden import c_label
 from .pauli import (
     MerminResult,
@@ -57,8 +57,10 @@ from .quadrangle import (
     graph_isomorphism,
     is_strongly_regular,
     mask_isomorphism,
+    mask_maps_onto,
     petersen_graph,
     structure_isomorphism,
+    structure_maps_onto,
     triangles,
     validate_gq_axioms,
 )
@@ -434,9 +436,22 @@ def verify_relation_signs(reference: Sequence[str] | None = None) -> Report:
 # quadrangle level
 
 
-def quadrangle_axioms(s: IncidenceStructure) -> tuple[list[str], dict | None]:
-    """Axiom violations of ``s`` and a self-duality isomorphism (or None)."""
-    return validate_gq_axioms(s), structure_isomorphism(s, s.dual_structure)
+@lru_cache(maxsize=None)
+def _self_duality_search() -> Mapping | None:
+    # derived structure: searched once, so the mapping is read-only
+    s = canonical_gq()
+    iso = structure_isomorphism(s, s.dual_structure)
+    return None if iso is None else MappingProxyType(iso)
+
+
+def quadrangle_axioms() -> tuple[list[str], Mapping | None]:
+    """Axiom violations of ``canonical_gq()`` and a self-duality isomorphism
+    (or None).  The search runs once; every call checks its mapping against
+    the current quadrangle and dual with ``structure_maps_onto``."""
+    s, iso = canonical_gq(), _self_duality_search()
+    if iso is not None and not structure_maps_onto(iso, s, s.dual_structure):
+        iso = None
+    return validate_gq_axioms(s), iso
 
 
 def verify_gq_structure() -> Report:
@@ -459,7 +474,7 @@ def verify_gq_structure() -> Report:
             len(s.points) == 15 and len(s.lines) == 15,
         )
     )
-    problems, iso = quadrangle_axioms(s)
+    problems, iso = quadrangle_axioms()
     checks.append(
         CheckResult(
             "quadrangle axioms hold",
@@ -541,6 +556,30 @@ def _maps_onto(mapping: Mapping, g: Graph, h: Graph) -> bool:
     )
 
 
+def _subline_masks(points: Sequence[PointClass], target: str) -> tuple[list[int], tuple[int, ...]]:
+    """The neighbor masks of ``points`` on the m2f2 line and of the line over
+    ``target``."""
+    line = enumerate_line(ring_by_name(target))
+    return induced_neighbor_masks(_m2f2_sub()[0], points), line.neighbor_masks
+
+
+@lru_cache(maxsize=None)
+def _subline_search(points: tuple[PointClass, ...], target: str) -> Mapping | None:
+    # derived structure: searched once per point list, so the mapping is read-only
+    iso = mask_isomorphism(*_subline_masks(points, target))
+    return None if iso is None else MappingProxyType(iso)
+
+
+def _subline_witness(points: Sequence[PointClass], target: str) -> Mapping | None:
+    """An isomorphism from the neighbor graph on ``points`` of the m2f2 line
+    onto the line over ``target``, or None.  The search runs once per point
+    list; every call checks its mapping against the current masks."""
+    iso = _subline_search(tuple(points), target)
+    if iso is None or not mask_maps_onto(iso, *_subline_masks(points, target)):
+        return None
+    return iso
+
+
 def petersen_witness(ovoid: frozenset[int]) -> Mapping | None:
     """An isomorphism from the collinearity graph off ``ovoid`` onto
     ``petersen_graph()``, or None; one proves the complement cubic with
@@ -612,7 +651,7 @@ def verify_split_9_6() -> Report:
 
     nine = induced_neighbor_masks(line, fam_neighbor)
     grid_line = enumerate_line(ring_by_name("gf2xgf2"))
-    iso = mask_isomorphism(nine, grid_line.neighbor_masks)
+    iso = _subline_witness(fam_neighbor, "gf2xgf2")
     checks.append(
         CheckResult(
             "nine common neighbors model the line over gf2xgf2",
@@ -633,7 +672,6 @@ def verify_split_9_6() -> Report:
         )
     )
 
-    gf4_line = enumerate_line(ring_by_name("gf4"))
     splits = []
     for combo in itertools.combinations(range(6), 3):
         if 0 not in combo:
@@ -645,12 +683,7 @@ def verify_split_9_6() -> Report:
         )
         if not cross_ok:
             continue
-        good = True
-        for triple in (first, second):
-            five = induced_neighbor_masks(line, list(triple) + [u, v])
-            if mask_isomorphism(five, gf4_line.neighbor_masks) is None:
-                good = False
-        if good:
+        if all(_subline_witness(t + [u, v], "gf4") is not None for t in (first, second)):
             labels = (
                 frozenset(i + 1 for i in combo),
                 frozenset(i + 1 for i in range(6) if i not in combo),
@@ -692,10 +725,13 @@ def verify_split_9_6() -> Report:
     return Report("9 plus 6 factorization", tuple(checks), data)
 
 
-def verify_split_10_5() -> Report:
-    """Every ovoid versus its ten-point complement."""
-    line, _, _, pts = _m2f2_sub()
-    gf4_line = enumerate_line(ring_by_name("gf4"))
+def verify_split_10_5(petersen: Report | None = None) -> Report:
+    """Every ovoid versus its ten-point complement.  The Petersen verdicts
+    are read from ``petersen``, the ``verify_petersen()`` report of the same
+    run, which is made here when not given."""
+    petersen = verify_petersen() if petersen is None else petersen
+    witnessed = {frozenset(w["ovoid"]) for w in petersen.data["witnesses"]}
+    pts = _m2f2_sub()[3]
     checks = []
     data: dict = {"ovoids": []}
     ovoids = [h for h in canonical_hyperplanes() if h.kind == OVOID]
@@ -718,13 +754,11 @@ def verify_split_10_5() -> Report:
         noncommuting = all(
             not commutes(a, b) for a, b in itertools.combinations(five_ops, 2)
         )
-        five = induced_neighbor_masks(line, [pts[i - 1] for i in labels])
-        subline = mask_isomorphism(five, gf4_line.neighbor_masks) is not None
-        petersen = petersen_witness(h.points) is not None
+        subline = _subline_witness([pts[i - 1] for i in labels], "gf4") is not None
         checks.append(
             CheckResult(
                 f"ovoid {_cset(labels)}",
-                noncommuting and subline and petersen,
+                noncommuting and subline and h.points in witnessed,
                 "pairwise non-commuting, gf4 subline, Petersen complement",
             )
         )
@@ -736,7 +770,7 @@ def perp_subline_check(x: int) -> Report:
     """The six points neighboring ``x``: pairing and subline structure."""
     if not 1 <= x <= 15:
         raise ValueError(f"point label {x} out of range 1..15")
-    line, _, _, pts = _m2f2_sub()
+    pts = _m2f2_sub()[3]
     g = neighbor_graph()
     nbrs = sorted(g.neighbors(x))
     checks = [CheckResult("six neighbors", len(nbrs) == 6, _cset(nbrs))]
@@ -755,12 +789,10 @@ def perp_subline_check(x: int) -> Report:
             " ".join(_cset(p) for p in pairs),
         )
     )
-    six = induced_neighbor_masks(line, [pts[i - 1] for i in nbrs])
-    dual_line = enumerate_line(ring_by_name("gf2dual"))
     checks.append(
         CheckResult(
             "models the line over gf2dual",
-            mask_isomorphism(six, dual_line.neighbor_masks) is not None,
+            _subline_witness([pts[i - 1] for i in nbrs], "gf2dual") is not None,
         )
     )
     hp = [
@@ -939,9 +971,7 @@ def verify_transitivity() -> Report:
     line = _m2f2_sub()[0]
     ring = line.ring
     distant = line.distant_masks
-    triples = sum(
-        (d & e).bit_count() for d in distant for j, e in enumerate(distant) if d >> j & 1
-    )
+    triples = sum((d & distant[j]).bit_count() for d in distant for j in gf2.bits(d))
     witnesses, failures = distant_triple_witnesses(line)
     witnessed = sum(mask.bit_count() for mask in witnesses.values())
     detail = f"{witnessed} of {triples} triples witnessed"
@@ -972,13 +1002,14 @@ def verify_transitivity() -> Report:
     return Report("transitivity of the invertible group", tuple(checks), data)
 
 
-def trinity_report() -> Report:
+def trinity_report(petersen: Report | None = None) -> Report:
     """The three-way table: hyperplane kind, subline model, operator meaning.
 
     Each row is backed by the dedicated checks; this report re-runs them and
-    presents the counts side by side.
+    presents the counts side by side.  ``petersen`` is passed on to
+    ``verify_split_10_5``.
     """
-    ovoid_rep = verify_split_10_5()
+    ovoid_rep = verify_split_10_5(petersen)
     perp_rep = verify_perp_sublines()
     mermin_rep = verify_mermin()
     mub_rep = verify_mub()
@@ -1042,7 +1073,8 @@ def verify_all() -> Report:
 
     The trinity block already contains the ovoid, perp-set, magic-square
     and unbiased-bases passes as subreports, so those are not repeated at
-    the top level.
+    the top level; its ovoid pass reads the Petersen report, so each Petersen
+    mapping is checked once.
     """
     return Report(
         "full verification certificate",
@@ -1055,9 +1087,9 @@ def verify_all() -> Report:
             verify_relation_signs(),
             verify_gq_structure(),
             verify_hyperplane_census(),
-            verify_petersen(),
+            (petersen := verify_petersen()),
             verify_split_9_6(),
-            trinity_report(),
+            trinity_report(petersen),
             verify_transitivity(),
         ),
     )

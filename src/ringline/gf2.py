@@ -5,10 +5,11 @@ A matrix is a tuple of ints, one row per int, LSB = column 0.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "BitMatrix",
+    "bits",
     "identity",
     "add",
     "multiply",
@@ -20,6 +21,13 @@ __all__ = [
 ]
 
 BitMatrix = tuple[int, ...]
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask`` (>= 0), lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 def identity(n: int) -> BitMatrix:

@@ -19,7 +19,8 @@ bitmask over the nonzero vectors, so each such question is one AND.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import or_
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import gf2
@@ -324,6 +325,21 @@ def gl2_elements(ring: Ring) -> tuple[Mat2, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _triple_tables(line: ProjectiveLine, us: tuple[RingElement, ...]) -> tuple[list, list, list]:
+    """What ``distant_triple_witnesses`` reads of the line and the units
+    ``us`` alone: the bit of the class of every pair (bit n, in no mask, for
+    a pair in none), each point's scaled rows (s, s.c, s.d) for its
+    canonical pair (c, d), and whether all of a point's scaled rows lie in
+    its own class."""
+    ring, n, index = line.ring, len(line.points), line._index_by_pair
+    mul, canonical = ring.mul_table, [pt.canonical for pt in line.points]
+    bit_of = [[1 << index.get((a, b), n) for b in ring.elements()] for a in ring.elements()]
+    scaled = [[(s, mul[s][c], mul[s][d]) for s in us] for c, d in canonical]
+    in_class = [all(bit_of[e][f] == 1 << j for _, e, f in rows) for j, rows in enumerate(scaled)]
+    return bit_of, scaled, in_class
+
+
 def distant_triple_witnesses(
     line: ProjectiveLine,
 ) -> tuple[dict[tuple[int, int], int], list[tuple]]:
@@ -336,32 +352,34 @@ def distant_triple_witnesses(
     For each distant pair (i, j), with canonical pairs x0 and y0, and each
     unit s, the matrix with rows x0 and s.y0 is a witness when its row spans
     meet only in 0, s.y0 lies in class j, and the class k of x0 + s.y0 is
-    distant from i and j.
+    distant from i and j.  A pair is accepted in one pass when all of j's
+    scaled rows lie in class j, x0's span meets none of theirs and every k
+    is distant from both; otherwise the unit-by-unit loop names each s that
+    fails.
     """
-    ring, distant, n = line.ring, line.distant_masks, len(line.points)
-    spans, index = _row_spans(ring), line._index_by_pair
-    add, mul = ring.add_table, ring.mul_table
-    # the class of every pair, n for a pair in none (bit n is in no mask)
-    cls_of = [[index.get((a, b), n) for b in ring.elements()] for a in ring.elements()]
-    # each scaled row s.y0 with its span and class, looked up once; a pair
-    # without full rank gets span -1, which meets every span
-    scaled = []
-    for c, d in (pt.canonical for pt in line.points):
-        rows = [(s, mul[s][c], mul[s][d]) for s in sorted(units(ring))]
-        scaled.append([(s, e, f, spans.get((e, f), -1), cls_of[e][f]) for s, e, f in rows])
+    ring, distant = line.ring, line.distant_masks
+    spans, add = _row_spans(ring), ring.add_table
+    bit_of, scaled, in_class = _triple_tables(line, tuple(sorted(units(ring))))
+    # the spans of each point's scaled rows ORed; a pair without full rank
+    # gets span -1, which meets every span
+    span_or = [reduce(or_, (spans.get((e, f), -1) for _, e, f in row), 0) for row in scaled]
     witnesses: dict[tuple[int, int], int] = {}
     failures: list[tuple[int, int, RingElement]] = []
     for i, mask in enumerate(distant):
         a, b = line.points[i].canonical
         top, add_a, add_b = spans.get((a, b), -1), add[a], add[b]
-        for j in (j for j in range(n) if mask >> j & 1):
-            both, found = mask & distant[j], 0
-            for s, e, f, span, cls in scaled[j]:
-                k = cls_of[add_a[e]][add_b[f]]
-                if both >> k & 1 and cls == j and not top & span:
-                    found |= 1 << k
-                else:
-                    failures.append((i, j, s))
+        for j in gf2.bits(mask):
+            both, rows, found = mask & distant[j], scaled[j], 0
+            for _, e, f in rows:
+                found |= bit_of[add_a[e]][add_b[f]]
+            if found & ~both or top & span_or[j] or not in_class[j]:
+                found = 0
+                for s, e, f in rows:
+                    bit = bit_of[add_a[e]][add_b[f]]
+                    if both & bit and bit_of[e][f] == 1 << j and not top & spans.get((e, f), -1):
+                        found |= bit
+                    else:
+                        failures.append((i, j, s))
             witnesses[i, j] = found
     return witnesses, failures
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import gf2
 
@@ -36,7 +36,9 @@ __all__ = [
     "is_petersen",
     "graph_isomorphism",
     "mask_isomorphism",
+    "mask_maps_onto",
     "structure_isomorphism",
+    "structure_maps_onto",
     "dual",
 ]
 
@@ -73,6 +75,12 @@ class Graph(_GraphFields):
             adj[u].add(v)
             adj[v].add(u)
         return {v: frozenset(nbrs) for v, nbrs in adj.items()}
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """The adjacency masks over vertex positions, in vertex order."""
+        pos = {v: i for i, v in enumerate(self.vertices)}
+        return tuple(sum(1 << pos[u] for u in self.adjacency[v]) for v in self.vertices)
 
     def neighbors(self, v: Vertex) -> frozenset:
         return self.adjacency[v]
@@ -340,11 +348,7 @@ def graph_isomorphism(g: Graph, h: Graph) -> dict | None:
     """A vertex bijection preserving adjacency both ways, or None:
     ``mask_isomorphism`` on the adjacency masks of each graph in its vertex
     order, mapped back to vertices."""
-    gpos, hpos = ({v: i for i, v in enumerate(x.vertices)} for x in (g, h))
-    iso = mask_isomorphism(
-        [sum(1 << gpos[u] for u in g.adjacency[v]) for v in g.vertices],
-        [sum(1 << hpos[u] for u in h.adjacency[v]) for v in h.vertices],
-    )
+    iso = mask_isomorphism(g.masks, h.masks)
     return None if iso is None else {g.vertices[i]: h.vertices[w] for i, w in iso.items()}
 
 
@@ -402,6 +406,21 @@ def mask_isomorphism(gadj: Sequence[int], hadj: Sequence[int]) -> dict[int, int]
     return mapping
 
 
+def mask_maps_onto(mapping: Mapping[int, int], gadj: Sequence[int], hadj: Sequence[int]) -> bool:
+    """Whether ``mapping`` is a bijection between the vertices 0..n-1 of two
+    graphs given as ``mask_isomorphism`` takes them, under which the mask of
+    each vertex of ``gadj`` maps exactly onto the ``hadj`` mask of its image:
+    the check of a kept search result."""
+    n, every = len(gadj), list(range(len(gadj)))
+    if len(hadj) != n or sorted(mapping) != every or sorted(mapping.values()) != every:
+        return False
+    # a bit past n maps to bit n, which no mask of hadj may carry
+    return all(
+        hadj[w] == sum(1 << mapping.get(j, n) for j in gf2.bits(gadj[i])) < 1 << n
+        for i, w in mapping.items()
+    )
+
+
 def structure_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure) -> dict | None:
     """A point bijection carrying lines to lines, or None.
 
@@ -416,6 +435,18 @@ def structure_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure) -> dic
     if all(frozenset(iso[p] for p in line) in lines2 for line in s1.lines):
         return iso
     return None
+
+
+def structure_maps_onto(mapping: Mapping, s1: IncidenceStructure, s2: IncidenceStructure) -> bool:
+    """Whether the point map ``mapping`` carries the collinearity graph of
+    ``s1`` onto that of ``s2`` (``mask_maps_onto`` over point positions) and
+    the lines of ``s1`` onto those of ``s2``."""
+    g, h = s1.collinearity_graph, s2.collinearity_graph
+    at = {v: w for w, v in enumerate(h.vertices)}
+    by_position = {i: at.get(mapping.get(v), -1) for i, v in enumerate(g.vertices)}
+    return mask_maps_onto(by_position, g.masks, h.masks) and {
+        frozenset(map(mapping.get, line)) for line in s1.lines
+    } == set(s2.lines)
 
 
 def dual(s: IncidenceStructure) -> IncidenceStructure:

@@ -36,6 +36,7 @@ from ringline.correspondence import (
     verify_subconfig,
     verify_transitivity,
 )
+from ringline.quadrangle import Graph, IncidenceStructure
 from ringline.rings import ring_by_name, validate_ring
 
 
@@ -127,7 +128,8 @@ def _failed(report):
 
 @pytest.fixture
 def fresh_structure():
-    """Rebuild the cached quadrangle while a test runs, and again after it."""
+    """Rebuild the cached quadrangle and search the kept isomorphisms again
+    while a test runs, and again after it."""
     caches = (
         co._m2f2_sub,
         co.geometric_signs,
@@ -135,6 +137,9 @@ def fresh_structure():
         co.canonical_gq,
         co.canonical_hyperplanes,
         co.canonical_spreads,
+        co._petersen_search,
+        co._subline_search,
+        co._self_duality_search,
     )
     for cache in caches:
         cache.cache_clear()
@@ -486,6 +491,115 @@ def test_petersen_witness_with_two_images_swapped_fails(monkeypatch):
     }
     monkeypatch.undo()
     assert verify_all().passed
+
+
+# the trinity row that sums up each kind of sub-line report
+PERP_ROW = "perp row: 15 perp sets, gf2dual sublines, six commuting partners"
+OVOID_ROW = "ovoid row: 6 ovoids, gf4 sublines, mutually non-commuting fives"
+NINE_CHECK = "nine common neighbors model the line over gf2xgf2"
+SPLIT_CHECK = "exactly one split of the six into two gf4 triples"
+
+
+def _kept_subline(kind, index):
+    """The points of one kept sub-line witness, in the order its verifier
+    lists them, and the checks of ``verify_all()`` that use that witness."""
+    _, u, v, pts = co._m2f2_sub()
+    if kind == "perp":
+        nbrs = sorted(co.neighbor_graph().neighbors(index))
+        checks = {("perp-set sublines", f"perp set of C{index}"), ("hyperplane trinity", PERP_ROW)}
+        return [pts[i - 1] for i in nbrs], checks
+    if kind == "ovoid":
+        labels = sorted([h for h in canonical_hyperplanes() if h.kind == "ovoid"][index].points)
+        ovoid = ("10 plus 5 factorization", f"ovoid {co._cset(labels)}")
+        return [pts[i - 1] for i in labels], {ovoid, ("hyperplane trinity", OVOID_ROW)}
+    if kind == "nine":
+        balance = "each of the nine has 4 neighbor and 4 distant partners inside"
+        return list(pts[6:]), {("9 plus 6 factorization", name) for name in (NINE_CHECK, balance)}
+    triple = sorted(golden.TRIPLE_SPLIT[index])
+    return [pts[i - 1] for i in triple] + [u, v], {("9 plus 6 factorization", SPLIT_CHECK)}
+
+
+KEPT_SUBLINES = (
+    [("perp", x) for x in range(1, 16)]
+    + [("ovoid", i) for i in range(6)]
+    + [("nine", 0), ("triple", 0), ("triple", 1)]
+)
+
+
+@pytest.mark.parametrize("kind, index", KEPT_SUBLINES, ids=[f"{k}-{i}" for k, i in KEPT_SUBLINES])
+def test_kept_subline_witness_fails_on_a_flipped_mask_bit(kind, index, monkeypatch, capsys):
+    """The sub-line searches run once, but every call checks the kept mapping
+    against the current masks: after a warm call, one bit flipped in the
+    adjacency masks of one sub-line fails exactly the checks that use it,
+    ``verify_all()`` returns, and ``ringline verify all`` exits 1 without a
+    traceback."""
+    assert verify_all().passed
+    points, checks = _kept_subline(kind, index)
+    real = co.induced_neighbor_masks
+
+    def flipped(line, pts):
+        masks = real(line, pts)
+        if list(pts) == points:
+            masks[0] ^= 0b10
+        return masks
+
+    monkeypatch.setattr(co, "induced_neighbor_masks", flipped)
+    assert _failed_anywhere(verify_all()) == checks
+    assert cli.main(["verify", "all"]) == 1
+    captured = capsys.readouterr()
+    assert all(f"[FAIL] {name}" in captured.out for _, name in checks)
+    assert captured.err == ""
+
+
+def test_kept_subline_witness_fails_on_a_flipped_relation_cell(monkeypatch, capsys):
+    """A neighbor pair of the nine made distant in the line's relation fails
+    the kept witness of the nine, through ``verify_all()`` and the CLI."""
+    assert verify_all().passed
+    line, u, v, pts = co._m2f2_sub()
+    i, j = line.index_of(pts[6].canonical), line.index_of(pts[7].canonical)
+    assert line.relation[i][j] == "-"
+    rows = [list(row) for row in line.relation]
+    rows[i][j] = rows[j][i] = "+"
+    bad = line._replace(relation=tuple("".join(row) for row in rows))
+    monkeypatch.setattr(co, "_m2f2_sub", lambda: (bad, u, v, pts))
+    assert ("9 plus 6 factorization", NINE_CHECK) in _failed_anywhere(verify_all())
+    assert cli.main(["verify", "all"]) == 1
+    captured = capsys.readouterr()
+    assert f"[FAIL] {NINE_CHECK}" in captured.out
+    assert captured.err == ""
+
+
+def _toggled_collinearity(s):
+    g = s.collinearity_graph
+    return {"collinearity_graph": Graph(g.vertices, g.edges ^ {frozenset((1, 2))})}
+
+
+def _dual_with_a_point_moved(s):
+    d = s.dual_structure
+    lines = list(d.lines)
+    p, q = min(lines[0] - lines[1]), min(lines[1] - lines[0])
+    lines[0], lines[1] = lines[0] - {p} | {q}, lines[1] - {q} | {p}
+    return {"dual_structure": IncidenceStructure(d.points, tuple(lines))}
+
+
+@pytest.mark.parametrize("change", [_toggled_collinearity, _dual_with_a_point_moved])
+def test_kept_self_duality_fails_on_a_changed_quadrangle(change, monkeypatch, capsys):
+    """The self-duality search runs once, and every call checks its mapping:
+    a quadrangle whose collinearity graph has one edge toggled, or whose
+    dual has two lines trading a point, fails the self-duality check through
+    ``verify_all()`` and the CLI, without a traceback."""
+    assert verify_all().passed
+    s = co.canonical_gq()
+    bad = IncidenceStructure(*s)
+    bad.__dict__.update(change(s))
+    monkeypatch.setattr(co, "canonical_gq", lambda: bad)
+    check = ("quadrangle structure", "self-duality isomorphism found")
+    assert check in _failed_anywhere(verify_all())
+    assert cli.main(["verify", "all"]) == 1
+    captured = capsys.readouterr()
+    assert f"[FAIL] {check[1]}" in captured.out
+    assert captured.err == ""
+    assert co.quadrangle_axioms() == ([], None)
 
 
 WITNESS_CHECK = "every ordered pairwise-distant triple is witnessed"

@@ -10,7 +10,7 @@ import pytest
 
 import kernel_oracle as oracle
 from ringline import correspondence as co
-from ringline import pauli, quadrangle, rings
+from ringline import pauli, projline, quadrangle, rings
 from ringline.pauli import PauliOp, line_product_sign
 from ringline.projline import distant_triple_witnesses, enumerate_line
 from ringline.quadrangle import (
@@ -174,10 +174,18 @@ def _graph_of(masks):
     )
 
 
-def _warm_searches(monkeypatch):
-    """The (gadj, hadj) of every mask search a warm ``verify_all()`` makes,
-    wherever ``mask_isomorphism`` is bound."""
+# the searches whose mappings are kept as derived structure and checked on
+# every call (the Petersen searches are kept by ``_petersen_search``)
+KEPT_SEARCHES = (co._subline_search, co._self_duality_search)
+
+
+def _first_use_searches(monkeypatch):
+    """The (gadj, hadj) of every mask search a ``verify_all()`` makes once
+    the kept sub-line and self-duality searches are cleared, wherever
+    ``mask_isomorphism`` is bound."""
     co.verify_all()
+    for search in KEPT_SEARCHES:
+        search.cache_clear()
     real, searches = quadrangle.mask_isomorphism, []
 
     def recorded(gadj, hadj):
@@ -216,10 +224,10 @@ def test_mask_isomorphism_searches_in_the_oracle_order_on_irregular_graphs():
 
 def test_mask_isomorphism_matches_oracle_on_every_warm_search(monkeypatch):
     """The 15 perp sixes, the 6 ovoid fives, the 2 gf4 triple fives, the nine
-    and the self-duality search: each finds the mapping the set-based
-    oracle finds on the Graph form, and so does every target with one edge
-    toggled."""
-    searches = _warm_searches(monkeypatch)
+    and the self-duality search, as a first use runs them: each finds the
+    mapping the set-based oracle finds on the Graph form, and so does every
+    target with one edge toggled."""
+    searches = _first_use_searches(monkeypatch)
     assert Counter(len(g) for g, _ in searches) == {6: 15, 5: 6 + 2, 9: 1, 15: 1}
     monkeypatch.undo()
     for gadj, hadj in searches:
@@ -232,6 +240,20 @@ def test_mask_isomorphism_matches_oracle_on_every_warm_search(monkeypatch):
             toggled[v] ^= 1 << u
             got = quadrangle.mask_isomorphism(gadj, toggled)
             assert got == oracle.graph_isomorphism(g, _graph_of(toggled)), (u, v)
+
+
+def test_mask_maps_onto_accepts_only_an_exact_bijection():
+    triangle, path = [0b110, 0b101, 0b011], [0b010, 0b101, 0b010]
+    same = {0: 0, 1: 1, 2: 2}
+    assert quadrangle.mask_maps_onto(same, triangle, triangle)
+    assert quadrangle.mask_maps_onto({0: 2, 1: 1, 2: 0}, path, path)
+    assert not quadrangle.mask_maps_onto(same, triangle, path)
+    assert not quadrangle.mask_maps_onto({0: 0, 1: 1, 2: 1}, triangle, triangle)
+    assert not quadrangle.mask_maps_onto({0: 0, 1: 1}, triangle, triangle)
+    assert not quadrangle.mask_maps_onto(same, triangle, triangle + [0])
+    # a bit past the last vertex, on both sides, is no edge
+    past = [0b1110, 0b101, 0b011]
+    assert not quadrangle.mask_maps_onto(same, past, past)
 
 
 def test_graph_isomorphism_finds_the_oracle_mapping(gq, hyperplanes):
@@ -251,7 +273,11 @@ def test_graph_isomorphism_finds_the_oracle_mapping(gq, hyperplanes):
 
 
 def _witnesses_as_triples(line):
+    """The witnessed triples and the failures, after checking that the
+    witness masks come one per distant pair, in row order."""
     masks, failures = distant_triple_witnesses(line)
+    pairs = itertools.product(range(len(line.points)), repeat=2)
+    assert list(masks) == [(i, j) for i, j in pairs if line.distant_masks[i] >> j & 1]
     return oracle.witnessed_triples(masks), failures
 
 
@@ -259,6 +285,49 @@ def _witnesses_as_triples(line):
 def test_distant_triple_witnesses_match_oracle(name):
     line = enumerate_line(ring_by_name(name))
     assert _witnesses_as_triples(line) == oracle.distant_triple_witnesses(line)
+
+
+WITNESS_RINGS = ("m2f2", "gf4", "gf2xgf2")
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_distant_triple_witnesses_match_oracle_on_wrong_unit_lists(change, monkeypatch):
+    """A unit list one short, or with zero added, read afresh on each call:
+    the witnesses and the failures, in order, are the oracle's."""
+    for name in WITNESS_RINGS:
+        line = enumerate_line(ring_by_name(name))
+        good = rings.units(line.ring)
+        wrong = frozenset(sorted(good)[:-1]) if change == "drop" else good | {line.ring.zero}
+        for module in (projline, oracle):
+            monkeypatch.setattr(module, "units", lambda ring: wrong)
+        got = _witnesses_as_triples(line)
+        assert got == oracle.distant_triple_witnesses(line)
+        assert bool(got[1]) == (change == "add")
+        monkeypatch.undo()
+        assert _witnesses_as_triples(line) == oracle.distant_triple_witnesses(line)
+
+
+def test_distant_triple_witnesses_match_oracle_on_corrupted_addition():
+    """Each built line of m2f2, gf4 and gf2xgf2 with one addition cell
+    changed (every wrong value of every cell of the small rings, one of
+    every fourth m2f2 cell): the witnesses and the failures, in order, are
+    the oracle's, both where a pair passes in one pass and where the
+    unit-by-unit loop has to name a failure."""
+    outcomes = Counter()
+    for name in WITNESS_RINGS:
+        line = enumerate_line(ring_by_name(name))
+        ring = line.ring
+        for x, y in itertools.product(range(ring.order), repeat=2):
+            if ring.order == 16 and (x + y) % 4:
+                continue
+            for value in _wrong_values(ring, "add_table", x, y):
+                bad = line._replace(ring=_with_cell(ring, "add_table", x, y, value))
+                got = _witnesses_as_triples(bad)
+                assert got == oracle.distant_triple_witnesses(bad), (name, x, y, value)
+                outcomes[bool(got[1])] += 1
+    # 64 m2f2 cells with one wrong value, 16 cells with 3 in each small ring
+    assert sum(outcomes.values()) == 64 + 2 * 48
+    assert outcomes[True] and outcomes[False]
 
 
 def test_distant_triple_witnesses_match_oracle_on_flipped_cells(m2f2_line):
@@ -434,7 +503,7 @@ def test_warm_validate_ring_runs_no_scan(name, monkeypatch):
 # nothing is cached between runs except derived structure
 
 VERDICTS = {
-    "quadrangle": ("graph_isomorphism", "mask_isomorphism", "validate_gq_axioms"),
+    "quadrangle": ("mask_maps_onto", "structure_maps_onto", "validate_gq_axioms"),
     "pauli": ("mub_spread_check", "mermin_square_check"),
     "projline": ("distant_triple_witnesses",),
     "rings": ("validate_ring",),
@@ -442,26 +511,35 @@ VERDICTS = {
 }
 
 
+def _count_calls(monkeypatch, *functions):
+    """Wrap each function wherever a ringline module binds it; the Counter
+    of calls by function name."""
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items() if name.startswith("ringline.")]
+    for real in functions:
+
+        def counted(*args, _name=real.__name__, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
 def test_no_verdict_is_cached(monkeypatch):
     """Each verdict function is wrapped in its defining module and in every
     module that imported it; two consecutive runs, after the one that fills
     the derived structure, call each of them equally often and not never."""
     co.verify_all()
-    calls = Counter()
-    modules = [m for name, m in sys.modules.items() if name.startswith("ringline.")]
-    for short, names in VERDICTS.items():
-        home = sys.modules[f"ringline.{short}"]
-        for name in names:
-            real = getattr(home, name)
-
-            def counted(*args, _name=name, _real=real):
-                calls[_name] += 1
-                return _real(*args)
-
-            for module in modules:
-                for key, value in list(vars(module).items()):
-                    if value is real:
-                        monkeypatch.setattr(module, key, counted)
+    verdicts = [
+        getattr(sys.modules[f"ringline.{short}"], name)
+        for short, names in VERDICTS.items()
+        for name in names
+    ]
+    calls = _count_calls(monkeypatch, *verdicts)
     runs = []
     for _ in range(2):
         calls.clear()
@@ -470,6 +548,18 @@ def test_no_verdict_is_cached(monkeypatch):
     assert runs[0] == runs[1]
     assert sorted(runs[0]) == sorted(n for names in VERDICTS.values() for n in names)
     assert all(n > 0 for n in runs[0].values())
+
+
+def test_warm_verify_all_searches_nothing(monkeypatch):
+    """Every isomorphism of a warm ``verify_all()`` is a kept mapping that is
+    checked, not searched again, and each of the six Petersen mappings is
+    checked once although two reports use it."""
+    co.verify_all()
+    calls = _count_calls(
+        monkeypatch, quadrangle.mask_isomorphism, quadrangle.graph_isomorphism, co._maps_onto
+    )
+    assert co.verify_all().passed
+    assert calls == {"_maps_onto": 6}
 
 
 def test_warm_verify_all_builds_no_dual(monkeypatch):
