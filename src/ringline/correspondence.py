@@ -50,17 +50,13 @@ from .quadrangle import (
     Graph,
     IncidenceStructure,
     build_gq_from_graph,
-    complement_graph_of_ovoid,
     enumerate_hyperplanes,
     enumerate_ovoids,
     enumerate_spreads,
-    graph_isomorphism,
     is_strongly_regular,
     mask_isomorphism,
     mask_maps_onto,
     petersen_graph,
-    structure_isomorphism,
-    structure_maps_onto,
     triangles,
     validate_gq_axioms,
 )
@@ -437,20 +433,32 @@ def verify_relation_signs(reference: Sequence[str] | None = None) -> Report:
 
 
 @lru_cache(maxsize=None)
-def _self_duality_search() -> Mapping | None:
-    # derived structure: searched once, so the mapping is read-only
-    s = canonical_gq()
-    iso = structure_isomorphism(s, s.dual_structure)
+def _kept_isomorphism(gadj: tuple[int, ...], hadj: tuple[int, ...]) -> Mapping | None:
+    # derived structure: searched once per pair of graphs, so the mapping is read-only
+    iso = mask_isomorphism(gadj, hadj)
     return None if iso is None else MappingProxyType(iso)
+
+
+def _checked_isomorphism(gadj: Sequence[int], hadj: Sequence[int]) -> Mapping | None:
+    """An isomorphism {i: w} between two graphs given by adjacency masks, as
+    ``mask_isomorphism`` takes them, or None.  The search runs once per pair
+    of mask tuples; every call checks the kept mapping with ``mask_maps_onto``."""
+    gadj, hadj = tuple(gadj), tuple(hadj)
+    iso = _kept_isomorphism(gadj, hadj)
+    return iso if iso is not None and mask_maps_onto(iso, gadj, hadj) else None
 
 
 def quadrangle_axioms() -> tuple[list[str], Mapping | None]:
     """Axiom violations of ``canonical_gq()`` and a self-duality isomorphism
-    (or None).  The search runs once; every call checks its mapping against
-    the current quadrangle and dual with ``structure_maps_onto``."""
-    s, iso = canonical_gq(), _self_duality_search()
-    if iso is not None and not structure_maps_onto(iso, s, s.dual_structure):
-        iso = None
+    (or None): a checked isomorphism of the two collinearity graphs that
+    carries every line onto a dual line."""
+    s = canonical_gq()
+    d = s.dual_structure
+    iso = _checked_isomorphism(s.collinearity_graph.masks, d.collinearity_graph.masks)
+    if iso is not None:
+        iso = {s.points[i]: d.points[w] for i, w in iso.items()}
+        if {frozenset(map(iso.get, line)) for line in s.lines} != set(d.lines):
+            iso = None
     return validate_gq_axioms(s), iso
 
 
@@ -538,58 +546,27 @@ def verify_hyperplane_census() -> Report:
     return Report("hyperplane census", tuple(checks), data)
 
 
-@lru_cache(maxsize=None)
-def _petersen_search(ovoid: frozenset[int]) -> Mapping | None:
-    # derived structure: searched once per ovoid, so the mapping is read-only
-    comp = complement_graph_of_ovoid(canonical_gq(), ovoid)
-    iso = graph_isomorphism(comp, petersen_graph())
-    return None if iso is None else MappingProxyType(iso)
+def _subline_witness(masks: Sequence[int], target: str) -> Mapping | None:
+    """An isomorphism from the graph of the neighbor ``masks`` of some m2f2
+    points (``induced_neighbor_masks``) onto the line over ``target``, or None."""
+    return _checked_isomorphism(masks, enumerate_line(ring_by_name(target)).neighbor_masks)
 
 
-def _maps_onto(mapping: Mapping, g: Graph, h: Graph) -> bool:
-    """Whether ``mapping`` is a vertex bijection from g to h under which each
-    edge of g maps to an edge of h and each edge of h is such an image."""
-    return (
-        sorted(mapping) == sorted(g.vertices)
-        and sorted(mapping.values()) == sorted(h.vertices)
-        and {frozenset(map(mapping.get, e)) for e in g.edges} == h.edges
-    )
-
-
-def _subline_masks(points: Sequence[PointClass], target: str) -> tuple[list[int], tuple[int, ...]]:
-    """The neighbor masks of ``points`` on the m2f2 line and of the line over
-    ``target``."""
-    line = enumerate_line(ring_by_name(target))
-    return induced_neighbor_masks(_m2f2_sub()[0], points), line.neighbor_masks
-
-
-@lru_cache(maxsize=None)
-def _subline_search(points: tuple[PointClass, ...], target: str) -> Mapping | None:
-    # derived structure: searched once per point list, so the mapping is read-only
-    iso = mask_isomorphism(*_subline_masks(points, target))
-    return None if iso is None else MappingProxyType(iso)
-
-
-def _subline_witness(points: Sequence[PointClass], target: str) -> Mapping | None:
-    """An isomorphism from the neighbor graph on ``points`` of the m2f2 line
-    onto the line over ``target``, or None.  The search runs once per point
-    list; every call checks its mapping against the current masks."""
-    iso = _subline_search(tuple(points), target)
-    if iso is None or not mask_maps_onto(iso, *_subline_masks(points, target)):
-        return None
-    return iso
-
-
-def petersen_witness(ovoid: frozenset[int]) -> Mapping | None:
+def petersen_witness(ovoid: frozenset[int]) -> dict | None:
     """An isomorphism from the collinearity graph off ``ovoid`` onto
     ``petersen_graph()``, or None; one proves the complement cubic with
-    girth 5.  The search runs once per ovoid; every call checks its mapping
-    against the current complement."""
-    witness = _petersen_search(ovoid)
-    comp = complement_graph_of_ovoid(canonical_gq(), ovoid)
-    if witness is None or not _maps_onto(witness, comp, petersen_graph()):
+    girth 5."""
+    s, reference = canonical_gq(), petersen_graph()
+    # the positions of the points off the ovoid, renumbered 0..9 by ``at``
+    keep = [i for i, p in enumerate(s.points) if p not in ovoid]
+    at, off = {j: b for b, j in enumerate(keep)}, sum(1 << j for j in keep)
+    masks = s.collinearity_graph.masks
+    iso = _checked_isomorphism(
+        [sum(1 << at[j] for j in gf2.bits(masks[i] & off)) for i in keep], reference.masks
+    )
+    if iso is None:
         return None
-    return witness
+    return {s.points[keep[i]]: reference.vertices[w] for i, w in iso.items()}
 
 
 def verify_petersen() -> Report:
@@ -651,7 +628,7 @@ def verify_split_9_6() -> Report:
 
     nine = induced_neighbor_masks(line, fam_neighbor)
     grid_line = enumerate_line(ring_by_name("gf2xgf2"))
-    iso = _subline_witness(fam_neighbor, "gf2xgf2")
+    iso = _subline_witness(nine, "gf2xgf2")
     checks.append(
         CheckResult(
             "nine common neighbors model the line over gf2xgf2",
@@ -683,7 +660,10 @@ def verify_split_9_6() -> Report:
         )
         if not cross_ok:
             continue
-        if all(_subline_witness(t + [u, v], "gf4") is not None for t in (first, second)):
+        if all(
+            _subline_witness(induced_neighbor_masks(line, t + [u, v]), "gf4") is not None
+            for t in (first, second)
+        ):
             labels = (
                 frozenset(i + 1 for i in combo),
                 frozenset(i + 1 for i in range(6) if i not in combo),
@@ -731,7 +711,7 @@ def verify_split_10_5(petersen: Report | None = None) -> Report:
     run, which is made here when not given."""
     petersen = verify_petersen() if petersen is None else petersen
     witnessed = {frozenset(w["ovoid"]) for w in petersen.data["witnesses"]}
-    pts = _m2f2_sub()[3]
+    line, _, _, pts = _m2f2_sub()
     checks = []
     data: dict = {"ovoids": []}
     ovoids = [h for h in canonical_hyperplanes() if h.kind == OVOID]
@@ -754,7 +734,8 @@ def verify_split_10_5(petersen: Report | None = None) -> Report:
         noncommuting = all(
             not commutes(a, b) for a, b in itertools.combinations(five_ops, 2)
         )
-        subline = _subline_witness([pts[i - 1] for i in labels], "gf4") is not None
+        five = induced_neighbor_masks(line, [pts[i - 1] for i in labels])
+        subline = _subline_witness(five, "gf4") is not None
         checks.append(
             CheckResult(
                 f"ovoid {_cset(labels)}",
@@ -770,7 +751,7 @@ def perp_subline_check(x: int) -> Report:
     """The six points neighboring ``x``: pairing and subline structure."""
     if not 1 <= x <= 15:
         raise ValueError(f"point label {x} out of range 1..15")
-    pts = _m2f2_sub()[3]
+    line, _, _, pts = _m2f2_sub()
     g = neighbor_graph()
     nbrs = sorted(g.neighbors(x))
     checks = [CheckResult("six neighbors", len(nbrs) == 6, _cset(nbrs))]
@@ -792,7 +773,8 @@ def perp_subline_check(x: int) -> Report:
     checks.append(
         CheckResult(
             "models the line over gf2dual",
-            _subline_witness([pts[i - 1] for i in nbrs], "gf2dual") is not None,
+            _subline_witness(induced_neighbor_masks(line, [pts[i - 1] for i in nbrs]), "gf2dual")
+            is not None,
         )
     )
     hp = [

@@ -38,7 +38,6 @@ __all__ = [
     "mask_isomorphism",
     "mask_maps_onto",
     "structure_isomorphism",
-    "structure_maps_onto",
     "dual",
 ]
 
@@ -410,15 +409,24 @@ def mask_maps_onto(mapping: Mapping[int, int], gadj: Sequence[int], hadj: Sequen
     """Whether ``mapping`` is a bijection between the vertices 0..n-1 of two
     graphs given as ``mask_isomorphism`` takes them, under which the mask of
     each vertex of ``gadj`` maps exactly onto the ``hadj`` mask of its image:
-    the check of a kept search result."""
-    n, every = len(gadj), list(range(len(gadj)))
-    if len(hadj) != n or sorted(mapping) != every or sorted(mapping.values()) != every:
+    the check of a kept search result.  For a bijection it suffices that each
+    neighbour's image is a neighbour of the image and the degrees agree; a
+    bit past n has no image in ``gadj`` and makes the degrees differ in
+    ``hadj``."""
+    n, every = len(gadj), set(range(len(gadj)))
+    if len(hadj) != n or mapping.keys() != every or set(mapping.values()) != every:
         return False
-    # a bit past n maps to bit n, which no mask of hadj may carry
-    return all(
-        hadj[w] == sum(1 << mapping.get(j, n) for j in gf2.bits(gadj[i])) < 1 << n
-        for i, w in mapping.items()
-    )
+    get = mapping.get
+    for i, w in mapping.items():
+        image, rest = hadj[w], gadj[i]
+        if image.bit_count() != rest.bit_count():
+            return False
+        while rest:
+            k = get((rest & -rest).bit_length() - 1)
+            if k is None or not image >> k & 1:
+                return False
+            rest &= rest - 1
+    return True
 
 
 def structure_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure) -> dict | None:
@@ -435,18 +443,6 @@ def structure_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure) -> dic
     if all(frozenset(iso[p] for p in line) in lines2 for line in s1.lines):
         return iso
     return None
-
-
-def structure_maps_onto(mapping: Mapping, s1: IncidenceStructure, s2: IncidenceStructure) -> bool:
-    """Whether the point map ``mapping`` carries the collinearity graph of
-    ``s1`` onto that of ``s2`` (``mask_maps_onto`` over point positions) and
-    the lines of ``s1`` onto those of ``s2``."""
-    g, h = s1.collinearity_graph, s2.collinearity_graph
-    at = {v: w for w, v in enumerate(h.vertices)}
-    by_position = {i: at.get(mapping.get(v), -1) for i, v in enumerate(g.vertices)}
-    return mask_maps_onto(by_position, g.masks, h.masks) and {
-        frozenset(map(mapping.get, line)) for line in s1.lines
-    } == set(s2.lines)
 
 
 def dual(s: IncidenceStructure) -> IncidenceStructure:

@@ -7,7 +7,7 @@ from types import MappingProxyType
 import pytest
 
 from kernel_oracle import witnessed_triples
-from ringline import cli, golden, pauli, projline
+from ringline import cli, golden, pauli, projline, quadrangle
 from ringline import correspondence as co
 from ringline.correspondence import (
     GRID,
@@ -128,8 +128,9 @@ def _failed(report):
 
 @pytest.fixture
 def fresh_structure():
-    """Rebuild the cached quadrangle and search the kept isomorphisms again
-    while a test runs, and again after it."""
+    """Rebuild the cached quadrangle while a test runs, and again after it.
+    A kept isomorphism is keyed on the two graphs it relates, so none is
+    cleared: a rebuilt structure finds its own."""
     caches = (
         co._m2f2_sub,
         co.geometric_signs,
@@ -137,9 +138,6 @@ def fresh_structure():
         co.canonical_gq,
         co.canonical_hyperplanes,
         co.canonical_spreads,
-        co._petersen_search,
-        co._subline_search,
-        co._self_duality_search,
     )
     for cache in caches:
         cache.cache_clear()
@@ -311,7 +309,7 @@ def test_label_swap_fails_verify_all_and_cli_without_traceback(swap_labels, caps
 
 
 def test_relation_isomorphism_exists():
-    mapping = co.graph_isomorphism(
+    mapping = quadrangle.graph_isomorphism(
         projline.signs_graph(geometric_signs()), projline.signs_graph(operator_signs())
     )
     assert mapping is not None
@@ -330,7 +328,7 @@ def test_relation_isomorphism_searches_the_line_graph():
     grid_line = projline.enumerate_line(ring_by_name("gf2xgf2"))
     mapping = co.mask_isomorphism(nine, grid_line.neighbor_masks)
     assert mapping is not None
-    assert mapping == co.graph_isomorphism(signs, projline.signs_graph(grid_line.relation))
+    assert mapping == quadrangle.graph_isomorphism(signs, projline.signs_graph(grid_line.relation))
     five = projline.induced_neighbor_masks(line, pts[6:11])
     assert co.mask_isomorphism(five, grid_line.neighbor_masks) is None
 
@@ -448,23 +446,37 @@ def test_mub_report_covers_all_spreads():
     assert len(report.data["spreads"]) == 6
 
 
+def _petersen_masks(ovoid):
+    """The key of the kept Petersen search of ``ovoid``: the masks of its
+    complement and of the reference graph."""
+    comp = quadrangle.complement_graph_of_ovoid(canonical_gq(), ovoid)
+    return comp.masks, co.petersen_graph().masks
+
+
+def _ovoids():
+    return [h.points for h in canonical_hyperplanes() if h.kind == "ovoid"]
+
+
 def test_petersen_search_runs_once_per_ovoid(monkeypatch):
-    """verify_petersen and verify_split_10_5 share one search per ovoid, and
-    the shared witness cannot be changed by a caller."""
-    real = co.graph_isomorphism
-    targets = []
+    """verify_petersen and verify_split_10_5 share one search per ovoid
+    complement, the kept mapping is read-only, and a caller that changes a
+    witness changes no later one."""
+    co._kept_isomorphism.cache_clear()
+    real, targets = co.mask_isomorphism, []
 
-    def counted(g, h):
-        targets.append(h)
-        return real(g, h)
+    def counted(gadj, hadj):
+        targets.append(hadj)
+        return real(gadj, hadj)
 
-    monkeypatch.setattr(co, "graph_isomorphism", counted)
-    co._petersen_search.cache_clear()
+    monkeypatch.setattr(co, "mask_isomorphism", counted)
     assert verify_petersen().passed and verify_split_10_5().passed
-    assert sum(h == co.petersen_graph() for h in targets) == 6
-    witness = co.petersen_witness(golden.SAMPLE_OVOID)
+    assert targets.count(co.petersen_graph().masks) == 6
     with pytest.raises(TypeError):
-        witness[1] = (0, 1)
+        co._kept_isomorphism(*_petersen_masks(golden.SAMPLE_OVOID))[0] = 1
+    witness = co.petersen_witness(golden.SAMPLE_OVOID)
+    kept = dict(witness)
+    witness.clear()
+    assert co.petersen_witness(golden.SAMPLE_OVOID) == kept
 
 
 def _failed_anywhere(report):
@@ -472,25 +484,119 @@ def _failed_anywhere(report):
     return failed.union(*(_failed_anywhere(r) for r in report.subreports))
 
 
-def test_petersen_witness_with_two_images_swapped_fails(monkeypatch):
+def _petersen_checks(ovoid):
+    """The checks of ``verify_all()`` that use the Petersen witness of ``ovoid``."""
+    labels = co._cset(ovoid)
+    return {
+        ("Petersen complements", f"complement of {labels} is Petersen"),
+        ("10 plus 5 factorization", f"ovoid {labels}"),
+        ("hyperplane trinity", OVOID_ROW),
+    }
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_petersen_witness_with_two_images_swapped_fails(index, monkeypatch):
     """The search result is kept, but every call checks it edge by edge: a
     kept mapping with two images swapped fails, through ``verify_all()``,
     the Petersen check of its ovoid in both reports that use it, and the
     trinity row that sums up the second, and nothing else."""
-    search = co._petersen_search
-    real = search(golden.SAMPLE_OVOID)
-    p, q = sorted(real)[:2]
-    swapped = MappingProxyType({**real, p: real[q], q: real[p]})
-    kept = {golden.SAMPLE_OVOID: swapped}
-    monkeypatch.setattr(co, "_petersen_search", lambda ovoid: kept.get(ovoid) or search(ovoid))
-    labels = co._cset(golden.SAMPLE_OVOID)
-    assert _failed_anywhere(verify_all()) == {
-        ("Petersen complements", f"complement of {labels} is Petersen"),
-        ("10 plus 5 factorization", f"ovoid {labels}"),
-        ("hyperplane trinity", "ovoid row: 6 ovoids, gf4 sublines, mutually non-commuting fives"),
-    }
+    ovoids = _ovoids()
+    assert len(ovoids) == 6 and len({_petersen_masks(o) for o in ovoids}) == 6
+    key, search = _petersen_masks(ovoids[index]), co._kept_isomorphism
+    real = search(*key)
+    swapped = MappingProxyType({**real, 0: real[1], 1: real[0]})
+    monkeypatch.setattr(
+        co, "_kept_isomorphism", lambda g, h: swapped if (g, h) == key else search(g, h)
+    )
+    assert _failed_anywhere(verify_all()) == _petersen_checks(ovoids[index])
     monkeypatch.undo()
     assert verify_all().passed
+
+
+def test_petersen_reference_with_an_edge_dropped_fails(monkeypatch, capsys):
+    """A reference graph with one edge dropped is no Petersen graph: it
+    fails its sanity check and every ovoid's Petersen checks, through
+    ``verify_all()`` and the CLI, without a traceback."""
+    reference = co.petersen_graph()
+    bad = Graph(reference.vertices, reference.edges - {frozenset(reference.sorted_edges()[0])})
+    monkeypatch.setattr(co, "petersen_graph", lambda: bad)
+    expected = {("Petersen complements", "reference graph sane")}
+    assert _failed_anywhere(verify_all()) == expected.union(*map(_petersen_checks, _ovoids()))
+    assert cli.main(["verify", "all"]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] reference graph sane" in captured.out
+    assert captured.err == ""
+
+
+def _relabelled_gq():
+    """The canonical quadrangle with points 1 and 2 trading labels: a valid
+    quadrangle whose collinearity masks differ."""
+    s, swap = canonical_gq(), {1: 2, 2: 1}
+    lines = tuple(frozenset(swap.get(p, p) for p in line) for line in s.lines)
+    relabelled = IncidenceStructure(s.points, lines)
+    assert relabelled.collinearity_graph.masks != s.collinearity_graph.masks
+    return relabelled
+
+
+def _first_run_on_a_relabelled_nine(monkeypatch):
+    """``verify_split_9_6()`` with the nine read with their first two points
+    swapped: a valid gf2xgf2 model with other masks."""
+    line, _, _, pts = co._m2f2_sub()
+    nine, real = list(pts[6:]), co.induced_neighbor_masks
+    relabelled = [nine[1], nine[0]] + nine[2:]
+    assert real(line, relabelled) != real(line, nine)
+    monkeypatch.setattr(
+        co, "induced_neighbor_masks",
+        lambda line, pts: real(line, relabelled if list(pts) == nine else pts),
+    )
+    assert verify_split_9_6().passed
+
+
+def _first_run_on_a_relabelled_quadrangle(monkeypatch):
+    relabelled = _relabelled_gq()
+    monkeypatch.setattr(co, "canonical_gq", lambda: relabelled)
+    problems, iso = co.quadrangle_axioms()
+    assert problems == [] and iso is not None
+
+
+def _first_petersen_witness_on_a_relabelled_quadrangle(monkeypatch):
+    relabelled = _relabelled_gq()
+    monkeypatch.setattr(co, "canonical_gq", lambda: relabelled)
+    co.petersen_witness(golden.SAMPLE_OVOID)
+
+
+@pytest.mark.parametrize(
+    "first_run",
+    [
+        _first_run_on_a_relabelled_quadrangle,
+        _first_run_on_a_relabelled_nine,
+        _first_petersen_witness_on_a_relabelled_quadrangle,
+    ],
+)
+def test_a_first_run_on_a_changed_structure_leaves_no_kept_mapping_behind(first_run, monkeypatch):
+    """A kept isomorphism is keyed on the two graphs it relates: the first
+    use in a process, under a relabelled structure, keeps a mapping for that
+    structure only, and with nothing cleared in between the intact
+    structure passes every check."""
+    co._kept_isomorphism.cache_clear()
+    first_run(monkeypatch)
+    monkeypatch.undo()
+    assert verify_all().tally() == (100, 0)
+
+
+def test_split_9_6_builds_the_nine_masks_once(monkeypatch):
+    """The balance check and the gf2xgf2 witness read one build of the
+    nine's neighbor masks."""
+    line, _, _, pts = co._m2f2_sub()
+    real, built = co.induced_neighbor_masks, []
+
+    def counted(line, points):
+        built.append(list(points))
+        return real(line, points)
+
+    monkeypatch.setattr(co, "induced_neighbor_masks", counted)
+    assert verify_split_9_6().passed
+    assert built.count(list(pts[6:])) == 1
 
 
 # the trinity row that sums up each kind of sub-line report
@@ -528,11 +634,10 @@ KEPT_SUBLINES = (
 
 @pytest.mark.parametrize("kind, index", KEPT_SUBLINES, ids=[f"{k}-{i}" for k, i in KEPT_SUBLINES])
 def test_kept_subline_witness_fails_on_a_flipped_mask_bit(kind, index, monkeypatch, capsys):
-    """The sub-line searches run once, but every call checks the kept mapping
-    against the current masks: after a warm call, one bit flipped in the
-    adjacency masks of one sub-line fails exactly the checks that use it,
-    ``verify_all()`` returns, and ``ringline verify all`` exits 1 without a
-    traceback."""
+    """Every call checks a sub-line mapping against the current masks: after
+    a warm call, one bit flipped in the adjacency masks of one sub-line
+    fails exactly the checks that use it, ``verify_all()`` returns, and
+    ``ringline verify all`` exits 1 without a traceback."""
     assert verify_all().passed
     points, checks = _kept_subline(kind, index)
     real = co.induced_neighbor_masks
@@ -582,10 +687,20 @@ def _dual_with_a_point_moved(s):
     return {"dual_structure": IncidenceStructure(d.points, tuple(lines))}
 
 
-@pytest.mark.parametrize("change", [_toggled_collinearity, _dual_with_a_point_moved])
+def _dual_lines_changed_on_the_same_graph(s):
+    """The dual with two lines trading a point but its collinearity graph
+    kept: the mask check passes and only the line check can fail."""
+    moved = _dual_with_a_point_moved(s)["dual_structure"]
+    moved.__dict__["collinearity_graph"] = s.dual_structure.collinearity_graph
+    return {"dual_structure": moved}
+
+
+@pytest.mark.parametrize(
+    "change", [_toggled_collinearity, _dual_with_a_point_moved, _dual_lines_changed_on_the_same_graph]
+)
 def test_kept_self_duality_fails_on_a_changed_quadrangle(change, monkeypatch, capsys):
-    """The self-duality search runs once, and every call checks its mapping:
-    a quadrangle whose collinearity graph has one edge toggled, or whose
+    """Every call checks the self-duality mapping against the current
+    quadrangle: one whose collinearity graph has one edge toggled, or whose
     dual has two lines trading a point, fails the self-duality check through
     ``verify_all()`` and the CLI, without a traceback."""
     assert verify_all().passed

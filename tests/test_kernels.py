@@ -174,18 +174,12 @@ def _graph_of(masks):
     )
 
 
-# the searches whose mappings are kept as derived structure and checked on
-# every call (the Petersen searches are kept by ``_petersen_search``)
-KEPT_SEARCHES = (co._subline_search, co._self_duality_search)
-
-
 def _first_use_searches(monkeypatch):
     """The (gadj, hadj) of every mask search a ``verify_all()`` makes once
-    the kept sub-line and self-duality searches are cleared, wherever
-    ``mask_isomorphism`` is bound."""
+    the one cache of kept searches is cleared, wherever ``mask_isomorphism``
+    is bound."""
     co.verify_all()
-    for search in KEPT_SEARCHES:
-        search.cache_clear()
+    co._kept_isomorphism.cache_clear()
     real, searches = quadrangle.mask_isomorphism, []
 
     def recorded(gadj, hadj):
@@ -223,12 +217,14 @@ def test_mask_isomorphism_searches_in_the_oracle_order_on_irregular_graphs():
 
 
 def test_mask_isomorphism_matches_oracle_on_every_warm_search(monkeypatch):
-    """The 15 perp sixes, the 6 ovoid fives, the 2 gf4 triple fives, the nine
-    and the self-duality search, as a first use runs them: each finds the
-    mapping the set-based oracle finds on the Graph form, and so does every
-    target with one edge toggled."""
+    """The distinct searches of a first use: the 15 perp sixes (8 distinct
+    mask pairs), the 6 ovoid fives and 2 gf4 triple fives (all one pair),
+    the nine, the 6 Petersen tens and the self-duality search.  Each finds
+    the mapping the set-based oracle finds on the Graph form, and so does
+    every target with one edge toggled."""
     searches = _first_use_searches(monkeypatch)
-    assert Counter(len(g) for g, _ in searches) == {6: 15, 5: 6 + 2, 9: 1, 15: 1}
+    assert Counter(len(g) for g, _ in searches) == {6: 8, 5: 1, 9: 1, 10: 6, 15: 1}
+    assert len(set(map(str, searches))) == len(searches) == 17
     monkeypatch.undo()
     for gadj, hadj in searches:
         g = _graph_of(gadj)
@@ -251,9 +247,16 @@ def test_mask_maps_onto_accepts_only_an_exact_bijection():
     assert not quadrangle.mask_maps_onto({0: 0, 1: 1, 2: 1}, triangle, triangle)
     assert not quadrangle.mask_maps_onto({0: 0, 1: 1}, triangle, triangle)
     assert not quadrangle.mask_maps_onto(same, triangle, triangle + [0])
-    # a bit past the last vertex, on both sides, is no edge
+    # a proper subgraph is no image, and without edges only a bijection maps
+    assert not quadrangle.mask_maps_onto(same, path, triangle)
+    assert not quadrangle.mask_maps_onto({0: 0, 1: 0}, [0, 0], [0, 0])
+    assert not quadrangle.mask_maps_onto({0: 0}, [0, 0], [0, 0])
+    assert not quadrangle.mask_maps_onto({0: 0, -1: 1}, [0, 0], [0, 0])
+    # a bit past the last vertex, on either side or both, is no edge
     past = [0b1110, 0b101, 0b011]
     assert not quadrangle.mask_maps_onto(same, past, past)
+    assert not quadrangle.mask_maps_onto(same, past, triangle)
+    assert not quadrangle.mask_maps_onto(same, triangle, past)
 
 
 def test_graph_isomorphism_finds_the_oracle_mapping(gq, hyperplanes):
@@ -503,11 +506,10 @@ def test_warm_validate_ring_runs_no_scan(name, monkeypatch):
 # nothing is cached between runs except derived structure
 
 VERDICTS = {
-    "quadrangle": ("mask_maps_onto", "structure_maps_onto", "validate_gq_axioms"),
+    "quadrangle": ("mask_maps_onto", "validate_gq_axioms"),
     "pauli": ("mub_spread_check", "mermin_square_check"),
     "projline": ("distant_triple_witnesses",),
     "rings": ("validate_ring",),
-    "correspondence": ("_maps_onto",),
 }
 
 
@@ -552,14 +554,16 @@ def test_no_verdict_is_cached(monkeypatch):
 
 def test_warm_verify_all_searches_nothing(monkeypatch):
     """Every isomorphism of a warm ``verify_all()`` is a kept mapping that is
-    checked, not searched again, and each of the six Petersen mappings is
-    checked once although two reports use it."""
+    checked, not searched again: the 24 sub-lines, the self-duality and the
+    six Petersen mappings, each Petersen mapping once although two reports
+    use it."""
     co.verify_all()
     calls = _count_calls(
-        monkeypatch, quadrangle.mask_isomorphism, quadrangle.graph_isomorphism, co._maps_onto
+        monkeypatch, quadrangle.mask_isomorphism, quadrangle.graph_isomorphism,
+        quadrangle.mask_maps_onto,
     )
     assert co.verify_all().passed
-    assert calls == {"_maps_onto": 6}
+    assert calls == {"mask_maps_onto": 24 + 1 + 6}
 
 
 def test_warm_verify_all_builds_no_dual(monkeypatch):
