@@ -168,9 +168,10 @@ def stage_failure(stage: str, exc: ValueError) -> CheckResult:
     """The failed check reported when ``stage`` raises instead of answering.
 
     The pauli layer raises ValueError when operators break a precondition,
-    such as a quadrangle line whose operators do not commute.  With wrong
-    operator labels that is a failed verification, named by the stage's
-    check and carrying the message, not a traceback.
+    such as a quadrangle line whose operators do not commute, and
+    ``enumerate_line`` raises it for a ring that fails its axioms.  Either
+    is a failed verification, named by the stage's check and carrying the
+    message, not a traceback.
     """
     return CheckResult(stage, False, f"raised ValueError: {exc}")
 
@@ -203,19 +204,20 @@ def canonical_spreads():
 
 
 @lru_cache(maxsize=None)
-def _m2f2_sub() -> tuple[ProjectiveLine, PointClass, PointClass, tuple[PointClass, ...]]:
-    """The m2f2 line with its two base points and the ordered 15 points."""
+def _m2f2_sub() -> tuple[ProjectiveLine, PointClass, PointClass, tuple, tuple]:
+    """The m2f2 line, its two base points, the ordered 15 points, and the
+    families (distant from both, neighbor of both) that they join."""
     line = enumerate_line(ring_by_name("m2f2"))
     u = line.class_of((line.ring.one, line.ring.zero))
     v = line.class_of((line.ring.zero, line.ring.one))
-    fam_distant, fam_neighbor = simultaneous_subconfig(line, u, v)
-    return line, u, v, fam_distant + fam_neighbor
+    families = simultaneous_subconfig(line, u, v)
+    return line, u, v, families[0] + families[1], families
 
 
 @lru_cache(maxsize=None)
 def geometric_signs() -> tuple[str, ...]:
     """The 15x15 relation matrix computed from the ring geometry."""
-    line, _, _, pts = _m2f2_sub()
+    line, _, _, pts, _ = _m2f2_sub()
     return induced_signs(line, pts)
 
 
@@ -322,8 +324,7 @@ def verify_line_census() -> Report:
 
 def verify_subconfig() -> Report:
     """The 15-point sub-configuration seen from the two standard base points."""
-    line, u, v, pts = _m2f2_sub()
-    fam_distant, fam_neighbor = pts[:6], pts[6:]
+    line, u, v, pts, (fam_distant, fam_neighbor) = _m2f2_sub()
     checks = [
         CheckResult(
             "family sizes 6 and 9",
@@ -621,8 +622,7 @@ def verify_split_9_6() -> Report:
     completing the base pair to a copy of the line over gf4, with every
     cross pair a neighbor.
     """
-    line, u, v, pts = _m2f2_sub()
-    fam_distant, fam_neighbor = pts[:6], pts[6:]
+    line, u, v, _, (fam_distant, fam_neighbor) = _m2f2_sub()
     checks = []
     data: dict = {}
 
@@ -710,8 +710,8 @@ def verify_split_10_5(petersen: Report | None = None) -> Report:
     are read from ``petersen``, the ``verify_petersen()`` report of the same
     run, which is made here when not given."""
     petersen = verify_petersen() if petersen is None else petersen
-    witnessed = {frozenset(w["ovoid"]) for w in petersen.data["witnesses"]}
-    line, _, _, pts = _m2f2_sub()
+    witnessed = {frozenset(w["ovoid"]) for w in petersen.data.get("witnesses", ())}
+    line, _, _, pts, _ = _m2f2_sub()
     checks = []
     data: dict = {"ovoids": []}
     ovoids = [h for h in canonical_hyperplanes() if h.kind == OVOID]
@@ -751,7 +751,7 @@ def perp_subline_check(x: int) -> Report:
     """The six points neighboring ``x``: pairing and subline structure."""
     if not 1 <= x <= 15:
         raise ValueError(f"point label {x} out of range 1..15")
-    line, _, _, pts = _m2f2_sub()
+    line, _, _, pts, _ = _m2f2_sub()
     g = neighbor_graph()
     nbrs = sorted(g.neighbors(x))
     checks = [CheckResult("six neighbors", len(nbrs) == 6, _cset(nbrs))]
@@ -952,8 +952,7 @@ def verify_transitivity() -> Report:
     being the diag(r, s) over units with (r, s) in the class of (1, 1)."""
     line = _m2f2_sub()[0]
     ring = line.ring
-    distant = line.distant_masks
-    triples = sum((d & distant[j]).bit_count() for d in distant for j in gf2.bits(d))
+    triples = line.distant_triple_count
     witnesses, failures = distant_triple_witnesses(line)
     witnessed = sum(mask.bit_count() for mask in witnesses.values())
     detail = f"{witnessed} of {triples} triples witnessed"
@@ -977,7 +976,7 @@ def verify_transitivity() -> Report:
         ),
     ]
     data = {
-        "distant_pairs": sum(d.bit_count() for d in distant),
+        "distant_pairs": sum(d.bit_count() for d in line.distant_masks),
         "triples": triples,
         "stabilizer": stabilizer,
     }
@@ -1050,28 +1049,39 @@ def trinity_report(petersen: Report | None = None) -> Report:
     )
 
 
+def _stage(title: str, build, *args) -> Report:
+    """The report ``build(*args)``, or, when the build raises ValueError,
+    one failed check named ``title``: a stage whose input is refused, such
+    as a line over a ring that fails its axioms, reports instead of raising."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return Report(title, (stage_failure(title, exc),))
+
+
 def verify_all() -> Report:
     """Every verification pass in one certificate.
 
     The trinity block already contains the ovoid, perp-set, magic-square
     and unbiased-bases passes as subreports, so those are not repeated at
     the top level; its ovoid pass reads the Petersen report, so each Petersen
-    mapping is checked once.
+    mapping is checked once.  Each pass is a stage: one that raises
+    ValueError is one failed check under its own title.
     """
     return Report(
         "full verification certificate",
         (),
         {},
         (
-            verify_ring_tables(),
-            verify_line_census(),
-            verify_subconfig(),
-            verify_relation_signs(),
-            verify_gq_structure(),
-            verify_hyperplane_census(),
-            (petersen := verify_petersen()),
-            verify_split_9_6(),
-            trinity_report(petersen),
-            verify_transitivity(),
+            _stage("ring construction", verify_ring_tables),
+            _stage("line census", verify_line_census),
+            _stage("sub-configuration", verify_subconfig),
+            _stage("relation sign matrix", verify_relation_signs),
+            _stage("quadrangle structure", verify_gq_structure),
+            _stage("hyperplane census", verify_hyperplane_census),
+            (petersen := _stage("Petersen complements", verify_petersen)),
+            _stage("9 plus 6 factorization", verify_split_9_6),
+            _stage("hyperplane trinity", trinity_report, petersen),
+            _stage("transitivity of the invertible group", verify_transitivity),
         ),
     )

@@ -24,7 +24,7 @@ from operator import or_
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import gf2
-from .rings import Ring, RingElement, units
+from .rings import Ring, RingElement, units, validate_ring
 
 if TYPE_CHECKING:
     from .quadrangle import Graph
@@ -151,6 +151,12 @@ class ProjectiveLine(_LineFields):
         )
 
     @cached_property
+    def distant_triple_count(self) -> int:
+        """The number of ordered triples of pairwise-distant points."""
+        distant = self.distant_masks
+        return sum((d & distant[j]).bit_count() for d in distant for j in gf2.bits(d))
+
+    @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
         """Bit j of entry i is set when points i != j are neighbors: the
         adjacency masks of the neighbor graph on 0..n-1."""
@@ -184,7 +190,12 @@ class ProjectiveLine(_LineFields):
 
 @lru_cache(maxsize=None)
 def enumerate_line(ring: Ring) -> ProjectiveLine:
-    """Enumerate all points and the full distant/neighbor relation."""
+    """Enumerate all points and the full distant/neighbor relation.  Raises
+    ValueError, naming the first problem, for a ring that fails
+    ``validate_ring``: the enumeration assumes the ring axioms."""
+    problems = validate_ring(ring)
+    if problems:
+        raise ValueError(f"{ring.name} is not a ring: {problems[0]}")
     us = units(ring)
     orbits = {
         frozenset((ring.mul(u, a), ring.mul(u, b)) for u in us)

@@ -37,7 +37,7 @@ from ringline.correspondence import (
     verify_transitivity,
 )
 from ringline.quadrangle import Graph, IncidenceStructure
-from ringline.rings import ring_by_name, validate_ring
+from ringline.rings import ring_by_name, ring_names, validate_ring
 
 
 def test_geometric_signs_match_fixture():
@@ -126,23 +126,26 @@ def _failed(report):
     return {c.name for c in report.checks if not c.passed}
 
 
+# the cached structure that is built from the m2f2 line
+STRUCTURE_CACHES = (
+    co._m2f2_sub,
+    co.geometric_signs,
+    co.neighbor_graph,
+    co.canonical_gq,
+    co.canonical_hyperplanes,
+    co.canonical_spreads,
+)
+
+
 @pytest.fixture
 def fresh_structure():
     """Rebuild the cached quadrangle while a test runs, and again after it.
     A kept isomorphism is keyed on the two graphs it relates, so none is
     cleared: a rebuilt structure finds its own."""
-    caches = (
-        co._m2f2_sub,
-        co.geometric_signs,
-        co.neighbor_graph,
-        co.canonical_gq,
-        co.canonical_hyperplanes,
-        co.canonical_spreads,
-    )
-    for cache in caches:
+    for cache in STRUCTURE_CACHES:
         cache.cache_clear()
     yield
-    for cache in caches:
+    for cache in STRUCTURE_CACHES:
         cache.cache_clear()
 
 
@@ -178,16 +181,26 @@ def test_fixture_flip_fails_verify_all_without_traceback(
     assert captured.err == ""
 
 
-def _ring_with_add_cell(name, x, y):
-    """Serve the named ring with addition cell (x, y) moved up by one, and
-    return that ring."""
+def _with_cell(ring, table, x, y, value):
+    rows = [list(row) for row in getattr(ring, table)]
+    rows[x][y] = value
+    return ring._replace(**{table: tuple(map(tuple, rows))})
+
+
+def _serve(monkeypatch, bad):
+    """Serve ``bad`` in place of the intact ring of its name."""
+    real = ring_by_name
+    monkeypatch.setattr(co, "ring_by_name", lambda n: bad if n == bad.name else real(n))
+
+
+def _ring_with_cell(name, table, x, y):
+    """Serve the named ring with cell (x, y) of ``table`` moved up by one,
+    and return that ring."""
 
     def corrupt(monkeypatch):
-        real = co.ring_by_name
-        rows = [list(row) for row in real(name).add_table]
-        rows[x][y] = (rows[x][y] + 1) % len(rows)
-        bad = real(name)._replace(add_table=tuple(map(tuple, rows)))
-        monkeypatch.setattr(co, "ring_by_name", lambda n: bad if n == name else real(n))
+        ring = ring_by_name(name)
+        bad = _with_cell(ring, table, x, y, (getattr(ring, table)[x][y] + 1) % ring.order)
+        _serve(monkeypatch, bad)
         return bad
 
     return corrupt
@@ -213,17 +226,17 @@ def _zero_divisors_without_zero(monkeypatch):
 
 # check of the ring-construction report -> a corruption that must fail it
 RING_CHECK_CORRUPTIONS = {
-    "addition table matches fixture": _ring_with_add_cell("m2f2", 3, 5),
+    "addition table matches fixture": _ring_with_cell("m2f2", "add_table", 3, 5),
     "multiplication table matches fixture": _golden_changed(
         "M2F2_MUL_TABLE", _flip_mul_fixture_cell
     ),
     "unit set": _golden_changed("M2F2_UNITS", lambda u: u - {max(u)}),
     "zero divisor count": _zero_divisors_without_zero,
-    "ring axioms hold for m2f2": _ring_with_add_cell("m2f2", 3, 5),
-    "ring axioms hold for gf2": _ring_with_add_cell("gf2", 1, 1),
-    "ring axioms hold for gf4": _ring_with_add_cell("gf4", 2, 3),
-    "ring axioms hold for gf2xgf2": _ring_with_add_cell("gf2xgf2", 2, 3),
-    "ring axioms hold for gf2dual": _ring_with_add_cell("gf2dual", 2, 3),
+    "ring axioms hold for m2f2": _ring_with_cell("m2f2", "mul_table", 3, 5),
+    "ring axioms hold for gf2": _ring_with_cell("gf2", "add_table", 1, 1),
+    "ring axioms hold for gf4": _ring_with_cell("gf4", "add_table", 2, 3),
+    "ring axioms hold for gf2xgf2": _ring_with_cell("gf2xgf2", "add_table", 2, 3),
+    "ring axioms hold for gf2dual": _ring_with_cell("gf2dual", "mul_table", 2, 3),
 }
 
 
@@ -248,6 +261,68 @@ def test_every_ring_check_fails_through_verify_all(check, monkeypatch, fresh_str
     assert "result: FAIL" in captured.out
     assert f"[FAIL] {check}: {detail}" in captured.out
     assert captured.err == ""
+
+
+def _mul_cell_corruptions():
+    """(ring name, corrupted ring): +1 on each of the 256 multiplication
+    cells of m2f2, and every wrong value of every multiplication cell of the
+    four small rings."""
+    for name in ring_names():
+        ring = ring_by_name(name)
+        n = ring.order
+        for x, y in itertools.product(range(n), repeat=2):
+            old = ring.mul_table[x][y]
+            values = [(old + 1) % n] if n == 16 else [v for v in range(n) if v != old]
+            for value in values:
+                yield name, _with_cell(ring, "mul_table", x, y, value)
+
+
+def test_every_mul_cell_corruption_fails_verify_all_without_traceback(
+    monkeypatch, fresh_structure, capsys
+):
+    """Each of the 404 one-cell corruptions of a multiplication table, with
+    the structure rebuilt under it, gives a failed certificate of the same
+    ten reports: the ring is refused before its line is enumerated, and the
+    line census is one failed check naming the ring's first problem.  For
+    every small-ring case ``ringline verify all`` exits 1 without a
+    traceback."""
+    titles = [r.title for r in verify_all().subreports]
+    cases = 0
+    for name, bad in _mul_cell_corruptions():
+        _serve(monkeypatch, bad)
+        for cache in STRUCTURE_CACHES:
+            cache.cache_clear()
+        report = verify_all()
+        assert not report.passed
+        assert [r.title for r in report.subreports] == titles
+        ring_report, census = report.subreports[:2]
+        axioms = {c.name: c for c in ring_report.checks}[f"ring axioms hold for {name}"]
+        assert not axioms.passed
+        assert census.checks == (
+            CheckResult("line census", False, f"raised ValueError: {name} is not a ring: {axioms.detail}"),
+        )
+        if name != "m2f2":
+            assert cli.main(["verify", "all"]) == 1
+            captured = capsys.readouterr()
+            assert "result: FAIL" in captured.out
+            assert captured.err == ""
+        cases += 1
+    assert cases == 256 + 4 + 3 * 48
+
+
+def test_family_sizes_are_read_from_the_families(monkeypatch, fresh_structure):
+    """With C7 filed as distant from both base points, the 15 points keep
+    their order but the families are 7 + 8: the size check and the nine
+    check fail."""
+    real = co.simultaneous_subconfig
+
+    def moved(line, u, v):
+        fam_distant, fam_neighbor = real(line, u, v)
+        return fam_distant + fam_neighbor[:1], fam_neighbor[1:]
+
+    monkeypatch.setattr(co, "simultaneous_subconfig", moved)
+    assert _failed(verify_subconfig()) == {"family sizes 6 and 9"}
+    assert NINE_CHECK in _failed(verify_split_9_6())
 
 
 @pytest.fixture
@@ -321,7 +396,7 @@ def test_relation_isomorphism_searches_the_line_graph():
     """Against a line, the search runs on masks induced from the line's
     cached neighbor masks, which are the graphs of the relation rows, and
     finds the mapping the search on those graphs finds."""
-    line, _, _, pts = co._m2f2_sub()
+    line, _, _, pts, _ = co._m2f2_sub()
     nine = projline.induced_neighbor_masks(line, pts[6:])
     signs = projline.signs_graph(projline.induced_signs(line, pts[6:]))
     assert nine == [sum(1 << j for j in signs.neighbors(i)) for i in range(9)]
@@ -541,7 +616,7 @@ def _relabelled_gq():
 def _first_run_on_a_relabelled_nine(monkeypatch):
     """``verify_split_9_6()`` with the nine read with their first two points
     swapped: a valid gf2xgf2 model with other masks."""
-    line, _, _, pts = co._m2f2_sub()
+    line, _, _, pts, _ = co._m2f2_sub()
     nine, real = list(pts[6:]), co.induced_neighbor_masks
     relabelled = [nine[1], nine[0]] + nine[2:]
     assert real(line, relabelled) != real(line, nine)
@@ -587,7 +662,7 @@ def test_a_first_run_on_a_changed_structure_leaves_no_kept_mapping_behind(first_
 def test_split_9_6_builds_the_nine_masks_once(monkeypatch):
     """The balance check and the gf2xgf2 witness read one build of the
     nine's neighbor masks."""
-    line, _, _, pts = co._m2f2_sub()
+    line, _, _, pts, _ = co._m2f2_sub()
     real, built = co.induced_neighbor_masks, []
 
     def counted(line, points):
@@ -609,7 +684,7 @@ SPLIT_CHECK = "exactly one split of the six into two gf4 triples"
 def _kept_subline(kind, index):
     """The points of one kept sub-line witness, in the order its verifier
     lists them, and the checks of ``verify_all()`` that use that witness."""
-    _, u, v, pts = co._m2f2_sub()
+    _, u, v, pts, _ = co._m2f2_sub()
     if kind == "perp":
         nbrs = sorted(co.neighbor_graph().neighbors(index))
         checks = {("perp-set sublines", f"perp set of C{index}"), ("hyperplane trinity", PERP_ROW)}
@@ -660,13 +735,13 @@ def test_kept_subline_witness_fails_on_a_flipped_relation_cell(monkeypatch, caps
     """A neighbor pair of the nine made distant in the line's relation fails
     the kept witness of the nine, through ``verify_all()`` and the CLI."""
     assert verify_all().passed
-    line, u, v, pts = co._m2f2_sub()
+    line, u, v, pts, families = co._m2f2_sub()
     i, j = line.index_of(pts[6].canonical), line.index_of(pts[7].canonical)
     assert line.relation[i][j] == "-"
     rows = [list(row) for row in line.relation]
     rows[i][j] = rows[j][i] = "+"
     bad = line._replace(relation=tuple("".join(row) for row in rows))
-    monkeypatch.setattr(co, "_m2f2_sub", lambda: (bad, u, v, pts))
+    monkeypatch.setattr(co, "_m2f2_sub", lambda: (bad, u, v, pts, families))
     assert ("9 plus 6 factorization", NINE_CHECK) in _failed_anywhere(verify_all())
     assert cli.main(["verify", "all"]) == 1
     captured = capsys.readouterr()
@@ -727,9 +802,9 @@ def _details(report):
 
 def _with_line(monkeypatch, **changes):
     """Run the transitivity verifier on a changed copy of the m2f2 line."""
-    line, u, v, pts = co._m2f2_sub()
+    line, *rest = co._m2f2_sub()
     bad = line._replace(**changes)
-    monkeypatch.setattr(co, "_m2f2_sub", lambda: (bad, u, v, pts))
+    monkeypatch.setattr(co, "_m2f2_sub", lambda: (bad, *rest))
     return bad
 
 

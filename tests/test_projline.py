@@ -107,6 +107,29 @@ def test_small_line_counts():
         assert len(line.points) == count
 
 
+def test_enumerate_line_refuses_a_ring_that_fails_its_axioms():
+    """A line is only enumerated over a ring: a refused ring raises
+    ValueError naming its first problem, every time it is asked for."""
+    gf4 = ring_by_name("gf4")
+    rows = [list(row) for row in gf4.mul_table]
+    rows[2][3] = 0
+    bad = gf4._replace(mul_table=tuple(map(tuple, rows)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^gf4 is not a ring: rep breaks multiplication at \(x,y\)=\(2,3\)$"):
+            enumerate_line(bad)
+
+
+@pytest.mark.parametrize("name", ring_names())
+def test_distant_triple_count_matches_the_relation(name):
+    line = enumerate_line(ring_by_name(name))
+    n = len(line.points)
+    triples = [
+        t for t in itertools.permutations(range(n), 3)
+        if all(line.relation[p][q] == DISTANT for p, q in itertools.combinations(t, 2))
+    ]
+    assert line.distant_triple_count == len(triples)
+
+
 def test_gf4_line_pairwise_distant():
     line = enumerate_line(ring_by_name("gf4"))
     for i in range(5):
