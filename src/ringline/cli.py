@@ -107,13 +107,14 @@ def _renderer(name: str):
     return getattr(import_module(f"{__package__}.{module}"), function)
 
 
-# verify WHAT -> the correspondence function that builds its report
+# verify WHAT -> the correspondence function that builds its report, and
+# the report's title, under which a build that raises is one failed check
 VERIFIERS = {
-    "table2": "verify_relation_signs",
-    "factor96": "verify_split_9_6",
-    "factor105": "verify_split_10_5",
-    "trinity": "trinity_report",
-    "all": "verify_all",
+    "table2": ("verify_relation_signs", "relation sign matrix"),
+    "factor96": ("verify_split_9_6", "9 plus 6 factorization"),
+    "factor105": ("verify_split_10_5", "10 plus 5 factorization"),
+    "trinity": ("trinity_report", "hyperplane trinity"),
+    "all": ("verify_all", "full verification certificate"),
 }
 
 # export (what, format) -> the renderer whose text is written to --out; the

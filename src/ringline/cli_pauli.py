@@ -75,7 +75,8 @@ def render_pauli_mub(args: argparse.Namespace) -> tuple[str, int]:
     if args.spread is not None:
         spreads = (spreads[args.spread],)
     try:
-        results = [co.spread_unbiased(sp) for sp in spreads]
+        lines = co.line_table()
+        results = [co.spread_unbiased(sp, lines) for sp in spreads]
     except ValueError as exc:
         return _failed(args, co.stage_failure("unbiased bases", exc))
     code = EXIT_OK if all(good for _, good in results) else EXIT_MISMATCH

@@ -27,5 +27,6 @@ def render_verify(args: argparse.Namespace) -> tuple[str, int]:
     reference = () if args.fixture is None else (_load_fixture(args.fixture),)
     from . import correspondence as co
 
-    report = getattr(co, VERIFIERS[args.what])(*reference)
+    name, title = VERIFIERS[args.what]
+    report = co._stage(title, getattr(co, name), *reference)
     return _report(args, report, header=not args.no_header)

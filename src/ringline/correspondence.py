@@ -14,17 +14,19 @@ to JSON or a plain-text certificate.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from . import gf2, golden
+from . import golden
 from .golden import c_label
 from .pauli import (
     MerminResult,
     PauliOp,
     commutes,
     commutation_table,
+    line_facts,
+    line_product_sign,
     mermin_square_check,
     mub_spread_check,
     signs_from_commutation,
@@ -73,6 +75,7 @@ __all__ = [
     "geometric_signs",
     "operator_signs",
     "STANDARD_ROWS",
+    "line_table",
     "quadrangle_axioms",
     "petersen_witness",
     "standard_square",
@@ -229,6 +232,26 @@ def operator_signs() -> tuple[str, ...]:
 def _ops_for(labels: Iterable[int]) -> list[PauliOp]:
     ops = standard_labeling()
     return [ops[i - 1] for i in labels]
+
+
+def line_table() -> dict[int, tuple]:
+    """Each quadrangle line by its point mask (bit p - 1 for label p, as in
+    ``canonical_gq().line_masks``) with ``line_facts`` of its operators in
+    label order: built by each run and passed down, never kept.  It is {}
+    when there is no quadrangle or labelling to read; a line not in it is
+    evaluated where it is used, so that such a run fails as without it."""
+    try:
+        s = canonical_gq()
+        return {m: line_facts(_ops_for(sorted(line))) for m, line in zip(s.line_masks, s.lines)}
+    except ValueError:
+        return {}
+
+
+def _line_sign(lines: Mapping, labels: Sequence[int]) -> int:
+    # the sign ``lines`` holds for these points, else line_product_sign of
+    # their operators in this order, which words an error for this order
+    sign = lines.get(sum(1 << p - 1 for p in labels), (None,))[0]
+    return sign if type(sign) is int else line_product_sign(_ops_for(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +583,15 @@ def petersen_witness(ovoid: frozenset[int]) -> dict | None:
     s, reference = canonical_gq(), petersen_graph()
     # the positions of the points off the ovoid, renumbered 0..9 by ``at``
     keep = [i for i, p in enumerate(s.points) if p not in ovoid]
-    at, off = {j: b for b, j in enumerate(keep)}, sum(1 << j for j in keep)
-    masks = s.collinearity_graph.masks
-    iso = _checked_isomorphism(
-        [sum(1 << at[j] for j in gf2.bits(masks[i] & off)) for i in keep], reference.masks
-    )
+    at, off = {1 << j: 1 << b for b, j in enumerate(keep)}, sum(1 << j for j in keep)
+    masks, sub = s.collinearity_graph.masks, []
+    for i in keep:
+        rest, mask = masks[i] & off, 0
+        while rest:
+            mask |= at[rest & -rest]
+            rest &= rest - 1
+        sub.append(mask)
+    iso = _checked_isomorphism(sub, reference.masks)
     if iso is None:
         return None
     return {s.points[keep[i]]: reference.vertices[w] for i, w in iso.items()}
@@ -609,18 +636,31 @@ def verify_petersen() -> Report:
 STANDARD_ROWS = ((7, 8, 9), (10, 11, 12), (13, 14, 15))
 
 
-def standard_square() -> MerminResult:
-    """The Mermin check of the operators on the ``STANDARD_ROWS`` grid."""
-    return mermin_square_check([_ops_for(r) for r in STANDARD_ROWS])
+def standard_square(lines: Mapping | None = None) -> MerminResult:
+    """The Mermin check of the operators on the ``STANDARD_ROWS`` grid, its
+    signs read from ``lines``, a ``line_table()`` made when not given."""
+    lines = line_table() if lines is None else lines
+    return mermin_square_check(STANDARD_ROWS, partial(_line_sign, lines))
 
 
-def verify_split_9_6() -> Report:
+def _standard_square_check(stage: str, lines: Mapping | None, tail: str = "") -> tuple:
+    """The check named ``stage`` of ``standard_square(lines)``, and its
+    result, or None when it raised."""
+    try:
+        result = standard_square(lines)
+    except ValueError as exc:
+        return stage_failure(stage, exc), None
+    detail = f"row signs {result.row_signs}, column signs {result.col_signs}{tail}"
+    return CheckResult(stage, result.magic, detail), result
+
+
+def verify_split_9_6(lines: Mapping | None = None) -> Report:
     """The 15 points split as 9 + 6 around the two base points.
 
     The nine points neighboring both base points carry the relation of the
     line over gf2xgf2; the six distant ones split into two triples, each
     completing the base pair to a copy of the line over gf4, with every
-    cross pair a neighbor.
+    cross pair a neighbor.  ``lines`` is passed on to ``standard_square``.
     """
     line, u, v, _, (fam_distant, fam_neighbor) = _m2f2_sub()
     checks = []
@@ -686,20 +726,12 @@ def verify_split_9_6() -> Report:
             )
         )
 
-    stage = "nine common neighbors in standard rows form a magic square"
     data["mermin_rows"] = [list(r) for r in STANDARD_ROWS]
-    try:
-        result = standard_square()
-    except ValueError as exc:
-        checks.append(stage_failure(stage, exc))
-    else:
-        checks.append(
-            CheckResult(
-                stage,
-                result.magic,
-                f"row signs {result.row_signs}, column signs {result.col_signs}",
-            )
-        )
+    check, result = _standard_square_check(
+        "nine common neighbors in standard rows form a magic square", lines
+    )
+    checks.append(check)
+    if result is not None:
         data["mermin_row_signs"] = list(result.row_signs)
         data["mermin_col_signs"] = list(result.col_signs)
     return Report("9 plus 6 factorization", tuple(checks), data)
@@ -798,15 +830,9 @@ def verify_perp_sublines() -> Report:
     data: dict = {"pairs": {}}
     for x in range(1, 16):
         sub = perp_subline_check(x)
-        pairs = sub.data["pairs"]
-        checks.append(
-            CheckResult(
-                f"perp set of {c_label(x)}",
-                sub.passed,
-                " ".join(_cset(p) for p in pairs),
-            )
-        )
-        data["pairs"][str(x)] = pairs
+        # the detail of the matching check is the pairs' text
+        checks.append(CheckResult(f"perp set of {c_label(x)}", sub.passed, sub.checks[1].detail))
+        data["pairs"][str(x)] = sub.data["pairs"]
     return Report("perp-set sublines", tuple(checks), data)
 
 
@@ -814,23 +840,20 @@ def verify_perp_sublines() -> Report:
 # magic squares, unbiased bases, transitivity
 
 
-def _parallel_classes(lines: Sequence[frozenset]) -> tuple[list[frozenset], list[frozenset]] | None:
-    """Split six grid lines into two classes of three pairwise-disjoint lines."""
+def _parallel_classes(lines: Sequence[int]) -> tuple[list[int], list[int]] | None:
+    """Split six grid lines, as point masks, into two classes of three
+    pairwise-disjoint lines: masks are disjoint when their popcounts add."""
     if len(lines) != 6:
         return None
-    first = lines[0]
-    cls1 = [l for l in lines if l == first or not (l & first)]
-    cls2 = [l for l in lines if l != first and (l & first)]
-    if len(cls1) != 3 or len(cls2) != 3:
-        return None
+    cls1 = [l for l in lines if l == lines[0] or not l & lines[0]]
+    cls2 = [l for l in lines if l not in cls1]
     for cls in (cls1, cls2):
-        for a, b in itertools.combinations(cls, 2):
-            if a & b:
-                return None
+        if len(cls) != 3 or (cls[0] | cls[1] | cls[2]).bit_count() != sum(map(int.bit_count, cls)):
+            return None
     return cls1, cls2
 
 
-def grid_mermin_arrangement(points: frozenset) -> tuple[tuple[int, ...], ...] | None:
+def grid_mermin_arrangement(points: frozenset, lines: Mapping | None = None) -> tuple | None:
     """A magic 3x3 arrangement of a grid hyperplane, or None.
 
     Rows and columns must be the two parallel classes of the grid's six
@@ -839,49 +862,44 @@ def grid_mermin_arrangement(points: frozenset) -> tuple[tuple[int, ...], ...] | 
     line's sign does not depend on the order of its commuting operators,
     magic when one is.  The arrangement with the lexicographically least
     flattened label tuple is evaluated once and returned if magic, making
-    the result deterministic.  It is built directly: in either class order,
-    the row and column through the grid's least point come first, the other
-    columns follow by their meet with that row and the other rows by their
-    meet with that column; the smaller of the two flattened tuples wins.
+    the result deterministic.  It is built directly on point masks: in
+    either class order, the row and column through the grid's least point
+    come first, the other columns follow by their meet with that row and the
+    other rows by their meet with that column; the smaller of the two
+    flattened tuples wins.  The signs are read from ``lines``, a
+    ``line_table()`` made when not given.
     """
+    lines = line_table() if lines is None else lines
     s = canonical_gq()
-    inside = [line for line in s.lines if line <= points]
-    classes = _parallel_classes(inside)
+    pmask = sum(1 << p - 1 for p in points)
+    classes = _parallel_classes([m for m in s.line_masks if not m & ~pmask])
     if classes is None:
         return None
-    rows_cls, cols_cls = classes
-    if any(len(r & c) != 1 for r in rows_cls for c in cols_cls):
+    if any((r & c).bit_count() != 1 for r in classes[0] for c in classes[1]):
         return None
-    least = min(points)
+    least = pmask & -pmask
 
-    def flattened(rows: list[frozenset], cols: list[frozenset]) -> tuple[int, ...]:
-        first_row = next(r for r in rows if least in r)
-        cols = sorted(cols, key=lambda c: min(c & first_row))
-        rows = sorted(rows, key=lambda r: min(r & cols[0]))
-        return tuple(min(r & c) for r in rows for c in cols)
+    def flattened(rows: list[int], cols: list[int]) -> list[int]:
+        # each meet is one point, so its mask orders as its label does
+        first_row = next(r for r in rows if r & least)
+        cols = sorted(cols, key=first_row.__and__)
+        return [r & c for r in sorted(rows, key=cols[0].__and__) for c in cols]
 
-    best = min(flattened(*classes), flattened(*classes[::-1]))
-    grid = (best[0:3], best[3:6], best[6:9])
-    return grid if mermin_square_check([_ops_for(r) for r in grid]).magic else None
+    cells = min(flattened(*classes), flattened(*classes[::-1]))
+    grid = tuple(tuple(s.points[m.bit_length() - 1] for m in cells[k : k + 3]) for k in (0, 3, 6))
+    return grid if mermin_square_check(grid, partial(_line_sign, lines)).magic else None
 
 
-def verify_mermin() -> Report:
-    """Magic squares: the standard grid and all ten grid hyperplanes."""
-    stage = "standard grid is magic"
+def verify_mermin(lines: Mapping | None = None) -> Report:
+    """Magic squares: the standard grid and all ten grid hyperplanes, their
+    signs read from ``lines``, a ``line_table()`` made when not given."""
+    lines = line_table() if lines is None else lines
     data: dict = {"standard_rows": [list(r) for r in STANDARD_ROWS]}
-    try:
-        result = standard_square()
-    except ValueError as exc:
-        checks = [stage_failure(stage, exc)]
-    else:
-        checks = [
-            CheckResult(
-                stage,
-                result.magic,
-                f"row signs {result.row_signs}, column signs {result.col_signs}, "
-                "product of all six is -1",
-            )
-        ]
+    check, result = _standard_square_check(
+        "standard grid is magic", lines, ", product of all six is -1"
+    )
+    checks = [check]
+    if result is not None:
         data["row_signs"] = list(result.row_signs)
         data["col_signs"] = list(result.col_signs)
     data["arrangements"] = []
@@ -890,21 +908,12 @@ def verify_mermin() -> Report:
     for h in grids:
         stage = f"grid {_cset(h.points)} admits a magic arrangement"
         try:
-            arrangement = grid_mermin_arrangement(h.points)
+            arrangement = grid_mermin_arrangement(h.points, lines)
         except ValueError as exc:
             checks.append(stage_failure(stage, exc))
             continue
-        checks.append(
-            CheckResult(
-                stage,
-                arrangement is not None,
-                " / ".join(
-                    ",".join(c_label(i) for i in row) for row in arrangement
-                )
-                if arrangement
-                else "",
-            )
-        )
+        detail = " / ".join(",".join(map(c_label, row)) for row in arrangement or ())
+        checks.append(CheckResult(stage, arrangement is not None, detail))
         if arrangement is not None:
             data["arrangements"].append(
                 {"grid": sorted(h.points), "rows": [list(r) for r in arrangement]}
@@ -912,36 +921,33 @@ def verify_mermin() -> Report:
     return Report("magic squares", tuple(checks), data)
 
 
-def spread_unbiased(spread: Sequence[int]) -> tuple[list[list[int]], bool]:
+def spread_unbiased(spread: Sequence[int], lines: Mapping) -> tuple[list[list[int]], bool]:
     """The spread's lines as sorted label triples, and whether their
-    operators' joint eigenbases are mutually unbiased."""
+    operators' joint eigenbases are mutually unbiased, the line facts read
+    from ``lines``, a ``line_table()``."""
     s = canonical_gq()
     triples = [sorted(s.lines[i]) for i in spread]
-    return triples, mub_spread_check([_ops_for(t) for t in triples])
+    ops = [_ops_for(t) for t in triples]
+    facts = [lines.get(s.line_masks[i]) or line_facts(o) for i, o in zip(spread, ops)]
+    return triples, mub_spread_check(ops, facts)
 
 
-def verify_mub() -> Report:
-    """Every spread's five commuting triples give mutually unbiased bases."""
-    checks = []
+def verify_mub(lines: Mapping | None = None) -> Report:
+    """Every spread's five commuting triples give mutually unbiased bases,
+    the line facts read from ``lines``, a ``line_table()`` made when not given."""
+    lines = line_table() if lines is None else lines
     data: dict = {"spreads": []}
-    spreads = canonical_spreads()
-    checks.append(
-        CheckResult(
-            f"{golden.OVOID_SPREAD_COUNT} spreads to examine",
-            len(spreads) == golden.OVOID_SPREAD_COUNT,
-        )
-    )
+    spreads, count = canonical_spreads(), golden.OVOID_SPREAD_COUNT
+    checks = [CheckResult(f"{count} spreads to examine", len(spreads) == count)]
     s = canonical_gq()
     for sp in spreads:
         stage = "spread " + " ".join(_cset(s.lines[i]) for i in sp)
         try:
-            triples, ok = spread_unbiased(sp)
+            triples, ok = spread_unbiased(sp, lines)
         except ValueError as exc:
             checks.append(stage_failure(stage, exc))
             continue
-        checks.append(
-            CheckResult(stage, ok, "projector traces exact" if ok else "")
-        )
+        checks.append(CheckResult(stage, ok, "projector traces exact" if ok else ""))
         data["spreads"].append([list(t) for t in triples])
     return Report("unbiased bases", tuple(checks), data)
 
@@ -983,17 +989,19 @@ def verify_transitivity() -> Report:
     return Report("transitivity of the invertible group", tuple(checks), data)
 
 
-def trinity_report(petersen: Report | None = None) -> Report:
+def trinity_report(petersen: Report | None = None, lines: Mapping | None = None) -> Report:
     """The three-way table: hyperplane kind, subline model, operator meaning.
 
     Each row is backed by the dedicated checks; this report re-runs them and
     presents the counts side by side.  ``petersen`` is passed on to
-    ``verify_split_10_5``.
+    ``verify_split_10_5``, and ``lines``, a ``line_table()`` made when not
+    given, to the magic-square and unbiased-bases passes.
     """
+    lines = line_table() if lines is None else lines
     ovoid_rep = verify_split_10_5(petersen)
     perp_rep = verify_perp_sublines()
-    mermin_rep = verify_mermin()
-    mub_rep = verify_mub()
+    mermin_rep = verify_mermin(lines)
+    mub_rep = verify_mub(lines)
     planes = canonical_hyperplanes()
     counts = {
         kind: sum(1 for h in planes if h.kind == kind)
@@ -1018,26 +1026,15 @@ def trinity_report(petersen: Report | None = None) -> Report:
             len(canonical_spreads()) == golden.OVOID_SPREAD_COUNT and mub_rep.passed,
         ),
     ]
+    rows = (
+        (OVOID, "gf4", "five mutually non-commuting"),
+        (PERP_SET, "gf2dual", "six commuting with a common one"),
+        (GRID, "gf2xgf2", "magic three by three square"),
+    )
     data = {
         "rows": [
-            {
-                "hyperplane": OVOID,
-                "count": counts[OVOID],
-                "subline": "gf4",
-                "operators": "five mutually non-commuting",
-            },
-            {
-                "hyperplane": PERP_SET,
-                "count": counts[PERP_SET],
-                "subline": "gf2dual",
-                "operators": "six commuting with a common one",
-            },
-            {
-                "hyperplane": GRID,
-                "count": counts[GRID],
-                "subline": "gf2xgf2",
-                "operators": "magic three by three square",
-            },
+            {"hyperplane": kind, "count": counts[kind], "subline": sub, "operators": ops}
+            for kind, sub, ops in rows
         ],
         "spreads": len(canonical_spreads()),
     }
@@ -1065,9 +1062,11 @@ def verify_all() -> Report:
     The trinity block already contains the ovoid, perp-set, magic-square
     and unbiased-bases passes as subreports, so those are not repeated at
     the top level; its ovoid pass reads the Petersen report, so each Petersen
-    mapping is checked once.  Each pass is a stage: one that raises
-    ValueError is one failed check under its own title.
+    mapping is checked once, and one ``line_table()`` serves every magic
+    square and spread.  Each pass is a stage: one that raises ValueError is
+    one failed check under its own title.
     """
+    lines = line_table()
     return Report(
         "full verification certificate",
         (),
@@ -1080,8 +1079,8 @@ def verify_all() -> Report:
             _stage("quadrangle structure", verify_gq_structure),
             _stage("hyperplane census", verify_hyperplane_census),
             (petersen := _stage("Petersen complements", verify_petersen)),
-            _stage("9 plus 6 factorization", verify_split_9_6),
-            _stage("hyperplane trinity", trinity_report, petersen),
+            _stage("9 plus 6 factorization", verify_split_9_6, lines),
+            _stage("hyperplane trinity", trinity_report, petersen, lines),
             _stage("transitivity of the invertible group", verify_transitivity),
         ),
     )

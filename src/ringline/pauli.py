@@ -31,6 +31,7 @@ __all__ = [
     "commutation_table",
     "signs_from_commutation",
     "line_product_sign",
+    "line_facts",
     "MerminResult",
     "mermin_square_check",
     "mub_spread_check",
@@ -209,12 +210,14 @@ class MerminResult(NamedTuple):
         return sign == -1
 
 
-def mermin_square_check(grid: Sequence[Sequence[PauliOp]]) -> MerminResult:
+def mermin_square_check(grid: Sequence[Sequence], sign=None) -> MerminResult:
     """Evaluate a 3x3 grid of operators as a Mermin square.
 
     Every row and every column must be a commuting triple with product
     plus or minus the identity; violations raise ValueError naming the
-    offending row or column.
+    offending row or column.  ``sign`` gives a row's or column's sign or
+    raises, ``line_product_sign`` by default; a caller that keeps the signs
+    of its lines passes a grid of its own keys and a lookup.
     """
     if len(grid) != 3 or any(len(row) != 3 for row in grid):
         raise ValueError("expected a 3x3 grid of operators")
@@ -224,7 +227,7 @@ def mermin_square_check(grid: Sequence[Sequence[PauliOp]]) -> MerminResult:
     for kind, lines in (("row", rows), ("column", cols)):
         for i, ops in enumerate(lines, start=1):
             try:
-                signs.append(line_product_sign(ops))
+                signs.append((sign or line_product_sign)(ops))
             except ValueError as exc:
                 raise ValueError(f"{kind} {i}: {exc}") from None
     return MerminResult(tuple(signs[:3]), tuple(signs[3:]))
@@ -247,7 +250,19 @@ def _scaled_projector(a: PauliOp, sa: int, b: PauliOp, sb: int) -> tuple[int, in
     return support, negative
 
 
-def _trace_matrix(xs: list[tuple[int, int]], ys: list[tuple[int, int]]) -> list[list[int]]:
+def line_facts(triple: Sequence[PauliOp]) -> tuple[int | ValueError, tuple]:
+    """What the MUB and Mermin checks need of a line: its sign, or the
+    ValueError ``line_product_sign`` raises on it, and for a sign the four
+    scaled projectors of the joint eigenbasis of its two lowest codes."""
+    try:
+        sign = line_product_sign(triple)
+    except ValueError as exc:
+        return exc, ()
+    a, b, _ = sorted(triple)
+    return sign, tuple(_scaled_projector(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1))
+
+
+def _trace_matrix(xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]]) -> list[list[int]]:
     # Tr(x y) for each projector x of one basis and y of another.  All of a
     # basis's projectors carry the same bodies S, and Tr(sigma_p sigma_q) is
     # 4 when p == q (bodies square to 1) and 0 otherwise: each shared body
@@ -257,7 +272,34 @@ def _trace_matrix(xs: list[tuple[int, int]], ys: list[tuple[int, int]]) -> list[
     return [[4 * (size - 2 * ((nx ^ ny) & shared).bit_count()) for _, ny in ys] for _, nx in xs]
 
 
-def mub_spread_check(spread: Sequence[Sequence[PauliOp]]) -> bool:
+def _orthonormal(xs: Sequence[tuple[int, int]]) -> bool:
+    # _trace_matrix(xs, xs) is 16 on the diagonal and 0 off it: the traces
+    # 4 |S| and 4 (|S| - 2 k) ask for 4 bodies, any two projectors
+    # differing in sign on k = 2 of them
+    shared = xs[0][0]
+    if shared.bit_count() != 4:
+        return False
+    for (_, nx), (_, ny) in itertools.combinations(xs, 2):
+        if ((nx ^ ny) & shared).bit_count() != 2:
+            return False
+    return True
+
+
+def _unbiased(xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]]) -> bool:
+    # every entry of _trace_matrix(xs, ys) is 4; when each basis's signs
+    # agree on the shared bodies, all 16 entries are one popcount's
+    shared = xs[0][0] & ys[0][0]
+    nx, ny, loose = xs[0][1], ys[0][1], 0
+    for _, n in xs:
+        loose |= n ^ nx
+    for _, n in ys:
+        loose |= n ^ ny
+    if loose & shared:
+        return _trace_matrix(xs, ys) == [[4] * 4] * 4
+    return shared.bit_count() - 2 * ((nx ^ ny) & shared).bit_count() == 1
+
+
+def mub_spread_check(spread: Sequence[Sequence[PauliOp]], facts: Sequence | None = None) -> bool:
     """Exact mutual-unbiasedness test for five commuting triples.
 
     Preconditions (violations raise ValueError): five triples, each three
@@ -267,29 +309,21 @@ def mub_spread_check(spread: Sequence[Sequence[PauliOp]]) -> bool:
     Tr(P P') = 1 or 0 within a basis and Tr(P Q) = 1/4 across bases
     (checked on the projectors scaled by 4, as 16, 0 and 4).  Each scaled
     projector is a pair of body masks (present, coefficient -1), so a trace
-    is 4 (|S| - 2 |(n_x ^ n_y) & S|) over the shared bodies S.
+    is 4 (|S| - 2 |(n_x ^ n_y) & S|) over the shared bodies S.  ``facts``
+    holds ``line_facts`` of each triple when the caller keeps them.
     Returns True iff every trace comes out as required.
     """
     triples = [tuple(t) for t in spread]
     if len(triples) != 5:
         raise ValueError("a spread consists of five triples")
-    for i, ops in enumerate(triples, start=1):
-        try:
-            line_product_sign(ops)
-        except ValueError as exc:
-            raise ValueError(f"triple {i}: {exc}") from None
+    facts = [line_facts(ops) for ops in triples] if facts is None else facts
+    for i, (sign, _) in enumerate(facts, start=1):
+        if isinstance(sign, ValueError):
+            raise ValueError(f"triple {i}: {sign}")
     codes = [op.code for ops in triples for op in ops]
     if sorted(codes) != list(range(1, 16)):
         raise ValueError("triples do not partition the fifteen operators")
-
-    bases = [
-        [_scaled_projector(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1)]
-        for a, b, _ in map(sorted, triples)
-    ]
-
-    within = [[16 if i == j else 0 for j in range(4)] for i in range(4)]
-    across = [[4] * 4] * 4
-    return all(
-        _trace_matrix(b1, b2) == (within if b1 is b2 else across)
-        for b1, b2 in itertools.combinations_with_replacement(bases, 2)
+    bases = [basis for _, basis in facts]
+    return all(map(_orthonormal, bases)) and all(
+        _unbiased(xs, ys) for xs, ys in itertools.combinations(bases, 2)
     )

@@ -31,13 +31,11 @@ __all__ = [
     "enumerate_ovoids",
     "enumerate_hyperplanes",
     "enumerate_spreads",
-    "complement_graph_of_ovoid",
     "petersen_graph",
     "is_petersen",
     "graph_isomorphism",
     "mask_isomorphism",
     "mask_maps_onto",
-    "structure_isomorphism",
     "dual",
 ]
 
@@ -139,6 +137,12 @@ class IncidenceStructure(_StructureFields):
         return self._lines_by_point[p]
 
     @cached_property
+    def line_masks(self) -> tuple[int, ...]:
+        """Each line as a mask over point positions, in line order."""
+        bit = {p: 1 << i for i, p in enumerate(self.points)}
+        return tuple(sum(bit[p] for p in line) for line in self.lines)
+
+    @cached_property
     def collinearity_graph(self) -> Graph:
         """Points joined when they share a line, built on first use."""
         edges = set()
@@ -205,18 +209,14 @@ def validate_gq_axioms(s: IncidenceStructure) -> list[str]:
 
 
 def is_strongly_regular(g: Graph, n: int, k: int, lam: int, mu: int) -> bool:
-    """Exhaustive strongly-regular-graph parameter check."""
-    if len(g.vertices) != n:
+    """Exhaustive strongly-regular-graph parameter check, on ``g.masks``."""
+    masks = g.masks
+    if len(masks) != n or any(m.bit_count() != k for m in masks):
         return False
-    if any(g.degree(v) != k for v in g.vertices):
-        return False
-    for u, v in itertools.combinations(g.vertices, 2):
-        common = len(g.neighbors(u) & g.neighbors(v))
-        if g.has_edge(u, v):
-            if common != lam:
+    for i, m in enumerate(masks):
+        for j in range(i + 1, n):
+            if (m & masks[j]).bit_count() != (lam if m >> j & 1 else mu):
                 return False
-        elif common != mu:
-            return False
     return True
 
 
@@ -244,31 +244,36 @@ def _sorted_points(s: IncidenceStructure, pts: Iterable) -> tuple:
     return tuple(sorted(pts, key=pos.__getitem__))
 
 
-def _exact_covers(blocks: Sequence[frozenset], universe: Sequence) -> list[tuple[int, ...]]:
-    """Every set of block indices whose blocks partition ``universe``, as
-    sorted tuples in ascending order (depth first on the first uncovered
-    element; a stack entry is the uncovered set and the blocks used)."""
-    containing = {x: [i for i, block in enumerate(blocks) if x in block] for x in universe}
+def _exact_covers(blocks: Sequence[int], universe: int) -> list[tuple[int, ...]]:
+    """Every set of block indices whose blocks, as bitmasks, partition the
+    bits of ``universe``, as sorted tuples in ascending order (depth first
+    on the lowest uncovered bit; a stack entry is the uncovered mask and the
+    blocks used)."""
+    containing: dict[int, list[int]] = {}
+    for i, block in enumerate(blocks):
+        while block:
+            containing.setdefault(block & -block, []).append(i)
+            block &= block - 1
     out: list[tuple[int, ...]] = []
-    stack = [(frozenset(universe), ())]
+    stack = [(universe, ())]
     while stack:
         remaining, used = stack.pop()
         if not remaining:
             out.append(tuple(sorted(used)))
             continue
-        for i in containing[next(x for x in universe if x in remaining)]:
-            if blocks[i] <= remaining:
-                stack.append((remaining - blocks[i], used + (i,)))
+        for i in containing.get(remaining & -remaining, ()):
+            if not blocks[i] & ~remaining:
+                stack.append((remaining ^ blocks[i], used + (i,)))
     return sorted(out)
 
 
 def enumerate_ovoids(s: IncidenceStructure) -> tuple[Hyperplane, ...]:
     """All point sets meeting every line exactly once, in the order of their
     points' positions: the exact covers of the lines by point pencils."""
-    pencils = [frozenset(s.lines_through(p)) for p in s.points]
+    pencils = [sum(1 << i for i in s.lines_through(p)) for p in s.points]
     return tuple(
         Hyperplane(OVOID, frozenset(s.points[i] for i in cover))
-        for cover in _exact_covers(pencils, range(len(s.lines)))
+        for cover in _exact_covers(pencils, (1 << len(s.lines)) - 1)
     )
 
 
@@ -297,13 +302,11 @@ def enumerate_hyperplanes(s: IncidenceStructure) -> tuple[Hyperplane, ...]:
     """
     if any(len(line) != 3 for line in s.lines):
         raise ValueError("hyperplanes from the kernel need three points per line")
-    bit = {p: 1 << i for i, p in enumerate(s.points)}
-    masks = [sum(bit[p] for p in line) for line in s.lines]
     span = [0]
-    for vec in gf2.kernel(masks, len(s.points)):
+    for vec in gf2.kernel(s.line_masks, len(s.points)):
         span += [v ^ vec for v in span]
     planes = [
-        _classify_hyperplane(s, frozenset(p for p in s.points if not comp & bit[p]))
+        _classify_hyperplane(s, frozenset(p for i, p in enumerate(s.points) if not comp >> i & 1))
         for comp in span[1:]
     ]
     planes.sort(key=lambda h: (_KIND_ORDER[h.kind], _sorted_points(s, h.points)))
@@ -313,14 +316,7 @@ def enumerate_hyperplanes(s: IncidenceStructure) -> tuple[Hyperplane, ...]:
 def enumerate_spreads(s: IncidenceStructure) -> tuple[tuple[int, ...], ...]:
     """All partitions of the points into pairwise-disjoint lines, as sorted
     tuples of line indices: the exact covers of the points by lines."""
-    return tuple(_exact_covers(s.lines, s.points))
-
-
-def complement_graph_of_ovoid(s: IncidenceStructure, ovoid: Iterable) -> Graph:
-    """Collinearity graph induced on the points off the ovoid."""
-    off = set(ovoid)
-    keep = [p for p in s.points if p not in off]
-    return s.collinearity_graph.induced(keep)
+    return tuple(_exact_covers(s.line_masks, (1 << len(s.points)) - 1))
 
 
 @lru_cache(maxsize=None)
@@ -427,22 +423,6 @@ def mask_maps_onto(mapping: Mapping[int, int], gadj: Sequence[int], hadj: Sequen
                 return False
             rest &= rest - 1
     return True
-
-
-def structure_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure) -> dict | None:
-    """A point bijection carrying lines to lines, or None.
-
-    Found through the collinearity graphs and then verified on the line
-    sets, which is complete whenever lines are exactly the triangles of the
-    collinearity graph (true for the structures handled here).
-    """
-    iso = graph_isomorphism(s1.collinearity_graph, s2.collinearity_graph)
-    if iso is None:
-        return None
-    lines2 = set(s2.lines)
-    if all(frozenset(iso[p] for p in line) in lines2 for line in s1.lines):
-        return iso
-    return None
 
 
 def dual(s: IncidenceStructure) -> IncidenceStructure:

@@ -35,7 +35,6 @@ __all__ = [
     "zero_divisors",
     "validate_ring",
     "ring_to_json_dict",
-    "ring_from_json_dict",
 ]
 
 RingElement = int
@@ -277,18 +276,3 @@ def ring_to_json_dict(ring: Ring) -> dict:
         "rep_dim": ring.rep_dim,
         "rep": [gf2.rows_to_lists(m, ring.rep_dim) for m in ring.rep],
     }
-
-
-def ring_from_json_dict(doc: dict) -> Ring:
-    if doc.get("schema") != 1:
-        raise ValueError(f"unsupported ring document schema: {doc.get('schema')!r}")
-    return Ring(
-        name=doc["name"],
-        order=doc["order"],
-        zero=doc["zero"],
-        one=doc["one"],
-        add_table=tuple(tuple(row) for row in doc["add_table"]),
-        mul_table=tuple(tuple(row) for row in doc["mul_table"]),
-        rep_dim=doc["rep_dim"],
-        rep=tuple(gf2.rows_from_lists(m) for m in doc["rep"]),
-    )

@@ -3,17 +3,26 @@
 The package runs these checks on cached adjacency sets, perps, bitmasks,
 4-bit operator codes and packed matrix codes.  The forms here are the direct
 ones they replaced: pairwise edge tests, line scans, bit tuples, projectors
-as dicts, matrix products pair by pair and ``product_of``.  Each must
-give exactly what its package counterpart gives: the same verdicts, the
-same problem strings in the same order, the same error messages.
+as dicts, trace matrices, frozenset searches, matrix products pair by pair
+and ``product_of``.  Each must give exactly what its package counterpart
+gives: the same verdicts, the same problem strings in the same order, the
+same error messages.  Two helpers that no verifier calls any more,
+``structure_isomorphism`` and ``complement_graph_of_ovoid``, live here too.
 """
 
 import functools
 import itertools
 
 from ringline import gf2
-from ringline.pauli import product_of
+from ringline.pauli import (
+    _scaled_projector,
+    _trace_matrix,
+    line_product_sign as package_line_sign,
+    mermin_square_check,
+    product_of,
+)
 from ringline.projline import DISTANT, _row_spans
+from ringline.quadrangle import graph_isomorphism
 from ringline.rings import units
 
 
@@ -54,6 +63,119 @@ def graph_isomorphism(g, h):
         return False
 
     return dict(mapping) if extend(0) else None
+
+
+def structure_isomorphism(s1, s2):
+    """A point bijection carrying lines to lines, or None: found through the
+    collinearity graphs, then checked on the line sets, which is complete
+    when the lines are exactly the triangles of the collinearity graph."""
+    iso = graph_isomorphism(s1.collinearity_graph, s2.collinearity_graph)
+    if iso is None:
+        return None
+    lines2 = set(s2.lines)
+    if all(frozenset(iso[p] for p in line) in lines2 for line in s1.lines):
+        return iso
+    return None
+
+
+def complement_graph_of_ovoid(s, ovoid):
+    """Collinearity graph induced on the points off the ovoid."""
+    off = set(ovoid)
+    return s.collinearity_graph.induced([p for p in s.points if p not in off])
+
+
+def is_strongly_regular(g, n, k, lam, mu):
+    """The strongly-regular parameters from adjacency sets, pair by pair."""
+    if len(g.vertices) != n:
+        return False
+    if any(g.degree(v) != k for v in g.vertices):
+        return False
+    for u, v in itertools.combinations(g.vertices, 2):
+        common = len(g.neighbors(u) & g.neighbors(v))
+        if g.has_edge(u, v):
+            if common != lam:
+                return False
+        elif common != mu:
+            return False
+    return True
+
+
+def exact_covers(blocks, universe):
+    """Every set of block indices whose frozenset blocks partition
+    ``universe``, sorted, depth first on the first uncovered element."""
+    containing = {x: [i for i, block in enumerate(blocks) if x in block] for x in universe}
+    out = []
+    stack = [(frozenset(universe), ())]
+    while stack:
+        remaining, used = stack.pop()
+        if not remaining:
+            out.append(tuple(sorted(used)))
+            continue
+        for i in containing[next(x for x in universe if x in remaining)]:
+            if blocks[i] <= remaining:
+                stack.append((remaining - blocks[i], used + (i,)))
+    return sorted(out)
+
+
+def grid_mermin_arrangement(s, points, ops_for):
+    """The least magic arrangement of a grid from frozenset scans of the
+    lines, with sort keys per cell, its square evaluated on operators."""
+    inside = [line for line in s.lines if line <= points]
+    if len(inside) != 6:
+        return None
+    first = inside[0]
+    cls1 = [l for l in inside if l == first or not (l & first)]
+    cls2 = [l for l in inside if l != first and (l & first)]
+    if len(cls1) != 3 or len(cls2) != 3:
+        return None
+    if any(a & b for cls in (cls1, cls2) for a, b in itertools.combinations(cls, 2)):
+        return None
+    if any(len(r & c) != 1 for r in cls1 for c in cls2):
+        return None
+    least = min(points)
+
+    def flattened(rows, cols):
+        first_row = next(r for r in rows if least in r)
+        cols = sorted(cols, key=lambda c: min(c & first_row))
+        rows = sorted(rows, key=lambda r: min(r & cols[0]))
+        return tuple(min(r & c) for r in rows for c in cols)
+
+    best = min(flattened(cls1, cls2), flattened(cls2, cls1))
+    grid = (best[0:3], best[3:6], best[6:9])
+    return grid if mermin_square_check([ops_for(r) for r in grid]).magic else None
+
+
+WITHIN = [[16 if i == j else 0 for j in range(4)] for i in range(4)]
+ACROSS = [[4] * 4] * 4
+
+
+def bases_unbiased(bases):
+    """The unbiased-bases verdict on scaled projectors from every trace
+    matrix: 16 and 0 within a basis, 4 across two."""
+    return all(
+        _trace_matrix(b1, b2) == (WITHIN if i == j else ACROSS)
+        for (i, b1), (j, b2) in itertools.combinations_with_replacement(enumerate(bases), 2)
+    )
+
+
+def mub_spread_check(spread):
+    """The unbiased-bases check with every line signed where it is used and
+    every trace matrix taken: a triple's error, then the partition, then the
+    traces of the projectors of each triple's two lowest codes."""
+    triples = [tuple(t) for t in spread]
+    if len(triples) != 5:
+        raise ValueError("a spread consists of five triples")
+    for i, ops in enumerate(triples, start=1):
+        try:
+            package_line_sign(ops)
+        except ValueError as exc:
+            raise ValueError(f"triple {i}: {exc}") from None
+    if sorted(op.code for ops in triples for op in ops) != list(range(1, 16)):
+        raise ValueError("triples do not partition the fifteen operators")
+    return bases_unbiased([
+        [_scaled_projector(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1)]
+        for a, b, _ in map(sorted, triples)
+    ])
 
 
 def validate_gq_axioms(s):

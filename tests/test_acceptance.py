@@ -8,7 +8,7 @@ these tests. The whole file runs in a few seconds.
 import itertools
 import time
 
-from kernel_oracle import witnessed_triples
+from kernel_oracle import complement_graph_of_ovoid, structure_isomorphism, witnessed_triples
 from ringline import golden
 from ringline.correspondence import (
     geometric_signs,
@@ -39,14 +39,12 @@ from ringline.quadrangle import (
     GRID,
     OVOID,
     PERP_SET,
-    complement_graph_of_ovoid,
     dual,
     enumerate_ovoids,
     graph_isomorphism,
     is_petersen,
     is_strongly_regular,
     petersen_graph,
-    structure_isomorphism,
     validate_gq_axioms,
 )
 from ringline.rings import ring_by_name, units, validate_ring, zero_divisors

@@ -6,7 +6,8 @@ from types import MappingProxyType
 
 import pytest
 
-from kernel_oracle import witnessed_triples
+import kernel_oracle as oracle
+from kernel_oracle import complement_graph_of_ovoid, witnessed_triples
 from ringline import cli, golden, pauli, projline, quadrangle
 from ringline import correspondence as co
 from ringline.correspondence import (
@@ -310,6 +311,33 @@ def test_every_mul_cell_corruption_fails_verify_all_without_traceback(
     assert cases == 256 + 4 + 3 * 48
 
 
+@pytest.mark.parametrize("what", ["table2", "factor96", "factor105", "trinity"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_every_verify_command_fails_a_refused_ring_by_stage(
+    what, fmt, monkeypatch, fresh_structure, capsys
+):
+    """With gf4 served with multiplication cell (2,3) set to 0, each verify
+    command that reads the gf4 line exits 1 with a FAIL naming its stage and
+    the refused cell, and without a traceback; table2 never reads it.  The
+    stage is named by the title its report has on the intact ring."""
+    name, title = cli.VERIFIERS[what]
+    assert getattr(co, name)().title == title
+    _serve(monkeypatch, _with_cell(ring_by_name("gf4"), "mul_table", 2, 3, 0))
+    code = cli.main(["verify", what, "--format", fmt])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if what == "table2":
+        assert code == 0
+        return
+    assert code == 1
+    detail = "raised ValueError: gf4 is not a ring: rep breaks multiplication at (x,y)=(2,3)"
+    if fmt == "json":
+        doc = json.loads(captured.out)
+        assert (doc["title"], doc["checks"]) == (title, [{"name": title, "passed": False, "detail": detail}])
+    else:
+        assert f"[FAIL] {title}: {detail}\n" in captured.out
+
+
 def test_family_sizes_are_read_from_the_families(monkeypatch, fresh_structure):
     """With C7 filed as distant from both base points, the 15 points keep
     their order but the families are 7 + 8: the size check and the nine
@@ -366,6 +394,51 @@ def test_every_label_swap_fails_by_stage_without_traceback(swap_labels):
         assert _failed(split) == _raised(split) == ({square} if touched else set())
         assert split.tally()[0] == base_split[0]
         assert trinity.tally()[0] == base_trinity[0]
+
+
+def _outcome(f, *args):
+    """The return value, or the ValueError message as a string."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"raised ValueError: {exc}"
+
+
+def test_every_label_swap_fails_with_the_details_of_the_operators(swap_labels):
+    """Under each of the 105 transpositions of the operator labels, every
+    magic-square and spread check read through the line table says what
+    the operators themselves say: the oracles sign each row, column and
+    triple where it is used, in its own order, and take every trace."""
+    gq = canonical_gq()
+    grids = [h.points for h in canonical_hyperplanes() if h.kind == GRID]
+    spreads = co.canonical_spreads()
+    raised = 0
+    for i, j in itertools.combinations(range(15), 2):
+        swap_labels(i, j)
+        lines = co.line_table()
+        assert len(lines) == 15
+        rows = [_ops_for(r) for r in co.STANDARD_ROWS]
+        square = _outcome(lambda: pauli.mermin_square_check(rows).magic)
+        wants = [square] + [
+            _outcome(lambda p: oracle.grid_mermin_arrangement(gq, p, _ops_for) is not None, p)
+            for p in grids
+        ]
+        wants.append(square)
+        wants += [
+            _outcome(oracle.mub_spread_check, [_ops_for(sorted(gq.lines[k])) for k in sp]) for sp in spreads
+        ]
+        checks = [c for c in verify_mermin(lines).checks if c.name != "10 grid hyperplanes"]
+        checks.append({c.name: c for c in verify_split_9_6(lines).checks}[
+            "nine common neighbors in standard rows form a magic square"
+        ])
+        checks += verify_mub(lines).checks[1:]
+        for check, want in zip(checks, wants, strict=True):
+            if isinstance(want, str):
+                assert (check.passed, check.detail) == (False, want), check.name
+                raised += 1
+            else:
+                assert check.passed == want, check.name
+    assert raised > 105
 
 
 def test_label_swap_fails_verify_all_and_cli_without_traceback(swap_labels, capsys):
@@ -505,7 +578,7 @@ def test_grid_without_magic_gives_no_arrangement(monkeypatch):
     from ringline.pauli import MerminResult
 
     monkeypatch.setattr(
-        co, "mermin_square_check", lambda grid: MerminResult((1, 1, 1), (1, 1, 1))
+        co, "mermin_square_check", lambda grid, sign=None: MerminResult((1, 1, 1), (1, 1, 1))
     )
     assert grid_mermin_arrangement(frozenset(range(7, 16))) is None
     report = verify_mermin()
@@ -524,7 +597,7 @@ def test_mub_report_covers_all_spreads():
 def _petersen_masks(ovoid):
     """The key of the kept Petersen search of ``ovoid``: the masks of its
     complement and of the reference graph."""
-    comp = quadrangle.complement_graph_of_ovoid(canonical_gq(), ovoid)
+    comp = complement_graph_of_ovoid(canonical_gq(), ovoid)
     return comp.masks, co.petersen_graph().masks
 
 

@@ -9,6 +9,8 @@ from collections import Counter
 import pytest
 
 import kernel_oracle as oracle
+from kernel_oracle import complement_graph_of_ovoid
+from ring_docs import ring_from_json_dict
 from ringline import correspondence as co
 from ringline import pauli, projline, quadrangle, rings
 from ringline.pauli import PauliOp, line_product_sign
@@ -16,7 +18,6 @@ from ringline.projline import distant_triple_witnesses, enumerate_line
 from ringline.quadrangle import (
     Graph,
     IncidenceStructure,
-    complement_graph_of_ovoid,
     dual,
     graph_isomorphism,
     petersen_graph,
@@ -24,7 +25,6 @@ from ringline.quadrangle import (
 )
 from ringline.rings import (
     ring_by_name,
-    ring_from_json_dict,
     ring_names,
     ring_to_json_dict,
     validate_ring,
@@ -76,6 +76,80 @@ def test_gq_axioms_match_oracle_on_corrupted_structures(face):
     for bad in corrupted:
         problems = validate_gq_axioms(bad)
         assert problems and problems == oracle.validate_gq_axioms(bad), bad.lines
+
+
+def _structures():
+    """The quadrangle, its dual, and each with every pair of lines trading
+    a point."""
+    for s in (co.canonical_gq(), dual(co.canonical_gq())):
+        yield s
+        for i, j in itertools.combinations(range(len(s.lines)), 2):
+            yield _swapped(s, i, j)
+
+
+def test_mask_exact_covers_match_oracle():
+    """Ovoids (points covering the lines by their pencils) and spreads
+    (lines covering the points) of 2 + 210 structures: the mask search
+    finds the covers the frozenset search finds, in the same order."""
+    counts = Counter()
+    for s in _structures():
+        s = IncidenceStructure(*s)
+        pencils = [frozenset(s.lines_through(p)) for p in s.points]
+        ovoids = oracle.exact_covers(pencils, range(len(s.lines)))
+        assert quadrangle.enumerate_ovoids(s) == tuple(
+            quadrangle.Hyperplane("ovoid", frozenset(s.points[i] for i in cover)) for cover in ovoids
+        )
+        spreads = quadrangle.enumerate_spreads(s)
+        assert spreads == tuple(oracle.exact_covers(s.lines, s.points))
+        counts[len(ovoids), len(spreads)] += 1
+    assert counts[6, 6] >= 2 and len(counts) > 1
+
+
+def test_strongly_regular_matches_oracle_on_every_edge_toggle():
+    """The mask check gives the set check's verdict on the neighbor graph,
+    on each of its 105 single-edge toggles and on twelve degree-keeping
+    switches, for the true parameters and for each one changed."""
+    g = co.neighbor_graph()
+    graphs = [g, *(_toggled(g, e) for e in itertools.combinations(g.vertices, 2))]
+    graphs += itertools.islice(_switches(g), 12)
+    assert len(graphs) == 1 + 105 + 12
+    params = [(15, 6, 1, 3), (14, 6, 1, 3), (15, 5, 1, 3), (15, 6, 0, 3), (15, 6, 1, 2)]
+    verdicts = Counter()
+    for h in graphs:
+        for args in params:
+            verdict = quadrangle.is_strongly_regular(h, *args)
+            assert verdict == oracle.is_strongly_regular(h, *args), args
+            verdicts[verdict] += 1
+    assert verdicts[True] == 1
+
+
+def test_petersen_witness_checks_the_complement_masks(monkeypatch, hyperplanes):
+    """The bit loop that renumbers the points off a hyperplane gives the
+    adjacency masks of the induced complement graph."""
+    gq, checked = co.canonical_gq(), []
+    real = co._checked_isomorphism
+    monkeypatch.setattr(co, "_checked_isomorphism", lambda g, h: checked.append(g) or real(g, h))
+    for h in hyperplanes:
+        co.petersen_witness(h.points)
+    assert checked == [list(complement_graph_of_ovoid(gq, h.points).masks) for h in hyperplanes]
+
+
+def test_grid_arrangement_matches_oracle(hyperplanes):
+    """On every hyperplane, on each grid with one point traded for an
+    outside one, and on a set whose two line classes cross, the mask
+    arrangement is the one the frozenset scans give."""
+    gq = co.canonical_gq()
+    sets = [h.points for h in hyperplanes] + [frozenset((1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12))]
+    for h in hyperplanes:
+        if h.kind == "grid":
+            sets += [h.points - {p} | {q} for p in h.points for q in set(gq.points) - h.points]
+    assert len(sets) == 31 + 1 + 10 * 9 * 6
+    found = Counter()
+    for points in sets:
+        got = co.grid_mermin_arrangement(points)
+        assert got == oracle.grid_mermin_arrangement(gq, points, co._ops_for), sorted(points)
+        found[got is not None] += 1
+    assert found[True] == 10
 
 
 def test_collinear_is_sharing_a_line(gq):
@@ -507,10 +581,11 @@ def test_warm_validate_ring_runs_no_scan(name, monkeypatch):
 # nothing is cached between runs except derived structure
 
 VERDICTS = {
-    "quadrangle": ("mask_maps_onto", "validate_gq_axioms"),
-    "pauli": ("mub_spread_check", "mermin_square_check"),
+    "quadrangle": ("mask_maps_onto", "validate_gq_axioms", "is_strongly_regular", "_exact_covers"),
+    "pauli": ("mub_spread_check", "mermin_square_check", "line_facts", "_orthonormal", "_unbiased"),
     "projline": ("distant_triple_witnesses",),
     "rings": ("validate_ring",),
+    "correspondence": ("line_table",),
 }
 
 
@@ -565,6 +640,21 @@ def test_warm_verify_all_searches_nothing(monkeypatch):
     )
     assert co.verify_all().passed
     assert calls == {"mask_maps_onto": 24 + 1 + 6}
+
+
+def test_warm_verify_all_evaluates_each_line_once(monkeypatch):
+    """One line table per run: each of the 15 quadrangle lines is signed
+    once, the magic squares and spreads read it, and the closed-form traces
+    of the intact spreads take no trace matrix."""
+    co.verify_all()
+    calls = _count_calls(
+        monkeypatch, pauli.line_product_sign, co.line_table, pauli.mub_spread_check,
+        pauli.mermin_square_check, pauli._trace_matrix,
+    )
+    assert co.verify_all().passed
+    assert calls == {
+        "line_table": 1, "line_product_sign": 15, "mub_spread_check": 6, "mermin_square_check": 12,
+    }
 
 
 def test_warm_verify_all_builds_no_dual(monkeypatch):

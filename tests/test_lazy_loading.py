@@ -16,6 +16,7 @@ import sys
 import pytest
 
 import ringline
+from ring_docs import ring_from_json_dict
 from ringline import cli
 from ringline.correspondence import (
     CheckResult,
@@ -27,7 +28,7 @@ from ringline.correspondence import (
 from ringline.pauli import PauliOp, PhasedPauli
 from ringline.projline import enumerate_line
 from ringline.quadrangle import petersen_graph
-from ringline.rings import ring_by_name, ring_from_json_dict, ring_to_json_dict, units
+from ringline.rings import ring_by_name, ring_to_json_dict, units
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 GF2_LINE = enumerate_line(ring_by_name("gf2"))

@@ -8,13 +8,16 @@ import pytest
 from ringline import golden
 from ringline.pauli import (
     IDENTITY,
+    _orthonormal,
     _scaled_projector,
     _trace_matrix,
+    _unbiased,
     MerminResult,
     PauliOp,
     PhasedPauli,
     commutation_table,
     commutes,
+    line_facts,
     line_product_sign,
     mermin_square_check,
     mub_spread_check,
@@ -24,6 +27,7 @@ from ringline.pauli import (
     standard_labeling,
 )
 
+import kernel_oracle as oracle_kernels
 import pauli_oracle as oracle
 from kernel_oracle import _trace_of_product, expand_projector, scaled_projector
 
@@ -177,29 +181,45 @@ def test_mub_rejects_overlapping_lines():
         mub_spread_check([_ops_for((7, 8, 9))] * 5)
 
 
-@pytest.mark.parametrize("target, wrong", [(16, 0), (0, 16), (4, 8)])
-def test_mub_fails_when_one_trace_is_wrong(target, wrong, monkeypatch):
-    """Each of the three trace targets is checked: the first trace that
-    meets it, turned into another value the scaled projectors can give,
-    fails the spread."""
-    from ringline import pauli
+def _traces(bases):
+    """Every trace matrix of a spread's bases, a basis with itself included."""
+    pairs = itertools.combinations_with_replacement(range(len(bases)), 2)
+    return {(i, j): _trace_matrix(bases[i], bases[j]) for i, j in pairs}
 
-    spread = ((1, 2, 7), (3, 5, 8), (4, 6, 9), (10, 11, 12), (13, 14, 15))
-    real = pauli._trace_matrix
-    hit = []
 
-    def wrong_once(xs, ys):
-        matrix = real(xs, ys)
-        for row in matrix:
-            for j, t in enumerate(row):
-                if t == target and not hit:
-                    hit.append(t)
-                    row[j] = wrong
-        return matrix
-
-    monkeypatch.setattr(pauli, "_trace_matrix", wrong_once)
-    assert not mub_spread_check([_ops_for(t) for t in spread])
-    assert hit
+@pytest.mark.parametrize("target, wrong", [(16, 0), (0, 16), (4, 8), (4, -4)])
+def test_mub_fails_when_one_trace_is_wrong(target, wrong):
+    """Each of the three trace targets is checked: a change of one basis of
+    a passing spread that turns a trace meeting the target into another
+    value, as the trace matrices show, fails the spread.  The changes: the
+    first projector zeroed (16 on the diagonal), the second projector a copy
+    of the first (0 off it), a basis swapped for that of a line sharing an
+    operator with another (4 across, by the trace matrices), and the
+    identity's sign flipped in all four projectors (4 across, by one
+    popcount)."""
+    ops = [_ops_for(t) for t in ((1, 2, 7), (3, 5, 8), (4, 6, 9), (10, 11, 12), (13, 14, 15))]
+    facts = [line_facts(t) for t in ops]
+    assert mub_spread_check(ops, facts)
+    bases = [list(basis) for _, basis in facts]
+    if target == 16:
+        bases[0][0] = (0, 0)
+    elif target == 0:
+        bases[0][1] = bases[0][0]
+    elif wrong == 8:
+        first = {op.code for op in ops[0]}
+        other = next(line for line in _commuting_lines() if len(first & set(line)) == 1)
+        bases[1] = list(line_facts([PauliOp(c) for c in other])[1])
+    else:
+        bases[1] = [(support, negative ^ 1) for support, negative in bases[1]]
+    before, after = _traces([basis for _, basis in facts]), _traces(bases)
+    changed = {
+        (old, new)
+        for key in before
+        for old_row, new_row in zip(before[key], after[key])
+        for old, new in zip(old_row, new_row)
+    }
+    assert (target, wrong) in changed
+    assert not mub_spread_check(ops, [(sign, basis) for (sign, _), basis in zip(facts, bases)])
 
 
 @pytest.mark.parametrize("body", range(4))
@@ -275,6 +295,36 @@ def test_trace_matrix_matches_oracle_on_every_pair_of_line_bases():
         (1, frozenset({0, 8})),
         (3, frozenset({0, 16})),
     }
+
+
+def test_closed_form_unbiasedness_matches_trace_matrices():
+    """The closed-form verdicts equal the trace-matrix ones, within a basis
+    (16 on the diagonal, 0 off it) and across two (4 everywhere): on every
+    ordered pair of the 15 line bases, and with each body's sign flipped in
+    each of the 60 projectors, or the identity's in all four projectors of
+    a basis, against every line basis in both orders."""
+    bases = [xs for _, xs in _line_bases()]
+    changed = []
+    for xs in bases:
+        for i, (support, negative) in enumerate(xs):
+            for body in (p for p in range(16) if support >> p & 1):
+                ys = list(xs)
+                ys[i] = (support, negative ^ 1 << body)
+                changed.append(ys)
+        changed.append([(support, negative ^ 1) for support, negative in xs])
+    assert len(changed) == 60 * 4 + 15
+    seen = set()
+    for xs in bases + changed:
+        verdict = _orthonormal(xs)
+        assert verdict == (_trace_matrix(xs, xs) == oracle_kernels.WITHIN)
+        seen.add(("within", verdict))
+    pairs = list(itertools.product(bases, repeat=2))
+    pairs += [pair for ys in changed for xs in bases for pair in ((xs, ys), (ys, xs))]
+    for xs, ys in pairs:
+        verdict = _unbiased(xs, ys)
+        assert verdict == (_trace_matrix(xs, ys) == oracle_kernels.ACROSS)
+        seen.add(("across", verdict))
+    assert seen == {("within", True), ("within", False), ("across", True), ("across", False)}
 
 
 def test_mub_oracle_cross_check():

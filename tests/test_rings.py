@@ -5,10 +5,10 @@ import pathlib
 
 import pytest
 
+from ring_docs import ring_from_json_dict
 from ringline import golden
 from ringline.rings import (
     ring_by_name,
-    ring_from_json_dict,
     ring_names,
     ring_to_json_dict,
     units,
