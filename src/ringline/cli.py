@@ -76,10 +76,10 @@ def _report(args: argparse.Namespace, report, header: bool = True) -> tuple[str,
 
 
 def _failed(args: argparse.Namespace, check) -> tuple[str, int]:
-    """One failed check as a report in the command's format."""
+    """One failed check as a report, titled by the command, in its format."""
     from .correspondence import Report
 
-    return _report(args, Report(f"ringline {args.group} {args.verb}", (check,)))
+    return _report(args, Report(args.title, (check,)))
 
 
 def _check_index(value: int | None, option: str) -> None:
@@ -107,14 +107,13 @@ def _renderer(name: str):
     return getattr(import_module(f"{__package__}.{module}"), function)
 
 
-# verify WHAT -> the correspondence function that builds its report, and
-# the report's title, under which a build that raises is one failed check
+# verify WHAT -> the title of its report, a key of ``correspondence.STAGES``
 VERIFIERS = {
-    "table2": ("verify_relation_signs", "relation sign matrix"),
-    "factor96": ("verify_split_9_6", "9 plus 6 factorization"),
-    "factor105": ("verify_split_10_5", "10 plus 5 factorization"),
-    "trinity": ("trinity_report", "hyperplane trinity"),
-    "all": ("verify_all", "full verification certificate"),
+    "table2": "relation sign matrix",
+    "factor96": "9 plus 6 factorization",
+    "factor105": "10 plus 5 factorization",
+    "trinity": "hyperplane trinity",
+    "all": "full verification certificate",
 }
 
 # export (what, format) -> the renderer whose text is written to --out; the
@@ -288,7 +287,7 @@ def build_parser(keys: Iterable[tuple] | None = None) -> argparse.ArgumentParser
             p.add_argument(*flags, **options)
         if formats is not None:
             p.add_argument("--format", default="text", help="output format")
-        p.set_defaults(formats=formats, render=render)
+        p.set_defaults(formats=formats, render=render, title=f"ringline {group} {verb or ''}".rstrip())
     return parser
 
 
@@ -322,6 +321,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:
+        # a layer refused its input, such as a ring that fails its axioms
+        from .correspondence import stage_failure
+
+        text, code = _failed(args, stage_failure(args.title, exc))
     sys.stdout.write(text)
     return code
 

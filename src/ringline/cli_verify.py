@@ -27,6 +27,4 @@ def render_verify(args: argparse.Namespace) -> tuple[str, int]:
     reference = () if args.fixture is None else (_load_fixture(args.fixture),)
     from . import correspondence as co
 
-    name, title = VERIFIERS[args.what]
-    report = co._stage(title, getattr(co, name), *reference)
-    return _report(args, report, header=not args.no_header)
+    return _report(args, co.run(VERIFIERS[args.what], *reference), header=not args.no_header)

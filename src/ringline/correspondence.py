@@ -96,6 +96,9 @@ __all__ = [
     "verify_mub",
     "verify_transitivity",
     "trinity_report",
+    "STAGES",
+    "CERTIFICATE",
+    "run",
     "verify_all",
 ]
 
@@ -168,14 +171,9 @@ class Report(NamedTuple):
 
 
 def stage_failure(stage: str, exc: ValueError) -> CheckResult:
-    """The failed check reported when ``stage`` raises instead of answering.
-
-    The pauli layer raises ValueError when operators break a precondition,
-    such as a quadrangle line whose operators do not commute, and
-    ``enumerate_line`` raises it for a ring that fails its axioms.  Either
-    is a failed verification, named by the stage's check and carrying the
-    message, not a traceback.
-    """
+    """The failed check reported when ``stage`` raises ValueError instead of
+    answering, as the pauli layer does for a quadrangle line whose operators
+    do not commute and ``enumerate_line`` for a ring that fails its axioms."""
     return CheckResult(stage, False, f"raised ValueError: {exc}")
 
 
@@ -237,9 +235,9 @@ def _ops_for(labels: Iterable[int]) -> list[PauliOp]:
 def line_table() -> dict[int, tuple]:
     """Each quadrangle line by its point mask (bit p - 1 for label p, as in
     ``canonical_gq().line_masks``) with ``line_facts`` of its operators in
-    label order: built by each run and passed down, never kept.  It is {}
-    when there is no quadrangle or labelling to read; a line not in it is
-    evaluated where it is used, so that such a run fails as without it."""
+    label order: the stage "line table", built once per run, never kept.
+    It is {} when there is no quadrangle or labelling to read; a line not
+    in it is evaluated where it is used, so that such a run fails as without it."""
     try:
         s = canonical_gq()
         return {m: line_facts(_ops_for(sorted(line))) for m, line in zip(s.line_masks, s.lines)}
@@ -636,14 +634,13 @@ def verify_petersen() -> Report:
 STANDARD_ROWS = ((7, 8, 9), (10, 11, 12), (13, 14, 15))
 
 
-def standard_square(lines: Mapping | None = None) -> MerminResult:
+def standard_square(lines: Mapping) -> MerminResult:
     """The Mermin check of the operators on the ``STANDARD_ROWS`` grid, its
-    signs read from ``lines``, a ``line_table()`` made when not given."""
-    lines = line_table() if lines is None else lines
+    signs read from ``lines``, a ``line_table()``."""
     return mermin_square_check(STANDARD_ROWS, partial(_line_sign, lines))
 
 
-def _standard_square_check(stage: str, lines: Mapping | None, tail: str = "") -> tuple:
+def _standard_square_check(stage: str, lines: Mapping, tail: str = "") -> tuple:
     """The check named ``stage`` of ``standard_square(lines)``, and its
     result, or None when it raised."""
     try:
@@ -654,7 +651,7 @@ def _standard_square_check(stage: str, lines: Mapping | None, tail: str = "") ->
     return CheckResult(stage, result.magic, detail), result
 
 
-def verify_split_9_6(lines: Mapping | None = None) -> Report:
+def verify_split_9_6(lines: Mapping) -> Report:
     """The 15 points split as 9 + 6 around the two base points.
 
     The nine points neighboring both base points carry the relation of the
@@ -737,11 +734,9 @@ def verify_split_9_6(lines: Mapping | None = None) -> Report:
     return Report("9 plus 6 factorization", tuple(checks), data)
 
 
-def verify_split_10_5(petersen: Report | None = None) -> Report:
-    """Every ovoid versus its ten-point complement.  The Petersen verdicts
-    are read from ``petersen``, the ``verify_petersen()`` report of the same
-    run, which is made here when not given."""
-    petersen = verify_petersen() if petersen is None else petersen
+def verify_split_10_5(petersen: Report) -> Report:
+    """Every ovoid versus its ten-point complement, the Petersen verdicts read
+    from ``petersen``, the ``verify_petersen()`` report of the same run."""
     witnessed = {frozenset(w["ovoid"]) for w in petersen.data.get("witnesses", ())}
     line, _, _, pts, _ = _m2f2_sub()
     checks = []
@@ -853,7 +848,7 @@ def _parallel_classes(lines: Sequence[int]) -> tuple[list[int], list[int]] | Non
     return cls1, cls2
 
 
-def grid_mermin_arrangement(points: frozenset, lines: Mapping | None = None) -> tuple | None:
+def grid_mermin_arrangement(points: frozenset, lines: Mapping) -> tuple | None:
     """A magic 3x3 arrangement of a grid hyperplane, or None.
 
     Rows and columns must be the two parallel classes of the grid's six
@@ -866,10 +861,8 @@ def grid_mermin_arrangement(points: frozenset, lines: Mapping | None = None) -> 
     either class order, the row and column through the grid's least point
     come first, the other columns follow by their meet with that row and the
     other rows by their meet with that column; the smaller of the two
-    flattened tuples wins.  The signs are read from ``lines``, a
-    ``line_table()`` made when not given.
+    flattened tuples wins.  The signs are read from ``lines``, a ``line_table()``.
     """
-    lines = line_table() if lines is None else lines
     s = canonical_gq()
     pmask = sum(1 << p - 1 for p in points)
     classes = _parallel_classes([m for m in s.line_masks if not m & ~pmask])
@@ -890,10 +883,9 @@ def grid_mermin_arrangement(points: frozenset, lines: Mapping | None = None) -> 
     return grid if mermin_square_check(grid, partial(_line_sign, lines)).magic else None
 
 
-def verify_mermin(lines: Mapping | None = None) -> Report:
+def verify_mermin(lines: Mapping) -> Report:
     """Magic squares: the standard grid and all ten grid hyperplanes, their
-    signs read from ``lines``, a ``line_table()`` made when not given."""
-    lines = line_table() if lines is None else lines
+    signs read from ``lines``, a ``line_table()``."""
     data: dict = {"standard_rows": [list(r) for r in STANDARD_ROWS]}
     check, result = _standard_square_check(
         "standard grid is magic", lines, ", product of all six is -1"
@@ -932,10 +924,9 @@ def spread_unbiased(spread: Sequence[int], lines: Mapping) -> tuple[list[list[in
     return triples, mub_spread_check(ops, facts)
 
 
-def verify_mub(lines: Mapping | None = None) -> Report:
+def verify_mub(lines: Mapping) -> Report:
     """Every spread's five commuting triples give mutually unbiased bases,
-    the line facts read from ``lines``, a ``line_table()`` made when not given."""
-    lines = line_table() if lines is None else lines
+    the line facts read from ``lines``, a ``line_table()``."""
     data: dict = {"spreads": []}
     spreads, count = canonical_spreads(), golden.OVOID_SPREAD_COUNT
     checks = [CheckResult(f"{count} spreads to examine", len(spreads) == count)]
@@ -989,19 +980,12 @@ def verify_transitivity() -> Report:
     return Report("transitivity of the invertible group", tuple(checks), data)
 
 
-def trinity_report(petersen: Report | None = None, lines: Mapping | None = None) -> Report:
+def trinity_report(ovoid_rep: Report, perp_rep: Report, mermin_rep: Report, mub_rep: Report) -> Report:
     """The three-way table: hyperplane kind, subline model, operator meaning.
 
-    Each row is backed by the dedicated checks; this report re-runs them and
-    presents the counts side by side.  ``petersen`` is passed on to
-    ``verify_split_10_5``, and ``lines``, a ``line_table()`` made when not
-    given, to the magic-square and unbiased-bases passes.
+    Each row is backed by the report of its dedicated pass, given here and
+    kept as a subreport; this report presents their counts side by side.
     """
-    lines = line_table() if lines is None else lines
-    ovoid_rep = verify_split_10_5(petersen)
-    perp_rep = verify_perp_sublines()
-    mermin_rep = verify_mermin(lines)
-    mub_rep = verify_mub(lines)
     planes = canonical_hyperplanes()
     counts = {
         kind: sum(1 for h in planes if h.kind == kind)
@@ -1046,41 +1030,61 @@ def trinity_report(petersen: Report | None = None, lines: Mapping | None = None)
     )
 
 
-def _stage(title: str, build, *args) -> Report:
-    """The report ``build(*args)``, or, when the build raises ValueError,
-    one failed check named ``title``: a stage whose input is refused, such
-    as a line over a ring that fails its axioms, reports instead of raising."""
+# report title -> (the name of its builder here, looked up on each run so
+# that a patched one runs, and the titles of the stages it takes, in order)
+STAGES = {
+    "ring construction": ("verify_ring_tables", ()),
+    "line census": ("verify_line_census", ()),
+    "sub-configuration": ("verify_subconfig", ()),
+    "relation sign matrix": ("verify_relation_signs", ()),
+    "quadrangle structure": ("verify_gq_structure", ()),
+    "hyperplane census": ("verify_hyperplane_census", ()),
+    "Petersen complements": ("verify_petersen", ()),
+    "9 plus 6 factorization": ("verify_split_9_6", ("line table",)),
+    "10 plus 5 factorization": ("verify_split_10_5", ("Petersen complements",)),
+    "perp-set sublines": ("verify_perp_sublines", ()),
+    "magic squares": ("verify_mermin", ("line table",)),
+    "unbiased bases": ("verify_mub", ("line table",)),
+    "hyperplane trinity": ("trinity_report", ("10 plus 5 factorization", "perp-set sublines",
+                                              "magic squares", "unbiased bases")),
+    "transitivity of the invertible group": ("verify_transitivity", ()),
+    "full verification certificate": ("verify_all", ()),
+    "line table": ("line_table", ()),
+}
+
+# the stages of ``verify_all()`` in order; the trinity holds four more
+CERTIFICATE = (
+    "ring construction", "line census", "sub-configuration", "relation sign matrix",
+    "quadrangle structure", "hyperplane census", "Petersen complements",
+    "9 plus 6 factorization", "hyperplane trinity", "transitivity of the invertible group",
+)
+
+
+def _build(title: str, built: dict, *args):
+    # the stage on its inputs, each built once into ``built``, then ``args``
+    if title not in built:
+        name, needs = STAGES[title]
+        built[title] = globals()[name](*[_build(t, built) for t in needs], *args)
+    return built[title]
+
+
+def _run(title: str, built: dict, *args) -> Report:
     try:
-        return build(*args)
+        return _build(title, built, *args)
     except ValueError as exc:
-        return Report(title, (stage_failure(title, exc),))
+        built[title] = Report(title, (stage_failure(title, exc),))
+        return built[title]
+
+
+def run(title: str, *args) -> Report:
+    """The report of stage ``title`` built on ``args``, its inputs built
+    first, each once.  A ValueError from any of these builds makes it one
+    failed check named ``title``."""
+    return _run(title, {}, *args)
 
 
 def verify_all() -> Report:
-    """Every verification pass in one certificate.
-
-    The trinity block already contains the ovoid, perp-set, magic-square
-    and unbiased-bases passes as subreports, so those are not repeated at
-    the top level; its ovoid pass reads the Petersen report, so each Petersen
-    mapping is checked once, and one ``line_table()`` serves every magic
-    square and spread.  Each pass is a stage: one that raises ValueError is
-    one failed check under its own title.
-    """
-    lines = line_table()
-    return Report(
-        "full verification certificate",
-        (),
-        {},
-        (
-            _stage("ring construction", verify_ring_tables),
-            _stage("line census", verify_line_census),
-            _stage("sub-configuration", verify_subconfig),
-            _stage("relation sign matrix", verify_relation_signs),
-            _stage("quadrangle structure", verify_gq_structure),
-            _stage("hyperplane census", verify_hyperplane_census),
-            (petersen := _stage("Petersen complements", verify_petersen)),
-            _stage("9 plus 6 factorization", verify_split_9_6, lines),
-            _stage("hyperplane trinity", trinity_report, petersen, lines),
-            _stage("transitivity of the invertible group", verify_transitivity),
-        ),
-    )
+    """The ``CERTIFICATE`` stages in one run: each input is built once, and a
+    stage that failed is read as its failed report."""
+    built: dict = {}
+    return Report("full verification certificate", (), {}, tuple(_run(t, built) for t in CERTIFICATE))

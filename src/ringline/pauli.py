@@ -15,8 +15,8 @@ projectors are kept scaled by 4 with integer coefficients.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, reduce
-from typing import Iterable, NamedTuple, Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 from .golden import OPERATOR_LABELS
 
@@ -26,7 +26,6 @@ __all__ = [
     "IDENTITY",
     "commutes",
     "multiply",
-    "product_of",
     "standard_labeling",
     "commutation_table",
     "signs_from_commutation",
@@ -146,10 +145,6 @@ def multiply(a: PauliOp | PhasedPauli, b: PauliOp | PhasedPauli) -> PhasedPauli:
     pb = 0 if b.body is None else b.body.code
     k, code = _mul_codes(pa, pb)
     return PhasedPauli(a.phase_k + b.phase_k + k, PauliOp(code) if code else None)
-
-
-def product_of(ops: Iterable[PauliOp | PhasedPauli]) -> PhasedPauli:
-    return reduce(multiply, ops, IDENTITY)
 
 
 @lru_cache(maxsize=None)

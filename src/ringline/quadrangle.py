@@ -88,11 +88,6 @@ class Graph(_GraphFields):
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         return v in self.adjacency.get(u, ())
 
-    def induced(self, keep: Iterable[Vertex]) -> Graph:
-        keep = tuple(keep)
-        kset = set(keep)
-        return Graph(keep, frozenset(e for e in self.edges if e <= kset))
-
     def sorted_edges(self) -> list[tuple]:
         pos = {v: i for i, v in enumerate(self.vertices)}
         out = [tuple(sorted(e, key=pos.__getitem__)) for e in self.edges]

@@ -6,8 +6,9 @@ ones they replaced: pairwise edge tests, line scans, bit tuples, projectors
 as dicts, trace matrices, frozenset searches, matrix products pair by pair
 and ``product_of``.  Each must give exactly what its package counterpart
 gives: the same verdicts, the same problem strings in the same order, the
-same error messages.  Two helpers that no verifier calls any more,
-``structure_isomorphism`` and ``complement_graph_of_ovoid``, live here too.
+same error messages.  Helpers that no verifier calls any more,
+``structure_isomorphism``, ``complement_graph_of_ovoid``, ``induced`` and
+``product_of``, live here too.
 """
 
 import functools
@@ -15,14 +16,15 @@ import itertools
 
 from ringline import gf2
 from ringline.pauli import (
+    IDENTITY,
     _scaled_projector,
     _trace_matrix,
     line_product_sign as package_line_sign,
     mermin_square_check,
-    product_of,
+    multiply,
 )
 from ringline.projline import DISTANT, _row_spans
-from ringline.quadrangle import graph_isomorphism
+from ringline.quadrangle import Graph, graph_isomorphism
 from ringline.rings import units
 
 
@@ -78,10 +80,17 @@ def structure_isomorphism(s1, s2):
     return None
 
 
+def induced(g, keep):
+    """The subgraph of ``g`` on the vertices ``keep``, in that order."""
+    keep = tuple(keep)
+    kset = set(keep)
+    return Graph(keep, frozenset(e for e in g.edges if e <= kset))
+
+
 def complement_graph_of_ovoid(s, ovoid):
     """Collinearity graph induced on the points off the ovoid."""
     off = set(ovoid)
-    return s.collinearity_graph.induced([p for p in s.points if p not in off])
+    return induced(s.collinearity_graph, [p for p in s.points if p not in off])
 
 
 def is_strongly_regular(g, n, k, lam, mu):
@@ -211,6 +220,11 @@ def commutes(a, b):
     az1, ax1, az2, ax2 = (a.code >> k & 1 for k in (3, 2, 1, 0))
     bz1, bx1, bz2, bx2 = (b.code >> k & 1 for k in (3, 2, 1, 0))
     return (az1 * bx1 + ax1 * bz1 + az2 * bx2 + ax2 * bz2) % 2 == 0
+
+
+def product_of(ops):
+    """The phased product of ``ops`` in order."""
+    return functools.reduce(multiply, ops, IDENTITY)
 
 
 def line_product_sign(triple, commute=commutes):

@@ -13,6 +13,7 @@ from ringline import golden
 from ringline.correspondence import (
     geometric_signs,
     grid_mermin_arrangement,
+    line_table,
     neighbor_graph,
     operator_signs,
     verify_transitivity,
@@ -178,8 +179,9 @@ def test_criterion_8_mermin_magic(hyperplanes):
     # all ten grid hyperplanes admit a magic arrangement
     grids = [h for h in hyperplanes if h.kind == GRID]
     assert len(grids) == 10
+    lines = line_table()
     for h in grids:
-        assert grid_mermin_arrangement(h.points) is not None
+        assert grid_mermin_arrangement(h.points, lines) is not None
 
 
 def test_criterion_9_mub(gq, spreads):

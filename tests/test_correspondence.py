@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import Counter
 from types import MappingProxyType
 
 import pytest
@@ -21,19 +22,13 @@ from ringline.correspondence import (
     grid_mermin_arrangement,
     operator_signs,
     perp_subline_check,
-    trinity_report,
     verify_all,
-    verify_gq_structure,
-    verify_hyperplane_census,
-    verify_line_census,
     verify_mermin,
     verify_mub,
-    verify_perp_sublines,
     verify_petersen,
     verify_relation_signs,
     verify_ring_tables,
     verify_split_9_6,
-    verify_split_10_5,
     verify_subconfig,
     verify_transitivity,
 )
@@ -58,27 +53,13 @@ def test_sign_table_symmetric_with_minus_diagonal():
             assert rows[i][j] == rows[j][i]
 
 
-ALL_VERIFIERS = [
-    verify_ring_tables,
-    verify_line_census,
-    verify_subconfig,
-    verify_relation_signs,
-    verify_gq_structure,
-    verify_hyperplane_census,
-    verify_petersen,
-    verify_split_9_6,
-    verify_split_10_5,
-    verify_perp_sublines,
-    verify_mermin,
-    verify_mub,
-    trinity_report,
-    verify_all,
-]
+# every stage that builds a report, named by its builder
+REPORT_STAGES = [title for title in co.STAGES if title != "line table"]
 
 
-@pytest.mark.parametrize("verifier", ALL_VERIFIERS, ids=lambda f: f.__name__)
-def test_verifier_passes(verifier):
-    report = verifier()
+@pytest.mark.parametrize("title", REPORT_STAGES, ids=lambda t: co.STAGES[t][0])
+def test_verifier_passes(title):
+    report = co.run(title)
     assert report.passed, report.to_text()
 
 
@@ -320,8 +301,8 @@ def test_every_verify_command_fails_a_refused_ring_by_stage(
     command that reads the gf4 line exits 1 with a FAIL naming its stage and
     the refused cell, and without a traceback; table2 never reads it.  The
     stage is named by the title its report has on the intact ring."""
-    name, title = cli.VERIFIERS[what]
-    assert getattr(co, name)().title == title
+    title = cli.VERIFIERS[what]
+    assert co.run(title).title == title
     _serve(monkeypatch, _with_cell(ring_by_name("gf4"), "mul_table", 2, 3, 0))
     code = cli.main(["verify", what, "--format", fmt])
     captured = capsys.readouterr()
@@ -338,6 +319,76 @@ def test_every_verify_command_fails_a_refused_ring_by_stage(
         assert f"[FAIL] {title}: {detail}\n" in captured.out
 
 
+# the commands that print no verifier report but read the m2f2 line, each
+# in a format of its own; a --out of None is written into the test's directory
+REPORTLESS = [
+    *[["gq", verb] for verb in ("build", "axioms", "ovoids", "spreads", "hyperplanes", "petersen")],
+    ["pauli", "mub"],
+    ["export", "--what", "signs", "--format", "csv", "--out", None],
+    ["export", "--what", "gq", "--format", "dot", "--out", None],
+    ["export", "--what", "hyperplanes", "--format", "json", "--out", None],
+]
+
+
+@pytest.mark.parametrize("argv", REPORTLESS, ids=lambda argv: " ".join(argv[:3]))
+def test_every_reportless_command_fails_a_refused_ring_by_command(
+    argv, monkeypatch, fresh_structure, tmp_path, capsys
+):
+    """With m2f2 served with multiplication cell (3,5) moved up by one, each
+    command that reads its line but prints no verifier report exits 1 with
+    one FAIL named by the command, and without a traceback."""
+    _ring_with_cell("m2f2", "mul_table", 3, 5)(monkeypatch)
+    argv = [str(tmp_path / "out") if a is None else a for a in argv]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    title = "ringline " + " ".join(argv[:1] if argv[0] == "export" else argv[:2])
+    detail = "raised ValueError: m2f2 is not a ring: rep breaks multiplication at (x,y)=(3,5)"
+    if "json" in argv:
+        doc = json.loads(captured.out)
+        assert (doc["title"], doc["checks"]) == (title, [{"name": title, "passed": False, "detail": detail}])
+    else:
+        assert f"[FAIL] {title}: {detail}\n" in captured.out
+        assert "result: FAIL" in captured.out
+
+
+def test_stage_table_is_closed():
+    """Every input a stage takes is a stage, every builder is a function of
+    ``correspondence`` that reports under its stage's title, the certificate
+    is what ``verify_all()`` reports, and every ``verify`` command prints a
+    stage."""
+    for title, (name, needs) in co.STAGES.items():
+        assert set(needs) <= set(co.STAGES), title
+        assert callable(getattr(co, name)), name
+    for title in REPORT_STAGES:
+        assert co.run(title).title == title
+    assert list(co.CERTIFICATE) == [r.title for r in verify_all().subreports]
+    assert set(cli.VERIFIERS.values()) <= set(co.STAGES)
+
+
+def test_each_stage_is_built_once_per_run(monkeypatch):
+    """A builder patched into ``correspondence`` is the one a run calls, and
+    a run builds each stage once, however many stages read it: the Petersen
+    report once per certificate and once per trinity, where the 10 + 5 pass
+    reads it, and the line table once for the three passes that read it."""
+    calls = Counter()
+
+    def counted(real):
+        def wrapper(*args):
+            calls[real.__name__] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in ("verify_petersen", "line_table"):
+        monkeypatch.setattr(co, name, counted(getattr(co, name)))
+    assert verify_all().passed
+    assert calls == {"verify_petersen": 1, "line_table": 1}
+    calls.clear()
+    assert co.run("hyperplane trinity").passed
+    assert calls == {"verify_petersen": 1, "line_table": 1}
+
+
 def test_family_sizes_are_read_from_the_families(monkeypatch, fresh_structure):
     """With C7 filed as distant from both base points, the 15 points keep
     their order but the families are 7 + 8: the size check and the nine
@@ -350,7 +401,7 @@ def test_family_sizes_are_read_from_the_families(monkeypatch, fresh_structure):
 
     monkeypatch.setattr(co, "simultaneous_subconfig", moved)
     assert _failed(verify_subconfig()) == {"family sizes 6 and 9"}
-    assert NINE_CHECK in _failed(verify_split_9_6())
+    assert NINE_CHECK in _failed(verify_split_9_6(co.line_table()))
 
 
 @pytest.fixture
@@ -377,12 +428,12 @@ def test_every_label_swap_fails_by_stage_without_traceback(swap_labels):
     quadrangle line's commutation, which the pauli layer raises on; the
     verifiers turn that into failed checks naming the stage, one for one."""
     square = "nine common neighbors in standard rows form a magic square"
-    base_split = verify_split_9_6().tally()
-    base_trinity = trinity_report().tally()
+    base_split = verify_split_9_6(co.line_table()).tally()
+    base_trinity = co.run("hyperplane trinity").tally()
     for i, j in itertools.combinations(range(15), 2):
         swap_labels(i, j)
-        split = verify_split_9_6()
-        trinity = trinity_report()
+        split = verify_split_9_6(co.line_table())
+        trinity = co.run("hyperplane trinity")
         mermin, mub = trinity.subreports[2:]
         assert (mermin.title, mub.title) == ("magic squares", "unbiased bases")
         assert _raised(mermin) and not mermin.passed
@@ -482,7 +533,7 @@ def test_relation_isomorphism_searches_the_line_graph():
 
 
 def test_triple_split_regression():
-    report = verify_split_9_6()
+    report = verify_split_9_6(co.line_table())
     assert report.passed
     assert report.data["triples"] == [sorted(s) for s in golden.TRIPLE_SPLIT]
 
@@ -501,7 +552,7 @@ def test_perp_subline_rejects_bad_point(bad):
 
 
 def test_trinity_report_shape():
-    report = trinity_report()
+    report = co.run("hyperplane trinity")
     assert report.passed
     assert len(report.subreports) == 4
     rows = report.data["rows"]
@@ -510,12 +561,13 @@ def test_trinity_report_shape():
 
 
 def test_grid_mermin_arrangement_deterministic_and_magic():
-    report = verify_mermin()
+    lines = co.line_table()
+    report = verify_mermin(lines)
     assert report.passed
     standard = ((7, 8, 9), (10, 11, 12), (13, 14, 15))
-    arr = grid_mermin_arrangement(frozenset(range(7, 16)))
+    arr = grid_mermin_arrangement(frozenset(range(7, 16)), lines)
     assert arr is not None
-    again = grid_mermin_arrangement(frozenset(range(7, 16)))
+    again = grid_mermin_arrangement(frozenset(range(7, 16)), lines)
     assert arr == again
     # rows and columns of the returned arrangement are all operator lines
     # whose six product signs multiply to -1
@@ -562,7 +614,7 @@ def test_grid_mermin_arrangement_matches_exhaustive_search():
         assert len(arrangements) == 72
         assert len({magic for _, magic in arrangements}) == 1
         least = min(flat for flat, magic in arrangements if magic)
-        assert grid_mermin_arrangement(h.points) == (least[0:3], least[3:6], least[6:9])
+        assert grid_mermin_arrangement(h.points, co.line_table()) == (least[0:3], least[3:6], least[6:9])
 
 
 def test_grid_mermin_arrangement_rejects_crossing_classes():
@@ -570,7 +622,7 @@ def test_grid_mermin_arrangement_rejects_crossing_classes():
     # column do not meet, so no arrangement is consistent
     points = frozenset((1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12))
     assert _every_arrangement(points) == []
-    assert grid_mermin_arrangement(points) is None
+    assert grid_mermin_arrangement(points, co.line_table()) is None
 
 
 def test_grid_without_magic_gives_no_arrangement(monkeypatch):
@@ -580,8 +632,8 @@ def test_grid_without_magic_gives_no_arrangement(monkeypatch):
     monkeypatch.setattr(
         co, "mermin_square_check", lambda grid, sign=None: MerminResult((1, 1, 1), (1, 1, 1))
     )
-    assert grid_mermin_arrangement(frozenset(range(7, 16))) is None
-    report = verify_mermin()
+    assert grid_mermin_arrangement(frozenset(range(7, 16)), co.line_table()) is None
+    report = verify_mermin(co.line_table())
     assert not report.passed
     grid_checks = [c for c in report.checks if c.name.startswith("grid ")]
     assert len(grid_checks) == 10
@@ -589,7 +641,7 @@ def test_grid_without_magic_gives_no_arrangement(monkeypatch):
 
 
 def test_mub_report_covers_all_spreads():
-    report = verify_mub()
+    report = verify_mub(co.line_table())
     assert report.passed
     assert len(report.data["spreads"]) == 6
 
@@ -617,7 +669,7 @@ def test_petersen_search_runs_once_per_ovoid(monkeypatch):
         return real(gadj, hadj)
 
     monkeypatch.setattr(co, "mask_isomorphism", counted)
-    assert verify_petersen().passed and verify_split_10_5().passed
+    assert verify_petersen().passed and co.run("10 plus 5 factorization").passed
     assert targets.count(co.petersen_graph().masks) == 6
     with pytest.raises(TypeError):
         co._kept_isomorphism(*_petersen_masks(golden.SAMPLE_OVOID))[0] = 1
@@ -697,7 +749,7 @@ def _first_run_on_a_relabelled_nine(monkeypatch):
         co, "induced_neighbor_masks",
         lambda line, pts: real(line, relabelled if list(pts) == nine else pts),
     )
-    assert verify_split_9_6().passed
+    assert verify_split_9_6(co.line_table()).passed
 
 
 def _first_run_on_a_relabelled_quadrangle(monkeypatch):
@@ -743,7 +795,7 @@ def test_split_9_6_builds_the_nine_masks_once(monkeypatch):
         return real(line, points)
 
     monkeypatch.setattr(co, "induced_neighbor_masks", counted)
-    assert verify_split_9_6().passed
+    assert verify_split_9_6(co.line_table()).passed
     assert built.count(list(pts[6:])) == 1
 
 

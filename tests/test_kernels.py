@@ -144,9 +144,9 @@ def test_grid_arrangement_matches_oracle(hyperplanes):
         if h.kind == "grid":
             sets += [h.points - {p} | {q} for p in h.points for q in set(gq.points) - h.points]
     assert len(sets) == 31 + 1 + 10 * 9 * 6
-    found = Counter()
+    found, lines = Counter(), co.line_table()
     for points in sets:
-        got = co.grid_mermin_arrangement(points)
+        got = co.grid_mermin_arrangement(points, lines)
         assert got == oracle.grid_mermin_arrangement(gq, points, co._ops_for), sorted(points)
         found[got is not None] += 1
     assert found[True] == 10

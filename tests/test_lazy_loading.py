@@ -23,6 +23,7 @@ from ringline.correspondence import (
     Report,
     canonical_gq,
     canonical_hyperplanes,
+    line_table,
     standard_square,
 )
 from ringline.pauli import PauliOp, PhasedPauli
@@ -213,7 +214,7 @@ def test_every_public_name_is_its_defining_modules_object():
         pytest.param(lambda: GF2_LINE, "points", id="ProjectiveLine"),
         pytest.param(lambda: PauliOp(1), "code", id="PauliOp"),
         pytest.param(lambda: PhasedPauli(0, None), "phase_k", id="PhasedPauli"),
-        pytest.param(standard_square, "row_signs", id="MerminResult"),
+        pytest.param(lambda: standard_square(line_table()), "row_signs", id="MerminResult"),
         pytest.param(petersen_graph, "edges", id="Graph"),
         pytest.param(canonical_gq, "lines", id="IncidenceStructure"),
         pytest.param(lambda: canonical_hyperplanes()[0], "kind", id="Hyperplane"),

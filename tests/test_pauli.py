@@ -22,14 +22,13 @@ from ringline.pauli import (
     mermin_square_check,
     mub_spread_check,
     multiply,
-    product_of,
     signs_from_commutation,
     standard_labeling,
 )
 
 import kernel_oracle as oracle_kernels
 import pauli_oracle as oracle
-from kernel_oracle import _trace_of_product, expand_projector, scaled_projector
+from kernel_oracle import _trace_of_product, expand_projector, product_of, scaled_projector
 
 ALL_OPS = [PauliOp(c) for c in range(1, 16)]
 

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from kernel_oracle import complement_graph_of_ovoid, structure_isomorphism
+from kernel_oracle import complement_graph_of_ovoid, induced, structure_isomorphism
 from ringline import golden
 from ringline.correspondence import neighbor_graph
 from ringline.quadrangle import (
@@ -262,6 +262,6 @@ def test_graph_isomorphism_positive_and_negative():
 
 def test_induced_subgraph():
     g = complete_graph(5)
-    sub = g.induced([0, 1, 2])
+    sub = induced(g, [0, 1, 2])
     assert len(sub.vertices) == 3
     assert len(sub.edges) == 3
