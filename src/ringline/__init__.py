@@ -53,8 +53,6 @@ _EXPORTS = {
     "correspondence": (
         "CheckResult",
         "Report",
-        "neighbor_graph",
-        "canonical_gq",
         "verify_relation_signs",
         "verify_split_9_6",
         "verify_split_10_5",

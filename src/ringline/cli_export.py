@@ -12,7 +12,7 @@ def render_signs(args: argparse.Namespace) -> tuple[str, int]:
     from . import export
     from .golden import c_label
 
-    signs = co.geometric_signs()
+    signs = co.STRUCTURE.signs
     labels = [c_label(i) for i in range(1, len(signs) + 1)]
     if args.format == "csv":
         return export.sign_matrix_csv(signs, labels), EXIT_OK
@@ -26,7 +26,7 @@ def render_gq_dot(args: argparse.Namespace) -> tuple[str, int]:
     from . import export
     from .golden import c_label
 
-    graph = co.canonical_gq().collinearity_graph
+    graph = co.STRUCTURE.gq.collinearity_graph
     return export.graph_dot(graph, name="collinearity", label=c_label), EXIT_OK
 
 
@@ -56,8 +56,11 @@ def render_export(args: argparse.Namespace) -> tuple[str, int]:
     if what == "line":
         _ring(args.ring)  # an unknown ring is refused before --out is created
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        # opened before any work but emptied only once the renderer returns,
+        # so a failed export leaves the file as it was
+        with open(args.out, "a", encoding="utf-8") as fh:
             text, code = _renderer(name)(args)
+            fh.truncate(0)
             fh.write(text)
     except OSError as e:
         raise InputError(f"cannot write {args.out}: {e}") from None

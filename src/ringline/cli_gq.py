@@ -11,7 +11,7 @@ def render_gq_build(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
     from .golden import c_label
 
-    s = co.canonical_gq()
+    s = co.STRUCTURE.gq
     if args.format == "json":
         from . import export
         return _json(export.structure_to_json_dict(s)), EXIT_OK
@@ -26,7 +26,7 @@ def render_gq_build(args: argparse.Namespace) -> tuple[str, int]:
 def render_gq_axioms(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
 
-    problems, iso = co.quadrangle_axioms()
+    problems, iso = co.quadrangle_axioms(co.STRUCTURE)
     self_dual = iso is not None
     code = EXIT_OK if not problems and self_dual else EXIT_MISMATCH
     if args.format == "json":
@@ -41,7 +41,7 @@ def render_gq_ovoids(args: argparse.Namespace) -> tuple[str, int]:
     from .golden import c_label
     from .quadrangle import OVOID
 
-    ovoids = [h for h in co.canonical_hyperplanes() if h.kind == OVOID]
+    ovoids = [h for h in co.STRUCTURE.hyperplanes if h.kind == OVOID]
     if args.format == "json":
         return _json({"schema": 1, "ovoids": [sorted(h.points) for h in ovoids]}), EXIT_OK
     return _text(
@@ -54,8 +54,7 @@ def render_gq_spreads(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
     from .golden import c_label
 
-    s = co.canonical_gq()
-    spreads = co.canonical_spreads()
+    s, spreads = co.STRUCTURE.gq, co.STRUCTURE.spreads
     if args.format == "json":
         return _json(
             {
@@ -77,8 +76,7 @@ def render_gq_hyperplanes(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
     from .golden import c_label
 
-    planes = co.canonical_hyperplanes()
-    spreads = co.canonical_spreads()
+    planes, spreads = co.STRUCTURE.hyperplanes, co.STRUCTURE.spreads
     if args.format == "json":
         from . import export
         return _json(export.hyperplane_catalog_to_json_dict(planes, spreads)), EXIT_OK
@@ -97,14 +95,15 @@ def render_gq_petersen(args: argparse.Namespace) -> tuple[str, int]:
     from .golden import OVOID_SPREAD_COUNT, c_label
     from .quadrangle import OVOID
 
-    ovoids = [h for h in co.canonical_hyperplanes() if h.kind == OVOID]
+    st = co.STRUCTURE
+    ovoids = [h for h in st.hyperplanes if h.kind == OVOID]
     if len(ovoids) != OVOID_SPREAD_COUNT:
         return _failed(args, co.CheckResult(
             f"{OVOID_SPREAD_COUNT} ovoids", False, f"{len(ovoids)} computed"
         ))
     if args.ovoid is not None:
         ovoids = [ovoids[args.ovoid]]
-    results = [(h, co.petersen_witness(h.points)) for h in ovoids]
+    results = [(h, co.petersen_witness(st, h.points)) for h in ovoids]
     code = EXIT_OK if all(witness is not None for _, witness in results) else EXIT_MISMATCH
     if args.format == "json":
         return _json(

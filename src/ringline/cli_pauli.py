@@ -40,7 +40,7 @@ def render_pauli_mermin(args: argparse.Namespace) -> tuple[str, int]:
 
     ops = standard_labeling()
     rows = co.STANDARD_ROWS
-    result = co.standard_square(co.line_table())
+    result = co.standard_square(co.line_table(co.STRUCTURE))
     code = EXIT_OK if result.magic else EXIT_MISMATCH
     if args.format == "json":
         return _json(
@@ -64,15 +64,16 @@ def render_pauli_mub(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
     from .golden import OVOID_SPREAD_COUNT, c_label
 
-    spreads = co.canonical_spreads()
+    st = co.STRUCTURE
+    spreads = st.spreads
     if len(spreads) != OVOID_SPREAD_COUNT:
         return _failed(args, co.CheckResult(
             f"{OVOID_SPREAD_COUNT} spreads", False, f"{len(spreads)} computed"
         ))
     if args.spread is not None:
         spreads = (spreads[args.spread],)
-    lines = co.line_table()
-    results = [co.spread_unbiased(sp, lines) for sp in spreads]
+    lines = co.line_table(st)
+    results = [co.spread_unbiased(st, sp, lines) for sp in spreads]
     code = EXIT_OK if all(good for _, good in results) else EXIT_MISMATCH
     if args.format == "json":
         return _json(

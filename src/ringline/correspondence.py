@@ -14,9 +14,9 @@ to JSON or a plain-text certificate.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import golden
 from .golden import c_label
@@ -62,17 +62,14 @@ from .quadrangle import (
     triangles,
     validate_gq_axioms,
 )
-from .rings import ring_by_name, units, validate_ring, zero_divisors
+from .rings import Ring, ring_by_name, units, validate_ring, zero_divisors
 
 __all__ = [
     "CheckResult",
     "Report",
     "stage_failure",
-    "neighbor_graph",
-    "canonical_gq",
-    "canonical_hyperplanes",
-    "canonical_spreads",
-    "geometric_signs",
+    "Structure",
+    "STRUCTURE",
     "operator_signs",
     "STANDARD_ROWS",
     "line_table",
@@ -181,45 +178,52 @@ def _cset(ids: Iterable[int]) -> str:
     return "{" + ",".join(c_label(i) for i in sorted(ids)) + "}"
 
 
-@lru_cache(maxsize=None)
-def neighbor_graph() -> Graph:
-    """The neighbor graph on point labels 1..15, read off the geometric sign
-    matrix; the fixture is only compared against, never built on."""
-    return signs_graph(geometric_signs(), first=1)
+class Structure:
+    """The chain the verifiers read, each part built from ``rings`` (a ring
+    name -> its Ring) on first read and kept; a part whose build raises is
+    not kept, so every read of it raises."""
+
+    def __init__(self, rings: Callable[[str], Ring] = ring_by_name) -> None:
+        self.rings = rings
+
+    @cached_property
+    def sub(self) -> tuple[ProjectiveLine, PointClass, PointClass, tuple, tuple]:
+        """The m2f2 line, its two base points, the ordered 15 points, and the
+        families (distant from both, neighbor of both) that they join."""
+        line = enumerate_line(self.rings("m2f2"))
+        u = line.class_of((line.ring.one, line.ring.zero))
+        v = line.class_of((line.ring.zero, line.ring.one))
+        families = simultaneous_subconfig(line, u, v)
+        return line, u, v, families[0] + families[1], families
+
+    @cached_property
+    def signs(self) -> tuple[str, ...]:
+        """The 15x15 relation matrix computed from the ring geometry."""
+        line, _, _, pts, _ = self.sub
+        return induced_signs(line, pts)
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The neighbor graph on point labels 1..15, read off ``signs``; the
+        fixture is only compared against, never built on."""
+        return signs_graph(self.signs, first=1)
+
+    @cached_property
+    def gq(self) -> IncidenceStructure:
+        """The quadrangle recovered from ``graph``; points are 1..15."""
+        return build_gq_from_graph(self.graph)
+
+    @cached_property
+    def hyperplanes(self):
+        return enumerate_hyperplanes(self.gq)
+
+    @cached_property
+    def spreads(self):
+        return enumerate_spreads(self.gq)
 
 
-@lru_cache(maxsize=None)
-def canonical_gq() -> IncidenceStructure:
-    """The quadrangle recovered from the neighbor graph; points are 1..15."""
-    return build_gq_from_graph(neighbor_graph())
-
-
-@lru_cache(maxsize=None)
-def canonical_hyperplanes():
-    return enumerate_hyperplanes(canonical_gq())
-
-
-@lru_cache(maxsize=None)
-def canonical_spreads():
-    return enumerate_spreads(canonical_gq())
-
-
-@lru_cache(maxsize=None)
-def _m2f2_sub() -> tuple[ProjectiveLine, PointClass, PointClass, tuple, tuple]:
-    """The m2f2 line, its two base points, the ordered 15 points, and the
-    families (distant from both, neighbor of both) that they join."""
-    line = enumerate_line(ring_by_name("m2f2"))
-    u = line.class_of((line.ring.one, line.ring.zero))
-    v = line.class_of((line.ring.zero, line.ring.one))
-    families = simultaneous_subconfig(line, u, v)
-    return line, u, v, families[0] + families[1], families
-
-
-@lru_cache(maxsize=None)
-def geometric_signs() -> tuple[str, ...]:
-    """The 15x15 relation matrix computed from the ring geometry."""
-    line, _, _, pts, _ = _m2f2_sub()
-    return induced_signs(line, pts)
+# the structure that ``run`` and the commands read; nothing is built at import
+STRUCTURE = Structure()
 
 
 def operator_signs() -> tuple[str, ...]:
@@ -232,14 +236,14 @@ def _ops_for(labels: Iterable[int]) -> list[PauliOp]:
     return [ops[i - 1] for i in labels]
 
 
-def line_table() -> dict[int, tuple]:
-    """Each quadrangle line by its point mask (bit p - 1 for label p, as in
-    ``canonical_gq().line_masks``) with ``line_facts`` of its operators in
-    label order: the stage "line table", built once per run, never kept.
+def line_table(st: Structure) -> dict[int, tuple]:
+    """Each line of ``st.gq`` by its point mask (bit p - 1 for label p, as in
+    its ``line_masks``) with ``line_facts`` of its operators in label
+    order: the stage "line table", built once per run, never kept.
     It is {} when there is no quadrangle or labelling to read; a line not
     in it is evaluated where it is used, so that such a run fails as without it."""
     try:
-        s = canonical_gq()
+        s = st.gq
         return {m: line_facts(_ops_for(sorted(line))) for m, line in zip(s.line_masks, s.lines)}
     except ValueError:
         return {}
@@ -256,9 +260,9 @@ def _line_sign(lines: Mapping, labels: Sequence[int]) -> int:
 # ring and line level
 
 
-def verify_ring_tables() -> Report:
+def verify_ring_tables(st: Structure) -> Report:
     """Generated 2x2-matrix-ring tables against the stored fixture."""
-    ring = ring_by_name("m2f2")
+    ring = st.rings("m2f2")
     checks = [
         CheckResult(
             "addition table matches fixture",
@@ -282,7 +286,7 @@ def verify_ring_tables() -> Report:
         ),
     ]
     for name in ("m2f2", "gf2", "gf4", "gf2xgf2", "gf2dual"):
-        problems = validate_ring(ring_by_name(name))
+        problems = validate_ring(st.rings(name))
         checks.append(
             CheckResult(
                 f"ring axioms hold for {name}",
@@ -293,10 +297,10 @@ def verify_ring_tables() -> Report:
     return Report("ring construction", tuple(checks))
 
 
-def verify_line_census() -> Report:
+def verify_line_census(st: Structure) -> Report:
     """Point counts and orbit structure of the projective lines."""
     checks = []
-    line = enumerate_line(ring_by_name("m2f2"))
+    line = enumerate_line(st.rings("m2f2"))
     checks.append(CheckResult("35 points over m2f2", len(line.points) == 35))
     checks.append(
         CheckResult(
@@ -320,11 +324,11 @@ def verify_line_census() -> Report:
         )
     counts = {"gf2": 3, "gf4": 5, "gf2xgf2": 9, "gf2dual": 6}
     for name, want in counts.items():
-        small = enumerate_line(ring_by_name(name))
+        small = enumerate_line(st.rings(name))
         checks.append(
             CheckResult(f"{want} points over {name}", len(small.points) == want)
         )
-    gf4_line = enumerate_line(ring_by_name("gf4"))
+    gf4_line = enumerate_line(st.rings("gf4"))
     all_distant = all(
         gf4_line.relation[i][j] == DISTANT
         for i in range(5)
@@ -332,7 +336,7 @@ def verify_line_census() -> Report:
         if i != j
     )
     checks.append(CheckResult("gf4 line pairwise distant", all_distant))
-    dual_line = enumerate_line(ring_by_name("gf2dual"))
+    dual_line = enumerate_line(st.rings("gf2dual"))
     npairs = sum(
         1
         for i in range(6)
@@ -343,9 +347,9 @@ def verify_line_census() -> Report:
     return Report("line census", tuple(checks))
 
 
-def verify_subconfig() -> Report:
+def verify_subconfig(st: Structure) -> Report:
     """The 15-point sub-configuration seen from the two standard base points."""
-    line, u, v, pts, (fam_distant, fam_neighbor) = _m2f2_sub()
+    line, u, v, pts, (fam_distant, fam_neighbor) = st.sub
     checks = [
         CheckResult(
             "family sizes 6 and 9",
@@ -360,7 +364,7 @@ def verify_subconfig() -> Report:
             " ".join(str(pt.canonical) for pt in pts),
         )
     )
-    signs = geometric_signs()
+    signs = st.signs
     checks.append(
         CheckResult(
             "induced matrix equals fixture",
@@ -378,7 +382,7 @@ def verify_subconfig() -> Report:
             "diagonal counted as self-neighbor",
         )
     )
-    g = neighbor_graph()
+    g = st.graph
     tris = triangles(g)
     has_4_clique = any(
         g.neighbors(a) & g.neighbors(b) & g.neighbors(c) for a, b, c in tris
@@ -409,7 +413,7 @@ def _diff_cells(
     return out
 
 
-def verify_relation_signs(reference: Sequence[str] | None = None) -> Report:
+def verify_relation_signs(st: Structure, reference: Sequence[str] | None = None) -> Report:
     """Geometry, operator commutation, and the fixture agree cell for cell.
 
     ``reference`` substitutes for the stored fixture (the CLI loads it from
@@ -429,7 +433,7 @@ def verify_relation_signs(reference: Sequence[str] | None = None) -> Report:
     )
     data: dict = {"diffs": []}
     if shape_ok:
-        geo = geometric_signs()
+        geo = st.signs
         ops = operator_signs()
         comparisons = (
             ("geometry vs operators", geo, "geometry", ops, "operators"),
@@ -470,11 +474,11 @@ def _checked_isomorphism(gadj: Sequence[int], hadj: Sequence[int]) -> Mapping | 
     return iso if iso is not None and mask_maps_onto(iso, gadj, hadj) else None
 
 
-def quadrangle_axioms() -> tuple[list[str], Mapping | None]:
-    """Axiom violations of ``canonical_gq()`` and a self-duality isomorphism
+def quadrangle_axioms(st: Structure) -> tuple[list[str], Mapping | None]:
+    """Axiom violations of ``st.gq`` and a self-duality isomorphism
     (or None): a checked isomorphism of the two collinearity graphs that
     carries every line onto a dual line."""
-    s = canonical_gq()
+    s = st.gq
     d = s.dual_structure
     iso = _checked_isomorphism(s.collinearity_graph.masks, d.collinearity_graph.masks)
     if iso is not None:
@@ -484,8 +488,8 @@ def quadrangle_axioms() -> tuple[list[str], Mapping | None]:
     return validate_gq_axioms(s), iso
 
 
-def verify_gq_structure() -> Report:
-    g = neighbor_graph()
+def verify_gq_structure(st: Structure) -> Report:
+    g = st.graph
     checks = [
         CheckResult(
             "neighbor graph strongly regular (15,6,1,3)",
@@ -494,7 +498,7 @@ def verify_gq_structure() -> Report:
     ]
     data: dict = {}
     try:
-        s = canonical_gq()
+        s = st.gq
     except ValueError as e:
         checks.append(CheckResult("triangles recover a quadrangle", False, str(e)))
         return Report("quadrangle structure", tuple(checks), data)
@@ -504,7 +508,7 @@ def verify_gq_structure() -> Report:
             len(s.points) == 15 and len(s.lines) == 15,
         )
     )
-    problems, iso = quadrangle_axioms()
+    problems, iso = quadrangle_axioms(st)
     checks.append(
         CheckResult(
             "quadrangle axioms hold",
@@ -519,9 +523,9 @@ def verify_gq_structure() -> Report:
     return Report("quadrangle structure", tuple(checks), data)
 
 
-def verify_hyperplane_census() -> Report:
-    s = canonical_gq()
-    planes = canonical_hyperplanes()
+def verify_hyperplane_census(st: Structure) -> Report:
+    s = st.gq
+    planes = st.hyperplanes
     by_kind = {OVOID: [], PERP_SET: [], GRID: []}
     for h in planes:
         by_kind[h.kind].append(h)
@@ -541,7 +545,7 @@ def verify_hyperplane_census() -> Report:
             {h.points for h in direct_ovoids} == {h.points for h in by_kind[OVOID]},
         )
     )
-    spreads = canonical_spreads()
+    spreads = st.spreads
     checks.append(
         CheckResult(
             f"{golden.OVOID_SPREAD_COUNT} spreads",
@@ -568,17 +572,17 @@ def verify_hyperplane_census() -> Report:
     return Report("hyperplane census", tuple(checks), data)
 
 
-def _subline_witness(masks: Sequence[int], target: str) -> Mapping | None:
+def _subline_witness(st: Structure, masks: Sequence[int], target: str) -> Mapping | None:
     """An isomorphism from the graph of the neighbor ``masks`` of some m2f2
     points (``induced_neighbor_masks``) onto the line over ``target``, or None."""
-    return _checked_isomorphism(masks, enumerate_line(ring_by_name(target)).neighbor_masks)
+    return _checked_isomorphism(masks, enumerate_line(st.rings(target)).neighbor_masks)
 
 
-def petersen_witness(ovoid: frozenset[int]) -> dict | None:
+def petersen_witness(st: Structure, ovoid: frozenset[int]) -> dict | None:
     """An isomorphism from the collinearity graph off ``ovoid`` onto
     ``petersen_graph()``, or None; one proves the complement cubic with
     girth 5."""
-    s, reference = canonical_gq(), petersen_graph()
+    s, reference = st.gq, petersen_graph()
     # the positions of the points off the ovoid, renumbered 0..9 by ``at``
     keep = [i for i, p in enumerate(s.points) if p not in ovoid]
     at, off = {1 << j: 1 << b for b, j in enumerate(keep)}, sum(1 << j for j in keep)
@@ -595,14 +599,14 @@ def petersen_witness(ovoid: frozenset[int]) -> dict | None:
     return {s.points[keep[i]]: reference.vertices[w] for i, w in iso.items()}
 
 
-def verify_petersen() -> Report:
+def verify_petersen(st: Structure) -> Report:
     """Every ovoid complement is the Petersen graph, with explicit witnesses."""
     checks = []
     data: dict = {"witnesses": []}
-    for h in canonical_hyperplanes():
+    for h in st.hyperplanes:
         if h.kind != OVOID:
             continue
-        witness = petersen_witness(h.points)
+        witness = petersen_witness(st, h.points)
         checks.append(
             CheckResult(
                 f"complement of {_cset(h.points)} is Petersen",
@@ -636,7 +640,7 @@ STANDARD_ROWS = ((7, 8, 9), (10, 11, 12), (13, 14, 15))
 
 def standard_square(lines: Mapping) -> MerminResult:
     """The Mermin check of the operators on the ``STANDARD_ROWS`` grid, its
-    signs read from ``lines``, a ``line_table()``."""
+    signs read from ``lines``, a ``line_table(st)``."""
     return mermin_square_check(STANDARD_ROWS, partial(_line_sign, lines))
 
 
@@ -651,7 +655,7 @@ def _standard_square_check(stage: str, lines: Mapping, tail: str = "") -> tuple:
     return CheckResult(stage, result.magic, detail), result
 
 
-def verify_split_9_6(lines: Mapping) -> Report:
+def verify_split_9_6(st: Structure, lines: Mapping) -> Report:
     """The 15 points split as 9 + 6 around the two base points.
 
     The nine points neighboring both base points carry the relation of the
@@ -659,13 +663,13 @@ def verify_split_9_6(lines: Mapping) -> Report:
     completing the base pair to a copy of the line over gf4, with every
     cross pair a neighbor.  ``lines`` is passed on to ``standard_square``.
     """
-    line, u, v, _, (fam_distant, fam_neighbor) = _m2f2_sub()
+    line, u, v, _, (fam_distant, fam_neighbor) = st.sub
     checks = []
     data: dict = {}
 
     nine = induced_neighbor_masks(line, fam_neighbor)
-    grid_line = enumerate_line(ring_by_name("gf2xgf2"))
-    iso = _subline_witness(nine, "gf2xgf2")
+    grid_line = enumerate_line(st.rings("gf2xgf2"))
+    iso = _subline_witness(st, nine, "gf2xgf2")
     checks.append(
         CheckResult(
             "nine common neighbors model the line over gf2xgf2",
@@ -698,7 +702,7 @@ def verify_split_9_6(lines: Mapping) -> Report:
         if not cross_ok:
             continue
         if all(
-            _subline_witness(induced_neighbor_masks(line, t + [u, v]), "gf4") is not None
+            _subline_witness(st, induced_neighbor_masks(line, t + [u, v]), "gf4") is not None
             for t in (first, second)
         ):
             labels = (
@@ -734,14 +738,14 @@ def verify_split_9_6(lines: Mapping) -> Report:
     return Report("9 plus 6 factorization", tuple(checks), data)
 
 
-def verify_split_10_5(petersen: Report) -> Report:
+def verify_split_10_5(st: Structure, petersen: Report) -> Report:
     """Every ovoid versus its ten-point complement, the Petersen verdicts read
-    from ``petersen``, the ``verify_petersen()`` report of the same run."""
+    from ``petersen``, the ``verify_petersen(st)`` report of the same run."""
     witnessed = {frozenset(w["ovoid"]) for w in petersen.data.get("witnesses", ())}
-    line, _, _, pts, _ = _m2f2_sub()
+    line, _, _, pts, _ = st.sub
     checks = []
     data: dict = {"ovoids": []}
-    ovoids = [h for h in canonical_hyperplanes() if h.kind == OVOID]
+    ovoids = [h for h in st.hyperplanes if h.kind == OVOID]
     checks.append(
         CheckResult(
             f"{golden.OVOID_SPREAD_COUNT} ovoids to examine",
@@ -762,7 +766,7 @@ def verify_split_10_5(petersen: Report) -> Report:
             not commutes(a, b) for a, b in itertools.combinations(five_ops, 2)
         )
         five = induced_neighbor_masks(line, [pts[i - 1] for i in labels])
-        subline = _subline_witness(five, "gf4") is not None
+        subline = _subline_witness(st, five, "gf4") is not None
         checks.append(
             CheckResult(
                 f"ovoid {_cset(labels)}",
@@ -774,12 +778,12 @@ def verify_split_10_5(petersen: Report) -> Report:
     return Report("10 plus 5 factorization", tuple(checks), data)
 
 
-def perp_subline_check(x: int) -> Report:
+def perp_subline_check(st: Structure, x: int) -> Report:
     """The six points neighboring ``x``: pairing and subline structure."""
     if not 1 <= x <= 15:
         raise ValueError(f"point label {x} out of range 1..15")
-    line, _, _, pts, _ = _m2f2_sub()
-    g = neighbor_graph()
+    line, _, _, pts, _ = st.sub
+    g = st.graph
     nbrs = sorted(g.neighbors(x))
     checks = [CheckResult("six neighbors", len(nbrs) == 6, _cset(nbrs))]
     pairs = [
@@ -800,13 +804,13 @@ def perp_subline_check(x: int) -> Report:
     checks.append(
         CheckResult(
             "models the line over gf2dual",
-            _subline_witness(induced_neighbor_masks(line, [pts[i - 1] for i in nbrs]), "gf2dual")
-            is not None,
+            _subline_witness(st, induced_neighbor_masks(line, [pts[i - 1] for i in nbrs]),
+                             "gf2dual") is not None,
         )
     )
     hp = [
         h
-        for h in canonical_hyperplanes()
+        for h in st.hyperplanes
         if h.kind == PERP_SET and h.center == x
     ]
     checks.append(
@@ -819,12 +823,12 @@ def perp_subline_check(x: int) -> Report:
     return Report(f"perp set of {c_label(x)}", tuple(checks), data)
 
 
-def verify_perp_sublines() -> Report:
+def verify_perp_sublines(st: Structure) -> Report:
     """All fifteen perp sets at once, one line of certificate per center."""
     checks = []
     data: dict = {"pairs": {}}
     for x in range(1, 16):
-        sub = perp_subline_check(x)
+        sub = perp_subline_check(st, x)
         # the detail of the matching check is the pairs' text
         checks.append(CheckResult(f"perp set of {c_label(x)}", sub.passed, sub.checks[1].detail))
         data["pairs"][str(x)] = sub.data["pairs"]
@@ -848,7 +852,7 @@ def _parallel_classes(lines: Sequence[int]) -> tuple[list[int], list[int]] | Non
     return cls1, cls2
 
 
-def grid_mermin_arrangement(points: frozenset, lines: Mapping) -> tuple | None:
+def grid_mermin_arrangement(st: Structure, points: frozenset, lines: Mapping) -> tuple | None:
     """A magic 3x3 arrangement of a grid hyperplane, or None.
 
     Rows and columns must be the two parallel classes of the grid's six
@@ -861,9 +865,9 @@ def grid_mermin_arrangement(points: frozenset, lines: Mapping) -> tuple | None:
     either class order, the row and column through the grid's least point
     come first, the other columns follow by their meet with that row and the
     other rows by their meet with that column; the smaller of the two
-    flattened tuples wins.  The signs are read from ``lines``, a ``line_table()``.
+    flattened tuples wins.  The signs are read from ``lines``, a ``line_table(st)``.
     """
-    s = canonical_gq()
+    s = st.gq
     pmask = sum(1 << p - 1 for p in points)
     classes = _parallel_classes([m for m in s.line_masks if not m & ~pmask])
     if classes is None:
@@ -883,9 +887,9 @@ def grid_mermin_arrangement(points: frozenset, lines: Mapping) -> tuple | None:
     return grid if mermin_square_check(grid, partial(_line_sign, lines)).magic else None
 
 
-def verify_mermin(lines: Mapping) -> Report:
+def verify_mermin(st: Structure, lines: Mapping) -> Report:
     """Magic squares: the standard grid and all ten grid hyperplanes, their
-    signs read from ``lines``, a ``line_table()``."""
+    signs read from ``lines``, a ``line_table(st)``."""
     data: dict = {"standard_rows": [list(r) for r in STANDARD_ROWS]}
     check, result = _standard_square_check(
         "standard grid is magic", lines, ", product of all six is -1"
@@ -895,12 +899,12 @@ def verify_mermin(lines: Mapping) -> Report:
         data["row_signs"] = list(result.row_signs)
         data["col_signs"] = list(result.col_signs)
     data["arrangements"] = []
-    grids = [h for h in canonical_hyperplanes() if h.kind == GRID]
+    grids = [h for h in st.hyperplanes if h.kind == GRID]
     checks.append(CheckResult("10 grid hyperplanes", len(grids) == 10))
     for h in grids:
         stage = f"grid {_cset(h.points)} admits a magic arrangement"
         try:
-            arrangement = grid_mermin_arrangement(h.points, lines)
+            arrangement = grid_mermin_arrangement(st, h.points, lines)
         except ValueError as exc:
             checks.append(stage_failure(stage, exc))
             continue
@@ -913,28 +917,28 @@ def verify_mermin(lines: Mapping) -> Report:
     return Report("magic squares", tuple(checks), data)
 
 
-def spread_unbiased(spread: Sequence[int], lines: Mapping) -> tuple[list[list[int]], bool]:
+def spread_unbiased(st: Structure, spread: Sequence[int], lines: Mapping) -> tuple[list, bool]:
     """The spread's lines as sorted label triples, and whether their
     operators' joint eigenbases are mutually unbiased, the line facts read
-    from ``lines``, a ``line_table()``."""
-    s = canonical_gq()
+    from ``lines``, a ``line_table(st)``."""
+    s = st.gq
     triples = [sorted(s.lines[i]) for i in spread]
     ops = [_ops_for(t) for t in triples]
     facts = [lines.get(s.line_masks[i]) or line_facts(o) for i, o in zip(spread, ops)]
     return triples, mub_spread_check(ops, facts)
 
 
-def verify_mub(lines: Mapping) -> Report:
+def verify_mub(st: Structure, lines: Mapping) -> Report:
     """Every spread's five commuting triples give mutually unbiased bases,
-    the line facts read from ``lines``, a ``line_table()``."""
+    the line facts read from ``lines``, a ``line_table(st)``."""
     data: dict = {"spreads": []}
-    spreads, count = canonical_spreads(), golden.OVOID_SPREAD_COUNT
+    spreads, count = st.spreads, golden.OVOID_SPREAD_COUNT
     checks = [CheckResult(f"{count} spreads to examine", len(spreads) == count)]
-    s = canonical_gq()
+    s = st.gq
     for sp in spreads:
         stage = "spread " + " ".join(_cset(s.lines[i]) for i in sp)
         try:
-            triples, ok = spread_unbiased(sp, lines)
+            triples, ok = spread_unbiased(st, sp, lines)
         except ValueError as exc:
             checks.append(stage_failure(stage, exc))
             continue
@@ -943,11 +947,11 @@ def verify_mub(lines: Mapping) -> Report:
     return Report("unbiased bases", tuple(checks), data)
 
 
-def verify_transitivity() -> Report:
+def verify_transitivity(st: Structure) -> Report:
     """The invertible group is transitive on ordered pairwise-distant
     triples, each witnessed, and has order orbit x stabilizer, the stabilizer
     being the diag(r, s) over units with (r, s) in the class of (1, 1)."""
-    line = _m2f2_sub()[0]
+    line = st.sub[0]
     ring = line.ring
     triples = line.distant_triple_count
     witnesses, failures = distant_triple_witnesses(line)
@@ -980,13 +984,15 @@ def verify_transitivity() -> Report:
     return Report("transitivity of the invertible group", tuple(checks), data)
 
 
-def trinity_report(ovoid_rep: Report, perp_rep: Report, mermin_rep: Report, mub_rep: Report) -> Report:
+def trinity_report(
+    st: Structure, ovoid_rep: Report, perp_rep: Report, mermin_rep: Report, mub_rep: Report
+) -> Report:
     """The three-way table: hyperplane kind, subline model, operator meaning.
 
     Each row is backed by the report of its dedicated pass, given here and
     kept as a subreport; this report presents their counts side by side.
     """
-    planes = canonical_hyperplanes()
+    planes = st.hyperplanes
     counts = {
         kind: sum(1 for h in planes if h.kind == kind)
         for kind in (OVOID, PERP_SET, GRID)
@@ -1007,7 +1013,7 @@ def trinity_report(ovoid_rep: Report, perp_rep: Report, mermin_rep: Report, mub_
         ),
         CheckResult(
             f"spread bonus: {golden.OVOID_SPREAD_COUNT} spreads, unbiased bases",
-            len(canonical_spreads()) == golden.OVOID_SPREAD_COUNT and mub_rep.passed,
+            len(st.spreads) == golden.OVOID_SPREAD_COUNT and mub_rep.passed,
         ),
     ]
     rows = (
@@ -1020,7 +1026,7 @@ def trinity_report(ovoid_rep: Report, perp_rep: Report, mermin_rep: Report, mub_
             {"hyperplane": kind, "count": counts[kind], "subline": sub, "operators": ops}
             for kind, sub, ops in rows
         ],
-        "spreads": len(canonical_spreads()),
+        "spreads": len(st.spreads),
     }
     return Report(
         "hyperplane trinity",
@@ -1031,7 +1037,8 @@ def trinity_report(ovoid_rep: Report, perp_rep: Report, mermin_rep: Report, mub_
 
 
 # report title -> (the name of its builder here, looked up on each run so
-# that a patched one runs, and the titles of the stages it takes, in order)
+# that a patched one runs, and the titles of the stages it takes, in order);
+# a builder takes the run's structure, then those stages
 STAGES = {
     "ring construction": ("verify_ring_tables", ()),
     "line census": ("verify_line_census", ()),
@@ -1048,7 +1055,7 @@ STAGES = {
     "hyperplane trinity": ("trinity_report", ("10 plus 5 factorization", "perp-set sublines",
                                               "magic squares", "unbiased bases")),
     "transitivity of the invertible group": ("verify_transitivity", ()),
-    "full verification certificate": ("verify_all", ()),
+    "full verification certificate": ("_certificate", ()),
     "line table": ("line_table", ()),
 }
 
@@ -1060,31 +1067,35 @@ CERTIFICATE = (
 )
 
 
-def _build(title: str, built: dict, *args):
-    # the stage on its inputs, each built once into ``built``, then ``args``
+def _build(st: Structure, title: str, built: dict, *args):
+    # the stage on ``st``, then its inputs, each built once into ``built``, then ``args``
     if title not in built:
         name, needs = STAGES[title]
-        built[title] = globals()[name](*[_build(t, built) for t in needs], *args)
+        built[title] = globals()[name](st, *[_build(st, t, built) for t in needs], *args)
     return built[title]
 
 
-def _run(title: str, built: dict, *args) -> Report:
+def _run(st: Structure, title: str, built: dict, *args) -> Report:
     try:
-        return _build(title, built, *args)
+        return _build(st, title, built, *args)
     except ValueError as exc:
         built[title] = Report(title, (stage_failure(title, exc),))
         return built[title]
 
 
 def run(title: str, *args) -> Report:
-    """The report of stage ``title`` built on ``args``, its inputs built
-    first, each once.  A ValueError from any of these builds makes it one
-    failed check named ``title``."""
-    return _run(title, {}, *args)
+    """The report of stage ``title`` on ``STRUCTURE`` and ``args``, its inputs
+    built first, each once.  A ValueError from any of these builds makes it
+    one failed check named ``title``."""
+    return _run(STRUCTURE, title, {}, *args)
+
+
+def _certificate(st: Structure) -> Report:
+    # the ``CERTIFICATE`` stages in one run; a stage that failed is read as its failed report
+    built: dict = {}
+    return Report("full verification certificate", (), {}, tuple(_run(st, t, built) for t in CERTIFICATE))
 
 
 def verify_all() -> Report:
-    """The ``CERTIFICATE`` stages in one run: each input is built once, and a
-    stage that failed is read as its failed report."""
-    built: dict = {}
-    return Report("full verification certificate", (), {}, tuple(_run(t, built) for t in CERTIFICATE))
+    """The ``CERTIFICATE`` stages in one run on ``STRUCTURE``."""
+    return run("full verification certificate")

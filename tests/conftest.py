@@ -1,6 +1,6 @@
 import pytest
 
-from ringline.correspondence import canonical_gq, canonical_hyperplanes, canonical_spreads
+from ringline.correspondence import STRUCTURE
 from ringline.projline import enumerate_line
 from ringline.rings import ring_by_name
 
@@ -17,14 +17,14 @@ def m2f2_line(m2f2):
 
 @pytest.fixture(scope="session")
 def gq():
-    return canonical_gq()
+    return STRUCTURE.gq
 
 
 @pytest.fixture(scope="session")
 def hyperplanes():
-    return canonical_hyperplanes()
+    return STRUCTURE.hyperplanes
 
 
 @pytest.fixture(scope="session")
 def spreads():
-    return canonical_spreads()
+    return STRUCTURE.spreads

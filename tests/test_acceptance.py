@@ -11,10 +11,9 @@ import time
 from kernel_oracle import complement_graph_of_ovoid, structure_isomorphism, witnessed_triples
 from ringline import golden
 from ringline.correspondence import (
-    geometric_signs,
+    STRUCTURE,
     grid_mermin_arrangement,
     line_table,
-    neighbor_graph,
     operator_signs,
     verify_transitivity,
 )
@@ -100,13 +99,13 @@ def test_criterion_3_subconfig(m2f2_line):
     assert len(neighbor) == 9
     expected = [m2f2_line.class_of(rep) for rep in golden.POINT_REPS]
     assert list(distant) + list(neighbor) == expected
-    rows = geometric_signs()
+    rows = STRUCTURE.signs
     assert rows == golden.CANONICAL_SIGNS
     for i in range(15):
         assert sum(1 for j in range(15) if i != j and rows[i][j] == "-") == 6
         assert sum(1 for j in range(15) if i != j and rows[i][j] == "+") == 8
     # largest clique in the neighbor graph has exactly three vertices
-    g = neighbor_graph()
+    g = STRUCTURE.graph
     assert any(
         all(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2))
         for combo in itertools.combinations(g.vertices, 3)
@@ -118,7 +117,7 @@ def test_criterion_3_subconfig(m2f2_line):
 
 
 def test_criterion_4_operator_correspondence():
-    geo = geometric_signs()
+    geo = STRUCTURE.signs
     ops_rows = operator_signs()
     assert geo == ops_rows == golden.CANONICAL_SIGNS
     # direct 225-cell re-derivation straight from the operators
@@ -179,9 +178,9 @@ def test_criterion_8_mermin_magic(hyperplanes):
     # all ten grid hyperplanes admit a magic arrangement
     grids = [h for h in hyperplanes if h.kind == GRID]
     assert len(grids) == 10
-    lines = line_table()
+    lines = line_table(STRUCTURE)
     for h in grids:
-        assert grid_mermin_arrangement(h.points, lines) is not None
+        assert grid_mermin_arrangement(STRUCTURE, h.points, lines) is not None
 
 
 def test_criterion_9_mub(gq, spreads):
@@ -199,7 +198,7 @@ def test_criterion_10_transitivity(m2f2, m2f2_line):
     search also reaches with a matrix acting correctly on every orbit
     member, and the enumerated group has the derived order."""
     started = time.monotonic()
-    report = verify_transitivity()
+    report = verify_transitivity(STRUCTURE)
     elapsed = time.monotonic() - started
     assert report.passed
     assert report.data["triples"] == 3360

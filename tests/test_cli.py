@@ -145,7 +145,8 @@ def test_bad_usage_exits_two(argv, capsys):
 
 TEXT_JSON_ONLY = "format 'csv' not supported here (choose from text, json)"
 
-# argv, the work it must not start, and the usage error it must print
+# argv, the work it must not start (``STRUCTURE``: any read of the derived
+# structure), and the usage error it must print
 BAD_FORMAT = [
     (["verify", "all", "--format", "csv"], "verify_all", TEXT_JSON_ONLY),
     (["verify", "trinity", "--format", "csv"], "trinity_report", TEXT_JSON_ONLY),
@@ -155,18 +156,18 @@ BAD_FORMAT = [
         "enumerate_line",
         "format 'xml' not supported here (choose from text, json, csv, dot)",
     ),
-    (["gq", "build", "--format", "csv"], "canonical_gq", TEXT_JSON_ONLY),
-    (["pauli", "mub", "--format", "csv"], "canonical_spreads", TEXT_JSON_ONLY),
+    (["gq", "build", "--format", "csv"], "STRUCTURE", TEXT_JSON_ONLY),
+    (["pauli", "mub", "--format", "csv"], "STRUCTURE", TEXT_JSON_ONLY),
     (
         ["export", "--what", "gq", "--format", "csv", "--out", "gq.csv"],
-        "canonical_gq",
+        "STRUCTURE",
         "cannot export gq as csv",
     ),
-    (["gq", "petersen", "--ovoid", "9"], "canonical_hyperplanes", "--ovoid must lie in 0..5"),
-    (["pauli", "mub", "--spread", "9"], "canonical_spreads", "--spread must lie in 0..5"),
+    (["gq", "petersen", "--ovoid", "9"], "STRUCTURE", "--ovoid must lie in 0..5"),
+    (["pauli", "mub", "--spread", "9"], "STRUCTURE", "--spread must lie in 0..5"),
     (
         ["export", "--what", "hyperplanes", "--format", "json", "--out", "missing/x.json"],
-        "canonical_hyperplanes",
+        "STRUCTURE",
         "cannot write missing/x.json",
     ),
     (
@@ -187,9 +188,13 @@ def test_bad_format_rejected_before_any_work(
     def refuse(*args, **kwargs):
         raise AssertionError(f"{work} ran before the format was checked")
 
-    # patch the defining module: cli imports each layer name from there when it runs
-    home = sys.modules[getattr(co, work).__module__]
-    monkeypatch.setattr(home, work, refuse)
+    if work == "STRUCTURE":
+        # a structure whose every part refuses to be built
+        monkeypatch.setattr(co, "STRUCTURE", co.Structure(refuse))
+    else:
+        # patch the defining module: cli imports each layer name from there when it runs
+        home = sys.modules[getattr(co, work).__module__]
+        monkeypatch.setattr(home, work, refuse)
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -206,11 +211,11 @@ def test_subconfig_parses_base_points_before_enumerating(monkeypatch, capsys):
     assert "error: expected a pair like 1,0 but got '1;0'" in capsys.readouterr().err
 
 
-# argv, the census list to shorten by one, and the failed check to report
+# argv, the census part of the structure to shorten by one, and the failed check to report
 CENSUS_SHORT = [
-    (["gq", "petersen"], "canonical_hyperplanes", "6 ovoids: 5 computed"),
-    (["gq", "petersen", "--ovoid", "5"], "canonical_hyperplanes", "6 ovoids: 5 computed"),
-    (["pauli", "mub", "--spread", "5"], "canonical_spreads", "6 spreads: 5 computed"),
+    (["gq", "petersen"], "hyperplanes", "6 ovoids: 5 computed"),
+    (["gq", "petersen", "--ovoid", "5"], "hyperplanes", "6 ovoids: 5 computed"),
+    (["pauli", "mub", "--spread", "5"], "spreads", "6 spreads: 5 computed"),
 ]
 
 
@@ -219,13 +224,15 @@ CENSUS_SHORT = [
     [pytest.param(*case, id=" ".join(case[0])) for case in CENSUS_SHORT],
 )
 def test_census_shortfall_fails_without_index_error(argv, work, message, monkeypatch, capsys):
-    full = getattr(co, work)()
-    if work == "canonical_hyperplanes":
+    full = getattr(co.STRUCTURE, work)
+    if work == "hyperplanes":
         drop = next(h for h in full if h.kind == "ovoid")
         short = tuple(h for h in full if h is not drop)
     else:
         short = full[1:]
-    monkeypatch.setattr(co, work, lambda: short)
+    st = co.Structure()
+    setattr(st, work, short)
+    monkeypatch.setattr(co, "STRUCTURE", st)
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert f"[FAIL] {message}" in captured.out

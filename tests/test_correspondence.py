@@ -16,9 +16,6 @@ from ringline.correspondence import (
     CheckResult,
     Report,
     _ops_for,
-    canonical_gq,
-    canonical_hyperplanes,
-    geometric_signs,
     grid_mermin_arrangement,
     operator_signs,
     perp_subline_check,
@@ -36,8 +33,8 @@ from ringline.quadrangle import Graph, IncidenceStructure
 from ringline.rings import ring_by_name, ring_names, validate_ring
 
 
-def test_geometric_signs_match_fixture():
-    assert geometric_signs() == golden.CANONICAL_SIGNS
+def test_structure_signs_match_fixture():
+    assert co.STRUCTURE.signs == golden.CANONICAL_SIGNS
 
 
 def test_operator_signs_match_fixture():
@@ -46,7 +43,7 @@ def test_operator_signs_match_fixture():
 
 def test_sign_table_symmetric_with_minus_diagonal():
     # every point is its own neighbor, so the diagonal carries "-"
-    rows = geometric_signs()
+    rows = co.STRUCTURE.signs
     for i in range(15):
         assert rows[i][i] == "-"
         for j in range(15):
@@ -80,7 +77,7 @@ def test_relation_signs_detects_corruption():
         row = list(rows[j])
         row[i] = flip[row[i]]
         rows[j] = "".join(row)
-    report = verify_relation_signs(reference=tuple(rows))
+    report = verify_relation_signs(co.STRUCTURE, reference=tuple(rows))
     assert not report.passed
     diffs = report.data["diffs"]
     assert any("C1,C2" in d for d in diffs)
@@ -88,7 +85,7 @@ def test_relation_signs_detects_corruption():
 
 
 def test_relation_signs_rejects_malformed_reference():
-    report = verify_relation_signs(reference=("+-", "-+"))
+    report = verify_relation_signs(co.STRUCTURE, reference=("+-", "-+"))
     assert not report.passed
     assert any(
         not c.passed and "well-formed" in c.name for c in report.checks
@@ -108,30 +105,7 @@ def _failed(report):
     return {c.name for c in report.checks if not c.passed}
 
 
-# the cached structure that is built from the m2f2 line
-STRUCTURE_CACHES = (
-    co._m2f2_sub,
-    co.geometric_signs,
-    co.neighbor_graph,
-    co.canonical_gq,
-    co.canonical_hyperplanes,
-    co.canonical_spreads,
-)
-
-
-@pytest.fixture
-def fresh_structure():
-    """Rebuild the cached quadrangle while a test runs, and again after it.
-    A kept isomorphism is keyed on the two graphs it relates, so none is
-    cleared: a rebuilt structure finds its own."""
-    for cache in STRUCTURE_CACHES:
-        cache.cache_clear()
-    yield
-    for cache in STRUCTURE_CACHES:
-        cache.cache_clear()
-
-
-def test_every_fixture_flip_fails_only_the_fixture_checks(monkeypatch, fresh_structure):
+def test_every_fixture_flip_fails_only_the_fixture_checks(monkeypatch):
     """The structure is rooted in the geometry, so each of the 105 symmetric
     flips of the stored fixture fails exactly the comparisons against it,
     naming the flipped cell, and raises nothing."""
@@ -139,23 +113,19 @@ def test_every_fixture_flip_fails_only_the_fixture_checks(monkeypatch, fresh_str
     assert len(pairs) == 105
     for i, j in pairs:
         monkeypatch.setattr(
-            golden, "CANONICAL_SIGNS", _flip_cell_pair(geometric_signs(), i, j)
+            golden, "CANONICAL_SIGNS", _flip_cell_pair(co.STRUCTURE.signs, i, j)
         )
-        co.neighbor_graph.cache_clear()
-        assert _failed(verify_subconfig()) == {"induced matrix equals fixture"}
-        report = verify_relation_signs()
+        assert _failed(verify_subconfig(co.STRUCTURE)) == {"induced matrix equals fixture"}
+        report = verify_relation_signs(co.STRUCTURE)
         assert _failed(report) == {"geometry vs fixture", "operators vs fixture"}
         cell = f"C{i + 1},C{j + 1}:"
         assert any(d.startswith(cell) for d in report.data["diffs"])
 
 
-def test_fixture_flip_fails_verify_all_without_traceback(
-    monkeypatch, fresh_structure, capsys
-):
+def test_fixture_flip_fails_verify_all_without_traceback(monkeypatch, capsys):
     monkeypatch.setattr(
         golden, "CANONICAL_SIGNS", _flip_cell_pair(golden.CANONICAL_SIGNS, 0, 6)
     )
-    co.neighbor_graph.cache_clear()
     assert verify_all().tally() == (100, 3)
     assert cli.main(["verify", "all"]) == 1
     captured = capsys.readouterr()
@@ -170,9 +140,10 @@ def _with_cell(ring, table, x, y, value):
 
 
 def _serve(monkeypatch, bad):
-    """Serve ``bad`` in place of the intact ring of its name."""
-    real = ring_by_name
-    monkeypatch.setattr(co, "ring_by_name", lambda n: bad if n == bad.name else real(n))
+    """Swap in a fresh structure that reads ``bad`` in place of the intact
+    ring of its name."""
+    st = co.Structure(lambda n: bad if n == bad.name else ring_by_name(n))
+    monkeypatch.setattr(co, "STRUCTURE", st)
 
 
 def _ring_with_cell(name, table, x, y):
@@ -223,16 +194,16 @@ RING_CHECK_CORRUPTIONS = {
 
 
 def test_ring_corruption_table_covers_every_ring_check():
-    assert [c.name for c in verify_ring_tables().checks] == list(RING_CHECK_CORRUPTIONS)
+    assert [c.name for c in verify_ring_tables(co.STRUCTURE).checks] == list(RING_CHECK_CORRUPTIONS)
 
 
 @pytest.mark.parametrize("check", RING_CHECK_CORRUPTIONS)
-def test_every_ring_check_fails_through_verify_all(check, monkeypatch, fresh_structure, capsys):
+def test_every_ring_check_fails_through_verify_all(check, monkeypatch, capsys):
     """Each corruption, with the structure rebuilt under it, fails its check
     in the full certificate, an axiom check naming the first problem of the
     ring; ``verify_all()`` returns and ``ringline verify all`` exits 1
     without a traceback."""
-    intact = {c.name: c.detail for c in verify_ring_tables().checks}
+    intact = {c.name: c.detail for c in verify_ring_tables(co.STRUCTURE).checks}
     bad = RING_CHECK_CORRUPTIONS[check](monkeypatch)
     detail = validate_ring(bad)[0] if check.startswith("ring axioms") else intact[check]
     ring_report = verify_all().subreports[0]
@@ -259,9 +230,7 @@ def _mul_cell_corruptions():
                 yield name, _with_cell(ring, "mul_table", x, y, value)
 
 
-def test_every_mul_cell_corruption_fails_verify_all_without_traceback(
-    monkeypatch, fresh_structure, capsys
-):
+def test_every_mul_cell_corruption_fails_verify_all_without_traceback(monkeypatch, capsys):
     """Each of the 404 one-cell corruptions of a multiplication table, with
     the structure rebuilt under it, gives a failed certificate of the same
     ten reports: the ring is refused before its line is enumerated, and the
@@ -272,8 +241,6 @@ def test_every_mul_cell_corruption_fails_verify_all_without_traceback(
     cases = 0
     for name, bad in _mul_cell_corruptions():
         _serve(monkeypatch, bad)
-        for cache in STRUCTURE_CACHES:
-            cache.cache_clear()
         report = verify_all()
         assert not report.passed
         assert [r.title for r in report.subreports] == titles
@@ -295,7 +262,7 @@ def test_every_mul_cell_corruption_fails_verify_all_without_traceback(
 @pytest.mark.parametrize("what", ["table2", "factor96", "factor105", "trinity"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_every_verify_command_fails_a_refused_ring_by_stage(
-    what, fmt, monkeypatch, fresh_structure, capsys
+    what, fmt, monkeypatch, capsys
 ):
     """With gf4 served with multiplication cell (2,3) set to 0, each verify
     command that reads the gf4 line exits 1 with a FAIL naming its stage and
@@ -332,7 +299,7 @@ REPORTLESS = [
 
 @pytest.mark.parametrize("argv", REPORTLESS, ids=lambda argv: " ".join(argv[:3]))
 def test_every_reportless_command_fails_a_refused_ring_by_command(
-    argv, monkeypatch, fresh_structure, tmp_path, capsys
+    argv, monkeypatch, tmp_path, capsys
 ):
     """With m2f2 served with multiplication cell (3,5) moved up by one, each
     command that reads its line but prints no verifier report exits 1 with
@@ -350,6 +317,39 @@ def test_every_reportless_command_fails_a_refused_ring_by_command(
     else:
         assert f"[FAIL] {title}: {detail}\n" in captured.out
         assert "result: FAIL" in captured.out
+
+
+@pytest.mark.parametrize("argv", [a for a in REPORTLESS if a[0] == "export"], ids=lambda a: a[2])
+def test_a_failed_export_leaves_its_out_file_as_it_was(argv, monkeypatch, tmp_path, capsys):
+    """An export that fails on a refused ring exits 1 without a traceback and
+    leaves the bytes its --out file held."""
+    out = tmp_path / "out"
+    out.write_bytes(b"nine byte")
+    _ring_with_cell("m2f2", "mul_table", 3, 5)(monkeypatch)
+    assert cli.main([str(out) if a is None else a for a in argv]) == 1
+    assert capsys.readouterr().err == ""
+    assert out.read_bytes() == b"nine byte"
+
+
+def test_a_broken_structure_poisons_no_later_run(monkeypatch):
+    """Full runs on a structure whose m2f2 ring is refused and on one whose
+    quadrangle is relabelled leave the default structure as it was: it
+    passes with the very parts it held, and a part whose build raised is not
+    kept, so each read of it raises again."""
+    intact, relabelled = co.STRUCTURE, _on_a_relabelled_quadrangle()
+    gq, planes = intact.gq, intact.hyperplanes
+    _ring_with_cell("m2f2", "mul_table", 3, 5)(monkeypatch)
+    refused = co.STRUCTURE
+    assert not verify_all().passed
+    monkeypatch.setattr(co, "STRUCTURE", relabelled)
+    assert not verify_all().passed
+    monkeypatch.undo()
+    assert co.STRUCTURE is intact
+    assert verify_all().tally() == (100, 0)
+    assert co.STRUCTURE.gq is gq and co.STRUCTURE.hyperplanes is planes
+    for _ in range(2):
+        with pytest.raises(ValueError, match="m2f2 is not a ring"):
+            refused.gq
 
 
 def test_stage_table_is_closed():
@@ -389,7 +389,7 @@ def test_each_stage_is_built_once_per_run(monkeypatch):
     assert calls == {"verify_petersen": 1, "line_table": 1}
 
 
-def test_family_sizes_are_read_from_the_families(monkeypatch, fresh_structure):
+def test_family_sizes_are_read_from_the_families(monkeypatch):
     """With C7 filed as distant from both base points, the 15 points keep
     their order but the families are 7 + 8: the size check and the nine
     check fail."""
@@ -400,8 +400,9 @@ def test_family_sizes_are_read_from_the_families(monkeypatch, fresh_structure):
         return fam_distant + fam_neighbor[:1], fam_neighbor[1:]
 
     monkeypatch.setattr(co, "simultaneous_subconfig", moved)
-    assert _failed(verify_subconfig()) == {"family sizes 6 and 9"}
-    assert NINE_CHECK in _failed(verify_split_9_6(co.line_table()))
+    st = co.Structure()
+    assert _failed(verify_subconfig(st)) == {"family sizes 6 and 9"}
+    assert NINE_CHECK in _failed(verify_split_9_6(st, co.line_table(st)))
 
 
 @pytest.fixture
@@ -428,11 +429,12 @@ def test_every_label_swap_fails_by_stage_without_traceback(swap_labels):
     quadrangle line's commutation, which the pauli layer raises on; the
     verifiers turn that into failed checks naming the stage, one for one."""
     square = "nine common neighbors in standard rows form a magic square"
-    base_split = verify_split_9_6(co.line_table()).tally()
+    st = co.STRUCTURE
+    base_split = verify_split_9_6(st, co.line_table(st)).tally()
     base_trinity = co.run("hyperplane trinity").tally()
     for i, j in itertools.combinations(range(15), 2):
         swap_labels(i, j)
-        split = verify_split_9_6(co.line_table())
+        split = verify_split_9_6(st, co.line_table(st))
         trinity = co.run("hyperplane trinity")
         mermin, mub = trinity.subreports[2:]
         assert (mermin.title, mub.title) == ("magic squares", "unbiased bases")
@@ -460,13 +462,14 @@ def test_every_label_swap_fails_with_the_details_of_the_operators(swap_labels):
     magic-square and spread check read through the line table says what
     the operators themselves say: the oracles sign each row, column and
     triple where it is used, in its own order, and take every trace."""
-    gq = canonical_gq()
-    grids = [h.points for h in canonical_hyperplanes() if h.kind == GRID]
-    spreads = co.canonical_spreads()
+    st = co.STRUCTURE
+    gq = st.gq
+    grids = [h.points for h in st.hyperplanes if h.kind == GRID]
+    spreads = st.spreads
     raised = 0
     for i, j in itertools.combinations(range(15), 2):
         swap_labels(i, j)
-        lines = co.line_table()
+        lines = co.line_table(st)
         assert len(lines) == 15
         rows = [_ops_for(r) for r in co.STANDARD_ROWS]
         square = _outcome(lambda: pauli.mermin_square_check(rows).magic)
@@ -478,11 +481,11 @@ def test_every_label_swap_fails_with_the_details_of_the_operators(swap_labels):
         wants += [
             _outcome(oracle.mub_spread_check, [_ops_for(sorted(gq.lines[k])) for k in sp]) for sp in spreads
         ]
-        checks = [c for c in verify_mermin(lines).checks if c.name != "10 grid hyperplanes"]
-        checks.append({c.name: c for c in verify_split_9_6(lines).checks}[
+        checks = [c for c in verify_mermin(st, lines).checks if c.name != "10 grid hyperplanes"]
+        checks.append({c.name: c for c in verify_split_9_6(st, lines).checks}[
             "nine common neighbors in standard rows form a magic square"
         ])
-        checks += verify_mub(lines).checks[1:]
+        checks += verify_mub(st, lines).checks[1:]
         for check, want in zip(checks, wants, strict=True):
             if isinstance(want, str):
                 assert (check.passed, check.detail) == (False, want), check.name
@@ -509,7 +512,7 @@ def test_label_swap_fails_verify_all_and_cli_without_traceback(swap_labels, caps
 
 def test_relation_isomorphism_exists():
     mapping = quadrangle.graph_isomorphism(
-        projline.signs_graph(geometric_signs()), projline.signs_graph(operator_signs())
+        projline.signs_graph(co.STRUCTURE.signs), projline.signs_graph(operator_signs())
     )
     assert mapping is not None
     assert sorted(mapping) == list(range(15))
@@ -520,7 +523,7 @@ def test_relation_isomorphism_searches_the_line_graph():
     """Against a line, the search runs on masks induced from the line's
     cached neighbor masks, which are the graphs of the relation rows, and
     finds the mapping the search on those graphs finds."""
-    line, _, _, pts, _ = co._m2f2_sub()
+    line, _, _, pts, _ = co.STRUCTURE.sub
     nine = projline.induced_neighbor_masks(line, pts[6:])
     signs = projline.signs_graph(projline.induced_signs(line, pts[6:]))
     assert nine == [sum(1 << j for j in signs.neighbors(i)) for i in range(9)]
@@ -533,13 +536,13 @@ def test_relation_isomorphism_searches_the_line_graph():
 
 
 def test_triple_split_regression():
-    report = verify_split_9_6(co.line_table())
+    report = verify_split_9_6(co.STRUCTURE, co.line_table(co.STRUCTURE))
     assert report.passed
     assert report.data["triples"] == [sorted(s) for s in golden.TRIPLE_SPLIT]
 
 
 def test_perp_subline_of_c13():
-    report = perp_subline_check(13)
+    report = perp_subline_check(co.STRUCTURE, 13)
     assert report.passed
     assert report.data["center"] == 13
     assert report.data["pairs"] == [[4, 5], [7, 10], [14, 15]]
@@ -548,7 +551,7 @@ def test_perp_subline_of_c13():
 @pytest.mark.parametrize("bad", [0, 16, -3])
 def test_perp_subline_rejects_bad_point(bad):
     with pytest.raises(ValueError):
-        perp_subline_check(bad)
+        perp_subline_check(co.STRUCTURE, bad)
 
 
 def test_trinity_report_shape():
@@ -561,13 +564,14 @@ def test_trinity_report_shape():
 
 
 def test_grid_mermin_arrangement_deterministic_and_magic():
-    lines = co.line_table()
-    report = verify_mermin(lines)
+    st = co.STRUCTURE
+    lines = co.line_table(st)
+    report = verify_mermin(st, lines)
     assert report.passed
     standard = ((7, 8, 9), (10, 11, 12), (13, 14, 15))
-    arr = grid_mermin_arrangement(frozenset(range(7, 16)), lines)
+    arr = grid_mermin_arrangement(st, frozenset(range(7, 16)), lines)
     assert arr is not None
-    again = grid_mermin_arrangement(frozenset(range(7, 16)), lines)
+    again = grid_mermin_arrangement(st, frozenset(range(7, 16)), lines)
     assert arr == again
     # rows and columns of the returned arrangement are all operator lines
     # whose six product signs multiply to -1
@@ -589,7 +593,7 @@ def _every_arrangement(points):
     replaced with one evaluation."""
     from ringline.pauli import mermin_square_check
 
-    inside = [line for line in canonical_gq().lines if line <= points]
+    inside = [line for line in co.STRUCTURE.gq.lines if line <= points]
     first = inside[0]
     cls1 = [l for l in inside if not (l & first) or l == first]
     cls2 = [l for l in inside if l not in cls1]
@@ -607,14 +611,15 @@ def _every_arrangement(points):
 
 
 def test_grid_mermin_arrangement_matches_exhaustive_search():
-    grids = [h for h in canonical_hyperplanes() if h.kind == GRID]
+    grids = [h for h in co.STRUCTURE.hyperplanes if h.kind == GRID]
     assert len(grids) == 10
     for h in grids:
         arrangements = _every_arrangement(h.points)
         assert len(arrangements) == 72
         assert len({magic for _, magic in arrangements}) == 1
         least = min(flat for flat, magic in arrangements if magic)
-        assert grid_mermin_arrangement(h.points, co.line_table()) == (least[0:3], least[3:6], least[6:9])
+        got = grid_mermin_arrangement(co.STRUCTURE, h.points, co.line_table(co.STRUCTURE))
+        assert got == (least[0:3], least[3:6], least[6:9])
 
 
 def test_grid_mermin_arrangement_rejects_crossing_classes():
@@ -622,7 +627,7 @@ def test_grid_mermin_arrangement_rejects_crossing_classes():
     # column do not meet, so no arrangement is consistent
     points = frozenset((1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12))
     assert _every_arrangement(points) == []
-    assert grid_mermin_arrangement(points, co.line_table()) is None
+    assert grid_mermin_arrangement(co.STRUCTURE, points, co.line_table(co.STRUCTURE)) is None
 
 
 def test_grid_without_magic_gives_no_arrangement(monkeypatch):
@@ -632,8 +637,9 @@ def test_grid_without_magic_gives_no_arrangement(monkeypatch):
     monkeypatch.setattr(
         co, "mermin_square_check", lambda grid, sign=None: MerminResult((1, 1, 1), (1, 1, 1))
     )
-    assert grid_mermin_arrangement(frozenset(range(7, 16)), co.line_table()) is None
-    report = verify_mermin(co.line_table())
+    st = co.STRUCTURE
+    assert grid_mermin_arrangement(st, frozenset(range(7, 16)), co.line_table(st)) is None
+    report = verify_mermin(st, co.line_table(st))
     assert not report.passed
     grid_checks = [c for c in report.checks if c.name.startswith("grid ")]
     assert len(grid_checks) == 10
@@ -641,7 +647,7 @@ def test_grid_without_magic_gives_no_arrangement(monkeypatch):
 
 
 def test_mub_report_covers_all_spreads():
-    report = verify_mub(co.line_table())
+    report = verify_mub(co.STRUCTURE, co.line_table(co.STRUCTURE))
     assert report.passed
     assert len(report.data["spreads"]) == 6
 
@@ -649,12 +655,12 @@ def test_mub_report_covers_all_spreads():
 def _petersen_masks(ovoid):
     """The key of the kept Petersen search of ``ovoid``: the masks of its
     complement and of the reference graph."""
-    comp = complement_graph_of_ovoid(canonical_gq(), ovoid)
+    comp = complement_graph_of_ovoid(co.STRUCTURE.gq, ovoid)
     return comp.masks, co.petersen_graph().masks
 
 
 def _ovoids():
-    return [h.points for h in canonical_hyperplanes() if h.kind == "ovoid"]
+    return [h.points for h in co.STRUCTURE.hyperplanes if h.kind == "ovoid"]
 
 
 def test_petersen_search_runs_once_per_ovoid(monkeypatch):
@@ -669,14 +675,14 @@ def test_petersen_search_runs_once_per_ovoid(monkeypatch):
         return real(gadj, hadj)
 
     monkeypatch.setattr(co, "mask_isomorphism", counted)
-    assert verify_petersen().passed and co.run("10 plus 5 factorization").passed
+    assert verify_petersen(co.STRUCTURE).passed and co.run("10 plus 5 factorization").passed
     assert targets.count(co.petersen_graph().masks) == 6
     with pytest.raises(TypeError):
         co._kept_isomorphism(*_petersen_masks(golden.SAMPLE_OVOID))[0] = 1
-    witness = co.petersen_witness(golden.SAMPLE_OVOID)
+    witness = co.petersen_witness(co.STRUCTURE, golden.SAMPLE_OVOID)
     kept = dict(witness)
     witness.clear()
-    assert co.petersen_witness(golden.SAMPLE_OVOID) == kept
+    assert co.petersen_witness(co.STRUCTURE, golden.SAMPLE_OVOID) == kept
 
 
 def _failed_anywhere(report):
@@ -731,7 +737,7 @@ def test_petersen_reference_with_an_edge_dropped_fails(monkeypatch, capsys):
 def _relabelled_gq():
     """The canonical quadrangle with points 1 and 2 trading labels: a valid
     quadrangle whose collinearity masks differ."""
-    s, swap = canonical_gq(), {1: 2, 2: 1}
+    s, swap = co.STRUCTURE.gq, {1: 2, 2: 1}
     lines = tuple(frozenset(swap.get(p, p) for p in line) for line in s.lines)
     relabelled = IncidenceStructure(s.points, lines)
     assert relabelled.collinearity_graph.masks != s.collinearity_graph.masks
@@ -739,9 +745,9 @@ def _relabelled_gq():
 
 
 def _first_run_on_a_relabelled_nine(monkeypatch):
-    """``verify_split_9_6()`` with the nine read with their first two points
+    """``verify_split_9_6`` with the nine read with their first two points
     swapped: a valid gf2xgf2 model with other masks."""
-    line, _, _, pts, _ = co._m2f2_sub()
+    line, _, _, pts, _ = co.STRUCTURE.sub
     nine, real = list(pts[6:]), co.induced_neighbor_masks
     relabelled = [nine[1], nine[0]] + nine[2:]
     assert real(line, relabelled) != real(line, nine)
@@ -749,20 +755,23 @@ def _first_run_on_a_relabelled_nine(monkeypatch):
         co, "induced_neighbor_masks",
         lambda line, pts: real(line, relabelled if list(pts) == nine else pts),
     )
-    assert verify_split_9_6(co.line_table()).passed
+    assert verify_split_9_6(co.STRUCTURE, co.line_table(co.STRUCTURE)).passed
+
+
+def _on_a_relabelled_quadrangle():
+    """A fresh structure whose quadrangle is ``_relabelled_gq()``."""
+    st = co.Structure()
+    st.gq = _relabelled_gq()
+    return st
 
 
 def _first_run_on_a_relabelled_quadrangle(monkeypatch):
-    relabelled = _relabelled_gq()
-    monkeypatch.setattr(co, "canonical_gq", lambda: relabelled)
-    problems, iso = co.quadrangle_axioms()
+    problems, iso = co.quadrangle_axioms(_on_a_relabelled_quadrangle())
     assert problems == [] and iso is not None
 
 
 def _first_petersen_witness_on_a_relabelled_quadrangle(monkeypatch):
-    relabelled = _relabelled_gq()
-    monkeypatch.setattr(co, "canonical_gq", lambda: relabelled)
-    co.petersen_witness(golden.SAMPLE_OVOID)
+    co.petersen_witness(_on_a_relabelled_quadrangle(), golden.SAMPLE_OVOID)
 
 
 @pytest.mark.parametrize(
@@ -787,7 +796,7 @@ def test_a_first_run_on_a_changed_structure_leaves_no_kept_mapping_behind(first_
 def test_split_9_6_builds_the_nine_masks_once(monkeypatch):
     """The balance check and the gf2xgf2 witness read one build of the
     nine's neighbor masks."""
-    line, _, _, pts, _ = co._m2f2_sub()
+    line, _, _, pts, _ = co.STRUCTURE.sub
     real, built = co.induced_neighbor_masks, []
 
     def counted(line, points):
@@ -795,7 +804,7 @@ def test_split_9_6_builds_the_nine_masks_once(monkeypatch):
         return real(line, points)
 
     monkeypatch.setattr(co, "induced_neighbor_masks", counted)
-    assert verify_split_9_6(co.line_table()).passed
+    assert verify_split_9_6(co.STRUCTURE, co.line_table(co.STRUCTURE)).passed
     assert built.count(list(pts[6:])) == 1
 
 
@@ -809,13 +818,13 @@ SPLIT_CHECK = "exactly one split of the six into two gf4 triples"
 def _kept_subline(kind, index):
     """The points of one kept sub-line witness, in the order its verifier
     lists them, and the checks of ``verify_all()`` that use that witness."""
-    _, u, v, pts, _ = co._m2f2_sub()
+    _, u, v, pts, _ = co.STRUCTURE.sub
     if kind == "perp":
-        nbrs = sorted(co.neighbor_graph().neighbors(index))
+        nbrs = sorted(co.STRUCTURE.graph.neighbors(index))
         checks = {("perp-set sublines", f"perp set of C{index}"), ("hyperplane trinity", PERP_ROW)}
         return [pts[i - 1] for i in nbrs], checks
     if kind == "ovoid":
-        labels = sorted([h for h in canonical_hyperplanes() if h.kind == "ovoid"][index].points)
+        labels = sorted([h for h in co.STRUCTURE.hyperplanes if h.kind == "ovoid"][index].points)
         ovoid = ("10 plus 5 factorization", f"ovoid {co._cset(labels)}")
         return [pts[i - 1] for i in labels], {ovoid, ("hyperplane trinity", OVOID_ROW)}
     if kind == "nine":
@@ -860,13 +869,15 @@ def test_kept_subline_witness_fails_on_a_flipped_relation_cell(monkeypatch, caps
     """A neighbor pair of the nine made distant in the line's relation fails
     the kept witness of the nine, through ``verify_all()`` and the CLI."""
     assert verify_all().passed
-    line, u, v, pts, families = co._m2f2_sub()
+    line, u, v, pts, families = co.STRUCTURE.sub
     i, j = line.index_of(pts[6].canonical), line.index_of(pts[7].canonical)
     assert line.relation[i][j] == "-"
     rows = [list(row) for row in line.relation]
     rows[i][j] = rows[j][i] = "+"
     bad = line._replace(relation=tuple("".join(row) for row in rows))
-    monkeypatch.setattr(co, "_m2f2_sub", lambda: (bad, u, v, pts, families))
+    st = co.Structure()
+    st.sub = (bad, u, v, pts, families)
+    monkeypatch.setattr(co, "STRUCTURE", st)
     assert ("9 plus 6 factorization", NINE_CHECK) in _failed_anywhere(verify_all())
     assert cli.main(["verify", "all"]) == 1
     captured = capsys.readouterr()
@@ -904,17 +915,19 @@ def test_kept_self_duality_fails_on_a_changed_quadrangle(change, monkeypatch, ca
     dual has two lines trading a point, fails the self-duality check through
     ``verify_all()`` and the CLI, without a traceback."""
     assert verify_all().passed
-    s = co.canonical_gq()
+    s = co.STRUCTURE.gq
     bad = IncidenceStructure(*s)
     bad.__dict__.update(change(s))
-    monkeypatch.setattr(co, "canonical_gq", lambda: bad)
+    st = co.Structure()
+    st.gq = bad
+    monkeypatch.setattr(co, "STRUCTURE", st)
     check = ("quadrangle structure", "self-duality isomorphism found")
     assert check in _failed_anywhere(verify_all())
     assert cli.main(["verify", "all"]) == 1
     captured = capsys.readouterr()
     assert f"[FAIL] {check[1]}" in captured.out
     assert captured.err == ""
-    assert co.quadrangle_axioms() == ([], None)
+    assert co.quadrangle_axioms(st) == ([], None)
 
 
 WITNESS_CHECK = "every ordered pairwise-distant triple is witnessed"
@@ -925,16 +938,17 @@ def _details(report):
     return {c.name: c.detail for c in report.checks}
 
 
-def _with_line(monkeypatch, **changes):
-    """Run the transitivity verifier on a changed copy of the m2f2 line."""
-    line, *rest = co._m2f2_sub()
-    bad = line._replace(**changes)
-    monkeypatch.setattr(co, "_m2f2_sub", lambda: (bad, *rest))
-    return bad
+def _with_line(**changes):
+    """A fresh structure on a changed copy of the m2f2 line, for the
+    transitivity verifier."""
+    line, *rest = co.STRUCTURE.sub
+    st = co.Structure()
+    st.sub = (line._replace(**changes), *rest)
+    return st
 
 
 def test_transitivity_is_exhaustive():
-    report = verify_transitivity()
+    report = verify_transitivity(co.STRUCTURE)
     assert report.passed
     assert [c.name for c in report.checks] == [WITNESS_CHECK, ORDER_CHECK]
     assert report.data["triples"] == 3360
@@ -943,13 +957,13 @@ def test_transitivity_is_exhaustive():
 
 
 def test_corrupted_span_fails_the_witness_check(monkeypatch):
-    line = co._m2f2_sub()[0]
+    line = co.STRUCTURE.sub[0]
     i, j = next((i, row.index("+")) for i, row in enumerate(line.relation) if "+" in row)
     x0, y0 = line.points[i].canonical, line.points[j].canonical
     spans = dict(projline._row_spans(line.ring))
     spans[x0] |= spans[y0]
     monkeypatch.setattr(projline, "_row_spans", lambda ring: spans)
-    report = verify_transitivity()
+    report = verify_transitivity(co.STRUCTURE)
     assert WITNESS_CHECK in _failed(report)
     assert _details(report)[WITNESS_CHECK].endswith(
         f"; no witness for points {i} and {j} with unit 1"
@@ -960,14 +974,15 @@ def test_corrupted_span_fails_the_witness_check(monkeypatch):
 def test_corrupted_relation_fails_the_witness_check(sign, monkeypatch):
     """A flipped relation cell fails by name, and nothing the changed
     relation calls non-distant is witnessed."""
-    line = co._m2f2_sub()[0]
+    line = co.STRUCTURE.sub[0]
     i, j = next(
         (i, j) for i, row in enumerate(line.relation) for j, s in enumerate(row) if s == sign and i != j
     )
     rows = [list(row) for row in line.relation]
     rows[i][j] = rows[j][i] = "-" if sign == "+" else "+"
-    bad = _with_line(monkeypatch, relation=tuple("".join(row) for row in rows))
-    report = verify_transitivity()
+    st = _with_line(relation=tuple("".join(row) for row in rows))
+    bad = st.sub[0]
+    report = verify_transitivity(st)
     assert WITNESS_CHECK in _failed(report)
     assert "; no witness for points " in _details(report)[WITNESS_CHECK]
     masks, _ = projline.distant_triple_witnesses(bad)
@@ -980,11 +995,10 @@ def test_corrupted_relation_fails_the_witness_check(sign, monkeypatch):
 def test_corrupted_product_fails_the_witness_check(monkeypatch):
     """A wrong multiplication entry moves a scaled row s.y0 out of its class;
     the class check names the first witness it spoils."""
-    ring = co._m2f2_sub()[0].ring
+    ring = co.STRUCTURE.sub[0].ring
     table = [list(row) for row in ring.mul_table]
     table[ring.one][ring.zero] = 3
-    _with_line(monkeypatch, ring=ring._replace(mul_table=tuple(map(tuple, table))))
-    report = verify_transitivity()
+    report = verify_transitivity(_with_line(ring=ring._replace(mul_table=tuple(map(tuple, table)))))
     assert _details(report)[WITNESS_CHECK].endswith("; no witness for points 0 and 1 with unit 1")
 
 
@@ -1005,13 +1019,13 @@ def test_wrong_unit_list(module, change, failed, detail, monkeypatch):
     good = co.units(co.ring_by_name("m2f2"))
     wrong = frozenset(sorted(good)[:-1]) if change == "drop" else good | {0}
     monkeypatch.setattr(module, "units", lambda ring: wrong)
-    report = verify_transitivity()
+    report = verify_transitivity(co.STRUCTURE)
     assert _failed(report) == failed
     assert any(detail in d for d in _details(report).values())
 
 
 def test_report_json_round_trip():
-    report = verify_relation_signs()
+    report = verify_relation_signs(co.STRUCTURE)
     blob = json.dumps(report.to_json_dict(), sort_keys=True)
     parsed = json.loads(blob)
     assert parsed["schema"] == 1
@@ -1020,7 +1034,7 @@ def test_report_json_round_trip():
 
 
 def test_report_text_format():
-    report = verify_ring_tables()
+    report = verify_ring_tables(co.STRUCTURE)
     text = report.to_text()
     assert "[PASS]" in text
     assert "result: PASS" in text

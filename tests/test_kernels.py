@@ -61,7 +61,7 @@ def _swapped(s, i, j):
 
 @pytest.mark.parametrize("face", ["canonical", "dual"])
 def test_gq_axioms_match_oracle_on_intact_structures(face):
-    s = co.canonical_gq() if face == "canonical" else dual(co.canonical_gq())
+    s = co.STRUCTURE.gq if face == "canonical" else dual(co.STRUCTURE.gq)
     assert validate_gq_axioms(s) == oracle.validate_gq_axioms(s) == []
 
 
@@ -69,7 +69,7 @@ def test_gq_axioms_match_oracle_on_intact_structures(face):
 def test_gq_axioms_match_oracle_on_corrupted_structures(face):
     """Every point dropped from its line and every pair of lines trading a
     point: the same problem strings in the same order, never none."""
-    s = co.canonical_gq() if face == "canonical" else dual(co.canonical_gq())
+    s = co.STRUCTURE.gq if face == "canonical" else dual(co.STRUCTURE.gq)
     corrupted = [_dropped(s, i, p) for i, line in enumerate(s.lines) for p in sorted(line)]
     corrupted += [_swapped(s, i, j) for i, j in itertools.combinations(range(len(s.lines)), 2)]
     assert len(corrupted) == 45 + 105
@@ -81,7 +81,7 @@ def test_gq_axioms_match_oracle_on_corrupted_structures(face):
 def _structures():
     """The quadrangle, its dual, and each with every pair of lines trading
     a point."""
-    for s in (co.canonical_gq(), dual(co.canonical_gq())):
+    for s in (co.STRUCTURE.gq, dual(co.STRUCTURE.gq)):
         yield s
         for i, j in itertools.combinations(range(len(s.lines)), 2):
             yield _swapped(s, i, j)
@@ -109,7 +109,7 @@ def test_strongly_regular_matches_oracle_on_every_edge_toggle():
     """The mask check gives the set check's verdict on the neighbor graph,
     on each of its 105 single-edge toggles and on twelve degree-keeping
     switches, for the true parameters and for each one changed."""
-    g = co.neighbor_graph()
+    g = co.STRUCTURE.graph
     graphs = [g, *(_toggled(g, e) for e in itertools.combinations(g.vertices, 2))]
     graphs += itertools.islice(_switches(g), 12)
     assert len(graphs) == 1 + 105 + 12
@@ -126,11 +126,11 @@ def test_strongly_regular_matches_oracle_on_every_edge_toggle():
 def test_petersen_witness_checks_the_complement_masks(monkeypatch, hyperplanes):
     """The bit loop that renumbers the points off a hyperplane gives the
     adjacency masks of the induced complement graph."""
-    gq, checked = co.canonical_gq(), []
+    gq, checked = co.STRUCTURE.gq, []
     real = co._checked_isomorphism
     monkeypatch.setattr(co, "_checked_isomorphism", lambda g, h: checked.append(g) or real(g, h))
     for h in hyperplanes:
-        co.petersen_witness(h.points)
+        co.petersen_witness(co.STRUCTURE, h.points)
     assert checked == [list(complement_graph_of_ovoid(gq, h.points).masks) for h in hyperplanes]
 
 
@@ -138,15 +138,15 @@ def test_grid_arrangement_matches_oracle(hyperplanes):
     """On every hyperplane, on each grid with one point traded for an
     outside one, and on a set whose two line classes cross, the mask
     arrangement is the one the frozenset scans give."""
-    gq = co.canonical_gq()
+    gq = co.STRUCTURE.gq
     sets = [h.points for h in hyperplanes] + [frozenset((1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12))]
     for h in hyperplanes:
         if h.kind == "grid":
             sets += [h.points - {p} | {q} for p in h.points for q in set(gq.points) - h.points]
     assert len(sets) == 31 + 1 + 10 * 9 * 6
-    found, lines = Counter(), co.line_table()
+    found, lines = Counter(), co.line_table(co.STRUCTURE)
     for points in sets:
-        got = co.grid_mermin_arrangement(points, lines)
+        got = co.grid_mermin_arrangement(co.STRUCTURE, points, lines)
         assert got == oracle.grid_mermin_arrangement(gq, points, co._ops_for), sorted(points)
         found[got is not None] += 1
     assert found[True] == 10
@@ -208,7 +208,7 @@ def _switches(g):
 
 
 def test_graph_isomorphism_fails_after_one_flip():
-    g = co.neighbor_graph()
+    g = co.STRUCTURE.graph
     h = _relabelled(g, lambda v: 16 - v)
     iso = graph_isomorphism(g, h)
     assert iso is not None and iso == oracle.graph_isomorphism(g, h)
@@ -219,7 +219,7 @@ def test_graph_isomorphism_fails_after_one_flip():
 
 def test_graph_isomorphism_matches_oracle_after_a_switch():
     """Switches keep every degree, so only the search can refuse them."""
-    for g, limit in ((petersen_graph(), None), (co.neighbor_graph(), 12)):
+    for g, limit in ((petersen_graph(), None), (co.STRUCTURE.graph, 12)):
         switched = list(itertools.islice(_switches(g), limit))
         assert switched
         for h in switched:
@@ -671,7 +671,7 @@ def test_warm_verify_all_builds_no_dual(monkeypatch):
         for key, value in list(vars(module).items()):
             if value is real:
                 monkeypatch.setattr(module, key, counted)
-    s = IncidenceStructure(*co.canonical_gq())
+    s = IncidenceStructure(*co.STRUCTURE.gq)
     assert s.dual_structure is s.dual_structure == real(s)
     assert built == [s]
     co.verify_all()

@@ -19,10 +19,9 @@ import ringline
 from ring_docs import ring_from_json_dict
 from ringline import cli
 from ringline.correspondence import (
+    STRUCTURE,
     CheckResult,
     Report,
-    canonical_gq,
-    canonical_hyperplanes,
     line_table,
     standard_square,
 )
@@ -214,10 +213,10 @@ def test_every_public_name_is_its_defining_modules_object():
         pytest.param(lambda: GF2_LINE, "points", id="ProjectiveLine"),
         pytest.param(lambda: PauliOp(1), "code", id="PauliOp"),
         pytest.param(lambda: PhasedPauli(0, None), "phase_k", id="PhasedPauli"),
-        pytest.param(lambda: standard_square(line_table()), "row_signs", id="MerminResult"),
+        pytest.param(lambda: standard_square(line_table(STRUCTURE)), "row_signs", id="MerminResult"),
         pytest.param(petersen_graph, "edges", id="Graph"),
-        pytest.param(canonical_gq, "lines", id="IncidenceStructure"),
-        pytest.param(lambda: canonical_hyperplanes()[0], "kind", id="Hyperplane"),
+        pytest.param(lambda: STRUCTURE.gq, "lines", id="IncidenceStructure"),
+        pytest.param(lambda: STRUCTURE.hyperplanes[0], "kind", id="Hyperplane"),
         pytest.param(lambda: CheckResult("c", True), "passed", id="CheckResult"),
         pytest.param(lambda: Report("r"), "checks", id="Report"),
     ],

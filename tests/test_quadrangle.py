@@ -6,7 +6,7 @@ import pytest
 
 from kernel_oracle import complement_graph_of_ovoid, induced, structure_isomorphism
 from ringline import golden
-from ringline.correspondence import neighbor_graph
+from ringline.correspondence import STRUCTURE
 from ringline.quadrangle import (
     GRID,
     OVOID,
@@ -36,11 +36,11 @@ def complete_graph(n):
 def test_triangle_counts():
     assert len(triangles(complete_graph(4))) == 4
     assert triangles(petersen_graph()) == []
-    assert len(triangles(neighbor_graph())) == 15
+    assert len(triangles(STRUCTURE.graph)) == 15
 
 
 def test_neighbor_graph_is_srg(gq):
-    g = neighbor_graph()
+    g = STRUCTURE.graph
     assert is_strongly_regular(g, 15, 6, 1, 3)
     assert not is_strongly_regular(g, 15, 6, 1, 2)
     assert not is_strongly_regular(petersen_graph(), 15, 6, 1, 3)
@@ -57,7 +57,7 @@ def test_gq_axioms_and_shape(gq):
 
 
 def test_collinearity_graph_round_trip(gq):
-    assert gq.collinearity_graph.edges == neighbor_graph().edges
+    assert gq.collinearity_graph.edges == STRUCTURE.graph.edges
     # derived structure: built once and kept with the quadrangle
     assert gq.collinearity_graph is gq.collinearity_graph
 
@@ -126,7 +126,7 @@ def test_hyperplane_census(gq, hyperplanes):
     # perp sets: one per center, center plus its six neighbors
     centers = sorted(h.center for h in by_kind[PERP_SET])
     assert centers == list(range(1, 16))
-    g = neighbor_graph()
+    g = STRUCTURE.graph
     for h in by_kind[PERP_SET]:
         assert h.points == g.neighbors(h.center) | {h.center}
     # grids contain exactly six full lines, two through each grid point
