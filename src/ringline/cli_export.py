@@ -56,11 +56,10 @@ def render_export(args: argparse.Namespace) -> tuple[str, int]:
     if what == "line":
         _ring(args.ring)  # an unknown ring is refused before --out is created
     try:
-        # opened before any work but emptied only once the renderer returns,
-        # so a failed export leaves the file as it was
-        with open(args.out, "a", encoding="utf-8") as fh:
-            text, code = _renderer(name)(args)
-            fh.truncate(0)
+        # checked before any work, written only once the renderer returns
+        open(args.out, "a", encoding="utf-8").close()
+        text, code = _renderer(name)(args)
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
         raise InputError(f"cannot write {args.out}: {e}") from None

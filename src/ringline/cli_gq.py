@@ -95,15 +95,14 @@ def render_gq_petersen(args: argparse.Namespace) -> tuple[str, int]:
     from .golden import OVOID_SPREAD_COUNT, c_label
     from .quadrangle import OVOID
 
-    st = co.STRUCTURE
-    ovoids = [h for h in st.hyperplanes if h.kind == OVOID]
+    ovoids = [h for h in co.STRUCTURE.hyperplanes if h.kind == OVOID]
     if len(ovoids) != OVOID_SPREAD_COUNT:
         return _failed(args, co.CheckResult(
             f"{OVOID_SPREAD_COUNT} ovoids", False, f"{len(ovoids)} computed"
         ))
     if args.ovoid is not None:
         ovoids = [ovoids[args.ovoid]]
-    results = [(h, co.petersen_witness(st, h.points)) for h in ovoids]
+    results = [(h, co.petersen_witness(co.STRUCTURE, h.points)) for h in ovoids]
     code = EXIT_OK if all(witness is not None for _, witness in results) else EXIT_MISMATCH
     if args.format == "json":
         return _json(

@@ -64,16 +64,15 @@ def render_pauli_mub(args: argparse.Namespace) -> tuple[str, int]:
     from . import correspondence as co
     from .golden import OVOID_SPREAD_COUNT, c_label
 
-    st = co.STRUCTURE
-    spreads = st.spreads
+    spreads = co.STRUCTURE.spreads
     if len(spreads) != OVOID_SPREAD_COUNT:
         return _failed(args, co.CheckResult(
             f"{OVOID_SPREAD_COUNT} spreads", False, f"{len(spreads)} computed"
         ))
     if args.spread is not None:
         spreads = (spreads[args.spread],)
-    lines = co.line_table(st)
-    results = [co.spread_unbiased(st, sp, lines) for sp in spreads]
+    lines = co.line_table(co.STRUCTURE)
+    results = [co.spread_unbiased(co.STRUCTURE, sp, lines) for sp in spreads]
     code = EXIT_OK if all(good for _, good in results) else EXIT_MISMATCH
     if args.format == "json":
         return _json(

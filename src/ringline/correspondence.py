@@ -178,12 +178,16 @@ def _cset(ids: Iterable[int]) -> str:
     return "{" + ",".join(c_label(i) for i in sorted(ids)) + "}"
 
 
+def _ring(name: str) -> Ring:
+    return ring_by_name(name)  # looked up on each call, so a wrapped one is read
+
+
 class Structure:
     """The chain the verifiers read, each part built from ``rings`` (a ring
     name -> its Ring) on first read and kept; a part whose build raises is
     not kept, so every read of it raises."""
 
-    def __init__(self, rings: Callable[[str], Ring] = ring_by_name) -> None:
+    def __init__(self, rings: Callable[[str], Ring] = _ring) -> None:
         self.rings = rings
 
     @cached_property
@@ -984,9 +988,8 @@ def verify_transitivity(st: Structure) -> Report:
     return Report("transitivity of the invertible group", tuple(checks), data)
 
 
-def trinity_report(
-    st: Structure, ovoid_rep: Report, perp_rep: Report, mermin_rep: Report, mub_rep: Report
-) -> Report:
+def trinity_report(st: Structure, ovoid_rep: Report, perp_rep: Report, mermin_rep: Report,
+                   mub_rep: Report) -> Report:
     """The three-way table: hyperplane kind, subline model, operator meaning.
 
     Each row is backed by the report of its dedicated pass, given here and

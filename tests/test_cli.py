@@ -388,6 +388,14 @@ def test_export_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_export_to_a_file_that_is_not_regular(capsys):
+    """An --out that cannot be truncated, such as the null device, takes the
+    export as a regular file would."""
+    argv = ["export", "--what", "signs", "--format", "csv", "--out", os.devnull]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_export_line_respects_ring_flag(tmp_path):
     out = tmp_path / "gf4.json"
     argv = [

@@ -115,8 +115,9 @@ def test_every_fixture_flip_fails_only_the_fixture_checks(monkeypatch):
         monkeypatch.setattr(
             golden, "CANONICAL_SIGNS", _flip_cell_pair(co.STRUCTURE.signs, i, j)
         )
-        assert _failed(verify_subconfig(co.STRUCTURE)) == {"induced matrix equals fixture"}
-        report = verify_relation_signs(co.STRUCTURE)
+        st = co.Structure()
+        assert _failed(verify_subconfig(st)) == {"induced matrix equals fixture"}
+        report = verify_relation_signs(st)
         assert _failed(report) == {"geometry vs fixture", "operators vs fixture"}
         cell = f"C{i + 1},C{j + 1}:"
         assert any(d.startswith(cell) for d in report.data["diffs"])
@@ -126,6 +127,7 @@ def test_fixture_flip_fails_verify_all_without_traceback(monkeypatch, capsys):
     monkeypatch.setattr(
         golden, "CANONICAL_SIGNS", _flip_cell_pair(golden.CANONICAL_SIGNS, 0, 6)
     )
+    monkeypatch.setattr(co, "STRUCTURE", co.Structure())
     assert verify_all().tally() == (100, 3)
     assert cli.main(["verify", "all"]) == 1
     captured = capsys.readouterr()
@@ -162,6 +164,7 @@ def _ring_with_cell(name, table, x, y):
 def _golden_changed(attr, change):
     def corrupt(monkeypatch):
         monkeypatch.setattr(golden, attr, change(getattr(golden, attr)))
+        monkeypatch.setattr(co, "STRUCTURE", co.Structure())
 
     return corrupt
 
@@ -175,6 +178,7 @@ def _flip_mul_fixture_cell(table):
 def _zero_divisors_without_zero(monkeypatch):
     real = co.zero_divisors
     monkeypatch.setattr(co, "zero_divisors", lambda ring: real(ring) - {ring.zero})
+    monkeypatch.setattr(co, "STRUCTURE", co.Structure())
 
 
 # check of the ring-construction report -> a corruption that must fail it
