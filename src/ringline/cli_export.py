@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 
 from .cli import EXIT_OK, EXPORTS, InputError, _json, _renderer, _ring
 
@@ -55,10 +56,16 @@ def render_export(args: argparse.Namespace) -> tuple[str, int]:
         raise InputError(f"cannot export {what} as {fmt}")
     if what == "line":
         _ring(args.ring)  # an unknown ring is refused before --out is created
+    existed = os.path.lexists(args.out)
     try:
         # checked before any work, written only once the renderer returns
         open(args.out, "a", encoding="utf-8").close()
-        text, code = _renderer(name)(args)
+        try:
+            text, code = _renderer(name)(args)
+        except BaseException:
+            if not existed:
+                os.remove(args.out)  # a failed export leaves no file of its own behind
+            raise
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:

@@ -102,20 +102,17 @@ def render_gq_petersen(args: argparse.Namespace) -> tuple[str, int]:
         ))
     if args.ovoid is not None:
         ovoids = [ovoids[args.ovoid]]
-    results = [(h, co.petersen_witness(co.STRUCTURE, h.points)) for h in ovoids]
+    # the witnesses of the Petersen report, each as [point, vertex] pairs
+    report = co.run("Petersen complements")
+    witnesses = {tuple(w["ovoid"]): w["mapping"] for w in report.data["witnesses"]}
+    results = [(h, witnesses.get(tuple(sorted(h.points)))) for h in ovoids]
     code = EXIT_OK if all(witness is not None for _, witness in results) else EXIT_MISMATCH
     if args.format == "json":
         return _json(
             {
                 "schema": 1,
                 "results": [
-                    {
-                        "ovoid": sorted(h.points),
-                        "petersen": witness is not None,
-                        "witness": None
-                        if witness is None
-                        else [[p, list(q)] for p, q in sorted(witness.items())],
-                    }
+                    {"ovoid": sorted(h.points), "petersen": witness is not None, "witness": witness}
                     for h, witness in results
                 ],
             }
@@ -127,8 +124,6 @@ def render_gq_petersen(args: argparse.Namespace) -> tuple[str, int]:
             lines.append(f"ovoid {pts}: NOT Petersen")
         else:
             lines.append(f"ovoid {pts}: Petersen")
-            pairs = ", ".join(
-                f"{c_label(p)}->{q}" for p, q in sorted(witness.items())
-            )
+            pairs = ", ".join(f"{c_label(p)}->{tuple(q)}" for p, q in witness)
             lines.append(f"  witness: {pairs}")
     return _text(lines), code

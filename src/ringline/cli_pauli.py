@@ -40,7 +40,9 @@ def render_pauli_mermin(args: argparse.Namespace) -> tuple[str, int]:
 
     ops = standard_labeling()
     rows = co.STANDARD_ROWS
-    result = co.standard_square(co.line_table(co.STRUCTURE))
+    result = co.run("standard square")
+    if isinstance(result, ValueError):
+        raise result
     code = EXIT_OK if result.magic else EXIT_MISMATCH
     if args.format == "json":
         return _json(

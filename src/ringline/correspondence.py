@@ -74,7 +74,6 @@ __all__ = [
     "STANDARD_ROWS",
     "line_table",
     "quadrangle_axioms",
-    "petersen_witness",
     "standard_square",
     "spread_unbiased",
     "verify_ring_tables",
@@ -86,7 +85,6 @@ __all__ = [
     "verify_petersen",
     "verify_split_9_6",
     "verify_split_10_5",
-    "perp_subline_check",
     "verify_perp_sublines",
     "grid_mermin_arrangement",
     "verify_mermin",
@@ -582,50 +580,43 @@ def _subline_witness(st: Structure, masks: Sequence[int], target: str) -> Mappin
     return _checked_isomorphism(masks, enumerate_line(st.rings(target)).neighbor_masks)
 
 
-def petersen_witness(st: Structure, ovoid: frozenset[int]) -> dict | None:
-    """An isomorphism from the collinearity graph off ``ovoid`` onto
-    ``petersen_graph()``, or None; one proves the complement cubic with
-    girth 5."""
-    s, reference = st.gq, petersen_graph()
-    # the positions of the points off the ovoid, renumbered 0..9 by ``at``
-    keep = [i for i, p in enumerate(s.points) if p not in ovoid]
-    at, off = {1 << j: 1 << b for b, j in enumerate(keep)}, sum(1 << j for j in keep)
-    masks, sub = s.collinearity_graph.masks, []
-    for i in keep:
-        rest, mask = masks[i] & off, 0
-        while rest:
-            mask |= at[rest & -rest]
-            rest &= rest - 1
-        sub.append(mask)
-    iso = _checked_isomorphism(sub, reference.masks)
-    if iso is None:
-        return None
-    return {s.points[keep[i]]: reference.vertices[w] for i, w in iso.items()}
-
-
 def verify_petersen(st: Structure) -> Report:
-    """Every ovoid complement is the Petersen graph, with explicit witnesses."""
+    """Every ovoid complement is the Petersen graph, with explicit witnesses:
+    an isomorphism from the collinearity graph off the ovoid onto
+    ``petersen_graph()`` proves the complement cubic with girth 5."""
+    s, reference = st.gq, petersen_graph()
+    masks = s.collinearity_graph.masks
     checks = []
     data: dict = {"witnesses": []}
     for h in st.hyperplanes:
         if h.kind != OVOID:
             continue
-        witness = petersen_witness(st, h.points)
+        # the positions of the points off the ovoid, renumbered 0..9 by ``at``
+        keep = [i for i, p in enumerate(s.points) if p not in h.points]
+        at, off, sub = {1 << j: 1 << b for b, j in enumerate(keep)}, sum(1 << j for j in keep), []
+        for i in keep:
+            rest, mask = masks[i] & off, 0
+            while rest:
+                mask |= at[rest & -rest]
+                rest &= rest - 1
+            sub.append(mask)
+        iso = _checked_isomorphism(sub, reference.masks)
         checks.append(
             CheckResult(
                 f"complement of {_cset(h.points)} is Petersen",
-                witness is not None,
-                "3-regular, girth 5, isomorphism found" if witness is not None else "",
+                iso is not None,
+                "3-regular, girth 5, isomorphism found" if iso is not None else "",
             )
         )
-        if witness is not None:
+        if iso is not None:
             data["witnesses"].append(
                 {
                     "ovoid": sorted(h.points),
-                    "mapping": [[p, list(q)] for p, q in sorted(witness.items())],
+                    "mapping": sorted(
+                        [s.points[keep[i]], list(reference.vertices[w])] for i, w in iso.items()
+                    ),
                 }
             )
-    reference = petersen_graph()
     checks.append(
         CheckResult(
             "reference graph sane",
@@ -642,30 +633,36 @@ def verify_petersen(st: Structure) -> Report:
 STANDARD_ROWS = ((7, 8, 9), (10, 11, 12), (13, 14, 15))
 
 
-def standard_square(lines: Mapping) -> MerminResult:
-    """The Mermin check of the operators on the ``STANDARD_ROWS`` grid, its
-    signs read from ``lines``, a ``line_table(st)``."""
-    return mermin_square_check(STANDARD_ROWS, partial(_line_sign, lines))
-
-
-def _standard_square_check(stage: str, lines: Mapping, tail: str = "") -> tuple:
-    """The check named ``stage`` of ``standard_square(lines)``, and its
-    result, or None when it raised."""
+def standard_square(st: Structure, lines: Mapping) -> MerminResult | ValueError:
+    """The stage "standard square": the Mermin check of the operators on the
+    ``STANDARD_ROWS`` grid, its signs read from ``lines``, a ``line_table(st)``,
+    or the ValueError it raised, returned so that only the checks that read
+    it fail."""
     try:
-        result = standard_square(lines)
+        return mermin_square_check(STANDARD_ROWS, partial(_line_sign, lines))
     except ValueError as exc:
-        return stage_failure(stage, exc), None
-    detail = f"row signs {result.row_signs}, column signs {result.col_signs}{tail}"
-    return CheckResult(stage, result.magic, detail), result
+        return exc
 
 
-def verify_split_9_6(st: Structure, lines: Mapping) -> Report:
+def _standard_square_check(stage: str, square: MerminResult | ValueError, data: dict,
+                           prefix: str = "", tail: str = "") -> CheckResult:
+    """The check named ``stage`` of the "standard square" result ``square``,
+    whose row and column signs go into ``data`` under ``prefix``."""
+    if isinstance(square, ValueError):
+        return stage_failure(stage, square)
+    data[prefix + "row_signs"] = list(square.row_signs)
+    data[prefix + "col_signs"] = list(square.col_signs)
+    detail = f"row signs {square.row_signs}, column signs {square.col_signs}{tail}"
+    return CheckResult(stage, square.magic, detail)
+
+
+def verify_split_9_6(st: Structure, square: MerminResult | ValueError) -> Report:
     """The 15 points split as 9 + 6 around the two base points.
 
     The nine points neighboring both base points carry the relation of the
     line over gf2xgf2; the six distant ones split into two triples, each
     completing the base pair to a copy of the line over gf4, with every
-    cross pair a neighbor.  ``lines`` is passed on to ``standard_square``.
+    cross pair a neighbor.  ``square`` is the "standard square" of the run.
     """
     line, u, v, _, (fam_distant, fam_neighbor) = st.sub
     checks = []
@@ -732,13 +729,9 @@ def verify_split_9_6(st: Structure, lines: Mapping) -> Report:
         )
 
     data["mermin_rows"] = [list(r) for r in STANDARD_ROWS]
-    check, result = _standard_square_check(
-        "nine common neighbors in standard rows form a magic square", lines
-    )
-    checks.append(check)
-    if result is not None:
-        data["mermin_row_signs"] = list(result.row_signs)
-        data["mermin_col_signs"] = list(result.col_signs)
+    checks.append(_standard_square_check(
+        "nine common neighbors in standard rows form a magic square", square, data, "mermin_"
+    ))
     return Report("9 plus 6 factorization", tuple(checks), data)
 
 
@@ -782,60 +775,30 @@ def verify_split_10_5(st: Structure, petersen: Report) -> Report:
     return Report("10 plus 5 factorization", tuple(checks), data)
 
 
-def perp_subline_check(st: Structure, x: int) -> Report:
-    """The six points neighboring ``x``: pairing and subline structure."""
-    if not 1 <= x <= 15:
-        raise ValueError(f"point label {x} out of range 1..15")
+def verify_perp_sublines(st: Structure) -> Report:
+    """All fifteen perp sets, one check per center: its six neighbors pair
+    off in a perfect matching of three, model the line over gf2dual and,
+    with the center, make the perp-set hyperplane of that center."""
     line, _, _, pts, _ = st.sub
     g = st.graph
-    nbrs = sorted(g.neighbors(x))
-    checks = [CheckResult("six neighbors", len(nbrs) == 6, _cset(nbrs))]
-    pairs = [
-        (p, q)
-        for p, q in itertools.combinations(nbrs, 2)
-        if g.has_edge(p, q)
-    ]
-    matching = len(pairs) == 3 and sorted(
-        itertools.chain.from_iterable(pairs)
-    ) == nbrs
-    checks.append(
-        CheckResult(
-            "neighbor pairs form a perfect matching of three",
-            matching,
-            " ".join(_cset(p) for p in pairs),
-        )
-    )
-    checks.append(
-        CheckResult(
-            "models the line over gf2dual",
-            _subline_witness(st, induced_neighbor_masks(line, [pts[i - 1] for i in nbrs]),
-                             "gf2dual") is not None,
-        )
-    )
-    hp = [
-        h
-        for h in st.hyperplanes
-        if h.kind == PERP_SET and h.center == x
-    ]
-    checks.append(
-        CheckResult(
-            "center plus neighbors is a perp-set hyperplane",
-            len(hp) == 1 and hp[0].points == frozenset(nbrs) | {x},
-        )
-    )
-    data = {"center": x, "neighbors": nbrs, "pairs": [list(p) for p in pairs]}
-    return Report(f"perp set of {c_label(x)}", tuple(checks), data)
-
-
-def verify_perp_sublines(st: Structure) -> Report:
-    """All fifteen perp sets at once, one line of certificate per center."""
+    perp = [h for h in st.hyperplanes if h.kind == PERP_SET]
     checks = []
     data: dict = {"pairs": {}}
     for x in range(1, 16):
-        sub = perp_subline_check(st, x)
-        # the detail of the matching check is the pairs' text
-        checks.append(CheckResult(f"perp set of {c_label(x)}", sub.passed, sub.checks[1].detail))
-        data["pairs"][str(x)] = sub.data["pairs"]
+        nbrs = sorted(g.neighbors(x))
+        pairs = [(p, q) for p, q in itertools.combinations(nbrs, 2) if g.has_edge(p, q)]
+        # the sub-line is checked for every center, whatever else fails
+        masks = induced_neighbor_masks(line, [pts[i - 1] for i in nbrs])
+        subline = _subline_witness(st, masks, "gf2dual") is not None
+        passed = (
+            len(nbrs) == 6
+            and len(pairs) == 3
+            and sorted(itertools.chain.from_iterable(pairs)) == nbrs
+            and subline
+            and [h.points for h in perp if h.center == x] == [frozenset(nbrs) | {x}]
+        )
+        checks.append(CheckResult(f"perp set of {c_label(x)}", passed, " ".join(map(_cset, pairs))))
+        data["pairs"][str(x)] = [list(p) for p in pairs]
     return Report("perp-set sublines", tuple(checks), data)
 
 
@@ -891,17 +854,13 @@ def grid_mermin_arrangement(st: Structure, points: frozenset, lines: Mapping) ->
     return grid if mermin_square_check(grid, partial(_line_sign, lines)).magic else None
 
 
-def verify_mermin(st: Structure, lines: Mapping) -> Report:
-    """Magic squares: the standard grid and all ten grid hyperplanes, their
-    signs read from ``lines``, a ``line_table(st)``."""
+def verify_mermin(st: Structure, lines: Mapping, square: MerminResult | ValueError) -> Report:
+    """Magic squares: the standard grid, ``square`` of the run, and all ten
+    grid hyperplanes, their signs read from ``lines``, a ``line_table(st)``."""
     data: dict = {"standard_rows": [list(r) for r in STANDARD_ROWS]}
-    check, result = _standard_square_check(
-        "standard grid is magic", lines, ", product of all six is -1"
-    )
-    checks = [check]
-    if result is not None:
-        data["row_signs"] = list(result.row_signs)
-        data["col_signs"] = list(result.col_signs)
+    checks = [
+        _standard_square_check("standard grid is magic", square, data, tail=", product of all six is -1")
+    ]
     data["arrangements"] = []
     grids = [h for h in st.hyperplanes if h.kind == GRID]
     checks.append(CheckResult("10 grid hyperplanes", len(grids) == 10))
@@ -928,8 +887,7 @@ def spread_unbiased(st: Structure, spread: Sequence[int], lines: Mapping) -> tup
     s = st.gq
     triples = [sorted(s.lines[i]) for i in spread]
     ops = [_ops_for(t) for t in triples]
-    facts = [lines.get(s.line_masks[i]) or line_facts(o) for i, o in zip(spread, ops)]
-    return triples, mub_spread_check(ops, facts)
+    return triples, mub_spread_check(ops, [lines[s.line_masks[i]] for i in spread])
 
 
 def verify_mub(st: Structure, lines: Mapping) -> Report:
@@ -1039,9 +997,10 @@ def trinity_report(st: Structure, ovoid_rep: Report, perp_rep: Report, mermin_re
     )
 
 
-# report title -> (the name of its builder here, looked up on each run so
+# stage title -> (the name of its builder here, looked up on each run so
 # that a patched one runs, and the titles of the stages it takes, in order);
-# a builder takes the run's structure, then those stages
+# a builder takes the run's structure, then those stages.  Every stage but
+# the last two builds a report: those two are inputs that several reports share
 STAGES = {
     "ring construction": ("verify_ring_tables", ()),
     "line census": ("verify_line_census", ()),
@@ -1050,16 +1009,17 @@ STAGES = {
     "quadrangle structure": ("verify_gq_structure", ()),
     "hyperplane census": ("verify_hyperplane_census", ()),
     "Petersen complements": ("verify_petersen", ()),
-    "9 plus 6 factorization": ("verify_split_9_6", ("line table",)),
+    "9 plus 6 factorization": ("verify_split_9_6", ("standard square",)),
     "10 plus 5 factorization": ("verify_split_10_5", ("Petersen complements",)),
     "perp-set sublines": ("verify_perp_sublines", ()),
-    "magic squares": ("verify_mermin", ("line table",)),
+    "magic squares": ("verify_mermin", ("line table", "standard square")),
     "unbiased bases": ("verify_mub", ("line table",)),
     "hyperplane trinity": ("trinity_report", ("10 plus 5 factorization", "perp-set sublines",
                                               "magic squares", "unbiased bases")),
     "transitivity of the invertible group": ("verify_transitivity", ()),
     "full verification certificate": ("_certificate", ()),
     "line table": ("line_table", ()),
+    "standard square": ("standard_square", ("line table",)),
 }
 
 # the stages of ``verify_all()`` in order; the trinity holds four more
@@ -1087,7 +1047,7 @@ def _run(st: Structure, title: str, built: dict, *args) -> Report:
 
 
 def run(title: str, *args) -> Report:
-    """The report of stage ``title`` on ``STRUCTURE`` and ``args``, its inputs
+    """The result of stage ``title`` on ``STRUCTURE`` and ``args``, its inputs
     built first, each once.  A ValueError from any of these builds makes it
     one failed check named ``title``."""
     return _run(STRUCTURE, title, {}, *args)

@@ -1,5 +1,6 @@
 """End-to-end verifiers: sign tables, splits, sublines, reports."""
 
+import copy
 import itertools
 import json
 from collections import Counter
@@ -18,10 +19,10 @@ from ringline.correspondence import (
     _ops_for,
     grid_mermin_arrangement,
     operator_signs,
-    perp_subline_check,
     verify_all,
     verify_mermin,
     verify_mub,
+    verify_perp_sublines,
     verify_petersen,
     verify_relation_signs,
     verify_ring_tables,
@@ -51,7 +52,7 @@ def test_sign_table_symmetric_with_minus_diagonal():
 
 
 # every stage that builds a report, named by its builder
-REPORT_STAGES = [title for title in co.STAGES if title != "line table"]
+REPORT_STAGES = [title for title in co.STAGES if title not in ("line table", "standard square")]
 
 
 @pytest.mark.parametrize("title", REPORT_STAGES, ids=lambda t: co.STAGES[t][0])
@@ -335,6 +336,17 @@ def test_a_failed_export_leaves_its_out_file_as_it_was(argv, monkeypatch, tmp_pa
     assert out.read_bytes() == b"nine byte"
 
 
+@pytest.mark.parametrize("argv", [a for a in REPORTLESS if a[0] == "export"], ids=lambda a: a[2])
+def test_a_failed_export_leaves_no_new_out_file(argv, monkeypatch, tmp_path, capsys):
+    """An export that fails on a refused ring removes the --out file that it
+    created for its up-front check."""
+    out = tmp_path / "out"
+    _ring_with_cell("m2f2", "mul_table", 3, 5)(monkeypatch)
+    assert cli.main([str(out) if a is None else a for a in argv]) == 1
+    assert capsys.readouterr().err == ""
+    assert not out.exists()
+
+
 def test_a_broken_structure_poisons_no_later_run(monkeypatch):
     """Full runs on a structure whose m2f2 ring is refused and on one whose
     quadrangle is relabelled leave the default structure as it was: it
@@ -374,7 +386,8 @@ def test_each_stage_is_built_once_per_run(monkeypatch):
     """A builder patched into ``correspondence`` is the one a run calls, and
     a run builds each stage once, however many stages read it: the Petersen
     report once per certificate and once per trinity, where the 10 + 5 pass
-    reads it, and the line table once for the three passes that read it."""
+    reads it, the line table once for the three stages that read it, and
+    the standard square once for the two reports that read it."""
     calls = Counter()
 
     def counted(real):
@@ -384,13 +397,33 @@ def test_each_stage_is_built_once_per_run(monkeypatch):
 
         return wrapper
 
-    for name in ("verify_petersen", "line_table"):
+    for name in ("verify_petersen", "line_table", "standard_square"):
         monkeypatch.setattr(co, name, counted(getattr(co, name)))
     assert verify_all().passed
-    assert calls == {"verify_petersen": 1, "line_table": 1}
+    assert calls == {"verify_petersen": 1, "line_table": 1, "standard_square": 1}
     calls.clear()
     assert co.run("hyperplane trinity").passed
-    assert calls == {"verify_petersen": 1, "line_table": 1}
+    assert calls == {"verify_petersen": 1, "line_table": 1, "standard_square": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["gq", "petersen", "--ovoid", "0"], "verify_petersen"),
+        (["pauli", "mermin"], "mermin_square_check"),
+    ],
+    ids=["gq petersen", "pauli mermin"],
+)
+def test_a_command_prints_its_stage_result(argv, name, monkeypatch, capsys):
+    """``gq petersen`` prints the Petersen report's witness and ``pauli
+    mermin`` the "standard square" stage: each command makes the one verdict
+    call of its stage, and none of its own."""
+    calls, real = [], getattr(co, name)
+    monkeypatch.setattr(co, name, lambda *args: calls.append(args) or real(*args))
+    for fmt in ("text", "json"):
+        assert cli.main(argv + ["--format", fmt]) == 0
+        capsys.readouterr()
+    assert len(calls) == 2
 
 
 def test_family_sizes_are_read_from_the_families(monkeypatch):
@@ -406,7 +439,7 @@ def test_family_sizes_are_read_from_the_families(monkeypatch):
     monkeypatch.setattr(co, "simultaneous_subconfig", moved)
     st = co.Structure()
     assert _failed(verify_subconfig(st)) == {"family sizes 6 and 9"}
-    assert NINE_CHECK in _failed(verify_split_9_6(st, co.line_table(st)))
+    assert NINE_CHECK in _failed(verify_split_9_6(st, co.standard_square(st, co.line_table(st))))
 
 
 @pytest.fixture
@@ -434,11 +467,11 @@ def test_every_label_swap_fails_by_stage_without_traceback(swap_labels):
     verifiers turn that into failed checks naming the stage, one for one."""
     square = "nine common neighbors in standard rows form a magic square"
     st = co.STRUCTURE
-    base_split = verify_split_9_6(st, co.line_table(st)).tally()
+    base_split = co.run("9 plus 6 factorization").tally()
     base_trinity = co.run("hyperplane trinity").tally()
     for i, j in itertools.combinations(range(15), 2):
         swap_labels(i, j)
-        split = verify_split_9_6(st, co.line_table(st))
+        split = co.run("9 plus 6 factorization")
         trinity = co.run("hyperplane trinity")
         mermin, mub = trinity.subreports[2:]
         assert (mermin.title, mub.title) == ("magic squares", "unbiased bases")
@@ -485,8 +518,9 @@ def test_every_label_swap_fails_with_the_details_of_the_operators(swap_labels):
         wants += [
             _outcome(oracle.mub_spread_check, [_ops_for(sorted(gq.lines[k])) for k in sp]) for sp in spreads
         ]
-        checks = [c for c in verify_mermin(st, lines).checks if c.name != "10 grid hyperplanes"]
-        checks.append({c.name: c for c in verify_split_9_6(st, lines).checks}[
+        square = co.standard_square(st, lines)
+        checks = [c for c in verify_mermin(st, lines, square).checks if c.name != "10 grid hyperplanes"]
+        checks.append({c.name: c for c in verify_split_9_6(st, square).checks}[
             "nine common neighbors in standard rows form a magic square"
         ])
         checks += verify_mub(st, lines).checks[1:]
@@ -540,22 +574,60 @@ def test_relation_isomorphism_searches_the_line_graph():
 
 
 def test_triple_split_regression():
-    report = verify_split_9_6(co.STRUCTURE, co.line_table(co.STRUCTURE))
+    report = co.run("9 plus 6 factorization")
     assert report.passed
     assert report.data["triples"] == [sorted(s) for s in golden.TRIPLE_SPLIT]
 
 
-def test_perp_subline_of_c13():
-    report = perp_subline_check(co.STRUCTURE, 13)
-    assert report.passed
-    assert report.data["center"] == 13
-    assert report.data["pairs"] == [[4, 5], [7, 10], [14, 15]]
+def _drop(monkeypatch, part, pick):
+    """Swap in a fresh structure whose ``part`` ("hyperplanes" or "spreads")
+    lacks the entry that ``pick`` chooses from the intact one."""
+    entries = getattr(co.STRUCTURE, part)
+    st, dropped = co.Structure(), pick(entries)
+    setattr(st, part, tuple(x for x in entries if x != dropped))
+    monkeypatch.setattr(co, "STRUCTURE", st)
 
 
-@pytest.mark.parametrize("bad", [0, 16, -3])
-def test_perp_subline_rejects_bad_point(bad):
-    with pytest.raises(ValueError):
-        perp_subline_check(co.STRUCTURE, bad)
+def test_perp_subline_of_c13(monkeypatch):
+    """With the perp set of C13 dropped from the hyperplanes, exactly its
+    perp check fails, still listing the pairs of its six neighbors."""
+    assert verify_perp_sublines(co.STRUCTURE).passed
+    _drop(monkeypatch, "hyperplanes", lambda planes: next(h for h in planes if h.center == 13))
+    assert ("perp-set sublines", "perp set of C13") in _failed_anywhere(verify_all())
+    perp = co.run("perp-set sublines")
+    assert _failed(perp) == {"perp set of C13"}
+    assert perp.data["pairs"]["13"] == [[4, 5], [7, 10], [14, 15]]
+
+
+# a census entry to drop -> (the structure part, a pick of the entry, the check that must fail)
+CENSUS_DROPS = {
+    "grid": (
+        "hyperplanes",
+        lambda planes: next(h for h in planes if h.kind == GRID),
+        ("magic squares", "10 grid hyperplanes"),
+    ),
+    "ovoid": (
+        "hyperplanes",
+        lambda planes: next(h for h in planes if h.kind == "ovoid" and h.points != golden.SAMPLE_OVOID),
+        ("10 plus 5 factorization", "6 ovoids to examine"),
+    ),
+    "sample ovoid": (
+        "hyperplanes",
+        lambda planes: next(h for h in planes if h.points == golden.SAMPLE_OVOID),
+        ("10 plus 5 factorization", "the published sample ovoid is among them"),
+    ),
+    "spread": ("spreads", lambda spreads: spreads[0], ("unbiased bases", "6 spreads to examine")),
+}
+
+
+@pytest.mark.parametrize("drop", CENSUS_DROPS)
+def test_a_census_shortfall_fails_its_count_check(drop, monkeypatch):
+    """A structure with one grid, ovoid or spread missing, or the published
+    sample ovoid missing, fails the check that counts or names it, and
+    ``verify_all()`` returns."""
+    part, pick, check = CENSUS_DROPS[drop]
+    _drop(monkeypatch, part, pick)
+    assert check in _failed_anywhere(verify_all())
 
 
 def test_trinity_report_shape():
@@ -570,7 +642,7 @@ def test_trinity_report_shape():
 def test_grid_mermin_arrangement_deterministic_and_magic():
     st = co.STRUCTURE
     lines = co.line_table(st)
-    report = verify_mermin(st, lines)
+    report = verify_mermin(st, lines, co.standard_square(st, lines))
     assert report.passed
     standard = ((7, 8, 9), (10, 11, 12), (13, 14, 15))
     arr = grid_mermin_arrangement(st, frozenset(range(7, 16)), lines)
@@ -642,8 +714,9 @@ def test_grid_without_magic_gives_no_arrangement(monkeypatch):
         co, "mermin_square_check", lambda grid, sign=None: MerminResult((1, 1, 1), (1, 1, 1))
     )
     st = co.STRUCTURE
-    assert grid_mermin_arrangement(st, frozenset(range(7, 16)), co.line_table(st)) is None
-    report = verify_mermin(st, co.line_table(st))
+    lines = co.line_table(st)
+    assert grid_mermin_arrangement(st, frozenset(range(7, 16)), lines) is None
+    report = verify_mermin(st, lines, co.standard_square(st, lines))
     assert not report.passed
     grid_checks = [c for c in report.checks if c.name.startswith("grid ")]
     assert len(grid_checks) == 10
@@ -683,10 +756,12 @@ def test_petersen_search_runs_once_per_ovoid(monkeypatch):
     assert targets.count(co.petersen_graph().masks) == 6
     with pytest.raises(TypeError):
         co._kept_isomorphism(*_petersen_masks(golden.SAMPLE_OVOID))[0] = 1
-    witness = co.petersen_witness(co.STRUCTURE, golden.SAMPLE_OVOID)
-    kept = dict(witness)
-    witness.clear()
-    assert co.petersen_witness(co.STRUCTURE, golden.SAMPLE_OVOID) == kept
+    witnesses = verify_petersen(co.STRUCTURE).data["witnesses"]
+    kept = copy.deepcopy(witnesses)
+    for witness in witnesses:
+        witness["mapping"][0][1].clear()
+        witness["mapping"].clear()
+    assert verify_petersen(co.STRUCTURE).data["witnesses"] == kept
 
 
 def _failed_anywhere(report):
@@ -759,7 +834,7 @@ def _first_run_on_a_relabelled_nine(monkeypatch):
         co, "induced_neighbor_masks",
         lambda line, pts: real(line, relabelled if list(pts) == nine else pts),
     )
-    assert verify_split_9_6(co.STRUCTURE, co.line_table(co.STRUCTURE)).passed
+    assert co.run("9 plus 6 factorization").passed
 
 
 def _on_a_relabelled_quadrangle():
@@ -775,7 +850,7 @@ def _first_run_on_a_relabelled_quadrangle(monkeypatch):
 
 
 def _first_petersen_witness_on_a_relabelled_quadrangle(monkeypatch):
-    co.petersen_witness(_on_a_relabelled_quadrangle(), golden.SAMPLE_OVOID)
+    verify_petersen(_on_a_relabelled_quadrangle())
 
 
 @pytest.mark.parametrize(
@@ -808,7 +883,7 @@ def test_split_9_6_builds_the_nine_masks_once(monkeypatch):
         return real(line, points)
 
     monkeypatch.setattr(co, "induced_neighbor_masks", counted)
-    assert verify_split_9_6(co.STRUCTURE, co.line_table(co.STRUCTURE)).passed
+    assert co.run("9 plus 6 factorization").passed
     assert built.count(list(pts[6:])) == 1
 
 

@@ -125,12 +125,14 @@ def test_strongly_regular_matches_oracle_on_every_edge_toggle():
 
 def test_petersen_witness_checks_the_complement_masks(monkeypatch, hyperplanes):
     """The bit loop that renumbers the points off a hyperplane gives the
-    adjacency masks of the induced complement graph."""
+    adjacency masks of the induced complement graph: ``verify_petersen`` on
+    a structure that files every hyperplane as an ovoid checks each of them."""
     gq, checked = co.STRUCTURE.gq, []
     real = co._checked_isomorphism
     monkeypatch.setattr(co, "_checked_isomorphism", lambda g, h: checked.append(g) or real(g, h))
-    for h in hyperplanes:
-        co.petersen_witness(co.STRUCTURE, h.points)
+    st = co.Structure()
+    st.gq, st.hyperplanes = gq, tuple(h._replace(kind="ovoid") for h in hyperplanes)
+    co.verify_petersen(st)
     assert checked == [list(complement_graph_of_ovoid(gq, h.points).masks) for h in hyperplanes]
 
 
@@ -643,9 +645,10 @@ def test_warm_verify_all_searches_nothing(monkeypatch):
 
 
 def test_warm_verify_all_evaluates_each_line_once(monkeypatch):
-    """One line table per run: each of the 15 quadrangle lines is signed
-    once, the magic squares and spreads read it, and the closed-form traces
-    of the intact spreads take no trace matrix."""
+    """One line table and one standard square per run: each of the 15
+    quadrangle lines is signed once, the magic squares and spreads read it,
+    the standard square and the ten grids are each evaluated once, and the
+    closed-form traces of the intact spreads take no trace matrix."""
     co.verify_all()
     calls = _count_calls(
         monkeypatch, pauli.line_product_sign, co.line_table, pauli.mub_spread_check,
@@ -653,7 +656,7 @@ def test_warm_verify_all_evaluates_each_line_once(monkeypatch):
     )
     assert co.verify_all().passed
     assert calls == {
-        "line_table": 1, "line_product_sign": 15, "mub_spread_check": 6, "mermin_square_check": 12,
+        "line_table": 1, "line_product_sign": 15, "mub_spread_check": 6, "mermin_square_check": 11,
     }
 
 

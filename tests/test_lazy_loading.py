@@ -213,7 +213,7 @@ def test_every_public_name_is_its_defining_modules_object():
         pytest.param(lambda: GF2_LINE, "points", id="ProjectiveLine"),
         pytest.param(lambda: PauliOp(1), "code", id="PauliOp"),
         pytest.param(lambda: PhasedPauli(0, None), "phase_k", id="PhasedPauli"),
-        pytest.param(lambda: standard_square(line_table(STRUCTURE)), "row_signs", id="MerminResult"),
+        pytest.param(lambda: standard_square(STRUCTURE, line_table(STRUCTURE)), "row_signs", id="MerminResult"),
         pytest.param(petersen_graph, "edges", id="Graph"),
         pytest.param(lambda: STRUCTURE.gq, "lines", id="IncidenceStructure"),
         pytest.param(lambda: STRUCTURE.hyperplanes[0], "kind", id="Hyperplane"),
