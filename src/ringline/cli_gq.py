@@ -41,7 +41,7 @@ def render_gq_ovoids(args: argparse.Namespace) -> tuple[str, int]:
     from .golden import c_label
     from .quadrangle import OVOID
 
-    ovoids = [h for h in co.STRUCTURE.hyperplanes if h.kind == OVOID]
+    ovoids = co.STRUCTURE.by_kind[OVOID]
     if args.format == "json":
         return _json({"schema": 1, "ovoids": [sorted(h.points) for h in ovoids]}), EXIT_OK
     return _text(
@@ -95,7 +95,7 @@ def render_gq_petersen(args: argparse.Namespace) -> tuple[str, int]:
     from .golden import OVOID_SPREAD_COUNT, c_label
     from .quadrangle import OVOID
 
-    ovoids = [h for h in co.STRUCTURE.hyperplanes if h.kind == OVOID]
+    ovoids = co.STRUCTURE.by_kind[OVOID]
     if len(ovoids) != OVOID_SPREAD_COUNT:
         return _failed(args, co.CheckResult(
             f"{OVOID_SPREAD_COUNT} ovoids", False, f"{len(ovoids)} computed"

@@ -11,7 +11,7 @@ def _load_fixture(path: str) -> tuple[str, ...]:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read fixture {path}: {e}") from None
     rows = [
         line.strip()

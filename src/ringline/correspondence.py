@@ -14,7 +14,7 @@ to JSON or a plain-text certificate.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, wraps
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -172,21 +172,41 @@ def stage_failure(stage: str, exc: ValueError) -> CheckResult:
     return CheckResult(stage, False, f"raised ValueError: {exc}")
 
 
+_LABELS = tuple(map(c_label, range(16)))  # c_label(p) is _LABELS[p] for each point label p
+
+
 def _cset(ids: Iterable[int]) -> str:
-    return "{" + ",".join(c_label(i) for i in sorted(ids)) + "}"
+    return "{" + ",".join([_LABELS[i] for i in sorted(ids)]) + "}"
 
 
 def _ring(name: str) -> Ring:
     return ring_by_name(name)  # looked up on each call, so a wrapped one is read
 
 
+def _kept_per_key(build: Callable) -> Callable:
+    # the method ``build(st, key)`` as a part of ``st`` for each key, kept in
+    # ``st.parts`` as a cached_property keeps a part in the instance dict
+    @wraps(build)
+    def part(self, key):
+        try:
+            return self.parts[build.__name__, key]
+        except KeyError:
+            self.parts[build.__name__, key] = value = build(self, key)
+            return value
+
+    return part
+
+
 class Structure:
     """The chain the verifiers read, each part built from ``rings`` (a ring
     name -> its Ring) on first read and kept; a part whose build raises is
-    not kept, so every read of it raises."""
+    not kept, so every read of it raises.  A part is only a function of the
+    structure, never a verdict: every check reads its parts on every call.
+    The parts that take a key are kept in ``parts`` by (name, key)."""
 
     def __init__(self, rings: Callable[[str], Ring] = _ring) -> None:
         self.rings = rings
+        self.parts: dict = {}
 
     @cached_property
     def sub(self) -> tuple[ProjectiveLine, PointClass, PointClass, tuple, tuple]:
@@ -211,6 +231,14 @@ class Structure:
         return signs_graph(self.signs, first=1)
 
     @cached_property
+    def triangles(self) -> tuple[frozenset, ...]:
+        return tuple(triangles(self.graph))
+
+    @cached_property
+    def operator_signs(self) -> tuple[str, ...]:
+        return operator_signs()
+
+    @cached_property
     def gq(self) -> IncidenceStructure:
         """The quadrangle recovered from ``graph``; points are 1..15."""
         return build_gq_from_graph(self.graph)
@@ -220,8 +248,78 @@ class Structure:
         return enumerate_hyperplanes(self.gq)
 
     @cached_property
+    def by_kind(self) -> dict[str, tuple]:
+        """``hyperplanes`` of each kind, in order."""
+        return {kind: tuple(h for h in self.hyperplanes if h.kind == kind) for kind in (OVOID, PERP_SET, GRID)}
+
+    @cached_property
     def spreads(self):
         return enumerate_spreads(self.gq)
+
+    @_kept_per_key
+    def induced(self, points: tuple[PointClass, ...]) -> tuple[int, ...]:
+        """``induced_neighbor_masks`` of ``points`` on the m2f2 line."""
+        return tuple(induced_neighbor_masks(self.sub[0], points))
+
+    @_kept_per_key
+    def complement(self, ovoid: frozenset) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The positions in ``gq.points`` of the points off ``ovoid``, and
+        the collinearity masks among them with those positions renumbered
+        0, 1, ... in order."""
+        s = self.gq
+        masks = s.collinearity_graph.masks
+        keep = tuple(i for i, p in enumerate(s.points) if p not in ovoid)
+        at, off, sub = {1 << j: 1 << b for b, j in enumerate(keep)}, sum(1 << j for j in keep), []
+        for i in keep:
+            rest, mask = masks[i] & off, 0
+            while rest:
+                mask |= at[rest & -rest]
+                rest &= rest - 1
+            sub.append(mask)
+        return keep, tuple(sub)
+
+    @_kept_per_key
+    def centre(self, x: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], tuple[frozenset, ...]]:
+        """The neighbors of point ``x`` in ``graph`` in order, the pairs of
+        them that are neighbors, and the points of each perp-set hyperplane
+        centred at ``x``."""
+        g = self.graph
+        nbrs = tuple(sorted(g.neighbors(x)))
+        pairs = tuple((p, q) for p, q in itertools.combinations(nbrs, 2) if g.has_edge(p, q))
+        return nbrs, pairs, tuple(h.points for h in self.by_kind[PERP_SET] if h.center == x)
+
+    @_kept_per_key
+    def cells(self, points: frozenset) -> tuple | None:
+        """The 3x3 arrangement of grid ``points`` that ``grid_mermin_arrangement``
+        evaluates, or None.  Rows and columns must be the two parallel
+        classes of the six lines of ``gq`` inside ``points``.  Every
+        arrangement has the same six lines, so it is consistent (each row
+        meets each column in one point) when one is, and, since a line's sign
+        does not depend on the order of its commuting operators, magic when
+        one is.  The arrangement with the lexicographically least flattened
+        label tuple is the one kept, making the result deterministic.  It is
+        built directly on point masks: in either class order, the row and
+        column through the grid's least point come first, the other columns
+        follow by their meet with that row and the other rows by their meet
+        with that column; the smaller of the two flattened tuples wins.
+        """
+        s = self.gq
+        pmask = sum(1 << p - 1 for p in points)
+        classes = _parallel_classes([m for m in s.line_masks if not m & ~pmask])
+        if classes is None:
+            return None
+        if any((r & c).bit_count() != 1 for r in classes[0] for c in classes[1]):
+            return None
+        least = pmask & -pmask
+
+        def flattened(rows: list[int], cols: list[int]) -> list[int]:
+            # each meet is one point, so its mask orders as its label does
+            first_row = next(r for r in rows if r & least)
+            cols = sorted(cols, key=first_row.__and__)
+            return [r & c for r in sorted(rows, key=cols[0].__and__) for c in cols]
+
+        cells = min(flattened(*classes), flattened(*classes[::-1]))
+        return tuple(tuple(s.points[m.bit_length() - 1] for m in cells[k : k + 3]) for k in (0, 3, 6))
 
 
 # the structure that ``run`` and the commands read; nothing is built at import
@@ -331,20 +429,11 @@ def verify_line_census(st: Structure) -> Report:
             CheckResult(f"{want} points over {name}", len(small.points) == want)
         )
     gf4_line = enumerate_line(st.rings("gf4"))
-    all_distant = all(
-        gf4_line.relation[i][j] == DISTANT
-        for i in range(5)
-        for j in range(5)
-        if i != j
-    )
+    # each size is read from the line, which a ring source may serve at another order
+    all_distant = all(c == DISTANT for i, row in enumerate(gf4_line.relation) for j, c in enumerate(row) if i != j)
     checks.append(CheckResult("gf4 line pairwise distant", all_distant))
     dual_line = enumerate_line(st.rings("gf2dual"))
-    npairs = sum(
-        1
-        for i in range(6)
-        for j in range(i + 1, 6)
-        if dual_line.relation[i][j] == NEIGHBOR
-    )
+    npairs = sum(row[i + 1 :].count(NEIGHBOR) for i, row in enumerate(dual_line.relation))
     checks.append(CheckResult("gf2dual line has 3 neighbor pairs", npairs == 3))
     return Report("line census", tuple(checks))
 
@@ -384,8 +473,7 @@ def verify_subconfig(st: Structure) -> Report:
             "diagonal counted as self-neighbor",
         )
     )
-    g = st.graph
-    tris = triangles(g)
+    g, tris = st.graph, st.triangles
     has_4_clique = any(
         g.neighbors(a) & g.neighbors(b) & g.neighbors(c) for a, b, c in tris
     )
@@ -435,8 +523,7 @@ def verify_relation_signs(st: Structure, reference: Sequence[str] | None = None)
     )
     data: dict = {"diffs": []}
     if shape_ok:
-        geo = st.signs
-        ops = operator_signs()
+        geo, ops = st.signs, st.operator_signs
         comparisons = (
             ("geometry vs operators", geo, "geometry", ops, "operators"),
             ("geometry vs fixture", geo, "geometry", fixture, "fixture"),
@@ -526,11 +613,7 @@ def verify_gq_structure(st: Structure) -> Report:
 
 
 def verify_hyperplane_census(st: Structure) -> Report:
-    s = st.gq
-    planes = st.hyperplanes
-    by_kind = {OVOID: [], PERP_SET: [], GRID: []}
-    for h in planes:
-        by_kind[h.kind].append(h)
+    s, planes, by_kind = st.gq, st.hyperplanes, st.by_kind
     checks = [
         CheckResult(
             f"{golden.OVOID_SPREAD_COUNT} ovoids",
@@ -574,10 +657,10 @@ def verify_hyperplane_census(st: Structure) -> Report:
     return Report("hyperplane census", tuple(checks), data)
 
 
-def _subline_witness(st: Structure, masks: Sequence[int], target: str) -> Mapping | None:
-    """An isomorphism from the graph of the neighbor ``masks`` of some m2f2
-    points (``induced_neighbor_masks``) onto the line over ``target``, or None."""
-    return _checked_isomorphism(masks, enumerate_line(st.rings(target)).neighbor_masks)
+def _subline_witness(st: Structure, points: Iterable[PointClass], target: str) -> Mapping | None:
+    """An isomorphism from the graph of the m2f2 ``points`` (their kept
+    ``st.induced`` masks) onto the line over ``target``, or None."""
+    return _checked_isomorphism(st.induced(tuple(points)), enumerate_line(st.rings(target)).neighbor_masks)
 
 
 def verify_petersen(st: Structure) -> Report:
@@ -585,21 +668,10 @@ def verify_petersen(st: Structure) -> Report:
     an isomorphism from the collinearity graph off the ovoid onto
     ``petersen_graph()`` proves the complement cubic with girth 5."""
     s, reference = st.gq, petersen_graph()
-    masks = s.collinearity_graph.masks
     checks = []
     data: dict = {"witnesses": []}
-    for h in st.hyperplanes:
-        if h.kind != OVOID:
-            continue
-        # the positions of the points off the ovoid, renumbered 0..9 by ``at``
-        keep = [i for i, p in enumerate(s.points) if p not in h.points]
-        at, off, sub = {1 << j: 1 << b for b, j in enumerate(keep)}, sum(1 << j for j in keep), []
-        for i in keep:
-            rest, mask = masks[i] & off, 0
-            while rest:
-                mask |= at[rest & -rest]
-                rest &= rest - 1
-            sub.append(mask)
+    for h in st.by_kind[OVOID]:
+        keep, sub = st.complement(h.points)
         iso = _checked_isomorphism(sub, reference.masks)
         checks.append(
             CheckResult(
@@ -668,9 +740,8 @@ def verify_split_9_6(st: Structure, square: MerminResult | ValueError) -> Report
     checks = []
     data: dict = {}
 
-    nine = induced_neighbor_masks(line, fam_neighbor)
     grid_line = enumerate_line(st.rings("gf2xgf2"))
-    iso = _subline_witness(st, nine, "gf2xgf2")
+    iso = _subline_witness(st, fam_neighbor, "gf2xgf2")
     checks.append(
         CheckResult(
             "nine common neighbors model the line over gf2xgf2",
@@ -682,7 +753,7 @@ def verify_split_9_6(st: Structure, square: MerminResult | ValueError) -> Report
         data["grid_bijection"] = [
             [i + 7, grid_line.points[iso[i]].canonical] for i in sorted(iso)
         ]
-    balance = all(mask.bit_count() == 4 for mask in nine)
+    balance = all(mask.bit_count() == 4 for mask in st.induced(tuple(fam_neighbor)))
     checks.append(
         CheckResult(
             "each of the nine has 4 neighbor and 4 distant partners inside",
@@ -692,23 +763,24 @@ def verify_split_9_6(st: Structure, square: MerminResult | ValueError) -> Report
     )
 
     splits = []
-    for combo in itertools.combinations(range(6), 3):
+    six = range(len(fam_distant))
+    for combo in itertools.combinations(six, 3):
         if 0 not in combo:
             continue
         first = [fam_distant[i] for i in combo]
-        second = [fam_distant[i] for i in range(6) if i not in combo]
+        second = [fam_distant[i] for i in six if i not in combo]
         cross_ok = all(
             line.relation_of(p, q) == NEIGHBOR for p in first for q in second
         )
         if not cross_ok:
             continue
         if all(
-            _subline_witness(st, induced_neighbor_masks(line, t + [u, v]), "gf4") is not None
+            _subline_witness(st, t + [u, v], "gf4") is not None
             for t in (first, second)
         ):
             labels = (
                 frozenset(i + 1 for i in combo),
-                frozenset(i + 1 for i in range(6) if i not in combo),
+                frozenset(i + 1 for i in six if i not in combo),
             )
             splits.append(labels)
     checks.append(
@@ -739,10 +811,10 @@ def verify_split_10_5(st: Structure, petersen: Report) -> Report:
     """Every ovoid versus its ten-point complement, the Petersen verdicts read
     from ``petersen``, the ``verify_petersen(st)`` report of the same run."""
     witnessed = {frozenset(w["ovoid"]) for w in petersen.data.get("witnesses", ())}
-    line, _, _, pts, _ = st.sub
+    pts = st.sub[3]
     checks = []
     data: dict = {"ovoids": []}
-    ovoids = [h for h in st.hyperplanes if h.kind == OVOID]
+    ovoids = st.by_kind[OVOID]
     checks.append(
         CheckResult(
             f"{golden.OVOID_SPREAD_COUNT} ovoids to examine",
@@ -762,8 +834,7 @@ def verify_split_10_5(st: Structure, petersen: Report) -> Report:
         noncommuting = all(
             not commutes(a, b) for a, b in itertools.combinations(five_ops, 2)
         )
-        five = induced_neighbor_masks(line, [pts[i - 1] for i in labels])
-        subline = _subline_witness(st, five, "gf4") is not None
+        subline = _subline_witness(st, [pts[i - 1] for i in labels], "gf4") is not None
         checks.append(
             CheckResult(
                 f"ovoid {_cset(labels)}",
@@ -779,23 +850,19 @@ def verify_perp_sublines(st: Structure) -> Report:
     """All fifteen perp sets, one check per center: its six neighbors pair
     off in a perfect matching of three, model the line over gf2dual and,
     with the center, make the perp-set hyperplane of that center."""
-    line, _, _, pts, _ = st.sub
-    g = st.graph
-    perp = [h for h in st.hyperplanes if h.kind == PERP_SET]
+    pts = st.sub[3]
     checks = []
     data: dict = {"pairs": {}}
     for x in range(1, 16):
-        nbrs = sorted(g.neighbors(x))
-        pairs = [(p, q) for p, q in itertools.combinations(nbrs, 2) if g.has_edge(p, q)]
+        nbrs, pairs, perp = st.centre(x)
         # the sub-line is checked for every center, whatever else fails
-        masks = induced_neighbor_masks(line, [pts[i - 1] for i in nbrs])
-        subline = _subline_witness(st, masks, "gf2dual") is not None
+        subline = _subline_witness(st, [pts[i - 1] for i in nbrs], "gf2dual") is not None
         passed = (
             len(nbrs) == 6
             and len(pairs) == 3
-            and sorted(itertools.chain.from_iterable(pairs)) == nbrs
+            and tuple(sorted(itertools.chain.from_iterable(pairs))) == nbrs
             and subline
-            and [h.points for h in perp if h.center == x] == [frozenset(nbrs) | {x}]
+            and perp == (frozenset(nbrs) | {x},)
         )
         checks.append(CheckResult(f"perp set of {c_label(x)}", passed, " ".join(map(_cset, pairs))))
         data["pairs"][str(x)] = [list(p) for p in pairs]
@@ -820,38 +887,10 @@ def _parallel_classes(lines: Sequence[int]) -> tuple[list[int], list[int]] | Non
 
 
 def grid_mermin_arrangement(st: Structure, points: frozenset, lines: Mapping) -> tuple | None:
-    """A magic 3x3 arrangement of a grid hyperplane, or None.
-
-    Rows and columns must be the two parallel classes of the grid's six
-    lines.  Every arrangement has the same six lines, so it is consistent
-    (each row meets each column in one point) when one is, and, since a
-    line's sign does not depend on the order of its commuting operators,
-    magic when one is.  The arrangement with the lexicographically least
-    flattened label tuple is evaluated once and returned if magic, making
-    the result deterministic.  It is built directly on point masks: in
-    either class order, the row and column through the grid's least point
-    come first, the other columns follow by their meet with that row and the
-    other rows by their meet with that column; the smaller of the two
-    flattened tuples wins.  The signs are read from ``lines``, a ``line_table(st)``.
-    """
-    s = st.gq
-    pmask = sum(1 << p - 1 for p in points)
-    classes = _parallel_classes([m for m in s.line_masks if not m & ~pmask])
-    if classes is None:
-        return None
-    if any((r & c).bit_count() != 1 for r in classes[0] for c in classes[1]):
-        return None
-    least = pmask & -pmask
-
-    def flattened(rows: list[int], cols: list[int]) -> list[int]:
-        # each meet is one point, so its mask orders as its label does
-        first_row = next(r for r in rows if r & least)
-        cols = sorted(cols, key=first_row.__and__)
-        return [r & c for r in sorted(rows, key=cols[0].__and__) for c in cols]
-
-    cells = min(flattened(*classes), flattened(*classes[::-1]))
-    grid = tuple(tuple(s.points[m.bit_length() - 1] for m in cells[k : k + 3]) for k in (0, 3, 6))
-    return grid if mermin_square_check(grid, partial(_line_sign, lines)).magic else None
+    """``st.cells(points)`` if it is a magic 3x3 square, else None; the
+    signs are read from ``lines``, a ``line_table(st)``."""
+    grid = st.cells(points)
+    return grid if grid is not None and mermin_square_check(grid, partial(_line_sign, lines)).magic else None
 
 
 def verify_mermin(st: Structure, lines: Mapping, square: MerminResult | ValueError) -> Report:
@@ -862,7 +901,7 @@ def verify_mermin(st: Structure, lines: Mapping, square: MerminResult | ValueErr
         _standard_square_check("standard grid is magic", square, data, tail=", product of all six is -1")
     ]
     data["arrangements"] = []
-    grids = [h for h in st.hyperplanes if h.kind == GRID]
+    grids = st.by_kind[GRID]
     checks.append(CheckResult("10 grid hyperplanes", len(grids) == 10))
     for h in grids:
         stage = f"grid {_cset(h.points)} admits a magic arrangement"
@@ -953,11 +992,7 @@ def trinity_report(st: Structure, ovoid_rep: Report, perp_rep: Report, mermin_re
     Each row is backed by the report of its dedicated pass, given here and
     kept as a subreport; this report presents their counts side by side.
     """
-    planes = st.hyperplanes
-    counts = {
-        kind: sum(1 for h in planes if h.kind == kind)
-        for kind in (OVOID, PERP_SET, GRID)
-    }
+    counts = {kind: len(planes) for kind, planes in st.by_kind.items()}
     checks = [
         CheckResult(
             f"ovoid row: {golden.OVOID_SPREAD_COUNT} ovoids, gf4 sublines, "

@@ -296,6 +296,17 @@ def test_verify_table2_rejects_short_fixture(tmp_path, capsys):
     assert cli.main(["verify", "table2", "--fixture", str(f)]) == 1
 
 
+def test_verify_table2_refuses_a_fixture_that_is_not_utf8(tmp_path, capsys):
+    """A fixture that does not decode is a usage error, as a missing one
+    is: exit 2 and one error line, no FAIL report."""
+    f = tmp_path / "latin1.txt"
+    f.write_bytes("# matrice de commutation \xe9\n".encode("latin-1") + "\n".join(golden.CANONICAL_SIGNS).encode())
+    assert cli.main(["verify", "table2", "--fixture", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read fixture {f}: 'utf-8' codec can't decode")
+
+
 # exports: every supported (what, format) combination writes a file
 
 EXPORT_COMBOS = [

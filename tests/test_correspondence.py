@@ -42,6 +42,11 @@ def test_operator_signs_match_fixture():
     assert operator_signs() == golden.CANONICAL_SIGNS
 
 
+def test_label_sets_read_from_the_table_as_c_label_words_them():
+    """``_cset`` takes the 15 point labels from a table, in sorted order."""
+    assert co._cset(range(15, 0, -1)) == "{" + ",".join(map(golden.c_label, range(1, 16))) + "}"
+
+
 def test_sign_table_symmetric_with_minus_diagonal():
     # every point is its own neighbor, so the diagonal carries "-"
     rows = co.STRUCTURE.signs
@@ -262,6 +267,24 @@ def test_every_mul_cell_corruption_fails_verify_all_without_traceback(monkeypatc
             assert captured.err == ""
         cases += 1
     assert cases == 256 + 4 + 3 * 48
+
+
+RING_SWAPS = list(itertools.permutations(("m2f2", "gf2", "gf4", "gf2xgf2", "gf2dual"), 2))
+
+
+@pytest.mark.parametrize("name, served", RING_SWAPS, ids=[f"{a}-as-{b}" for a, b in RING_SWAPS])
+def test_a_valid_ring_served_under_another_name_fails_without_traceback(name, served, monkeypatch, capsys):
+    """A ring source that serves one valid ring under another's name, most
+    of them of another order: every size is read from the line or family
+    itself, so ``verify_all()`` returns with a failed check and ``ringline
+    verify all`` exits 1 with nothing on stderr."""
+    st = co.Structure(lambda n: ring_by_name(served if n == name else n))
+    monkeypatch.setattr(co, "STRUCTURE", st)
+    assert _failed_anywhere(verify_all())
+    assert cli.main(["verify", "all"]) == 1
+    captured = capsys.readouterr()
+    assert "result: FAIL" in captured.out
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("what", ["table2", "factor96", "factor105", "trinity"])
@@ -824,16 +847,15 @@ def _relabelled_gq():
 
 
 def _first_run_on_a_relabelled_nine(monkeypatch):
-    """``verify_split_9_6`` with the nine read with their first two points
-    swapped: a valid gf2xgf2 model with other masks."""
-    line, _, _, pts, _ = co.STRUCTURE.sub
-    nine, real = list(pts[6:]), co.induced_neighbor_masks
-    relabelled = [nine[1], nine[0]] + nine[2:]
-    assert real(line, relabelled) != real(line, nine)
-    monkeypatch.setattr(
-        co, "induced_neighbor_masks",
-        lambda line, pts: real(line, relabelled if list(pts) == nine else pts),
-    )
+    """``verify_split_9_6`` on a structure that keeps, as the masks of the
+    nine, those of the nine with their first two points swapped: a valid
+    gf2xgf2 model with other masks."""
+    st = co.Structure()
+    nine = tuple(st.sub[3][6:])
+    relabelled = st.induced((nine[1], nine[0]) + nine[2:])
+    assert relabelled != st.induced(nine)
+    st.parts["induced", nine] = relabelled
+    monkeypatch.setattr(co, "STRUCTURE", st)
     assert co.run("9 plus 6 factorization").passed
 
 
@@ -873,18 +895,22 @@ def test_a_first_run_on_a_changed_structure_leaves_no_kept_mapping_behind(first_
 
 
 def test_split_9_6_builds_the_nine_masks_once(monkeypatch):
-    """The balance check and the gf2xgf2 witness read one build of the
-    nine's neighbor masks."""
-    line, _, _, pts, _ = co.STRUCTURE.sub
-    real, built = co.induced_neighbor_masks, []
+    """The balance check and the gf2xgf2 witness read one kept part, the
+    nine's neighbor masks: two runs on a fresh structure build it once."""
+    st = co.Structure()
+    line, _, _, pts, _ = st.sub
+    nine, real, built = tuple(pts[6:]), co.induced_neighbor_masks, []
 
     def counted(line, points):
-        built.append(list(points))
+        built.append(tuple(points))
         return real(line, points)
 
     monkeypatch.setattr(co, "induced_neighbor_masks", counted)
+    monkeypatch.setattr(co, "STRUCTURE", st)
     assert co.run("9 plus 6 factorization").passed
-    assert built.count(list(pts[6:])) == 1
+    assert co.run("9 plus 6 factorization").passed
+    assert built.count(nine) == 1
+    assert st.parts["induced", nine] == tuple(real(line, nine))
 
 
 # the trinity row that sums up each kind of sub-line report
@@ -922,21 +948,15 @@ KEPT_SUBLINES = (
 
 @pytest.mark.parametrize("kind, index", KEPT_SUBLINES, ids=[f"{k}-{i}" for k, i in KEPT_SUBLINES])
 def test_kept_subline_witness_fails_on_a_flipped_mask_bit(kind, index, monkeypatch, capsys):
-    """Every call checks a sub-line mapping against the current masks: after
-    a warm call, one bit flipped in the adjacency masks of one sub-line
-    fails exactly the checks that use it, ``verify_all()`` returns, and
-    ``ringline verify all`` exits 1 without a traceback."""
+    """Every call checks a sub-line mapping against the structure's kept
+    masks: after a warm call, one bit flipped in the kept adjacency masks
+    of one sub-line fails exactly the checks that use it, ``verify_all()``
+    returns, and ``ringline verify all`` exits 1 without a traceback."""
     assert verify_all().passed
     points, checks = _kept_subline(kind, index)
-    real = co.induced_neighbor_masks
-
-    def flipped(line, pts):
-        masks = real(line, pts)
-        if list(pts) == points:
-            masks[0] ^= 0b10
-        return masks
-
-    monkeypatch.setattr(co, "induced_neighbor_masks", flipped)
+    key = ("induced", tuple(points))
+    masks = co.STRUCTURE.parts[key]
+    monkeypatch.setitem(co.STRUCTURE.parts, key, (masks[0] ^ 0b10,) + masks[1:])
     assert _failed_anywhere(verify_all()) == checks
     assert cli.main(["verify", "all"]) == 1
     captured = capsys.readouterr()
@@ -961,6 +981,69 @@ def test_kept_subline_witness_fails_on_a_flipped_relation_cell(monkeypatch, caps
     assert cli.main(["verify", "all"]) == 1
     captured = capsys.readouterr()
     assert f"[FAIL] {NINE_CHECK}" in captured.out
+    assert captured.err == ""
+
+
+GRID_ROW = "grid row: 10 grids, gf2xgf2 sublines, magic squares"
+
+
+def _flipped_operator_cell(st):
+    rows = list(st.operator_signs)
+    rows[0] = rows[0][0] + {"+": "-", "-": "+"}[rows[0][1]] + rows[0][2:]
+    signs = ("relation sign matrix", "geometry vs operators"), ("relation sign matrix", "operators vs fixture")
+    return "operator_signs", tuple(rows), set(signs)
+
+
+def _no_triangles(st):
+    return "triangles", (), {("sub-configuration", "maximum neighbor clique is 3")}
+
+
+def _one_grid_dropped_from_its_kind(st):
+    by_kind = dict(st.by_kind, grid=st.by_kind["grid"][1:])
+    checks = {("hyperplane census", "10 grids"), ("magic squares", "10 grid hyperplanes")}
+    return "by_kind", by_kind, checks | {("hyperplane trinity", GRID_ROW)}
+
+
+def _flipped_complement_bit(st):
+    ovoid = st.by_kind["ovoid"][0].points
+    keep, masks = st.complement(ovoid)
+    return ("complement", ovoid), (keep, (masks[0] ^ 0b10,) + masks[1:]), _petersen_checks(ovoid)
+
+
+def _a_centre_with_a_pair_dropped(st):
+    nbrs, pairs, perp = st.centre(13)
+    checks = {("perp-set sublines", "perp set of C13"), ("hyperplane trinity", PERP_ROW)}
+    return ("centre", 13), (nbrs, pairs[1:], perp), checks
+
+
+def _a_grid_without_cells(st):
+    grid = st.by_kind["grid"][0].points
+    check = ("magic squares", f"grid {co._cset(grid)} admits a magic arrangement")
+    return ("cells", grid), None, {check, ("hyperplane trinity", GRID_ROW)}
+
+
+@pytest.mark.parametrize("change", [
+    _flipped_operator_cell, _no_triangles, _one_grid_dropped_from_its_kind,
+    _flipped_complement_bit, _a_centre_with_a_pair_dropped, _a_grid_without_cells,
+])
+def test_a_changed_kept_part_fails_the_checks_that_read_it(change, monkeypatch, capsys):
+    """Every call reads the structure's kept parts and checks them: after a
+    warm call, one change to one part (the operator sign matrix, the
+    triangles, the hyperplanes of a kind, an ovoid complement, a centre, a
+    grid arrangement) fails exactly the checks that read it and the
+    trinity rows that sum them up, ``verify_all()`` returns, and
+    ``ringline verify all`` exits 1 without a traceback."""
+    assert verify_all().passed
+    part, value, checks = change(co.STRUCTURE)
+    if isinstance(part, str):
+        monkeypatch.setattr(co.STRUCTURE, part, value)
+    else:
+        assert part in co.STRUCTURE.parts
+        monkeypatch.setitem(co.STRUCTURE.parts, part, value)
+    assert _failed_anywhere(verify_all()) == checks
+    assert cli.main(["verify", "all"]) == 1
+    captured = capsys.readouterr()
+    assert all(f"[FAIL] {name}" in captured.out for _, name in checks)
     assert captured.err == ""
 
 

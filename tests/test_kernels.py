@@ -125,15 +125,19 @@ def test_strongly_regular_matches_oracle_on_every_edge_toggle():
 
 def test_petersen_witness_checks_the_complement_masks(monkeypatch, hyperplanes):
     """The bit loop that renumbers the points off a hyperplane gives the
-    adjacency masks of the induced complement graph: ``verify_petersen`` on
-    a structure that files every hyperplane as an ovoid checks each of them."""
+    points and adjacency masks of the induced complement graph:
+    ``verify_petersen`` on a structure that files every hyperplane as an
+    ovoid keeps each complement as a part and checks its masks."""
     gq, checked = co.STRUCTURE.gq, []
     real = co._checked_isomorphism
     monkeypatch.setattr(co, "_checked_isomorphism", lambda g, h: checked.append(g) or real(g, h))
     st = co.Structure()
     st.gq, st.hyperplanes = gq, tuple(h._replace(kind="ovoid") for h in hyperplanes)
     co.verify_petersen(st)
-    assert checked == [list(complement_graph_of_ovoid(gq, h.points).masks) for h in hyperplanes]
+    kept = [st.parts["complement", h.points] for h in hyperplanes]
+    oracles = [complement_graph_of_ovoid(gq, h.points) for h in hyperplanes]
+    assert checked == [masks for _, masks in kept] == [g.masks for g in oracles]
+    assert [tuple(gq.points[i] for i in keep) for keep, _ in kept] == [g.vertices for g in oracles]
 
 
 def test_grid_arrangement_matches_oracle(hyperplanes):
@@ -658,6 +662,30 @@ def test_warm_verify_all_evaluates_each_line_once(monkeypatch):
     assert calls == {
         "line_table": 1, "line_product_sign": 15, "mub_spread_check": 6, "mermin_square_check": 11,
     }
+
+
+def test_warm_verify_all_derives_nothing(monkeypatch):
+    """A warm ``verify_all()`` reads every part of the structure as kept: it
+    builds no part and calls no helper that derives one, while it makes the
+    verdict calls of every call: 31 mask checks, 11 Mermin evaluations, 6
+    unbiasedness tests, 15 line signs and 105 commutation tests (10 for each
+    of the six ovoid fives, 3 for each of the 15 lines)."""
+    co.verify_all()
+    st = co.STRUCTURE
+    kept, parts = dict(vars(st)), dict(st.parts)
+    calls = _count_calls(
+        monkeypatch, projline.induced_neighbor_masks, quadrangle.triangles, co.operator_signs,
+        pauli.commutation_table, co._parallel_classes, quadrangle.enumerate_hyperplanes,
+        quadrangle.build_gq_from_graph, projline.simultaneous_subconfig, projline.induced_signs,
+        quadrangle.mask_maps_onto, pauli.mermin_square_check, pauli.mub_spread_check,
+        pauli.line_product_sign, pauli.commutes,
+    )
+    assert co.verify_all().passed
+    assert calls == {
+        "mask_maps_onto": 31, "mermin_square_check": 11, "mub_spread_check": 6,
+        "line_product_sign": 15, "commutes": 105,
+    }
+    assert vars(st) == kept and st.parts == parts
 
 
 def test_warm_verify_all_builds_no_dual(monkeypatch):
