@@ -288,8 +288,19 @@ class Structure:
         pairs = tuple((p, q) for p, q in itertools.combinations(nbrs, 2) if g.has_edge(p, q))
         return nbrs, pairs, tuple(h.points for h in self.by_kind[PERP_SET] if h.center == x)
 
-    @_kept_per_key
     def cells(self, points: frozenset) -> tuple | None:
+        """``_arrange(points)``, kept in ``parts`` by ("cells", points) for
+        the grid hyperplanes of ``by_kind`` alone: any other point set is
+        arranged afresh on each call and keeps nothing."""
+        try:
+            return self.parts["cells", points]
+        except KeyError:
+            grid = self._arrange(points)
+            if any(h.points == points for h in self.by_kind[GRID]):
+                self.parts["cells", points] = grid
+            return grid
+
+    def _arrange(self, points: frozenset) -> tuple | None:
         """The 3x3 arrangement of grid ``points`` that ``grid_mermin_arrangement``
         evaluates, or None.  Rows and columns must be the two parallel
         classes of the six lines of ``gq`` inside ``points``.  Every
@@ -297,7 +308,7 @@ class Structure:
         meets each column in one point) when one is, and, since a line's sign
         does not depend on the order of its commuting operators, magic when
         one is.  The arrangement with the lexicographically least flattened
-        label tuple is the one kept, making the result deterministic.  It is
+        label tuple is the one returned, making the result deterministic.  It is
         built directly on point masks: in either class order, the row and
         column through the grid's least point come first, the other columns
         follow by their meet with that row and the other rows by their meet
@@ -764,16 +775,17 @@ def verify_split_9_6(st: Structure, square: MerminResult | ValueError) -> Report
 
     splits = []
     six = range(len(fam_distant))
-    for combo in itertools.combinations(six, 3):
-        if 0 not in combo:
+    at = [line.index_of(p.canonical) for p in fam_distant]
+    nbrs, bits = [line.neighbor_masks[i] for i in at], [1 << i for i in at]
+    every = sum(bits)
+    for b, c in itertools.combinations(six[1:], 2):
+        combo = (0, b, c)
+        # every cross pair is a neighbor when each point of the first triple
+        # has all of the second among its neighbors
+        if (every ^ bits[0] ^ bits[b] ^ bits[c]) & ~(nbrs[0] & nbrs[b] & nbrs[c]):
             continue
         first = [fam_distant[i] for i in combo]
         second = [fam_distant[i] for i in six if i not in combo]
-        cross_ok = all(
-            line.relation_of(p, q) == NEIGHBOR for p in first for q in second
-        )
-        if not cross_ok:
-            continue
         if all(
             _subline_witness(st, t + [u, v], "gf4") is not None
             for t in (first, second)

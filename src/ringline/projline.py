@@ -336,19 +336,144 @@ def gl2_elements(ring: Ring) -> tuple[Mat2, ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _triple_tables(line: ProjectiveLine, us: tuple[RingElement, ...]) -> tuple[list, list, list]:
-    """What ``distant_triple_witnesses`` reads of the line and the units
-    ``us`` alone: the bit of the class of every pair (bit n, in no mask, for
-    a pair in none), each point's scaled rows (s, s.c, s.d) for its
-    canonical pair (c, d), and whether all of a point's scaled rows lie in
-    its own class."""
-    ring, n, index = line.ring, len(line.points), line._index_by_pair
-    mul, canonical = ring.mul_table, [pt.canonical for pt in line.points]
-    bit_of = [[1 << index.get((a, b), n) for b in ring.elements()] for a in ring.elements()]
+def _pack(high: bytes, low: bytes) -> bytes:
+    """The bytes h << 4 | l of two equally long strings of values below 16."""
+    packed = int.from_bytes(high, "big") << 4 | int.from_bytes(low, "big")
+    return packed.to_bytes(len(high), "big")
+
+
+def _table(entries: Iterable[int]) -> bytes:
+    """The translate table sending byte x to ``entries[x]``, and to 0 past
+    their end."""
+    return bytes(entries).ljust(256, b"\0")
+
+
+class _BulkKeys(NamedTuple):
+    """The keys of the bulk pass for a line and a unit list.  A position is
+    a (unit s, distant ordered pair (i, j)); the positions come in one block
+    per unit, each holding the pairs in row order.  Ring elements x and y
+    share a byte as x << 4 | y."""
+
+    witnesses: dict[tuple[int, int], int]  # per pair, the points distant from both
+    partners: list[list[int]]  # per point, the points distant from it
+    canonical: list[Pair]  # per point, its canonical pair
+    row_pairs: list[Pair]  # the scaled rows, point by point
+    rows: bytes  # the scaled rows packed
+    row_points: bytes  # the point of each scaled row
+    terms: bytes  # a << 4 | e per position, then b << 4 | f, for x_i = (a, b), s.y_j = (e, f)
+    add: bytes  # the addition table on packed bytes
+    classes: bytes  # a packed pair to its point, n for none
+    one_hot: tuple[bytes, ...]  # per lane byte b, a point k to byte b of 1 << k
+    expected: int  # the witness masks, pair p's in lane p
+
+
+@lru_cache(maxsize=8)
+def _triple_keys(line: ProjectiveLine, us: tuple[RingElement, ...]) -> tuple[list, _BulkKeys | None]:
+    """What ``distant_triple_witnesses`` keeps of the line and the units
+    ``us``: each point's scaled rows (s, s.c, s.d) for its canonical pair
+    (c, d), and the keys of the bulk pass, or None where that pass cannot
+    decide: no distant pair, a ring of order above 16, a table entry outside
+    the ring, or a distant pair with other than ``len(us)`` common distant
+    points.  No class of a sum is kept."""
+    ring, distant = line.ring, line.distant_masks
+    mul, n, u = ring.mul_table, len(line.points), len(us)
+    canonical = [pt.canonical for pt in line.points]
     scaled = [[(s, mul[s][c], mul[s][d]) for s in us] for c, d in canonical]
-    in_class = [all(bit_of[e][f] == 1 << j for _, e, f in rows) for j, rows in enumerate(scaled)]
-    return bit_of, scaled, in_class
+    partners = [list(gf2.bits(mask)) for mask in distant]
+    pairs = [(i, j) for i, js in enumerate(partners) for j in js]
+    boths = [distant[i] & distant[j] for i, j in pairs]
+    elements = set(ring.elements())
+    if (
+        not pairs
+        or ring.order > 16
+        or not all(elements.issuperset(row) for row in ring.add_table + mul)
+        or any(both.bit_count() != u for both in boths)
+    ):
+        return scaled, None
+    # a block gathers i's canonical entry and j's scaled entry of each pair
+    # by translating the pair's point bytes
+    i_at, j_at = bytes(i for i, _ in pairs), bytes(j for _, j in pairs)
+    terms = []
+    for c in (0, 1):
+        x_at = i_at.translate(_table(x[c] for x in canonical))
+        terms += [_pack(x_at, j_at.translate(_table(r[t][c + 1] for r in scaled))) for t in range(u)]
+    classes = bytearray([n]) * 256
+    for (x, y), k in line._index_by_pair.items():
+        classes[x << 4 | y] = k
+    # a lane sums u one-hot bits below bit n + 1, which n + bit_length(u)
+    # bits hold without a carry into the next lane
+    width = (n + u.bit_length() + 7) // 8
+    return scaled, _BulkKeys(
+        dict(zip(pairs, boths)),
+        partners,
+        canonical,
+        [(e, f) for rows in scaled for _, e, f in rows],
+        bytes(e << 4 | f for rows in scaled for _, e, f in rows),
+        bytes(j for j in range(n) for _ in us),
+        b"".join(terms),
+        _table(b"".join(bytes(row).ljust(16, b"\0") for row in ring.add_table)),
+        bytes(classes),
+        tuple(bytes(1 << (k & 7) if k >> 3 == b else 0 for k in range(256)) for b in range(width)),
+        int.from_bytes(b"".join(both.to_bytes(width, "little") for both in boths), "little"),
+    )
+
+
+def _bulk_pass(spans: dict[Pair, int], keys: _BulkKeys) -> bool:
+    """True when every (unit, distant pair) position is a witness, decided
+    in a few passes over all positions at once; False on any doubt.
+
+    Each canonical row's span must meet none of the spans of the scaled
+    rows of the points distant from it, and each scaled row must lie in its
+    own point's class.  The third points k come from one translate through
+    the addition table, one shift-or and one translate to classes; each k
+    becomes a one-hot lane 1 << k, and the lanes of each pair, summed over
+    the unit blocks, must equal the mask of the points distant from both.
+    That mask has one bit per unit, so the sum equals it only when the
+    pair's third points are distinct and are exactly those points.
+    """
+    try:
+        tops = list(map(spans.__getitem__, keys.canonical))
+        row_spans = list(map(spans.__getitem__, keys.row_pairs))
+    except KeyError:
+        return False
+    u = len(row_spans) // len(tops)
+    reach = [reduce(or_, row_spans[j * u : j * u + u], 0) for j in range(len(tops))]
+    # a span meets none of several spans when it misses their union
+    if any(top & reduce(or_, map(reach.__getitem__, js), 0) for top, js in zip(tops, keys.partners)):
+        return False
+    if keys.rows.translate(keys.classes) != keys.row_points:
+        return False
+    sums, half = keys.terms.translate(keys.add), len(keys.terms) // 2
+    third = _pack(sums[:half], sums[half:]).translate(keys.classes)
+    width = len(keys.one_hot)
+    lanes = bytearray(half * width)
+    for b, table in enumerate(keys.one_hot):
+        lanes[b::width] = third.translate(table)
+    block = len(keys.witnesses) * width
+    total = sum(int.from_bytes(lanes[t : t + block], "little") for t in range(0, len(lanes), block))
+    return total == keys.expected
+
+
+def _witness_loop(line: ProjectiveLine, spans: dict[Pair, int], scaled: list) -> tuple[dict, list]:
+    """The unit-by-unit check of every distant pair (i, j), naming each
+    (i, j, s) that witnesses nothing, in row order and then unit order."""
+    distant, index, add = line.distant_masks, line._index_by_pair, line.ring.add_table
+    witnesses: dict[tuple[int, int], int] = {}
+    failures: list[tuple[int, int, RingElement]] = []
+    for i, mask in enumerate(distant):
+        a, b = line.points[i].canonical
+        top, add_a, add_b = spans.get((a, b), -1), add[a], add[b]
+        for j in gf2.bits(mask):
+            both, found = mask & distant[j], 0
+            for s, e, f in scaled[j]:
+                # a pair in no class gets n, a bit in no mask
+                k = index.get((add_a[e], add_b[f]), len(distant))
+                if both >> k & 1 and index.get((e, f)) == j and not top & spans.get((e, f), -1):
+                    found |= 1 << k
+                else:
+                    failures.append((i, j, s))
+            witnesses[i, j] = found
+    return witnesses, failures
 
 
 def distant_triple_witnesses(
@@ -363,36 +488,15 @@ def distant_triple_witnesses(
     For each distant pair (i, j), with canonical pairs x0 and y0, and each
     unit s, the matrix with rows x0 and s.y0 is a witness when its row spans
     meet only in 0, s.y0 lies in class j, and the class k of x0 + s.y0 is
-    distant from i and j.  A pair is accepted in one pass when all of j's
-    scaled rows lie in class j, x0's span meets none of theirs and every k
-    is distant from both; otherwise the unit-by-unit loop names each s that
-    fails.
+    distant from i and j.  The bulk pass checks every position at once
+    against the row spans read on this call; when it has any doubt, the
+    unit-by-unit loop checks every pair and names each (i, j, s) that fails.
     """
-    ring, distant = line.ring, line.distant_masks
-    spans, add = _row_spans(ring), ring.add_table
-    bit_of, scaled, in_class = _triple_tables(line, tuple(sorted(units(ring))))
-    # the spans of each point's scaled rows ORed; a pair without full rank
-    # gets span -1, which meets every span
-    span_or = [reduce(or_, (spans.get((e, f), -1) for _, e, f in row), 0) for row in scaled]
-    witnesses: dict[tuple[int, int], int] = {}
-    failures: list[tuple[int, int, RingElement]] = []
-    for i, mask in enumerate(distant):
-        a, b = line.points[i].canonical
-        top, add_a, add_b = spans.get((a, b), -1), add[a], add[b]
-        for j in gf2.bits(mask):
-            both, rows, found = mask & distant[j], scaled[j], 0
-            for _, e, f in rows:
-                found |= bit_of[add_a[e]][add_b[f]]
-            if found & ~both or top & span_or[j] or not in_class[j]:
-                found = 0
-                for s, e, f in rows:
-                    bit = bit_of[add_a[e]][add_b[f]]
-                    if both & bit and bit_of[e][f] == 1 << j and not top & spans.get((e, f), -1):
-                        found |= bit
-                    else:
-                        failures.append((i, j, s))
-            witnesses[i, j] = found
-    return witnesses, failures
+    spans = _row_spans(line.ring)
+    scaled, keys = _triple_keys(line, tuple(sorted(units(line.ring))))
+    if keys is not None and _bulk_pass(spans, keys):
+        return keys.witnesses.copy(), []
+    return _witness_loop(line, spans, scaled)
 
 
 def map_standard_triple_to(

@@ -913,6 +913,32 @@ def test_split_9_6_builds_the_nine_masks_once(monkeypatch):
     assert st.parts["induced", nine] == tuple(real(line, nine))
 
 
+@pytest.mark.parametrize("first, second", list(itertools.product(*map(sorted, golden.TRIPLE_SPLIT))))
+def test_split_9_6_searches_the_split_on_each_call(first, second, monkeypatch):
+    """After a warm run, a cross pair of the recorded split made distant in
+    the structure's line fails the split check: the neighbor mask test
+    reads the line on each call, so no gf4 witness of a triple is tried."""
+    assert verify_all().passed
+    line, u, v, pts, families = co.STRUCTURE.sub
+    i, j = (line.index_of(families[0][label - 1].canonical) for label in (first, second))
+    assert line.relation[i][j] == "-"
+    rows = [list(row) for row in line.relation]
+    rows[i][j] = rows[j][i] = "+"
+    bad = line._replace(relation=tuple("".join(row) for row in rows))
+    monkeypatch.setattr(co.STRUCTURE, "sub", (bad, u, v, pts, families))
+    real, targets = co._subline_witness, Counter()
+
+    def counted(st, points, target):
+        targets[target] += 1
+        return real(st, points, target)
+
+    monkeypatch.setattr(co, "_subline_witness", counted)
+    square = co.standard_square(co.STRUCTURE, co.line_table(co.STRUCTURE))
+    checks = {c.name: c for c in verify_split_9_6(co.STRUCTURE, square).checks}
+    assert (checks[SPLIT_CHECK].passed, checks[SPLIT_CHECK].detail) == (False, "0 splits found")
+    assert targets == {"gf2xgf2": 1}
+
+
 # the trinity row that sums up each kind of sub-line report
 PERP_ROW = "perp row: 15 perp sets, gf2dual sublines, six commuting partners"
 OVOID_ROW = "ovoid row: 6 ovoids, gf4 sublines, mutually non-commuting fives"

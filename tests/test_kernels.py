@@ -140,22 +140,43 @@ def test_petersen_witness_checks_the_complement_masks(monkeypatch, hyperplanes):
     assert [tuple(gq.points[i] for i in keep) for keep, _ in kept] == [g.vertices for g in oracles]
 
 
-def test_grid_arrangement_matches_oracle(hyperplanes):
-    """On every hyperplane, on each grid with one point traded for an
-    outside one, and on a set whose two line classes cross, the mask
-    arrangement is the one the frozenset scans give."""
-    gq = co.STRUCTURE.gq
+def _arrangement_sets(gq, hyperplanes):
+    """Every hyperplane, each grid with one point traded for an outside one,
+    and a set whose two line classes cross."""
     sets = [h.points for h in hyperplanes] + [frozenset((1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12))]
     for h in hyperplanes:
         if h.kind == "grid":
             sets += [h.points - {p} | {q} for p in h.points for q in set(gq.points) - h.points]
     assert len(sets) == 31 + 1 + 10 * 9 * 6
-    found, lines = Counter(), co.line_table(co.STRUCTURE)
+    return sets
+
+
+def _arrangements_match_oracle(st, sets):
+    found, lines = Counter(), co.line_table(st)
     for points in sets:
-        got = co.grid_mermin_arrangement(co.STRUCTURE, points, lines)
-        assert got == oracle.grid_mermin_arrangement(gq, points, co._ops_for), sorted(points)
+        got = co.grid_mermin_arrangement(st, points, lines)
+        assert got == oracle.grid_mermin_arrangement(st.gq, points, co._ops_for), sorted(points)
         found[got is not None] += 1
     assert found[True] == 10
+
+
+def test_grid_arrangement_matches_oracle(hyperplanes):
+    """On every set of ``_arrangement_sets`` the mask arrangement is the one
+    the frozenset scans give."""
+    _arrangements_match_oracle(co.STRUCTURE, _arrangement_sets(co.STRUCTURE.gq, hyperplanes))
+
+
+def test_arrangements_keep_only_the_grid_hyperplanes(hyperplanes):
+    """Asking a fresh structure about the 572 sets of ``_arrangement_sets``
+    keeps the cells of the ten grid hyperplanes alone, and a second round,
+    reading those, gives the same arrangements."""
+    st = co.Structure()
+    sets = _arrangement_sets(st.gq, hyperplanes)
+    _arrangements_match_oracle(st, sets)
+    kept = {key for name, key in st.parts if name == "cells"}
+    assert kept == {h.points for h in st.by_kind["grid"]}
+    _arrangements_match_oracle(st, sets)
+    assert all(st.parts["cells", points] == st._arrange(points) for points in kept)
 
 
 def test_collinear_is_sharing_a_line(gq):
@@ -390,11 +411,11 @@ def test_distant_triple_witnesses_match_oracle_on_wrong_unit_lists(change, monke
         assert _witnesses_as_triples(line) == oracle.distant_triple_witnesses(line)
 
 
-def test_distant_triple_witnesses_match_oracle_on_corrupted_addition():
-    """Each built line of m2f2, gf4 and gf2xgf2 with one addition cell
+def _match_oracle_on_corrupted(table):
+    """Each built line of m2f2, gf4 and gf2xgf2 with one cell of ``table``
     changed (every wrong value of every cell of the small rings, one of
     every fourth m2f2 cell): the witnesses and the failures, in order, are
-    the oracle's, both where a pair passes in one pass and where the
+    the oracle's, both where the bulk pass accepts the line and where the
     unit-by-unit loop has to name a failure."""
     outcomes = Counter()
     for name in WITNESS_RINGS:
@@ -403,14 +424,24 @@ def test_distant_triple_witnesses_match_oracle_on_corrupted_addition():
         for x, y in itertools.product(range(ring.order), repeat=2):
             if ring.order == 16 and (x + y) % 4:
                 continue
-            for value in _wrong_values(ring, "add_table", x, y):
-                bad = line._replace(ring=_with_cell(ring, "add_table", x, y, value))
+            for value in _wrong_values(ring, table, x, y):
+                bad = line._replace(ring=_with_cell(ring, table, x, y, value))
                 got = _witnesses_as_triples(bad)
                 assert got == oracle.distant_triple_witnesses(bad), (name, x, y, value)
                 outcomes[bool(got[1])] += 1
     # 64 m2f2 cells with one wrong value, 16 cells with 3 in each small ring
     assert sum(outcomes.values()) == 64 + 2 * 48
     assert outcomes[True] and outcomes[False]
+
+
+def test_distant_triple_witnesses_match_oracle_on_corrupted_addition():
+    _match_oracle_on_corrupted("add_table")
+
+
+def test_distant_triple_witnesses_match_oracle_on_corrupted_multiplication():
+    """The kept scaled rows s.y0 and the keys built from them read the
+    multiplication table."""
+    _match_oracle_on_corrupted("mul_table")
 
 
 def test_distant_triple_witnesses_match_oracle_on_flipped_cells(m2f2_line):
@@ -420,6 +451,95 @@ def test_distant_triple_witnesses_match_oracle_on_flipped_cells(m2f2_line):
         bad = m2f2_line._replace(relation=tuple("".join(row) for row in rows))
         got = _witnesses_as_triples(bad)
         assert got[1] and got == oracle.distant_triple_witnesses(bad)
+
+
+def test_warm_verify_all_runs_no_unit_by_unit_loop(monkeypatch):
+    """The intact line is accepted by the bulk pass: a warm ``verify_all()``
+    runs it once and never enters the unit-by-unit loop."""
+    co.verify_all()
+    calls = _count_calls(monkeypatch, projline._bulk_pass, projline._witness_loop)
+    assert co.verify_all().passed
+    assert calls == {"_bulk_pass": 1}
+
+
+def test_bulk_pass_doubts_each_condition_it_checks(m2f2_line):
+    """The bulk pass accepts the intact line and doubts a missing span, a
+    span that meets a partner's, a scaled row outside its point's class and
+    a lane sum off by one; a unit list that is not as long as every pair's
+    common distant points gets no bulk keys at all."""
+    us = tuple(sorted(rings.units(m2f2_line.ring)))
+    spans = projline._row_spans(m2f2_line.ring)
+    _, keys = projline._triple_keys(m2f2_line, us)
+    assert projline._bulk_pass(spans, keys)
+    x0, y0 = m2f2_line.points[0].canonical, m2f2_line.points[keys.partners[0][0]].canonical
+    missing = {p: span for p, span in spans.items() if p != y0}
+    assert not projline._bulk_pass(missing, keys)
+    assert not projline._bulk_pass(spans | {x0: spans[x0] | spans[y0]}, keys)
+    moved = bytes([keys.row_points[0] + 1]) + keys.row_points[1:]
+    assert not projline._bulk_pass(spans, keys._replace(row_points=moved))
+    assert not projline._bulk_pass(spans, keys._replace(expected=keys.expected + 1))
+    assert projline._triple_keys(m2f2_line, us[:-1])[1] is None
+    assert projline._triple_keys(m2f2_line, us + (m2f2_line.ring.zero,))[1] is None
+
+
+def _units(change):
+    def wrong_units(line, monkeypatch):
+        good = rings.units(line.ring)
+        wrong = frozenset(sorted(good)[:-1]) if change == "drop" else good | {line.ring.zero}
+        for module in (projline, oracle):
+            monkeypatch.setattr(module, "units", lambda ring: wrong)
+        return line
+
+    return wrong_units
+
+
+def _first_failing_cell(table):
+    def failing_cell(line, monkeypatch):
+        ring = line.ring
+        for x, y in itertools.product(range(ring.order), repeat=2):
+            for value in _wrong_values(ring, table, x, y):
+                bad = line._replace(ring=_with_cell(ring, table, x, y, value))
+                if oracle.distant_triple_witnesses(bad)[1]:
+                    return bad
+        raise AssertionError(f"no {table} cell spoils a witness")
+
+    return failing_cell
+
+
+def _flipped_relation_cell(line, monkeypatch):
+    rows = [list(row) for row in line.relation]
+    rows[0][1] = rows[1][0] = "+" if rows[0][1] == "-" else "-"
+    return line._replace(relation=tuple("".join(row) for row in rows))
+
+
+def _span_meeting_a_partner(line, monkeypatch):
+    i, j = next((i, row.index("+")) for i, row in enumerate(line.relation) if "+" in row)
+    spans = dict(projline._row_spans(line.ring))
+    spans[line.points[i].canonical] |= spans[line.points[j].canonical]
+    for module in (projline, oracle):
+        monkeypatch.setattr(module, "_row_spans", lambda ring: spans)
+    return line
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _units("drop"), _units("add"), _first_failing_cell("add_table"),
+        _first_failing_cell("mul_table"), _flipped_relation_cell, _span_meeting_a_partner,
+    ],
+    ids=["units one short", "units with zero", "addition cell", "multiplication cell",
+         "flipped relation cell", "span meeting a partner"],
+)
+def test_each_corruption_runs_the_unit_by_unit_loop(corrupt, monkeypatch, m2f2_line):
+    """Every corruption family leaves the bulk pass in doubt: the call runs
+    the unit-by-unit loop once, and the witnesses and the failures are the
+    oracle's (a unit list one short fails no unit, it only witnesses less)."""
+    bad = corrupt(m2f2_line, monkeypatch)
+    calls = _count_calls(monkeypatch, projline._witness_loop)
+    got = _witnesses_as_triples(bad)
+    assert calls == {"_witness_loop": 1}
+    assert got == oracle.distant_triple_witnesses(bad)
+    assert got[1] or len(got[0]) < 3360
 
 
 def _wrong_values(ring, table, x, y):
