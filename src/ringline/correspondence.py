@@ -374,6 +374,7 @@ def _line_sign(lines: Mapping, labels: Sequence[int]) -> int:
 def verify_ring_tables(st: Structure) -> Report:
     """Generated 2x2-matrix-ring tables against the stored fixture."""
     ring = st.rings("m2f2")
+    us, zds = units(ring), zero_divisors(ring)
     checks = [
         CheckResult(
             "addition table matches fixture",
@@ -387,12 +388,12 @@ def verify_ring_tables(st: Structure) -> Report:
         ),
         CheckResult(
             "unit set",
-            units(ring) == golden.M2F2_UNITS,
-            "{" + ",".join(str(u) for u in sorted(units(ring))) + "}",
+            us == golden.M2F2_UNITS,
+            "{" + ",".join(str(u) for u in sorted(us)) + "}",
         ),
         CheckResult(
             "zero divisor count",
-            len(zero_divisors(ring)) == 10 and ring.zero in zero_divisors(ring),
+            len(zds) == 10 and ring.zero in zds,
             "10 including zero",
         ),
     ]

@@ -8,12 +8,13 @@ minimum.  Two points are distant when the 2x2 matrix stacking any two of
 their representatives is invertible, neighbor otherwise.  The relation does
 not depend on the chosen representatives.
 
-Every invertibility question is answered from one cached table.  With each
-entry replaced by its k x k GF(2) representation, a row pair (a, b) becomes
-k packed rows of 2k bits; the matrix stacking (a, b) over (c, d) is
-invertible exactly when both row pairs have rank k and their row spans meet
-only in 0.  ``_row_spans`` keeps, for each rank-k pair, its span as a
-bitmask over the nonzero vectors, so each such question is one AND.
+With each entry replaced by its k x k GF(2) representation, a row pair
+(a, b) becomes k packed rows of 2k bits; the matrix stacking (a, b) over
+(c, d) is invertible exactly when both row pairs have rank k and their row
+spans meet only in 0.  ``_row_spans`` gives each rank-k pair's span as a
+bitmask over the nonzero vectors, so each such question is one AND.  The
+line keeps that table, its units and its triple-witness keys as its parts;
+only ``enumerate_line`` is cached, for rings that pass ``validate_ring``.
 """
 
 from __future__ import annotations
@@ -78,44 +79,28 @@ def blowup(ring: Ring, m: Mat2) -> gf2.BitMatrix:
     return top + bot
 
 
-@lru_cache(maxsize=None)
 def _row_spans(ring: Ring) -> dict[Pair, int]:
     """Each pair whose k packed GF(2) rows have rank k, mapped to the bitmask
     of the nonzero vectors in its row span (bit v set for vector v)."""
-    k = ring.rep_dim
-    rep = ring.rep
-    spans = {}
-    for a in ring.elements():
-        for b in ring.elements():
-            rows = [rep[a][i] | (rep[b][i] << k) for i in range(k)]
-            if gf2.rank(rows) == k:
-                span = [0]
-                for row in rows:
-                    span += [v ^ row for v in span]
-                spans[(a, b)] = sum(1 << v for v in span[1:])
+    k, rep, spans = ring.rep_dim, ring.rep, {}
+    for a, b in itertools.product(ring.elements(), repeat=2):
+        rows = [rep[a][i] | (rep[b][i] << k) for i in range(k)]
+        if gf2.rank(rows) == k:
+            span = [0]
+            for row in rows:
+                span += [v ^ row for v in span]
+            spans[(a, b)] = sum(1 << v for v in span[1:])
     return spans
 
 
 def is_invertible_2x2(ring: Ring, m: Mat2) -> bool:
-    """True when both row pairs are in the row-span table and their spans
-    meet only in 0."""
-    spans = _row_spans(ring)
-    top = spans.get((m.a, m.b))
-    bot = spans.get((m.c, m.d))
-    return top is not None and bot is not None and not top & bot
-
-
-@lru_cache(maxsize=None)
-def _admissible(ring: Ring) -> frozenset[Pair]:
-    spans = _row_spans(ring)
-    return frozenset(
-        p for p, top in spans.items() if any(not top & bot for bot in spans.values())
-    )
+    """True when the blow-up of ``m`` has full rank 2k."""
+    return gf2.rank(blowup(ring, m)) == 2 * ring.rep_dim
 
 
 def is_admissible(ring: Ring, a: RingElement, b: RingElement) -> bool:
-    """True when (a, b) extends to an invertible 2x2 matrix."""
-    return (a, b) in _admissible(ring)
+    """True when (a, b) extends to an invertible 2x2 matrix: lies on the line."""
+    return (a, b) in enumerate_line(ring)._index_by_pair
 
 
 class PointClass(NamedTuple):
@@ -139,8 +124,24 @@ class ProjectiveLine(_LineFields):
 
     ``relation[i][j]`` is "+" (distant) or "-" (neighbor) for the points at
     positions i and j; the diagonal is "-".  The fields live in a NamedTuple
-    base; this subclass keeps an instance dict for its cached indexes.
+    base; this subclass keeps an instance dict for its cached parts.
     """
+
+    @cached_property
+    def spans(self) -> dict[Pair, int]:
+        """``_row_spans`` of the ring; ``enumerate_line`` seeds it."""
+        return _row_spans(self.ring)
+
+    @cached_property
+    def units(self) -> tuple[RingElement, ...]:
+        """The units of the ring, sorted."""
+        return tuple(sorted(units(self.ring)))
+
+    @cached_property
+    def _bulk_keys(self) -> tuple[tuple[RingElement, ...], list, _BulkKeys | None]:
+        """``units`` and ``_triple_keys`` of the line for them."""
+        us = self.units
+        return us, *_triple_keys(self, us)
 
     @cached_property
     def distant_masks(self) -> tuple[int, ...]:
@@ -196,18 +197,21 @@ def enumerate_line(ring: Ring) -> ProjectiveLine:
     problems = validate_ring(ring)
     if problems:
         raise ValueError(f"{ring.name} is not a ring: {problems[0]}")
-    us = units(ring)
+    spans, us = _row_spans(ring), units(ring)
+    # the admissible pairs: those whose span misses some other span
     orbits = {
         frozenset((ring.mul(u, a), ring.mul(u, b)) for u in us)
-        for a, b in _admissible(ring)
+        for (a, b), top in spans.items()
+        if any(not top & bot for bot in spans.values())
     }
     points = sorted((PointClass(min(o), o) for o in orbits), key=lambda pt: pt.canonical)
-    spans = _row_spans(ring)
     masks = [spans[pt.canonical] for pt in points]
     rel = tuple(
         "".join(NEIGHBOR if top & bot else DISTANT for bot in masks) for top in masks
     )
-    return ProjectiveLine(ring, tuple(points), rel)
+    line = ProjectiveLine(ring, tuple(points), rel)
+    line.spans = spans
+    return line
 
 
 def _as_class(line: ProjectiveLine, p: PointClass | Pair) -> PointClass:
@@ -301,11 +305,6 @@ def mat_mul(ring: Ring, m: Mat2, n: Mat2) -> Mat2:
     )
 
 
-@lru_cache(maxsize=None)
-def _rep_index(ring: Ring) -> dict[gf2.BitMatrix, RingElement]:
-    return {m: x for x, m in enumerate(ring.rep)}
-
-
 def mat_inv(ring: Ring, m: Mat2) -> Mat2:
     """Exact inverse via the bit-matrix representation."""
     k = ring.rep_dim
@@ -313,7 +312,7 @@ def mat_inv(ring: Ring, m: Mat2) -> Mat2:
     if inv is None:
         raise ValueError(f"{m} is not invertible over {ring.name}")
     mask = (1 << k) - 1
-    look = _rep_index(ring)
+    look = {rep: x for x, rep in enumerate(ring.rep)}
 
     def block(i: int, j: int) -> RingElement:
         return look[tuple((inv[i * k + r] >> (j * k)) & mask for r in range(k))]
@@ -321,7 +320,6 @@ def mat_inv(ring: Ring, m: Mat2) -> Mat2:
     return Mat2(block(0, 0), block(0, 1), block(1, 0), block(1, 1))
 
 
-@lru_cache(maxsize=None)
 def gl2_elements(ring: Ring) -> tuple[Mat2, ...]:
     """All invertible 2x2 matrices over the ring, sorted: every pair of
     row-span table entries whose spans meet only in 0.  A test oracle; the
@@ -367,9 +365,8 @@ class _BulkKeys(NamedTuple):
     expected: int  # the witness masks, pair p's in lane p
 
 
-@lru_cache(maxsize=8)
 def _triple_keys(line: ProjectiveLine, us: tuple[RingElement, ...]) -> tuple[list, _BulkKeys | None]:
-    """What ``distant_triple_witnesses`` keeps of the line and the units
+    """What the line keeps for ``distant_triple_witnesses`` and the units
     ``us``: each point's scaled rows (s, s.c, s.d) for its canonical pair
     (c, d), and the keys of the bulk pass, or None where that pass cannot
     decide: no distant pair, a ring of order above 16, a table entry outside
@@ -489,11 +486,14 @@ def distant_triple_witnesses(
     unit s, the matrix with rows x0 and s.y0 is a witness when its row spans
     meet only in 0, s.y0 lies in class j, and the class k of x0 + s.y0 is
     distant from i and j.  The bulk pass checks every position at once
-    against the row spans read on this call; when it has any doubt, the
-    unit-by-unit loop checks every pair and names each (i, j, s) that fails.
+    against the row spans read on this call, with the line's keys for the
+    units read on this call; when it has any doubt, the unit-by-unit loop
+    checks every pair and names each (i, j, s) that fails.
     """
-    spans = _row_spans(line.ring)
-    scaled, keys = _triple_keys(line, tuple(sorted(units(line.ring))))
+    spans, us = line.spans, line.units
+    kept, scaled, keys = line._bulk_keys
+    if kept != us:
+        scaled, keys = _triple_keys(line, us)
     if keys is not None and _bulk_pass(spans, keys):
         return keys.witnesses.copy(), []
     return _witness_loop(line, spans, scaled)
@@ -517,8 +517,8 @@ def map_standard_triple_to(
         if p == q or line.relation_of(p, q) != DISTANT:
             raise ValueError("triple must consist of three pairwise distant points")
     (x0, x1), (y0, y1) = x.canonical, y.canonical
-    for ru in sorted(units(ring)):
-        for su in sorted(units(ring)):
+    for ru in line.units:
+        for su in line.units:
             m = Mat2(ring.mul(ru, x0), ring.mul(ru, x1), ring.mul(su, y0), ring.mul(su, y1))
             if (ring.add(m.a, m.c), ring.add(m.b, m.d)) in z.members:
                 return m

@@ -82,27 +82,6 @@ class Ring(NamedTuple):
         return range(self.order)
 
 
-@lru_cache(maxsize=None)
-def _model_tables(rep_dim: int, reps: tuple[gf2.BitMatrix, ...]) -> tuple[tuple, tuple]:
-    """The tables of ``reps`` under XOR and the GF(2) matrix product: entry
-    ``[x][y]`` labels the sum, or the product, of ``reps[x]`` and ``reps[y]``.
-    Raises ValueError unless the matrices are distinct ``rep_dim x rep_dim``
-    bit matrices closed under both operations."""
-    if any(len(m) != rep_dim or any(r >> rep_dim for r in m) for m in reps):
-        raise ValueError(f"representation matrices are not {rep_dim}x{rep_dim} bit matrices")
-    index = {m: i for i, m in enumerate(reps)}
-    if len(index) != len(reps):
-        raise ValueError("representation matrices are not distinct")
-    tables = []
-    for op, word in ((gf2.add, "addition"), (gf2.multiply, "multiplication")):
-        rows = [tuple(index.get(op(a, b)) for b in reps) for a in reps]
-        for x, row in enumerate(rows):
-            if None in row:
-                raise ValueError(f"not closed under {word} at ({x}, {row.index(None)})")
-        tables.append(tuple(rows))
-    return tuple(tables)
-
-
 # name -> (rep_dim, the element matrices in label order).  In m2f2, label 1
 # is the identity; labels 0..15 otherwise follow the fixed published
 # numbering that the rest of the package (point representatives, sign
@@ -139,6 +118,27 @@ _MODELS = {
 }
 
 
+@lru_cache(maxsize=len(_MODELS))
+def _model_tables(rep_dim: int, reps: tuple[gf2.BitMatrix, ...]) -> tuple[tuple, tuple]:
+    """The tables of ``reps`` under XOR and the GF(2) matrix product: entry
+    ``[x][y]`` labels the sum, or the product, of ``reps[x]`` and ``reps[y]``.
+    Raises ValueError unless the matrices are distinct ``rep_dim x rep_dim``
+    bit matrices closed under both operations."""
+    if any(len(m) != rep_dim or any(r >> rep_dim for r in m) for m in reps):
+        raise ValueError(f"representation matrices are not {rep_dim}x{rep_dim} bit matrices")
+    index = {m: i for i, m in enumerate(reps)}
+    if len(index) != len(reps):
+        raise ValueError("representation matrices are not distinct")
+    tables = []
+    for op, word in ((gf2.add, "addition"), (gf2.multiply, "multiplication")):
+        rows = [tuple(index.get(op(a, b)) for b in reps) for a in reps]
+        for x, row in enumerate(rows):
+            if None in row:
+                raise ValueError(f"not closed under {word} at ({x}, {row.index(None)})")
+        tables.append(tuple(rows))
+    return tuple(tables)
+
+
 def ring_names() -> tuple[str, ...]:
     return tuple(_MODELS)
 
@@ -159,16 +159,14 @@ def ring_by_name(name: str) -> Ring:
     return Ring(name, len(reps), zero, one, add_table, mul_table, rep_dim, reps)
 
 
-@lru_cache(maxsize=None)
 def units(ring: Ring) -> frozenset[RingElement]:
     """Elements with a two-sided multiplicative inverse."""
-    found = []
-    for x in ring.elements():
-        for y in ring.elements():
-            if ring.mul(x, y) == ring.one and ring.mul(y, x) == ring.one:
-                found.append(x)
-                break
-    return frozenset(found)
+    mul, one, elements = ring.mul_table, ring.one, ring.elements()
+    return frozenset(
+        x
+        for x in elements
+        if one in mul[x] and any(mul[x][y] == one and mul[y][x] == one for y in elements)
+    )
 
 
 def zero_divisors(ring: Ring) -> frozenset[RingElement]:

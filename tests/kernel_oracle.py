@@ -23,9 +23,8 @@ from ringline.pauli import (
     mermin_square_check,
     multiply,
 )
-from ringline.projline import DISTANT, _row_spans
+from ringline.projline import DISTANT
 from ringline.quadrangle import Graph, graph_isomorphism
-from ringline.rings import units
 
 
 def _has_edge(g, u, v):
@@ -247,10 +246,10 @@ def distant_triple_witnesses(line):
     """Witnesses read from the relation strings, every lookup inside the
     innermost loop."""
     ring, rel = line.ring, line.relation
-    spans, index = _row_spans(ring), line._index_by_pair
+    spans, index = line.spans, line._index_by_pair
     add, mul = ring.add_table, ring.mul_table
     scaled = [
-        [(s, (mul[s][c], mul[s][d])) for s in sorted(units(ring))]
+        [(s, (mul[s][c], mul[s][d])) for s in line.units]
         for c, d in (pt.canonical for pt in line.points)
     ]
     witnesses, failures = set(), []

@@ -1,7 +1,8 @@
 """Reference forms of two projective-line notions for the tests.
 
-The package decides the relation from its cached row-span table and never
-needs the reference triple; the tests state both here directly.
+The package decides the relation from the row-span table that its line
+keeps and never needs the reference triple; the tests state both here
+directly, the relation by the blow-up rank of ``is_invertible_2x2``.
 """
 
 from ringline.projline import DISTANT, NEIGHBOR, Mat2, is_invertible_2x2

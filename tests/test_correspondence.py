@@ -1118,6 +1118,41 @@ def test_kept_self_duality_fails_on_a_changed_quadrangle(change, monkeypatch, ca
     assert co.quadrangle_axioms(st) == ([], None)
 
 
+def _signs_with_a_distant_diagonal_cell(st):
+    rows = list(st.signs)
+    rows[0] = "+" + rows[0][1:]
+    return {"signs": tuple(rows)}
+
+
+def _gq_with_a_line_dropped(st):
+    s = st.gq
+    return {"gq": IncidenceStructure(s.points, s.lines[1:])}
+
+
+# a check that no corrupted ring or fixture fails -> the parts of a fresh
+# structure, read off the intact one, that must fail it
+PART_CORRUPTIONS = {
+    ("relation sign matrix", "diagonal is self-neighbor throughout"): _signs_with_a_distant_diagonal_cell,
+    ("quadrangle structure", "15 points and 15 lines"): _gq_with_a_line_dropped,
+}
+
+
+@pytest.mark.parametrize("check", list(PART_CORRUPTIONS), ids=[name for _, name in PART_CORRUPTIONS])
+def test_a_set_structure_part_fails_its_check(check, monkeypatch, capsys):
+    """Each part set on a fresh structure fails its check through
+    ``verify_all()``, which returns, and through the CLI, which exits 1
+    with nothing on stderr."""
+    st = co.Structure()
+    for part, value in PART_CORRUPTIONS[check](co.STRUCTURE).items():
+        setattr(st, part, value)
+    monkeypatch.setattr(co, "STRUCTURE", st)
+    assert check in _failed_anywhere(verify_all())
+    assert cli.main(["verify", "all"]) == 1
+    captured = capsys.readouterr()
+    assert f"[FAIL] {check[1]}" in captured.out
+    assert captured.err == ""
+
+
 WITNESS_CHECK = "every ordered pairwise-distant triple is witnessed"
 ORDER_CHECK = "invertible group has order 20160"
 
@@ -1148,9 +1183,9 @@ def test_corrupted_span_fails_the_witness_check(monkeypatch):
     line = co.STRUCTURE.sub[0]
     i, j = next((i, row.index("+")) for i, row in enumerate(line.relation) if "+" in row)
     x0, y0 = line.points[i].canonical, line.points[j].canonical
-    spans = dict(projline._row_spans(line.ring))
+    spans = dict(line.spans)
     spans[x0] |= spans[y0]
-    monkeypatch.setattr(projline, "_row_spans", lambda ring: spans)
+    monkeypatch.setattr(line, "spans", spans)
     report = verify_transitivity(co.STRUCTURE)
     assert WITNESS_CHECK in _failed(report)
     assert _details(report)[WITNESS_CHECK].endswith(
@@ -1191,22 +1226,26 @@ def test_corrupted_product_fails_the_witness_check(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "module, change, failed, detail",
+    "side, change, failed, detail",
     [
-        (co, "drop", {ORDER_CHECK}, "orbit 3360 x stabilizer 5 = 16800"),
-        (co, "add", set(), "orbit 3360 x stabilizer 6 = 20160"),
-        (projline, "drop", {WITNESS_CHECK, ORDER_CHECK}, "2800 of 3360 triples witnessed"),
-        (projline, "add", {WITNESS_CHECK}, "; no witness for points 0 and 1 with unit 0"),
+        ("stabilizer", "drop", {ORDER_CHECK}, "orbit 3360 x stabilizer 5 = 16800"),
+        ("stabilizer", "add", set(), "orbit 3360 x stabilizer 6 = 20160"),
+        ("witnesses", "drop", {WITNESS_CHECK, ORDER_CHECK}, "2800 of 3360 triples witnessed"),
+        ("witnesses", "add", {WITNESS_CHECK}, "; no witness for points 0 and 1 with unit 0"),
     ],
     ids=["stabilizer short", "stabilizer with zero", "witnesses short", "witnesses with zero"],
 )
-def test_wrong_unit_list(module, change, failed, detail, monkeypatch):
+def test_wrong_unit_list(side, change, failed, detail, monkeypatch):
     """A unit list one short fails the order check from the stabilizer side
-    and the witness count from the witness side; an extra non-unit is no
-    scalar of the stabilizer and gives no witness.  Nothing raises."""
+    (``rings.units``) and the witness count from the witness side (the
+    line's units); an extra non-unit is no scalar of the stabilizer and
+    gives no witness.  Nothing raises."""
     good = co.units(co.ring_by_name("m2f2"))
     wrong = frozenset(sorted(good)[:-1]) if change == "drop" else good | {0}
-    monkeypatch.setattr(module, "units", lambda ring: wrong)
+    if side == "stabilizer":
+        monkeypatch.setattr(co, "units", lambda ring: wrong)
+    else:
+        monkeypatch.setattr(co.STRUCTURE.sub[0], "units", tuple(sorted(wrong)))
     report = verify_transitivity(co.STRUCTURE)
     assert _failed(report) == failed
     assert any(detail in d for d in _details(report).values())

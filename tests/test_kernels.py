@@ -394,16 +394,21 @@ def test_distant_triple_witnesses_match_oracle(name):
 WITNESS_RINGS = ("m2f2", "gf4", "gf2xgf2")
 
 
+def _wrong_units(line, change):
+    """The line's units one short, or with zero added, sorted."""
+    good = line.units
+    return good[:-1] if change == "drop" else tuple(sorted({*good, line.ring.zero}))
+
+
 @pytest.mark.parametrize("change", ["drop", "add"])
 def test_distant_triple_witnesses_match_oracle_on_wrong_unit_lists(change, monkeypatch):
-    """A unit list one short, or with zero added, read afresh on each call:
-    the witnesses and the failures, in order, are the oracle's."""
+    """A unit list one short, or with zero added, set on the line after its
+    keys are kept and read afresh on each call: the witnesses and the
+    failures, in order, are the oracle's."""
     for name in WITNESS_RINGS:
         line = enumerate_line(ring_by_name(name))
-        good = rings.units(line.ring)
-        wrong = frozenset(sorted(good)[:-1]) if change == "drop" else good | {line.ring.zero}
-        for module in (projline, oracle):
-            monkeypatch.setattr(module, "units", lambda ring: wrong)
+        distant_triple_witnesses(line)
+        monkeypatch.setattr(line, "units", _wrong_units(line, change))
         got = _witnesses_as_triples(line)
         assert got == oracle.distant_triple_witnesses(line)
         assert bool(got[1]) == (change == "add")
@@ -467,8 +472,7 @@ def test_bulk_pass_doubts_each_condition_it_checks(m2f2_line):
     span that meets a partner's, a scaled row outside its point's class and
     a lane sum off by one; a unit list that is not as long as every pair's
     common distant points gets no bulk keys at all."""
-    us = tuple(sorted(rings.units(m2f2_line.ring)))
-    spans = projline._row_spans(m2f2_line.ring)
+    us, spans = m2f2_line.units, m2f2_line.spans
     _, keys = projline._triple_keys(m2f2_line, us)
     assert projline._bulk_pass(spans, keys)
     x0, y0 = m2f2_line.points[0].canonical, m2f2_line.points[keys.partners[0][0]].canonical
@@ -484,10 +488,7 @@ def test_bulk_pass_doubts_each_condition_it_checks(m2f2_line):
 
 def _units(change):
     def wrong_units(line, monkeypatch):
-        good = rings.units(line.ring)
-        wrong = frozenset(sorted(good)[:-1]) if change == "drop" else good | {line.ring.zero}
-        for module in (projline, oracle):
-            monkeypatch.setattr(module, "units", lambda ring: wrong)
+        monkeypatch.setattr(line, "units", _wrong_units(line, change))
         return line
 
     return wrong_units
@@ -514,10 +515,9 @@ def _flipped_relation_cell(line, monkeypatch):
 
 def _span_meeting_a_partner(line, monkeypatch):
     i, j = next((i, row.index("+")) for i, row in enumerate(line.relation) if "+" in row)
-    spans = dict(projline._row_spans(line.ring))
+    spans = dict(line.spans)
     spans[line.points[i].canonical] |= spans[line.points[j].canonical]
-    for module in (projline, oracle):
-        monkeypatch.setattr(module, "_row_spans", lambda ring: spans)
+    monkeypatch.setattr(line, "spans", spans)
     return line
 
 
@@ -696,11 +696,68 @@ def test_warm_validate_ring_runs_no_scan(name, monkeypatch):
     def refuse(ring):
         raise AssertionError("pair scan on a model ring")
 
+    validate_ring(ring)  # warm its entry, which other rings may have evicted
     monkeypatch.setattr(rings, "_rep_pair_problems", refuse)
     before = rings._model_tables.cache_info()
     assert validate_ring(ring) == validate_ring(copy) == []
     after = rings._model_tables.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+
+
+# swaps of two rep entries that an automorphism makes: the Frobenius map of
+# GF(4) and the factor swap of GF(2) x GF(2) leave a valid ring
+AUTOMORPHISM_SWAPS = {("gf4", 2, 3), ("gf2xgf2", 2, 3)}
+
+
+def _corrupted_rings():
+    """(intact ring, corrupted copy): every wrong value of every table cell
+    of the four small rings, one of every fourth m2f2 cell, and every swap
+    of two ``rep`` entries that no automorphism makes."""
+    for name in ring_names():
+        ring = ring_by_name(name)
+        for table in ("add_table", "mul_table"):
+            for x, y in itertools.product(ring.elements(), repeat=2):
+                if ring.order < 16 or not (x + y) % 4:
+                    for value in _wrong_values(ring, table, x, y):
+                        yield ring, _with_cell(ring, table, x, y, value)
+        for x, y in itertools.combinations(ring.elements(), 2):
+            rep = list(ring.rep)
+            rep[x], rep[y] = rep[y], rep[x]
+            swapped = ring._replace(rep=tuple(rep))
+            if (name, x, y) in AUTOMORPHISM_SWAPS:
+                assert validate_ring(swapped) == []
+            else:
+                yield ring, swapped
+
+
+def _module_caches():
+    """Each ``lru_cache`` in the globals of a ringline module, once."""
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "ringline"]
+    found = {id(f): f for m in modules for f in vars(m).values() if hasattr(f, "cache_info")}
+    return {f"{f.__module__}.{f.__qualname__}": f for f in found.values()}
+
+
+def test_corrupted_rings_leave_no_cache_entries():
+    """Over 500 corrupted rings, table cells and rep swaps alike, through
+    ``validate_ring``, ``enumerate_line`` and the triple witnesses of a line
+    that carries them: each is refused or checked, and every module cache
+    that these calls reach holds no more entries than there are named rings.
+    A cache that they do not reach (the isomorphisms, keyed by graphs) is
+    left as it was."""
+    caches = _module_caches()
+    before = {name: f.cache_info() for name, f in caches.items()}
+    count = 0
+    for ring, bad in _corrupted_rings():
+        assert validate_ring(bad)
+        with pytest.raises(ValueError, match="is not a ring"):
+            enumerate_line(bad)
+        distant_triple_witnesses(enumerate_line(ring)._replace(ring=bad))
+        count += 1
+    assert count >= 500
+    after = {name: f.cache_info() for name, f in caches.items()}
+    reached = {name for name in caches if after[name][:2] != before[name][:2]}
+    assert {"ringline.rings._model_tables", "ringline.projline.enumerate_line"} <= reached
+    assert {name: after[name].currsize for name in reached if after[name].currsize > len(ring_names())} == {}
 
 
 # ---------------------------------------------------------------------------

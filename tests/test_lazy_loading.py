@@ -28,7 +28,7 @@ from ringline.correspondence import (
 from ringline.pauli import PauliOp, PhasedPauli
 from ringline.projline import enumerate_line
 from ringline.quadrangle import petersen_graph
-from ringline.rings import ring_by_name, ring_to_json_dict, units
+from ringline.rings import ring_by_name, ring_to_json_dict
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 GF2_LINE = enumerate_line(ring_by_name("gf2"))
@@ -247,4 +247,4 @@ def test_equal_rings_hash_equal_and_share_cached_results():
     ring = ring_by_name("gf4")
     copy = ring_from_json_dict(ring_to_json_dict(ring))
     assert copy is not ring and copy == ring and hash(copy) == hash(ring)
-    assert units(copy) is units(ring)
+    assert enumerate_line(copy) is enumerate_line(ring)

@@ -217,8 +217,9 @@ def completion_search(ring, a, b):
 @pytest.mark.parametrize("name", ring_names())
 def test_gl2_elements_match_rank_oracle(name):
     """The row-span table against the direct tests it replaces: the GL2
-    enumeration and ``is_invertible_2x2`` against the blow-up rank on every
-    (a, b, c, d), and ``is_admissible`` against the completion search."""
+    enumeration against the blow-up rank on every (a, b, c, d), which
+    ``is_invertible_2x2`` is, and ``is_admissible`` (read off the line)
+    against the completion search."""
     ring = ring_by_name(name)
     mats = [Mat2(*m) for m in itertools.product(ring.elements(), repeat=4)]
     want = [m for m in mats if rank_invertible(ring, m)]
