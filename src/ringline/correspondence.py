@@ -14,7 +14,8 @@ to JSON or a plain-text certificate.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache, partial, wraps
+from functools import cached_property, partial, wraps
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -179,6 +180,37 @@ def _cset(ids: Iterable[int]) -> str:
     return "{" + ",".join([_LABELS[i] for i in sorted(ids)]) + "}"
 
 
+def _label(key: int | Iterable[int]) -> str:
+    # a point as c_label words it, a set of points as _cset does
+    return _LABELS[key] if type(key) is int else _cset(key)
+
+
+def _name(labels: Mapping, key: tuple[str, int | Iterable[int]]) -> str:
+    # the name of a check: its template, filled with the label of its points
+    template, points = key
+    return template.format(labels[points])
+
+
+def _picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    # the entries of a sequence at ``positions``, as a tuple
+    return itemgetter(*positions) if len(positions) > 1 else lambda seq: tuple(seq[i] for i in positions)
+
+
+class _Kept(dict):
+    """A dict that builds a missing value from its key, ``build(key)``, on
+    first read and keeps it."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        self[key] = value = self.build(key)
+        return value
+
+
 def _ring(name: str) -> Ring:
     return ring_by_name(name)  # looked up on each call, so a wrapped one is read
 
@@ -202,7 +234,9 @@ class Structure:
     name -> its Ring) on first read and kept; a part whose build raises is
     not kept, so every read of it raises.  A part is only a function of the
     structure, never a verdict: every check reads its parts on every call.
-    The parts that take a key are kept in ``parts`` by (name, key)."""
+    The parts that take a key are kept in ``parts`` by (name, key), or, for
+    ``labels`` and ``names``, in a dict of their own; the verifiers read all
+    of these only with keys drawn from the structure's own parts."""
 
     def __init__(self, rings: Callable[[str], Ring] = _ring) -> None:
         self.rings = rings
@@ -255,6 +289,60 @@ class Structure:
     @cached_property
     def spreads(self):
         return enumerate_spreads(self.gq)
+
+    @cached_property
+    def labels(self) -> Mapping:
+        """The label of each point (as ``c_label`` words it) and point set
+        (as ``_cset`` does) that a check shows, worded on first read."""
+        return _Kept(_label)
+
+    @cached_property
+    def names(self) -> Mapping:
+        """The name of each check that names a point or point set, by its
+        (template, points): the template filled with their ``labels``."""
+        return _Kept(partial(_name, self.labels))
+
+    @cached_property
+    def line_rows(self) -> tuple[tuple[int, tuple[int, ...], Callable], ...]:
+        """Each line of ``gq`` in order: its mask (bit p - 1 for label p, as
+        in ``gq.line_masks``), its labels in order and ``_picker`` of their
+        positions, which picks its operators from ``standard_labeling()``."""
+        s = self.gq
+        return tuple((m, *self.picks(line)) for m, line in zip(s.line_masks, s.lines))
+
+    @cached_property
+    def line_keys(self) -> dict[tuple[int, ...], int]:
+        """The labels of each line of ``gq``, in each of their orders -> its
+        mask, the key of ``line_table``; {} when there is no quadrangle, as
+        ``line_table`` is, so that a square is then evaluated where it is."""
+        try:
+            s = self.gq
+        except ValueError:
+            return {}
+        return {t: m for m, line in zip(s.line_masks, s.lines) for t in itertools.permutations(sorted(line))}
+
+    @_kept_per_key
+    def picks(self, points: Iterable[int]) -> tuple[tuple[int, ...], Callable]:
+        """The labels of ``points`` in order and ``_picker`` of their
+        positions (label - 1): their operators from ``standard_labeling()``,
+        their points from the ordered 15 of ``sub``."""
+        labels = tuple(sorted(points))
+        return labels, _picker([p - 1 for p in labels])
+
+    @_kept_per_key
+    def spread(self, spread: tuple[int, ...]) -> tuple[str, tuple]:
+        """The check name of ``spread``, given by its line indices into
+        ``gq``, and the ``line_rows`` of those lines."""
+        lines, labels = self.gq.lines, self.labels
+        return "spread " + " ".join(labels[lines[i]] for i in spread), tuple(map(self.line_rows.__getitem__, spread))
+
+    @_kept_per_key
+    def isomorphism(self, graphs: tuple[tuple[int, ...], tuple[int, ...]]) -> Mapping | None:
+        """``mask_isomorphism`` of the two graphs, as their adjacency mask
+        tuples, read-only, or None: searched once per pair of graphs that a
+        verifier relates on this structure."""
+        iso = mask_isomorphism(*graphs)
+        return None if iso is None else MappingProxyType(iso)
 
     @_kept_per_key
     def induced(self, points: tuple[PointClass, ...]) -> tuple[int, ...]:
@@ -354,16 +442,17 @@ def line_table(st: Structure) -> dict[int, tuple]:
     It is {} when there is no quadrangle or labelling to read; a line not
     in it is evaluated where it is used, so that such a run fails as without it."""
     try:
-        s = st.gq
-        return {m: line_facts(_ops_for(sorted(line))) for m, line in zip(s.line_masks, s.lines)}
+        ops = standard_labeling()
+        return {m: line_facts(pick(ops)) for m, _, pick in st.line_rows}
     except ValueError:
         return {}
 
 
-def _line_sign(lines: Mapping, labels: Sequence[int]) -> int:
-    # the sign ``lines`` holds for these points, else line_product_sign of
-    # their operators in this order, which words an error for this order
-    sign = lines.get(sum(1 << p - 1 for p in labels), (None,))[0]
+def _line_sign(lines: Mapping, keys: Mapping, labels: tuple[int, ...]) -> int:
+    # the sign ``lines`` holds for these points, read by their ``line_keys``,
+    # else line_product_sign of their operators in this order, which words
+    # an error for this order
+    sign = lines.get(keys.get(labels), (None,))[0]
     return sign if type(sign) is int else line_product_sign(_ops_for(labels))
 
 
@@ -374,7 +463,8 @@ def _line_sign(lines: Mapping, labels: Sequence[int]) -> int:
 def verify_ring_tables(st: Structure) -> Report:
     """Generated 2x2-matrix-ring tables against the stored fixture."""
     ring = st.rings("m2f2")
-    us, zds = units(ring), zero_divisors(ring)
+    us = units(ring)
+    zds = zero_divisors(ring, us)
     checks = [
         CheckResult(
             "addition table matches fixture",
@@ -559,19 +649,13 @@ def verify_relation_signs(st: Structure, reference: Sequence[str] | None = None)
 # quadrangle level
 
 
-@lru_cache(maxsize=None)
-def _kept_isomorphism(gadj: tuple[int, ...], hadj: tuple[int, ...]) -> Mapping | None:
-    # derived structure: searched once per pair of graphs, so the mapping is read-only
-    iso = mask_isomorphism(gadj, hadj)
-    return None if iso is None else MappingProxyType(iso)
-
-
-def _checked_isomorphism(gadj: Sequence[int], hadj: Sequence[int]) -> Mapping | None:
+def _checked_isomorphism(st: Structure, gadj: Sequence[int], hadj: Sequence[int]) -> Mapping | None:
     """An isomorphism {i: w} between two graphs given by adjacency masks, as
     ``mask_isomorphism`` takes them, or None.  The search runs once per pair
-    of mask tuples; every call checks the kept mapping with ``mask_maps_onto``."""
+    of mask tuples on ``st``, which keeps the mapping as its ``isomorphism``
+    part; every call checks the kept mapping with ``mask_maps_onto``."""
     gadj, hadj = tuple(gadj), tuple(hadj)
-    iso = _kept_isomorphism(gadj, hadj)
+    iso = st.isomorphism((gadj, hadj))
     return iso if iso is not None and mask_maps_onto(iso, gadj, hadj) else None
 
 
@@ -581,7 +665,7 @@ def quadrangle_axioms(st: Structure) -> tuple[list[str], Mapping | None]:
     carries every line onto a dual line."""
     s = st.gq
     d = s.dual_structure
-    iso = _checked_isomorphism(s.collinearity_graph.masks, d.collinearity_graph.masks)
+    iso = _checked_isomorphism(st, s.collinearity_graph.masks, d.collinearity_graph.masks)
     if iso is not None:
         iso = {s.points[i]: d.points[w] for i, w in iso.items()}
         if {frozenset(map(iso.get, line)) for line in s.lines} != set(d.lines):
@@ -672,22 +756,22 @@ def verify_hyperplane_census(st: Structure) -> Report:
 def _subline_witness(st: Structure, points: Iterable[PointClass], target: str) -> Mapping | None:
     """An isomorphism from the graph of the m2f2 ``points`` (their kept
     ``st.induced`` masks) onto the line over ``target``, or None."""
-    return _checked_isomorphism(st.induced(tuple(points)), enumerate_line(st.rings(target)).neighbor_masks)
+    return _checked_isomorphism(st, st.induced(tuple(points)), enumerate_line(st.rings(target)).neighbor_masks)
 
 
 def verify_petersen(st: Structure) -> Report:
     """Every ovoid complement is the Petersen graph, with explicit witnesses:
     an isomorphism from the collinearity graph off the ovoid onto
     ``petersen_graph()`` proves the complement cubic with girth 5."""
-    s, reference = st.gq, petersen_graph()
+    s, reference, names = st.gq, petersen_graph(), st.names
     checks = []
     data: dict = {"witnesses": []}
     for h in st.by_kind[OVOID]:
         keep, sub = st.complement(h.points)
-        iso = _checked_isomorphism(sub, reference.masks)
+        iso = _checked_isomorphism(st, sub, reference.masks)
         checks.append(
             CheckResult(
-                f"complement of {_cset(h.points)} is Petersen",
+                names["complement of {} is Petersen", h.points],
                 iso is not None,
                 "3-regular, girth 5, isomorphism found" if iso is not None else "",
             )
@@ -723,7 +807,7 @@ def standard_square(st: Structure, lines: Mapping) -> MerminResult | ValueError:
     or the ValueError it raised, returned so that only the checks that read
     it fail."""
     try:
-        return mermin_square_check(STANDARD_ROWS, partial(_line_sign, lines))
+        return mermin_square_check(STANDARD_ROWS, partial(_line_sign, lines, st.line_keys))
     except ValueError as exc:
         return exc
 
@@ -800,7 +884,7 @@ def verify_split_9_6(st: Structure, square: MerminResult | ValueError) -> Report
         CheckResult(
             "exactly one split of the six into two gf4 triples",
             len(splits) == 1,
-            " and ".join(_cset(t) for t in splits[0]) if len(splits) == 1 else
+            " and ".join(map(st.labels.__getitem__, splits[0])) if len(splits) == 1 else
             f"{len(splits)} splits found",
         )
     )
@@ -824,7 +908,7 @@ def verify_split_10_5(st: Structure, petersen: Report) -> Report:
     """Every ovoid versus its ten-point complement, the Petersen verdicts read
     from ``petersen``, the ``verify_petersen(st)`` report of the same run."""
     witnessed = {frozenset(w["ovoid"]) for w in petersen.data.get("witnesses", ())}
-    pts = st.sub[3]
+    pts, ops, names = st.sub[3], standard_labeling(), st.names
     checks = []
     data: dict = {"ovoids": []}
     ovoids = st.by_kind[OVOID]
@@ -838,24 +922,23 @@ def verify_split_10_5(st: Structure, petersen: Report) -> Report:
         CheckResult(
             "the published sample ovoid is among them",
             any(h.points == golden.SAMPLE_OVOID for h in ovoids),
-            _cset(golden.SAMPLE_OVOID),
+            st.labels[golden.SAMPLE_OVOID],
         )
     )
     for h in ovoids:
-        labels = sorted(h.points)
-        five_ops = _ops_for(labels)
+        labels, pick = st.picks(h.points)
         noncommuting = all(
-            not commutes(a, b) for a, b in itertools.combinations(five_ops, 2)
+            not commutes(a, b) for a, b in itertools.combinations(pick(ops), 2)
         )
-        subline = _subline_witness(st, [pts[i - 1] for i in labels], "gf4") is not None
+        subline = _subline_witness(st, pick(pts), "gf4") is not None
         checks.append(
             CheckResult(
-                f"ovoid {_cset(labels)}",
+                names["ovoid {}", h.points],
                 noncommuting and subline and h.points in witnessed,
                 "pairwise non-commuting, gf4 subline, Petersen complement",
             )
         )
-        data["ovoids"].append(labels)
+        data["ovoids"].append(list(labels))
     return Report("10 plus 5 factorization", tuple(checks), data)
 
 
@@ -863,13 +946,14 @@ def verify_perp_sublines(st: Structure) -> Report:
     """All fifteen perp sets, one check per center: its six neighbors pair
     off in a perfect matching of three, model the line over gf2dual and,
     with the center, make the perp-set hyperplane of that center."""
-    pts = st.sub[3]
+    pts, labels, names = st.sub[3], st.labels, st.names
     checks = []
     data: dict = {"pairs": {}}
     for x in range(1, 16):
         nbrs, pairs, perp = st.centre(x)
+        pick = st.picks(nbrs)[1]
         # the sub-line is checked for every center, whatever else fails
-        subline = _subline_witness(st, [pts[i - 1] for i in nbrs], "gf2dual") is not None
+        subline = _subline_witness(st, pick(pts), "gf2dual") is not None
         passed = (
             len(nbrs) == 6
             and len(pairs) == 3
@@ -877,7 +961,7 @@ def verify_perp_sublines(st: Structure) -> Report:
             and subline
             and perp == (frozenset(nbrs) | {x},)
         )
-        checks.append(CheckResult(f"perp set of {c_label(x)}", passed, " ".join(map(_cset, pairs))))
+        checks.append(CheckResult(names["perp set of {}", x], passed, " ".join(map(labels.__getitem__, pairs))))
         data["pairs"][str(x)] = [list(p) for p in pairs]
     return Report("perp-set sublines", tuple(checks), data)
 
@@ -903,7 +987,7 @@ def grid_mermin_arrangement(st: Structure, points: frozenset, lines: Mapping) ->
     """``st.cells(points)`` if it is a magic 3x3 square, else None; the
     signs are read from ``lines``, a ``line_table(st)``."""
     grid = st.cells(points)
-    return grid if grid is not None and mermin_square_check(grid, partial(_line_sign, lines)).magic else None
+    return grid if grid is not None and mermin_square_check(grid, partial(_line_sign, lines, st.line_keys)).magic else None
 
 
 def verify_mermin(st: Structure, lines: Mapping, square: MerminResult | ValueError) -> Report:
@@ -914,16 +998,16 @@ def verify_mermin(st: Structure, lines: Mapping, square: MerminResult | ValueErr
         _standard_square_check("standard grid is magic", square, data, tail=", product of all six is -1")
     ]
     data["arrangements"] = []
-    grids = st.by_kind[GRID]
+    grids, labels, names = st.by_kind[GRID], st.labels, st.names
     checks.append(CheckResult("10 grid hyperplanes", len(grids) == 10))
     for h in grids:
-        stage = f"grid {_cset(h.points)} admits a magic arrangement"
+        stage = names["grid {} admits a magic arrangement", h.points]
         try:
             arrangement = grid_mermin_arrangement(st, h.points, lines)
         except ValueError as exc:
             checks.append(stage_failure(stage, exc))
             continue
-        detail = " / ".join(",".join(map(c_label, row)) for row in arrangement or ())
+        detail = " / ".join(",".join(map(labels.__getitem__, row)) for row in arrangement or ())
         checks.append(CheckResult(stage, arrangement is not None, detail))
         if arrangement is not None:
             data["arrangements"].append(
@@ -933,13 +1017,12 @@ def verify_mermin(st: Structure, lines: Mapping, square: MerminResult | ValueErr
 
 
 def spread_unbiased(st: Structure, spread: Sequence[int], lines: Mapping) -> tuple[list, bool]:
-    """The spread's lines as sorted label triples, and whether their
+    """The spread's lines as sorted label tuples, and whether their
     operators' joint eigenbases are mutually unbiased, the line facts read
     from ``lines``, a ``line_table(st)``."""
-    s = st.gq
-    triples = [sorted(s.lines[i]) for i in spread]
-    ops = [_ops_for(t) for t in triples]
-    return triples, mub_spread_check(ops, [lines[s.line_masks[i]] for i in spread])
+    ops, rows = standard_labeling(), st.spread(tuple(spread))[1]
+    triples = [labels for _, labels, _ in rows]
+    return triples, mub_spread_check([pick(ops) for _, _, pick in rows], [lines[m] for m, _, _ in rows])
 
 
 def verify_mub(st: Structure, lines: Mapping) -> Report:
@@ -948,9 +1031,8 @@ def verify_mub(st: Structure, lines: Mapping) -> Report:
     data: dict = {"spreads": []}
     spreads, count = st.spreads, golden.OVOID_SPREAD_COUNT
     checks = [CheckResult(f"{count} spreads to examine", len(spreads) == count)]
-    s = st.gq
     for sp in spreads:
-        stage = "spread " + " ".join(_cset(s.lines[i]) for i in sp)
+        stage = st.spread(sp)[0]
         try:
             triples, ok = spread_unbiased(st, sp, lines)
         except ValueError as exc:
@@ -969,7 +1051,7 @@ def verify_transitivity(st: Structure) -> Report:
     ring = line.ring
     triples = line.distant_triple_count
     witnesses, failures = distant_triple_witnesses(line)
-    witnessed = sum(mask.bit_count() for mask in witnesses.values())
+    witnessed = sum(map(int.bit_count, witnesses.values()))
     detail = f"{witnessed} of {triples} triples witnessed"
     if failures:
         detail += "; no witness for points {} and {} with unit {}".format(*failures[0])

@@ -175,31 +175,53 @@ def validate_gq_axioms(s: IncidenceStructure) -> list[str]:
     Three points per line, three lines per point, two points on at most one
     common line, and for every non-incident point-line pair exactly one
     point of the line collinear with the point.  Returns violation strings.
+
+    The work is on masks over point positions: a point's collinear points
+    (itself excluded) are the union of the lines through it, which has as
+    many points as those lines hold besides it exactly when no second point
+    shares two of them; and each point off a line sees exactly one of its
+    points exactly when it lies in exactly one of their collinear sets.
+    Where a test fails, the pairs of points, or the points off that line,
+    are scanned one by one to list the problems in order.
     """
-    problems = []
-    for i, line in enumerate(s.lines):
-        if len(line) != 3:
-            problems.append(f"line {i} has {len(line)} points, expected 3")
-    for p in s.points:
-        n = len(s.lines_through(p))
-        if n != 3:
-            problems.append(f"point {p} lies on {n} lines, expected 3")
-    pencils = {p: frozenset(s.lines_through(p)) for p in s.points}
-    for p, q in itertools.combinations(s.points, 2):
-        common = len(pencils[p] & pencils[q])
-        if common > 1:
-            problems.append(f"points {p} and {q} lie on {common} common lines")
-    # each point's collinear points, itself excluded
-    perp = {p: frozenset().union(*(s.lines[i] for i in pencils[p])) - {p} for p in s.points}
-    for i, line in enumerate(s.lines):
-        for p in s.points:
-            if p in line:
-                continue
-            met = len(line & perp[p])
-            if met != 1:
-                problems.append(
-                    f"point {p} sees {met} points of line {i}, expected exactly 1"
-                )
+    masks, points = s.line_masks, s.points
+    problems = [
+        f"line {i} has {len(line)} points, expected 3" for i, line in enumerate(s.lines) if len(line) != 3
+    ]
+    pencils = [s.lines_through(p) for p in points]
+    problems += [
+        f"point {p} lies on {len(ids)} lines, expected 3" for p, ids in zip(points, pencils) if len(ids) != 3
+    ]
+    perp, shared = [], False
+    for j, ids in enumerate(pencils):
+        union = others = 0
+        for i in ids:
+            union |= masks[i]
+            others += masks[i].bit_count() - 1
+        perp.append(union & ~(1 << j))
+        shared = shared or others != perp[j].bit_count()
+    if shared:
+        bits = [sum(1 << i for i in ids) for ids in pencils]
+        for (a, p), (b, q) in itertools.combinations(enumerate(points), 2):
+            common = (bits[a] & bits[b]).bit_count()
+            if common > 1:
+                problems.append(f"points {p} and {q} lie on {common} common lines")
+    full = (1 << len(points)) - 1
+    for i, line in enumerate(masks):
+        once = twice = 0
+        rest = line
+        while rest:
+            seen = perp[(rest & -rest).bit_length() - 1]
+            twice |= once & seen
+            once ^= seen
+            rest &= rest - 1
+        if not full & ~line & ~(once & ~twice):
+            continue
+        for j, p in enumerate(points):
+            if not line >> j & 1:
+                met = (line & perp[j]).bit_count()
+                if met != 1:
+                    problems.append(f"point {p} sees {met} points of line {i}, expected exactly 1")
     return problems
 
 
@@ -400,23 +422,34 @@ def mask_maps_onto(mapping: Mapping[int, int], gadj: Sequence[int], hadj: Sequen
     """Whether ``mapping`` is a bijection between the vertices 0..n-1 of two
     graphs given as ``mask_isomorphism`` takes them, under which the mask of
     each vertex of ``gadj`` maps exactly onto the ``hadj`` mask of its image:
-    the check of a kept search result.  For a bijection it suffices that each
-    neighbour's image is a neighbour of the image and the degrees agree; a
-    bit past n has no image in ``gadj`` and makes the degrees differ in
-    ``hadj``."""
-    n, every = len(gadj), set(range(len(gadj)))
-    if len(hadj) != n or mapping.keys() != every or set(mapping.values()) != every:
+    the check of a kept search result.  With n keys and images in 0..n-1,
+    it is a bijection when the images' bits fill all n; each mask of
+    ``gadj`` is then carried bit by bit through the images' bits.  A bit
+    past n has no image in ``gadj`` and none in a carried mask, so it fails
+    on either side."""
+    n = len(gadj)
+    if len(hadj) != n or len(mapping) != n:
         return False
-    get = mapping.get
+    every = range(n)
+    at, seen = {}, 0
     for i, w in mapping.items():
-        image, rest = hadj[w], gadj[i]
-        if image.bit_count() != rest.bit_count():
+        if i not in every or w not in every:
             return False
-        while rest:
-            k = get((rest & -rest).bit_length() - 1)
-            if k is None or not image >> k & 1:
+        at[1 << i] = bit = 1 << w
+        seen |= bit
+    if seen != (1 << n) - 1:
+        return False
+    try:
+        for i, w in mapping.items():
+            rest, carried = gadj[i], 0
+            while rest:
+                low = rest & -rest
+                carried |= at[low]
+                rest ^= low
+            if carried != hadj[w]:
                 return False
-            rest &= rest - 1
+    except KeyError:
+        return False
     return True
 
 

@@ -21,6 +21,7 @@ ring law, and the tables make the labels an isomorphic copy of it.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -169,9 +170,10 @@ def units(ring: Ring) -> frozenset[RingElement]:
     )
 
 
-def zero_divisors(ring: Ring) -> frozenset[RingElement]:
-    """Non-units, zero included."""
-    return frozenset(ring.elements()) - units(ring)
+def zero_divisors(ring: Ring, known_units: frozenset[RingElement] | None = None) -> frozenset[RingElement]:
+    """Non-units, zero included: the complement of ``known_units``, the
+    caller's ``units(ring)``, or of ``units(ring)`` when none are given."""
+    return frozenset(ring.elements()) - (units(ring) if known_units is None else known_units)
 
 
 def _is_label(x: object, n: int) -> bool:
@@ -206,7 +208,10 @@ def validate_ring(ring: Ring) -> list[str]:
     tables = ring.add_table, ring.mul_table
     if (
         model == tables
-        and all(type(v) is int for table in tables for row in table for v in row)  # 3.0 == 3
+        # equal rows are tuples of equal cells, and the model's own tables hold
+        # ints, but 3.0 == 3: a copy's cell types are read in one C-level pass
+        and (model[0] is tables[0] and model[1] is tables[1]
+             or {*map(type, itertools.chain(*tables[0], *tables[1]))} == {int})
         and len(rep) == n
         and _is_label(ring.zero, n)
         and _is_label(ring.one, n)

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import json
+import sys
 from collections import Counter
 from types import MappingProxyType
 
@@ -183,7 +184,7 @@ def _flip_mul_fixture_cell(table):
 
 def _zero_divisors_without_zero(monkeypatch):
     real = co.zero_divisors
-    monkeypatch.setattr(co, "zero_divisors", lambda ring: real(ring) - {ring.zero})
+    monkeypatch.setattr(co, "zero_divisors", lambda ring, us: real(ring, us) - {ring.zero})
     monkeypatch.setattr(co, "STRUCTURE", co.Structure())
 
 
@@ -759,6 +760,12 @@ def _petersen_masks(ovoid):
     return comp.masks, co.petersen_graph().masks
 
 
+def _clear_kept_mappings(st):
+    """Drop every mapping that ``st`` keeps as its ``isomorphism`` part."""
+    for key in [key for key in st.parts if key[0] == "isomorphism"]:
+        del st.parts[key]
+
+
 def _ovoids():
     return [h.points for h in co.STRUCTURE.hyperplanes if h.kind == "ovoid"]
 
@@ -767,7 +774,7 @@ def test_petersen_search_runs_once_per_ovoid(monkeypatch):
     """verify_petersen and verify_split_10_5 share one search per ovoid
     complement, the kept mapping is read-only, and a caller that changes a
     witness changes no later one."""
-    co._kept_isomorphism.cache_clear()
+    _clear_kept_mappings(co.STRUCTURE)
     real, targets = co.mask_isomorphism, []
 
     def counted(gadj, hadj):
@@ -778,7 +785,7 @@ def test_petersen_search_runs_once_per_ovoid(monkeypatch):
     assert verify_petersen(co.STRUCTURE).passed and co.run("10 plus 5 factorization").passed
     assert targets.count(co.petersen_graph().masks) == 6
     with pytest.raises(TypeError):
-        co._kept_isomorphism(*_petersen_masks(golden.SAMPLE_OVOID))[0] = 1
+        co.STRUCTURE.isomorphism(_petersen_masks(golden.SAMPLE_OVOID))[0] = 1
     witnesses = verify_petersen(co.STRUCTURE).data["witnesses"]
     kept = copy.deepcopy(witnesses)
     for witness in witnesses:
@@ -810,12 +817,11 @@ def test_petersen_witness_with_two_images_swapped_fails(index, monkeypatch):
     trinity row that sums up the second, and nothing else."""
     ovoids = _ovoids()
     assert len(ovoids) == 6 and len({_petersen_masks(o) for o in ovoids}) == 6
-    key, search = _petersen_masks(ovoids[index]), co._kept_isomorphism
-    real = search(*key)
+    assert verify_all().passed
+    key = ("isomorphism", _petersen_masks(ovoids[index]))
+    real = co.STRUCTURE.parts[key]
     swapped = MappingProxyType({**real, 0: real[1], 1: real[0]})
-    monkeypatch.setattr(
-        co, "_kept_isomorphism", lambda g, h: swapped if (g, h) == key else search(g, h)
-    )
+    monkeypatch.setitem(co.STRUCTURE.parts, key, swapped)
     assert _failed_anywhere(verify_all()) == _petersen_checks(ovoids[index])
     monkeypatch.undo()
     assert verify_all().passed
@@ -884,14 +890,42 @@ def _first_petersen_witness_on_a_relabelled_quadrangle(monkeypatch):
     ],
 )
 def test_a_first_run_on_a_changed_structure_leaves_no_kept_mapping_behind(first_run, monkeypatch):
-    """A kept isomorphism is keyed on the two graphs it relates: the first
-    use in a process, under a relabelled structure, keeps a mapping for that
-    structure only, and with nothing cleared in between the intact
+    """A kept isomorphism is a part of the structure whose two graphs it
+    relates: the first use, under a relabelled structure, keeps a mapping for
+    that structure only, and with nothing cleared in between the intact
     structure passes every check."""
-    co._kept_isomorphism.cache_clear()
+    _clear_kept_mappings(co.STRUCTURE)
     first_run(monkeypatch)
     monkeypatch.undo()
     assert verify_all().tally() == (100, 0)
+
+
+def _module_cache_sizes():
+    """The entry count of every ``functools`` cache bound in a ringline module."""
+    modules = [m for name, m in sys.modules.items() if name.startswith("ringline.")]
+    return {
+        (module.__name__, key): value.cache_info().currsize
+        for module in modules
+        for key, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    }
+
+
+def test_certificates_on_changed_quadrangles_leave_no_module_cache_behind(monkeypatch):
+    """Five certificate runs, each on a fresh structure whose quadrangle has
+    a different line dropped, search their isomorphisms and keep each
+    mapping, or its absence, on that structure alone: no module-level cache
+    gains an entry."""
+    assert verify_all().passed
+    s, before = co.STRUCTURE.gq, _module_cache_sizes()
+    kept = []
+    for i in range(5):
+        st = co.Structure()
+        st.gq = IncidenceStructure(s.points, s.lines[:i] + s.lines[i + 1 :])
+        monkeypatch.setattr(co, "STRUCTURE", st)
+        assert not verify_all().passed
+        kept.append([key for key in st.parts if key[0] == "isomorphism"])
+    assert all(kept) and _module_cache_sizes() == before
 
 
 def test_split_9_6_builds_the_nine_masks_once(monkeypatch):

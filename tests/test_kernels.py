@@ -12,7 +12,7 @@ import kernel_oracle as oracle
 from kernel_oracle import complement_graph_of_ovoid
 from ring_docs import ring_from_json_dict
 from ringline import correspondence as co
-from ringline import pauli, projline, quadrangle, rings
+from ringline import golden, pauli, projline, quadrangle, rings
 from ringline.pauli import PauliOp, line_product_sign
 from ringline.projline import distant_triple_witnesses, enumerate_line
 from ringline.quadrangle import (
@@ -65,17 +65,38 @@ def test_gq_axioms_match_oracle_on_intact_structures(face):
     assert validate_gq_axioms(s) == oracle.validate_gq_axioms(s) == []
 
 
+def _repeated(s, i):
+    return IncidenceStructure(s.points, s.lines + (s.lines[i],))
+
+
+def _widened(s, i, p):
+    lines = list(s.lines)
+    lines[i] = lines[i] | {p}
+    return IncidenceStructure(s.points, tuple(lines))
+
+
+# each problem string validate_gq_axioms can emit, by its distinctive words
+GQ_PROBLEMS = ("points, expected 3", "lines, expected 3", "common lines", "expected exactly 1")
+
+
 @pytest.mark.parametrize("face", ["canonical", "dual"])
 def test_gq_axioms_match_oracle_on_corrupted_structures(face):
-    """Every point dropped from its line and every pair of lines trading a
-    point: the same problem strings in the same order, never none."""
+    """Every point dropped from its line, every pair of lines trading a
+    point, every line repeated and every line given a fourth point: the same
+    problem strings in the same order, never none, and among them every
+    kind of string the mask kernel can emit."""
     s = co.STRUCTURE.gq if face == "canonical" else dual(co.STRUCTURE.gq)
     corrupted = [_dropped(s, i, p) for i, line in enumerate(s.lines) for p in sorted(line)]
     corrupted += [_swapped(s, i, j) for i, j in itertools.combinations(range(len(s.lines)), 2)]
-    assert len(corrupted) == 45 + 105
+    corrupted += [_repeated(s, i) for i in range(len(s.lines))]
+    corrupted += [_widened(s, i, p) for i, line in enumerate(s.lines) for p in s.points if p not in line]
+    assert len(corrupted) == 45 + 105 + 15 + 180
+    kinds = Counter()
     for bad in corrupted:
         problems = validate_gq_axioms(bad)
         assert problems and problems == oracle.validate_gq_axioms(bad), bad.lines
+        kinds.update(k for k in GQ_PROBLEMS if any(k in problem for problem in problems))
+    assert sorted(kinds) == sorted(GQ_PROBLEMS)
 
 
 def _structures():
@@ -130,7 +151,7 @@ def test_petersen_witness_checks_the_complement_masks(monkeypatch, hyperplanes):
     ovoid keeps each complement as a part and checks its masks."""
     gq, checked = co.STRUCTURE.gq, []
     real = co._checked_isomorphism
-    monkeypatch.setattr(co, "_checked_isomorphism", lambda g, h: checked.append(g) or real(g, h))
+    monkeypatch.setattr(co, "_checked_isomorphism", lambda st, g, h: checked.append(g) or real(st, g, h))
     st = co.Structure()
     st.gq, st.hyperplanes = gq, tuple(h._replace(kind="ovoid") for h in hyperplanes)
     co.verify_petersen(st)
@@ -277,10 +298,11 @@ def _graph_of(masks):
 
 def _first_use_searches(monkeypatch):
     """The (gadj, hadj) of every mask search a ``verify_all()`` makes once
-    the one cache of kept searches is cleared, wherever ``mask_isomorphism``
-    is bound."""
+    the mappings the structure keeps as its ``isomorphism`` part are
+    cleared, wherever ``mask_isomorphism`` is bound."""
     co.verify_all()
-    co._kept_isomorphism.cache_clear()
+    for key in [key for key in co.STRUCTURE.parts if key[0] == "isomorphism"]:
+        del co.STRUCTURE.parts[key]
     real, searches = quadrangle.mask_isomorphism, []
 
     def recorded(gadj, hadj):
@@ -863,6 +885,30 @@ def test_warm_verify_all_derives_nothing(monkeypatch):
         "line_product_sign": 15, "commutes": 105,
     }
     assert vars(st) == kept and st.parts == parts
+
+
+def test_warm_verify_all_words_nothing(monkeypatch):
+    """A warm ``verify_all()`` reads every label, check name, operator pick
+    and line key as the structure keeps them: it words no point set
+    (``_cset``) and no point (``c_label``), lists no operators
+    (``_ops_for``) and builds no pick, and its kept labels and names gain no
+    entry.  Each of the 66 line-sign lookups, six for each of the 11 Mermin
+    evaluations, reads the line's key from ``line_keys``.  The verdict calls
+    are those of every call."""
+    co.verify_all()
+    st = co.STRUCTURE
+    sizes = len(st.labels), len(st.names)
+    calls = _count_calls(
+        monkeypatch, co._cset, golden.c_label, co._ops_for, co._picker, co._line_sign,
+        quadrangle.mask_maps_onto, pauli.mermin_square_check, pauli.mub_spread_check,
+        pauli.line_product_sign, pauli.commutes,
+    )
+    assert co.verify_all().passed
+    assert calls == {
+        "_line_sign": 66, "mask_maps_onto": 31, "mermin_square_check": 11, "mub_spread_check": 6,
+        "line_product_sign": 15, "commutes": 105,
+    }
+    assert (len(st.labels), len(st.names)) == sizes
 
 
 def test_warm_verify_all_builds_no_dual(monkeypatch):
