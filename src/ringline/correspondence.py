@@ -52,6 +52,7 @@ from .quadrangle import (
     PERP_SET,
     Graph,
     IncidenceStructure,
+    MaskMapping,
     build_gq_from_graph,
     enumerate_hyperplanes,
     enumerate_ovoids,
@@ -131,16 +132,15 @@ class Report(NamedTuple):
         return total, failed
 
     def to_json_dict(self) -> dict:
+        # ``passed`` from the subreports' dicts, so that no subtree is walked twice
+        subreports = [r.to_json_dict() for r in self.subreports]
         return {
             "schema": 1,
             "title": self.title,
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
+            "passed": all(c.passed for c in self.checks) and all(r["passed"] for r in subreports),
+            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in self.checks],
             "data": dict(self.data),
-            "subreports": [r.to_json_dict() for r in self.subreports],
+            "subreports": subreports,
         }
 
     def _render(self, lines: list[str], depth: int) -> None:
@@ -337,12 +337,12 @@ class Structure:
         return "spread " + " ".join(labels[lines[i]] for i in spread), tuple(map(self.line_rows.__getitem__, spread))
 
     @_kept_per_key
-    def isomorphism(self, graphs: tuple[tuple[int, ...], tuple[int, ...]]) -> Mapping | None:
+    def isomorphism(self, graphs: tuple[tuple[int, ...], tuple[int, ...]]) -> MaskMapping | None:
         """``mask_isomorphism`` of the two graphs, as their adjacency mask
-        tuples, read-only, or None: searched once per pair of graphs that a
-        verifier relates on this structure."""
+        tuples, a read-only ``MaskMapping`` with its image tables, or None:
+        searched once per pair of graphs a verifier relates on this one."""
         iso = mask_isomorphism(*graphs)
-        return None if iso is None else MappingProxyType(iso)
+        return None if iso is None else MaskMapping(iso)
 
     @_kept_per_key
     def induced(self, points: tuple[PointClass, ...]) -> tuple[int, ...]:

@@ -51,6 +51,9 @@ _MUL1 = (
 
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 
+# the codes of the fifteen operators as ``sorted`` lists a partition of them
+_CODES = list(range(1, 16))
+
 
 class _PauliFields(NamedTuple):
     code: int
@@ -199,10 +202,7 @@ class MerminResult(NamedTuple):
 
     @property
     def magic(self) -> bool:
-        sign = 1
-        for s in self.row_signs + self.col_signs:
-            sign *= s
-        return sign == -1
+        return (self.row_signs + self.col_signs).count(-1) % 2 == 1
 
 
 def mermin_square_check(grid: Sequence[Sequence], sign=None) -> MerminResult:
@@ -214,15 +214,14 @@ def mermin_square_check(grid: Sequence[Sequence], sign=None) -> MerminResult:
     raises, ``line_product_sign`` by default; a caller that keeps the signs
     of its lines passes a grid of its own keys and a lookup.
     """
-    if len(grid) != 3 or any(len(row) != 3 for row in grid):
+    rows = tuple(map(tuple, grid))
+    if len(rows) != 3 or any(len(row) != 3 for row in rows):
         raise ValueError("expected a 3x3 grid of operators")
-    rows = [tuple(row) for row in grid]
-    cols = [tuple(row[j] for row in rows) for j in range(3)]
-    signs = []
-    for kind, lines in (("row", rows), ("column", cols)):
+    sign, signs = sign or line_product_sign, []
+    for kind, lines in (("row", rows), ("column", zip(*rows))):
         for i, ops in enumerate(lines, start=1):
             try:
-                signs.append((sign or line_product_sign)(ops))
+                signs.append(sign(ops))
             except ValueError as exc:
                 raise ValueError(f"{kind} {i}: {exc}") from None
     return MerminResult(tuple(signs[:3]), tuple(signs[3:]))
@@ -234,15 +233,16 @@ def mermin_square_check(grid: Sequence[Sequence], sign=None) -> MerminResult:
 # trace of a product then scales by 16 and is an integer.
 
 
-def _scaled_projector(a: PauliOp, sa: int, b: PauliOp, sb: int) -> tuple[int, int]:
-    # 4 times the joint eigenprojector of distinct commuting A, B onto the
-    # eigenvalues (sa, sb): (1 + sa A)(1 + sb B) = 1 + sa A + sb B + sa sb AB.
-    # AB = i**k C with k even, because commuting A and B make AB Hermitian,
-    # so i**k is (-1)**(k // 2) and every coefficient is real.
-    k, c = _mul_codes(a.code, b.code)
-    support = 1 | 1 << a.code | 1 << b.code | 1 << c
-    negative = (sa < 0) << a.code | (sb < 0) << b.code | (sa * sb * (-1) ** (k // 2) < 0) << c
-    return support, negative
+def _eigenbasis(a: int, b: int) -> tuple[tuple[int, int], ...]:
+    # 4 times each joint eigenprojector of distinct commuting A, B, by their
+    # codes, onto the eigenvalues (1, 1), (1, -1), (-1, 1), (-1, -1):
+    # (1 + sa A)(1 + sb B) = 1 + sa A + sb B + sa sb AB, one product for all
+    # four.  AB = i**k C with k even, because commuting A and B make AB
+    # Hermitian, so i**k is (-1)**(k // 2) and every coefficient is real.
+    k, c = _mul_codes(a, b)
+    support, both = 1 | 1 << a | 1 << b | 1 << c, (k >> 1) << c
+    one = both ^ 1 << c
+    return (support, both), (support, one | 1 << b), (support, one | 1 << a), (support, both | 1 << a | 1 << b)
 
 
 def line_facts(triple: Sequence[PauliOp]) -> tuple[int | ValueError, tuple]:
@@ -253,8 +253,8 @@ def line_facts(triple: Sequence[PauliOp]) -> tuple[int | ValueError, tuple]:
         sign = line_product_sign(triple)
     except ValueError as exc:
         return exc, ()
-    a, b, _ = sorted(triple)
-    return sign, tuple(_scaled_projector(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1))
+    a, b, _ = sorted(op.code for op in triple)
+    return sign, _eigenbasis(a, b)
 
 
 def _trace_matrix(xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]]) -> list[list[int]]:
@@ -316,9 +316,7 @@ def mub_spread_check(spread: Sequence[Sequence[PauliOp]], facts: Sequence | None
         if isinstance(sign, ValueError):
             raise ValueError(f"triple {i}: {sign}")
     codes = [op.code for ops in triples for op in ops]
-    if sorted(codes) != list(range(1, 16)):
+    if sorted(codes) != _CODES:
         raise ValueError("triples do not partition the fifteen operators")
     bases = [basis for _, basis in facts]
-    return all(map(_orthonormal, bases)) and all(
-        _unbiased(xs, ys) for xs, ys in itertools.combinations(bases, 2)
-    )
+    return all(map(_orthonormal, bases)) and all(itertools.starmap(_unbiased, itertools.combinations(bases, 2)))

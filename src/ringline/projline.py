@@ -20,7 +20,7 @@ only ``enumerate_line`` is cached, for rings that pass ``validate_ring``.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from operator import or_
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -353,7 +353,7 @@ class _BulkKeys(NamedTuple):
     share a byte as x << 4 | y."""
 
     witnesses: dict[tuple[int, int], int]  # per pair, the points distant from both
-    partners: list[list[int]]  # per point, the points distant from it
+    pair_points: tuple[bytes, bytes]  # the i, then the j, of each distant ordered pair (i, j)
     canonical: list[Pair]  # per point, its canonical pair
     row_pairs: list[Pair]  # the scaled rows, point by point
     rows: bytes  # the scaled rows packed
@@ -376,8 +376,7 @@ def _triple_keys(line: ProjectiveLine, us: tuple[RingElement, ...]) -> tuple[lis
     mul, n, u = ring.mul_table, len(line.points), len(us)
     canonical = [pt.canonical for pt in line.points]
     scaled = [[(s, mul[s][c], mul[s][d]) for s in us] for c, d in canonical]
-    partners = [list(gf2.bits(mask)) for mask in distant]
-    pairs = [(i, j) for i, js in enumerate(partners) for j in js]
+    pairs = [(i, j) for i, mask in enumerate(distant) for j in gf2.bits(mask)]
     boths = [distant[i] & distant[j] for i, j in pairs]
     elements = set(ring.elements())
     if (
@@ -402,7 +401,7 @@ def _triple_keys(line: ProjectiveLine, us: tuple[RingElement, ...]) -> tuple[lis
     width = (n + u.bit_length() + 7) // 8
     return scaled, _BulkKeys(
         dict(zip(pairs, boths)),
-        partners,
+        (i_at, j_at),
         canonical,
         [(e, f) for rows in scaled for _, e, f in rows],
         bytes(e << 4 | f for rows in scaled for _, e, f in rows),
@@ -431,12 +430,20 @@ def _bulk_pass(spans: dict[Pair, int], keys: _BulkKeys) -> bool:
     try:
         tops = list(map(spans.__getitem__, keys.canonical))
         row_spans = list(map(spans.__getitem__, keys.row_pairs))
-    except KeyError:
+        u = len(row_spans) // len(tops)
+        reach = row_spans[::u]
+        for t in range(1, u):
+            reach = list(map(or_, reach, row_spans[t::u]))
+        # each pair's top and the union of j's scaled spans, low bytes then
+        # high bytes (a span past 16 bits is a ValueError), gathered as one int
+        met = [
+            int.from_bytes(at.translate(_table(map(byte, side))), "big")
+            for at, side in zip(keys.pair_points, (tops, reach))
+            for byte in ((255).__and__, (8).__rrshift__)
+        ]
+    except (KeyError, ValueError):
         return False
-    u = len(row_spans) // len(tops)
-    reach = [reduce(or_, row_spans[j * u : j * u + u], 0) for j in range(len(tops))]
-    # a span meets none of several spans when it misses their union
-    if any(top & reduce(or_, map(reach.__getitem__, js), 0) for top, js in zip(tops, keys.partners)):
+    if met[0] & met[2] or met[1] & met[3]:
         return False
     if keys.rows.translate(keys.classes) != keys.row_points:
         return False

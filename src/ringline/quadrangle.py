@@ -12,6 +12,7 @@ bitmasks (no external canonical-labeling dependency; instances never exceed
 from __future__ import annotations
 
 import itertools
+from array import array
 from functools import cached_property, lru_cache
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -35,6 +36,7 @@ __all__ = [
     "is_petersen",
     "graph_isomorphism",
     "mask_isomorphism",
+    "MaskMapping",
     "mask_maps_onto",
     "dual",
 ]
@@ -418,37 +420,69 @@ def mask_isomorphism(gadj: Sequence[int], hadj: Sequence[int]) -> dict[int, int]
     return mapping
 
 
+def _patterns(bits: Sequence[int]) -> Sequence[int]:
+    # the OR of ``bits`` at each pattern of their positions, compact while it fits in 32 bits
+    table = [0]
+    for bit in bits:
+        table += [m | bit for m in table]
+    return table if table[-1] >> 32 else array("I", table)
+
+
+class _Carry:
+    """The image mask of a mask, given the image bit of each position: the
+    low byte's from ``low``, the rest's from ``high``, another _Carry past
+    16 positions.  A bit past the last position raises IndexError."""
+
+    __slots__ = ("low", "high")
+
+    def __init__(self, bits: Sequence[int]) -> None:
+        self.low = _patterns(bits[:8])
+        self.high = _patterns(bits[8:]) if len(bits) <= 16 else _Carry(bits[8:])
+
+    def __getitem__(self, mask: int) -> int:
+        return self.low[mask & 255] | self.high[mask >> 8]
+
+
+class MaskMapping(dict):
+    """A read-only vertex mapping {i: w} on 0..n-1, n its length, with what
+    ``mask_maps_onto`` reads, built once with it: ``images``, the image of
+    each vertex in order (-1 for none), and ``carry``, the ``_Carry`` of
+    their bits, none for an image outside 0..n-1.  The full mask then maps
+    onto itself exactly when the mapping is a bijection."""
+
+    __slots__ = ("images", "carry")
+
+    def __init__(self, mapping: Mapping[int, int]) -> None:
+        super().__init__(mapping)
+        every = range(len(self))
+        self.images = tuple(self.get(i, -1) for i in every)
+        self.carry = _Carry([1 << w if w in every else 0 for w in self.images])
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a MaskMapping is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+
 def mask_maps_onto(mapping: Mapping[int, int], gadj: Sequence[int], hadj: Sequence[int]) -> bool:
     """Whether ``mapping`` is a bijection between the vertices 0..n-1 of two
     graphs given as ``mask_isomorphism`` takes them, under which the mask of
     each vertex of ``gadj`` maps exactly onto the ``hadj`` mask of its image:
-    the check of a kept search result.  With n keys and images in 0..n-1,
-    it is a bijection when the images' bits fill all n; each mask of
-    ``gadj`` is then carried bit by bit through the images' bits.  A bit
-    past n has no image in ``gadj`` and none in a carried mask, so it fails
-    on either side."""
+    the check of a kept search result.  Each mask is mapped with two lookups
+    in the tables of a ``MaskMapping``, built here from any other mapping; a
+    bit past n fails on either side."""
     n = len(gadj)
     if len(hadj) != n or len(mapping) != n:
         return False
-    every = range(n)
-    at, seen = {}, 0
-    for i, w in mapping.items():
-        if i not in every or w not in every:
-            return False
-        at[1 << i] = bit = 1 << w
-        seen |= bit
-    if seen != (1 << n) - 1:
-        return False
+    mapping = mapping if isinstance(mapping, MaskMapping) else MaskMapping(mapping)
+    low, high, full = mapping.carry.low, mapping.carry.high, (1 << n) - 1
     try:
-        for i, w in mapping.items():
-            rest, carried = gadj[i], 0
-            while rest:
-                low = rest & -rest
-                carried |= at[low]
-                rest ^= low
-            if carried != hadj[w]:
+        if low[full & 255] | high[full >> 8] != full:
+            return False
+        for g, w in zip(gadj, mapping.images):
+            if low[g & 255] | high[g >> 8] != hadj[w]:
                 return False
-    except KeyError:
+    except IndexError:
         return False
     return True
 

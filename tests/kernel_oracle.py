@@ -6,9 +6,11 @@ ones they replaced: pairwise edge tests, line scans, bit tuples, projectors
 as dicts, trace matrices, frozenset searches, matrix products pair by pair
 and ``product_of``.  Each must give exactly what its package counterpart
 gives: the same verdicts, the same problem strings in the same order, the
-same error messages.  Helpers that no verifier calls any more,
-``structure_isomorphism``, ``complement_graph_of_ovoid``, ``induced`` and
-``product_of``, live here too.
+same error messages.  The bit-by-bit ``mask_maps_onto`` and the
+projector-by-projector ``line_facts`` are the forms that the image tables
+and the one-product eigenbasis replaced.  Helpers that no verifier calls
+any more, ``structure_isomorphism``, ``complement_graph_of_ovoid``,
+``induced`` and ``product_of``, live here too.
 """
 
 import functools
@@ -17,7 +19,6 @@ import itertools
 from ringline import gf2
 from ringline.pauli import (
     IDENTITY,
-    _scaled_projector,
     _trace_matrix,
     line_product_sign as package_line_sign,
     mermin_square_check,
@@ -181,7 +182,7 @@ def mub_spread_check(spread):
     if sorted(op.code for ops in triples for op in ops) != list(range(1, 16)):
         raise ValueError("triples do not partition the fifteen operators")
     return bases_unbiased([
-        [_scaled_projector(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1)]
+        [projector_masks(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1)]
         for a, b, _ in map(sorted, triples)
     ])
 
@@ -285,6 +286,56 @@ def scaled_projector(a, sa, b, sb):
     prod = product_of((a, b))
     sign = {0: 1, 2: -1}[prod.phase_k]
     return {0: 1, a.code: sa, b.code: sb, prod.body.code: sa * sb * sign}
+
+
+def projector_masks(a, sa, b, sb):
+    """``scaled_projector`` as the masks of its bodies and of its bodies
+    with coefficient -1, one projector at a time."""
+    combo = scaled_projector(a, sa, b, sb)
+    return sum(1 << p for p in combo), sum(1 << p for p, c in combo.items() if c < 0)
+
+
+def line_facts(triple):
+    """A line's sign, or the ValueError of ``line_product_sign``, and the
+    four scaled projectors of its two lowest codes, each built on its own
+    from their product."""
+    try:
+        sign = package_line_sign(triple)
+    except ValueError as exc:
+        return exc, ()
+    a, b, _ = sorted(triple)
+    return sign, tuple(projector_masks(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1))
+
+
+def mask_maps_onto(mapping, gadj, hadj):
+    """The mapping check carrying each mask bit by bit: with n keys and
+    images in 0..n-1 whose bits fill all n, each mask of ``gadj`` is carried
+    through a low-bit -> image-bit dict (a bit past n is a KeyError, so
+    False) and compared with the ``hadj`` mask of its image."""
+    n = len(gadj)
+    if len(hadj) != n or len(mapping) != n:
+        return False
+    every = range(n)
+    at, seen = {}, 0
+    for i, w in mapping.items():
+        if i not in every or w not in every:
+            return False
+        at[1 << i] = bit = 1 << w
+        seen |= bit
+    if seen != (1 << n) - 1:
+        return False
+    try:
+        for i, w in mapping.items():
+            rest, carried = gadj[i], 0
+            while rest:
+                low = rest & -rest
+                carried |= at[low]
+                rest ^= low
+            if carried != hadj[w]:
+                return False
+    except KeyError:
+        return False
+    return True
 
 
 def expand_projector(masks):

@@ -827,6 +827,35 @@ def test_petersen_witness_with_two_images_swapped_fails(index, monkeypatch):
     assert verify_all().passed
 
 
+def _two_keys_on_one_image(iso):
+    return {**iso, 0: iso[1]}
+
+
+def _a_key_past_n(iso):
+    last = len(iso) - 1
+    return {**{k: w for k, w in iso.items() if k != last}, len(iso): iso[last]}
+
+
+@pytest.mark.parametrize("bad", [_two_keys_on_one_image, _a_key_past_n])
+@pytest.mark.parametrize("kept", ["MaskMapping", "dict"])
+def test_a_bad_kept_mapping_fails_on_every_call(bad, kept, monkeypatch):
+    """The image tables of a kept mapping hold no verdict: after a warm run,
+    a fresh structure whose Petersen mapping of one ovoid sends two keys to
+    one image, or has a key past the last vertex, fails the Petersen checks
+    of that ovoid, and nothing else, on the first call and on the second,
+    kept with its tables or as a plain dict."""
+    ovoids = _ovoids()
+    assert verify_all().passed
+    key = ("isomorphism", _petersen_masks(ovoids[0]))
+    mapping = bad(co.STRUCTURE.parts[key])
+    st = co.Structure()
+    st.parts[key] = quadrangle.MaskMapping(mapping) if kept == "MaskMapping" else mapping
+    monkeypatch.setattr(co, "STRUCTURE", st)
+    for _ in range(2):
+        assert _failed_anywhere(verify_all()) == _petersen_checks(ovoids[0])
+    assert st.parts[key] == mapping
+
+
 def test_petersen_reference_with_an_edge_dropped_fails(monkeypatch, capsys):
     """A reference graph with one edge dropped is no Petersen graph: it
     fails its sanity check and every ovoid's Petersen checks, through
@@ -1163,11 +1192,23 @@ def _gq_with_a_line_dropped(st):
     return {"gq": IncidenceStructure(s.points, s.lines[1:])}
 
 
+def _gq_with_the_first_line_repeating_the_second(st):
+    s = st.gq
+    return {"gq": IncidenceStructure(s.points, s.lines[1:2] + s.lines[1:])}
+
+
+def _sub_with_the_six_distant_points_rotated(st):
+    line, u, v, pts, (distant, neighbor) = st.sub
+    return {"sub": (line, u, v, pts, (distant[1:] + distant[:1], neighbor))}
+
+
 # a check that no corrupted ring or fixture fails -> the parts of a fresh
 # structure, read off the intact one, that must fail it
 PART_CORRUPTIONS = {
     ("relation sign matrix", "diagonal is self-neighbor throughout"): _signs_with_a_distant_diagonal_cell,
     ("quadrangle structure", "15 points and 15 lines"): _gq_with_a_line_dropped,
+    ("quadrangle structure", "quadrangle axioms hold"): _gq_with_the_first_line_repeating_the_second,
+    ("9 plus 6 factorization", "split matches the recorded one"): _sub_with_the_six_distant_points_rotated,
 }
 
 

@@ -235,6 +235,40 @@ def test_line_product_sign_matches_product_of(commute, monkeypatch):
     assert seen == kinds
 
 
+def _facts_outcome(facts):
+    """Line facts with a ValueError as its message."""
+    sign, basis = facts
+    return (f"ValueError: {sign}" if isinstance(sign, ValueError) else sign), basis
+
+
+@pytest.mark.parametrize("commute", ["alternating form", "always"])
+def test_line_facts_match_oracle(commute, monkeypatch):
+    """Every quadrangle line's operators, in all six orders, a non-commuting
+    triple and, with the commutation test switched off, triples whose
+    product is not plus or minus the identity: the one-product eigenbasis
+    gives the sign or error and the four projectors that building each
+    projector on its own gives."""
+    ops = pauli.standard_labeling()
+    triples = [
+        [ops[p - 1] for p in order]
+        for line in co.STRUCTURE.gq.lines
+        for order in itertools.permutations(sorted(line))
+    ]
+    assert len(triples) == 90
+    triples.append([PauliOp.from_label(t) for t in ("1X", "1Z", "1Y")])
+    if commute == "always":
+        monkeypatch.setattr(pauli, "commutes", lambda a, b: True)
+        triples += [[PauliOp.from_label(t) for t in labels] for labels in (("1X", "1Z", "X1"), ("1X", "1Z", "1Y"))]
+    outcomes = {str(_facts_outcome(pauli.line_facts(t))[0]) for t in triples}
+    for triple in triples:
+        assert _facts_outcome(pauli.line_facts(triple)) == _facts_outcome(oracle.line_facts(triple)), triple
+    expected = {"1", "-1", "ValueError: 1X and 1Z do not commute"}
+    if commute == "always":
+        expected = {"1", "-1", "ValueError: product is -iXY, not proportional to the identity",
+                    "ValueError: product phase -i11 is imaginary"}
+    assert outcomes == expected
+
+
 # ---------------------------------------------------------------------------
 # graph isomorphism
 
@@ -382,6 +416,88 @@ def test_mask_maps_onto_accepts_only_an_exact_bijection():
     assert not quadrangle.mask_maps_onto(same, triangle, past)
 
 
+def _maps_onto_as_oracle(mapping, gadj, hadj):
+    """``mask_maps_onto`` on a mapping, asserted equal to the oracle's
+    bit-by-bit verdict."""
+    got = quadrangle.mask_maps_onto(mapping, gadj, hadj)
+    assert got == oracle.mask_maps_onto(mapping, gadj, hadj), (dict(mapping), gadj, hadj)
+    return got
+
+
+def _kept_mappings():
+    """Every mapping a warm run keeps, with the two graphs it relates."""
+    co.verify_all()
+    kept = [(iso, *graphs) for (kind, graphs), iso in co.STRUCTURE.parts.items() if kind == "isomorphism"]
+    assert all(isinstance(iso, quadrangle.MaskMapping) for iso, _, _ in kept)
+    return kept
+
+
+def test_mask_maps_onto_matches_oracle_on_kept_mappings_with_two_images_swapped():
+    """Every kept mapping of a warm run passes; with any two of its images
+    swapped, as a plain dict, it gets the oracle's verdict."""
+    kept, verdicts = _kept_mappings(), Counter()
+    assert len(kept) >= 17
+    for iso, gadj, hadj in kept:
+        assert _maps_onto_as_oracle(iso, gadj, hadj)
+        for i, j in itertools.combinations(range(len(iso)), 2):
+            verdicts[_maps_onto_as_oracle({**iso, i: iso[j], j: iso[i]}, gadj, hadj)] += 1
+    assert verdicts[False] > 0
+
+
+def test_mask_maps_onto_matches_oracle_on_changed_masks_and_bad_mappings():
+    """On every kept mapping of a warm run: each vertex mask of either graph
+    with each bit flipped, or with a bit at position n; the mapping with a
+    key or an image moved outside 0..n-1, or with two keys on one image."""
+    for iso, gadj, hadj in _kept_mappings():
+        n = len(gadj)
+        for masks, side in ((gadj, 0), (hadj, 1)):
+            for i, b in itertools.product(range(n), range(n + 1)):
+                changed = list(masks)
+                changed[i] ^= 1 << b
+                graphs = (changed, hadj) if side == 0 else (gadj, changed)
+                assert not _maps_onto_as_oracle(iso, *graphs)
+        last = n - 1
+        moved = {k: w for k, w in iso.items() if k != last}
+        for bad in (
+            {**moved, n: iso[last]}, {**moved, -1: iso[last]},
+            {**iso, last: n}, {**iso, last: -1}, {**iso, 0: iso[1]},
+        ):
+            assert not _maps_onto_as_oracle(bad, gadj, hadj)
+            assert not _maps_onto_as_oracle(quadrangle.MaskMapping(bad), gadj, hadj)
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 9, 16, 17, 25, 40])
+def test_mask_maps_onto_matches_oracle_on_cycles_of_every_table_size(n):
+    """Cycles on up to 40 vertices, past the two dense tables and past 32
+    bits: each rotation and reflection maps onto the cycle, and with any
+    one mask bit flipped, or a bit at position n, gets the oracle's verdict."""
+    cycle = [(1 << (i + 1) % n | 1 << (i - 1) % n) & ~(1 << i) if n > 1 else 0 for i in range(n)]
+    for r in range(n):
+        for mapping in ({i: (i + r) % n for i in range(n)}, {i: (r - i) % n for i in range(n)}):
+            assert _maps_onto_as_oracle(quadrangle.MaskMapping(mapping), cycle, cycle)
+    mapping = quadrangle.MaskMapping({i: (i + 1) % n for i in range(n)})
+    for i, b in itertools.product(range(n), (0, n // 2, n - 1, n)):
+        changed = list(cycle)
+        changed[i] ^= 1 << b
+        _maps_onto_as_oracle(mapping, changed, cycle)
+        _maps_onto_as_oracle(mapping, cycle, changed)
+
+
+def test_a_mask_mapping_is_read_only():
+    """A kept mapping cannot change under its tables: every way of writing
+    to it raises TypeError."""
+    kept = quadrangle.MaskMapping({0: 1, 1: 0})
+    writes = [
+        lambda m: m.__setitem__(0, 0), lambda m: m.__delitem__(0), lambda m: m.update({0: 0}),
+        lambda m: m.pop(0), lambda m: m.popitem(), lambda m: m.setdefault(2, 2), lambda m: m.clear(),
+        lambda m: m.__ior__({0: 0}),
+    ]
+    for write in writes:
+        with pytest.raises(TypeError):
+            write(kept)
+    assert kept == {0: 1, 1: 0} and kept.images == (1, 0)
+
+
 def test_graph_isomorphism_finds_the_oracle_mapping(gq, hyperplanes):
     pairs = [(gq.collinearity_graph, dual(gq).collinearity_graph)]
     pairs += [
@@ -497,7 +613,7 @@ def test_bulk_pass_doubts_each_condition_it_checks(m2f2_line):
     us, spans = m2f2_line.units, m2f2_line.spans
     _, keys = projline._triple_keys(m2f2_line, us)
     assert projline._bulk_pass(spans, keys)
-    x0, y0 = m2f2_line.points[0].canonical, m2f2_line.points[keys.partners[0][0]].canonical
+    x0, y0 = m2f2_line.points[0].canonical, m2f2_line.points[keys.pair_points[1][0]].canonical
     missing = {p: span for p, span in spans.items() if p != y0}
     assert not projline._bulk_pass(missing, keys)
     assert not projline._bulk_pass(spans | {x0: spans[x0] | spans[y0]}, keys)
@@ -865,7 +981,8 @@ def test_warm_verify_all_evaluates_each_line_once(monkeypatch):
 
 def test_warm_verify_all_derives_nothing(monkeypatch):
     """A warm ``verify_all()`` reads every part of the structure as kept: it
-    builds no part and calls no helper that derives one, while it makes the
+    builds no part, no image table of a mapping (``_Carry``) and calls no
+    helper that derives one, while it makes the
     verdict calls of every call: 31 mask checks, 11 Mermin evaluations, 6
     unbiasedness tests, 15 line signs and 105 commutation tests (10 for each
     of the six ovoid fives, 3 for each of the 15 lines)."""
@@ -877,7 +994,7 @@ def test_warm_verify_all_derives_nothing(monkeypatch):
         pauli.commutation_table, co._parallel_classes, quadrangle.enumerate_hyperplanes,
         quadrangle.build_gq_from_graph, projline.simultaneous_subconfig, projline.induced_signs,
         quadrangle.mask_maps_onto, pauli.mermin_square_check, pauli.mub_spread_check,
-        pauli.line_product_sign, pauli.commutes,
+        pauli.line_product_sign, pauli.commutes, quadrangle._Carry,
     )
     assert co.verify_all().passed
     assert calls == {

@@ -8,8 +8,8 @@ import pytest
 from ringline import golden
 from ringline.pauli import (
     IDENTITY,
+    _eigenbasis,
     _orthonormal,
-    _scaled_projector,
     _trace_matrix,
     _unbiased,
     MerminResult,
@@ -226,25 +226,28 @@ def test_mub_fails_when_one_projector_sign_is_flipped(body, monkeypatch):
     """Any one of the 20 projectors of a passing spread, with the sign of
     one of its four bodies flipped in the negative mask alone, fails the
     spread: that projector is no longer orthogonal to the rest of its
-    basis."""
+    basis.  The flip is made where ``line_facts`` builds each line's four
+    projectors, once per line."""
     from ringline import pauli
 
     spread = [_ops_for(t) for t in ((1, 2, 7), (3, 5, 8), (4, 6, 9), (10, 11, 12), (13, 14, 15))]
     assert mub_spread_check(spread)
-    real = pauli._scaled_projector
+    real = pauli._eigenbasis
     for target in range(20):
         calls = []
 
-        def flipped(a, sa, b, sb):
-            support, negative = real(a, sa, b, sb)
-            if len(calls) == target:
+        def flipped(a, b):
+            basis = list(real(a, b))
+            if len(calls) == target // 4:
+                support, negative = basis[target % 4]
                 negative ^= 1 << [p for p in range(16) if support >> p & 1][body]
+                basis[target % 4] = support, negative
             calls.append(a)
-            return support, negative
+            return tuple(basis)
 
-        monkeypatch.setattr(pauli, "_scaled_projector", flipped)
+        monkeypatch.setattr(pauli, "_eigenbasis", flipped)
         assert not mub_spread_check(spread)
-        assert len(calls) == 20
+        assert len(calls) == 5
 
 
 def _commuting_lines():
@@ -260,14 +263,7 @@ def _commuting_lines():
 def _line_bases():
     """Each commuting line with the four scaled projectors of its two
     smallest operators, as the MUB check builds them (as masks)."""
-    return [
-        (line, [
-            _scaled_projector(PauliOp(line[0]), sa, PauliOp(line[1]), sb)
-            for sa in (1, -1)
-            for sb in (1, -1)
-        ])
-        for line in _commuting_lines()
-    ]
+    return [(line, list(_eigenbasis(line[0], line[1]))) for line in _commuting_lines()]
 
 
 def test_trace_matrix_matches_oracle_on_every_pair_of_line_bases():
@@ -379,25 +375,25 @@ def test_scaled_projector_traces_match_matrix_oracle():
     scaled, dense = [], []
     for line in lines:
         a, b = PauliOp(line[0]), PauliOp(line[1])
-        for sa in (1, -1):
-            for sb in (1, -1):
-                combo = expand_projector(_scaled_projector(a, sa, b, sb))
-                ca = (Fraction(sa), Fraction(0))
-                cb = (Fraction(sb), Fraction(0))
-                pa = oracle.mat_add(ident, oracle.scale(ca, oracle.mat_for(a)))
-                pb = oracle.mat_add(ident, oracle.scale(cb, oracle.mat_for(b)))
-                p = oracle.scale(quarter, oracle.matmul(pa, pb))
-                assert oracle.matmul(p, p) == p
-                four_p = oracle.scale(oracle.ZERO, ident)
-                for code, coef in combo.items():
-                    body = "11" if code == 0 else PauliOp(code).label
-                    term = oracle.scale(
-                        (Fraction(coef), Fraction(0)), oracle.mat_for_label(body)
-                    )
-                    four_p = oracle.mat_add(four_p, term)
-                assert four_p == oracle.scale((Fraction(4), Fraction(0)), p)
-                scaled.append(combo)
-                dense.append(p)
+        signs = [(sa, sb) for sa in (1, -1) for sb in (1, -1)]
+        for (sa, sb), masks in zip(signs, _eigenbasis(a.code, b.code)):
+            combo = expand_projector(masks)
+            ca = (Fraction(sa), Fraction(0))
+            cb = (Fraction(sb), Fraction(0))
+            pa = oracle.mat_add(ident, oracle.scale(ca, oracle.mat_for(a)))
+            pb = oracle.mat_add(ident, oracle.scale(cb, oracle.mat_for(b)))
+            p = oracle.scale(quarter, oracle.matmul(pa, pb))
+            assert oracle.matmul(p, p) == p
+            four_p = oracle.scale(oracle.ZERO, ident)
+            for code, coef in combo.items():
+                body = "11" if code == 0 else PauliOp(code).label
+                term = oracle.scale(
+                    (Fraction(coef), Fraction(0)), oracle.mat_for_label(body)
+                )
+                four_p = oracle.mat_add(four_p, term)
+            assert four_p == oracle.scale((Fraction(4), Fraction(0)), p)
+            scaled.append(combo)
+            dense.append(p)
     assert len(scaled) == 60
     seen = set()
     for i, j in itertools.combinations_with_replacement(range(60), 2):
