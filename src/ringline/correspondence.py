@@ -55,7 +55,6 @@ from .quadrangle import (
     MaskMapping,
     build_gq_from_graph,
     enumerate_hyperplanes,
-    enumerate_ovoids,
     enumerate_spreads,
     is_strongly_regular,
     mask_isomorphism,
@@ -291,6 +290,15 @@ class Structure:
         return enumerate_spreads(self.gq)
 
     @cached_property
+    def cover_masks(self) -> tuple[frozenset[int], frozenset[int]]:
+        """The ovoids of ``by_kind`` as masks over the positions of
+        ``gq.points``, and ``spreads`` as masks over line indices: what the
+        census's searches on ``gq`` and its dual must find."""
+        bit = {p: 1 << i for i, p in enumerate(self.gq.points)}
+        ovoids = frozenset(sum(map(bit.__getitem__, h.points)) for h in self.by_kind[OVOID])
+        return ovoids, frozenset(sum(1 << i for i in sp) for sp in self.spreads)
+
+    @cached_property
     def labels(self) -> Mapping:
         """The label of each point (as ``c_label`` words it) and point set
         (as ``_cset`` does) that a check shows, worded on first read."""
@@ -375,6 +383,12 @@ class Structure:
         nbrs = tuple(sorted(g.neighbors(x)))
         pairs = tuple((p, q) for p, q in itertools.combinations(nbrs, 2) if g.has_edge(p, q))
         return nbrs, pairs, tuple(h.points for h in self.by_kind[PERP_SET] if h.center == x)
+
+    @_kept_per_key
+    def words(self, points: frozenset) -> str:
+        """The arrangement ``cells(points)`` of a grid in words: its rows'
+        ``labels`` joined by "," and the rows by " / ", "" for none."""
+        return " / ".join(",".join(map(self.labels.__getitem__, row)) for row in self.cells(points) or ())
 
     def cells(self, points: frozenset) -> tuple | None:
         """``_arrange(points)``, kept in ``parts`` by ("cells", points) for
@@ -521,7 +535,7 @@ def verify_line_census(st: Structure) -> Report:
             CheckResult(
                 "census orbit-equivalent to published list",
                 len(expected) == 35 and expected == actual,
-                "35 distinct orbits",
+                f"{len(expected)} distinct orbits",
             )
         )
     counts = {"gf2": 3, "gf4": 5, "gf2xgf2": 9, "gf2dual": 6}
@@ -719,13 +733,8 @@ def verify_hyperplane_census(st: Structure) -> Report:
         CheckResult("10 grids", len(by_kind[GRID]) == 10),
         CheckResult("31 hyperplanes in total", len(planes) == 31),
     ]
-    direct_ovoids = enumerate_ovoids(s)
-    checks.append(
-        CheckResult(
-            "direct ovoid search agrees",
-            {h.points for h in direct_ovoids} == {h.points for h in by_kind[OVOID]},
-        )
-    )
+    ovoids, spread_masks = st.cover_masks
+    checks.append(CheckResult("direct ovoid search agrees", set(s.ovoid_masks()) == ovoids))
     spreads = st.spreads
     checks.append(
         CheckResult(
@@ -733,11 +742,11 @@ def verify_hyperplane_census(st: Structure) -> Report:
             len(spreads) == golden.OVOID_SPREAD_COUNT,
         )
     )
-    dual_ovoids = enumerate_ovoids(s.dual_structure)
+    dual_ovoids = s.dual_structure.ovoid_masks()
     checks.append(
         CheckResult(
             "spreads are the ovoids of the dual",
-            {h.points for h in dual_ovoids} == {frozenset(sp) for sp in spreads},
+            set(dual_ovoids) == spread_masks,
             f"{len(dual_ovoids)} dual ovoids",
         )
     )
@@ -998,7 +1007,7 @@ def verify_mermin(st: Structure, lines: Mapping, square: MerminResult | ValueErr
         _standard_square_check("standard grid is magic", square, data, tail=", product of all six is -1")
     ]
     data["arrangements"] = []
-    grids, labels, names = st.by_kind[GRID], st.labels, st.names
+    grids, names = st.by_kind[GRID], st.names
     checks.append(CheckResult("10 grid hyperplanes", len(grids) == 10))
     for h in grids:
         stage = names["grid {} admits a magic arrangement", h.points]
@@ -1007,8 +1016,7 @@ def verify_mermin(st: Structure, lines: Mapping, square: MerminResult | ValueErr
         except ValueError as exc:
             checks.append(stage_failure(stage, exc))
             continue
-        detail = " / ".join(",".join(map(labels.__getitem__, row)) for row in arrangement or ())
-        checks.append(CheckResult(stage, arrangement is not None, detail))
+        checks.append(CheckResult(stage, arrangement is not None, st.words(h.points) if arrangement else ""))
         if arrangement is not None:
             data["arrangements"].append(
                 {"grid": sorted(h.points), "rows": [list(r) for r in arrangement]}

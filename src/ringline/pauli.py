@@ -267,11 +267,18 @@ def _trace_matrix(xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]]) 
     return [[4 * (size - 2 * ((nx ^ ny) & shared).bit_count()) for _, ny in ys] for _, nx in xs]
 
 
-def _orthonormal(xs: Sequence[tuple[int, int]]) -> bool:
+def _basis_facts(xs: Sequence[tuple[int, int]]) -> tuple[Sequence[tuple[int, int]], int, int, int]:
+    # the basis, its bodies S, its first sign mask and the union of each
+    # sign mask's difference from it: what the pair tests read, once a basis
+    (support, first), (_, b), (_, c), (_, d) = xs
+    return xs, support, first, first ^ b | first ^ c | first ^ d
+
+
+def _orthonormal(x: tuple) -> bool:
     # _trace_matrix(xs, xs) is 16 on the diagonal and 0 off it: the traces
     # 4 |S| and 4 (|S| - 2 k) ask for 4 bodies, any two projectors
-    # differing in sign on k = 2 of them
-    shared = xs[0][0]
+    # differing in sign on k = 2 of them; ``x`` is ``_basis_facts(xs)``
+    xs, shared = x[0], x[1]
     if shared.bit_count() != 4:
         return False
     for (_, nx), (_, ny) in itertools.combinations(xs, 2):
@@ -280,16 +287,14 @@ def _orthonormal(xs: Sequence[tuple[int, int]]) -> bool:
     return True
 
 
-def _unbiased(xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]]) -> bool:
-    # every entry of _trace_matrix(xs, ys) is 4; when each basis's signs
-    # agree on the shared bodies, all 16 entries are one popcount's
-    shared = xs[0][0] & ys[0][0]
-    nx, ny, loose = xs[0][1], ys[0][1], 0
-    for _, n in xs:
-        loose |= n ^ nx
-    for _, n in ys:
-        loose |= n ^ ny
-    if loose & shared:
+def _unbiased(x: tuple, y: tuple) -> bool:
+    # every entry of _trace_matrix(xs, ys) is 4, given ``_basis_facts`` of
+    # each basis; when each basis's signs agree on the shared bodies, all 16
+    # entries are one popcount's
+    xs, sx, nx, loose_x = x
+    ys, sy, ny, loose_y = y
+    shared = sx & sy
+    if (loose_x | loose_y) & shared:
         return _trace_matrix(xs, ys) == [[4] * 4] * 4
     return shared.bit_count() - 2 * ((nx ^ ny) & shared).bit_count() == 1
 
@@ -318,5 +323,5 @@ def mub_spread_check(spread: Sequence[Sequence[PauliOp]], facts: Sequence | None
     codes = [op.code for ops in triples for op in ops]
     if sorted(codes) != _CODES:
         raise ValueError("triples do not partition the fifteen operators")
-    bases = [basis for _, basis in facts]
+    bases = [_basis_facts(basis) for _, basis in facts]
     return all(map(_orthonormal, bases)) and all(itertools.starmap(_unbiased, itertools.combinations(bases, 2)))

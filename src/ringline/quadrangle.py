@@ -134,6 +134,22 @@ class IncidenceStructure(_StructureFields):
         return self._lines_by_point[p]
 
     @cached_property
+    def pencil_masks(self) -> tuple[int, ...]:
+        """Each point's pencil as a mask over line indices, in point order."""
+        return tuple(sum(1 << i for i in self.lines_through(p)) for p in self.points)
+
+    @cached_property
+    def cover_index(self) -> dict[int, list[tuple[int, int]]]:
+        """Each line bit -> the pencils that hold it, each with its point's
+        bit: (pencil mask, 1 << point position)."""
+        return _containing(self.pencil_masks, len(self.lines))
+
+    def ovoid_masks(self) -> list[int]:
+        """The ovoids as masks over point positions, unordered: searched on
+        every call, on the kept cover index."""
+        return _exact_covers(self.cover_index, (1 << len(self.lines)) - 1)
+
+    @cached_property
     def line_masks(self) -> tuple[int, ...]:
         """Each line as a mask over point positions, in line order."""
         bit = {p: 1 << i for i, p in enumerate(self.points)}
@@ -203,7 +219,7 @@ def validate_gq_axioms(s: IncidenceStructure) -> list[str]:
         perp.append(union & ~(1 << j))
         shared = shared or others != perp[j].bit_count()
     if shared:
-        bits = [sum(1 << i for i in ids) for ids in pencils]
+        bits = s.pencil_masks
         for (a, p), (b, q) in itertools.combinations(enumerate(points), 2):
             common = (bits[a] & bits[b]).bit_count()
             if common > 1:
@@ -263,37 +279,37 @@ def _sorted_points(s: IncidenceStructure, pts: Iterable) -> tuple:
     return tuple(sorted(pts, key=pos.__getitem__))
 
 
-def _exact_covers(blocks: Sequence[int], universe: int) -> list[tuple[int, ...]]:
-    """Every set of block indices whose blocks, as bitmasks, partition the
-    bits of ``universe``, as sorted tuples in ascending order (depth first
-    on the lowest uncovered bit; a stack entry is the uncovered mask and the
-    blocks used)."""
-    containing: dict[int, list[int]] = {}
-    for i, block in enumerate(blocks):
-        while block:
-            containing.setdefault(block & -block, []).append(i)
-            block &= block - 1
-    out: list[tuple[int, ...]] = []
-    stack = [(universe, ())]
+def _containing(blocks: Sequence[int], width: int) -> dict[int, list[tuple[int, int]]]:
+    """Each of the low ``width`` bits -> the (block, 1 << block index) pairs
+    of the ``blocks`` masks that hold it, in block order."""
+    return {1 << j: [(m, 1 << i) for i, m in enumerate(blocks) if m >> j & 1] for j in range(width)}
+
+
+def _exact_covers(containing: Mapping[int, Sequence[tuple[int, int]]], universe: int) -> list[int]:
+    """Every set of blocks that, as bitmasks, partition the bits of
+    ``universe``, each as the OR of the blocks' own bits, in the order
+    found; ``containing`` maps each bit to the (block, own bit) pairs of
+    the blocks that hold it.  Depth first on the lowest uncovered bit; a
+    stack entry is the uncovered mask and the blocks used."""
+    out: list[int] = []
+    stack = [(universe, 0)]
+    pop, push = stack.pop, stack.append
     while stack:
-        remaining, used = stack.pop()
+        remaining, used = pop()
         if not remaining:
-            out.append(tuple(sorted(used)))
+            out.append(used)
             continue
-        for i in containing.get(remaining & -remaining, ()):
-            if not blocks[i] & ~remaining:
-                stack.append((remaining ^ blocks[i], used + (i,)))
-    return sorted(out)
+        for block, bit in containing.get(remaining & -remaining, ()):
+            if block & remaining == block:
+                push((remaining ^ block, used | bit))
+    return out
 
 
 def enumerate_ovoids(s: IncidenceStructure) -> tuple[Hyperplane, ...]:
     """All point sets meeting every line exactly once, in the order of their
     points' positions: the exact covers of the lines by point pencils."""
-    pencils = [sum(1 << i for i in s.lines_through(p)) for p in s.points]
-    return tuple(
-        Hyperplane(OVOID, frozenset(s.points[i] for i in cover))
-        for cover in _exact_covers(pencils, (1 << len(s.lines)) - 1)
-    )
+    covers = sorted(tuple(gf2.bits(m)) for m in s.ovoid_masks())
+    return tuple(Hyperplane(OVOID, frozenset(s.points[i] for i in cover)) for cover in covers)
 
 
 def _classify_hyperplane(s: IncidenceStructure, pts: frozenset) -> Hyperplane:
@@ -335,7 +351,8 @@ def enumerate_hyperplanes(s: IncidenceStructure) -> tuple[Hyperplane, ...]:
 def enumerate_spreads(s: IncidenceStructure) -> tuple[tuple[int, ...], ...]:
     """All partitions of the points into pairwise-disjoint lines, as sorted
     tuples of line indices: the exact covers of the points by lines."""
-    return tuple(_exact_covers(s.line_masks, (1 << len(s.points)) - 1))
+    covers = _exact_covers(_containing(s.line_masks, len(s.points)), (1 << len(s.points)) - 1)
+    return tuple(sorted(tuple(gf2.bits(m)) for m in covers))
 
 
 @lru_cache(maxsize=None)

@@ -1228,6 +1228,50 @@ def test_a_set_structure_part_fails_its_check(check, monkeypatch, capsys):
     assert captured.err == ""
 
 
+def _census_reps_with_the_first_repeating_the_second():
+    reps = golden.LINE_CENSUS_REPS
+    return {"LINE_CENSUS_REPS": reps[1:2] + reps[1:]}
+
+
+def _point_reps_with_the_first_two_swapped():
+    reps = golden.POINT_REPS
+    return {"POINT_REPS": reps[1::-1] + reps[2:]}
+
+
+# a check that no corrupted ring, fixture or structure part fails -> the
+# golden constants, read off the intact ones, that must fail it alone
+GOLDEN_CORRUPTIONS = {
+    ("line census", "census orbit-equivalent to published list"): _census_reps_with_the_first_repeating_the_second,
+    ("sub-configuration", "families reproduce the published points in order"): _point_reps_with_the_first_two_swapped,
+}
+
+
+@pytest.mark.parametrize("check", list(GOLDEN_CORRUPTIONS), ids=[name for _, name in GOLDEN_CORRUPTIONS])
+def test_a_changed_golden_constant_fails_its_check_alone(check, monkeypatch, capsys):
+    """Each changed golden constant fails its check and no other through
+    ``verify_all()``, which returns, and through the CLI, which exits 1
+    with nothing on stderr."""
+    for name, value in GOLDEN_CORRUPTIONS[check]().items():
+        monkeypatch.setattr(golden, name, value)
+    assert _failed_anywhere(verify_all()) == {check}
+    assert cli.main(["verify", "all"]) == 1
+    captured = capsys.readouterr()
+    assert f"[FAIL] {check[1]}" in captured.out
+    assert captured.err == ""
+
+
+def test_a_failing_census_states_its_distinct_orbits(monkeypatch):
+    """The orbit check words the count of distinct published orbits it
+    found: 34 when one representative repeats another's class, 35 intact."""
+    check = "census orbit-equivalent to published list"
+    assert _details(co.verify_line_census(co.STRUCTURE))[check] == "35 distinct orbits"
+    for name, value in _census_reps_with_the_first_repeating_the_second().items():
+        monkeypatch.setattr(golden, name, value)
+    report = co.verify_line_census(co.STRUCTURE)
+    assert check in _failed(report)
+    assert _details(report)[check] == "34 distinct orbits"
+
+
 WITNESS_CHECK = "every ordered pairwise-distant triple is witnessed"
 ORDER_CHECK = "invertible group has order 20160"
 

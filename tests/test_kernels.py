@@ -108,10 +108,16 @@ def _structures():
             yield _swapped(s, i, j)
 
 
+def _masks(covers):
+    return sorted(sum(1 << i for i in cover) for cover in covers)
+
+
 def test_mask_exact_covers_match_oracle():
     """Ovoids (points covering the lines by their pencils) and spreads
     (lines covering the points) of 2 + 210 structures: the mask search
-    finds the covers the frozenset search finds, in the same order."""
+    finds the covers the frozenset search finds, in the same order, and the
+    census's search on the kept pencil masks and cover index of each
+    structure and of its dual finds the ovoids and the spreads as masks."""
     counts = Counter()
     for s in _structures():
         s = IncidenceStructure(*s)
@@ -122,8 +128,72 @@ def test_mask_exact_covers_match_oracle():
         )
         spreads = quadrangle.enumerate_spreads(s)
         assert spreads == tuple(oracle.exact_covers(s.lines, s.points))
+        assert sorted(s.ovoid_masks()) == _masks(ovoids)
+        assert sorted(s.dual_structure.ovoid_masks()) == _masks(spreads)
         counts[len(ovoids), len(spreads)] += 1
     assert counts[6, 6] >= 2 and len(counts) > 1
+
+
+def _searched_census(st):
+    """The census's two search verdicts on ``st.gq`` and its dual-ovoid
+    detail, from the frozenset search: its ovoids against those of
+    ``st.by_kind``, and the ovoids of its dual against ``st.spreads``."""
+    s = st.gq
+    pencils = [frozenset(s.lines_through(p)) for p in s.points]
+    ovoids = {frozenset(s.points[i] for i in c) for c in oracle.exact_covers(pencils, range(len(s.lines)))}
+    d = dual(s)
+    dual_pencils = [frozenset(d.lines_through(p)) for p in d.points]
+    dual_ovoids = oracle.exact_covers(dual_pencils, range(len(d.lines)))
+    return (
+        ovoids == {h.points for h in st.by_kind["ovoid"]},
+        {frozenset(c) for c in dual_ovoids} == {frozenset(sp) for sp in st.spreads},
+        f"{len(dual_ovoids)} dual ovoids",
+    )
+
+
+def _census_searches(st):
+    """The same three of ``verify_hyperplane_census(st)``."""
+    checks = {c.name: c for c in co.verify_hyperplane_census(st).checks}
+    dual_check = checks["spreads are the ovoids of the dual"]
+    return checks["direct ovoid search agrees"].passed, dual_check.passed, dual_check.detail
+
+
+def _census_structures():
+    """A fresh structure on each of the 212 structures above, then two on
+    the quadrangle with one ovoid dropped from ``by_kind`` or one spread
+    from ``spreads``."""
+    for s in _structures():
+        st = co.Structure()
+        st.gq = IncidenceStructure(*s)
+        yield st
+    intact = co.STRUCTURE
+    for part, value in (
+        ("by_kind", {**intact.by_kind, "ovoid": intact.by_kind["ovoid"][1:]}),
+        ("spreads", intact.spreads[1:]),
+    ):
+        st = co.Structure()
+        st.gq = IncidenceStructure(*intact.gq)
+        setattr(st, part, value)
+        yield st
+
+
+def test_census_of_a_changed_quadrangle_matches_a_search():
+    """Each structure of ``_census_structures`` gets the census verdicts of
+    the frozenset search on its quadrangle, on the first call, which builds
+    the cover tables of the quadrangle and its dual, and on the second,
+    which reads them as kept; where its hyperplanes fit no kind, both raise
+    that error."""
+    outcomes = Counter()
+    for st in _census_structures():
+        assert "pencil_masks" not in vars(st.gq) and "dual_structure" not in vars(st.gq)
+        first = _outcome(_census_searches, st)
+        expected = _outcome(_searched_census, st)
+        assert first == expected == _outcome(_census_searches, st)
+        outcomes[expected if type(expected) is tuple else "raises"] += 1
+    assert outcomes == {
+        "raises": 120, (True, True, "2 dual ovoids"): 90, (True, True, "6 dual ovoids"): 2,
+        (False, True, "6 dual ovoids"): 1, (True, False, "6 dual ovoids"): 1,
+    }
 
 
 def test_strongly_regular_matches_oracle_on_every_edge_toggle():
@@ -981,11 +1051,12 @@ def test_warm_verify_all_evaluates_each_line_once(monkeypatch):
 
 def test_warm_verify_all_derives_nothing(monkeypatch):
     """A warm ``verify_all()`` reads every part of the structure as kept: it
-    builds no part, no image table of a mapping (``_Carry``) and calls no
-    helper that derives one, while it makes the
-    verdict calls of every call: 31 mask checks, 11 Mermin evaluations, 6
-    unbiasedness tests, 15 line signs and 105 commutation tests (10 for each
-    of the six ovoid fives, 3 for each of the 15 lines)."""
+    builds no part, no image table of a mapping (``_Carry``), no table of
+    the quadrangle or its dual, and calls no helper that derives one, while
+    it makes the verdict calls of every call: 31 mask checks, 11 Mermin
+    evaluations, 6 unbiasedness tests, 15 line signs, 105 commutation tests
+    (10 for each of the six ovoid fives, 3 for each of the 15 lines) and
+    the census's two exact-cover searches, on the quadrangle and its dual."""
     co.verify_all()
     st = co.STRUCTURE
     kept, parts = dict(vars(st)), dict(st.parts)
@@ -994,14 +1065,17 @@ def test_warm_verify_all_derives_nothing(monkeypatch):
         pauli.commutation_table, co._parallel_classes, quadrangle.enumerate_hyperplanes,
         quadrangle.build_gq_from_graph, projline.simultaneous_subconfig, projline.induced_signs,
         quadrangle.mask_maps_onto, pauli.mermin_square_check, pauli.mub_spread_check,
-        pauli.line_product_sign, pauli.commutes, quadrangle._Carry,
+        pauli.line_product_sign, pauli.commutes, quadrangle._Carry, quadrangle._exact_covers,
     )
+    tables = [dict(vars(s)) for s in (st.gq, st.gq.dual_structure)]
     assert co.verify_all().passed
     assert calls == {
         "mask_maps_onto": 31, "mermin_square_check": 11, "mub_spread_check": 6,
-        "line_product_sign": 15, "commutes": 105,
+        "line_product_sign": 15, "commutes": 105, "_exact_covers": 2,
     }
     assert vars(st) == kept and st.parts == parts
+    assert [vars(s) for s in (st.gq, st.gq.dual_structure)] == tables
+    assert {"pencil_masks", "cover_index"} <= tables[0].keys() & tables[1].keys()
 
 
 def test_warm_verify_all_words_nothing(monkeypatch):

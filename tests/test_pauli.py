@@ -8,6 +8,7 @@ import pytest
 from ringline import golden
 from ringline.pauli import (
     IDENTITY,
+    _basis_facts,
     _eigenbasis,
     _orthonormal,
     _trace_matrix,
@@ -175,6 +176,41 @@ def test_mermin_rejects_bad_grids():
         mermin_square_check([[ops[0], ops[1]], [ops[2], ops[3]]])
 
 
+def _first_bad_line(grid):
+    """The row-then-column wording of the first line of ``grid`` that
+    ``line_product_sign`` refuses, signing one line at a time, or None."""
+    for kind, lines in (("row", grid), ("column", zip(*grid))):
+        for i, ops in enumerate(lines, start=1):
+            try:
+                line_product_sign(ops)
+            except ValueError as exc:
+                return f"{kind} {i}: {exc}"
+    return None
+
+
+def test_mermin_errors_name_the_first_bad_row_or_column():
+    """Every grid made from the standard one by swapping two of its cells
+    raises the wording of its first bad row, else its first bad column, or
+    is evaluated when none is bad; two of the messages, byte for byte."""
+    rows = [_ops_for(r) for r in ((7, 8, 9), (10, 11, 12), (13, 14, 15))]
+    messages = {}
+    for a, b in itertools.combinations(range(9), 2):
+        cells = [op for row in rows for op in row]
+        cells[a], cells[b] = cells[b], cells[a]
+        grid = [cells[k : k + 3] for k in (0, 3, 6)]
+        wanted = _first_bad_line(grid)
+        try:
+            result = mermin_square_check(grid)
+        except ValueError as exc:
+            messages[a, b] = str(exc)
+            assert str(exc) == wanted
+        else:
+            assert wanted is None and result.magic
+    assert messages[0, 4] == "row 1: XY and ZY do not commute"
+    assert messages[3, 5] == "column 1: XZ and 1Y do not commute"
+    assert sorted({m.split(":")[0] for m in messages.values()}) == ["column 1", "column 2", "row 1", "row 2"]
+
+
 def test_mub_rejects_overlapping_lines():
     with pytest.raises(ValueError):
         mub_spread_check([_ops_for((7, 8, 9))] * 5)
@@ -297,7 +333,8 @@ def test_closed_form_unbiasedness_matches_trace_matrices():
     (16 on the diagonal, 0 off it) and across two (4 everywhere): on every
     ordered pair of the 15 line bases, and with each body's sign flipped in
     each of the 60 projectors, or the identity's in all four projectors of
-    a basis, against every line basis in both orders."""
+    a basis, against every line basis in both orders.  The verdicts read
+    ``_basis_facts`` of each basis, as ``mub_spread_check`` passes them."""
     bases = [xs for _, xs in _line_bases()]
     changed = []
     for xs in bases:
@@ -310,13 +347,13 @@ def test_closed_form_unbiasedness_matches_trace_matrices():
     assert len(changed) == 60 * 4 + 15
     seen = set()
     for xs in bases + changed:
-        verdict = _orthonormal(xs)
+        verdict = _orthonormal(_basis_facts(xs))
         assert verdict == (_trace_matrix(xs, xs) == oracle_kernels.WITHIN)
         seen.add(("within", verdict))
     pairs = list(itertools.product(bases, repeat=2))
     pairs += [pair for ys in changed for xs in bases for pair in ((xs, ys), (ys, xs))]
     for xs, ys in pairs:
-        verdict = _unbiased(xs, ys)
+        verdict = _unbiased(_basis_facts(xs), _basis_facts(ys))
         assert verdict == (_trace_matrix(xs, ys) == oracle_kernels.ACROSS)
         seen.add(("across", verdict))
     assert seen == {("within", True), ("within", False), ("across", True), ("across", False)}
