@@ -9,7 +9,7 @@ from .cli import VERIFIERS, InputError, _report
 
 def _load_fixture(path: str) -> tuple[str, ...]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read fixture {path}: {e}") from None

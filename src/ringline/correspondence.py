@@ -19,7 +19,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from . import golden
+from . import gf2, golden
 from .golden import c_label
 from .pauli import (
     MerminResult,
@@ -56,6 +56,7 @@ from .quadrangle import (
     build_gq_from_graph,
     enumerate_hyperplanes,
     enumerate_spreads,
+    hyperplane_catalog,
     is_strongly_regular,
     mask_isomorphism,
     mask_maps_onto,
@@ -179,17 +180,6 @@ def _cset(ids: Iterable[int]) -> str:
     return "{" + ",".join([_LABELS[i] for i in sorted(ids)]) + "}"
 
 
-def _label(key: int | Iterable[int]) -> str:
-    # a point as c_label words it, a set of points as _cset does
-    return _LABELS[key] if type(key) is int else _cset(key)
-
-
-def _name(labels: Mapping, key: tuple[str, int | Iterable[int]]) -> str:
-    # the name of a check: its template, filled with the label of its points
-    template, points = key
-    return template.format(labels[points])
-
-
 def _picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
     # the entries of a sequence at ``positions``, as a tuple
     return itemgetter(*positions) if len(positions) > 1 else lambda seq: tuple(seq[i] for i in positions)
@@ -214,18 +204,11 @@ def _ring(name: str) -> Ring:
     return ring_by_name(name)  # looked up on each call, so a wrapped one is read
 
 
-def _kept_per_key(build: Callable) -> Callable:
-    # the method ``build(st, key)`` as a part of ``st`` for each key, kept in
-    # ``st.parts`` as a cached_property keeps a part in the instance dict
-    @wraps(build)
-    def part(self, key):
-        try:
-            return self.parts[build.__name__, key]
-        except KeyError:
-            self.parts[build.__name__, key] = value = build(self, key)
-            return value
-
-    return part
+def _keyed(build: Callable) -> cached_property:
+    # the part ``build(st, key)`` of ``st`` for each key, read as
+    # ``st.<name>[key]``: a _Kept made on first read and kept in the
+    # instance dict, as cached_property keeps any other part
+    return cached_property(wraps(build)(lambda st: _Kept(partial(build, st))))
 
 
 class Structure:
@@ -233,13 +216,12 @@ class Structure:
     name -> its Ring) on first read and kept; a part whose build raises is
     not kept, so every read of it raises.  A part is only a function of the
     structure, never a verdict: every check reads its parts on every call.
-    The parts that take a key are kept in ``parts`` by (name, key), or, for
-    ``labels`` and ``names``, in a dict of their own; the verifiers read all
-    of these only with keys drawn from the structure's own parts."""
+    A part that takes a key is read as ``st.<name>[key]``, a ``_Kept`` dict
+    in the instance dict; the verifiers read these only with keys drawn from
+    the structure's own parts."""
 
     def __init__(self, rings: Callable[[str], Ring] = _ring) -> None:
         self.rings = rings
-        self.parts: dict = {}
 
     @cached_property
     def sub(self) -> tuple[ProjectiveLine, PointClass, PointClass, tuple, tuple]:
@@ -294,29 +276,30 @@ class Structure:
         """The ovoids of ``by_kind`` as masks over the positions of
         ``gq.points``, and ``spreads`` as masks over line indices: what the
         census's searches on ``gq`` and its dual must find."""
-        bit = {p: 1 << i for i, p in enumerate(self.gq.points)}
+        bit = self.gq.point_bits
         ovoids = frozenset(sum(map(bit.__getitem__, h.points)) for h in self.by_kind[OVOID])
         return ovoids, frozenset(sum(1 << i for i in sp) for sp in self.spreads)
 
-    @cached_property
-    def labels(self) -> Mapping:
+    @_keyed
+    def labels(self, key: int | Iterable[int]) -> str:
         """The label of each point (as ``c_label`` words it) and point set
-        (as ``_cset`` does) that a check shows, worded on first read."""
-        return _Kept(_label)
+        (as ``_cset`` does) that a check shows."""
+        return _LABELS[key] if type(key) is int else _cset(key)
 
-    @cached_property
-    def names(self) -> Mapping:
+    @_keyed
+    def names(self, key: tuple[str, int | Iterable[int]]) -> str:
         """The name of each check that names a point or point set, by its
         (template, points): the template filled with their ``labels``."""
-        return _Kept(partial(_name, self.labels))
+        template, points = key
+        return template.format(self.labels[points])
 
     @cached_property
     def line_rows(self) -> tuple[tuple[int, tuple[int, ...], Callable], ...]:
-        """Each line of ``gq`` in order: its mask (bit p - 1 for label p, as
-        in ``gq.line_masks``), its labels in order and ``_picker`` of their
-        positions, which picks its operators from ``standard_labeling()``."""
+        """Each line of ``gq`` in order: its mask in ``gq.line_masks``, its
+        labels in order and ``_picker`` of their positions, which picks its
+        operators from ``standard_labeling()``."""
         s = self.gq
-        return tuple((m, *self.picks(line)) for m, line in zip(s.line_masks, s.lines))
+        return tuple((m, *self.picks[line]) for m, line in zip(s.line_masks, s.lines))
 
     @cached_property
     def line_keys(self) -> dict[tuple[int, ...], int]:
@@ -329,7 +312,7 @@ class Structure:
             return {}
         return {t: m for m, line in zip(s.line_masks, s.lines) for t in itertools.permutations(sorted(line))}
 
-    @_kept_per_key
+    @_keyed
     def picks(self, points: Iterable[int]) -> tuple[tuple[int, ...], Callable]:
         """The labels of ``points`` in order and ``_picker`` of their
         positions (label - 1): their operators from ``standard_labeling()``,
@@ -337,14 +320,14 @@ class Structure:
         labels = tuple(sorted(points))
         return labels, _picker([p - 1 for p in labels])
 
-    @_kept_per_key
+    @_keyed
     def spread(self, spread: tuple[int, ...]) -> tuple[str, tuple]:
         """The check name of ``spread``, given by its line indices into
         ``gq``, and the ``line_rows`` of those lines."""
         lines, labels = self.gq.lines, self.labels
         return "spread " + " ".join(labels[lines[i]] for i in spread), tuple(map(self.line_rows.__getitem__, spread))
 
-    @_kept_per_key
+    @_keyed
     def isomorphism(self, graphs: tuple[tuple[int, ...], tuple[int, ...]]) -> MaskMapping | None:
         """``mask_isomorphism`` of the two graphs, as their adjacency mask
         tuples, a read-only ``MaskMapping`` with its image tables, or None:
@@ -352,29 +335,21 @@ class Structure:
         iso = mask_isomorphism(*graphs)
         return None if iso is None else MaskMapping(iso)
 
-    @_kept_per_key
+    @_keyed
     def induced(self, points: tuple[PointClass, ...]) -> tuple[int, ...]:
         """``induced_neighbor_masks`` of ``points`` on the m2f2 line."""
-        return tuple(induced_neighbor_masks(self.sub[0], points))
+        return induced_neighbor_masks(self.sub[0], points)
 
-    @_kept_per_key
+    @_keyed
     def complement(self, ovoid: frozenset) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The positions in ``gq.points`` of the points off ``ovoid``, and
         the collinearity masks among them with those positions renumbered
         0, 1, ... in order."""
         s = self.gq
-        masks = s.collinearity_graph.masks
         keep = tuple(i for i, p in enumerate(s.points) if p not in ovoid)
-        at, off, sub = {1 << j: 1 << b for b, j in enumerate(keep)}, sum(1 << j for j in keep), []
-        for i in keep:
-            rest, mask = masks[i] & off, 0
-            while rest:
-                mask |= at[rest & -rest]
-                rest &= rest - 1
-            sub.append(mask)
-        return keep, tuple(sub)
+        return keep, gf2.restrict(s.collinearity_graph.masks, keep)
 
-    @_kept_per_key
+    @_keyed
     def centre(self, x: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], tuple[frozenset, ...]]:
         """The neighbors of point ``x`` in ``graph`` in order, the pairs of
         them that are neighbors, and the points of each perp-set hyperplane
@@ -384,23 +359,24 @@ class Structure:
         pairs = tuple((p, q) for p, q in itertools.combinations(nbrs, 2) if g.has_edge(p, q))
         return nbrs, pairs, tuple(h.points for h in self.by_kind[PERP_SET] if h.center == x)
 
-    @_kept_per_key
+    @_keyed
     def words(self, points: frozenset) -> str:
         """The arrangement ``cells(points)`` of a grid in words: its rows'
         ``labels`` joined by "," and the rows by " / ", "" for none."""
         return " / ".join(",".join(map(self.labels.__getitem__, row)) for row in self.cells(points) or ())
 
+    @_keyed
+    def grid_cells(self, points: frozenset) -> tuple | None:
+        """``_arrange(points)`` of a grid hyperplane of ``by_kind``."""
+        return self._arrange(points)
+
     def cells(self, points: frozenset) -> tuple | None:
-        """``_arrange(points)``, kept in ``parts`` by ("cells", points) for
-        the grid hyperplanes of ``by_kind`` alone: any other point set is
-        arranged afresh on each call and keeps nothing."""
-        try:
-            return self.parts["cells", points]
-        except KeyError:
-            grid = self._arrange(points)
-            if any(h.points == points for h in self.by_kind[GRID]):
-                self.parts["cells", points] = grid
-            return grid
+        """``grid_cells[points]`` for the grid hyperplanes of ``by_kind``
+        alone: any other point set is arranged afresh on each call and
+        keeps nothing."""
+        if points in self.grid_cells or any(h.points == points for h in self.by_kind[GRID]):
+            return self.grid_cells[points]
+        return self._arrange(points)
 
     def _arrange(self, points: frozenset) -> tuple | None:
         """The 3x3 arrangement of grid ``points`` that ``grid_mermin_arrangement``
@@ -409,15 +385,15 @@ class Structure:
         arrangement has the same six lines, so it is consistent (each row
         meets each column in one point) when one is, and, since a line's sign
         does not depend on the order of its commuting operators, magic when
-        one is.  The arrangement with the lexicographically least flattened
-        label tuple is the one returned, making the result deterministic.  It is
-        built directly on point masks: in either class order, the row and
-        column through the grid's least point come first, the other columns
-        follow by their meet with that row and the other rows by their meet
-        with that column; the smaller of the two flattened tuples wins.
+        one is.  The one returned has the least flattened tuple of positions
+        in ``gq.points``: for points listed 1..15, the least label tuple.  It is built
+        on the point masks of ``gq.point_bits``: in either class order, the
+        row and column through the grid's first point come first, the other
+        columns follow by their meet with that row and the other rows by their
+        meet with that column; the smaller of the two flattened tuples wins.
         """
         s = self.gq
-        pmask = sum(1 << p - 1 for p in points)
+        pmask = sum(map(s.point_bits.__getitem__, points))
         classes = _parallel_classes([m for m in s.line_masks if not m & ~pmask])
         if classes is None:
             return None
@@ -426,7 +402,7 @@ class Structure:
         least = pmask & -pmask
 
         def flattened(rows: list[int], cols: list[int]) -> list[int]:
-            # each meet is one point, so its mask orders as its label does
+            # each meet is one point, so its mask orders as its position does
             first_row = next(r for r in rows if r & least)
             cols = sorted(cols, key=first_row.__and__)
             return [r & c for r in sorted(rows, key=cols[0].__and__) for c in cols]
@@ -450,9 +426,9 @@ def _ops_for(labels: Iterable[int]) -> list[PauliOp]:
 
 
 def line_table(st: Structure) -> dict[int, tuple]:
-    """Each line of ``st.gq`` by its point mask (bit p - 1 for label p, as in
-    its ``line_masks``) with ``line_facts`` of its operators in label
-    order: the stage "line table", built once per run, never kept.
+    """Each line of ``st.gq`` by its point mask in its ``line_masks`` with
+    ``line_facts`` of its operators in label order: the stage "line table",
+    built once per run, never kept.
     It is {} when there is no quadrangle or labelling to read; a line not
     in it is evaluated where it is used, so that such a run fails as without it."""
     try:
@@ -619,6 +595,19 @@ def _diff_cells(
     return out
 
 
+def _fixture_problem(fixture: Sequence[str]) -> str:
+    # why ``fixture`` is no 15x15 sign matrix, worded for its first bad row, or ""
+    if len(fixture) != 15:
+        return f"got {len(fixture)} rows"
+    for i, row in enumerate(fixture, 1):
+        bad = next((j for j, sign in enumerate(row) if sign not in (DISTANT, NEIGHBOR)), None)
+        if bad is not None:
+            return f"row {i}: {row[bad]!r} at column {bad + 1} is not {DISTANT} or {NEIGHBOR}"
+        if len(row) != 15:
+            return f"row {i} has {len(row)} signs, expected 15"
+    return ""
+
+
 def verify_relation_signs(st: Structure, reference: Sequence[str] | None = None) -> Report:
     """Geometry, operator commutation, and the fixture agree cell for cell.
 
@@ -626,19 +615,10 @@ def verify_relation_signs(st: Structure, reference: Sequence[str] | None = None)
     a file); a malformed reference fails the report rather than raising.
     """
     fixture = golden.CANONICAL_SIGNS if reference is None else tuple(reference)
-    checks = []
-    shape_ok = len(fixture) == 15 and all(
-        len(row) == 15 and set(row) <= {DISTANT, NEIGHBOR} for row in fixture
-    )
-    checks.append(
-        CheckResult(
-            "fixture well-formed",
-            shape_ok,
-            "15 rows of 15 signs" if shape_ok else f"got {len(fixture)} rows",
-        )
-    )
+    problem = _fixture_problem(fixture)
+    checks = [CheckResult("fixture well-formed", not problem, problem or "15 rows of 15 signs")]
     data: dict = {"diffs": []}
-    if shape_ok:
+    if not problem:
         geo, ops = st.signs, st.operator_signs
         comparisons = (
             ("geometry vs operators", geo, "geometry", ops, "operators"),
@@ -669,7 +649,7 @@ def _checked_isomorphism(st: Structure, gadj: Sequence[int], hadj: Sequence[int]
     of mask tuples on ``st``, which keeps the mapping as its ``isomorphism``
     part; every call checks the kept mapping with ``mask_maps_onto``."""
     gadj, hadj = tuple(gadj), tuple(hadj)
-    iso = st.isomorphism((gadj, hadj))
+    iso = st.isomorphism[gadj, hadj]
     return iso if iso is not None and mask_maps_onto(iso, gadj, hadj) else None
 
 
@@ -750,22 +730,14 @@ def verify_hyperplane_census(st: Structure) -> Report:
             f"{len(dual_ovoids)} dual ovoids",
         )
     )
-    data = {
-        "ovoids": [sorted(h.points) for h in by_kind[OVOID]],
-        "perp_sets": [
-            {"center": h.center, "points": sorted(h.points)}
-            for h in by_kind[PERP_SET]
-        ],
-        "grids": [sorted(h.points) for h in by_kind[GRID]],
-        "spreads": [list(sp) for sp in spreads],
-    }
+    data = hyperplane_catalog(itertools.chain(*by_kind.values()), spreads)
     return Report("hyperplane census", tuple(checks), data)
 
 
 def _subline_witness(st: Structure, points: Iterable[PointClass], target: str) -> Mapping | None:
     """An isomorphism from the graph of the m2f2 ``points`` (their kept
     ``st.induced`` masks) onto the line over ``target``, or None."""
-    return _checked_isomorphism(st, st.induced(tuple(points)), enumerate_line(st.rings(target)).neighbor_masks)
+    return _checked_isomorphism(st, st.induced[tuple(points)], enumerate_line(st.rings(target)).neighbor_masks)
 
 
 def verify_petersen(st: Structure) -> Report:
@@ -776,7 +748,7 @@ def verify_petersen(st: Structure) -> Report:
     checks = []
     data: dict = {"witnesses": []}
     for h in st.by_kind[OVOID]:
-        keep, sub = st.complement(h.points)
+        keep, sub = st.complement[h.points]
         iso = _checked_isomorphism(st, sub, reference.masks)
         checks.append(
             CheckResult(
@@ -858,7 +830,7 @@ def verify_split_9_6(st: Structure, square: MerminResult | ValueError) -> Report
         data["grid_bijection"] = [
             [i + 7, grid_line.points[iso[i]].canonical] for i in sorted(iso)
         ]
-    balance = all(mask.bit_count() == 4 for mask in st.induced(tuple(fam_neighbor)))
+    balance = all(mask.bit_count() == 4 for mask in st.induced[tuple(fam_neighbor)])
     checks.append(
         CheckResult(
             "each of the nine has 4 neighbor and 4 distant partners inside",
@@ -935,7 +907,7 @@ def verify_split_10_5(st: Structure, petersen: Report) -> Report:
         )
     )
     for h in ovoids:
-        labels, pick = st.picks(h.points)
+        labels, pick = st.picks[h.points]
         noncommuting = all(
             not commutes(a, b) for a, b in itertools.combinations(pick(ops), 2)
         )
@@ -959,8 +931,8 @@ def verify_perp_sublines(st: Structure) -> Report:
     checks = []
     data: dict = {"pairs": {}}
     for x in range(1, 16):
-        nbrs, pairs, perp = st.centre(x)
-        pick = st.picks(nbrs)[1]
+        nbrs, pairs, perp = st.centre[x]
+        pick = st.picks[nbrs][1]
         # the sub-line is checked for every center, whatever else fails
         subline = _subline_witness(st, pick(pts), "gf2dual") is not None
         passed = (
@@ -1016,7 +988,7 @@ def verify_mermin(st: Structure, lines: Mapping, square: MerminResult | ValueErr
         except ValueError as exc:
             checks.append(stage_failure(stage, exc))
             continue
-        checks.append(CheckResult(stage, arrangement is not None, st.words(h.points) if arrangement else ""))
+        checks.append(CheckResult(stage, arrangement is not None, st.words[h.points] if arrangement else ""))
         if arrangement is not None:
             data["arrangements"].append(
                 {"grid": sorted(h.points), "rows": [list(r) for r in arrangement]}
@@ -1028,7 +1000,7 @@ def spread_unbiased(st: Structure, spread: Sequence[int], lines: Mapping) -> tup
     """The spread's lines as sorted label tuples, and whether their
     operators' joint eigenbases are mutually unbiased, the line facts read
     from ``lines``, a ``line_table(st)``."""
-    ops, rows = standard_labeling(), st.spread(tuple(spread))[1]
+    ops, rows = standard_labeling(), st.spread[tuple(spread)][1]
     triples = [labels for _, labels, _ in rows]
     return triples, mub_spread_check([pick(ops) for _, _, pick in rows], [lines[m] for m, _, _ in rows])
 
@@ -1040,7 +1012,7 @@ def verify_mub(st: Structure, lines: Mapping) -> Report:
     spreads, count = st.spreads, golden.OVOID_SPREAD_COUNT
     checks = [CheckResult(f"{count} spreads to examine", len(spreads) == count)]
     for sp in spreads:
-        stage = st.spread(sp)[0]
+        stage = st.spread[sp][0]
         try:
             triples, ok = spread_unbiased(st, sp, lines)
         except ValueError as exc:

@@ -92,22 +92,6 @@ def hyperplane_catalog_to_json_dict(
     planes: Iterable[Hyperplane], spreads: Iterable[Sequence[int]]
 ) -> dict:
     """The full catalog: ovoids, perp sets, grids, spreads."""
-    from .quadrangle import GRID, OVOID, PERP_SET
+    from .quadrangle import hyperplane_catalog
 
-    ovoids, perps, grids = [], [], []
-    for h in planes:
-        if h.kind == OVOID:
-            ovoids.append(sorted(h.points))
-        elif h.kind == PERP_SET:
-            perps.append({"center": h.center, "points": sorted(h.points)})
-        elif h.kind == GRID:
-            grids.append(sorted(h.points))
-        else:
-            raise ValueError(f"unknown hyperplane kind {h.kind!r}")
-    return {
-        "schema": 1,
-        "ovoids": ovoids,
-        "perp_sets": perps,
-        "grids": grids,
-        "spreads": [list(sp) for sp in spreads],
-    }
+    return {"schema": 1, **hyperplane_catalog(planes, spreads)}

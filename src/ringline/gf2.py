@@ -10,6 +10,7 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "BitMatrix",
     "bits",
+    "restrict",
     "identity",
     "add",
     "multiply",
@@ -28,6 +29,14 @@ def bits(mask: int) -> Iterator[int]:
     while mask:
         yield (mask & -mask).bit_length() - 1
         mask &= mask - 1
+
+
+def restrict(masks: Sequence[int], positions: Sequence[int]) -> BitMatrix:
+    """The rows of ``masks`` at the distinct ``positions``, each cut to those
+    columns and renumbered 0, 1, ... in the order given: the adjacency masks
+    of the subgraph induced on ``positions``."""
+    at, cut = {j: 1 << b for b, j in enumerate(positions)}, sum(1 << j for j in positions)
+    return tuple(sum(at[j] for j in bits(masks[i] & cut)) for i in positions)
 
 
 def identity(n: int) -> BitMatrix:

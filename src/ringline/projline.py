@@ -268,12 +268,10 @@ def induced_signs(line: ProjectiveLine, pts: Iterable[PointClass | Pair]) -> tup
     return tuple("".join(line.relation[i][j] for j in idx) for i in idx)
 
 
-def induced_neighbor_masks(line: ProjectiveLine, pts: Iterable[PointClass | Pair]) -> list[int]:
+def induced_neighbor_masks(line: ProjectiveLine, pts: Iterable[PointClass | Pair]) -> gf2.BitMatrix:
     """``line.neighbor_masks`` restricted to the distinct points ``pts``:
     bit b of entry a is set when ``pts[a]`` and ``pts[b]`` are neighbors."""
-    idx = [line.index_of(_as_class(line, p).canonical) for p in pts]
-    masks = line.neighbor_masks
-    return [sum(1 << b for b, j in enumerate(idx) if masks[i] >> j & 1) for i in idx]
+    return gf2.restrict(line.neighbor_masks, [line.index_of(_as_class(line, p).canonical) for p in pts])
 
 
 def signs_graph(rows: Sequence[str], first: int = 0) -> Graph:

@@ -32,6 +32,7 @@ __all__ = [
     "enumerate_ovoids",
     "enumerate_hyperplanes",
     "enumerate_spreads",
+    "hyperplane_catalog",
     "petersen_graph",
     "is_petersen",
     "graph_isomorphism",
@@ -150,10 +151,15 @@ class IncidenceStructure(_StructureFields):
         return _exact_covers(self.cover_index, (1 << len(self.lines)) - 1)
 
     @cached_property
+    def point_bits(self) -> dict:
+        """Each point -> its bit, 1 << its position in ``points``: the bit
+        every point mask of the structure gives it."""
+        return {p: 1 << i for i, p in enumerate(self.points)}
+
+    @cached_property
     def line_masks(self) -> tuple[int, ...]:
         """Each line as a mask over point positions, in line order."""
-        bit = {p: 1 << i for i, p in enumerate(self.points)}
-        return tuple(sum(bit[p] for p in line) for line in self.lines)
+        return tuple(sum(map(self.point_bits.__getitem__, line)) for line in self.lines)
 
     @cached_property
     def collinearity_graph(self) -> Graph:
@@ -353,6 +359,20 @@ def enumerate_spreads(s: IncidenceStructure) -> tuple[tuple[int, ...], ...]:
     tuples of line indices: the exact covers of the points by lines."""
     covers = _exact_covers(_containing(s.line_masks, len(s.points)), (1 << len(s.points)) - 1)
     return tuple(sorted(tuple(gf2.bits(m)) for m in covers))
+
+
+def hyperplane_catalog(planes: Iterable[Hyperplane], spreads: Iterable[Sequence[int]]) -> dict:
+    """The ovoids, perp sets (with their centers) and grids of ``planes``,
+    each kind in the order given and each as sorted points, then the
+    spreads as lists of line indices."""
+    kinds: dict = {OVOID: [], PERP_SET: [], GRID: []}
+    for h in planes:
+        if h.kind not in kinds:
+            raise ValueError(f"unknown hyperplane kind {h.kind!r}")
+        points = sorted(h.points)
+        kinds[h.kind].append({"center": h.center, "points": points} if h.kind == PERP_SET else points)
+    return {"ovoids": kinds[OVOID], "perp_sets": kinds[PERP_SET], "grids": kinds[GRID],
+            "spreads": [list(sp) for sp in spreads]}
 
 
 @lru_cache(maxsize=None)

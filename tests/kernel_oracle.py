@@ -10,7 +10,8 @@ same error messages.  The bit-by-bit ``mask_maps_onto`` and the
 projector-by-projector ``line_facts`` are the forms that the image tables
 and the one-product eigenbasis replaced.  Helpers that no verifier calls
 any more, ``structure_isomorphism``, ``complement_graph_of_ovoid``,
-``induced`` and ``product_of``, live here too.
+``induced``, the two mask restrictions that ``gf2.restrict`` replaced and
+``product_of``, live here too.
 """
 
 import functools
@@ -85,6 +86,26 @@ def induced(g, keep):
     keep = tuple(keep)
     kset = set(keep)
     return Graph(keep, frozenset(e for e in g.edges if e <= kset))
+
+
+def restrict_by_bit_walk(masks, keep):
+    """The rows of ``masks`` at ``keep``, cut to those columns and renumbered
+    0, 1, ... in order, one set bit at a time: the walk that
+    ``Structure.complement`` ran before ``gf2.restrict``."""
+    at, off, sub = {1 << j: 1 << b for b, j in enumerate(keep)}, sum(1 << j for j in keep), []
+    for i in keep:
+        rest, mask = masks[i] & off, 0
+        while rest:
+            mask |= at[rest & -rest]
+            rest &= rest - 1
+        sub.append(mask)
+    return tuple(sub)
+
+
+def restrict_by_formula(masks, idx):
+    """The same restriction column by column: the formula that
+    ``projline.induced_neighbor_masks`` used before ``gf2.restrict``."""
+    return [sum(1 << b for b, j in enumerate(idx) if masks[i] >> j & 1) for i in idx]
 
 
 def complement_graph_of_ovoid(s, ovoid):

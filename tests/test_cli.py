@@ -296,6 +296,41 @@ def test_verify_table2_rejects_short_fixture(tmp_path, capsys):
     assert cli.main(["verify", "table2", "--fixture", str(f)]) == 1
 
 
+def _row_changed(i, change):
+    rows = list(golden.CANONICAL_SIGNS)
+    rows[i] = change(rows[i])
+    return rows
+
+
+@pytest.mark.parametrize("rows, named", [
+    (_row_changed(2, lambda row: row + "+"), "row 3 has 16 signs, expected 15"),
+    (_row_changed(4, lambda row: row[:6] + "x" + row[7:]), "row 5: 'x' at column 7 is not + or -"),
+    (_row_changed(0, lambda row: row + "  # note"), "row 1: ' ' at column 16 is not + or -"),
+], ids=["a-sign-too-many", "an-x", "an-inline-comment"])
+def test_verify_table2_names_the_first_malformed_fixture_row(rows, named, tmp_path, capsys):
+    """A fixture of 15 rows with one bad row fails its shape check naming
+    that row and why, not its row count: exit 1 and nothing on stderr."""
+    f = tmp_path / "bad.txt"
+    write_fixture(f, rows)
+    assert cli.main(["verify", "table2", "--fixture", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert f"[FAIL] fixture well-formed: {named}\n" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("header", ["", "# commutation fixture\n\n"], ids=["bare", "commented"])
+def test_verify_table2_reads_a_fixture_with_a_byte_order_mark(header, tmp_path, capsys):
+    """The stored fixture saved as UTF-8 with a byte order mark passes all
+    five checks."""
+    f = tmp_path / "bom.txt"
+    f.write_bytes(("\ufeff" + header + "\n".join(golden.CANONICAL_SIGNS) + "\n").encode("utf-8"))
+    assert cli.main(["verify", "table2", "--fixture", str(f)]) == 0
+    captured = capsys.readouterr()
+    assert "[PASS] fixture well-formed: 15 rows of 15 signs\n" in captured.out
+    assert captured.out.endswith("checks: 5  failed: 0  result: PASS\n")
+    assert captured.err == ""
+
+
 def test_verify_table2_refuses_a_fixture_that_is_not_utf8(tmp_path, capsys):
     """A fixture that does not decode is a usage error, as a missing one
     is: exit 2 and one error line, no FAIL report."""

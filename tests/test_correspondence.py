@@ -588,7 +588,7 @@ def test_relation_isomorphism_searches_the_line_graph():
     line, _, _, pts, _ = co.STRUCTURE.sub
     nine = projline.induced_neighbor_masks(line, pts[6:])
     signs = projline.signs_graph(projline.induced_signs(line, pts[6:]))
-    assert nine == [sum(1 << j for j in signs.neighbors(i)) for i in range(9)]
+    assert nine == tuple(sum(1 << j for j in signs.neighbors(i)) for i in range(9))
     grid_line = projline.enumerate_line(ring_by_name("gf2xgf2"))
     mapping = co.mask_isomorphism(nine, grid_line.neighbor_masks)
     assert mapping is not None
@@ -762,8 +762,7 @@ def _petersen_masks(ovoid):
 
 def _clear_kept_mappings(st):
     """Drop every mapping that ``st`` keeps as its ``isomorphism`` part."""
-    for key in [key for key in st.parts if key[0] == "isomorphism"]:
-        del st.parts[key]
+    st.isomorphism.clear()
 
 
 def _ovoids():
@@ -785,7 +784,7 @@ def test_petersen_search_runs_once_per_ovoid(monkeypatch):
     assert verify_petersen(co.STRUCTURE).passed and co.run("10 plus 5 factorization").passed
     assert targets.count(co.petersen_graph().masks) == 6
     with pytest.raises(TypeError):
-        co.STRUCTURE.isomorphism(_petersen_masks(golden.SAMPLE_OVOID))[0] = 1
+        co.STRUCTURE.isomorphism[_petersen_masks(golden.SAMPLE_OVOID)][0] = 1
     witnesses = verify_petersen(co.STRUCTURE).data["witnesses"]
     kept = copy.deepcopy(witnesses)
     for witness in witnesses:
@@ -818,10 +817,10 @@ def test_petersen_witness_with_two_images_swapped_fails(index, monkeypatch):
     ovoids = _ovoids()
     assert len(ovoids) == 6 and len({_petersen_masks(o) for o in ovoids}) == 6
     assert verify_all().passed
-    key = ("isomorphism", _petersen_masks(ovoids[index]))
-    real = co.STRUCTURE.parts[key]
+    key = _petersen_masks(ovoids[index])
+    real = co.STRUCTURE.isomorphism[key]
     swapped = MappingProxyType({**real, 0: real[1], 1: real[0]})
-    monkeypatch.setitem(co.STRUCTURE.parts, key, swapped)
+    monkeypatch.setitem(co.STRUCTURE.isomorphism, key, swapped)
     assert _failed_anywhere(verify_all()) == _petersen_checks(ovoids[index])
     monkeypatch.undo()
     assert verify_all().passed
@@ -846,14 +845,14 @@ def test_a_bad_kept_mapping_fails_on_every_call(bad, kept, monkeypatch):
     kept with its tables or as a plain dict."""
     ovoids = _ovoids()
     assert verify_all().passed
-    key = ("isomorphism", _petersen_masks(ovoids[0]))
-    mapping = bad(co.STRUCTURE.parts[key])
+    key = _petersen_masks(ovoids[0])
+    mapping = bad(co.STRUCTURE.isomorphism[key])
     st = co.Structure()
-    st.parts[key] = quadrangle.MaskMapping(mapping) if kept == "MaskMapping" else mapping
+    st.isomorphism[key] = quadrangle.MaskMapping(mapping) if kept == "MaskMapping" else mapping
     monkeypatch.setattr(co, "STRUCTURE", st)
     for _ in range(2):
         assert _failed_anywhere(verify_all()) == _petersen_checks(ovoids[0])
-    assert st.parts[key] == mapping
+    assert st.isomorphism[key] == mapping
 
 
 def test_petersen_reference_with_an_edge_dropped_fails(monkeypatch, capsys):
@@ -881,15 +880,27 @@ def _relabelled_gq():
     return relabelled
 
 
+def test_a_quadrangle_with_its_points_listed_in_reverse_passes(monkeypatch):
+    """Every point mask of the structure gives a point the bit of
+    ``gq.point_bits``: a fresh structure on the canonical quadrangle with its
+    points listed 15..1 passes all 100 checks, the ten grid arrangements
+    among them."""
+    s = co.STRUCTURE.gq
+    st = co.Structure()
+    st.gq = IncidenceStructure(tuple(reversed(s.points)), s.lines)
+    monkeypatch.setattr(co, "STRUCTURE", st)
+    assert verify_all().tally() == (100, 0)
+
+
 def _first_run_on_a_relabelled_nine(monkeypatch):
     """``verify_split_9_6`` on a structure that keeps, as the masks of the
     nine, those of the nine with their first two points swapped: a valid
     gf2xgf2 model with other masks."""
     st = co.Structure()
     nine = tuple(st.sub[3][6:])
-    relabelled = st.induced((nine[1], nine[0]) + nine[2:])
-    assert relabelled != st.induced(nine)
-    st.parts["induced", nine] = relabelled
+    relabelled = st.induced[(nine[1], nine[0]) + nine[2:]]
+    assert relabelled != st.induced[nine]
+    st.induced[nine] = relabelled
     monkeypatch.setattr(co, "STRUCTURE", st)
     assert co.run("9 plus 6 factorization").passed
 
@@ -953,7 +964,7 @@ def test_certificates_on_changed_quadrangles_leave_no_module_cache_behind(monkey
         st.gq = IncidenceStructure(s.points, s.lines[:i] + s.lines[i + 1 :])
         monkeypatch.setattr(co, "STRUCTURE", st)
         assert not verify_all().passed
-        kept.append([key for key in st.parts if key[0] == "isomorphism"])
+        kept.append(list(st.isomorphism))
     assert all(kept) and _module_cache_sizes() == before
 
 
@@ -973,7 +984,7 @@ def test_split_9_6_builds_the_nine_masks_once(monkeypatch):
     assert co.run("9 plus 6 factorization").passed
     assert co.run("9 plus 6 factorization").passed
     assert built.count(nine) == 1
-    assert st.parts["induced", nine] == tuple(real(line, nine))
+    assert st.induced[nine] == real(line, nine)
 
 
 @pytest.mark.parametrize("first, second", list(itertools.product(*map(sorted, golden.TRIPLE_SPLIT))))
@@ -1043,9 +1054,9 @@ def test_kept_subline_witness_fails_on_a_flipped_mask_bit(kind, index, monkeypat
     returns, and ``ringline verify all`` exits 1 without a traceback."""
     assert verify_all().passed
     points, checks = _kept_subline(kind, index)
-    key = ("induced", tuple(points))
-    masks = co.STRUCTURE.parts[key]
-    monkeypatch.setitem(co.STRUCTURE.parts, key, (masks[0] ^ 0b10,) + masks[1:])
+    key = tuple(points)
+    masks = co.STRUCTURE.induced[key]
+    monkeypatch.setitem(co.STRUCTURE.induced, key, (masks[0] ^ 0b10,) + masks[1:])
     assert _failed_anywhere(verify_all()) == checks
     assert cli.main(["verify", "all"]) == 1
     captured = capsys.readouterr()
@@ -1095,12 +1106,12 @@ def _one_grid_dropped_from_its_kind(st):
 
 def _flipped_complement_bit(st):
     ovoid = st.by_kind["ovoid"][0].points
-    keep, masks = st.complement(ovoid)
+    keep, masks = st.complement[ovoid]
     return ("complement", ovoid), (keep, (masks[0] ^ 0b10,) + masks[1:]), _petersen_checks(ovoid)
 
 
 def _a_centre_with_a_pair_dropped(st):
-    nbrs, pairs, perp = st.centre(13)
+    nbrs, pairs, perp = st.centre[13]
     checks = {("perp-set sublines", "perp set of C13"), ("hyperplane trinity", PERP_ROW)}
     return ("centre", 13), (nbrs, pairs[1:], perp), checks
 
@@ -1108,7 +1119,7 @@ def _a_centre_with_a_pair_dropped(st):
 def _a_grid_without_cells(st):
     grid = st.by_kind["grid"][0].points
     check = ("magic squares", f"grid {co._cset(grid)} admits a magic arrangement")
-    return ("cells", grid), None, {check, ("hyperplane trinity", GRID_ROW)}
+    return ("grid_cells", grid), None, {check, ("hyperplane trinity", GRID_ROW)}
 
 
 @pytest.mark.parametrize("change", [
@@ -1127,8 +1138,9 @@ def test_a_changed_kept_part_fails_the_checks_that_read_it(change, monkeypatch, 
     if isinstance(part, str):
         monkeypatch.setattr(co.STRUCTURE, part, value)
     else:
-        assert part in co.STRUCTURE.parts
-        monkeypatch.setitem(co.STRUCTURE.parts, part, value)
+        name, key = part
+        assert key in getattr(co.STRUCTURE, name)
+        monkeypatch.setitem(getattr(co.STRUCTURE, name), key, value)
     assert _failed_anywhere(verify_all()) == checks
     assert cli.main(["verify", "all"]) == 1
     captured = capsys.readouterr()
@@ -1202,32 +1214,6 @@ def _sub_with_the_six_distant_points_rotated(st):
     return {"sub": (line, u, v, pts, (distant[1:] + distant[:1], neighbor))}
 
 
-# a check that no corrupted ring or fixture fails -> the parts of a fresh
-# structure, read off the intact one, that must fail it
-PART_CORRUPTIONS = {
-    ("relation sign matrix", "diagonal is self-neighbor throughout"): _signs_with_a_distant_diagonal_cell,
-    ("quadrangle structure", "15 points and 15 lines"): _gq_with_a_line_dropped,
-    ("quadrangle structure", "quadrangle axioms hold"): _gq_with_the_first_line_repeating_the_second,
-    ("9 plus 6 factorization", "split matches the recorded one"): _sub_with_the_six_distant_points_rotated,
-}
-
-
-@pytest.mark.parametrize("check", list(PART_CORRUPTIONS), ids=[name for _, name in PART_CORRUPTIONS])
-def test_a_set_structure_part_fails_its_check(check, monkeypatch, capsys):
-    """Each part set on a fresh structure fails its check through
-    ``verify_all()``, which returns, and through the CLI, which exits 1
-    with nothing on stderr."""
-    st = co.Structure()
-    for part, value in PART_CORRUPTIONS[check](co.STRUCTURE).items():
-        setattr(st, part, value)
-    monkeypatch.setattr(co, "STRUCTURE", st)
-    assert check in _failed_anywhere(verify_all())
-    assert cli.main(["verify", "all"]) == 1
-    captured = capsys.readouterr()
-    assert f"[FAIL] {check[1]}" in captured.out
-    assert captured.err == ""
-
-
 def _census_reps_with_the_first_repeating_the_second():
     reps = golden.LINE_CENSUS_REPS
     return {"LINE_CENSUS_REPS": reps[1:2] + reps[1:]}
@@ -1238,22 +1224,51 @@ def _point_reps_with_the_first_two_swapped():
     return {"POINT_REPS": reps[1::-1] + reps[2:]}
 
 
-# a check that no corrupted ring, fixture or structure part fails -> the
-# golden constants, read off the intact ones, that must fail it alone
-GOLDEN_CORRUPTIONS = {
-    ("line census", "census orbit-equivalent to published list"): _census_reps_with_the_first_repeating_the_second,
-    ("sub-configuration", "families reproduce the published points in order"): _point_reps_with_the_first_two_swapped,
+# a corruption: the parts of a fresh structure, read off the intact one,
+# that fail its check, or the golden constants, read off the intact ones,
+# that fail its check alone
+PART, GOLDEN = "part", "golden"
+
+# each check that no corrupted ring or fixture fails -> its corruption
+CORRUPTIONS = {
+    ("line census", "census orbit-equivalent to published list"):
+        (GOLDEN, _census_reps_with_the_first_repeating_the_second),
+    ("sub-configuration", "families reproduce the published points in order"):
+        (GOLDEN, _point_reps_with_the_first_two_swapped),
+    ("relation sign matrix", "diagonal is self-neighbor throughout"): (PART, _signs_with_a_distant_diagonal_cell),
+    ("quadrangle structure", "15 points and 15 lines"): (PART, _gq_with_a_line_dropped),
+    ("quadrangle structure", "quadrangle axioms hold"): (PART, _gq_with_the_first_line_repeating_the_second),
+    ("9 plus 6 factorization", "split matches the recorded one"): (PART, _sub_with_the_six_distant_points_rotated),
 }
 
 
-@pytest.mark.parametrize("check", list(GOLDEN_CORRUPTIONS), ids=[name for _, name in GOLDEN_CORRUPTIONS])
-def test_a_changed_golden_constant_fails_its_check_alone(check, monkeypatch, capsys):
-    """Each changed golden constant fails its check and no other through
-    ``verify_all()``, which returns, and through the CLI, which exits 1
-    with nothing on stderr."""
-    for name, value in GOLDEN_CORRUPTIONS[check]().items():
-        monkeypatch.setattr(golden, name, value)
-    assert _failed_anywhere(verify_all()) == {check}
+def _named_anywhere(report):
+    named = {(report.title, c.name) for c in report.checks}
+    return named.union(*(_named_anywhere(r) for r in report.subreports))
+
+
+def test_every_corruption_is_of_a_check_of_verify_all():
+    """Each key of ``CORRUPTIONS`` is a (report title, check name) that an
+    intact ``verify_all()`` reports."""
+    assert set(CORRUPTIONS) <= _named_anywhere(verify_all())
+
+
+@pytest.mark.parametrize("check", list(CORRUPTIONS), ids=[name for _, name in CORRUPTIONS])
+def test_a_corruption_fails_its_check(check, monkeypatch, capsys):
+    """Each corruption fails its check through ``verify_all()``, which
+    returns, a changed golden constant that check alone, and through the
+    CLI, which exits 1 with nothing on stderr."""
+    kind, corruption = CORRUPTIONS[check]
+    if kind == PART:
+        st = co.Structure()
+        for part, value in corruption(co.STRUCTURE).items():
+            setattr(st, part, value)
+        monkeypatch.setattr(co, "STRUCTURE", st)
+    else:
+        for name, value in corruption().items():
+            monkeypatch.setattr(golden, name, value)
+    failed = _failed_anywhere(verify_all())
+    assert (failed == {check}) if kind == GOLDEN else (check in failed)
     assert cli.main(["verify", "all"]) == 1
     captured = capsys.readouterr()
     assert f"[FAIL] {check[1]}" in captured.out

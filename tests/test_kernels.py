@@ -12,7 +12,7 @@ import kernel_oracle as oracle
 from kernel_oracle import complement_graph_of_ovoid
 from ring_docs import ring_from_json_dict
 from ringline import correspondence as co
-from ringline import golden, pauli, projline, quadrangle, rings
+from ringline import gf2, golden, pauli, projline, quadrangle, rings
 from ringline.pauli import PauliOp, line_product_sign
 from ringline.projline import distant_triple_witnesses, enumerate_line
 from ringline.quadrangle import (
@@ -225,10 +225,26 @@ def test_petersen_witness_checks_the_complement_masks(monkeypatch, hyperplanes):
     st = co.Structure()
     st.gq, st.hyperplanes = gq, tuple(h._replace(kind="ovoid") for h in hyperplanes)
     co.verify_petersen(st)
-    kept = [st.parts["complement", h.points] for h in hyperplanes]
+    kept = [st.complement[h.points] for h in hyperplanes]
     oracles = [complement_graph_of_ovoid(gq, h.points) for h in hyperplanes]
     assert checked == [masks for _, masks in kept] == [g.masks for g in oracles]
     assert [tuple(gq.points[i] for i in keep) for keep, _ in kept] == [g.vertices for g in oracles]
+
+
+def test_restrict_matches_the_bit_walk_and_the_formula_it_replaced(hyperplanes):
+    """``gf2.restrict`` of the collinearity masks gives what the bit walk of
+    ``Structure.complement`` and the formula of ``induced_neighbor_masks``
+    gave: off every ovoid, and on every 5- and 6-subset of the 15 points,
+    in order and reversed."""
+    gq = co.STRUCTURE.gq
+    masks = gq.collinearity_graph.masks
+    offs = [tuple(i for i, p in enumerate(gq.points) if p not in h.points) for h in hyperplanes if h.kind == "ovoid"]
+    subsets = [c for k in (5, 6) for c in itertools.combinations(range(15), k)]
+    cases = offs + subsets + [c[::-1] for c in subsets]
+    assert len(offs) == 6 and len(cases) == 6 + 2 * (3003 + 5005)
+    for keep in cases:
+        got = gf2.restrict(masks, keep)
+        assert got == oracle.restrict_by_bit_walk(masks, keep) == tuple(oracle.restrict_by_formula(masks, keep)), keep
 
 
 def _arrangement_sets(gq, hyperplanes):
@@ -264,10 +280,10 @@ def test_arrangements_keep_only_the_grid_hyperplanes(hyperplanes):
     st = co.Structure()
     sets = _arrangement_sets(st.gq, hyperplanes)
     _arrangements_match_oracle(st, sets)
-    kept = {key for name, key in st.parts if name == "cells"}
+    kept = set(st.grid_cells)
     assert kept == {h.points for h in st.by_kind["grid"]}
     _arrangements_match_oracle(st, sets)
-    assert all(st.parts["cells", points] == st._arrange(points) for points in kept)
+    assert all(st.grid_cells[points] == st._arrange(points) for points in kept)
 
 
 def test_collinear_is_sharing_a_line(gq):
@@ -405,8 +421,7 @@ def _first_use_searches(monkeypatch):
     the mappings the structure keeps as its ``isomorphism`` part are
     cleared, wherever ``mask_isomorphism`` is bound."""
     co.verify_all()
-    for key in [key for key in co.STRUCTURE.parts if key[0] == "isomorphism"]:
-        del co.STRUCTURE.parts[key]
+    co.STRUCTURE.isomorphism.clear()
     real, searches = quadrangle.mask_isomorphism, []
 
     def recorded(gadj, hadj):
@@ -497,7 +512,7 @@ def _maps_onto_as_oracle(mapping, gadj, hadj):
 def _kept_mappings():
     """Every mapping a warm run keeps, with the two graphs it relates."""
     co.verify_all()
-    kept = [(iso, *graphs) for (kind, graphs), iso in co.STRUCTURE.parts.items() if kind == "isomorphism"]
+    kept = [(iso, *graphs) for graphs, iso in co.STRUCTURE.isomorphism.items()]
     assert all(isinstance(iso, quadrangle.MaskMapping) for iso, _, _ in kept)
     return kept
 
@@ -1049,6 +1064,12 @@ def test_warm_verify_all_evaluates_each_line_once(monkeypatch):
     }
 
 
+def _kept_parts(st):
+    """The parts of ``st`` by name, each keyed part as a copy of its entries,
+    so that an entry it gains later shows."""
+    return {name: dict(part) if isinstance(part, co._Kept) else part for name, part in vars(st).items()}
+
+
 def test_warm_verify_all_derives_nothing(monkeypatch):
     """A warm ``verify_all()`` reads every part of the structure as kept: it
     builds no part, no image table of a mapping (``_Carry``), no table of
@@ -1059,7 +1080,7 @@ def test_warm_verify_all_derives_nothing(monkeypatch):
     the census's two exact-cover searches, on the quadrangle and its dual."""
     co.verify_all()
     st = co.STRUCTURE
-    kept, parts = dict(vars(st)), dict(st.parts)
+    kept = _kept_parts(st)
     calls = _count_calls(
         monkeypatch, projline.induced_neighbor_masks, quadrangle.triangles, co.operator_signs,
         pauli.commutation_table, co._parallel_classes, quadrangle.enumerate_hyperplanes,
@@ -1073,7 +1094,7 @@ def test_warm_verify_all_derives_nothing(monkeypatch):
         "mask_maps_onto": 31, "mermin_square_check": 11, "mub_spread_check": 6,
         "line_product_sign": 15, "commutes": 105, "_exact_covers": 2,
     }
-    assert vars(st) == kept and st.parts == parts
+    assert _kept_parts(st) == kept
     assert [vars(s) for s in (st.gq, st.gq.dual_structure)] == tables
     assert {"pencil_masks", "cover_index"} <= tables[0].keys() & tables[1].keys()
 
