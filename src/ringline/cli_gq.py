@@ -12,6 +12,10 @@ def render_gq_build(args: argparse.Namespace) -> tuple[str, int]:
     from .golden import c_label
 
     s = co.STRUCTURE.gq
+    try:
+        s.point_bits
+    except ValueError as exc:  # the points repeat or miss one of a line
+        return _failed(args, co.CheckResult("the points hold every line", False, str(exc)))
     if args.format == "json":
         from . import export
         return _json(export.structure_to_json_dict(s)), EXIT_OK
@@ -55,6 +59,7 @@ def render_gq_spreads(args: argparse.Namespace) -> tuple[str, int]:
     from .golden import c_label
 
     s, spreads = co.STRUCTURE.gq, co.STRUCTURE.spreads
+    spreads = [s.line_indices(sp) for sp in spreads]
     if args.format == "json":
         return _json(
             {

@@ -51,6 +51,7 @@ from .quadrangle import (
     OVOID,
     PERP_SET,
     Graph,
+    Hyperplane,
     IncidenceStructure,
     MaskMapping,
     build_gq_from_graph,
@@ -173,6 +174,7 @@ def stage_failure(stage: str, exc: ValueError) -> CheckResult:
     return CheckResult(stage, False, f"raised ValueError: {exc}")
 
 
+_KINDS = (OVOID, PERP_SET, GRID)
 _LABELS = tuple(map(c_label, range(16)))  # c_label(p) is _LABELS[p] for each point label p
 
 
@@ -183,6 +185,11 @@ def _cset(ids: Iterable[int]) -> str:
 def _picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
     # the entries of a sequence at ``positions``, as a tuple
     return itemgetter(*positions) if len(positions) > 1 else lambda seq: tuple(seq[i] for i in positions)
+
+
+def _points_off(s: IncidenceStructure, points: frozenset) -> tuple:
+    # the points of ``s`` not in ``points``, in the order of ``s.points``
+    return tuple(itertools.filterfalse(points.__contains__, s.points))
 
 
 class _Kept(dict):
@@ -246,8 +253,11 @@ class Structure:
         return signs_graph(self.signs, first=1)
 
     @cached_property
-    def triangles(self) -> tuple[frozenset, ...]:
-        return tuple(triangles(self.graph))
+    def triangles(self) -> tuple[tuple[int, int, int], ...]:
+        """The triangles of ``graph``, each as the positions of its three
+        vertices in ``graph.vertices``, in order."""
+        pos = {v: i for i, v in enumerate(self.graph.vertices)}
+        return tuple(tuple(sorted(map(pos.__getitem__, t))) for t in triangles(self.graph))
 
     @cached_property
     def operator_signs(self) -> tuple[str, ...]:
@@ -262,10 +272,10 @@ class Structure:
     def hyperplanes(self):
         return enumerate_hyperplanes(self.gq)
 
-    @cached_property
-    def by_kind(self) -> dict[str, tuple]:
-        """``hyperplanes`` of each kind, in order."""
-        return {kind: tuple(h for h in self.hyperplanes if h.kind == kind) for kind in (OVOID, PERP_SET, GRID)}
+    @_keyed
+    def by_kind(self, kind: str) -> tuple[Hyperplane, ...]:
+        """``hyperplanes`` of ``kind``, in order."""
+        return tuple(h for h in self.hyperplanes if h.kind == kind)
 
     @cached_property
     def spreads(self):
@@ -299,7 +309,10 @@ class Structure:
         labels in order and ``_picker`` of their positions, which picks its
         operators from ``standard_labeling()``."""
         s = self.gq
-        return tuple((m, *self.picks[line]) for m, line in zip(s.line_masks, s.lines))
+        rows = tuple((m, *self.picks[line]) for m, line in zip(s.line_masks, s.lines))
+        if any(labels != tuple(sorted(line)) for (_, labels, _), line in zip(rows, s.lines)):
+            raise ValueError("a kept pick of a line holds the labels of other points")
+        return rows
 
     @cached_property
     def line_keys(self) -> dict[tuple[int, ...], int]:
@@ -321,11 +334,10 @@ class Structure:
         return labels, _picker([p - 1 for p in labels])
 
     @_keyed
-    def spread(self, spread: tuple[int, ...]) -> tuple[str, tuple]:
-        """The check name of ``spread``, given by its line indices into
-        ``gq``, and the ``line_rows`` of those lines."""
+    def spread(self, spread: tuple[int, ...]) -> str:
+        """The check name of ``spread``, given by its line indices into ``gq``."""
         lines, labels = self.gq.lines, self.labels
-        return "spread " + " ".join(labels[lines[i]] for i in spread), tuple(map(self.line_rows.__getitem__, spread))
+        return "spread " + " ".join(labels[lines[i]] for i in self.gq.line_indices(spread))
 
     @_keyed
     def isomorphism(self, graphs: tuple[tuple[int, ...], tuple[int, ...]]) -> MaskMapping | None:
@@ -336,18 +348,18 @@ class Structure:
         return None if iso is None else MaskMapping(iso)
 
     @_keyed
-    def induced(self, points: tuple[PointClass, ...]) -> tuple[int, ...]:
-        """``induced_neighbor_masks`` of ``points`` on the m2f2 line."""
-        return induced_neighbor_masks(self.sub[0], points)
+    def induced(self, points: tuple[PointClass, ...]) -> tuple[tuple[PointClass, ...], tuple[int, ...]]:
+        """``points`` and their ``induced_neighbor_masks`` on the m2f2 line:
+        a reader checks the first against the points it asks for."""
+        return points, induced_neighbor_masks(self.sub[0], points)
 
     @_keyed
-    def complement(self, ovoid: frozenset) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The positions in ``gq.points`` of the points off ``ovoid``, and
-        the collinearity masks among them with those positions renumbered
-        0, 1, ... in order."""
+    def complement(self, ovoid: frozenset) -> tuple[tuple, tuple[int, ...]]:
+        """``_points_off(gq, ovoid)``, and the collinearity masks among them
+        with their positions in ``gq.points`` renumbered 0, 1, ... in order."""
         s = self.gq
-        keep = tuple(i for i, p in enumerate(s.points) if p not in ovoid)
-        return keep, gf2.restrict(s.collinearity_graph.masks, keep)
+        off = _points_off(s, ovoid)
+        return off, gf2.restrict(s.collinearity_graph.masks, [s.point_bits[p].bit_length() - 1 for p in off])
 
     @_keyed
     def centre(self, x: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], tuple[frozenset, ...]]:
@@ -372,10 +384,11 @@ class Structure:
 
     def cells(self, points: frozenset) -> tuple | None:
         """``grid_cells[points]`` for the grid hyperplanes of ``by_kind``
-        alone: any other point set is arranged afresh on each call and
-        keeps nothing."""
+        alone, None when they are not cells of ``points``: any other point
+        set is arranged afresh on each call and keeps nothing."""
         if points in self.grid_cells or any(h.points == points for h in self.by_kind[GRID]):
-            return self.grid_cells[points]
+            cells = self.grid_cells[points]
+            return cells if cells is None or points.issuperset(sum(cells, ())) else None
         return self._arrange(points)
 
     def _arrange(self, points: frozenset) -> tuple | None:
@@ -429,11 +442,14 @@ def line_table(st: Structure) -> dict[int, tuple]:
     """Each line of ``st.gq`` by its point mask in its ``line_masks`` with
     ``line_facts`` of its operators in label order: the stage "line table",
     built once per run, never kept.
-    It is {} when there is no quadrangle or labelling to read; a line not
-    in it is evaluated where it is used, so that such a run fails as without it."""
+    It is {} when there is no quadrangle or labelling to read, or when
+    ``st.line_rows`` are not the lines of ``st.gq``; a line not in it is
+    evaluated where it is used, so that such a run fails as without it."""
     try:
-        ops = standard_labeling()
-        return {m: line_facts(pick(ops)) for m, _, pick in st.line_rows}
+        ops, rows = standard_labeling(), st.line_rows
+        if tuple(m for m, _, _ in rows) != st.gq.line_masks:
+            return {}
+        return {m: line_facts(pick(ops)) for m, _, pick in rows}
     except ValueError:
         return {}
 
@@ -539,11 +555,13 @@ def verify_subconfig(st: Structure) -> Report:
             len(fam_distant) == 6 and len(fam_neighbor) == 9,
         )
     ]
-    expected = [line.class_of(rep) for rep in golden.POINT_REPS]
+    reps = golden.POINT_REPS
+    # each published pair lies in the point of its place: the class it names
+    published = len(pts) == len(reps) and all(rep in pt.members for pt, rep in zip(pts, reps))
     checks.append(
         CheckResult(
             "families reproduce the published points in order",
-            list(pts) == expected,
+            published,
             " ".join(str(pt.canonical) for pt in pts),
         )
     )
@@ -565,27 +583,47 @@ def verify_subconfig(st: Structure) -> Report:
             "diagonal counted as self-neighbor",
         )
     )
-    g, tris = st.graph, st.triangles
-    has_4_clique = any(
-        g.neighbors(a) & g.neighbors(b) & g.neighbors(c) for a, b, c in tris
-    )
+    tris = st.triangles
+    problem = _clique_problem(st.graph, tris)
     checks.append(
         CheckResult(
             "maximum neighbor clique is 3",
-            bool(tris) and not has_4_clique,
-            f"{len(tris)} triangles, none extendable",
+            not problem,
+            problem or f"{len(tris)} triangles, none extendable",
         )
     )
     return Report("sub-configuration", tuple(checks))
 
 
+def _clique_problem(g: Graph, tris: Sequence[tuple[int, int, int]]) -> str:
+    """Why ``tris``, triangles of ``g`` as increasing vertex positions, do
+    not show that its largest clique has three vertices, or "": each must be
+    a triangle that no vertex extends, and they must be all of them."""
+    masks = g.masks
+    n = len(masks)
+    for t in tris:
+        i, j, k = t
+        if not 0 <= i < j < k < n or not masks[i] >> j & masks[i] >> k & masks[j] >> k & 1:
+            return f"{t} is no triangle of the graph by vertex positions"
+        if masks[i] & masks[j] & masks[k]:
+            return f"triangle {[g.vertices[p] for p in t]} extends to a clique of four"
+    if not tris or len(set(tris)) != len(tris) or len(tris) != g.triangle_count:
+        return f"{len(set(tris))} distinct of {len(tris)} triangles listed, {g.triangle_count} in the graph"
+    return ""
+
+
 def _diff_cells(
     left: Sequence[str], right: Sequence[str], left_name: str, right_name: str
 ) -> list[str]:
+    # the cells where two square sign matrices differ, or else how their shapes do
+    if len(left) != len(right):
+        return [f"{left_name} has {len(left)} rows, {right_name} {len(right)}"]
     out = []
     for i in range(len(left)):
         if left[i] == right[i]:
             continue
+        if len(left[i]) != len(left) or len(right[i]) != len(left):
+            return [f"row {i + 1}: {left_name} has {len(left[i])} signs, {right_name} {len(right[i])}"]
         for j in range(len(left)):
             if left[i][j] != right[i][j]:
                 out.append(
@@ -632,7 +670,10 @@ def verify_relation_signs(st: Structure, reference: Sequence[str] | None = None)
             if len(diffs) > 4:
                 detail += f"; and {len(diffs) - 4} more"
             checks.append(CheckResult(name, not diffs, detail))
-        diag_ok = all(row[i] == NEIGHBOR for i, row in enumerate(geo))
+        try:
+            diag_ok = all(row[i] == NEIGHBOR for i, row in enumerate(geo))
+        except IndexError:  # a row shorter than its place
+            diag_ok = False
         checks.append(
             CheckResult("diagonal is self-neighbor throughout", diag_ok, "15 cells")
         )
@@ -662,7 +703,8 @@ def quadrangle_axioms(st: Structure) -> tuple[list[str], Mapping | None]:
     iso = _checked_isomorphism(st, s.collinearity_graph.masks, d.collinearity_graph.masks)
     if iso is not None:
         iso = {s.points[i]: d.points[w] for i, w in iso.items()}
-        if {frozenset(map(iso.get, line)) for line in s.lines} != set(d.lines):
+        images = {frozenset(map(iso.get, line)) for line in s.lines}
+        if len(images) != len(d.lines) or images != set(d.lines):
             iso = None
     return validate_gq_axioms(s), iso
 
@@ -710,7 +752,8 @@ def verify_hyperplane_census(st: Structure) -> Report:
             len(by_kind[OVOID]) == golden.OVOID_SPREAD_COUNT,
         ),
         CheckResult("15 perp sets", len(by_kind[PERP_SET]) == 15),
-        CheckResult("10 grids", len(by_kind[GRID]) == 10),
+        # a grid listed twice, unlike an ovoid or perp set, meets no other check
+        CheckResult("10 grids", len(set(by_kind[GRID])) == len(by_kind[GRID]) == 10),
         CheckResult("31 hyperplanes in total", len(planes) == 31),
     ]
     ovoids, spread_masks = st.cover_masks
@@ -730,14 +773,20 @@ def verify_hyperplane_census(st: Structure) -> Report:
             f"{len(dual_ovoids)} dual ovoids",
         )
     )
-    data = hyperplane_catalog(itertools.chain(*by_kind.values()), spreads)
+    data = hyperplane_catalog(itertools.chain(*map(by_kind.__getitem__, _KINDS)), spreads)
     return Report("hyperplane census", tuple(checks), data)
 
 
 def _subline_witness(st: Structure, points: Iterable[PointClass], target: str) -> Mapping | None:
     """An isomorphism from the graph of the m2f2 ``points`` (their kept
-    ``st.induced`` masks) onto the line over ``target``, or None."""
-    return _checked_isomorphism(st, st.induced[tuple(points)], enumerate_line(st.rings(target)).neighbor_masks)
+    ``st.induced`` masks, kept for these points) onto the line over
+    ``target``, or None, as for points that repeat, which have no graph."""
+    points = tuple(points)
+    try:
+        kept, masks = st.induced[points]
+    except ValueError:
+        return None
+    return _checked_isomorphism(st, masks, enumerate_line(st.rings(target)).neighbor_masks) if kept == points else None
 
 
 def verify_petersen(st: Structure) -> Report:
@@ -748,8 +797,8 @@ def verify_petersen(st: Structure) -> Report:
     checks = []
     data: dict = {"witnesses": []}
     for h in st.by_kind[OVOID]:
-        keep, sub = st.complement[h.points]
-        iso = _checked_isomorphism(st, sub, reference.masks)
+        off, sub = st.complement[h.points]
+        iso = _checked_isomorphism(st, sub, reference.masks) if off == _points_off(s, h.points) else None
         checks.append(
             CheckResult(
                 names["complement of {} is Petersen", h.points],
@@ -761,9 +810,7 @@ def verify_petersen(st: Structure) -> Report:
             data["witnesses"].append(
                 {
                     "ovoid": sorted(h.points),
-                    "mapping": sorted(
-                        [s.points[keep[i]], list(reference.vertices[w])] for i, w in iso.items()
-                    ),
+                    "mapping": sorted([p, list(reference.vertices[iso[i]])] for i, p in enumerate(off)),
                 }
             )
     checks.append(
@@ -830,7 +877,7 @@ def verify_split_9_6(st: Structure, square: MerminResult | ValueError) -> Report
         data["grid_bijection"] = [
             [i + 7, grid_line.points[iso[i]].canonical] for i in sorted(iso)
         ]
-    balance = all(mask.bit_count() == 4 for mask in st.induced[tuple(fam_neighbor)])
+    balance = all(mask.bit_count() == 4 for mask in st.induced[tuple(fam_neighbor)][1])
     checks.append(
         CheckResult(
             "each of the nine has 4 neighbor and 4 distant partners inside",
@@ -915,7 +962,7 @@ def verify_split_10_5(st: Structure, petersen: Report) -> Report:
         checks.append(
             CheckResult(
                 names["ovoid {}", h.points],
-                noncommuting and subline and h.points in witnessed,
+                labels == tuple(sorted(h.points)) and noncommuting and subline and h.points in witnessed,
                 "pairwise non-commuting, gf4 subline, Petersen complement",
             )
         )
@@ -932,11 +979,12 @@ def verify_perp_sublines(st: Structure) -> Report:
     data: dict = {"pairs": {}}
     for x in range(1, 16):
         nbrs, pairs, perp = st.centre[x]
-        pick = st.picks[nbrs][1]
+        picked, pick = st.picks[nbrs]
         # the sub-line is checked for every center, whatever else fails
         subline = _subline_witness(st, pick(pts), "gf2dual") is not None
         passed = (
-            len(nbrs) == 6
+            picked == nbrs
+            and len(nbrs) == 6
             and len(pairs) == 3
             and tuple(sorted(itertools.chain.from_iterable(pairs))) == nbrs
             and subline
@@ -999,10 +1047,13 @@ def verify_mermin(st: Structure, lines: Mapping, square: MerminResult | ValueErr
 def spread_unbiased(st: Structure, spread: Sequence[int], lines: Mapping) -> tuple[list, bool]:
     """The spread's lines as sorted label tuples, and whether their
     operators' joint eigenbases are mutually unbiased, the line facts read
-    from ``lines``, a ``line_table(st)``."""
-    ops, rows = standard_labeling(), st.spread[tuple(spread)][1]
-    triples = [labels for _, labels, _ in rows]
-    return triples, mub_spread_check([pick(ops) for _, _, pick in rows], [lines[m] for m, _, _ in rows])
+    from ``lines``, a ``line_table(st)``, which holds every line or none."""
+    if not lines:
+        raise ValueError("no line table: the line rows are not the lines of the quadrangle")
+    # the line rows are the lines, as ``lines`` is not empty
+    ops, rows = standard_labeling(), [st.line_rows[i] for i in st.gq.line_indices(spread)]
+    facts = [lines[m] for m, _, _ in rows]
+    return [labels for _, labels, _ in rows], mub_spread_check([pick(ops) for _, _, pick in rows], facts)
 
 
 def verify_mub(st: Structure, lines: Mapping) -> Report:
@@ -1012,7 +1063,7 @@ def verify_mub(st: Structure, lines: Mapping) -> Report:
     spreads, count = st.spreads, golden.OVOID_SPREAD_COUNT
     checks = [CheckResult(f"{count} spreads to examine", len(spreads) == count)]
     for sp in spreads:
-        stage = st.spread[sp][0]
+        stage = st.spread[sp]
         try:
             triples, ok = spread_unbiased(st, sp, lines)
         except ValueError as exc:
@@ -1067,7 +1118,7 @@ def trinity_report(st: Structure, ovoid_rep: Report, perp_rep: Report, mermin_re
     Each row is backed by the report of its dedicated pass, given here and
     kept as a subreport; this report presents their counts side by side.
     """
-    counts = {kind: len(planes) for kind, planes in st.by_kind.items()}
+    counts = {kind: len(st.by_kind[kind]) for kind in _KINDS}
     checks = [
         CheckResult(
             f"ovoid row: {golden.OVOID_SPREAD_COUNT} ovoids, gf4 sublines, "

@@ -34,8 +34,10 @@ def bits(mask: int) -> Iterator[int]:
 def restrict(masks: Sequence[int], positions: Sequence[int]) -> BitMatrix:
     """The rows of ``masks`` at the distinct ``positions``, each cut to those
     columns and renumbered 0, 1, ... in the order given: the adjacency masks
-    of the subgraph induced on ``positions``."""
+    of the subgraph induced on ``positions``.  ValueError if a position repeats."""
     at, cut = {j: 1 << b for b, j in enumerate(positions)}, sum(1 << j for j in positions)
+    if len(at) != len(positions):
+        raise ValueError(f"positions {list(positions)} repeat")
     return tuple(sum(at[j] for j in bits(masks[i] & cut)) for i in positions)
 
 

@@ -280,6 +280,8 @@ def signs_graph(rows: Sequence[str], first: int = 0) -> Graph:
     from .quadrangle import Graph
 
     n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"a sign matrix of {n} rows needs {n} signs in each")
     pairs = itertools.combinations(range(n), 2)
     edges = [(i + first, j + first) for i, j in pairs if rows[i][j] == NEIGHBOR]
     return Graph.from_edges(range(first, first + n), edges)

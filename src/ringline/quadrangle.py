@@ -57,21 +57,20 @@ class Graph(_GraphFields):
 
     @classmethod
     def from_edges(cls, vertices: Iterable[Vertex], edges: Iterable) -> Graph:
-        verts = tuple(vertices)
-        vset = set(verts)
-        norm = set()
-        for e in edges:
-            e = frozenset(e)
-            if len(e) != 2 or not e <= vset:
-                raise ValueError(f"bad edge {set(e)}")
-            norm.add(e)
-        return cls(verts, frozenset(norm))
+        """The graph, checked: ValueError for an edge that is no pair of vertices."""
+        g = cls(tuple(vertices), frozenset(map(frozenset, edges)))
+        g.adjacency  # built now, so that a bad edge raises here
+        return g
 
     @cached_property
     def adjacency(self) -> dict:
+        """Each vertex -> its neighbors; ValueError for an edge that is no
+        pair of vertices."""
         adj: dict = {v: set() for v in self.vertices}
         for e in self.edges:
-            u, v = tuple(e)
+            if len(e) != 2 or not e <= adj.keys():
+                raise ValueError(f"edge {sorted(e, key=str)} is no pair of vertices")
+            u, v = e
             adj[u].add(v)
             adj[v].add(u)
         return {v: frozenset(nbrs) for v, nbrs in adj.items()}
@@ -81,6 +80,10 @@ class Graph(_GraphFields):
         """The adjacency masks over vertex positions, in vertex order."""
         pos = {v: i for i, v in enumerate(self.vertices)}
         return tuple(sum(1 << pos[u] for u in self.adjacency[v]) for v in self.vertices)
+
+    @cached_property
+    def triangle_count(self) -> int:
+        return len(triangles(self))
 
     def neighbors(self, v: Vertex) -> frozenset:
         return self.adjacency[v]
@@ -92,9 +95,10 @@ class Graph(_GraphFields):
         return v in self.adjacency.get(u, ())
 
     def sorted_edges(self) -> list[tuple]:
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        out = [tuple(sorted(e, key=pos.__getitem__)) for e in self.edges]
-        return sorted(out, key=lambda e: (pos[e[0]], pos[e[1]]))
+        """The edges as vertex pairs, by the positions of their ends: read
+        off ``masks``, so an edge that is no pair of vertices raises ValueError."""
+        verts, masks = self.vertices, self.masks
+        return [(verts[i], verts[j]) for i, m in enumerate(masks) for j in gf2.bits(m >> i + 1 << i + 1)]
 
 
 def triangles(g: Graph) -> list[frozenset]:
@@ -125,11 +129,20 @@ class IncidenceStructure(_StructureFields):
 
     @cached_property
     def _lines_by_point(self) -> dict:
-        out: dict = {p: [] for p in self.points}
+        out: dict = {p: [] for p in self.point_bits}
         for i, line in enumerate(self.lines):
             for p in line:
                 out[p].append(i)
         return {p: tuple(ids) for p, ids in out.items()}
+
+    def line_indices(self, indices: Iterable[int]) -> tuple[int, ...]:
+        """``indices``, as a spread names its lines, checked: ValueError for
+        one that names no line."""
+        indices, n = tuple(indices), len(self.lines)
+        for i in indices:
+            if not 0 <= i < n:
+                raise ValueError(f"index {i} of {list(indices)} names no line of the {n} of the quadrangle")
+        return indices
 
     def lines_through(self, p: Vertex) -> tuple[int, ...]:
         return self._lines_by_point[p]
@@ -153,8 +166,15 @@ class IncidenceStructure(_StructureFields):
     @cached_property
     def point_bits(self) -> dict:
         """Each point -> its bit, 1 << its position in ``points``: the bit
-        every point mask of the structure gives it."""
-        return {p: 1 << i for i, p in enumerate(self.points)}
+        every point mask of the structure gives it.  ValueError unless the
+        points are distinct and hold the points of every line."""
+        bits = {p: 1 << i for i, p in enumerate(self.points)}
+        if len(bits) != len(self.points):
+            raise ValueError(f"{len(self.points)} points listed, {len(bits)} distinct")
+        for i, line in enumerate(self.lines):
+            if not line <= bits.keys():
+                raise ValueError(f"line {i} holds {sorted(line - bits.keys(), key=str)}, which are no points")
+        return bits
 
     @cached_property
     def line_masks(self) -> tuple[int, ...]:

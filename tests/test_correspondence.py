@@ -5,7 +5,6 @@ import itertools
 import json
 import sys
 from collections import Counter
-from types import MappingProxyType
 
 import pytest
 
@@ -346,6 +345,43 @@ def test_every_reportless_command_fails_a_refused_ring_by_command(
     else:
         assert f"[FAIL] {title}: {detail}\n" in captured.out
         assert "result: FAIL" in captured.out
+
+
+# the commands that read no quadrangle, and so pass on a broken one
+NO_QUADRANGLE = (["export", "--what", "signs"], ["verify", "table2"])
+
+
+@pytest.mark.parametrize(
+    "argv", REPORTLESS + [["verify", what] for what in ("table2", "factor96", "factor105", "trinity")],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_every_command_on_a_quadrangle_without_point_1_exits_without_traceback(argv, monkeypatch, tmp_path, capsys):
+    """With point 1 dropped from the points of the quadrangle, but not from
+    its lines, each command that reads the quadrangle exits 1 with a FAIL
+    and the two that read none exit 0, all with nothing on stderr."""
+    s, st = co.STRUCTURE.gq, co.Structure()
+    st.gq = IncidenceStructure(s.points[1:], s.lines)
+    monkeypatch.setattr(co, "STRUCTURE", st)
+    code = cli.main([str(tmp_path / "out") if a is None else a for a in argv])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert code == (0 if argv[:3] in NO_QUADRANGLE or argv[:2] in NO_QUADRANGLE else 1)
+    if code and argv[0] != "export":
+        assert "FAIL" in captured.out or '"passed": false' in captured.out
+
+
+def test_a_spread_past_the_last_line_fails_by_name(monkeypatch, capsys):
+    """A kept spread that names line 15 of the 15 fails the trinity, which
+    builds the unbiased bases, ``pauli mub`` and ``gq spreads`` by name,
+    with nothing on stderr."""
+    st, spreads = co.Structure(), co.STRUCTURE.spreads
+    st.spreads = (spreads[0][:-1] + (15,), *spreads[1:])
+    monkeypatch.setattr(co, "STRUCTURE", st)
+    assert ("hyperplane trinity", "hyperplane trinity") in _failed_anywhere(verify_all())
+    for argv in (["pauli", "mub"], ["gq", "spreads"]):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert "names no line" in out and err == ""
 
 
 @pytest.mark.parametrize("argv", [a for a in REPORTLESS if a[0] == "export"], ids=lambda a: a[2])
@@ -808,24 +844,6 @@ def _petersen_checks(ovoid):
     }
 
 
-@pytest.mark.parametrize("index", range(6))
-def test_petersen_witness_with_two_images_swapped_fails(index, monkeypatch):
-    """The search result is kept, but every call checks it edge by edge: a
-    kept mapping with two images swapped fails, through ``verify_all()``,
-    the Petersen check of its ovoid in both reports that use it, and the
-    trinity row that sums up the second, and nothing else."""
-    ovoids = _ovoids()
-    assert len(ovoids) == 6 and len({_petersen_masks(o) for o in ovoids}) == 6
-    assert verify_all().passed
-    key = _petersen_masks(ovoids[index])
-    real = co.STRUCTURE.isomorphism[key]
-    swapped = MappingProxyType({**real, 0: real[1], 1: real[0]})
-    monkeypatch.setitem(co.STRUCTURE.isomorphism, key, swapped)
-    assert _failed_anywhere(verify_all()) == _petersen_checks(ovoids[index])
-    monkeypatch.undo()
-    assert verify_all().passed
-
-
 def _two_keys_on_one_image(iso):
     return {**iso, 0: iso[1]}
 
@@ -898,9 +916,9 @@ def _first_run_on_a_relabelled_nine(monkeypatch):
     gf2xgf2 model with other masks."""
     st = co.Structure()
     nine = tuple(st.sub[3][6:])
-    relabelled = st.induced[(nine[1], nine[0]) + nine[2:]]
-    assert relabelled != st.induced[nine]
-    st.induced[nine] = relabelled
+    relabelled = st.induced[(nine[1], nine[0]) + nine[2:]][1]
+    assert relabelled != st.induced[nine][1]
+    st.induced[nine] = nine, relabelled
     monkeypatch.setattr(co, "STRUCTURE", st)
     assert co.run("9 plus 6 factorization").passed
 
@@ -984,7 +1002,7 @@ def test_split_9_6_builds_the_nine_masks_once(monkeypatch):
     assert co.run("9 plus 6 factorization").passed
     assert co.run("9 plus 6 factorization").passed
     assert built.count(nine) == 1
-    assert st.induced[nine] == real(line, nine)
+    assert st.induced[nine] == (nine, real(line, nine))
 
 
 @pytest.mark.parametrize("first, second", list(itertools.product(*map(sorted, golden.TRIPLE_SPLIT))))
@@ -1014,54 +1032,9 @@ def test_split_9_6_searches_the_split_on_each_call(first, second, monkeypatch):
 
 
 # the trinity row that sums up each kind of sub-line report
-PERP_ROW = "perp row: 15 perp sets, gf2dual sublines, six commuting partners"
 OVOID_ROW = "ovoid row: 6 ovoids, gf4 sublines, mutually non-commuting fives"
 NINE_CHECK = "nine common neighbors model the line over gf2xgf2"
 SPLIT_CHECK = "exactly one split of the six into two gf4 triples"
-
-
-def _kept_subline(kind, index):
-    """The points of one kept sub-line witness, in the order its verifier
-    lists them, and the checks of ``verify_all()`` that use that witness."""
-    _, u, v, pts, _ = co.STRUCTURE.sub
-    if kind == "perp":
-        nbrs = sorted(co.STRUCTURE.graph.neighbors(index))
-        checks = {("perp-set sublines", f"perp set of C{index}"), ("hyperplane trinity", PERP_ROW)}
-        return [pts[i - 1] for i in nbrs], checks
-    if kind == "ovoid":
-        labels = sorted([h for h in co.STRUCTURE.hyperplanes if h.kind == "ovoid"][index].points)
-        ovoid = ("10 plus 5 factorization", f"ovoid {co._cset(labels)}")
-        return [pts[i - 1] for i in labels], {ovoid, ("hyperplane trinity", OVOID_ROW)}
-    if kind == "nine":
-        balance = "each of the nine has 4 neighbor and 4 distant partners inside"
-        return list(pts[6:]), {("9 plus 6 factorization", name) for name in (NINE_CHECK, balance)}
-    triple = sorted(golden.TRIPLE_SPLIT[index])
-    return [pts[i - 1] for i in triple] + [u, v], {("9 plus 6 factorization", SPLIT_CHECK)}
-
-
-KEPT_SUBLINES = (
-    [("perp", x) for x in range(1, 16)]
-    + [("ovoid", i) for i in range(6)]
-    + [("nine", 0), ("triple", 0), ("triple", 1)]
-)
-
-
-@pytest.mark.parametrize("kind, index", KEPT_SUBLINES, ids=[f"{k}-{i}" for k, i in KEPT_SUBLINES])
-def test_kept_subline_witness_fails_on_a_flipped_mask_bit(kind, index, monkeypatch, capsys):
-    """Every call checks a sub-line mapping against the structure's kept
-    masks: after a warm call, one bit flipped in the kept adjacency masks
-    of one sub-line fails exactly the checks that use it, ``verify_all()``
-    returns, and ``ringline verify all`` exits 1 without a traceback."""
-    assert verify_all().passed
-    points, checks = _kept_subline(kind, index)
-    key = tuple(points)
-    masks = co.STRUCTURE.induced[key]
-    monkeypatch.setitem(co.STRUCTURE.induced, key, (masks[0] ^ 0b10,) + masks[1:])
-    assert _failed_anywhere(verify_all()) == checks
-    assert cli.main(["verify", "all"]) == 1
-    captured = capsys.readouterr()
-    assert all(f"[FAIL] {name}" in captured.out for _, name in checks)
-    assert captured.err == ""
 
 
 def test_kept_subline_witness_fails_on_a_flipped_relation_cell(monkeypatch, capsys):
@@ -1084,131 +1057,6 @@ def test_kept_subline_witness_fails_on_a_flipped_relation_cell(monkeypatch, caps
     assert captured.err == ""
 
 
-GRID_ROW = "grid row: 10 grids, gf2xgf2 sublines, magic squares"
-
-
-def _flipped_operator_cell(st):
-    rows = list(st.operator_signs)
-    rows[0] = rows[0][0] + {"+": "-", "-": "+"}[rows[0][1]] + rows[0][2:]
-    signs = ("relation sign matrix", "geometry vs operators"), ("relation sign matrix", "operators vs fixture")
-    return "operator_signs", tuple(rows), set(signs)
-
-
-def _no_triangles(st):
-    return "triangles", (), {("sub-configuration", "maximum neighbor clique is 3")}
-
-
-def _one_grid_dropped_from_its_kind(st):
-    by_kind = dict(st.by_kind, grid=st.by_kind["grid"][1:])
-    checks = {("hyperplane census", "10 grids"), ("magic squares", "10 grid hyperplanes")}
-    return "by_kind", by_kind, checks | {("hyperplane trinity", GRID_ROW)}
-
-
-def _flipped_complement_bit(st):
-    ovoid = st.by_kind["ovoid"][0].points
-    keep, masks = st.complement[ovoid]
-    return ("complement", ovoid), (keep, (masks[0] ^ 0b10,) + masks[1:]), _petersen_checks(ovoid)
-
-
-def _a_centre_with_a_pair_dropped(st):
-    nbrs, pairs, perp = st.centre[13]
-    checks = {("perp-set sublines", "perp set of C13"), ("hyperplane trinity", PERP_ROW)}
-    return ("centre", 13), (nbrs, pairs[1:], perp), checks
-
-
-def _a_grid_without_cells(st):
-    grid = st.by_kind["grid"][0].points
-    check = ("magic squares", f"grid {co._cset(grid)} admits a magic arrangement")
-    return ("grid_cells", grid), None, {check, ("hyperplane trinity", GRID_ROW)}
-
-
-@pytest.mark.parametrize("change", [
-    _flipped_operator_cell, _no_triangles, _one_grid_dropped_from_its_kind,
-    _flipped_complement_bit, _a_centre_with_a_pair_dropped, _a_grid_without_cells,
-])
-def test_a_changed_kept_part_fails_the_checks_that_read_it(change, monkeypatch, capsys):
-    """Every call reads the structure's kept parts and checks them: after a
-    warm call, one change to one part (the operator sign matrix, the
-    triangles, the hyperplanes of a kind, an ovoid complement, a centre, a
-    grid arrangement) fails exactly the checks that read it and the
-    trinity rows that sum them up, ``verify_all()`` returns, and
-    ``ringline verify all`` exits 1 without a traceback."""
-    assert verify_all().passed
-    part, value, checks = change(co.STRUCTURE)
-    if isinstance(part, str):
-        monkeypatch.setattr(co.STRUCTURE, part, value)
-    else:
-        name, key = part
-        assert key in getattr(co.STRUCTURE, name)
-        monkeypatch.setitem(getattr(co.STRUCTURE, name), key, value)
-    assert _failed_anywhere(verify_all()) == checks
-    assert cli.main(["verify", "all"]) == 1
-    captured = capsys.readouterr()
-    assert all(f"[FAIL] {name}" in captured.out for _, name in checks)
-    assert captured.err == ""
-
-
-def _toggled_collinearity(s):
-    g = s.collinearity_graph
-    return {"collinearity_graph": Graph(g.vertices, g.edges ^ {frozenset((1, 2))})}
-
-
-def _dual_with_a_point_moved(s):
-    d = s.dual_structure
-    lines = list(d.lines)
-    p, q = min(lines[0] - lines[1]), min(lines[1] - lines[0])
-    lines[0], lines[1] = lines[0] - {p} | {q}, lines[1] - {q} | {p}
-    return {"dual_structure": IncidenceStructure(d.points, tuple(lines))}
-
-
-def _dual_lines_changed_on_the_same_graph(s):
-    """The dual with two lines trading a point but its collinearity graph
-    kept: the mask check passes and only the line check can fail."""
-    moved = _dual_with_a_point_moved(s)["dual_structure"]
-    moved.__dict__["collinearity_graph"] = s.dual_structure.collinearity_graph
-    return {"dual_structure": moved}
-
-
-@pytest.mark.parametrize(
-    "change", [_toggled_collinearity, _dual_with_a_point_moved, _dual_lines_changed_on_the_same_graph]
-)
-def test_kept_self_duality_fails_on_a_changed_quadrangle(change, monkeypatch, capsys):
-    """Every call checks the self-duality mapping against the current
-    quadrangle: one whose collinearity graph has one edge toggled, or whose
-    dual has two lines trading a point, fails the self-duality check through
-    ``verify_all()`` and the CLI, without a traceback."""
-    assert verify_all().passed
-    s = co.STRUCTURE.gq
-    bad = IncidenceStructure(*s)
-    bad.__dict__.update(change(s))
-    st = co.Structure()
-    st.gq = bad
-    monkeypatch.setattr(co, "STRUCTURE", st)
-    check = ("quadrangle structure", "self-duality isomorphism found")
-    assert check in _failed_anywhere(verify_all())
-    assert cli.main(["verify", "all"]) == 1
-    captured = capsys.readouterr()
-    assert f"[FAIL] {check[1]}" in captured.out
-    assert captured.err == ""
-    assert co.quadrangle_axioms(st) == ([], None)
-
-
-def _signs_with_a_distant_diagonal_cell(st):
-    rows = list(st.signs)
-    rows[0] = "+" + rows[0][1:]
-    return {"signs": tuple(rows)}
-
-
-def _gq_with_a_line_dropped(st):
-    s = st.gq
-    return {"gq": IncidenceStructure(s.points, s.lines[1:])}
-
-
-def _gq_with_the_first_line_repeating_the_second(st):
-    s = st.gq
-    return {"gq": IncidenceStructure(s.points, s.lines[1:2] + s.lines[1:])}
-
-
 def _sub_with_the_six_distant_points_rotated(st):
     line, u, v, pts, (distant, neighbor) = st.sub
     return {"sub": (line, u, v, pts, (distant[1:] + distant[:1], neighbor))}
@@ -1224,21 +1072,37 @@ def _point_reps_with_the_first_two_swapped():
     return {"POINT_REPS": reps[1::-1] + reps[2:]}
 
 
-# a corruption: the parts of a fresh structure, read off the intact one,
-# that fail its check, or the golden constants, read off the intact ones,
-# that fail its check alone
-PART, GOLDEN = "part", "golden"
+def _line_facts_with_the_first_standard_row_negated():
+    # the sign of the line C7 C8 C9 negated: the standard square's rows then multiply to +1
+    real, row = co.line_facts, tuple(_ops_for(co.STANDARD_ROWS[0]))
+    return {"line_facts": lambda t: (real(t)[0] * (-1 if tuple(t) == row else 1), real(t)[1])}
 
-# each check that no corrupted ring or fixture fails -> its corruption
+
+def _line_facts_with_one_eigenbasis_for_every_line():
+    # the eigenbasis of C1 C2 C7 for every line: a spread's bases are then one basis
+    real, first = co.line_facts, _ops_for((1, 2, 7))
+    return {"line_facts": lambda t: (real(t)[0], real(first)[1])}
+
+
+# a corruption: the parts of a fresh structure, read off the intact one,
+# that fail its check; the functions of ``correspondence``, read off the
+# intact ones, that fail it; or the golden constants, read off the intact
+# ones, that fail its check alone.  The kept parts of the structure are the
+# harness of ``test_kept_parts``
+PART, PATCH, GOLDEN = "part", "patch", "golden"
+
+# each check that no corrupted ring, fixture or kept part fails -> its corruption
 CORRUPTIONS = {
     ("line census", "census orbit-equivalent to published list"):
         (GOLDEN, _census_reps_with_the_first_repeating_the_second),
     ("sub-configuration", "families reproduce the published points in order"):
         (GOLDEN, _point_reps_with_the_first_two_swapped),
-    ("relation sign matrix", "diagonal is self-neighbor throughout"): (PART, _signs_with_a_distant_diagonal_cell),
-    ("quadrangle structure", "15 points and 15 lines"): (PART, _gq_with_a_line_dropped),
-    ("quadrangle structure", "quadrangle axioms hold"): (PART, _gq_with_the_first_line_repeating_the_second),
     ("9 plus 6 factorization", "split matches the recorded one"): (PART, _sub_with_the_six_distant_points_rotated),
+    ("9 plus 6 factorization", "nine common neighbors in standard rows form a magic square"):
+        (PATCH, _line_facts_with_the_first_standard_row_negated),
+    ("magic squares", "standard grid is magic"): (PATCH, _line_facts_with_the_first_standard_row_negated),
+    **{("unbiased bases", co.STRUCTURE.spread[sp]): (PATCH, _line_facts_with_one_eigenbasis_for_every_line)
+       for sp in co.STRUCTURE.spreads},
 }
 
 
@@ -1266,7 +1130,7 @@ def test_a_corruption_fails_its_check(check, monkeypatch, capsys):
         monkeypatch.setattr(co, "STRUCTURE", st)
     else:
         for name, value in corruption().items():
-            monkeypatch.setattr(golden, name, value)
+            monkeypatch.setattr(golden if kind == GOLDEN else co, name, value)
     failed = _failed_anywhere(verify_all())
     assert (failed == {check}) if kind == GOLDEN else (check in failed)
     assert cli.main(["verify", "all"]) == 1
