@@ -1063,11 +1063,12 @@ def verify_mub(st: Structure, lines: Mapping) -> Report:
     spreads, count = st.spreads, golden.OVOID_SPREAD_COUNT
     checks = [CheckResult(f"{count} spreads to examine", len(spreads) == count)]
     for sp in spreads:
-        stage = st.spread[sp]
         try:
+            stage = st.spread[sp]
             triples, ok = spread_unbiased(st, sp, lines)
         except ValueError as exc:
-            checks.append(stage_failure(stage, exc))
+            # a spread whose name raised, as one that names no line, is named by its line indices
+            checks.append(stage_failure(st.spread.get(sp, f"spread {list(sp)}"), exc))
             continue
         checks.append(CheckResult(stage, ok, "projector traces exact" if ok else ""))
         data["spreads"].append([list(t) for t in triples])
@@ -1192,10 +1193,11 @@ CERTIFICATE = (
 
 
 def _build(st: Structure, title: str, built: dict, *args):
-    # the stage on ``st``, then its inputs, each built once into ``built``, then ``args``
+    # the stage on ``st``, then its inputs, each run once into ``built`` (an input
+    # that raises is read as its failed report), then ``args``
     if title not in built:
         name, needs = STAGES[title]
-        built[title] = globals()[name](st, *[_build(st, t, built) for t in needs], *args)
+        built[title] = globals()[name](st, *[_run(st, t, built) for t in needs], *args)
     return built[title]
 
 
@@ -1209,8 +1211,8 @@ def _run(st: Structure, title: str, built: dict, *args) -> Report:
 
 def run(title: str, *args) -> Report:
     """The result of stage ``title`` on ``STRUCTURE`` and ``args``, its inputs
-    built first, each once.  A ValueError from any of these builds makes it
-    one failed check named ``title``."""
+    run first, each once.  A stage whose build raises ValueError is one
+    failed check named by its title, and a stage that takes it reads that."""
     return _run(STRUCTURE, title, {}, *args)
 
 

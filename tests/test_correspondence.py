@@ -5,6 +5,7 @@ import itertools
 import json
 import sys
 from collections import Counter
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -30,8 +31,9 @@ from ringline.correspondence import (
     verify_subconfig,
     verify_transitivity,
 )
-from ringline.quadrangle import Graph, IncidenceStructure
-from ringline.rings import ring_by_name, ring_names, validate_ring
+from ringline.quadrangle import OVOID, Graph, IncidenceStructure
+from ringline.rings import ring_by_name, ring_names
+from test_kept_parts import EXACT, _checks
 
 
 def test_structure_signs_match_fixture():
@@ -129,101 +131,32 @@ def test_every_fixture_flip_fails_only_the_fixture_checks(monkeypatch):
         assert any(d.startswith(cell) for d in report.data["diffs"])
 
 
-def test_fixture_flip_fails_verify_all_without_traceback(monkeypatch, capsys):
-    monkeypatch.setattr(
-        golden, "CANONICAL_SIGNS", _flip_cell_pair(golden.CANONICAL_SIGNS, 0, 6)
-    )
-    monkeypatch.setattr(co, "STRUCTURE", co.Structure())
-    assert verify_all().tally() == (100, 3)
-    assert cli.main(["verify", "all"]) == 1
-    captured = capsys.readouterr()
-    assert "result: FAIL" in captured.out
-    assert captured.err == ""
-
-
 def _with_cell(ring, table, x, y, value):
     rows = [list(row) for row in getattr(ring, table)]
     rows[x][y] = value
     return ring._replace(**{table: tuple(map(tuple, rows))})
 
 
-def _serve(monkeypatch, bad):
-    """Swap in a fresh structure that reads ``bad`` in place of the intact
-    ring of its name."""
-    st = co.Structure(lambda n: bad if n == bad.name else ring_by_name(n))
-    monkeypatch.setattr(co, "STRUCTURE", st)
+def _serving(ring, name=None):
+    """A ring source that serves ``ring`` under ``name``, by default its own,
+    and every other ring intact."""
+    name = name or ring.name
+    return lambda n: ring if n == name else ring_by_name(n)
 
 
-def _ring_with_cell(name, table, x, y):
-    """Serve the named ring with cell (x, y) of ``table`` moved up by one,
-    and return that ring."""
-
-    def corrupt(monkeypatch):
-        ring = ring_by_name(name)
-        bad = _with_cell(ring, table, x, y, (getattr(ring, table)[x][y] + 1) % ring.order)
-        _serve(monkeypatch, bad)
-        return bad
-
-    return corrupt
+def _serve(monkeypatch, ring, name=None):
+    """Swap in a fresh structure on ``_serving(ring, name)``."""
+    _apply(monkeypatch, RING, _serving(ring, name))
 
 
-def _golden_changed(attr, change):
-    def corrupt(monkeypatch):
-        monkeypatch.setattr(golden, attr, change(getattr(golden, attr)))
-        monkeypatch.setattr(co, "STRUCTURE", co.Structure())
-
-    return corrupt
+def _cell_up(name, table, x, y):
+    """The named ring with cell (x, y) of ``table`` moved up by one."""
+    ring = ring_by_name(name)
+    return _with_cell(ring, table, x, y, (getattr(ring, table)[x][y] + 1) % ring.order)
 
 
-def _flip_mul_fixture_cell(table):
-    rows = [list(row) for row in table]
-    rows[2][3] ^= 1
-    return tuple(map(tuple, rows))
-
-
-def _zero_divisors_without_zero(monkeypatch):
-    real = co.zero_divisors
-    monkeypatch.setattr(co, "zero_divisors", lambda ring, us: real(ring, us) - {ring.zero})
-    monkeypatch.setattr(co, "STRUCTURE", co.Structure())
-
-
-# check of the ring-construction report -> a corruption that must fail it
-RING_CHECK_CORRUPTIONS = {
-    "addition table matches fixture": _ring_with_cell("m2f2", "add_table", 3, 5),
-    "multiplication table matches fixture": _golden_changed(
-        "M2F2_MUL_TABLE", _flip_mul_fixture_cell
-    ),
-    "unit set": _golden_changed("M2F2_UNITS", lambda u: u - {max(u)}),
-    "zero divisor count": _zero_divisors_without_zero,
-    "ring axioms hold for m2f2": _ring_with_cell("m2f2", "mul_table", 3, 5),
-    "ring axioms hold for gf2": _ring_with_cell("gf2", "add_table", 1, 1),
-    "ring axioms hold for gf4": _ring_with_cell("gf4", "add_table", 2, 3),
-    "ring axioms hold for gf2xgf2": _ring_with_cell("gf2xgf2", "add_table", 2, 3),
-    "ring axioms hold for gf2dual": _ring_with_cell("gf2dual", "mul_table", 2, 3),
-}
-
-
-def test_ring_corruption_table_covers_every_ring_check():
-    assert [c.name for c in verify_ring_tables(co.STRUCTURE).checks] == list(RING_CHECK_CORRUPTIONS)
-
-
-@pytest.mark.parametrize("check", RING_CHECK_CORRUPTIONS)
-def test_every_ring_check_fails_through_verify_all(check, monkeypatch, capsys):
-    """Each corruption, with the structure rebuilt under it, fails its check
-    in the full certificate, an axiom check naming the first problem of the
-    ring; ``verify_all()`` returns and ``ringline verify all`` exits 1
-    without a traceback."""
-    intact = {c.name: c.detail for c in verify_ring_tables(co.STRUCTURE).checks}
-    bad = RING_CHECK_CORRUPTIONS[check](monkeypatch)
-    detail = validate_ring(bad)[0] if check.startswith("ring axioms") else intact[check]
-    ring_report = verify_all().subreports[0]
-    assert ring_report.title == "ring construction"
-    assert {c.name: (c.passed, c.detail) for c in ring_report.checks}[check] == (False, detail)
-    assert cli.main(["verify", "all"]) == 1
-    captured = capsys.readouterr()
-    assert "result: FAIL" in captured.out
-    assert f"[FAIL] {check}: {detail}" in captured.out
-    assert captured.err == ""
+# m2f2 with a multiplication cell that breaks its axioms
+REFUSED_M2F2 = _cell_up("m2f2", "mul_table", 3, 5)
 
 
 def _mul_cell_corruptions():
@@ -278,8 +211,7 @@ def test_a_valid_ring_served_under_another_name_fails_without_traceback(name, se
     of them of another order: every size is read from the line or family
     itself, so ``verify_all()`` returns with a failed check and ``ringline
     verify all`` exits 1 with nothing on stderr."""
-    st = co.Structure(lambda n: ring_by_name(served if n == name else n))
-    monkeypatch.setattr(co, "STRUCTURE", st)
+    _serve(monkeypatch, ring_by_name(served), name)
     assert _failed_anywhere(verify_all())
     assert cli.main(["verify", "all"]) == 1
     captured = capsys.readouterr()
@@ -295,7 +227,8 @@ def test_every_verify_command_fails_a_refused_ring_by_stage(
     """With gf4 served with multiplication cell (2,3) set to 0, each verify
     command that reads the gf4 line exits 1 with a FAIL naming its stage and
     the refused cell, and without a traceback; table2 never reads it.  The
-    stage is named by the title its report has on the intact ring."""
+    stage is named by the title its report has on the intact ring; the
+    trinity reports its other checks, and names its 10 + 5 input."""
     title = cli.VERIFIERS[what]
     assert co.run(title).title == title
     _serve(monkeypatch, _with_cell(ring_by_name("gf4"), "mul_table", 2, 3, 0))
@@ -307,11 +240,14 @@ def test_every_verify_command_fails_a_refused_ring_by_stage(
         return
     assert code == 1
     detail = "raised ValueError: gf4 is not a ring: rep breaks multiplication at (x,y)=(2,3)"
+    stage = "10 plus 5 factorization" if what == "trinity" else title
     if fmt == "json":
         doc = json.loads(captured.out)
-        assert (doc["title"], doc["checks"]) == (title, [{"name": title, "passed": False, "detail": detail}])
+        doc = next(r for r in doc["subreports"] if r["title"] == stage) if what == "trinity" else doc
+        assert (doc["title"], doc["checks"]) == (stage, [{"name": stage, "passed": False, "detail": detail}])
     else:
-        assert f"[FAIL] {title}: {detail}\n" in captured.out
+        assert f"[FAIL] {stage}: {detail}\n" in captured.out
+        assert what != "trinity" or "checks: 39  failed: 2  result: FAIL" in captured.out
 
 
 # the commands that print no verifier report but read the m2f2 line, each
@@ -332,7 +268,7 @@ def test_every_reportless_command_fails_a_refused_ring_by_command(
     """With m2f2 served with multiplication cell (3,5) moved up by one, each
     command that reads its line but prints no verifier report exits 1 with
     one FAIL named by the command, and without a traceback."""
-    _ring_with_cell("m2f2", "mul_table", 3, 5)(monkeypatch)
+    _serve(monkeypatch, REFUSED_M2F2)
     argv = [str(tmp_path / "out") if a is None else a for a in argv]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
@@ -371,13 +307,10 @@ def test_every_command_on_a_quadrangle_without_point_1_exits_without_traceback(a
 
 
 def test_a_spread_past_the_last_line_fails_by_name(monkeypatch, capsys):
-    """A kept spread that names line 15 of the 15 fails the trinity, which
-    builds the unbiased bases, ``pauli mub`` and ``gq spreads`` by name,
-    with nothing on stderr."""
-    st, spreads = co.Structure(), co.STRUCTURE.spreads
-    st.spreads = (spreads[0][:-1] + (15,), *spreads[1:])
-    monkeypatch.setattr(co, "STRUCTURE", st)
-    assert ("hyperplane trinity", "hyperplane trinity") in _failed_anywhere(verify_all())
+    """A kept spread that names line 15 of the 15, which fails its checks of
+    ``verify_all()`` as its ``CORRUPTIONS`` entry says, fails ``pauli mub``
+    and ``gq spreads`` by name, with nothing on stderr."""
+    _apply(monkeypatch, *CORRUPTIONS["hyperplane census", "spreads are the ovoids of the dual"][:2])
     for argv in (["pauli", "mub"], ["gq", "spreads"]):
         assert cli.main(argv) == 1
         out, err = capsys.readouterr()
@@ -390,7 +323,7 @@ def test_a_failed_export_leaves_its_out_file_as_it_was(argv, monkeypatch, tmp_pa
     leaves the bytes its --out file held."""
     out = tmp_path / "out"
     out.write_bytes(b"nine byte")
-    _ring_with_cell("m2f2", "mul_table", 3, 5)(monkeypatch)
+    _serve(monkeypatch, REFUSED_M2F2)
     assert cli.main([str(out) if a is None else a for a in argv]) == 1
     assert capsys.readouterr().err == ""
     assert out.read_bytes() == b"nine byte"
@@ -401,7 +334,7 @@ def test_a_failed_export_leaves_no_new_out_file(argv, monkeypatch, tmp_path, cap
     """An export that fails on a refused ring removes the --out file that it
     created for its up-front check."""
     out = tmp_path / "out"
-    _ring_with_cell("m2f2", "mul_table", 3, 5)(monkeypatch)
+    _serve(monkeypatch, REFUSED_M2F2)
     assert cli.main([str(out) if a is None else a for a in argv]) == 1
     assert capsys.readouterr().err == ""
     assert not out.exists()
@@ -414,7 +347,7 @@ def test_a_broken_structure_poisons_no_later_run(monkeypatch):
     kept, so each read of it raises again."""
     intact, relabelled = co.STRUCTURE, _on_a_relabelled_quadrangle()
     gq, planes = intact.gq, intact.hyperplanes
-    _ring_with_cell("m2f2", "mul_table", 3, 5)(monkeypatch)
+    _serve(monkeypatch, REFUSED_M2F2)
     refused = co.STRUCTURE
     assert not verify_all().passed
     monkeypatch.setattr(co, "STRUCTURE", relabelled)
@@ -484,22 +417,6 @@ def test_a_command_prints_its_stage_result(argv, name, monkeypatch, capsys):
         assert cli.main(argv + ["--format", fmt]) == 0
         capsys.readouterr()
     assert len(calls) == 2
-
-
-def test_family_sizes_are_read_from_the_families(monkeypatch):
-    """With C7 filed as distant from both base points, the 15 points keep
-    their order but the families are 7 + 8: the size check and the nine
-    check fail."""
-    real = co.simultaneous_subconfig
-
-    def moved(line, u, v):
-        fam_distant, fam_neighbor = real(line, u, v)
-        return fam_distant + fam_neighbor[:1], fam_neighbor[1:]
-
-    monkeypatch.setattr(co, "simultaneous_subconfig", moved)
-    st = co.Structure()
-    assert _failed(verify_subconfig(st)) == {"family sizes 6 and 9"}
-    assert NINE_CHECK in _failed(verify_split_9_6(st, co.standard_square(st, co.line_table(st))))
 
 
 @pytest.fixture
@@ -639,55 +556,13 @@ def test_triple_split_regression():
     assert report.data["triples"] == [sorted(s) for s in golden.TRIPLE_SPLIT]
 
 
-def _drop(monkeypatch, part, pick):
-    """Swap in a fresh structure whose ``part`` ("hyperplanes" or "spreads")
-    lacks the entry that ``pick`` chooses from the intact one."""
-    entries = getattr(co.STRUCTURE, part)
-    st, dropped = co.Structure(), pick(entries)
-    setattr(st, part, tuple(x for x in entries if x != dropped))
-    monkeypatch.setattr(co, "STRUCTURE", st)
-
-
 def test_perp_subline_of_c13(monkeypatch):
-    """With the perp set of C13 dropped from the hyperplanes, exactly its
-    perp check fails, still listing the pairs of its six neighbors."""
+    """With the perp set of C13 dropped from the hyperplanes, its perp check,
+    failed by a ``CORRUPTIONS`` entry, still lists the pairs of its six
+    neighbors."""
     assert verify_perp_sublines(co.STRUCTURE).passed
-    _drop(monkeypatch, "hyperplanes", lambda planes: next(h for h in planes if h.center == 13))
-    assert ("perp-set sublines", "perp set of C13") in _failed_anywhere(verify_all())
-    perp = co.run("perp-set sublines")
-    assert _failed(perp) == {"perp set of C13"}
-    assert perp.data["pairs"]["13"] == [[4, 5], [7, 10], [14, 15]]
-
-
-# a census entry to drop -> (the structure part, a pick of the entry, the check that must fail)
-CENSUS_DROPS = {
-    "grid": (
-        "hyperplanes",
-        lambda planes: next(h for h in planes if h.kind == GRID),
-        ("magic squares", "10 grid hyperplanes"),
-    ),
-    "ovoid": (
-        "hyperplanes",
-        lambda planes: next(h for h in planes if h.kind == "ovoid" and h.points != golden.SAMPLE_OVOID),
-        ("10 plus 5 factorization", "6 ovoids to examine"),
-    ),
-    "sample ovoid": (
-        "hyperplanes",
-        lambda planes: next(h for h in planes if h.points == golden.SAMPLE_OVOID),
-        ("10 plus 5 factorization", "the published sample ovoid is among them"),
-    ),
-    "spread": ("spreads", lambda spreads: spreads[0], ("unbiased bases", "6 spreads to examine")),
-}
-
-
-@pytest.mark.parametrize("drop", CENSUS_DROPS)
-def test_a_census_shortfall_fails_its_count_check(drop, monkeypatch):
-    """A structure with one grid, ovoid or spread missing, or the published
-    sample ovoid missing, fails the check that counts or names it, and
-    ``verify_all()`` returns."""
-    part, pick, check = CENSUS_DROPS[drop]
-    _drop(monkeypatch, part, pick)
-    assert check in _failed_anywhere(verify_all())
+    _apply(monkeypatch, *CORRUPTIONS["perp-set sublines", "perp set of C13"][:2])
+    assert co.run("perp-set sublines").data["pairs"]["13"] == [[4, 5], [7, 10], [14, 15]]
 
 
 def test_trinity_report_shape():
@@ -829,9 +704,17 @@ def test_petersen_search_runs_once_per_ovoid(monkeypatch):
     assert verify_petersen(co.STRUCTURE).data["witnesses"] == kept
 
 
+def _checks_anywhere(report):
+    """(report title, check name) -> the check, for every check of ``report``
+    and of its subreports."""
+    checks = {(report.title, c.name): c for c in report.checks}
+    for r in report.subreports:
+        checks |= _checks_anywhere(r)
+    return checks
+
+
 def _failed_anywhere(report):
-    failed = {(report.title, c.name) for c in report.checks if not c.passed}
-    return failed.union(*(_failed_anywhere(r) for r in report.subreports))
+    return {key for key, c in _checks_anywhere(report).items() if not c.passed}
 
 
 def _petersen_checks(ovoid):
@@ -871,21 +754,6 @@ def test_a_bad_kept_mapping_fails_on_every_call(bad, kept, monkeypatch):
     for _ in range(2):
         assert _failed_anywhere(verify_all()) == _petersen_checks(ovoids[0])
     assert st.isomorphism[key] == mapping
-
-
-def test_petersen_reference_with_an_edge_dropped_fails(monkeypatch, capsys):
-    """A reference graph with one edge dropped is no Petersen graph: it
-    fails its sanity check and every ovoid's Petersen checks, through
-    ``verify_all()`` and the CLI, without a traceback."""
-    reference = co.petersen_graph()
-    bad = Graph(reference.vertices, reference.edges - {frozenset(reference.sorted_edges()[0])})
-    monkeypatch.setattr(co, "petersen_graph", lambda: bad)
-    expected = {("Petersen complements", "reference graph sane")}
-    assert _failed_anywhere(verify_all()) == expected.union(*map(_petersen_checks, _ovoids()))
-    assert cli.main(["verify", "all"]) == 1
-    captured = capsys.readouterr()
-    assert "[FAIL] reference graph sane" in captured.out
-    assert captured.err == ""
 
 
 def _relabelled_gq():
@@ -1014,9 +882,7 @@ def test_split_9_6_searches_the_split_on_each_call(first, second, monkeypatch):
     line, u, v, pts, families = co.STRUCTURE.sub
     i, j = (line.index_of(families[0][label - 1].canonical) for label in (first, second))
     assert line.relation[i][j] == "-"
-    rows = [list(row) for row in line.relation]
-    rows[i][j] = rows[j][i] = "+"
-    bad = line._replace(relation=tuple("".join(row) for row in rows))
+    bad = line._replace(relation=_flip_cell_pair(line.relation, i, j))
     monkeypatch.setattr(co.STRUCTURE, "sub", (bad, u, v, pts, families))
     real, targets = co._subline_witness, Counter()
 
@@ -1044,9 +910,7 @@ def test_kept_subline_witness_fails_on_a_flipped_relation_cell(monkeypatch, caps
     line, u, v, pts, families = co.STRUCTURE.sub
     i, j = line.index_of(pts[6].canonical), line.index_of(pts[7].canonical)
     assert line.relation[i][j] == "-"
-    rows = [list(row) for row in line.relation]
-    rows[i][j] = rows[j][i] = "+"
-    bad = line._replace(relation=tuple("".join(row) for row in rows))
+    bad = line._replace(relation=_flip_cell_pair(line.relation, i, j))
     st = co.Structure()
     st.sub = (bad, u, v, pts, families)
     monkeypatch.setattr(co, "STRUCTURE", st)
@@ -1057,102 +921,215 @@ def test_kept_subline_witness_fails_on_a_flipped_relation_cell(monkeypatch, caps
     assert captured.err == ""
 
 
-def _sub_with_the_six_distant_points_rotated(st):
-    line, u, v, pts, (distant, neighbor) = st.sub
-    return {"sub": (line, u, v, pts, (distant[1:] + distant[:1], neighbor))}
+WITNESS_CHECK = "every ordered pairwise-distant triple is witnessed"
+ORDER_CHECK = "invertible group has order 20160"
+GRID_ROW = "hyperplane trinity: grid row: 10 grids, gf2xgf2 sublines, magic squares"
 
 
-def _census_reps_with_the_first_repeating_the_second():
-    reps = golden.LINE_CENSUS_REPS
-    return {"LINE_CENSUS_REPS": reps[1:2] + reps[1:]}
+def _six_distant_points_rotated(sub):
+    line, u, v, pts, (distant, neighbor) = sub
+    return line, u, v, pts, (distant[1:] + distant[:1], neighbor)
 
 
-def _point_reps_with_the_first_two_swapped():
-    reps = golden.POINT_REPS
-    return {"POINT_REPS": reps[1::-1] + reps[2:]}
+def _c7_filed_as_distant(sub):
+    # the 15 points keep their order, but the families are 7 + 8
+    line, u, v, pts, (distant, neighbor) = sub
+    return line, u, v, pts, (distant + neighbor[:1], neighbor[1:])
 
 
-def _line_facts_with_the_first_standard_row_negated():
+def _a_neighbor_pair_made_distant(sub):
+    # the first pair of distinct neighbors in the m2f2 line's relation
+    line, *rest = sub
+    i, j = next((i, j) for i, row in enumerate(line.relation) for j, s in enumerate(row) if s == "-" and i != j)
+    return line._replace(relation=_flip_cell_pair(line.relation, i, j)), *rest
+
+
+def _without_its_first_edge(g):
+    return Graph(g.vertices, g.edges - {frozenset(g.sorted_edges()[0])})
+
+
+def _without(pick):
+    # the entries without the one that ``pick`` chooses
+    return lambda entries: tuple(x for x in entries if x != pick(entries))
+
+
+def _without_the_first_row_of(grid):
+    # the kept arrangements with that of ``grid`` alone changed
+    return lambda cells: co._Kept(lambda points: cells[points][1:] if points == grid else cells[points])
+
+
+def _the_first_standard_row_negated(line_facts):
     # the sign of the line C7 C8 C9 negated: the standard square's rows then multiply to +1
-    real, row = co.line_facts, tuple(_ops_for(co.STANDARD_ROWS[0]))
-    return {"line_facts": lambda t: (real(t)[0] * (-1 if tuple(t) == row else 1), real(t)[1])}
+    row = tuple(_ops_for(co.STANDARD_ROWS[0]))
+    return lambda t: (line_facts(t)[0] * (-1 if tuple(t) == row else 1), line_facts(t)[1])
 
 
-def _line_facts_with_one_eigenbasis_for_every_line():
+def _one_eigenbasis_for_every_line(line_facts):
     # the eigenbasis of C1 C2 C7 for every line: a spread's bases are then one basis
-    real, first = co.line_facts, _ops_for((1, 2, 7))
-    return {"line_facts": lambda t: (real(t)[0], real(first)[1])}
+    first = _ops_for((1, 2, 7))
+    return lambda t: (line_facts(t)[0], line_facts(first)[1])
 
 
-# a corruption: the parts of a fresh structure, read off the intact one,
-# that fail its check; the functions of ``correspondence``, read off the
-# intact ones, that fail it; or the golden constants, read off the intact
-# ones, that fail its check alone.  The kept parts of the structure are the
-# harness of ``test_kept_parts``
-PART, PATCH, GOLDEN = "part", "patch", "golden"
+# the kinds of corruption, by what an entry's change is: a ring source for a
+# fresh structure (RING), or a dict that maps each part of a fresh structure
+# (PART), function of ``correspondence`` (PATCH) or golden constant (GOLDEN)
+# to a function of its intact value that gives the changed one
+RING, PART, PATCH, GOLDEN = "ring", "part", "patch", "golden"
 
-# each check that no corrupted ring, fixture or kept part fails -> its corruption
+
+class Corruption(NamedTuple):
+    """A change that fails its check, with exactly the (title, name) pairs
+    ``failed`` and with ``detail`` where these are given."""
+
+    kind: str
+    change: Callable | dict
+    failed: set | None = None
+    detail: str | None = None
+
+
+def _apply(monkeypatch, kind, change):
+    """Make the corruption for the rest of a test."""
+    if kind == RING:
+        monkeypatch.setattr(co, "STRUCTURE", co.Structure(change))
+    elif kind == PART:
+        st = co.Structure()
+        for part, f in change.items():
+            setattr(st, part, f(getattr(co.STRUCTURE, part)))
+        monkeypatch.setattr(co, "STRUCTURE", st)
+    else:
+        module = golden if kind == GOLDEN else co
+        for name, f in change.items():
+            monkeypatch.setattr(module, name, f(getattr(module, name)))
+
+
+# each grid of the census, and the first spread with its last line index made
+# 15, which names no line of the 15
+GRIDS = [h.points for h in co.STRUCTURE.by_kind[GRID]]
+PAST = co.STRUCTURE.spreads[0][:-1] + (15,)
+
+# a check of ``verify_all()`` -> a corruption that fails it; with the exact
+# rows of the kept-part harness, one for each of the 100 checks
 CORRUPTIONS = {
-    ("line census", "census orbit-equivalent to published list"):
-        (GOLDEN, _census_reps_with_the_first_repeating_the_second),
+    ("ring construction", "addition table matches fixture"):
+        Corruption(RING, _serving(_cell_up("m2f2", "add_table", 3, 5)), detail="256 cells"),
+    ("ring construction", "multiplication table matches fixture"):
+        Corruption(GOLDEN, {"M2F2_MUL_TABLE": lambda rows: rows[1::-1] + rows[2:]}, detail="256 cells"),
+    ("ring construction", "unit set"):
+        Corruption(GOLDEN, {"M2F2_UNITS": lambda us: us - {max(us)}}, detail="{1,2,9,11,12,13}"),
+    ("ring construction", "zero divisor count"): Corruption(
+        PATCH, {"zero_divisors": lambda real: lambda ring, us: real(ring, us) - {ring.zero}}, detail="10 including zero"),
+    # each ring with one cell moved up by one, which its axiom check names
+    **{("ring construction", f"ring axioms hold for {name}"):
+       Corruption(RING, _serving(_cell_up(name, table, x, y)), detail=f"rep breaks {law} at (x,y)=({x},{y})")
+       for name, table, law, x, y in (
+           ("m2f2", "mul_table", "multiplication", 3, 5), ("gf2", "add_table", "addition", 1, 1),
+           ("gf4", "add_table", "addition", 2, 3), ("gf2xgf2", "add_table", "addition", 2, 3),
+           ("gf2dual", "mul_table", "multiplication", 2, 3))},
+    # a valid ring served under another's name
+    **{("line census", name): Corruption(RING, _serving(ring_by_name("gf4"), "m2f2"))
+       for name in ("35 points over m2f2", "every orbit has size 6", "published census pairs admissible")},
+    ("line census", "census orbit-equivalent to published list"): Corruption(
+        GOLDEN, {"LINE_CENSUS_REPS": lambda reps: reps[1:2] + reps[1:]}, detail="34 distinct orbits"),
+    ("line census", "3 points over gf2"):
+        Corruption(RING, _serving(ring_by_name("gf4"), "gf2"), _checks("line census: 3 points over gf2")),
+    **{("line census", name): Corruption(RING, _serving(ring_by_name("gf2xgf2"), "gf4"))
+       for name in ("5 points over gf4", "gf4 line pairwise distant")},
+    ("line census", "9 points over gf2xgf2"): Corruption(RING, _serving(ring_by_name("gf4"), "gf2xgf2"), _checks(
+        "line census: 9 points over gf2xgf2", f"9 plus 6 factorization: {NINE_CHECK}")),
+    **{("line census", name): Corruption(RING, _serving(ring_by_name("gf2"), "gf2dual"))
+       for name in ("6 points over gf2dual", "gf2dual line has 3 neighbor pairs")},
+    ("sub-configuration", "family sizes 6 and 9"): Corruption(PART, {"sub": _c7_filed_as_distant}, _checks(
+        "sub-configuration: family sizes 6 and 9", f"9 plus 6 factorization: {NINE_CHECK}",
+        "9 plus 6 factorization: each of the nine has 4 neighbor and 4 distant partners inside",
+        f"9 plus 6 factorization: {SPLIT_CHECK}")),
     ("sub-configuration", "families reproduce the published points in order"):
-        (GOLDEN, _point_reps_with_the_first_two_swapped),
-    ("9 plus 6 factorization", "split matches the recorded one"): (PART, _sub_with_the_six_distant_points_rotated),
+        Corruption(GOLDEN, {"POINT_REPS": lambda reps: reps[1::-1] + reps[2:]}),
+    # the fixture one row short, given as ``verify --fixture`` gives one read from a file
+    ("relation sign matrix", "fixture well-formed"): Corruption(
+        PATCH, {"verify_relation_signs": lambda real: lambda st: real(st, reference=golden.CANONICAL_SIGNS[1:])},
+        _checks("relation sign matrix: fixture well-formed"), "got 14 rows"),
+    ("relation sign matrix", "geometry vs fixture"): Corruption(
+        GOLDEN, {"CANONICAL_SIGNS": lambda rows: _flip_cell_pair(rows, 0, 6)}, _checks(
+            "sub-configuration: induced matrix equals fixture", "relation sign matrix: geometry vs fixture",
+            "relation sign matrix: operators vs fixture")),
+    ("quadrangle structure", "neighbor graph strongly regular (15,6,1,3)"):
+        Corruption(PART, {"graph": _without_its_first_edge}),
+    ("hyperplane census", "spreads are the ovoids of the dual"): Corruption(
+        PART, {"spreads": lambda spreads: (PAST, *spreads[1:])}, _checks(
+            "hyperplane census: spreads are the ovoids of the dual",
+            "hyperplane trinity: spread bonus: 6 spreads, unbiased bases", f"unbiased bases: spread {list(PAST)}")),
+    ("Petersen complements", "reference graph sane"): Corruption(
+        PATCH, {"petersen_graph": lambda real: lambda: _without_its_first_edge(real())},
+        _checks("Petersen complements: reference graph sane").union(*map(_petersen_checks, _ovoids()))),
+    ("9 plus 6 factorization", "split matches the recorded one"): Corruption(PART, {"sub": _six_distant_points_rotated}),
     ("9 plus 6 factorization", "nine common neighbors in standard rows form a magic square"):
-        (PATCH, _line_facts_with_the_first_standard_row_negated),
-    ("magic squares", "standard grid is magic"): (PATCH, _line_facts_with_the_first_standard_row_negated),
-    **{("unbiased bases", co.STRUCTURE.spread[sp]): (PATCH, _line_facts_with_one_eigenbasis_for_every_line)
+        Corruption(PATCH, {"line_facts": _the_first_standard_row_negated}),
+    ("10 plus 5 factorization", "6 ovoids to examine"): Corruption(PART, {"hyperplanes": _without(
+        lambda planes: next(h for h in planes if h.kind == OVOID and h.points != golden.SAMPLE_OVOID))}),
+    ("10 plus 5 factorization", "the published sample ovoid is among them"): Corruption(PART, {"hyperplanes": _without(
+        lambda planes: next(h for h in planes if h.points == golden.SAMPLE_OVOID))}),
+    ("perp-set sublines", "perp set of C13"): Corruption(PART, {"hyperplanes": _without(
+        lambda planes: next(h for h in planes if h.center == 13))}, _checks(
+        "perp-set sublines: perp set of C13", "hyperplane census: 15 perp sets",
+        "hyperplane census: 31 hyperplanes in total",
+        "hyperplane trinity: perp row: 15 perp sets, gf2dual sublines, six commuting partners")),
+    ("magic squares", "standard grid is magic"): Corruption(PATCH, {"line_facts": _the_first_standard_row_negated}),
+    ("magic squares", "10 grid hyperplanes"):
+        Corruption(PART, {"hyperplanes": _without(lambda planes: next(h for h in planes if h.kind == GRID))}),
+    # the first grid's arrangement is a row of the kept-part harness
+    **{("magic squares", f"grid {co._cset(grid)} admits a magic arrangement"): Corruption(
+        PART, {"grid_cells": _without_the_first_row_of(grid)},
+        _checks(f"magic squares: grid {co._cset(grid)} admits a magic arrangement", GRID_ROW),
+        "raised ValueError: expected a 3x3 grid of operators") for grid in GRIDS[1:]},
+    ("unbiased bases", "6 spreads to examine"):
+        Corruption(PART, {"spreads": _without(lambda spreads: spreads[0])}),
+    **{("unbiased bases", co.STRUCTURE.spread[sp]): Corruption(PATCH, {"line_facts": _one_eigenbasis_for_every_line})
        for sp in co.STRUCTURE.spreads},
+    ("transitivity of the invertible group", WITNESS_CHECK): Corruption(
+        PART, {"sub": _a_neighbor_pair_made_distant}, _checks(f"transitivity of the invertible group: {WITNESS_CHECK}"),
+        "3360 of 3408 triples witnessed; no witness for points 0 and 17 with unit 1"),
+    ("transitivity of the invertible group", ORDER_CHECK): Corruption(
+        PATCH, {"units": lambda real: lambda ring: frozenset(sorted(real(ring))[:-1])}, _checks(
+            "ring construction: unit set", "ring construction: zero divisor count",
+            f"transitivity of the invertible group: {ORDER_CHECK}"),
+        "orbit 3360 x stabilizer 5 = 16800; 15*14*12*8 = 20160"),
 }
 
 
-def _named_anywhere(report):
-    named = {(report.title, c.name) for c in report.checks}
-    return named.union(*(_named_anywhere(r) for r in report.subreports))
-
-
-def test_every_corruption_is_of_a_check_of_verify_all():
-    """Each key of ``CORRUPTIONS`` is a (report title, check name) that an
-    intact ``verify_all()`` reports."""
-    assert set(CORRUPTIONS) <= _named_anywhere(verify_all())
+def test_the_table_and_the_exact_rows_fail_each_of_the_100_checks():
+    """The keys of ``CORRUPTIONS`` and the checks of the exact rows of the
+    kept-part harness, but for its stage failures (a check named as its
+    report), are the 100 checks of an intact ``verify_all()``: each fails in
+    a test of its entry or row, so an always-pass check fails that test.
+    The orbit check words the 35 distinct orbits it finds; its entry, 34."""
+    intact = _checks_anywhere(verify_all())
+    rows = {key for row in EXACT.values() for key in row if key[0] != key[1]}
+    assert len(intact) == 100 and set(CORRUPTIONS) | rows == set(intact)
+    assert intact["line census", "census orbit-equivalent to published list"].detail == "35 distinct orbits"
 
 
 @pytest.mark.parametrize("check", list(CORRUPTIONS), ids=[name for _, name in CORRUPTIONS])
 def test_a_corruption_fails_its_check(check, monkeypatch, capsys):
     """Each corruption fails its check through ``verify_all()``, which
-    returns, a changed golden constant that check alone, and through the
-    CLI, which exits 1 with nothing on stderr."""
-    kind, corruption = CORRUPTIONS[check]
-    if kind == PART:
-        st = co.Structure()
-        for part, value in corruption(co.STRUCTURE).items():
-            setattr(st, part, value)
-        monkeypatch.setattr(co, "STRUCTURE", st)
-    else:
-        for name, value in corruption().items():
-            monkeypatch.setattr(golden if kind == GOLDEN else co, name, value)
-    failed = _failed_anywhere(verify_all())
-    assert (failed == {check}) if kind == GOLDEN else (check in failed)
+    returns, with the entry's failing set and detail where it gives them; a
+    changed golden constant, read where it is compared, fails that check
+    alone where it gives no set, and every check still reports.  ``ringline
+    verify all`` exits 1 and names the check, with that detail, with
+    nothing on stderr."""
+    kind, change, want, detail = CORRUPTIONS[check]
+    _apply(monkeypatch, kind, change)
+    report = verify_all()
+    checks = _checks_anywhere(report)
+    failed = {key for key, c in checks.items() if not c.passed}
+    if want is None and kind == GOLDEN:
+        want = {check}
+    assert check in failed and failed == (failed if want is None else want)
+    assert kind != GOLDEN or report.tally()[0] == 100
+    assert detail is None or checks[check].detail == detail
     assert cli.main(["verify", "all"]) == 1
-    captured = capsys.readouterr()
-    assert f"[FAIL] {check[1]}" in captured.out
-    assert captured.err == ""
-
-
-def test_a_failing_census_states_its_distinct_orbits(monkeypatch):
-    """The orbit check words the count of distinct published orbits it
-    found: 34 when one representative repeats another's class, 35 intact."""
-    check = "census orbit-equivalent to published list"
-    assert _details(co.verify_line_census(co.STRUCTURE))[check] == "35 distinct orbits"
-    for name, value in _census_reps_with_the_first_repeating_the_second().items():
-        monkeypatch.setattr(golden, name, value)
-    report = co.verify_line_census(co.STRUCTURE)
-    assert check in _failed(report)
-    assert _details(report)[check] == "34 distinct orbits"
-
-
-WITNESS_CHECK = "every ordered pairwise-distant triple is witnessed"
-ORDER_CHECK = "invertible group has order 20160"
+    out, err = capsys.readouterr()
+    assert "result: FAIL" in out and f"[FAIL] {check[1]}" + ("" if detail is None else f": {detail}\n") in out
+    assert err == ""
 
 
 def _details(report):
@@ -1199,9 +1176,7 @@ def test_corrupted_relation_fails_the_witness_check(sign, monkeypatch):
     i, j = next(
         (i, j) for i, row in enumerate(line.relation) for j, s in enumerate(row) if s == sign and i != j
     )
-    rows = [list(row) for row in line.relation]
-    rows[i][j] = rows[j][i] = "-" if sign == "+" else "+"
-    st = _with_line(relation=tuple("".join(row) for row in rows))
+    st = _with_line(relation=_flip_cell_pair(line.relation, i, j))
     bad = st.sub[0]
     report = verify_transitivity(st)
     assert WITNESS_CHECK in _failed(report)
