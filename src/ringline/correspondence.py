@@ -62,7 +62,6 @@ from .quadrangle import (
     mask_isomorphism,
     mask_maps_onto,
     petersen_graph,
-    triangles,
     validate_gq_axioms,
 )
 from .rings import Ring, ring_by_name, units, validate_ring, zero_divisors
@@ -257,7 +256,7 @@ class Structure:
         """The triangles of ``graph``, each as the positions of its three
         vertices in ``graph.vertices``, in order."""
         pos = {v: i for i, v in enumerate(self.graph.vertices)}
-        return tuple(tuple(sorted(map(pos.__getitem__, t))) for t in triangles(self.graph))
+        return tuple(tuple(sorted(map(pos.__getitem__, t))) for t in self.graph.triangles)
 
     @cached_property
     def operator_signs(self) -> tuple[str, ...]:
@@ -295,13 +294,6 @@ class Structure:
         """The label of each point (as ``c_label`` words it) and point set
         (as ``_cset`` does) that a check shows."""
         return _LABELS[key] if type(key) is int else _cset(key)
-
-    @_keyed
-    def names(self, key: tuple[str, int | Iterable[int]]) -> str:
-        """The name of each check that names a point or point set, by its
-        (template, points): the template filled with their ``labels``."""
-        template, points = key
-        return template.format(self.labels[points])
 
     @cached_property
     def line_rows(self) -> tuple[tuple[int, tuple[int, ...], Callable], ...]:
@@ -490,7 +482,7 @@ def verify_ring_tables(st: Structure) -> Report:
         CheckResult(
             "zero divisor count",
             len(zds) == 10 and ring.zero in zds,
-            "10 including zero",
+            f"{len(zds)} {'including' if ring.zero in zds else 'without'} zero",
         ),
     ]
     for name in ("m2f2", "gf2", "gf4", "gf2xgf2", "gf2dual"):
@@ -505,17 +497,18 @@ def verify_ring_tables(st: Structure) -> Report:
     return Report("ring construction", tuple(checks))
 
 
+def _count_check(name: str, found: int, want: int, what: str) -> CheckResult:
+    # a count check, whose detail, on a failure alone, words the count found
+    return CheckResult(name, found == want, "" if found == want else f"{found} {what} found")
+
+
 def verify_line_census(st: Structure) -> Report:
     """Point counts and orbit structure of the projective lines."""
     checks = []
     line = enumerate_line(st.rings("m2f2"))
-    checks.append(CheckResult("35 points over m2f2", len(line.points) == 35))
-    checks.append(
-        CheckResult(
-            "every orbit has size 6",
-            all(len(pt.members) == 6 for pt in line.points),
-        )
-    )
+    checks.append(_count_check("35 points over m2f2", len(line.points), 35, "points"))
+    other = sum(len(pt.members) != 6 for pt in line.points)
+    checks.append(_count_check("every orbit has size 6", other, 0, "orbits of another size"))
     reps_ok = all(is_admissible(line.ring, a, b) for a, b in golden.LINE_CENSUS_REPS)
     checks.append(CheckResult("published census pairs admissible", reps_ok))
     if reps_ok:
@@ -533,16 +526,14 @@ def verify_line_census(st: Structure) -> Report:
     counts = {"gf2": 3, "gf4": 5, "gf2xgf2": 9, "gf2dual": 6}
     for name, want in counts.items():
         small = enumerate_line(st.rings(name))
-        checks.append(
-            CheckResult(f"{want} points over {name}", len(small.points) == want)
-        )
+        checks.append(_count_check(f"{want} points over {name}", len(small.points), want, "points"))
     gf4_line = enumerate_line(st.rings("gf4"))
     # each size is read from the line, which a ring source may serve at another order
     all_distant = all(c == DISTANT for i, row in enumerate(gf4_line.relation) for j, c in enumerate(row) if i != j)
     checks.append(CheckResult("gf4 line pairwise distant", all_distant))
     dual_line = enumerate_line(st.rings("gf2dual"))
     npairs = sum(row[i + 1 :].count(NEIGHBOR) for i, row in enumerate(dual_line.relation))
-    checks.append(CheckResult("gf2dual line has 3 neighbor pairs", npairs == 3))
+    checks.append(_count_check("gf2dual line has 3 neighbor pairs", npairs, 3, "neighbor pairs"))
     return Report("line census", tuple(checks))
 
 
@@ -607,8 +598,8 @@ def _clique_problem(g: Graph, tris: Sequence[tuple[int, int, int]]) -> str:
             return f"{t} is no triangle of the graph by vertex positions"
         if masks[i] & masks[j] & masks[k]:
             return f"triangle {[g.vertices[p] for p in t]} extends to a clique of four"
-    if not tris or len(set(tris)) != len(tris) or len(tris) != g.triangle_count:
-        return f"{len(set(tris))} distinct of {len(tris)} triangles listed, {g.triangle_count} in the graph"
+    if not tris or len(set(tris)) != len(tris) or len(tris) != len(g.triangles):
+        return f"{len(set(tris))} distinct of {len(tris)} triangles listed, {len(g.triangles)} in the graph"
     return ""
 
 
@@ -793,7 +784,7 @@ def verify_petersen(st: Structure) -> Report:
     """Every ovoid complement is the Petersen graph, with explicit witnesses:
     an isomorphism from the collinearity graph off the ovoid onto
     ``petersen_graph()`` proves the complement cubic with girth 5."""
-    s, reference, names = st.gq, petersen_graph(), st.names
+    s, reference = st.gq, petersen_graph()
     checks = []
     data: dict = {"witnesses": []}
     for h in st.by_kind[OVOID]:
@@ -801,7 +792,7 @@ def verify_petersen(st: Structure) -> Report:
         iso = _checked_isomorphism(st, sub, reference.masks) if off == _points_off(s, h.points) else None
         checks.append(
             CheckResult(
-                names["complement of {} is Petersen", h.points],
+                f"complement of {st.labels[h.points]} is Petersen",
                 iso is not None,
                 "3-regular, girth 5, isomorphism found" if iso is not None else "",
             )
@@ -936,7 +927,7 @@ def verify_split_10_5(st: Structure, petersen: Report) -> Report:
     """Every ovoid versus its ten-point complement, the Petersen verdicts read
     from ``petersen``, the ``verify_petersen(st)`` report of the same run."""
     witnessed = {frozenset(w["ovoid"]) for w in petersen.data.get("witnesses", ())}
-    pts, ops, names = st.sub[3], standard_labeling(), st.names
+    pts, ops = st.sub[3], standard_labeling()
     checks = []
     data: dict = {"ovoids": []}
     ovoids = st.by_kind[OVOID]
@@ -961,7 +952,7 @@ def verify_split_10_5(st: Structure, petersen: Report) -> Report:
         subline = _subline_witness(st, pick(pts), "gf4") is not None
         checks.append(
             CheckResult(
-                names["ovoid {}", h.points],
+                f"ovoid {st.labels[h.points]}",
                 labels == tuple(sorted(h.points)) and noncommuting and subline and h.points in witnessed,
                 "pairwise non-commuting, gf4 subline, Petersen complement",
             )
@@ -974,7 +965,7 @@ def verify_perp_sublines(st: Structure) -> Report:
     """All fifteen perp sets, one check per center: its six neighbors pair
     off in a perfect matching of three, model the line over gf2dual and,
     with the center, make the perp-set hyperplane of that center."""
-    pts, labels, names = st.sub[3], st.labels, st.names
+    pts, labels = st.sub[3], st.labels
     checks = []
     data: dict = {"pairs": {}}
     for x in range(1, 16):
@@ -990,7 +981,7 @@ def verify_perp_sublines(st: Structure) -> Report:
             and subline
             and perp == (frozenset(nbrs) | {x},)
         )
-        checks.append(CheckResult(names["perp set of {}", x], passed, " ".join(map(labels.__getitem__, pairs))))
+        checks.append(CheckResult(f"perp set of {labels[x]}", passed, " ".join(map(labels.__getitem__, pairs))))
         data["pairs"][str(x)] = [list(p) for p in pairs]
     return Report("perp-set sublines", tuple(checks), data)
 
@@ -1027,10 +1018,13 @@ def verify_mermin(st: Structure, lines: Mapping, square: MerminResult | ValueErr
         _standard_square_check("standard grid is magic", square, data, tail=", product of all six is -1")
     ]
     data["arrangements"] = []
-    grids, names = st.by_kind[GRID], st.names
+    try:
+        grids = st.by_kind[GRID]
+    except ValueError as exc:  # no quadrangle: the standard square is still shown
+        return Report("magic squares", (*checks, stage_failure("10 grid hyperplanes", exc)), data)
     checks.append(CheckResult("10 grid hyperplanes", len(grids) == 10))
     for h in grids:
-        stage = names["grid {} admits a magic arrangement", h.points]
+        stage = f"grid {st.labels[h.points]} admits a magic arrangement"
         try:
             arrangement = grid_mermin_arrangement(st, h.points, lines)
         except ValueError as exc:
@@ -1119,25 +1113,21 @@ def trinity_report(st: Structure, ovoid_rep: Report, perp_rep: Report, mermin_re
     Each row is backed by the report of its dedicated pass, given here and
     kept as a subreport; this report presents their counts side by side.
     """
-    counts = {kind: len(st.by_kind[kind]) for kind in _KINDS}
+    failure = None
+    try:
+        counts = {kind: len(st.by_kind[kind]) for kind in _KINDS}
+        counts["spreads"] = len(st.spreads)
+    except ValueError as exc:  # no quadrangle: each row fails, and the inputs are still shown
+        counts, failure = dict.fromkeys((*_KINDS, "spreads")), exc
+    count = golden.OVOID_SPREAD_COUNT
     checks = [
-        CheckResult(
-            f"ovoid row: {golden.OVOID_SPREAD_COUNT} ovoids, gf4 sublines, "
-            "mutually non-commuting fives",
-            counts[OVOID] == golden.OVOID_SPREAD_COUNT and ovoid_rep.passed,
-        ),
-        CheckResult(
-            "perp row: 15 perp sets, gf2dual sublines, six commuting partners",
-            counts[PERP_SET] == 15 and perp_rep.passed,
-        ),
-        CheckResult(
-            "grid row: 10 grids, gf2xgf2 sublines, magic squares",
-            counts[GRID] == 10 and mermin_rep.passed,
-        ),
-        CheckResult(
-            f"spread bonus: {golden.OVOID_SPREAD_COUNT} spreads, unbiased bases",
-            len(st.spreads) == golden.OVOID_SPREAD_COUNT and mub_rep.passed,
-        ),
+        CheckResult(name, counts[key] == want and rep.passed) if failure is None else stage_failure(name, failure)
+        for name, key, want, rep in (
+            (f"ovoid row: {count} ovoids, gf4 sublines, mutually non-commuting fives", OVOID, count, ovoid_rep),
+            ("perp row: 15 perp sets, gf2dual sublines, six commuting partners", PERP_SET, 15, perp_rep),
+            ("grid row: 10 grids, gf2xgf2 sublines, magic squares", GRID, 10, mermin_rep),
+            (f"spread bonus: {count} spreads, unbiased bases", "spreads", count, mub_rep),
+        )
     ]
     rows = (
         (OVOID, "gf4", "five mutually non-commuting"),
@@ -1149,7 +1139,7 @@ def trinity_report(st: Structure, ovoid_rep: Report, perp_rep: Report, mermin_re
             {"hyperplane": kind, "count": counts[kind], "subline": sub, "operators": ops}
             for kind, sub, ops in rows
         ],
-        "spreads": len(st.spreads),
+        "spreads": counts["spreads"],
     }
     return Report(
         "hyperplane trinity",

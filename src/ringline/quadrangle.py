@@ -53,7 +53,7 @@ class _GraphFields(NamedTuple):
 class Graph(_GraphFields):
     """An undirected graph with hashable vertices; immutable.  The fields
     live in a NamedTuple base; this subclass keeps an instance dict for the
-    cached adjacency."""
+    cached adjacency, masks and triangles."""
 
     @classmethod
     def from_edges(cls, vertices: Iterable[Vertex], edges: Iterable) -> Graph:
@@ -82,8 +82,9 @@ class Graph(_GraphFields):
         return tuple(sum(1 << pos[u] for u in self.adjacency[v]) for v in self.vertices)
 
     @cached_property
-    def triangle_count(self) -> int:
-        return len(triangles(self))
+    def triangles(self) -> tuple[frozenset, ...]:
+        """``triangles(self)``, found on first read and kept."""
+        return tuple(triangles(self))
 
     def neighbors(self, v: Vertex) -> frozenset:
         return self.adjacency[v]
@@ -205,7 +206,7 @@ def build_gq_from_graph(g: Graph) -> IncidenceStructure:
         e = bad[0]
         raise ValueError(f"edge {tuple(e)} lies on {cover[frozenset(e)]} triangles, expected 1")
     pos = {v: i for i, v in enumerate(g.vertices)}
-    lines = tuple(sorted(triangles(g), key=lambda t: sorted(pos[p] for p in t)))
+    lines = tuple(sorted(g.triangles, key=lambda t: sorted(pos[p] for p in t)))
     s = IncidenceStructure(g.vertices, lines)
     problems = validate_gq_axioms(s)
     if problems:

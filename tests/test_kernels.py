@@ -1,18 +1,20 @@
 """The verifier kernels against their reference forms in ``kernel_oracle``,
-and the rule that no verdict is cached between runs."""
+and the ledger of the calls that a first and a warm run make."""
 
 import gc
 import itertools
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 import kernel_oracle as oracle
+from conftest import counted_calls
 from kernel_oracle import complement_graph_of_ovoid
 from ring_docs import ring_from_json_dict
 from ringline import correspondence as co
-from ringline import gf2, golden, pauli, projline, quadrangle, rings
+from ringline import gf2, pauli, projline, quadrangle, rings
 from ringline.pauli import PauliOp, line_product_sign
 from ringline.projline import distant_triple_witnesses, enumerate_line
 from ringline.quadrangle import (
@@ -168,7 +170,7 @@ def _census_structures():
         yield st
     intact = co.STRUCTURE
     for part, value in (
-        ("by_kind", {**intact.by_kind, "ovoid": intact.by_kind["ovoid"][1:]}),
+        ("by_kind", co._Kept(lambda kind: intact.by_kind[kind][1:] if kind == "ovoid" else intact.by_kind[kind])),
         ("spreads", intact.spreads[1:]),
     ):
         st = co.Structure()
@@ -681,15 +683,6 @@ def test_distant_triple_witnesses_match_oracle_on_flipped_cells(m2f2_line):
         assert got[1] and got == oracle.distant_triple_witnesses(bad)
 
 
-def test_warm_verify_all_runs_no_unit_by_unit_loop(monkeypatch):
-    """The intact line is accepted by the bulk pass: a warm ``verify_all()``
-    runs it once and never enters the unit-by-unit loop."""
-    co.verify_all()
-    calls = _count_calls(monkeypatch, projline._bulk_pass, projline._witness_loop)
-    assert co.verify_all().passed
-    assert calls == {"_bulk_pass": 1}
-
-
 def test_bulk_pass_doubts_each_condition_it_checks(m2f2_line):
     """The bulk pass accepts the intact line and doubts a missing span, a
     span that meets a partner's, a scaled row outside its point's class and
@@ -753,14 +746,14 @@ def _span_meeting_a_partner(line, monkeypatch):
     ids=["units one short", "units with zero", "addition cell", "multiplication cell",
          "flipped relation cell", "span meeting a partner"],
 )
-def test_each_corruption_runs_the_unit_by_unit_loop(corrupt, monkeypatch, m2f2_line):
+def test_each_corruption_runs_the_unit_by_unit_loop(corrupt, monkeypatch, count_calls, m2f2_line):
     """Every corruption family leaves the bulk pass in doubt: the call runs
     the unit-by-unit loop once, and the witnesses and the failures are the
     oracle's (a unit list one short fails no unit, it only witnesses less)."""
     bad = corrupt(m2f2_line, monkeypatch)
-    calls = _count_calls(monkeypatch, projline._witness_loop)
+    calls = count_calls("projline._witness_loop")
     got = _witnesses_as_triples(bad)
-    assert calls == {"_witness_loop": 1}
+    assert calls == {"projline._witness_loop": 1}
     assert got == oracle.distant_triple_witnesses(bad)
     assert got[1] or len(got[0]) < 3360
 
@@ -984,166 +977,170 @@ def test_corrupted_rings_leave_no_cache_entries():
 
 
 # ---------------------------------------------------------------------------
-# nothing is cached between runs except derived structure
+# the calls of a first and a warm run: nothing is kept between runs but
+# derived structure
 
-VERDICTS = {
-    "quadrangle": ("mask_maps_onto", "validate_gq_axioms", "is_strongly_regular", "_exact_covers"),
-    "pauli": ("mub_spread_check", "mermin_square_check", "line_facts", "_orthonormal", "_unbiased"),
-    "projline": ("distant_triple_witnesses",),
-    "rings": ("validate_ring",),
-    "correspondence": ("line_table",),
+# "module.function" -> (its calls in the first ``verify_all()`` on a fresh
+# ``Structure``, once an earlier run has filled the module caches, and in
+# each warm ``verify_all()``).  A warm run makes the verdict calls of every
+# run and no other: it searches, derives and words nothing.
+LEDGER = {
+    # the isomorphism searches, and the image tables of the mappings found
+    "quadrangle.mask_isomorphism": (17, 0),
+    "quadrangle.graph_isomorphism": (0, 0),
+    "quadrangle.is_petersen": (0, 0),
+    "quadrangle._Carry": (17, 0),
+    # the parts of the structure, each derived once
+    "projline.simultaneous_subconfig": (1, 0),
+    "projline.induced_signs": (1, 0),
+    "quadrangle.triangles": (1, 0),
+    "quadrangle.build_gq_from_graph": (1, 0),
+    "quadrangle.dual": (1, 0),
+    "quadrangle.enumerate_hyperplanes": (1, 0),
+    "quadrangle.enumerate_spreads": (1, 0),
+    "correspondence.operator_signs": (1, 0),
+    "pauli.commutation_table": (1, 0),
+    "projline.induced_neighbor_masks": (24, 0),  # the nine, 2 + 6 fives and 15 sixes of the sub-lines
+    "correspondence._parallel_classes": (10, 0),
+    # the words, picks and operator lists the structure keeps
+    "correspondence._cset": (78, 0),
+    "golden.c_label": (0, 0),
+    "correspondence._picker": (36, 0),
+    "correspondence._ops_for": (0, 0),
+    # the stages that several read, each built once per run
+    "correspondence.line_table": (1, 1),
+    "correspondence.standard_square": (1, 1),
+    "correspondence.verify_petersen": (1, 1),
+    # each kept mapping checked once: 24 sub-lines, the self-duality and six Petersen complements
+    "quadrangle.mask_maps_onto": (31, 31),
+    "quadrangle.validate_gq_axioms": (2, 1),  # first, as the quadrangle is recovered too
+    "quadrangle.is_strongly_regular": (1, 1),
+    "quadrangle._exact_covers": (3, 2),  # the ovoids of the quadrangle and its dual; first, the spreads
+    "rings.validate_ring": (5, 5),
+    "projline.is_admissible": (35, 35),
+    "projline.distant_triple_witnesses": (1, 1),
+    "projline._bulk_pass": (1, 1),
+    "projline._witness_loop": (0, 0),  # the intact line passes the bulk pass
+    "projline.map_standard_triple_to": (0, 0),
+    "gf2.rank": (0, 0),
+    "gf2.multiply": (0, 0),
+    "pauli.multiply": (0, 0),
+    "pauli.commutes": (330, 105),  # 10 per ovoid five, 3 per line; first, the 225 operator signs
+    "pauli.line_facts": (15, 15),  # each of the 15 lines signed once
+    "pauli.line_product_sign": (15, 15),
+    # the standard square and the ten grids, each evaluated once, on six line signs
+    "pauli.mermin_square_check": (11, 11),
+    "correspondence.grid_mermin_arrangement": (10, 10),
+    "correspondence._line_sign": (66, 66),
+    # six spreads of five bases, each with five orthonormality and ten pair tests in closed form
+    "pauli.mub_spread_check": (6, 6),
+    "pauli._orthonormal": (30, 30),
+    "pauli._unbiased": (60, 60),
+    "pauli._trace_matrix": (0, 0),
 }
 
 
-def _count_calls(monkeypatch, *functions):
-    """Wrap each function wherever a ringline module binds it; the Counter
-    of calls by function name."""
-    calls = Counter()
-    modules = [m for name, m in sys.modules.items() if name.startswith("ringline.")]
-    for real in functions:
-
-        def counted(*args, _name=real.__name__, _real=real):
-            calls[_name] += 1
-            return _real(*args)
-
-        for module in modules:
-            for key, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, key, counted)
-    return calls
-
-
-def test_no_verdict_is_cached(monkeypatch):
-    """Each verdict function is wrapped in its defining module and in every
-    module that imported it; two consecutive runs, after the one that fills
-    the derived structure, call each of them equally often and not never."""
-    co.verify_all()
-    verdicts = [
-        getattr(sys.modules[f"ringline.{short}"], name)
-        for short, names in VERDICTS.items()
-        for name in names
-    ]
-    calls = _count_calls(monkeypatch, *verdicts)
-    runs = []
-    for _ in range(2):
-        calls.clear()
-        assert co.verify_all().passed
-        runs.append(dict(calls))
-    assert runs[0] == runs[1]
-    assert sorted(runs[0]) == sorted(n for names in VERDICTS.values() for n in names)
-    assert all(n > 0 for n in runs[0].values())
-
-
-def test_warm_verify_all_searches_nothing(monkeypatch):
-    """Every isomorphism of a warm ``verify_all()`` is a kept mapping that is
-    checked, not searched again: the 24 sub-lines, the self-duality and the
-    six Petersen mappings, each Petersen mapping once although two reports
-    use it."""
-    co.verify_all()
-    calls = _count_calls(
-        monkeypatch, quadrangle.mask_isomorphism, quadrangle.graph_isomorphism,
-        quadrangle.mask_maps_onto,
-    )
-    assert co.verify_all().passed
-    assert calls == {"mask_maps_onto": 24 + 1 + 6}
-
-
-def test_warm_verify_all_evaluates_each_line_once(monkeypatch):
-    """One line table and one standard square per run: each of the 15
-    quadrangle lines is signed once, the magic squares and spreads read it,
-    the standard square and the ten grids are each evaluated once, and the
-    closed-form traces of the intact spreads take no trace matrix."""
-    co.verify_all()
-    calls = _count_calls(
-        monkeypatch, pauli.line_product_sign, co.line_table, pauli.mub_spread_check,
-        pauli.mermin_square_check, pauli._trace_matrix,
-    )
-    assert co.verify_all().passed
-    assert calls == {
-        "line_table": 1, "line_product_sign": 15, "mub_spread_check": 6, "mermin_square_check": 11,
-    }
+# the verdict functions: a warm run calls each of them, as it keeps no verdict
+VERDICTS = (
+    "quadrangle.mask_maps_onto", "quadrangle.validate_gq_axioms", "quadrangle.is_strongly_regular",
+    "quadrangle._exact_covers", "pauli.mub_spread_check", "pauli.mermin_square_check", "pauli.line_facts",
+    "pauli._orthonormal", "pauli._unbiased", "projline.distant_triple_witnesses", "rings.validate_ring",
+    "correspondence.line_table",
+)
 
 
 def _kept_parts(st):
-    """The parts of ``st`` by name, each keyed part as a copy of its entries,
-    so that an entry it gains later shows."""
+    # the parts of ``st`` by name, each keyed part as a copy of its entries, so that an entry it gains later shows
     return {name: dict(part) if isinstance(part, co._Kept) else part for name, part in vars(st).items()}
 
 
-def test_warm_verify_all_derives_nothing(monkeypatch):
-    """A warm ``verify_all()`` reads every part of the structure as kept: it
-    builds no part, no image table of a mapping (``_Carry``), no table of
-    the quadrangle or its dual, and calls no helper that derives one, while
-    it makes the verdict calls of every call: 31 mask checks, 11 Mermin
-    evaluations, 6 unbiasedness tests, 15 line signs, 105 commutation tests
-    (10 for each of the six ovoid fives, 3 for each of the 15 lines) and
-    the census's two exact-cover searches, on the quadrangle and its dual."""
+def _tables(st):
+    # a copy of the tables of the quadrangle and of its dual
+    return [dict(vars(s)) for s in (st.gq, st.gq.dual_structure)]
+
+
+@pytest.fixture(scope="module")
+def ledger_runs():
+    """On a fresh structure, once an earlier run has filled the module
+    caches: a first ``verify_all()``, two warm ones and a trinity run, each
+    with whether it passed and the calls of each ``LEDGER`` function; the
+    structure, and its kept parts and quadrangle tables after the first run
+    (``kept``, ``tables``) and after the rest (``kept_now``, ``tables_now``)."""
     co.verify_all()
-    st = co.STRUCTURE
-    kept = _kept_parts(st)
-    calls = _count_calls(
-        monkeypatch, projline.induced_neighbor_masks, quadrangle.triangles, co.operator_signs,
-        pauli.commutation_table, co._parallel_classes, quadrangle.enumerate_hyperplanes,
-        quadrangle.build_gq_from_graph, projline.simultaneous_subconfig, projline.induced_signs,
-        quadrangle.mask_maps_onto, pauli.mermin_square_check, pauli.mub_spread_check,
-        pauli.line_product_sign, pauli.commutes, quadrangle._Carry, quadrangle._exact_covers,
-    )
-    tables = [dict(vars(s)) for s in (st.gq, st.gq.dual_structure)]
-    assert co.verify_all().passed
-    assert calls == {
-        "mask_maps_onto": 31, "mermin_square_check": 11, "mub_spread_check": 6,
-        "line_product_sign": 15, "commutes": 105, "_exact_covers": 2,
-    }
-    assert _kept_parts(st) == kept
-    assert [vars(s) for s in (st.gq, st.gq.dual_structure)] == tables
+    st = co.Structure()
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(co, "STRUCTURE", st)
+        calls = counted_calls(mp, *LEDGER)
+        for name, run in [("first", co.verify_all), ("warm", co.verify_all), ("second warm", co.verify_all),
+                          ("trinity", lambda: co.run("hyperplane trinity"))]:
+            calls.clear()
+            passed = run().passed
+            runs[name] = passed, {key: calls[key] for key in LEDGER}
+            if name == "first":
+                kept, tables = _kept_parts(st), _tables(st)
+    return SimpleNamespace(st=st, runs=runs, kept=kept, tables=tables, kept_now=_kept_parts(st),
+                           tables_now=_tables(st))
+
+
+@pytest.mark.parametrize("run", ["first", "warm", "second warm"])
+def test_a_first_and_a_warm_run_make_the_ledger_calls(run, ledger_runs):
+    """Each function of ``LEDGER``, counted wherever a ringline module binds
+    it, is called as its column says in a first ``verify_all()`` on a fresh
+    structure and in each of two warm ones."""
+    passed, calls = ledger_runs.runs[run]
+    assert passed and calls == {key: counts[run != "first"] for key, counts in LEDGER.items()}
+
+
+def test_no_verdict_is_cached():
+    """A warm run calls each verdict function, so the table keeps none."""
+    assert {key for key in VERDICTS if LEDGER[key][1] == 0} == set()
+
+
+def test_warm_verify_all_derives_nothing(ledger_runs):
+    """The warm runs and the trinity run change no kept part."""
+    assert ledger_runs.kept_now == ledger_runs.kept
+
+
+def test_warm_verify_all_words_nothing(ledger_runs):
+    """The first run words each label that a check shows, and the runs after
+    it word none: ``labels`` gains no entry."""
+    labels = ledger_runs.kept["labels"]
+    assert labels and ledger_runs.kept_now["labels"].keys() == labels.keys()
+
+
+def test_warm_verify_all_builds_no_dual(ledger_runs):
+    """The runs after the first change no table of the quadrangle or its
+    dual, and both keep their pencil masks and cover index."""
+    tables = ledger_runs.tables
+    assert ledger_runs.tables_now == tables
     assert {"pencil_masks", "cover_index"} <= tables[0].keys() & tables[1].keys()
 
 
-def test_warm_verify_all_words_nothing(monkeypatch):
-    """A warm ``verify_all()`` reads every label, check name, operator pick
-    and line key as the structure keeps them: it words no point set
-    (``_cset``) and no point (``c_label``), lists no operators
-    (``_ops_for``) and builds no pick, and its kept labels and names gain no
-    entry.  Each of the 66 line-sign lookups, six for each of the 11 Mermin
-    evaluations, reads the line's key from ``line_keys``.  The verdict calls
-    are those of every call."""
-    co.verify_all()
-    st = co.STRUCTURE
-    sizes = len(st.labels), len(st.names)
-    calls = _count_calls(
-        monkeypatch, co._cset, golden.c_label, co._ops_for, co._picker, co._line_sign,
-        quadrangle.mask_maps_onto, pauli.mermin_square_check, pauli.mub_spread_check,
-        pauli.line_product_sign, pauli.commutes,
-    )
-    assert co.verify_all().passed
-    assert calls == {
-        "_line_sign": 66, "mask_maps_onto": 31, "mermin_square_check": 11, "mub_spread_check": 6,
-        "line_product_sign": 15, "commutes": 105,
-    }
-    assert (len(st.labels), len(st.names)) == sizes
-
-
-def test_warm_verify_all_builds_no_dual(monkeypatch):
-    """``quadrangle.dual`` is wrapped wherever it is bound: a structure
-    builds its dual once, and a warm ``verify_all()`` builds none."""
-    built = []
+def test_a_fresh_incidence_structure_builds_its_dual_once(count_calls):
+    """A structure keeps its dual: two reads build it once."""
     real = quadrangle.dual
-
-    def counted(s):
-        built.append(s)
-        return real(s)
-
-    for module in [m for name, m in sys.modules.items() if name.startswith("ringline.")]:
-        for key, value in list(vars(module).items()):
-            if value is real:
-                monkeypatch.setattr(module, key, counted)
+    calls = count_calls("quadrangle.dual")
     s = IncidenceStructure(*co.STRUCTURE.gq)
     assert s.dual_structure is s.dual_structure == real(s)
-    assert built == [s]
-    co.verify_all()
-    built.clear()
-    assert co.verify_all().passed
-    assert built == []
+    assert calls == {"quadrangle.dual": 1}
+
+
+def test_split_9_6_builds_the_nine_masks_once(ledger_runs):
+    """The first run keeps the masks of each of the 24 sub-lines, the nine's
+    among them, which the balance check and the gf2xgf2 witness both read."""
+    st, induced = ledger_runs.st, ledger_runs.kept["induced"]
+    nine = tuple(st.sub[3][6:])
+    assert len(induced) == 24
+    assert induced[nine] == (nine, projline.induced_neighbor_masks(st.sub[0], nine))
+
+
+def test_each_stage_is_built_once_per_run(ledger_runs):
+    """The trinity alone builds once each stage that two of its inputs
+    read: the Petersen report, the line table and the standard square."""
+    passed, calls = ledger_runs.runs["trinity"]
+    assert passed
+    assert [calls[f"correspondence.{f}"] for f in ("verify_petersen", "line_table", "standard_square")] == [1, 1, 1]
 
 
 def test_warm_verify_all_leaves_almost_no_cycles():
